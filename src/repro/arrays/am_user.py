@@ -409,29 +409,30 @@ def write_region_targeted(
     From task-parallel level the per-owner requests execute locally at
     their targets — zero intermediary hops — where the single-hop
     ``write_region`` ships the whole region through one manager and back
-    out per owner.  Epoch fencing still happens at each owner
+    out per owner.  Validation is ``write_region``'s: an out-of-range
+    region or wrong-shaped ``data`` is ``Status.INVALID`` and no owner is
+    asked.  Epoch fencing still happens at each owner
     (``write_region_local`` refuses stale records with ``STALE_EPOCH``).
     """
-    import numpy as np
-
     manager = get_array_manager(machine)
-    flush_writes(machine, array_id)
     state = manager.durability_state(array_id)
-    layout = None
-    if state is not None:
-        for proc in state.processors:
-            record = manager._lookup(machine.processor(proc), array_id)
-            if record is not None:
-                layout = record.layout
-                break
-    if layout is None:
+    if state is None:
         # Unknown here (foreign or freed array): the single-hop path
         # produces the authoritative NOT_FOUND.
         return write_region(machine, array_id, region, data)
-    dense = np.asarray(data)
+    # The creation-time layout serves: verify_array can only change the
+    # borders, and neither validation nor region_sections depends on them.
+    layout = state.layout
+    checked = manager.validated_region_write(
+        layout, state.type_name, region, data
+    )
+    if checked is None:
+        return Status.INVALID
+    bounds, dense = checked
+    flush_writes(machine, array_id)
     pending = []
     for section, local_slices, region_slices in layout.region_sections(
-        region
+        bounds
     ):
         owner = state.processors[section]
         status = DefVar("Status")

@@ -8,9 +8,10 @@ see every byte they move:
 * **Section replication** — ``create_array(..., replication=k)`` assigns
   each local section a deterministic backup chain (a :class:`ReplicaMap`
   computed by :meth:`~repro.arrays.layout.ArrayLayout.replica_chains`).
-  Every manager-mediated write ships one routed ``kind="replica_update"``
-  message per backup, stamped with the array's current **epoch**; backups
-  keep a mirror of the section interior in their own address space.
+  Every manager-mediated commit ships one routed ``kind="replica_update"``
+  message per backup, stamped with the array's current **epoch** and
+  carrying the mutations the owner applied; backups replay them into a
+  mirror of the section interior in their own address space.
 
 * **Checkpoint/restore** — ``ArrayManager.checkpoint`` quiesces writers
   at an epoch barrier (one :class:`~repro.spmd.comm.GroupComm` barrier
@@ -52,6 +53,7 @@ from repro.arrays.placement import (
 )
 from repro.arrays.record import ArrayID
 from repro.obs.spans import span as obs_span
+from repro.perf.coalescer import apply_mutations, mutations_nbytes
 
 REPLICA_UPDATE_KIND = "replica_update"
 RECOVERY_KIND = "recovery"
@@ -91,37 +93,26 @@ class ReplicaMap:
 
 @dataclass(frozen=True)
 class ReplicaUpdate:
-    """One epoch-stamped mutation shipped to a section's backups.
+    """One epoch-stamped commit shipped to a section's backups.
 
-    ``op`` is ``"element"``/``"region"``/``"section"``/``"batch"``;
-    ``target`` holds the local indices (element) or interior slices
-    (region), ``data`` the written value(s).  A ``"batch"`` update is the
-    fused form produced by the write coalescer (:mod:`repro.perf`):
-    ``data`` is an ordered tuple of ``(op, target, value)`` sub-writes,
-    applied in one mirror-lock acquisition — one replica message per
-    backup per flush instead of one per write.  ``shape``/``type_name``
+    ``mutations`` is the ordered tuple of ``(target, value)`` pairs the
+    owner just committed (the vocabulary of :mod:`repro.perf.coalescer`):
+    one pair for a single write, the whole batch for a coalescer flush —
+    replayed in one mirror-lock acquisition, so a flush costs one replica
+    message per backup instead of one per write.  ``shape``/``type_name``
     let a backup materialise the mirror lazily on first contact.
     """
 
     array_id: ArrayID
     section: int
     epoch: int
-    op: str
     shape: Tuple[int, ...]
     type_name: str
-    data: Any
-    target: Optional[tuple] = None
+    mutations: tuple
 
     @property
     def nbytes(self) -> int:
-        if self.op == "batch":
-            return sum(
-                int(getattr(value, "nbytes", 8)) for _o, _t, value in self.data
-            )
-        data = self.data
-        if hasattr(data, "nbytes"):
-            return int(data.nbytes)
-        return 8
+        return mutations_nbytes(self.mutations)
 
 
 class _ReplicaEntry:
@@ -156,18 +147,7 @@ class ReplicaStore:
             if update.epoch < entry.epoch:
                 return False
             entry.epoch = update.epoch
-            if update.op == "section":
-                entry.data[...] = update.data
-            elif update.op == "batch":
-                # Fused coalescer flush: replay the sub-writes in order
-                # under this one lock acquisition.
-                for op, target, value in update.data:
-                    if op == "section":
-                        entry.data[...] = value
-                    else:
-                        entry.data[tuple(target)] = value
-            else:  # "element" and "region" both assign through target
-                entry.data[tuple(update.target)] = update.data
+            apply_mutations(entry.data, update.mutations)
             return True
 
     def fetch(
@@ -306,17 +286,7 @@ class DurabilityState:
                 "stale_replica_updates_rejected": self.stale_rejected,
                 "fenced_writes": self.fenced_writes,
                 "unrecovered": list(self.unrecovered),
-                "placement": {
-                    section: {
-                        "owner": int(owner),
-                        "backups": (
-                            list(self.replica_map.backups_for(section))
-                            if self.replica_map is not None
-                            else []
-                        ),
-                    }
-                    for section, owner in enumerate(self.processors)
-                },
+                "placement": self.placement(),
             }
 
 

@@ -21,6 +21,14 @@ find_info         dimensions / processors / indexing / ... (§4.2.6)
 
 Results and Status values are returned by defining definitional variables
 supplied in the request — the bidirectional server communication of §5.1.1.
+
+One path per concern: every handler starts from ``_resolve`` (the record, or
+NOT_FOUND answered); every write — element, region, whole section, restore,
+coalesced batch — is a list of ``(target, value)`` mutations
+(:mod:`repro.perf.coalescer`) handed to ``_commit``, the only code that takes
+the record lock for a write, checks the epoch fence, assigns into the section,
+bumps its version and replicates; requests are counted once, in the
+``capabilities()`` wrapper.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from repro.perf import (
     PerfLayer,
     define_once,
 )
+from repro.perf.coalescer import apply_mutations
 from repro.pcn.defvar import DefVar
 from repro.status import ProcessorFailedError, Status
 from repro.vp import fabric
@@ -86,6 +95,14 @@ def _records(node: VirtualProcessor) -> dict[ArrayID, ArrayRecord]:
 def _define(var: Optional[DefVar], value: Any) -> None:
     if var is not None:
         var.define(value)
+
+
+def _fail(status: Optional[DefVar], code: Status, *outs: Any) -> None:
+    """Answer a request that produced nothing: every out-parameter is
+    defined as None and ``status`` as ``code``."""
+    for out in outs:
+        _define(out, None)
+    _define(status, code)
 
 
 class ArrayManager:
@@ -127,7 +144,8 @@ class ArrayManager:
                 self.trace_log.append((request_type, *detail))
 
     def _instrumented(self, name: str, handler) -> Any:
-        """Wrap one server handler in an ``am:<name>`` observability span.
+        """Wrap one server handler: count (and, under ``am_debug``, log)
+        the request, then run it in an ``am:<name>`` observability span.
 
         The handler executes on its target node, so the span lands on that
         VP's track and parents onto the requester's span carried by the
@@ -138,6 +156,7 @@ class ArrayManager:
 
         @functools.wraps(handler)
         def traced(node: VirtualProcessor, *parameters: Any) -> Any:
+            self._note(name, node.number, *parameters[:1])
             if getattr(self.machine, "_observer", None) is None:
                 # Observation off: skip the span plumbing entirely rather
                 # than paying for a no-op context manager per request.
@@ -191,15 +210,31 @@ class ArrayManager:
     def _lookup(
         self, node: VirtualProcessor, array_id: ArrayID
     ) -> Optional[ArrayRecord]:
-        record = _records(node).get(array_id)
-        if record is None or not record.valid:
+        return _records(node).get(array_id)
+
+    def _resolve(
+        self,
+        node: VirtualProcessor,
+        array_id: Any,
+        status: Optional[DefVar],
+        *outs: Any,
+        section: bool = False,
+    ) -> Optional[ArrayRecord]:
+        """The request preamble: this node's record of ``array_id`` (with
+        ``section=True``, only one holding a local section), or None after
+        answering NOT_FOUND.  ``array_id`` is caller input: anything that
+        is not an ArrayID is reported through Status, not an exception."""
+        known = isinstance(array_id, ArrayID)
+        record = self._lookup(node, array_id) if known else None
+        if record is None or (section and record.section is None):
+            _fail(status, Status.NOT_FOUND, *outs)
             return None
         return record
 
     def record_for_section(
         self, node: VirtualProcessor, section: Any
     ) -> Optional[ArrayRecord]:
-        """Reverse lookup: the valid record whose live local section *is*
+        """Reverse lookup: the record whose live local section *is*
         ``section`` (object identity) on this node.  Lets SPMD kernels
         that were handed a bare :class:`LocalSection` recover the array
         it belongs to (the halo-plan engagement path in
@@ -207,7 +242,7 @@ class ArrayManager:
         if section is None:
             return None
         for record in list(_records(node).values()):
-            if record.valid and record.section is section:
+            if record.section is section:
                 return record
         return None
 
@@ -251,7 +286,11 @@ class ArrayManager:
 
     # -- durability plumbing ---------------------------------------------------
 
-    def durability_state(self, array_id: ArrayID) -> Optional[DurabilityState]:
+    def durability_state(self, array_id: Any) -> Optional[DurabilityState]:
+        """The array's durability record; None for a freed or foreign
+        array and for anything that is not an :class:`ArrayID`."""
+        if not isinstance(array_id, ArrayID):
+            return None
         with self._durability_lock:
             return self._durability.get(array_id)
 
@@ -267,17 +306,14 @@ class ArrayManager:
         }
 
     def _replicate(
-        self,
-        node: VirtualProcessor,
-        record: ArrayRecord,
-        op: str,
-        target: Optional[tuple],
-        data: Any,
+        self, node: VirtualProcessor, record: ArrayRecord, mutations: Sequence
     ) -> None:
-        """Ship one epoch-stamped ``replica_update`` message per backup of
-        this node's section.  Caller holds ``record.lock``, so the update
-        carries a consistent (data, epoch) pair.  Dead backups are skipped:
-        recovery rewrites the replica map when membership changes."""
+        """Ship one epoch-stamped ``replica_update`` per backup of this
+        node's section, carrying ``mutations`` whole — a coalescer flush
+        costs one mirror message per backup, not one per write.  Caller
+        holds ``record.lock``, so the update carries a consistent (data,
+        epoch) pair.  Dead backups are skipped: recovery rewrites the
+        replica map when membership changes."""
         if record.replication <= 0 or record.replica_map is None:
             return
         section_number = record.section_number_for(node.number)
@@ -285,11 +321,9 @@ class ArrayManager:
             array_id=record.array_id,
             section=section_number,
             epoch=record.epoch,
-            op=op,
             shape=record.layout.local_dims,
             type_name=record.type_name,
-            data=data,
-            target=target,
+            mutations=tuple(mutations),
         )
         for backup in record.replica_map.backups_for(section_number):
             try:
@@ -319,78 +353,87 @@ class ArrayManager:
             if state is not None:
                 state.note_stale()
 
-    # -- batched writes (repro.perf) ------------------------------------------
+    # -- the one mutation path -------------------------------------------------
 
-    def _replicate_batch(
-        self, node: VirtualProcessor, record: ArrayRecord, ops: Sequence
-    ) -> None:
-        """Replica-update fusion: one coalesced epoch-stamped
-        ``replica_update`` per backup for a whole batch, instead of one
-        per write.  The backup chain is resolved once per flush (the
-        per-write path recomputed it per element).  Caller holds
-        ``record.lock``."""
-        if record.replication <= 0 or record.replica_map is None:
-            return
-        section_number = record.section_number_for(node.number)
-        backups = record.replica_map.backups_for(section_number)
-        if not backups:
-            return
-        update = ReplicaUpdate(
-            array_id=record.array_id,
-            section=section_number,
-            epoch=record.epoch,
-            op="batch",
-            shape=record.layout.local_dims,
-            type_name=record.type_name,
-            data=tuple(ops),
-            target=None,
-        )
-        for backup in backups:
-            try:
-                self.machine.route(
-                    Message(
-                        source=node.number,
-                        dest=backup,
-                        payload=update,
-                        tag=("replica", record.array_id.as_tuple()),
-                        kind=REPLICA_UPDATE_KIND,
-                    )
-                )
-            except ProcessorFailedError:
-                continue
+    def _commit(
+        self,
+        node: VirtualProcessor,
+        record: ArrayRecord,
+        mutations: Sequence,
+        status: Optional[DefVar] = None,
+        epoch: Optional[int] = None,
+    ) -> bool:
+        """The one owner-side write sequence (§3.2.1.5), whatever the
+        granularity: under ``record.lock``, epoch fence, replay
+        ``mutations`` (the ``(target, value)`` pairs of
+        :mod:`repro.perf.coalescer`) into the interior, bump the section
+        version, replicate; then define ``status``.  False when fenced.
+
+        ``epoch`` is given only by a restore, which installs it (mirrors
+        are reseeded under it) and is deliberately *not* fenced — the
+        restore is what makes this record current.
+        """
+        with record.lock:
+            if epoch is not None:
+                record.epoch = int(epoch)
+            fenced = epoch is None and self._fence_stale(record)
+            if not fenced:
+                # One interior view per commit, however many mutations.
+                apply_mutations(record.section.interior(), mutations)
+                self._bump_version(node, record)
+                self._replicate(node, record, mutations)
+        if fenced:
+            # Outside record.lock: note_fenced takes state.lock, and the
+            # mover's lock order is state -> record.
+            self._refuse_stale(record.array_id, status)
+            return False
+        self._write_status(node, status)
+        return True
+
+    def _section_overwrite(
+        self, record: ArrayRecord, data: Any
+    ) -> Optional[list]:
+        """The whole-interior mutation for ``data``, or None when its
+        shape is not the section's.  The value is a private copy in the
+        section's dtype: mirrors replay exactly what the owner stored,
+        and a delayed replica update never aliases the caller's buffer."""
+        interior = record.section.interior()
+        if tuple(getattr(data, "shape", ())) != tuple(interior.shape):
+            return None
+        return [(None, np.array(data, dtype=interior.dtype))]
 
     def _apply_batch(self, node: VirtualProcessor, batch: Any) -> None:
         """Apply one coalesced write batch atomically on the owner.
 
-        All sub-writes land under a single ``record.lock`` acquisition;
-        mirrors get one fused replica update per backup.  The per-queue
-        sequence number makes application exactly-once: a duplicated or
-        late-delivered batch (fault injection, retry racing the delayed
-        original) is dropped here, and its completion variable is defined
-        defensively so no flusher is left waiting.
+        All sub-writes land in one :meth:`_commit`; mirrors get one fused
+        replica update per backup.  The per-queue sequence number makes
+        application exactly-once: a duplicated or late-delivered batch
+        (fault injection, retry racing the delayed original) is dropped
+        here, and its completion variable is defined defensively so no
+        flusher is left waiting.
         """
         self._note("array_batch", node.number, batch.array_id)
         perf = self._perf()
-        key = (batch.array_id, batch.section)
         record = self._lookup(node, batch.array_id)
         if record is None or record.section is None:
-            # No section here (it migrated away, or never existed): the
-            # batch is *not* applied, so do not consume its sequence
-            # number — the coalescer retries the same batch against the
-            # re-resolved owner, and exactly-once dedup happens at the
-            # node that actually holds the section.
+            # No section here (it migrated away, was freed, or never
+            # existed): the batch is *not* applied, so do not consume its
+            # sequence number — the coalescer retries the same batch
+            # against the re-resolved owner, and exactly-once dedup
+            # happens at the node that actually holds the section.
             define_once(batch.done, "not_found")
             return
         if self._fence_stale(record):
             # Fenced batch apply: this record was left behind by a
             # membership rewrite (stale minority-side owner).  Refuse
-            # *before* consuming the sequence number, so the coalescer
-            # can re-resolve the authoritative owner and retry there.
+            # *before* consuming the sequence number — it is keyed
+            # machine-wide, so a batch claimed here would be dropped as a
+            # duplicate where the coalescer re-resolves and retries it.
             self._refuse_stale(record.array_id, None)
             define_once(batch.done, "stale")
             return
         if perf is not None and not perf.coalescer.should_apply(
-            key, batch.seq
+            (batch.array_id, batch.section), batch.seq
         ):
             define_once(batch.done, "duplicate")
             return
@@ -400,20 +443,10 @@ class ArrayManager:
             vp=node.number,
             ops=len(batch.ops),
         ) as span:
-            with record.lock:
-                # One interior view for the whole batch (the per-write
-                # path rebuilds it per element).
-                interior = record.section.interior()
-                for op, target, value in batch.ops:
-                    if op == "element":
-                        interior[target] = value
-                    else:  # "region": target holds interior slices
-                        interior[tuple(target)] = value
-                self._bump_version(node, record)
-                self._replicate_batch(node, record, batch.ops)
+            applied = self._commit(node, record, batch.ops)
             if record.replication > 0 and record.replica_map is not None:
                 span.annotate(fused_replicas=True)
-        define_once(batch.done, "ok")
+        define_once(batch.done, "ok" if applied else "stale")
 
     def _on_array_batch(self, message: Message) -> None:
         """Final delivery of a ``kind="array_batch"`` message."""
@@ -485,7 +518,6 @@ class ArrayManager:
         ``k`` backup processors (:meth:`ArrayLayout.replica_chains`); every
         subsequent write ships one ``replica_update`` per backup.
         """
-        self._note("create_array", node.number, tuple(dimensions))
         try:
             if type_name not in ("int", "double", "complex"):
                 raise ValueError(f"bad element type {type_name!r}")
@@ -518,9 +550,7 @@ class ArrayManager:
             BorderSpecError,
             TypeError,
         ):
-            _define(array_id_out, None)
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID, array_id_out)
 
         array_id = ArrayID(node.number, SERIALS.next_for(node.number))
         border_spec = border_info if isinstance(border_info, tuple) else tuple(
@@ -545,9 +575,7 @@ class ArrayManager:
                 replica_map,
             )
         if any(Status(st.read()) is not Status.OK for st in local_statuses):
-            _define(array_id_out, None)
-            _define(status, Status.ERROR)
-            return
+            return _fail(status, Status.ERROR, array_id_out)
 
         # Record on the creating processor too, even when it holds no
         # section (§5.1.4) — without a duplicate section allocation.
@@ -590,7 +618,6 @@ class ArrayManager:
         replica_map: Any = None,
     ) -> None:
         """Create the local section for one processor (§5.1.1)."""
-        self._note("create_local", node.number, array_id)
         section = LocalSection(
             type_name,
             layout.local_dims,
@@ -613,7 +640,7 @@ class ArrayManager:
             # lost *before* its first write must still be recoverable.
             with record.lock:
                 self._replicate(
-                    node, record, "section", None, section.interior().copy()
+                    node, record, [(None, section.interior().copy())]
                 )
         _define(status, Status.OK)
 
@@ -623,12 +650,8 @@ class ArrayManager:
         self, node: VirtualProcessor, array_id: Any, status: DefVar
     ) -> None:
         """Delete a distributed array and free its storage (§4.2.2)."""
-        self._note("free_array", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status)
         if record is None:
-            _define(status, Status.NOT_FOUND)
             return
         # Pending coalesced writes to a dying array can never be
         # observed: drop them (and any cache entries) instead of racing
@@ -643,8 +666,9 @@ class ArrayManager:
             self._peer_request("free_local", proc, array_id, st)
         for st in statuses:
             st.read()
-        # Invalidate the creating-processor record as well (§5.1.3).
-        record.valid = False
+        # Forget the record on this (typically the creating) processor as
+        # well (§5.1.3): a later request for the ID answers NOT_FOUND.
+        _records(node).pop(array_id, None)
         with self._durability_lock:
             self._durability.pop(array_id, None)
         _define(status, Status.OK)
@@ -652,14 +676,11 @@ class ArrayManager:
     def free_local(
         self, node: VirtualProcessor, array_id: ArrayID, status: DefVar
     ) -> None:
-        self._note("free_local", node.number, array_id)
-        record = _records(node).get(array_id)
+        record = _records(node).pop(array_id, None)
         if record is None:
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND)
         if record.section is not None:
             record.section.free()
-        record.valid = False
         replica_store_for(node).drop_array(array_id)
         _define(status, Status.OK)
 
@@ -683,28 +704,20 @@ class ArrayManager:
         served from an epoch-validated local copy of the section instead
         of a per-element hop.
         """
-        self._note("read_element", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status, element_out)
         if record is None:
-            _define(element_out, None)
-            _define(status, Status.NOT_FOUND)
             return
         try:
             section, local = record.layout.locate(tuple(indices))
         except (ValueError, IndexError):
-            _define(element_out, None)
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID, element_out)
         owner = record.processors[section]
         self._flush_writes(record.array_id, section)
         perf = self._perf()
         if perf is not None and perf.cache.enabled:
-            if self._read_element_cached(
+            return self._read_element_cached(
                 record, section, owner, tuple(local), element_out, status
-            ):
-                return
+            )
         self._peer_request(
             "read_element_local", owner, array_id, local, element_out, status
         )
@@ -717,13 +730,9 @@ class ArrayManager:
         local: tuple,
         element_out: DefVar,
         status: DefVar,
-    ) -> bool:
-        """Serve one element read through the section cache.
-
-        Returns True when the read was fully handled (hit, or miss
-        satisfied by a stamped section fetch); False falls back to the
-        per-element path (e.g. no durability state to validate against).
-        """
+    ) -> None:
+        """Serve one element read through the section cache: a hit, or a
+        miss satisfied by one stamped section fetch."""
         perf = self._perf()
         array_id = record.array_id
         state = self.durability_state(array_id)
@@ -733,31 +742,25 @@ class ArrayManager:
         data = perf.cache.lookup(array_id, section, epoch, version)
         if observer is not None:
             observer.perf_cache(hit=data is not None)
-        if data is not None:
-            value = data[local]
-            _define(
-                element_out, value.item() if hasattr(value, "item") else value
+        if data is None:
+            # Miss: fetch the whole section once, stamped with the owner's
+            # (epoch, version) — validation of later hits costs no
+            # messages.
+            out = DefVar(f"read_section_stamped@{owner}")
+            st = DefVar(f"read_section_stamped_status@{owner}")
+            self._peer_request(
+                "read_section_stamped", owner, array_id, out, st
             )
-            _define(status, Status.OK)
-            return True
-        # Miss: fetch the whole section once, stamped with the owner's
-        # (epoch, version) — validation of later hits costs no messages.
-        out = DefVar(f"read_section_stamped@{owner}")
-        st = DefVar(f"read_section_stamped_status@{owner}")
-        self._peer_request("read_section_stamped", owner, array_id, out, st)
-        result = Status(st.read())
-        if result is not Status.OK:
-            _define(element_out, None)
-            _define(status, result)
-            return True
-        data, r_epoch, r_version = out.read()
-        perf.cache.store(array_id, section, r_epoch, r_version, data)
+            result = Status(st.read())
+            if result is not Status.OK:
+                return _fail(status, result, element_out)
+            data, r_epoch, r_version = out.read()
+            perf.cache.store(array_id, section, r_epoch, r_version, data)
         value = data[local]
         _define(
             element_out, value.item() if hasattr(value, "item") else value
         )
         _define(status, Status.OK)
-        return True
 
     def read_element_local(
         self,
@@ -767,11 +770,8 @@ class ArrayManager:
         element_out: DefVar,
         status: DefVar,
     ) -> None:
-        self._note("read_element_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(element_out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, element_out, section=True)
+        if record is None:
             return
         value = record.section.read(local_indices)
         _define(element_out, value.item() if hasattr(value, "item") else value)
@@ -792,21 +792,15 @@ class ArrayManager:
         coalescer; the actual mutation lands at the next flush point as
         part of one fused ``array_batch`` message (docs/performance.md).
         """
-        self._note("write_element", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status)
         if record is None:
-            _define(status, Status.NOT_FOUND)
             return
         if not isinstance(element, (int, float, complex)):
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         try:
             section, local = record.layout.locate(tuple(indices))
         except (ValueError, IndexError):
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         owner = record.processors[section]
         perf = self._perf()
         if perf is not None and perf.coalescer.enabled:
@@ -823,7 +817,6 @@ class ArrayManager:
                 record.array_id,
                 section,
                 owner,
-                "element",
                 tuple(local),
                 element,
                 source=node.number,
@@ -842,23 +835,10 @@ class ArrayManager:
         element: Any,
         status: DefVar,
     ) -> None:
-        self._note("write_element_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section=True)
+        if record is None:
             return
-        with record.lock:
-            fenced = self._fence_stale(record)
-            if not fenced:
-                record.section.write(local_indices, element)
-                self._bump_version(node, record)
-                self._replicate(
-                    node, record, "element", tuple(local_indices), element
-                )
-        if fenced:
-            self._refuse_stale(record.array_id, status)
-            return
-        self._write_status(node, status)
+        self._commit(node, record, [(tuple(local_indices), element)], status)
 
     # -- local sections ------------------------------------------------------------------
 
@@ -874,13 +854,8 @@ class ArrayManager:
         The one operation requiring a local rather than global view: it
         fails on processors holding no section of the array (§5.1.4).
         """
-        self._note("find_local", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
-        if record is None or record.section is None:
-            _define(section_out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section_out, section=True)
+        if record is None:
             return
         # The caller gets direct access to the section storage: pending
         # coalesced writes against it must land first.
@@ -904,11 +879,8 @@ class ArrayManager:
         gather/scatter layer.  The returned array is a *copy* — the message
         analogue — so the requester never aliases another node's storage.
         """
-        self._note("read_section_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(data_out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, data_out, section=True)
+        if record is None:
             return
         self._flush_writes(
             record.array_id, record.section_number_for(node.number)
@@ -929,11 +901,8 @@ class ArrayManager:
         the reply, so the requester can validate later cache hits against
         machine-wide epoch/version state without any extra messages.
         """
-        self._note("read_section_stamped", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, out, section=True)
+        if record is None:
             return
         section_number = record.section_number_for(node.number)
         self._flush_writes(record.array_id, section_number)
@@ -957,44 +926,45 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Overwrite this processor's interior section data (extension)."""
-        self._note("write_section_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section=True)
+        if record is None:
             return
-        interior = record.section.interior()
-        if tuple(getattr(data, "shape", ())) != tuple(interior.shape):
-            _define(status, Status.INVALID)
-            return
+        mutations = self._section_overwrite(record, data)
+        if mutations is None:
+            return _fail(status, Status.INVALID)
         # A bulk overwrite is an ordering barrier for queued element
         # writes against this section: earlier writes land first.
         self._flush_writes(
             record.array_id, record.section_number_for(node.number)
         )
-        with record.lock:
-            fenced = self._fence_stale(record)
-            if not fenced:
-                interior[...] = data
-                self._bump_version(node, record)
-                self._replicate(
-                    node, record, "section", None, interior.copy()
-                )
-        if fenced:
-            self._refuse_stale(record.array_id, status)
-            return
-        self._write_status(node, status)
+        self._commit(node, record, mutations, status)
 
     # -- region access -----------------------------------------------------------------
 
     def _validated_region(
-        self, record: ArrayRecord, region: Sequence
+        self, layout: ArrayLayout, region: Sequence
     ) -> Optional[tuple[tuple[int, int], ...]]:
         try:
             bounds = tuple((int(a), int(b)) for a, b in region)
-            record.layout.validate_region(bounds)
+            layout.validate_region(bounds)
         except (ValueError, IndexError, TypeError):
             return None
         return bounds
+
+    def validated_region_write(
+        self, layout: ArrayLayout, type_name: str, region: Sequence, data: Any
+    ) -> Optional[tuple]:
+        """``(bounds, dense data)`` for a region write, or None when the
+        region is out of range or ``data`` is not of its shape — the
+        INVALID conditions of ``write_region``, checked before any owner
+        is asked."""
+        bounds = self._validated_region(layout, region)
+        if bounds is None:
+            return None
+        dense = np.asarray(data, dtype=dtype_for(type_name))
+        if tuple(dense.shape) != layout.region_shape(bounds):
+            return None
+        return bounds, dense
 
     def read_region(
         self,
@@ -1012,19 +982,12 @@ class ArrayManager:
         O(owners) messages where the per-element path costs O(elements) —
         then assembles the pieces into a dense array of the region's shape.
         """
-        self._note("read_region", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status, data_out)
         if record is None:
-            _define(data_out, None)
-            _define(status, Status.NOT_FOUND)
             return
-        bounds = self._validated_region(record, region)
+        bounds = self._validated_region(record.layout, region)
         if bounds is None:
-            _define(data_out, None)
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID, data_out)
         # Reads are flush points: drain queued writes to any section the
         # region may touch before copying.
         self._flush_writes(record.array_id)
@@ -1044,9 +1007,7 @@ class ArrayManager:
             pieces.append((out_slices, part, st))
         for out_slices, part, st in pieces:
             if Status(st.read()) is not Status.OK:
-                _define(data_out, None)
-                _define(status, Status.ERROR)
-                return
+                return _fail(status, Status.ERROR, data_out)
             out[out_slices] = part.read()
         _define(data_out, out)
         _define(status, Status.OK)
@@ -1060,11 +1021,8 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Copy one section's share of a region (interior slices)."""
-        self._note("read_region_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(data_out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, data_out, section=True)
+        if record is None:
             return
         self._flush_writes(
             record.array_id, record.section_number_for(node.number)
@@ -1085,21 +1043,15 @@ class ArrayManager:
         ``data`` must match the region's shape; each owning section gets
         one ``write_region_local`` peer request carrying only its share.
         """
-        self._note("write_region", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status)
         if record is None:
-            _define(status, Status.NOT_FOUND)
             return
-        bounds = self._validated_region(record, region)
-        if bounds is None:
-            _define(status, Status.INVALID)
-            return
-        data = np.asarray(data, dtype=dtype_for(record.type_name))
-        if tuple(data.shape) != record.layout.region_shape(bounds):
-            _define(status, Status.INVALID)
-            return
+        checked = self.validated_region_write(
+            record.layout, record.type_name, region, data
+        )
+        if checked is None:
+            return _fail(status, Status.INVALID)
+        bounds, data = checked
         # Region writes stay synchronous and act as ordering barriers:
         # queued element writes from before this call land first.
         self._flush_writes(record.array_id)
@@ -1130,23 +1082,10 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Overwrite one section's share of a region (interior slices)."""
-        self._note("write_region_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section=True)
+        if record is None:
             return
-        with record.lock:
-            fenced = self._fence_stale(record)
-            if not fenced:
-                record.section.interior()[tuple(local_slices)] = data
-                self._bump_version(node, record)
-                self._replicate(
-                    node, record, "region", tuple(local_slices), data
-                )
-        if fenced:
-            self._refuse_stale(record.array_id, status)
-            return
-        self._write_status(node, status)
+        self._commit(node, record, [(tuple(local_slices), data)], status)
 
     def get_local_block(
         self,
@@ -1162,13 +1101,8 @@ class ArrayManager:
         data.  Like ``find_local`` it needs the local view, so it fails on
         processors holding no section (§5.1.4).
         """
-        self._note("get_local_block", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
-        if record is None or record.section is None:
-            _define(block_out, None)
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, block_out, section=True)
+        if record is None:
             return
         section_number = record.section_number_for(node.number)
         self._flush_writes(record.array_id, section_number)
@@ -1188,10 +1122,8 @@ class ArrayManager:
     ) -> None:
         """Reallocate the local section with different borders, copying the
         interior data (§5.1.1, used by verify_array)."""
-        self._note("copy_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section=True)
+        if record is None:
             return
         replacement = record.section.reallocate_with_borders(new_borders)
         record.section.free()
@@ -1210,28 +1142,21 @@ class ArrayManager:
     ) -> None:
         """Verify borders/indexing; reallocate local sections on border
         mismatch (§4.2.7)."""
-        self._note("verify_array", node.number, array_id)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status)
         if record is None:
-            _define(status, Status.NOT_FOUND)
             return
         try:
             indexing = normalize_indexing(indexing_type)
         except ValueError:
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         if n_dims != record.layout.rank or indexing != record.indexing_type:
             # Indexing type cannot be corrected without repartitioning;
             # mismatch is invalid (§4.2.7 third example).
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         try:
             expected = resolve_borders(border_info, record.layout.rank)
         except BorderSpecError:
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         if expected == record.borders:
             _define(status, Status.OK)
             return
@@ -1270,16 +1195,9 @@ class ArrayManager:
         new epoch before releasing, and the assembled
         :class:`ArraySnapshot` becomes the array's latest checkpoint.
         """
-        self._note("checkpoint_array", node.number, array_id)
-        state = (
-            self.durability_state(array_id)
-            if isinstance(array_id, ArrayID)
-            else None
-        )
+        state = self.durability_state(array_id)
         if state is None:
-            _define(snapshot_out, None)
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND, snapshot_out)
         from repro.spmd.comm import GroupComm
 
         # A checkpoint is a flush point: writes accepted before the call
@@ -1324,9 +1242,7 @@ class ArrayManager:
                         )
                     sections[section_number] = data
             except Exception:  # noqa: BLE001 - quiesce failures -> Status
-                _define(snapshot_out, None)
-                _define(status, Status.ERROR)
-                return
+                return _fail(status, Status.ERROR, snapshot_out)
             snapshot = ArraySnapshot(
                 array_id=array_id,
                 epoch=target_epoch,
@@ -1383,20 +1299,13 @@ class ArrayManager:
         reseeded by each owner, so in-flight replica updates stamped
         before the restore are rejected as stale.
         """
-        self._note("restore_array", node.number, array_id)
-        state = (
-            self.durability_state(array_id)
-            if isinstance(array_id, ArrayID)
-            else None
-        )
+        state = self.durability_state(array_id)
         if state is None:
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND)
         if not isinstance(snapshot, ArraySnapshot) or (
             snapshot.array_id != array_id
         ):
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID)
         # Writes accepted before the restore belong to the overwritten
         # past: flush them out so they cannot land *after* the restore.
         self._flush_writes(array_id)
@@ -1406,8 +1315,7 @@ class ArrayManager:
             for section_number, proc in enumerate(state.processors):
                 data = snapshot.sections.get(section_number)
                 if data is None:
-                    _define(status, Status.INVALID)
-                    return
+                    return _fail(status, Status.INVALID)
                 st = DefVar(f"restore_local@{proc}")
                 statuses.append(st)
                 self._peer_request(
@@ -1417,8 +1325,7 @@ class ArrayManager:
                 Status(st.read()) is not Status.OK for st in statuses
             )
             if bad:
-                _define(status, Status.ERROR)
-                return
+                return _fail(status, Status.ERROR)
             state.epoch = new_epoch
         observer = getattr(self.machine, "_observer", None)
         if observer is not None:
@@ -1434,21 +1341,13 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Overwrite this section from a snapshot at the given epoch."""
-        self._note("restore_local", node.number, array_id)
-        record = self._lookup(node, array_id)
-        if record is None or record.section is None:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status, section=True)
+        if record is None:
             return
-        interior = record.section.interior()
-        if tuple(getattr(data, "shape", ())) != tuple(interior.shape):
-            _define(status, Status.INVALID)
-            return
-        with record.lock:
-            interior[...] = data
-            record.epoch = int(epoch)
-            self._bump_version(node, record)
-            self._replicate(node, record, "section", None, interior.copy())
-        self._write_status(node, status)
+        mutations = self._section_overwrite(record, data)
+        if mutations is None:
+            return _fail(status, Status.INVALID)
+        self._commit(node, record, mutations, status, epoch=epoch)
 
     # -- recovery ------------------------------------------------------------------------
 
@@ -1461,12 +1360,9 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Fetch this backup's mirror of one section: ``(epoch, data)``."""
-        self._note("replica_fetch", node.number, array_id)
         entry = replica_store_for(node).fetch(array_id, int(section))
         if entry is None:
-            _define(out, None)
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND, out)
         _define(out, entry)
         _define(status, Status.OK)
 
@@ -1485,7 +1381,6 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Install a rebuilt section on a spare processor (recovery)."""
-        self._note("adopt_section", node.number, array_id)
         state = self.durability_state(array_id)
         if state is not None and int(epoch) < state.epoch:
             # Fenced adopt: the epoch this adopt was computed at has
@@ -1524,19 +1419,15 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Rewrite a surviving record's membership after recovery."""
-        self._note("update_membership_local", node.number, array_id)
-        record = _records(node).get(array_id)
-        if record is None or not record.valid:
-            _define(status, Status.NOT_FOUND)
+        record = self._resolve(node, array_id, status)
+        if record is None:
             return
         with record.lock:
-            if int(epoch) < record.epoch:
-                # Fenced membership rewrite: a delayed rewrite from a
-                # superseded plan must not roll this record's epoch (its
-                # fencing token) backwards.
-                stale = True
-            else:
-                stale = False
+            # Fenced membership rewrite: a delayed rewrite from a
+            # superseded plan must not roll this record's epoch (its
+            # fencing token) backwards.
+            stale = int(epoch) < record.epoch
+            if not stale:
                 record.processors = tuple(processors)
                 record.replica_map = replica_map
                 record.epoch = int(epoch)
@@ -1555,10 +1446,8 @@ class ArrayManager:
         """Push this owner's full section to its (new) backups at the
         current epoch, so mirrors reflect post-recovery reality and older
         in-flight updates are rejected as stale."""
-        self._note("reseed_replicas_local", node.number, array_id)
-        record = self._lookup(node, array_id)
+        record = self._resolve(node, array_id, status)
         if record is None:
-            _define(status, Status.NOT_FOUND)
             return
         if record.section is None:
             # A record without a section (the creating processor, or an
@@ -1570,8 +1459,7 @@ class ArrayManager:
             return
         with record.lock:
             self._replicate(
-                node, record, "section", None,
-                record.section.interior().copy(),
+                node, record, [(None, record.section.interior().copy())]
             )
         _define(status, Status.OK)
 
@@ -1597,9 +1485,8 @@ class ArrayManager:
         node's fencing token is current again and its routing view
         matches the survivors'.
         """
-        self._note("rejoin_local", node.number, array_id)
-        record = _records(node).get(array_id)
-        if record is None or not record.valid:
+        record = self._lookup(node, array_id)
+        if record is None:
             # Nothing of the array here: the rejoin is a no-op, not an
             # error — the VP may simply never have held a section.
             _define(status, Status.OK)
@@ -1695,7 +1582,6 @@ class ArrayManager:
         yield arriving after a rollback (or any other epoch bump) is
         refused with INVALID instead of destroying restored data.
         """
-        self._note("yield_section_local", node.number, array_id)
         record = self._lookup(node, array_id)
         if record is None or record.section is None:
             define_once(out, None)
@@ -1746,9 +1632,7 @@ class ArrayManager:
             entry["error"] = repr(exc)
             with self._trace_lock:
                 self.migrations.append(entry)
-            _define(moved_out, None)
-            _define(status, Status.ERROR)
-            return
+            return _fail(status, Status.ERROR, moved_out)
         entry["ok"] = True
         entry["epoch"] = outcome["epoch"]
         with self._trace_lock:
@@ -1772,16 +1656,9 @@ class ArrayManager:
         dropped message rolls the sourced sections back onto the current
         owners under a fresh epoch and returns ERROR.
         """
-        self._note("migrate_sections", node.number, array_id)
-        state = (
-            self.durability_state(array_id)
-            if isinstance(array_id, ArrayID)
-            else None
-        )
+        state = self.durability_state(array_id)
         if state is None:
-            _define(moved_out, None)
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND, moved_out)
         with state.lock:
             try:
                 plan = (
@@ -1792,9 +1669,7 @@ class ArrayManager:
                     )
                 )
             except MigrationError:
-                _define(moved_out, None)
-                _define(status, Status.INVALID)
-                return
+                return _fail(status, Status.INVALID, moved_out)
             self._run_plan(node, array_id, state, plan, moved_out, status)
 
     def rebalance_array(
@@ -1810,16 +1685,9 @@ class ArrayManager:
         processors — including processors added at runtime, which is how
         ``add_processor()`` + ``rebalance()`` repairs an array recovery
         had to leave unrecovered for want of a spare."""
-        self._note("rebalance_array", node.number, array_id)
-        state = (
-            self.durability_state(array_id)
-            if isinstance(array_id, ArrayID)
-            else None
-        )
+        state = self.durability_state(array_id)
         if state is None:
-            _define(moved_out, None)
-            _define(status, Status.NOT_FOUND)
-            return
+            return _fail(status, Status.NOT_FOUND, moved_out)
         with state.lock:
             try:
                 plan = PlacementPlan.rebalance(
@@ -1828,9 +1696,7 @@ class ArrayManager:
                     None if targets is None else tuple(targets),
                 )
             except MigrationError:
-                _define(moved_out, None)
-                _define(status, Status.INVALID)
-                return
+                return _fail(status, Status.INVALID, moved_out)
             self._run_plan(node, array_id, state, plan, moved_out, status)
 
     # -- info ---------------------------------------------------------------------------
@@ -1844,20 +1710,13 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Information about a distributed array (§4.2.6)."""
-        self._note("find_info", node.number, array_id, which)
-        record = self._lookup(node, array_id) if isinstance(
-            array_id, ArrayID
-        ) else None
+        record = self._resolve(node, array_id, status, out)
         if record is None:
-            _define(out, None)
-            _define(status, Status.NOT_FOUND)
             return
         try:
             value = record.info(which)
         except ValueError:
-            _define(out, None)
-            _define(status, Status.INVALID)
-            return
+            return _fail(status, Status.INVALID, out)
         _define(out, value)
         _define(status, Status.OK)
 

@@ -67,8 +67,8 @@ class ArrayRecord:
 
     A record exists on every processor holding a local section *and* on the
     creating processor (§5.1.4).  ``section`` is None on a creating
-    processor that holds no local section.  ``valid`` implements the
-    invalidate-on-free behaviour of §5.1.3.
+    processor that holds no local section.  Freeing the array removes the
+    record from the processor's table (the invalidate-on-free of §5.1.3).
     """
 
     array_id: ArrayID
@@ -76,7 +76,6 @@ class ArrayRecord:
     layout: ArrayLayout
     processors: tuple[int, ...]
     section: Optional[LocalSection] = None
-    valid: bool = True
     # Border specification retained so verify_array can compare (§4.2.7).
     border_spec: tuple = field(default_factory=tuple)
     # Durability fields: replication factor and backup-chain map fixed at

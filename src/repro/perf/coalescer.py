@@ -10,6 +10,16 @@ and queued per ``(array, section)``; a queue drains as **one** fused
 record lock (one lock acquisition, one replica update per backup, one
 message — per batch instead of per write).
 
+This module also defines the array layer's one **mutation vocabulary**: a
+mutation is a ``(target, value)`` pair — ``target is None`` writes the
+whole section interior, otherwise ``target`` is an interior index tuple
+of ints and/or slices.  A queued write, an :class:`ArrayBatch`, a
+:class:`~repro.arrays.durability.ReplicaUpdate` and the owner's commit
+(:meth:`~repro.arrays.manager.ArrayManager._commit`) all carry, price
+(:func:`mutations_nbytes`) and replay (:func:`apply_mutations`) the same
+pairs, so ``array_batch`` and ``replica_update`` say the same thing on
+the wire.
+
 Sequential equivalence (§3.3) is preserved by *flush points*: any
 operation that could observe a queued write forces the queue out first —
 
@@ -39,7 +49,7 @@ spare) and re-ships; if no owner survives the batch is counted in
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
@@ -59,20 +69,34 @@ def define_once(var: Optional[DefVar], value: Any) -> None:
         pass
 
 
-def _op_nbytes(value: Any) -> int:
-    nbytes = getattr(value, "nbytes", None)
-    return int(nbytes) if nbytes is not None else 8
+def _value_nbytes(value: Any) -> int:
+    return int(getattr(value, "nbytes", 8))
+
+
+def mutations_nbytes(mutations: Iterable) -> int:
+    """Simulated wire size of a mutation list: each value's ``nbytes``,
+    8 for a scalar."""
+    return sum(_value_nbytes(value) for _target, value in mutations)
+
+
+def apply_mutations(interior: Any, mutations: Iterable) -> None:
+    """Replay mutations, in order, into a section interior (the owner's
+    storage or a backup's mirror)."""
+    for target, value in mutations:
+        if target is None:
+            interior[...] = value
+        else:
+            interior[target] = value
 
 
 class ArrayBatch:
     """The payload of one ``array_batch`` message.
 
-    ``ops`` is an ordered list of ``(op, target, value)`` sub-writes —
-    ``op`` is ``"element"`` (target = local indices) or ``"region"``
-    (target = interior slices) — applied atomically under the owner's
-    record lock.  ``seq`` is the per-queue sequence number used for
-    exactly-once application under retry/duplication; ``done`` is the
-    completion variable the flushing thread waits on.
+    ``ops`` is an ordered list of ``(target, value)`` mutations applied
+    atomically under the owner's record lock.  ``seq`` is the per-queue
+    sequence number used for exactly-once application under
+    retry/duplication; ``done`` is the completion variable the flushing
+    thread waits on.
     """
 
     __slots__ = ("array_id", "section", "seq", "ops", "done")
@@ -93,7 +117,7 @@ class ArrayBatch:
 
     @property
     def nbytes(self) -> int:
-        return sum(_op_nbytes(value) for _op, _t, value in self.ops) + 16
+        return mutations_nbytes(self.ops) + 16
 
     def __repr__(self) -> str:
         return (
@@ -157,7 +181,6 @@ class WriteCoalescer:
         array_id: Any,
         section: int,
         owner: int,
-        op: str,
         target: Any,
         value: Any,
         source: int,
@@ -168,8 +191,8 @@ class WriteCoalescer:
             pending = self._pending.get(key)
             if pending is None:
                 pending = self._pending[key] = _Pending(source, owner)
-            pending.ops.append((op, target, value))
-            pending.nbytes += _op_nbytes(value)
+            pending.ops.append((target, value))
+            pending.nbytes += _value_nbytes(value)
             self.enqueued_writes += 1
             over = (
                 len(pending.ops) >= self.flush_ops
@@ -203,10 +226,16 @@ class WriteCoalescer:
         return total
 
     def discard(self, array_id: Any) -> int:
-        """Drop pending writes for a freed array (they can never land)."""
+        """Forget a freed array: its pending writes can never land, and —
+        ArrayIDs are never reused, and a late batch for a freed array
+        answers ``"not_found"`` before it reaches :meth:`should_apply` —
+        neither can its per-queue sequencing state be needed again."""
         with self._lock:
             keys = [key for key in self._pending if key[0] == array_id]
             dropped = sum(len(self._pending.pop(k).ops) for k in keys)
+            for table in (self._flush_locks, self._next_seq, self._applied_seq):
+                for key in [k for k in table if k[0] == array_id]:
+                    del table[key]
         return dropped
 
     def pending_ops(self, array_id: Any = None) -> int:

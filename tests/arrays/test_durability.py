@@ -150,8 +150,8 @@ def test_stale_replica_update_rejected(machine):
     current_epoch, _ = store.fetch(arr.array_id, 0)
     stale = ReplicaUpdate(
         array_id=arr.array_id, section=0, epoch=current_epoch - 1,
-        op="section", shape=arr.layout.local_dims, type_name="double",
-        data=np.full(arr.layout.local_dims, 99.0),
+        shape=arr.layout.local_dims, type_name="double",
+        mutations=((None, np.full(arr.layout.local_dims, 99.0)),),
     )
     assert not store.apply(stale)
     _epoch, mirror = store.fetch(arr.array_id, 0)

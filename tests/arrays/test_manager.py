@@ -8,8 +8,13 @@ import pytest
 
 from repro.arrays import am_user, am_util
 from repro.arrays.local_section import TRACKER
-from repro.arrays.manager import get_array_manager, install_array_manager
+from repro.arrays.manager import (
+    _records,
+    get_array_manager,
+    install_array_manager,
+)
 from repro.arrays.record import ArrayID
+from repro.perf import get_perf_layer
 from repro.status import Status
 from repro.vp.machine import Machine
 
@@ -192,6 +197,39 @@ class TestFree:
         assert TRACKER.live == live_before + 16
         am_user.free_array(m16, aid)
         assert TRACKER.live == live_before
+
+    def test_freed_arrays_are_forgotten(self, m16):
+        """Create/write/free rounds leave nothing behind: the per-node
+        record tables and the coalescer's per-queue sequencing dicts stay
+        flat, so a long-running program does not leak one entry per array
+        (or per section) it ever used."""
+        coalescer = get_perf_layer(m16).coalescer
+
+        def sizes():
+            tables = sum(
+                len(_records(m16.processor(p))) for p in range(m16.num_nodes)
+            )
+            return (
+                tables,
+                len(coalescer._flush_locks),
+                len(coalescer._next_seq),
+                len(coalescer._applied_seq),
+            )
+
+        before = sizes()
+        for _round in range(50):
+            aid, status = am_user.create_array(
+                m16, "double", (16,), am_util.node_array(0, 1, 8), ["block"],
+                replication=1,
+            )
+            assert status is Status.OK
+            for i in range(16):  # touches every one of the 8 sections
+                am_user.write_element(m16, aid, (i,), float(i))
+            assert am_user.flush_writes(m16, aid) == 16
+            assert sizes() != before  # the live array is accounted for
+            assert am_user.free_array(m16, aid) is Status.OK
+            assert am_user.free_array(m16, aid) is Status.NOT_FOUND
+            assert sizes() == before
 
 
 class TestFindInfo:

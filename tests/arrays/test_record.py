@@ -93,9 +93,3 @@ class TestValidity:
         r = record(section=section)
         assert r.section is section
         section.free()
-
-    def test_invalidation_flag(self):
-        r = record()
-        assert r.valid
-        r.valid = False
-        assert not r.valid

@@ -69,14 +69,17 @@ class TestRegionCorrectness:
 
     def test_invalid_region_is_rejected(self, m4):
         array_id = make_vector(m4)
+        writers = (am_user.write_region, am_user.write_region_targeted)
         for region in ([(0, 17)], [(-1, 4)], [(4, 4)], [(0, 4), (0, 4)]):
             data, status = am_user.read_region(m4, array_id, region)
             assert status is Status.INVALID
             assert data is None
-        assert (
-            am_user.write_region(m4, array_id, [(0, 3)], np.zeros(4))
-            is Status.INVALID  # shape mismatch
-        )
+            for write in writers:
+                status = write(m4, array_id, region, np.zeros(4))
+                assert status is Status.INVALID
+        for write in writers:
+            status = write(m4, array_id, [(0, 3)], np.zeros(4))
+            assert status is Status.INVALID  # shape mismatch
 
     def test_unknown_array_not_found(self, m4):
         data, status = am_user.read_region(m4, "bogus", [(0, 4)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.reactive import Event, ReactiveGraph
@@ -103,10 +105,19 @@ class TestEventFlow:
         assert result.events_handled == 2
 
     def test_timeout_on_livelock(self):
+        # run() leaves a timed-out graph's node threads running; let this
+        # one quiesce afterwards, or it records events (≈0.7 GB a minute)
+        # for the rest of the pytest process.
+        done = threading.Event()
         g = ReactiveGraph()
-        g.add_node("loop", lambda n, e: [("loop", e.at(1.0))])
-        with pytest.raises(TimeoutError):
-            g.run([("loop", Event(0, "forever"))], timeout=0.3)
+        g.add_node(
+            "loop", lambda n, e: [] if done.is_set() else [("loop", e.at(1.0))]
+        )
+        try:
+            with pytest.raises(TimeoutError):
+                g.run([("loop", Event(0, "forever"))], timeout=0.3)
+        finally:
+            done.set()
 
     def test_handler_events_processed_in_fifo_order_per_node(self):
         g = ReactiveGraph()

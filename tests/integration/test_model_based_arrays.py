@@ -1,25 +1,31 @@
 """Model-based testing of the array manager.
 
 Hypothesis drives random sequences of distributed-array operations
-(writes, reads from random processors, border verifications, bulk
-transfers, distributed-call mutations) against a plain NumPy oracle; the
-distributed array and the oracle must never disagree.  This catches
+(element and region writes, reads from random processors, border
+verifications, bulk transfers, checkpoint/restore, distributed-call
+mutations) on arrays of replication 0, 1 or 2 against a plain NumPy
+oracle; the distributed array and the oracle must never disagree, and
+every backup mirror must hold what its owner holds.  This catches
 cross-operation interactions no example-based test enumerates.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.arrays import am_user, am_util
+from repro.arrays.durability import replica_store_for
+from repro.arrays.manager import get_array_manager
 from repro.calls import Local, distributed_call
+from repro.pcn.defvar import DefVar
 from repro.status import Status
 from repro.vp.machine import Machine
 
 N = 8  # global vector length
 P = 4
+LOCAL = N // P  # elements per section
 
 _MACHINE = Machine(P)
 am_util.load_all(_MACHINE)
@@ -33,13 +39,49 @@ write_op = st.tuples(
 read_op = st.tuples(st.just("read"), st.integers(0, N - 1), st.integers(0, P - 1))
 verify_op = st.tuples(st.just("verify"), st.integers(0, 2))
 bulk_op = st.tuples(st.just("bulk"), st.integers(0, 2 ** 31 - 1))
+region_op = st.tuples(
+    st.just("region"), st.integers(0, N - 1), st.integers(1, N),
+    st.integers(0, 2 ** 31 - 1),
+)
+checkpoint_op = st.tuples(st.just("checkpoint"))
+restore_op = st.tuples(st.just("restore"))
 call_op = st.tuples(st.just("call_add"), st.floats(-10, 10, allow_nan=False))
 
 operations = st.lists(
-    st.one_of(write_op, read_op, verify_op, bulk_op, call_op),
+    st.one_of(
+        write_op, read_op, verify_op, bulk_op, region_op, checkpoint_op,
+        restore_op, call_op,
+    ),
     min_size=1,
     max_size=25,
 )
+
+
+def _check_sections(aid, oracle, mirrors_current, settled):
+    """Owner interior == every backup's mirror == oracle section.
+
+    ``settled`` is False right after a queued element write: the write
+    has not reached its owner yet, so only owner == mirrors is checked
+    (it holds mid-batch too) and pending writes stay pending for the next
+    operation to interleave with; every other step flushes first and
+    checks all three."""
+    if settled:
+        am_user.flush_writes(_MACHINE, aid)
+    manager = get_array_manager(_MACHINE)
+    state = manager.durability_state(aid)
+    for section, owner in enumerate(state.processors):
+        record = manager._lookup(_MACHINE.processor(owner), aid)
+        interior = record.section.interior()
+        if settled:
+            expected = oracle[section * LOCAL : (section + 1) * LOCAL]
+            assert np.array_equal(interior, expected)
+        if state.replica_map is None or not mirrors_current:
+            continue
+        for backup in state.replica_map.backups_for(section):
+            _epoch, mirror = replica_store_for(
+                _MACHINE.processor(backup)
+            ).fetch(aid, section)
+            assert np.array_equal(mirror, interior)
 
 
 def _add_program(ctx, delta, sec):
@@ -51,14 +93,30 @@ def _add_program(ctx, delta, sec):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(operations)
-def test_property_array_tracks_numpy_oracle(ops):
+@given(operations, st.sampled_from([0, 1, 2]))
+# Pinned interleavings: a fused two-write batch reaching the mirrors, and
+# mirrors going stale under a distributed call until a restore reseeds.
+@example([("write", 0, 1.0), ("write", 1, 2.0), ("read", 0, 0)], 1)
+@example(
+    [
+        ("checkpoint",), ("call_add", 1.0), ("write", 3, 5.0),
+        ("restore",), ("region", 1, 4, 7),
+    ],
+    2,
+)
+def test_property_array_tracks_numpy_oracle(ops, replication):
     aid, st_create = am_user.create_array(
-        _MACHINE, "double", (N,), _PROCS, ["block"]
+        _MACHINE, "double", (N,), _PROCS, ["block"], replication=replication
     )
     assert st_create is Status.OK
     oracle = np.zeros(N)
+    saved = None  # (snapshot, oracle at the checkpoint)
+    # Distributed-call mutations write through find_local and do not
+    # update mirrors by design: after one, mirrors are compared again only
+    # once a whole-section write (bulk, restore) has reseeded them.
+    mirrors_current = True
     try:
+        _check_sections(aid, oracle, mirrors_current, settled=True)
         for op in ops:
             kind = op[0]
             if kind == "write":
@@ -84,17 +142,39 @@ def test_property_array_tracks_numpy_oracle(ops):
             elif kind == "bulk":
                 _, seed = op
                 data = np.random.default_rng(seed).uniform(-50, 50, N)
-                from repro.pcn.defvar import DefVar
-
                 for rank, proc in enumerate(_PROCS):
                     s = DefVar("s")
                     _MACHINE.server.request(
                         "write_section_local", aid,
-                        data[rank * 2 : rank * 2 + 2].copy(), s,
+                        data[rank * LOCAL : (rank + 1) * LOCAL].copy(), s,
                         processor=int(proc),
                     )
                     assert Status(s.read()) is Status.OK
                 oracle = data.copy()
+                mirrors_current = True
+            elif kind == "region":
+                _, start, length, seed = op
+                stop = min(N, start + length)
+                data = np.random.default_rng(seed).uniform(
+                    -50, 50, stop - start
+                )
+                status = am_user.write_region(
+                    _MACHINE, aid, [(start, stop)], data
+                )
+                assert status is Status.OK
+                oracle[start:stop] = data
+            elif kind == "checkpoint":
+                snapshot, status = am_user.checkpoint_array(_MACHINE, aid)
+                assert status is Status.OK
+                assert np.array_equal(snapshot.assemble(), oracle)
+                saved = (snapshot, oracle.copy())
+            elif kind == "restore":
+                if saved is None:
+                    continue
+                status = am_user.restore_array(_MACHINE, aid, saved[0])
+                assert status is Status.OK
+                oracle = saved[1].copy()
+                mirrors_current = True
             else:  # call_add
                 _, delta = op
                 result = distributed_call(
@@ -103,6 +183,10 @@ def test_property_array_tracks_numpy_oracle(ops):
                 )
                 assert result.status is Status.OK
                 oracle += delta
+                mirrors_current = False
+            _check_sections(
+                aid, oracle, mirrors_current, settled=kind != "write"
+            )
 
         # Final full sweep: every element agrees with the oracle.
         final = np.array(

@@ -4,6 +4,7 @@ the fused ``array_batch`` message)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
@@ -13,6 +14,7 @@ from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport
 from repro.faults.plan import FaultDecision
 from repro.perf import ARRAY_BATCH_KIND, get_perf_layer
+from repro.status import Status
 from repro.vp.fabric import TrafficMeter
 from repro.vp.machine import Machine
 
@@ -96,6 +98,45 @@ class TestFusion:
             assert counts[REPLICA_UPDATE_KIND][0] == 1
         finally:
             machine.transport_stack.remove(meter)
+
+
+def test_write_path_wire_is_pinned():
+    """The exact messages and bytes of a fixed write script, against
+    literals recorded before the mutation vocabulary was unified: a
+    change that alters what ``array_batch`` / ``replica_update`` carry
+    (or how it is priced) fails here, not only in the macro benchmark."""
+    machine = Machine(8, default_recv_timeout=10)
+    am_util.load_all(machine)
+    arr = make_array(machine, replication=1)
+    meter = meter_on(machine)  # after creation: seeding not counted
+    machine.reset_traffic()
+    # Eight coalesced element writes over all four sections (3/1/1/3) ...
+    for i in range(8):
+        arr[i, (3 * i) % 8] = float(i + 1)
+    assert am_user.flush_writes(machine) == 8
+    # ... one region write straddling all four sections, one read-back.
+    status = am_user.write_region(
+        machine, arr.array_id, [(2, 6), (3, 7)], np.full((4, 4), 9.0)
+    )
+    assert status is Status.OK
+    data, status = am_user.read_region(machine, arr.array_id, [(0, 8), (0, 8)])
+    assert status is Status.OK
+    expected = np.zeros((8, 8))
+    for i in range(8):
+        expected[i, (3 * i) % 8] = float(i + 1)
+    expected[2:6, 3:7] = 9.0
+    assert np.array_equal(data, expected)
+
+    snapshot = machine.traffic_snapshot()
+    assert (snapshot["messages"], snapshot["bytes"]) == (17, 328)
+    # (messages, bytes) per kind.  Section 0's batch applies inline on
+    # processor 0, so three batches route; each of the four flushes and
+    # each of the four region shares costs one replica update.
+    assert meter.snapshot()["by_kind"] == {
+        ARRAY_BATCH_KIND: (3, 88),
+        REPLICA_UPDATE_KIND: (8, 192),
+        "server_request": (6, 48),
+    }
 
 
 class _DropFirstBatch(FaultPlan):
