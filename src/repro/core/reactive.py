@@ -179,7 +179,13 @@ class ReactiveGraph:
                 raise KeyError(f"no node named {dest!r}")
             inflight.increment()
             with locks[dest]:
+                # Raises StreamClosed once the run has closed the streams.
                 writers[dest].send(event)
+
+        def close_streams() -> None:
+            for name in self.nodes:
+                with locks[name]:
+                    writers[name].close()
 
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
@@ -202,17 +208,19 @@ class ReactiveGraph:
         group = ProcessGroup()
         started = time.perf_counter()
         for node in self.nodes.values():
-            group.spawn(node_process, node)
+            group.spawn(node_process, node, name=f"reactive-{node.name}")
         for dest, event in initial_events:
             emit(dest, event)
 
         if not inflight.wait_zero(timeout):
+            # Do not leave the node processes running: with the streams
+            # closed each one finishes the event in hand, finds its next
+            # emission refused or its stream ended, and terminates.
+            close_streams()
             raise TimeoutError(
                 f"reactive graph did not quiesce within {timeout}s"
             )
-        for name in self.nodes:
-            with locks[name]:
-                writers[name].close()
+        close_streams()
         group.join_all(timeout=timeout)
         if errors:
             raise errors[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterator, Optional
 
+from repro.pcn.process import current_process_id
 from repro.status import SharedVariableConflictError, SingleAssignmentError
 
 _UNDEFINED = object()
@@ -22,36 +23,43 @@ _UNDEFINED = object()
 # hang into a diagnosable failure, which matters for a test suite.
 DEFAULT_TIMEOUT: float = 30.0
 
+# One lock for the slow paths of every variable: a definition, an
+# ``on_define`` registration and a reader about to suspend all hold it, so
+# a reader either sees the value or is on the wake list before the definer
+# takes that list — no wake-up can be missed.  The sections are a few
+# bytecodes long, and a variable that nobody ever suspends on (most of
+# them) allocates no synchronisation object of its own.  The lock also
+# guards the two registries below.
+_lock = threading.Lock()
+
 # Registry of threads currently suspended inside DefVar.read, keyed by
 # thread ident.  The deadlock watchdog (repro.faults.watchdog) reads this
 # to build the wait-graph; registration is scoped strictly to the blocking
 # wait so entries never outlive the suspension.
-_blocked_lock = threading.Lock()
 _blocked_reads: dict[int, str] = {}
 
 # Suspension hooks: callables invoked with the DefVar label each time a
 # reader actually suspends (not on the fast already-defined path).  Fed by
-# the observability layer (repro.obs.Observer) to count suspensions per VP;
-# the hot path pays one truthiness check while no hook is installed.
+# the observability layer (repro.obs.Observer) to count suspensions per VP.
 _suspend_hooks: list[Callable[[str], None]] = []
 
 
 def add_suspend_hook(callback: Callable[[str], None]) -> None:
     """Register ``callback(label)`` to fire whenever a read suspends."""
-    with _blocked_lock:
+    with _lock:
         if callback not in _suspend_hooks:
             _suspend_hooks.append(callback)
 
 
 def remove_suspend_hook(callback: Callable[[str], None]) -> None:
-    with _blocked_lock:
+    with _lock:
         if callback in _suspend_hooks:
             _suspend_hooks.remove(callback)
 
 
 def blocked_reads() -> dict[int, str]:
     """Snapshot: thread ident -> name of the DefVar it is suspended on."""
-    with _blocked_lock:
+    with _lock:
         return dict(_blocked_reads)
 
 
@@ -62,14 +70,21 @@ class DefVar:
     raises :class:`SingleAssignmentError`.  ``read()`` returns the value,
     suspending the calling thread until the variable is defined.  ``data()``
     is a non-blocking probe (PCN's ``data`` guard).
+
+    ``_value`` moves from undefined to its value once and never again, so
+    whoever sees a value sees the final one: ``data``, ``peek`` and the
+    ``read`` of a defined variable take no lock.
     """
 
-    __slots__ = ("_value", "_cond", "name", "_waiters")
+    __slots__ = ("_value", "_sleepers", "_callbacks", "name")
 
     def __init__(self, name: str = "") -> None:
         self._value: Any = _UNDEFINED
-        self._cond = threading.Condition()
-        self._waiters: list[Callable[[Any], None]] = []
+        # Wait state, built by the first reader that suspends / the first
+        # callback registered before the definition: one locked lock per
+        # suspended reader, released by define().
+        self._sleepers: Optional[list] = None
+        self._callbacks: Optional[list[Callable[[Any], None]]] = None
         self.name = name
 
     def define(self, value: Any) -> None:
@@ -79,55 +94,66 @@ class DefVar:
             # propagate the value when the source becomes defined.
             value.on_define(self.define)
             return
-        with self._cond:
+        with _lock:
             if self._value is not _UNDEFINED:
                 raise SingleAssignmentError(
                     f"definition variable {self.name or id(self)} defined twice"
                 )
             self._value = value
-            waiters = self._waiters
-            self._waiters = []
-            self._cond.notify_all()
-        for callback in waiters:
-            callback(value)
+            sleepers, self._sleepers = self._sleepers, None
+            callbacks, self._callbacks = self._callbacks, None
+        if sleepers is not None:
+            for wake in sleepers:
+                wake.release()
+        if callbacks is not None:
+            for callback in callbacks:
+                callback(value)
 
     def read(self, timeout: Optional[float] = None) -> Any:
         """Return the value, suspending until the variable is defined."""
+        value = self._value
+        if value is not _UNDEFINED:
+            return value
         limit = DEFAULT_TIMEOUT if timeout is None else timeout
-        with self._cond:
-            if self._value is _UNDEFINED:
-                ident = threading.get_ident()
-                label = self.name or f"0x{id(self):x}"
-                with _blocked_lock:
-                    _blocked_reads[ident] = label
-                    hooks = tuple(_suspend_hooks)
-                for hook in hooks:
-                    hook(label)
-                try:
-                    ok = self._cond.wait_for(
-                        lambda: self._value is not _UNDEFINED, timeout=limit
-                    )
-                finally:
-                    with _blocked_lock:
-                        _blocked_reads.pop(ident, None)
-                if not ok:
-                    raise TimeoutError(
-                        f"read of undefined variable {self.name or id(self)} "
-                        f"timed out after {limit}s (suspended process)"
-                    )
-            return self._value
+        wake = threading.Lock()
+        wake.acquire()
+        ident = threading.get_ident()
+        label = self.name or f"0x{id(self):x}"
+        with _lock:
+            if self._value is not _UNDEFINED:
+                return self._value
+            if self._sleepers is None:
+                self._sleepers = []
+            self._sleepers.append(wake)
+            _blocked_reads[ident] = label
+            hooks = tuple(_suspend_hooks)
+        try:
+            for hook in hooks:
+                hook(label)
+            wake.acquire(timeout=max(limit, 0.0))
+        finally:
+            with _lock:
+                _blocked_reads.pop(ident, None)
+                if self._value is _UNDEFINED:
+                    self._sleepers.remove(wake)
+        value = self._value
+        if value is _UNDEFINED:
+            raise TimeoutError(
+                f"read of undefined variable {self.name or id(self)} "
+                f"timed out after {limit}s (suspended process)"
+            )
+        return value
 
     def data(self) -> bool:
         """Non-blocking: is the variable defined?  (PCN ``data`` guard.)"""
-        with self._cond:
-            return self._value is not _UNDEFINED
+        return self._value is not _UNDEFINED
 
     def peek(self) -> Any:
         """Return the value without blocking; raises if undefined."""
-        with self._cond:
-            if self._value is _UNDEFINED:
-                raise ValueError("variable is undefined")
-            return self._value
+        value = self._value
+        if value is _UNDEFINED:
+            raise ValueError("variable is undefined")
+        return value
 
     def on_define(self, callback: Callable[[Any], None]) -> None:
         """Invoke ``callback(value)`` once the variable is defined.
@@ -135,19 +161,18 @@ class DefVar:
         If already defined the callback runs immediately on the caller's
         thread; otherwise it runs on the defining thread.
         """
-        with self._cond:
-            if self._value is _UNDEFINED:
-                self._waiters.append(callback)
-                return
-            value = self._value
-        callback(value)
+        if self._value is _UNDEFINED:
+            with _lock:
+                if self._value is _UNDEFINED:
+                    if self._callbacks is None:
+                        self._callbacks = []
+                    self._callbacks.append(callback)
+                    return
+        callback(self._value)
 
     def __repr__(self) -> str:
-        with self._cond:
-            if self._value is _UNDEFINED:
-                state = "undefined"
-            else:
-                state = f"= {self._value!r}"
+        value = self._value
+        state = "undefined" if value is _UNDEFINED else f"= {value!r}"
         label = self.name or f"0x{id(self):x}"
         return f"<DefVar {label} {state}>"
 
@@ -177,16 +202,18 @@ class Mutable:
     The paper prevents conflicting access by requiring that when two
     concurrently-executing processes share a mutable, *neither* writes to it
     (§3.1.1.4).  We enforce a dynamic approximation: a mutable records the
-    thread that owns write access; a write from a different thread while the
-    owner still exists raises :class:`SharedVariableConflictError` unless
-    ownership has been explicitly transferred with :meth:`transfer`.
+    process that owns write access (:func:`current_process_id` — a thread
+    ident would be inherited by the next process to run on that thread); a
+    write from a different process raises
+    :class:`SharedVariableConflictError` unless ownership has been
+    explicitly transferred with :meth:`transfer`.
     """
 
     __slots__ = ("_value", "_owner", "_lock", "name")
 
     def __init__(self, value: Any = None, name: str = "") -> None:
         self._value = value
-        self._owner: Optional[int] = threading.get_ident()
+        self._owner: Optional[int] = current_process_id()
         self._lock = threading.Lock()
         self.name = name
 
@@ -195,26 +222,28 @@ class Mutable:
             return self._value
 
     def set(self, value: Any) -> None:
-        me = threading.get_ident()
+        me = current_process_id()
         with self._lock:
             if self._owner is not None and self._owner != me:
                 raise SharedVariableConflictError(
-                    f"mutable {self.name or id(self)} written by thread {me} "
-                    f"while owned by thread {self._owner} (§3.1.1.4)"
+                    f"mutable {self.name or id(self)} written by process {me} "
+                    f"while owned by process {self._owner} (§3.1.1.4)"
                 )
             self._value = value
 
-    def transfer(self, thread_ident: Optional[int] = None) -> None:
-        """Hand write-ownership to ``thread_ident`` (None = next writer)."""
+    def transfer(self, process_id: Optional[int] = None) -> None:
+        """Hand write-ownership to the process identified by
+        ``process_id`` (None = whichever process adopts it next)."""
         with self._lock:
-            self._owner = thread_ident
+            self._owner = process_id
 
     def adopt(self) -> None:
-        """Claim write-ownership for the calling thread."""
+        """Claim write-ownership for the calling process."""
+        me = current_process_id()
         with self._lock:
             if self._owner is None:
-                self._owner = threading.get_ident()
-            elif self._owner != threading.get_ident():
+                self._owner = me
+            elif self._owner != me:
                 raise SharedVariableConflictError(
                     f"mutable {self.name or id(self)} already owned"
                 )

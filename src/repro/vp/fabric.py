@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
+from repro.pcn.process import process_scoped
 from repro.vp.message import Message
 
 Forward = Callable[[Message], None]
@@ -61,7 +62,9 @@ class _Context(threading.local):
     span_id: Optional[str] = None
 
 
-_context = _Context()
+# Scoped to the process, not the thread: a body that leaves a context or
+# a span open must not hand it to the next process its thread runs.
+_context = process_scoped(_Context())
 
 
 def current_processor() -> Optional[int]:
@@ -159,7 +162,9 @@ class TransportStack:
 
     def __init__(self, terminal: Forward) -> None:
         self._terminal = terminal
-        self._layers: List[Interceptor] = []
+        # Replaced whole on every mutation, so the per-message readers
+        # (``len``, ``dispatch``) need no lock; the lock serialises writers.
+        self._layers: tuple = ()
         self._lock = threading.Lock()
 
     # -- mutation -----------------------------------------------------------
@@ -168,41 +173,40 @@ class TransportStack:
         """Install ``interceptor`` as the new top layer; returns it so
         ``stack.push(Tracer())`` reads naturally."""
         with self._lock:
-            self._layers.insert(0, interceptor)
+            self._layers = (interceptor,) + self._layers
         return interceptor
 
     def remove(self, interceptor: Interceptor) -> bool:
         """Remove one interceptor wherever it sits; the layers above and
         below knit back together.  Returns False if it was not installed."""
         with self._lock:
+            layers = list(self._layers)
             try:
-                self._layers.remove(interceptor)
+                layers.remove(interceptor)
             except ValueError:
                 return False
+            self._layers = tuple(layers)
         return True
 
     def clear(self) -> None:
         with self._lock:
-            self._layers.clear()
+            self._layers = ()
 
     # -- introspection -------------------------------------------------------
 
     def layers(self) -> List[Interceptor]:
         """Snapshot, top first."""
-        with self._lock:
-            return list(self._layers)
+        return list(self._layers)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._layers)
+        return len(self._layers)
 
     def __contains__(self, interceptor: Interceptor) -> bool:
-        with self._lock:
-            return interceptor in self._layers
+        return interceptor in self._layers
 
     # -- dispatch ------------------------------------------------------------
 
-    def _chain(self, layers: List[Interceptor]) -> Forward:
+    def _chain(self, layers: Sequence[Interceptor]) -> Forward:
         forward = self._terminal
         for layer in reversed(layers):
             forward = _bind(layer, forward)
@@ -210,7 +214,7 @@ class TransportStack:
 
     def dispatch(self, message: Message) -> None:
         """Send ``message`` through every layer, top to bottom."""
-        self._chain(self.layers())(message)
+        self._chain(self._layers)(message)
 
     def forward_from(self, interceptor: Interceptor, message: Message) -> None:
         """Deliver ``message`` through the layers strictly *below*

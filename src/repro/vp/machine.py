@@ -27,10 +27,10 @@ server requests all pass through it carrying the shared envelope
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Any, Callable, Hashable, Optional
 
+from repro.pcn.process import thread_stats
 from repro.status import ProcessorFailedError
 from repro.vp import fabric
 from repro.vp.fabric import TransportStack
@@ -59,8 +59,12 @@ class Machine:
         self.dead_send_policy = dead_send_policy
         self._processors = [VirtualProcessor(i, self) for i in range(num_nodes)]
         self.server = ServerRegistry(self)
+        # Serialises writers and makes the traffic counters exact.  What
+        # every message reads — the failed set, the kind-handler table, the
+        # server's capability table — is replaced whole on the rare write
+        # (copy-on-write) and read without the lock.
         self._lock = threading.Lock()
-        self._failed: set[int] = set()
+        self._failed: frozenset[int] = frozenset()
         self.transport_stack = TransportStack(self._deliver)
         # Final-delivery dispatch by envelope kind: mailbox traffic is the
         # default, ``server_request`` executes at the target, and
@@ -145,7 +149,7 @@ class Machine:
         with self._lock:
             if number in self._failed:
                 return
-            self._failed.add(number)
+            self._failed = self._failed | {number}
             listeners = list(self._failure_listeners)
         node.mailbox.poison(
             ProcessorFailedError(
@@ -172,15 +176,14 @@ class Machine:
         restored — buffered messages survive; only the dead flag clears)."""
         node = self.processor(number)
         with self._lock:
-            self._failed.discard(number)
+            self._failed = self._failed - {number}
         node.mailbox.unpoison()
         for other in list(self._processors):
             if other.number != number:
                 other.mailbox.mark_source_alive(number)
 
     def is_failed(self, number: int) -> bool:
-        with self._lock:
-            return number in self._failed
+        return number in self._failed
 
     def is_unavailable(self, number: int) -> bool:
         """Oracle-dead *or* declared dead by the installed failure
@@ -196,8 +199,7 @@ class Machine:
         return health is not None and health.is_dead(number)
 
     def failed_processors(self) -> list[int]:
-        with self._lock:
-            return sorted(self._failed)
+        return sorted(self._failed)
 
     def add_failure_listener(self, listener: Callable[[int], None]) -> None:
         """Subscribe to processor deaths; ``listener(number)`` runs
@@ -220,8 +222,10 @@ class Machine:
 
     def check_alive(self, processors) -> None:
         """Raise :class:`ProcessorFailedError` if any listed VP is dead."""
-        with self._lock:
-            dead = [int(p) for p in processors if int(p) in self._failed]
+        failed = self._failed
+        if not failed:
+            return
+        dead = [int(p) for p in processors if int(p) in failed]
         if dead:
             raise ProcessorFailedError(
                 f"processor(s) {dead} failed", processor=dead[0]
@@ -238,16 +242,16 @@ class Machine:
         self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
-        if self.is_failed(message.dest):
+        dest = message.dest
+        if dest in self._failed:
             with self._lock:
                 self.dropped_to_dead += 1
             return
-        with self._lock:
-            handler = self._kind_handlers.get(message.kind)
+        handler = self._kind_handlers.get(message.kind)
         if handler is not None:
             handler(message)
             return
-        self.processor(message.dest).mailbox.deliver(message)
+        self.processor(dest).mailbox.deliver(message)
 
     def register_kind_handler(
         self, kind: str, handler: Callable[[Message], None]
@@ -255,35 +259,38 @@ class Machine:
         """Route messages of envelope ``kind`` to ``handler`` at final
         delivery instead of the destination mailbox."""
         with self._lock:
-            self._kind_handlers[kind] = handler
+            self._kind_handlers = {**self._kind_handlers, kind: handler}
 
     def route(self, message: Message) -> None:
         """The single routing choke point: validate, stamp the envelope,
         account, and dispatch down the interceptor stack to delivery."""
-        self.processor(message.dest)  # validate range
-        if self.is_failed(message.source):
-            raise ProcessorFailedError(
-                f"send from failed processor {message.source}",
-                processor=message.source,
-            )
-        if self.is_failed(message.dest):
-            if self.dead_send_policy == "raise":
+        source = message.source
+        dest = message.dest
+        self.processor(dest)  # validate range
+        sender = self.processor(source)
+        failed = self._failed
+        if failed:
+            if source in failed:
                 raise ProcessorFailedError(
-                    f"send to failed processor {message.dest}",
-                    processor=message.dest,
+                    f"send from failed processor {source}", processor=source
                 )
-            # "drop" and "queue" both discard sends to an oracle-dead
-            # destination: queueing is for *suspects*, whose death is
-            # unconfirmed; the oracle is ground truth.
-            with self._lock:
-                self.dropped_to_dead += 1
-            return
+            if dest in failed:
+                if self.dead_send_policy == "raise":
+                    raise ProcessorFailedError(
+                        f"send to failed processor {dest}", processor=dest
+                    )
+                # "drop" and "queue" both discard sends to an oracle-dead
+                # destination: queueing is for *suspects*, whose death is
+                # unconfirmed; the oracle is ground truth.
+                with self._lock:
+                    self.dropped_to_dead += 1
+                return
         health = self._health
         if (
-            self.dead_send_policy == "queue"
-            and health is not None
+            health is not None
+            and self.dead_send_policy == "queue"
             and message.kind not in ("heartbeat", "rejoin")
-            and health.is_suspect(message.dest)
+            and health.is_suspect(dest)
         ):
             # Buffer instead of transmitting into suspected silence.  The
             # queue flushes (re-routes) when the suspect proves alive or
@@ -292,38 +299,50 @@ class Machine:
             # evidence the verdict rests on), as is the rejoin protocol
             # (it must reach the quarantined VP to end the quarantine).
             with self._lock:
-                self._suspect_queues.setdefault(message.dest, []).append(
-                    message
-                )
+                self._suspect_queues.setdefault(dest, []).append(message)
             return
-        if message.source == message.dest and len(self.transport_stack) == 0:
-            # Same-node fast path: with no interceptors installed nothing
-            # between route and delivery can observe the envelope, so the
-            # trace-stamping copy and the interceptor dispatch are pure
-            # overhead — skip both.  Counters still advance (the cost
-            # model stays exact), and any installed interceptor (tracer,
-            # meter, fault plan, observer) disables the path by making
-            # the stack non-empty.
-            with self._lock:
-                self.routed_count += 1
-                self.routed_bytes += message.nbytes()
-            self._deliver(message)
-            return
-        if message.trace_id is None:
+        # Same-node fast path: with no interceptors installed nothing
+        # between route and delivery can observe the envelope, so the
+        # trace-stamping copy and the interceptor dispatch are pure
+        # overhead — skip both.  Any installed interceptor (tracer, meter,
+        # fault plan, observer) disables the path by making the stack
+        # non-empty.
+        direct = source == dest and len(self.transport_stack) == 0
+        if message.trace_id is None and not direct:
             # Stamp the envelope from the sender's execution context.  A
             # top-level send with no ambient trace gets a synthesized root
-            # id — no message is ever attributed to trace None.
+            # id — no message is ever attributed to trace None.  The copy
+            # keeps ``seq``: it is the same message.
             trace_id, hop = fabric.current_trace()
-            message = dataclasses.replace(
-                message,
-                trace_id=trace_id if trace_id is not None else fabric.new_trace_id(),
+            message = Message(
+                source=source,
+                dest=dest,
+                payload=message.payload,
+                mtype=message.mtype,
+                tag=message.tag,
+                group=message.group,
+                seq=message.seq,
+                kind=message.kind,
+                trace_id=(
+                    trace_id if trace_id is not None
+                    else fabric.new_trace_id()
+                ),
                 hop=hop,
                 span_id=fabric.current_span_id(),
             )
+        nbytes = message.nbytes()
+        # The one lock acquisition of a delivered message: all four
+        # traffic counters advance together, so the send side and the
+        # machine total agree exactly (the cost model stays exact).
         with self._lock:
             self.routed_count += 1
-            self.routed_bytes += message.nbytes()
-        self.transport_stack.dispatch(message)
+            self.routed_bytes += nbytes
+            sender.sent_count += 1
+            sender.sent_bytes += nbytes
+        if direct:
+            self._deliver(message)
+        else:
+            self.transport_stack.dispatch(message)
 
     def flush_suspect_queue(self, dest: int) -> int:
         """Re-route sends buffered for a once-suspected destination (the
@@ -388,8 +407,11 @@ class Machine:
         with self._lock:
             self.routed_count = 0
             self.routed_bytes = 0
+            for node in self._processors:
+                node.sent_count = 0
+                node.sent_bytes = 0
         for node in self._processors:
-            node.reset_traffic_counters()
+            node.mailbox.reset_traffic_counters()
 
     # -- observability ---------------------------------------------------------
 
@@ -421,8 +443,9 @@ class Machine:
         """A snapshot of machine health for operators and tests.
 
         Reports dead processors, per-node pending (undelivered-to-user)
-        message counts, currently-blocked receivers, and live process
-        counts — the §4.1.2 goal of making partial failure observable.
+        message counts, currently-blocked receivers, live process counts
+        and what processes have cost in OS threads (interpreter-wide) —
+        the §4.1.2 goal of making partial failure observable.
         """
         pending = {}
         blocked = []
@@ -475,6 +498,7 @@ class Machine:
                 "pending_messages": pending,
                 "blocked_receivers": blocked,
                 "live_processes": live,
+                "processes": thread_stats(),
                 "routed_messages": self.routed_count,
                 "routed_bytes": self.routed_bytes,
                 "dropped_to_dead": self.dropped_to_dead,

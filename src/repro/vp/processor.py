@@ -37,6 +37,9 @@ class VirtualProcessor:
         self._heap_lock = threading.RLock()
         self._processes: list[Process] = []
         self._processes_lock = threading.Lock()
+        # Messages routed with this node as source; advanced by
+        # Machine.route under the machine lock, together with the machine
+        # totals, so the two always agree.
         self.sent_count = 0
         self.sent_bytes = 0
 
@@ -121,15 +124,7 @@ class VirtualProcessor:
 
     def send(self, message: "Message") -> None:  # noqa: F821
         """Send a message; routing is done by the machine's transport."""
-        self.sent_count += 1
-        self.sent_bytes += message.nbytes()
         self.machine.route(message)
-
-    def reset_traffic_counters(self) -> None:
-        """Zero this node's traffic accounting (send side + mailbox)."""
-        self.sent_count = 0
-        self.sent_bytes = 0
-        self.mailbox.reset_traffic_counters()
 
     def __repr__(self) -> str:
         return f"<VirtualProcessor {self.number}>"

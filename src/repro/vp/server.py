@@ -79,17 +79,18 @@ class ServerRegistry:
 
     def __init__(self, machine: "Machine") -> None:  # noqa: F821
         self._machine = machine
+        # Read on every request, written when a module loads: the table
+        # is replaced whole under the lock and read without it.
         self._capabilities: dict[str, Handler] = {}
         self._lock = threading.Lock()
 
     def load(self, capabilities: dict[str, Handler]) -> None:
         """Load a module: add its capabilities to the server (§5.1.1)."""
         with self._lock:
-            self._capabilities.update(capabilities)
+            self._capabilities = {**self._capabilities, **capabilities}
 
     def provides(self, request_type: str) -> bool:
-        with self._lock:
-            return request_type in self._capabilities
+        return request_type in self._capabilities
 
     def request(
         self,
@@ -133,8 +134,7 @@ class ServerRegistry:
         interceptors and meters can distinguish it.  Any kind used here
         must be registered on the machine to execute as a server call.
         """
-        with self._lock:
-            handler = self._capabilities.get(request_type)
+        handler = self._capabilities.get(request_type)
         if handler is None:
             raise ServerRequestError(
                 f"no capability registered for request type {request_type!r}"
@@ -217,8 +217,7 @@ class ServerRegistry:
         if outcome is not None and outcome.data():
             return
         node = self._machine.processor(message.dest)
-        with self._lock:
-            handler = self._capabilities.get(call.request_type)
+        handler = self._capabilities.get(call.request_type)
         # span_id: the handler's spans parent onto the requester's open
         # span (carried on the message), not onto whatever span the
         # delivering thread happens to be inside.

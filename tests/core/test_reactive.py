@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -105,19 +106,27 @@ class TestEventFlow:
         assert result.events_handled == 2
 
     def test_timeout_on_livelock(self):
-        # run() leaves a timed-out graph's node threads running; let this
-        # one quiesce afterwards, or it records events (≈0.7 GB a minute)
-        # for the rest of the pytest process.
-        done = threading.Event()
+        # A timed-out run must stop its node processes itself: a leaked
+        # one would record events (≈0.7 GB a minute) and hold its worker
+        # thread for the rest of the pytest process.
         g = ReactiveGraph()
-        g.add_node(
-            "loop", lambda n, e: [] if done.is_set() else [("loop", e.at(1.0))]
-        )
-        try:
-            with pytest.raises(TimeoutError):
-                g.run([("loop", Event(0, "forever"))], timeout=0.3)
-        finally:
-            done.set()
+        g.add_node("loop", lambda n, e: [("loop", e.at(1.0))])
+        with pytest.raises(TimeoutError):
+            g.run([("loop", Event(0, "forever"))], timeout=0.3)
+
+        def node_threads():
+            return [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("reactive-")
+            ]
+
+        deadline = time.monotonic() + 5.0
+        while node_threads() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert node_threads() == []
+        handled = len(g.nodes["loop"].handled)
+        time.sleep(0.05)
+        assert len(g.nodes["loop"].handled) == handled
 
     def test_handler_events_processed_in_fifo_order_per_node(self):
         g = ReactiveGraph()

@@ -106,3 +106,113 @@ class TestPlacement:
         node = m.processor(1)
         node.run(lambda: node.store("written-by", "process"))
         assert node.load("written-by") == "process"
+
+
+class TestLockFreeReads:
+    """What every message reads without the machine lock — the failed
+    set, the kind-handler table, the capability table — is replaced whole
+    on a write, so a write is seen by the very next message."""
+
+    def test_fail_is_seen_by_the_very_next_route(self):
+        from repro.status import ProcessorFailedError
+        from repro.vp.message import Message
+
+        m = Machine(3)
+        m.route(Message(source=0, dest=1, payload="before"))
+        m.fail(1)
+        with pytest.raises(ProcessorFailedError):
+            m.route(Message(source=0, dest=1, payload="to the dead"))
+        with pytest.raises(ProcessorFailedError):
+            m.route(Message(source=1, dest=2, payload="from the dead"))
+        m.revive(1)
+        m.route(Message(source=1, dest=2, payload="after"))
+        assert m.processor(2).mailbox.recv(timeout=5).payload == "after"
+
+    def test_route_from_an_unknown_source_is_rejected(self):
+        from repro.vp.message import Message
+
+        m = Machine(2)
+        with pytest.raises(ValueError):
+            m.route(Message(source=7, dest=1, payload=None))
+        assert m.traffic_snapshot()["messages"] == 0
+
+    def test_handlers_registered_while_routing_serve_the_next_message(self):
+        """A router hammers the machine while kinds and capabilities are
+        registered one by one; each is used straight after it registers."""
+        from repro.pcn.defvar import DefVar
+        from repro.vp.message import Message
+
+        m = Machine(4)
+        stop = threading.Event()
+        failures = []
+
+        def hammer():
+            try:
+                while not stop.is_set():
+                    m.route(Message(source=0, dest=1, payload=None))
+                    m.processor(1).mailbox.recv(timeout=5)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        routers = [threading.Thread(target=hammer) for _ in range(2)]
+        for t in routers:
+            t.start()
+        try:
+            for i in range(200):
+                seen = []
+                m.register_kind_handler(f"kind-{i}", seen.append)
+                m.route(Message(source=2, dest=3, payload=i, kind=f"kind-{i}"))
+                assert [msg.payload for msg in seen] == [i]
+
+                def capability(node, out, i=i):
+                    out.define((node.number, i))
+
+                m.server.load({f"cap-{i}": capability})
+                out = DefVar(f"out-{i}")
+                m.server.request(f"cap-{i}", out, processor=3, source=2)
+                assert out.read(timeout=5) == (3, i)
+                assert m.server.provides(f"cap-{i}")
+        finally:
+            stop.set()
+            for t in routers:
+                t.join(timeout=10)
+        assert not failures
+        assert not any(t.is_alive() for t in routers)
+        # The hammering never unregistered the built-in kind.
+        assert "server_request" in m._kind_handlers
+
+
+class TestSendCounters:
+    def test_send_side_counters_are_exact_under_concurrent_senders(self):
+        """8 threads x 2,000 sends: the per-VP send counters and the
+        machine totals advance under one lock, so they agree exactly."""
+        import sys
+
+        m = Machine(8)
+        sends = 2000
+
+        def sender(vp):
+            other = (vp + 1) % 8
+            for i in range(sends):
+                # Sizes differ per message so a lost byte update shows.
+                m.send(source=vp, dest=other if i % 2 else vp,
+                       payload=b"x" * (i % 7))
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sender, args=(vp,))
+                       for vp in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        snap = m.traffic_snapshot()
+        nodes = m.processors()
+        assert snap["messages"] == 8 * sends
+        assert sum(n.sent_count for n in nodes) == snap["messages"]
+        assert sum(n.sent_bytes for n in nodes) == snap["bytes"]
+        assert snap["bytes"] == 8 * sum(i % 7 for i in range(sends))
