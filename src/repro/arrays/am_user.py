@@ -430,23 +430,13 @@ def write_region_targeted(
         return Status.INVALID
     bounds, dense = checked
     flush_writes(machine, array_id)
-    pending = []
-    for section, local_slices, region_slices in layout.region_sections(
-        bounds
-    ):
-        owner = state.processors[section]
-        status = DefVar("Status")
-        machine.server.request(
-            "write_region_local",
-            array_id,
-            local_slices,
-            dense[region_slices].copy(),
-            status,
-            processor=owner,
-        )
-        pending.append(status)
-    bad = any(Status(st.read()) is not Status.OK for st in pending)
-    return Status.ERROR if bad else Status.OK
+    shares = {
+        state.processors[section]: (local_slices, dense[region_slices].copy())
+        for section, local_slices, region_slices
+        in layout.region_sections(bounds)
+    }
+    ok = manager._fan_out("write_region_local", shares, array_id)
+    return Status.OK if ok else Status.ERROR
 
 
 def set_read_cache(machine: Machine, enabled: bool) -> bool:

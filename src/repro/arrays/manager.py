@@ -258,6 +258,40 @@ class ArrayManager:
             request_type, *parameters, processor=processor, kind=kind
         )
 
+    def _fan_out(
+        self,
+        request_type: str,
+        holders,
+        *parameters: Any,
+        skip_failed: bool = False,
+    ) -> bool:
+        """One ``request_type`` peer request per holder, each answering
+        through a status variable of its own passed last; waits for all of
+        them, True when every holder answered OK.  ``holders`` is the
+        processors to ask (each once, whatever the repeats) or a mapping
+        processor -> that holder's own parameters (its share of a region,
+        say), passed after the common ``parameters``.  A failed holder
+        raises :class:`ProcessorFailedError` unless ``skip_failed``, which
+        passes over it and asks the rest.  A routed request runs in the
+        requester's thread, so the fan-out is a serial loop: its cost is
+        one request per holder."""
+        if not isinstance(holders, dict):
+            holders = dict.fromkeys(holders, ())
+        statuses = []
+        for proc, own in holders.items():
+            status = DefVar(f"{request_type}@{proc}")
+            try:
+                self._peer_request(
+                    request_type, proc, *parameters, *own, status
+                )
+            except ProcessorFailedError:
+                if not skip_failed:
+                    raise
+                continue
+            statuses.append(status)
+        answers = [Status(st.read()) for st in statuses]
+        return all(answer is Status.OK for answer in answers)
+
     # -- perf plumbing ---------------------------------------------------------
 
     def _perf(self) -> Optional[PerfLayer]:
@@ -327,14 +361,12 @@ class ArrayManager:
         )
         for backup in record.replica_map.backups_for(section_number):
             try:
-                self.machine.route(
-                    Message(
-                        source=node.number,
-                        dest=backup,
-                        payload=update,
-                        tag=("replica", record.array_id.as_tuple()),
-                        kind=REPLICA_UPDATE_KIND,
-                    )
+                self.machine.send(
+                    node.number,
+                    backup,
+                    update,
+                    tag=("replica", record.array_id.as_tuple()),
+                    kind=REPLICA_UPDATE_KIND,
                 )
             except ProcessorFailedError:
                 continue
@@ -511,8 +543,7 @@ class ArrayManager:
         """Create a distributed array (§4.2.1).
 
         Runs on the requesting processor; issues ``create_local`` on every
-        processor in the distribution, then records the array locally so
-        later requests made on the creating processor resolve (§5.1.4).
+        processor in the distribution and on this one (§5.1.4).
 
         ``replication=k`` assigns each section a deterministic chain of
         ``k`` backup processors (:meth:`ArrayLayout.replica_chains`); every
@@ -557,40 +588,21 @@ class ArrayManager:
             borders
         )
 
-        # One create_local request per processor in the distribution.
-        local_statuses: list[DefVar] = []
-        for section_number, proc in enumerate(procs):
-            st = DefVar(f"create_local@{proc}")
-            local_statuses.append(st)
-            self._peer_request(
-                "create_local",
-                proc,
-                array_id,
-                type_name,
-                layout,
-                procs,
-                border_spec,
-                st,
-                replication,
-                replica_map,
-            )
-        if any(Status(st.read()) is not Status.OK for st in local_statuses):
+        # Every processor that is to hold a record: the distribution and,
+        # even when it holds no section, this creating processor — so later
+        # requests made on it resolve (§5.1.4).
+        if not self._fan_out(
+            "create_local",
+            (*procs, node.number),
+            array_id,
+            type_name,
+            layout,
+            procs,
+            border_spec,
+            replication,
+            replica_map,
+        ):
             return _fail(status, Status.ERROR, array_id_out)
-
-        # Record on the creating processor too, even when it holds no
-        # section (§5.1.4) — without a duplicate section allocation.
-        table = _records(node)
-        if array_id not in table:
-            table[array_id] = ArrayRecord(
-                array_id=array_id,
-                type_name=type_name,
-                layout=layout,
-                processors=procs,
-                section=None,
-                border_spec=border_spec,
-                replication=replication,
-                replica_map=replica_map,
-            )
         with self._durability_lock:
             self._durability[array_id] = DurabilityState(
                 array_id=array_id,
@@ -613,16 +625,18 @@ class ArrayManager:
         layout: ArrayLayout,
         processors: tuple[int, ...],
         border_spec: tuple,
+        replication: int,
+        replica_map: Any,
         status: DefVar,
-        replication: int = 0,
-        replica_map: Any = None,
     ) -> None:
-        """Create the local section for one processor (§5.1.1)."""
-        section = LocalSection(
-            type_name,
-            layout.local_dims,
-            layout.borders,
-            layout.indexing,
+        """Create one processor's record, with its local section when it
+        is in the distribution (§5.1.1)."""
+        section = (
+            LocalSection(
+                type_name, layout.local_dims, layout.borders, layout.indexing
+            )
+            if node.number in processors
+            else None
         )
         record = ArrayRecord(
             array_id=array_id,
@@ -635,7 +649,7 @@ class ArrayManager:
             replica_map=replica_map,
         )
         _records(node)[array_id] = record
-        if replication > 0 and replica_map is not None:
+        if section is not None and replication > 0 and replica_map is not None:
             # Seed the backup mirrors with the initial contents: a section
             # lost *before* its first write must still be recoverable.
             with record.lock:
@@ -659,16 +673,15 @@ class ArrayManager:
         perf = self._perf()
         if perf is not None:
             perf.drop_array(record.array_id)
-        statuses = []
-        for proc in record.processors:
-            st = DefVar(f"free_local@{proc}")
-            statuses.append(st)
-            self._peer_request("free_local", proc, array_id, st)
-        for st in statuses:
-            st.read()
-        # Forget the record on this (typically the creating) processor as
-        # well (§5.1.3): a later request for the ID answers NOT_FOUND.
-        _records(node).pop(array_id, None)
+        # Every processor with a record forgets it (§5.1.3) — the owners,
+        # the creating processor even when it holds no section (§5.1.4),
+        # and this one — so a later request for the ID answers NOT_FOUND
+        # wherever it is made.  A holder that has failed cannot be asked
+        # and must not keep the survivors' array alive.
+        holders = (
+            *record.processors, array_id.creating_processor, node.number
+        )
+        self._fan_out("free_local", holders, array_id, skip_failed=True)
         with self._durability_lock:
             self._durability.pop(array_id, None)
         _define(status, Status.OK)
@@ -994,20 +1007,17 @@ class ArrayManager:
         out = np.zeros(
             record.layout.region_shape(bounds), dtype=dtype_for(record.type_name)
         )
-        pieces = []
+        shares, pieces = {}, []
         for section, local_slices, out_slices in record.layout.region_sections(
             bounds
         ):
             owner = record.processors[section]
             part = DefVar(f"read_region@{owner}")
-            st = DefVar(f"read_region_status@{owner}")
-            self._peer_request(
-                "read_region_local", owner, array_id, local_slices, part, st
-            )
-            pieces.append((out_slices, part, st))
-        for out_slices, part, st in pieces:
-            if Status(st.read()) is not Status.OK:
-                return _fail(status, Status.ERROR, data_out)
+            shares[owner] = (local_slices, part)
+            pieces.append((out_slices, part))
+        if not self._fan_out("read_region_local", shares, array_id):
+            return _fail(status, Status.ERROR, data_out)
+        for out_slices, part in pieces:
             out[out_slices] = part.read()
         _define(data_out, out)
         _define(status, Status.OK)
@@ -1055,23 +1065,13 @@ class ArrayManager:
         # Region writes stay synchronous and act as ordering barriers:
         # queued element writes from before this call land first.
         self._flush_writes(record.array_id)
-        statuses = []
-        for section, local_slices, out_slices in record.layout.region_sections(
-            bounds
-        ):
-            owner = record.processors[section]
-            st = DefVar(f"write_region_status@{owner}")
-            statuses.append(st)
-            self._peer_request(
-                "write_region_local",
-                owner,
-                array_id,
-                local_slices,
-                data[out_slices].copy(),
-                st,
-            )
-        bad = any(Status(st.read()) is not Status.OK for st in statuses)
-        _define(status, Status.ERROR if bad else Status.OK)
+        shares = {
+            record.processors[section]: (local_slices, data[out_slices].copy())
+            for section, local_slices, out_slices
+            in record.layout.region_sections(bounds)
+        }
+        ok = self._fan_out("write_region_local", shares, array_id)
+        _define(status, Status.OK if ok else Status.ERROR)
 
     def write_region_local(
         self,
@@ -1164,17 +1164,12 @@ class ArrayManager:
         # in the old storage before copy_local copies it.
         self._flush_writes(record.array_id)
         new_layout = record.layout.replace_borders(expected)
-        statuses = []
-        for proc in record.processors:
-            st = DefVar(f"copy_local@{proc}")
-            statuses.append(st)
-            self._peer_request(
-                "copy_local", proc, array_id, expected, new_layout, st
-            )
-        bad = any(Status(st.read()) is not Status.OK for st in statuses)
+        ok = self._fan_out(
+            "copy_local", record.processors, array_id, expected, new_layout
+        )
         # Update the creating-processor record too.
         record.layout = new_layout
-        _define(status, Status.ERROR if bad else Status.OK)
+        _define(status, Status.OK if ok else Status.ERROR)
 
     # -- checkpoint / restore -----------------------------------------------------------
 
@@ -1311,20 +1306,15 @@ class ArrayManager:
         self._flush_writes(array_id)
         with state.lock:
             new_epoch = max(state.epoch, snapshot.epoch) + 1
-            statuses: list[DefVar] = []
-            for section_number, proc in enumerate(state.processors):
-                data = snapshot.sections.get(section_number)
-                if data is None:
-                    return _fail(status, Status.INVALID)
-                st = DefVar(f"restore_local@{proc}")
-                statuses.append(st)
-                self._peer_request(
-                    "restore_local", proc, array_id, data, new_epoch, st
-                )
-            bad = any(
-                Status(st.read()) is not Status.OK for st in statuses
-            )
-            if bad:
+            shares = {
+                proc: (snapshot.sections.get(section_number),)
+                for section_number, proc in enumerate(state.processors)
+            }
+            if any(data is None for (data,) in shares.values()):
+                return _fail(status, Status.INVALID)
+            if not self._fan_out(
+                "restore_local", shares, array_id, new_epoch
+            ):
                 return _fail(status, Status.ERROR)
             state.epoch = new_epoch
         observer = getattr(self.machine, "_observer", None)
@@ -1336,8 +1326,8 @@ class ArrayManager:
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
-        data: Any,
         epoch: int,
+        data: Any,
         status: DefVar,
     ) -> None:
         """Overwrite this section from a snapshot at the given epoch."""

@@ -149,21 +149,27 @@ class ArrayRecord:
         return self.processors[section], local
 
     def info(self, which: str):
-        """The find_info dispatch table (§4.2.6)."""
-        table = {
-            "type": lambda: self.type_name,
-            "dimensions": lambda: list(self.dims),
-            "processors": lambda: list(self.processors),
-            "grid_dimensions": lambda: list(self.grid_dims),
-            "local_dimensions": lambda: list(self.local_dims),
-            "borders": lambda: list(self.borders),
-            "local_dimensions_plus": lambda: list(self.local_dims_plus),
-            "indexing_type": lambda: self.indexing_type,
-            "grid_indexing_type": lambda: self.grid_indexing_type,
-            "replication": lambda: self.replication,
-            "epoch": lambda: self.epoch,
-        }
+        """Answer one ``find_info`` selector (§4.2.6)."""
         try:
-            return table[which]()
+            return _INFO[which](self)
         except KeyError:
             raise ValueError(f"unknown find_info selector {which!r}") from None
+
+
+# The find_info dispatch table (§4.2.6): selector -> getter.  ``replication``,
+# ``epoch`` and ``layout`` (the whole index geometry in one answer, what a
+# ``DistributedArray`` handle is built from) extend the thesis' list.
+_INFO = {
+    "type": lambda r: r.type_name,
+    "dimensions": lambda r: list(r.layout.dims),
+    "processors": lambda r: list(r.processors),
+    "grid_dimensions": lambda r: list(r.layout.grid),
+    "local_dimensions": lambda r: list(r.layout.local_dims),
+    "borders": lambda r: list(r.layout.borders),
+    "local_dimensions_plus": lambda r: list(r.layout.local_dims_plus),
+    "indexing_type": lambda r: r.layout.indexing,
+    "grid_indexing_type": lambda r: r.layout.grid_indexing,
+    "replication": lambda r: r.replication,
+    "epoch": lambda r: r.epoch,
+    "layout": lambda r: r.layout,
+}

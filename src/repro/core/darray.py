@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.arrays import am_user
 from repro.arrays.layout import ArrayLayout
+from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
 from repro.status import ArrayNotFoundError, check_status
 from repro.vp.machine import Machine
@@ -39,6 +40,20 @@ class DistributedArray:
         self.type_name = type_name
         self.replication = replication
         self._freed = False
+
+    @property
+    def _home(self) -> int:
+        """The processor global operations are issued on: the creating
+        processor — the one node that holds a record of the array whatever
+        its distribution (§5.1.4), which processor 0 need not — and once
+        that has failed, the first live owner of the current membership."""
+        machine = self.machine
+        creator = self.array_id.creating_processor
+        if not machine.is_failed(creator):
+            return creator
+        state = get_array_manager(machine).durability_state(self.array_id)
+        owners = self.processors if state is None else state.processors
+        return next((p for p in owners if not machine.is_failed(p)), creator)
 
     # -- creation ------------------------------------------------------------------
 
@@ -76,19 +91,13 @@ class DistributedArray:
             f"create_array({type_name}, dims={tuple(dims)}, "
             f"distrib={tuple(distrib)}) failed: {status.name}",
         )
-        grid_dims, st = am_user.find_info(machine, array_id, "grid_dimensions")
-        check_status(st)
-        border_list, st = am_user.find_info(machine, array_id, "borders")
-        check_status(st)
-        indexing_type, st = am_user.find_info(machine, array_id, "indexing_type")
-        check_status(st)
-        layout = ArrayLayout(
-            dims=tuple(int(d) for d in dims),
-            grid=tuple(int(g) for g in grid_dims),
-            borders=tuple(int(b) for b in border_list),
-            indexing=indexing_type,
-            grid_indexing=indexing_type,
+        # The record this creation left on ``on_processor`` (§5.1.4) is
+        # the one place certain to know the array, and its layout is the
+        # validated geometry: ask there, once.
+        layout, st = am_user.find_info(
+            machine, array_id, "layout", processor=on_processor
         )
+        check_status(st)
         return cls(
             machine,
             array_id,
@@ -108,7 +117,9 @@ class DistributedArray:
         self._check_live()
         if not isinstance(indices, tuple):
             indices = (indices,)
-        value, status = am_user.read_element(self.machine, self.array_id, indices)
+        value, status = am_user.read_element(
+            self.machine, self.array_id, indices, processor=self._home
+        )
         check_status(status, f"read_element{indices} failed")
         return value
 
@@ -117,7 +128,7 @@ class DistributedArray:
         if not isinstance(indices, tuple):
             indices = (indices,)
         status = am_user.write_element(
-            self.machine, self.array_id, indices, value
+            self.machine, self.array_id, indices, value, processor=self._home
         )
         check_status(status, f"write_element{indices} failed")
 
@@ -128,7 +139,7 @@ class DistributedArray:
         stop)`` pair per dimension) — one message per owning processor."""
         self._check_live()
         data, status = am_user.read_region(
-            self.machine, self.array_id, region
+            self.machine, self.array_id, region, processor=self._home
         )
         check_status(status, f"read_region{tuple(region)} failed")
         return data
@@ -139,7 +150,7 @@ class DistributedArray:
         """Overwrite a rectangular region from a dense array of its shape."""
         self._check_live()
         status = am_user.write_region(
-            self.machine, self.array_id, region, values
+            self.machine, self.array_id, region, values, processor=self._home
         )
         check_status(status, f"write_region{tuple(region)} failed")
 
@@ -186,7 +197,9 @@ class DistributedArray:
 
     def info(self, which: str) -> Any:
         self._check_live()
-        value, status = am_user.find_info(self.machine, self.array_id, which)
+        value, status = am_user.find_info(
+            self.machine, self.array_id, which, processor=self._home
+        )
         check_status(status, f"find_info({which!r}) failed")
         return value
 
@@ -201,9 +214,12 @@ class DistributedArray:
             self.layout.rank,
             border_info,
             indexing if indexing is not None else self.layout.indexing,
+            processor=self._home,
         )
         check_status(status, "verify_array failed")
-        borders, st = am_user.find_info(self.machine, self.array_id, "borders")
+        borders, st = am_user.find_info(
+            self.machine, self.array_id, "borders", processor=self._home
+        )
         check_status(st)
         self.layout = self.layout.replace_borders(tuple(int(b) for b in borders))
 
@@ -215,7 +231,7 @@ class DistributedArray:
         replication-free recovery."""
         self._check_live()
         snapshot, status = am_user.checkpoint_array(
-            self.machine, self.array_id
+            self.machine, self.array_id, processor=self._home
         )
         check_status(status, "checkpoint_array failed")
         return snapshot
@@ -224,7 +240,9 @@ class DistributedArray:
         """Write a snapshot back under a fresh epoch; stale in-flight
         replica updates from before the restore are rejected."""
         self._check_live()
-        status = am_user.restore_array(self.machine, self.array_id, snapshot)
+        status = am_user.restore_array(
+            self.machine, self.array_id, snapshot, processor=self._home
+        )
         check_status(status, "restore_array failed")
 
     def flush(self) -> int:
@@ -237,7 +255,7 @@ class DistributedArray:
 
     def _refresh_processors(self) -> None:
         procs, status = am_user.find_info(
-            self.machine, self.array_id, "processors"
+            self.machine, self.array_id, "processors", processor=self._home
         )
         check_status(status, "find_info('processors') failed")
         self.processors = tuple(int(p) for p in procs)
@@ -252,7 +270,7 @@ class DistributedArray:
         """
         self._check_live()
         moved, status = am_user.migrate_sections(
-            self.machine, self.array_id, assignments
+            self.machine, self.array_id, assignments, processor=self._home
         )
         check_status(status, f"migrate_sections({assignments!r}) failed")
         self._refresh_processors()
@@ -265,7 +283,7 @@ class DistributedArray:
         moved section numbers (empty when already balanced)."""
         self._check_live()
         moved, status = am_user.rebalance_array(
-            self.machine, self.array_id, targets
+            self.machine, self.array_id, targets, processor=self._home
         )
         check_status(status, "rebalance_array failed")
         self._refresh_processors()
@@ -275,7 +293,9 @@ class DistributedArray:
 
     def free(self) -> None:
         self._check_live()
-        status = am_user.free_array(self.machine, self.array_id)
+        status = am_user.free_array(
+            self.machine, self.array_id, processor=self._home
+        )
         check_status(status, "free_array failed")
         self._freed = True
 

@@ -425,14 +425,12 @@ class FailureDetector:
                 continue
             try:
                 with fabric.execution_context(processor=p):
-                    machine.route(
-                        Message(
-                            source=p,
-                            dest=self.monitor,
-                            payload=("heartbeat", p),
-                            tag="heartbeat",
-                            kind=HEARTBEAT_KIND,
-                        )
+                    machine.send(
+                        p,
+                        self.monitor,
+                        ("heartbeat", p),
+                        tag="heartbeat",
+                        kind=HEARTBEAT_KIND,
                     )
             except ProcessorFailedError:
                 # The VP (or the monitor) died between the aliveness

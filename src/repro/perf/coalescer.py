@@ -54,7 +54,6 @@ from typing import Any, Iterable, Optional
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
 from repro.status import ProcessorFailedError, SingleAssignmentError
-from repro.vp.message import Message
 
 ARRAY_BATCH_KIND = "array_batch"
 
@@ -319,14 +318,12 @@ class WriteCoalescer:
                     self.inline_batches += 1
                 else:
                     try:
-                        machine.route(
-                            Message(
-                                source=source,
-                                dest=owner,
-                                payload=batch,
-                                tag=("array_batch", array_id.as_tuple()),
-                                kind=ARRAY_BATCH_KIND,
-                            )
+                        machine.send(
+                            source,
+                            owner,
+                            batch,
+                            tag=("array_batch", array_id.as_tuple()),
+                            kind=ARRAY_BATCH_KIND,
                         )
                         self.routed_batches += 1
                     except ProcessorFailedError:

@@ -433,14 +433,12 @@ class HaloExchange:
             registry.apply_strip(dest, strip)
             registry.inline_strips += 1
         else:
-            machine.route(
-                Message(
-                    source=self.source,
-                    dest=dest,
-                    payload=strip,
-                    tag=(HALO_BULK_KIND, strip.array_id.as_tuple()),
-                    kind=HALO_BULK_KIND,
-                )
+            machine.send(
+                self.source,
+                dest,
+                strip,
+                tag=(HALO_BULK_KIND, strip.array_id.as_tuple()),
+                kind=HALO_BULK_KIND,
             )
             registry.routed_strips += 1
         registry.strips_sent += 1

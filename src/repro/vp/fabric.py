@@ -78,6 +78,16 @@ def current_trace() -> "tuple[Optional[str], int]":
     return _context.trace_id, _context.hop
 
 
+def current_envelope() -> "tuple[str, int, Optional[str]]":
+    """The ``(trace_id, hop, span_id)`` a message sent by the calling
+    thread carries.  A top-level sender with no ambient trace gets a
+    synthesized root id — no message is ever attributed to trace None."""
+    trace_id = _context.trace_id
+    if trace_id is None:
+        trace_id = new_trace_id()
+    return trace_id, _context.hop, _context.span_id
+
+
 def current_span_id() -> Optional[str]:
     """The id of the innermost open observability span, if any.
 

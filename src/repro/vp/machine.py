@@ -27,6 +27,7 @@ server requests all pass through it carrying the shared envelope
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Any, Callable, Hashable, Optional
 
@@ -261,6 +262,15 @@ class Machine:
         with self._lock:
             self._kind_handlers = {**self._kind_handlers, kind: handler}
 
+    def _is_direct(self, source: int, dest: int) -> bool:
+        """Same-node fast path: with no interceptors installed nothing
+        between route and delivery can observe the envelope, so stamping
+        it and the interceptor dispatch are pure overhead — ``send`` and
+        ``route`` skip both.  Any installed interceptor (tracer, meter,
+        fault plan, observer) disables the path by making the stack
+        non-empty."""
+        return source == dest and len(self.transport_stack) == 0
+
     def route(self, message: Message) -> None:
         """The single routing choke point: validate, stamp the envelope,
         account, and dispatch down the interceptor stack to delivery."""
@@ -301,34 +311,14 @@ class Machine:
             with self._lock:
                 self._suspect_queues.setdefault(dest, []).append(message)
             return
-        # Same-node fast path: with no interceptors installed nothing
-        # between route and delivery can observe the envelope, so the
-        # trace-stamping copy and the interceptor dispatch are pure
-        # overhead — skip both.  Any installed interceptor (tracer, meter,
-        # fault plan, observer) disables the path by making the stack
-        # non-empty.
-        direct = source == dest and len(self.transport_stack) == 0
+        direct = self._is_direct(source, dest)
         if message.trace_id is None and not direct:
-            # Stamp the envelope from the sender's execution context.  A
-            # top-level send with no ambient trace gets a synthesized root
-            # id — no message is ever attributed to trace None.  The copy
-            # keeps ``seq``: it is the same message.
-            trace_id, hop = fabric.current_trace()
-            message = Message(
-                source=source,
-                dest=dest,
-                payload=message.payload,
-                mtype=message.mtype,
-                tag=message.tag,
-                group=message.group,
-                seq=message.seq,
-                kind=message.kind,
-                trace_id=(
-                    trace_id if trace_id is not None
-                    else fabric.new_trace_id()
-                ),
-                hop=hop,
-                span_id=fabric.current_span_id(),
+            # A bare message from a direct caller: stamp it here.  ``send``
+            # builds its messages already stamped, so in-tree traffic
+            # never takes this copy.  It keeps ``seq``: the same message.
+            trace_id, hop, span_id = fabric.current_envelope()
+            message = dataclasses.replace(
+                message, trace_id=trace_id, hop=hop, span_id=span_id
             )
         nbytes = message.nbytes()
         # The one lock acquisition of a delivered message: all four
@@ -380,9 +370,17 @@ class Machine:
         mtype: MessageType = MessageType.PCN,
         tag: Hashable = None,
         group: Optional[Hashable] = None,
+        kind: str = "user",
     ) -> None:
-        """Convenience: build and route one message."""
-        self.processor(source).send(
+        """Build one message, stamped with the sender's envelope (trace
+        id, hop, span — see :func:`fabric.current_envelope`), and route it.
+        A message ``route`` will deliver on its same-node fast path stays
+        unstamped: nothing can observe its envelope."""
+        if self._is_direct(source, dest):
+            trace_id, hop, span_id = None, 0, None
+        else:
+            trace_id, hop, span_id = fabric.current_envelope()
+        self.route(
             Message(
                 source=source,
                 dest=dest,
@@ -390,6 +388,10 @@ class Machine:
                 mtype=mtype,
                 tag=tag,
                 group=group,
+                kind=kind,
+                trace_id=trace_id,
+                hop=hop,
+                span_id=span_id,
             )
         )
 

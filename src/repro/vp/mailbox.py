@@ -4,6 +4,8 @@ Each virtual processor owns one mailbox.  ``recv`` scans buffered messages
 for the first one matching the requested (type, tag, source, group) filter
 and suspends until such a message arrives — the *selective receive* the
 thesis requires to keep task-parallel and data-parallel traffic disjoint.
+A suspended receive registers a waiter, and ``deliver`` hands an arriving
+message straight to the oldest waiter that accepts it (docs/transport.md).
 
 ``recv_untyped`` takes the oldest message regardless of filters, modelling
 the original Cosmic Environment behaviour whose conflicts §3.4.1 analyses.
@@ -21,6 +23,7 @@ import threading
 import time
 from typing import Hashable, Optional
 
+from repro.status import ProcessorFailedError
 from repro.vp.message import Message, MessageType
 
 # Fallback receive deadline; overridable machine-wide via
@@ -45,8 +48,32 @@ def default_recv_timeout() -> float:
     return _RECV_TIMEOUT
 
 
+class _Waiter:
+    """One suspended receive: its filter, and the slot ``deliver`` (or a
+    failure) fills before releasing the lock the receiver sleeps on.
+    ``describe()`` names the receive; nobody pays for the string until a
+    diagnostic or an error message wants it."""
+
+    __slots__ = ("accepts", "source", "describe", "wake", "message", "error")
+
+    def __init__(self, accepts, source: Optional[int], describe) -> None:
+        self.accepts = accepts
+        self.source = source
+        self.describe = describe
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.message: Optional[Message] = None
+        self.error: Optional[BaseException] = None
+
+
 class Mailbox:
-    """An in-order buffer of messages with selective receive."""
+    """An in-order buffer of messages with selective receive.
+
+    A message is handed over exactly once: ``recv`` takes the oldest
+    buffered match, and when there is none it parks a waiter that
+    ``deliver`` fills directly — the oldest waiter whose filter accepts
+    the message gets it, and only that receiver is woken.
+    """
 
     def __init__(
         self, owner: int, default_timeout: Optional[float] = None
@@ -54,15 +81,14 @@ class Mailbox:
         self.owner = owner
         self.default_timeout = default_timeout
         self._buffer: list[Message] = []
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._poison: Optional[BaseException] = None
         self._dead_sources: set[int] = set()
-        # Currently-blocked receivers: thread ident -> (human-readable
-        # filter description, selective-receive source or None).  Read by
-        # Machine.diagnostics() and the deadlock watchdog's wait-graph
-        # builder — the source lets the watchdog distinguish "waiting on a
-        # suspected peer" from a true circular wait.
-        self._waiting: dict[int, tuple[str, Optional[int]]] = {}
+        # Suspended receives in arrival order, keyed by thread ident.  Read
+        # by Machine.diagnostics() and the deadlock watchdog's wait-graph
+        # builder — a waiter's source lets the watchdog distinguish
+        # "waiting on a suspected peer" from a true circular wait.
+        self._waiters: dict[int, _Waiter] = {}
         # Traffic accounting for the simulated-cost model (DESIGN.md
         # "Fidelity notes"): counts are exact and GIL-independent.
         self.received_count = 0
@@ -73,32 +99,64 @@ class Mailbox:
         self.obs_hooks = None
 
     def deliver(self, message: Message) -> None:
-        """Called by the machine's transport to enqueue a message."""
-        with self._cond:
-            self._buffer.append(message)
+        """Called by the machine's transport: hand ``message`` to the
+        oldest suspended receive that accepts it, else buffer it."""
+        with self._lock:
+            self._hand_off(message, len(self._buffer))
             depth = len(self._buffer)
-            self._cond.notify_all()
         hooks = self.obs_hooks
         if hooks is not None:
             hooks.mailbox_delivered(self.owner, depth)
 
+    def _hand_off(self, message: Message, index: int) -> None:
+        """Give ``message`` to the oldest waiter that accepts it, else
+        buffer it at ``index``; the lock must be held."""
+        for ident, waiter in self._waiters.items():
+            if waiter.accepts(message):
+                del self._waiters[ident]
+                self._consumed(message)
+                waiter.message = message
+                waiter.wake.release()
+                return
+        self._buffer.insert(index, message)
+
+    def _consumed(self, message: Message) -> None:
+        """Count a message leaving the mailbox; the lock must be held."""
+        self.received_count += 1
+        self.received_bytes += message.nbytes()
+
     # -- failure semantics ---------------------------------------------------
+
+    def _fail_waiters(self, source: Optional[int], error_for) -> None:
+        """Wake with ``error_for(waiter)`` every waiter, or with a
+        ``source`` only those selecting it; the lock must be held."""
+        for ident, waiter in list(self._waiters.items()):
+            if source is None or waiter.source == source:
+                del self._waiters[ident]
+                waiter.error = error_for(waiter)
+                waiter.wake.release()
 
     def poison(self, exc: BaseException) -> None:
         """Mark the mailbox dead: blocked and future receives raise ``exc``."""
-        with self._cond:
+        with self._lock:
             self._poison = exc
-            self._cond.notify_all()
+            self._fail_waiters(None, lambda waiter: exc)
 
     def unpoison(self) -> None:
         """Clear a previous poisoning (processor revived)."""
-        with self._cond:
+        with self._lock:
             self._poison = None
 
     @property
     def poisoned(self) -> bool:
-        with self._cond:
-            return self._poison is not None
+        return self._poison is not None
+
+    def _source_failed(self, describe: str, source: int) -> BaseException:
+        return ProcessorFailedError(
+            f"processor {self.owner}: {describe} can never be "
+            f"satisfied — source processor {source} failed",
+            processor=source,
+        )
 
     def mark_source_dead(self, source: int) -> None:
         """A peer died: wake receivers waiting *specifically* on it.
@@ -107,12 +165,15 @@ class Mailbox:
         arrived before the death); only a receive that would otherwise
         suspend on the dead source raises.
         """
-        with self._cond:
+        with self._lock:
             self._dead_sources.add(source)
-            self._cond.notify_all()
+            self._fail_waiters(
+                source,
+                lambda waiter: self._source_failed(waiter.describe(), source),
+            )
 
     def mark_source_alive(self, source: int) -> None:
-        with self._cond:
+        with self._lock:
             self._dead_sources.discard(source)
 
     def _limit(self, timeout: Optional[float]) -> float:
@@ -122,65 +183,92 @@ class Mailbox:
             return self.default_timeout
         return default_recv_timeout()
 
-    def _wait_for_match(
-        self,
-        find,
-        limit: float,
-        describe: str,
-        source: Optional[int] = None,
-    ) -> None:
-        """Block until ``find()`` matches, or raise on poison / dead
-        source / timeout; the condition lock must be held."""
-        from repro.status import ProcessorFailedError
-
-        def source_dead() -> bool:
-            return source is not None and source in self._dead_sources
-
-        if self._poison is not None:
-            raise self._poison
-        if find() is None:
-            ident = threading.get_ident()
-            self._waiting[ident] = (describe, source)
-            try:
-                ok = self._cond.wait_for(
-                    lambda: self._poison is not None
-                    or source_dead()
-                    or find() is not None,
-                    timeout=limit,
-                )
-            finally:
-                self._waiting.pop(ident, None)
-            if self._poison is not None:
-                raise self._poison
-            if find() is None:
-                if source_dead():
-                    raise ProcessorFailedError(
-                        f"processor {self.owner}: {describe} can never be "
-                        f"satisfied — source processor {source} failed",
-                        processor=source,
-                    )
-                raise TimeoutError(
-                    f"processor {self.owner}: {describe} timed out after "
-                    f"{limit}s"
-                )
-
     def blocked_receivers(self) -> dict[int, str]:
         """Snapshot of currently-blocked receives (ident -> description)."""
-        with self._cond:
-            return {
-                ident: describe
-                for ident, (describe, _source) in self._waiting.items()
-            }
+        return {
+            ident: describe
+            for ident, (describe, _source)
+            in self.blocked_receivers_detailed().items()
+        }
 
     def blocked_receivers_detailed(
         self,
     ) -> dict[int, tuple[str, Optional[int]]]:
         """Like :meth:`blocked_receivers` but with the selective-receive
         source (or None) alongside each description."""
-        with self._cond:
-            return dict(self._waiting)
+        with self._lock:
+            return {
+                ident: (waiter.describe(), waiter.source)
+                for ident, waiter in self._waiters.items()
+            }
 
     # -- receive -------------------------------------------------------------
+
+    def _receive(
+        self,
+        accepts,
+        source: Optional[int],
+        timeout: Optional[float],
+        describe,
+    ) -> Message:
+        """Take the oldest buffered message ``accepts`` passes, or suspend
+        until ``deliver`` hands one over; raise on poison, a dead selective
+        ``source`` or the deadline.  ``describe()`` names the receive; it
+        is called only by a diagnostic snapshot or an error message."""
+        hooks = self.obs_hooks
+        t0 = time.perf_counter() if hooks is not None else 0.0
+        with self._lock:
+            if self._poison is not None:
+                raise self._poison
+            buffer = self._buffer
+            for index, message in enumerate(buffer):
+                if accepts(message):
+                    del buffer[index]
+                    self._consumed(message)
+                    break
+            else:
+                message = None
+                if source is not None and source in self._dead_sources:
+                    raise self._source_failed(describe(), source)
+                ident = threading.get_ident()
+                waiter = self._waiters[ident] = _Waiter(
+                    accepts, source, describe
+                )
+        if message is None:
+            limit = self._limit(timeout)
+            try:
+                woken = waiter.wake.acquire(timeout=max(limit, 0.0))
+            except BaseException:
+                # Interrupted (KeyboardInterrupt on the main thread): this
+                # receive takes nothing, so a later deliver must not find
+                # its waiter, and a message already handed to it goes
+                # back, uncounted, ahead of everything that arrived since.
+                with self._lock:
+                    self._waiters.pop(ident, None)
+                    handed = waiter.message
+                    if handed is not None:
+                        self.received_count -= 1
+                        self.received_bytes -= handed.nbytes()
+                        self._hand_off(handed, 0)
+                raise
+            if not woken:
+                # Timed out: unregister, unless a deliver (or a failure)
+                # filled the slot while we were getting here.
+                with self._lock:
+                    self._waiters.pop(ident, None)
+            message = waiter.message
+            if message is None:
+                if waiter.error is not None:
+                    raise waiter.error
+                raise TimeoutError(
+                    f"processor {self.owner}: {describe()} timed out "
+                    f"after {limit}s"
+                )
+        if hooks is not None:
+            hooks.mailbox_received(
+                self.owner, time.perf_counter() - t0, len(self._buffer)
+            )
+        return message
 
     def recv(
         self,
@@ -196,40 +284,19 @@ class Mailbox:
 
         Suspends until a match arrives.  ``mtype=None`` matches any type.
         """
-        limit = self._limit(timeout)
 
-        def find() -> Optional[int]:
-            for i, msg in enumerate(self._buffer):
-                if msg.matches(
-                    mtype,
-                    tag=tag,
-                    source=source,
-                    group=group,
-                    match_any_tag=match_any_tag,
-                    match_any_group=match_any_group,
-                ):
-                    return i
-            return None
-
-        describe = (
-            f"selective recv (type={mtype}, tag={tag!r}, source={source}, "
-            f"group={group!r})"
-        )
-        hooks = self.obs_hooks
-        t0 = time.perf_counter() if hooks is not None else 0.0
-        with self._cond:
-            self._wait_for_match(find, limit, describe, source=source)
-            index = find()
-            assert index is not None
-            message = self._buffer.pop(index)
-            self.received_count += 1
-            self.received_bytes += message.nbytes()
-            depth = len(self._buffer)
-        if hooks is not None:
-            hooks.mailbox_received(
-                self.owner, time.perf_counter() - t0, depth
+        def accepts(message: Message) -> bool:
+            return message.matches(
+                mtype, tag, source, group, match_any_tag, match_any_group
             )
-        return message
+
+        return self._receive(
+            accepts,
+            source,
+            timeout,
+            lambda: f"selective recv (type={mtype}, tag={tag!r}, "
+            f"source={source}, group={group!r})",
+        )
 
     def recv_untyped(self, timeout: Optional[float] = None) -> Message:
         """Non-selective receive: oldest message, any type/tag/group.
@@ -237,37 +304,21 @@ class Mailbox:
         Models the original untyped message-passing whose interception
         hazard §3.4.1 describes; used only by the conflict experiments.
         """
-        limit = self._limit(timeout)
-
-        def find() -> Optional[int]:
-            return 0 if self._buffer else None
-
-        hooks = self.obs_hooks
-        t0 = time.perf_counter() if hooks is not None else 0.0
-        with self._cond:
-            self._wait_for_match(find, limit, "untyped recv")
-            message = self._buffer.pop(0)
-            self.received_count += 1
-            self.received_bytes += message.nbytes()
-            depth = len(self._buffer)
-        if hooks is not None:
-            hooks.mailbox_received(
-                self.owner, time.perf_counter() - t0, depth
-            )
-        return message
+        return self._receive(
+            lambda message: True, None, timeout, lambda: "untyped recv"
+        )
 
     def reset_traffic_counters(self) -> None:
         """Zero the receive-side traffic accounting."""
-        with self._cond:
+        with self._lock:
             self.received_count = 0
             self.received_bytes = 0
 
     def pending(self) -> int:
-        with self._cond:
-            return len(self._buffer)
+        return len(self._buffer)
 
     def drain(self) -> list[Message]:
         """Remove and return all buffered messages (test/diagnostic aid)."""
-        with self._cond:
+        with self._lock:
             out, self._buffer = self._buffer, []
             return out

@@ -46,9 +46,9 @@ class Message:
     routing discipline (``"user"`` mailbox traffic vs ``"server_request"``
     RPC hops), ``trace_id`` ties the message to the logical operation that
     caused it, and ``hop`` counts how many causally-chained messages
-    preceded it within that trace.  :meth:`repro.vp.machine.Machine.route`
-    stamps ``trace_id``/``hop`` from the sender's execution context when
-    the sender did not set them explicitly.
+    preceded it within that trace.  :meth:`repro.vp.machine.Machine.send`
+    builds a message with ``trace_id``/``hop`` taken from the sender's
+    execution context; ``route`` stamps one handed to it without them.
     """
 
     source: int

@@ -120,11 +120,5 @@ class VirtualProcessor:
         with self._heap_lock:
             return key in self.heap
 
-    # -- communication -------------------------------------------------------
-
-    def send(self, message: "Message") -> None:  # noqa: F821
-        """Send a message; routing is done by the machine's transport."""
-        self.machine.route(message)
-
     def __repr__(self) -> str:
         return f"<VirtualProcessor {self.number}>"

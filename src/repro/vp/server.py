@@ -179,14 +179,8 @@ class ServerRegistry:
             None if synchronous else DefVar(f"server-{request_type}-proc")
         )
         call = _ServerCall(request_type, parameters, synchronous, done, proc_out)
-        self._machine.processor(origin).send(
-            Message(
-                source=origin,
-                dest=number,
-                payload=call,
-                tag=("server", request_type),
-                kind=kind,
-            )
+        self._machine.send(
+            origin, number, call, tag=("server", request_type), kind=kind
         )
         limit = (
             timeout

@@ -189,6 +189,47 @@ class TestFree:
         am_user.free_array(m16, aid)
         assert am_user.free_array(m16, aid) is Status.NOT_FOUND
 
+    @pytest.mark.parametrize("free_on", [3, 4, 5])
+    def test_free_from_any_holder_leaves_no_record(self, m16, free_on):
+        """Regression: a free issued on an owner used to leave the
+        section-less record on the creating processor, which went on
+        answering OK for a freed array."""
+        aid, st = am_user.create_array(
+            m16, "double", (8,), [4, 5], ["block"], processor=3
+        )
+        assert st is Status.OK
+        assert am_user.find_info(m16, aid, "type", processor=3)[1] is Status.OK
+        assert am_user.free_array(m16, aid, processor=free_on) is Status.OK
+        for p in range(m16.num_nodes):
+            assert aid not in _records(m16.processor(p))
+            _out, st = am_user.find_info(m16, aid, "type", processor=p)
+            assert st is Status.NOT_FOUND
+        assert get_array_manager(m16).durability_state(aid) is None
+        assert am_user.free_array(m16, aid, processor=3) is Status.NOT_FOUND
+
+    def test_free_after_the_creating_processor_failed(self, m16):
+        """Regression: the free fan-out asked the dead creator, raised
+        after the survivors had freed, and left the durability state and
+        the status variable behind."""
+        from repro.arrays import install_recovery
+
+        install_recovery(m16)
+        aid, st = am_user.create_array(
+            m16, "double", (8,), [0, 1, 2, 3], ["block"], processor=2,
+            replication=1,
+        )
+        assert st is Status.OK
+        m16.fail(2)
+        manager = get_array_manager(m16)
+        owners = manager.durability_state(aid).processors
+        assert 2 not in owners and len(owners) == 4
+        assert am_user.free_array(m16, aid, processor=0) is Status.OK
+        assert manager.durability_state(aid) is None
+        for p in set(range(m16.num_nodes)) - {2}:
+            assert aid not in _records(m16.processor(p))
+            _out, st = am_user.find_info(m16, aid, "type", processor=p)
+            assert st is Status.NOT_FOUND
+
     def test_free_releases_storage(self, m16):
         live_before = TRACKER.live
         aid, _ = am_user.create_array(
@@ -267,6 +308,12 @@ class TestFindInfo:
     def test_indexing_types(self, m16, arr):
         assert am_user.find_info(m16, arr, "indexing_type")[0] == "row"
         assert am_user.find_info(m16, arr, "grid_indexing_type")[0] == "row"
+
+    def test_layout_is_the_whole_geometry_in_one_answer(self, m16, arr):
+        layout, st = am_user.find_info(m16, arr, "layout", processor=7)
+        assert st is Status.OK
+        assert (layout.dims, layout.grid) == ((400, 200), (2, 8))
+        assert (layout.borders, layout.indexing) == ((1, 1, 2, 2), "row")
 
     def test_unknown_selector_invalid(self, m16, arr):
         _out, st = am_user.find_info(m16, arr, "colour")

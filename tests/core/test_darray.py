@@ -31,6 +31,68 @@ class TestCreation:
         assert a.local_dims == (2,)
         a.free()
 
+    def test_creator_outside_distribution_and_not_processor_zero(self, rt8):
+        """Regression: the handle is built from, and used through, the
+        record on the creating processor — processor 0 holds none here.
+        Before, ``create`` raised ArrayNotFoundError *after* creating the
+        array, and leaked it."""
+        from repro.arrays.manager import _records, get_array_manager
+
+        machine = rt8.machine
+        a = DistributedArray.create(
+            machine, "double", (8,), [4, 5], ["block"], on_processor=3
+        )
+        assert a.array_id.creating_processor == 3
+        assert (a.dims, a.grid, a.local_dims) == ((8,), (2,), (4,))
+        holders = [
+            p for p in range(8) if a.array_id in _records(machine.processor(p))
+        ]
+        assert holders == [3, 4, 5]
+        a.from_numpy(np.arange(8.0))
+        a[6] = -1.0
+        assert a[6] == -1.0 and a[1] == 1.0
+        assert a.info("processors") == [4, 5]
+        assert a.to_numpy().tolist() == [0, 1, 2, 3, 4, 5, -1, 7]
+        a.verify_borders([1, 1])
+        assert a.layout.borders == (1, 1)
+        a.free()
+        assert not any(
+            a.array_id in _records(machine.processor(p)) for p in range(8)
+        )
+        assert get_array_manager(machine).durability_state(a.array_id) is None
+
+    @pytest.mark.parametrize(
+        "owners, creator", [([0, 1], 3), ([4, 5], 3), ([2, 3, 4], 3)]
+    )
+    def test_handle_outlives_its_creating_processor(
+        self, rt8, owners, creator
+    ):
+        """Regression: every handle operation was pinned to the creating
+        processor, so killing it — outside the distribution, where it held
+        no data, or inside it and recovered — left the handle unusable."""
+        from repro.arrays import install_recovery
+        from repro.arrays.manager import _records, get_array_manager
+
+        machine = rt8.machine
+        install_recovery(machine)
+        a = DistributedArray.create(
+            machine, "double", (12,), owners, ["block"],
+            on_processor=creator, replication=1,
+        )
+        a.from_numpy(np.arange(12.0))
+        machine.fail(creator)
+        assert a[7] == 7.0
+        a[7] = -7.0
+        assert a.read_region([(6, 9)]).tolist() == [6.0, -7.0, 8.0]
+        assert creator not in a.info("processors")
+        a.restore(a.checkpoint())
+        a.free()
+        assert get_array_manager(machine).durability_state(a.array_id) is None
+        assert not any(
+            a.array_id in _records(machine.processor(p))
+            for p in range(8) if p != creator
+        )
+
     def test_context_manager_frees(self, rt8):
         with rt8.array("double", (8,)) as a:
             a[0] = 1.0

@@ -7,6 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import IntegratedRuntime
+from repro.apps import innerproduct
 from repro.arrays import am_user, am_util
 from repro.arrays.durability import REPLICA_UPDATE_KIND, replica_store_for
 from repro.arrays.manager import get_array_manager
@@ -136,6 +138,56 @@ def test_write_path_wire_is_pinned():
         ARRAY_BATCH_KIND: (3, 88),
         REPLICA_UPDATE_KIND: (8, 192),
         "server_request": (6, 48),
+    }
+
+
+def test_ex61_wire_is_pinned():
+    """The EX-6.1 op of the macro benchmark's ``ex61_calls`` — create two
+    vectors over all 8 processors, one distributed call, free both — in
+    routed messages and array-manager requests, each derived:
+
+    * lifecycle, per vector: ``create_array`` and ``free_array`` run on
+      processor 0 for the top-level caller (a local request, no message)
+      and fan one ``create_local`` / ``free_local`` out to each of the 8
+      holders, 7 of them routed; the handle then asks processor 0 for the
+      ``layout`` once (it was three ``find_info`` before).  2 x (1 + 8 +
+      1 + 1 + 8) = 38 requests, 2 x (7 + 7) = 28 ``server_request``
+      messages.
+    * the call: each of the 8 wrapper copies resolves its two local
+      sections on its own node — 16 ``find_local``, no message — and the
+      program's ``allreduce`` is a binomial reduce (P - 1 = 7 messages)
+      then a binomial bcast (7): 14 ``user`` messages.  The wrapper's
+      status / reduction combine travels through definitional variables.
+
+    54 requests, 42 messages of one 8-byte word each."""
+    rt = IntegratedRuntime(8)
+    machine = rt.machine
+    innerproduct.run(rt, local_m=4)  # anything lazy happens here
+    manager = get_array_manager(machine)
+    before = dict(manager.request_counts)
+    meter = meter_on(machine)
+    machine.reset_traffic()
+    assert innerproduct.run(rt, local_m=4) == (
+        innerproduct.expected_inner_product(32)
+    )
+    snapshot = machine.traffic_snapshot()
+    assert (snapshot["messages"], snapshot["bytes"]) == (42, 336)
+    assert meter.snapshot()["by_kind"] == {
+        "user": (14, 112),
+        "server_request": (28, 224),
+    }
+    requests = {
+        name: count - before.get(name, 0)
+        for name, count in manager.request_counts.items()
+        if count != before.get(name, 0)
+    }
+    assert requests == {
+        "create_array": 2,
+        "create_local": 16,
+        "find_info": 2,
+        "find_local": 16,
+        "free_array": 2,
+        "free_local": 16,
     }
 
 

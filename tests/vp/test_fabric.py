@@ -9,6 +9,7 @@ from repro.pcn.defvar import DefVar
 from repro.vp import fabric
 from repro.vp.fabric import TraceInterceptor
 from repro.vp.machine import Machine
+from repro.vp.message import Message
 
 
 class TestExecutionContext:
@@ -275,3 +276,105 @@ class TestDistributedCallTrace:
         traces = {s["trace"] for s in dp_spans}
         assert len(traces) == 1
         assert next(iter(traces)).startswith("dcall")
+
+
+class TestOneEnvelopePerMessage:
+    """A message is stamped where it is built: ``Machine.route`` hands the
+    interceptors the very object the sender constructed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``Message`` that ``Machine.send`` or ``Machine.route``
+        constructs (``dataclasses.replace`` goes through the class too)."""
+        from repro.vp import machine as machine_module
+
+        built = []
+
+        class Recorded(Message):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(machine_module, "Message", Recorded)
+        return built
+
+    @staticmethod
+    def seen_on(machine):
+        seen = []
+
+        def interceptor(message, forward):
+            seen.append(message)
+            forward(message)
+
+        machine.transport_stack.push(interceptor)
+        return seen
+
+    def test_send_builds_the_envelope_route_would_stamp(self, built):
+        m = Machine(2)
+        seen = self.seen_on(m)
+        with m.observe() as observer, observer.span("op"):
+            with fabric.execution_context(trace_id="t-op", hop=3):
+                m.send(0, 1, "built", tag="t")
+                unstamped = Message(source=0, dest=1, payload="bare", tag="t")
+                m.route(unstamped)
+        sent, bare = seen
+        assert [sent] == built and sent is built[0]
+        # Only a bare message from a direct caller is copied, keeping seq.
+        assert bare is not unstamped and bare.seq == unstamped.seq
+        assert (sent.trace_id, sent.hop) == ("t-op", 3)
+        assert sent.span_id is not None
+        assert (sent.trace_id, sent.hop, sent.span_id) == (
+            bare.trace_id, bare.hop, bare.span_id,
+        )
+
+    def test_top_level_send_gets_exactly_one_root_id(self, built):
+        m = Machine(2)
+        seen = self.seen_on(m)
+        before = fabric.new_trace_id()
+        m.send(0, 1, "x", tag="t")
+        after = fabric.new_trace_id()
+        (message,) = seen
+        assert message is built[0] and len(built) == 1
+        number = lambda trace: int(trace.split("-")[1])  # noqa: E731
+        assert number(message.trace_id) == number(before) + 1
+        assert number(after) == number(before) + 2  # no id burnt on a copy
+
+    def test_same_node_fast_path_stays_unstamped(self, built):
+        m = Machine(2)
+        m.send(1, 1, "self", tag="t")
+        message = m.processor(1).mailbox.recv(tag="t", timeout=2.0)
+        assert message is built[0] and message.trace_id is None
+
+    def test_every_in_tree_sender_routes_the_object_it_built(self, built):
+        """A remote server request, an array batch, its replica update and
+        a halo strip: one construction per routed message, no copy."""
+        import numpy as np
+
+        from repro.arrays import am_user, am_util
+        from repro.calls import Local, Reduce, distributed_call
+        from repro.core.darray import DistributedArray
+        from repro.spmd.stencil import heat_steps
+
+        m = Machine(4, default_recv_timeout=10)
+        am_util.load_all(m)
+        arr = DistributedArray.create(
+            m, "double", (8, 8), [0, 1, 2, 3],
+            [("block", 2), ("block", 2)], borders=[1] * 4, replication=1,
+        )
+        arr.from_numpy(np.ones((8, 8)))
+        seen = self.seen_on(m)
+        del built[:]
+        arr[7, 7] = 5.0  # section 3: a routed batch, then its mirror
+        assert am_user.flush_writes(m) == 1
+        assert arr[7, 7] == 5.0  # processor 0 asks the owner: one request
+        result = distributed_call(
+            m, [0, 1, 2, 3], heat_steps,
+            [2, 2, 1, Local(arr.array_id), Reduce("double", 1, "max")],
+        )
+        assert result.status.name == "OK"
+        kinds = {message.kind for message in seen}
+        assert {"server_request", "array_batch", "replica_update",
+                "halo_bulk", "user"} <= kinds
+        assert len(seen) == len(built)
+        assert all(a is b for a, b in zip(seen, built))
+        assert all(message.trace_id is not None for message in seen)
