@@ -68,7 +68,7 @@ from repro.perf import (
     define_once,
 )
 from repro.perf.coalescer import apply_mutations
-from repro.pcn.defvar import DefVar
+from repro.pcn.defvar import DefVar, Tally
 from repro.status import ProcessorFailedError, Status
 from repro.vp import fabric
 from repro.vp.machine import Machine
@@ -246,18 +246,6 @@ class ArrayManager:
                 return record
         return None
 
-    def _peer_request(
-        self,
-        request_type: str,
-        processor: int,
-        *parameters: Any,
-        kind: str = "server_request",
-    ) -> None:
-        """Array-manager process -> array-manager process communication."""
-        self.machine.server.request(
-            request_type, *parameters, processor=processor, kind=kind
-        )
-
     def _fan_out(
         self,
         request_type: str,
@@ -265,32 +253,22 @@ class ArrayManager:
         *parameters: Any,
         skip_failed: bool = False,
     ) -> bool:
-        """One ``request_type`` peer request per holder, each answering
-        through a status variable of its own passed last; waits for all of
-        them, True when every holder answered OK.  ``holders`` is the
-        processors to ask (each once, whatever the repeats) or a mapping
-        processor -> that holder's own parameters (its share of a region,
-        say), passed after the common ``parameters``.  A failed holder
-        raises :class:`ProcessorFailedError` unless ``skip_failed``, which
-        passes over it and asks the rest.  A routed request runs in the
-        requester's thread, so the fan-out is a serial loop: its cost is
-        one request per holder."""
+        """One ``request_type`` request served by every holder
+        (:meth:`ServerRegistry.request_each`); True when all of them
+        answered OK.  ``holders`` is the processors to ask (each once,
+        whatever the repeats) or a mapping processor -> that holder's own
+        parameters (its share of a region, say), passed after the common
+        ``parameters``.  The holders answer by defining one shared status,
+        passed last, which becomes the worst of their codes.  A failed
+        holder raises :class:`ProcessorFailedError` unless ``skip_failed``,
+        which passes over it and asks the rest."""
         if not isinstance(holders, dict):
             holders = dict.fromkeys(holders, ())
-        statuses = []
-        for proc, own in holders.items():
-            status = DefVar(f"{request_type}@{proc}")
-            try:
-                self._peer_request(
-                    request_type, proc, *parameters, *own, status
-                )
-            except ProcessorFailedError:
-                if not skip_failed:
-                    raise
-                continue
-            statuses.append(status)
-        answers = [Status(st.read()) for st in statuses]
-        return all(answer is Status.OK for answer in answers)
+        status = Tally(len(holders), max, Status.OK, request_type)
+        self.machine.server.request_each(
+            request_type, holders, parameters, status, skip_failed
+        )
+        return status.read() == Status.OK
 
     # -- perf plumbing ---------------------------------------------------------
 
@@ -687,7 +665,10 @@ class ArrayManager:
         _define(status, Status.OK)
 
     def free_local(
-        self, node: VirtualProcessor, array_id: ArrayID, status: DefVar
+        self,
+        node: VirtualProcessor,
+        array_id: ArrayID,
+        status: Optional[DefVar],
     ) -> None:
         record = _records(node).pop(array_id, None)
         if record is None:
@@ -731,8 +712,9 @@ class ArrayManager:
             return self._read_element_cached(
                 record, section, owner, tuple(local), element_out, status
             )
-        self._peer_request(
-            "read_element_local", owner, array_id, local, element_out, status
+        self.machine.server.request(
+            "read_element_local", array_id, local, element_out, status,
+            processor=owner,
         )
 
     def _read_element_cached(
@@ -761,8 +743,8 @@ class ArrayManager:
             # messages.
             out = DefVar(f"read_section_stamped@{owner}")
             st = DefVar(f"read_section_stamped_status@{owner}")
-            self._peer_request(
-                "read_section_stamped", owner, array_id, out, st
+            self.machine.server.request(
+                "read_section_stamped", array_id, out, st, processor=owner
             )
             result = Status(st.read())
             if result is not Status.OK:
@@ -836,8 +818,9 @@ class ArrayManager:
             )
             self._write_status(node, status)
             return
-        self._peer_request(
-            "write_element_local", owner, array_id, local, element, status
+        self.machine.server.request(
+            "write_element_local", array_id, local, element, status,
+            processor=owner,
         )
 
     def write_element_local(
@@ -1509,7 +1492,8 @@ class ArrayManager:
         durable array: push current membership/epoch onto it (freeing
         sections it lost to recovery) and clear the per-array
         ``recovered_procs`` guard so a *real* death of this VP later
-        fires recovery again.
+        fires recovery again.  Records of arrays that were freed while it
+        was away are dropped with their storage.
 
         Called by the failure detector's monitor thread when a
         false-positive resumes heartbeating.  Best-effort per array: a
@@ -1553,6 +1537,16 @@ class ArrayManager:
                     )
             except (ProcessorFailedError, TimeoutError):
                 results[array_id] = Status.ERROR
+        # An array freed while the VP could not be asked (``free_array``
+        # passes over a failed holder) is still recorded here, storage and
+        # mirrors included.  No durability state means no array: forget it.
+        # (An array whose ``create_array`` is between its fan-out and its
+        # registration looks the same for that instant; a create racing a
+        # rejoin of one of its own holders is not defended against.)
+        node = machine.processor(vp)
+        for array_id in list(_records(node)):
+            if self.durability_state(array_id) is None:
+                self.free_local(node, array_id, None)
         return results
 
     # -- planned migration (repro.arrays.placement) -----------------------------------

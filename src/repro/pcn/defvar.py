@@ -177,6 +177,62 @@ class DefVar:
         return f"<DefVar {label} {state}>"
 
 
+class Tally(DefVar):
+    """A definitional variable answered in ``parts``.
+
+    One variable stands for the answers of a whole fan-out (§5.1.1's
+    answer-by-definition idiom, one request to many servers): each answerer
+    calls ``define(value)`` exactly as it would on a variable of its own,
+    and the tally becomes defined — once, for every reader — with
+    ``fold`` of ``initial`` and all the answers when the last one arrives.
+    ``forget()`` gives up on a part that will never answer (its server is
+    dead).  With no part left, one more ``define`` or ``forget`` raises
+    :class:`SingleAssignmentError`; a tally of no parts is defined at birth.
+
+    The count and the fold are kept under the module lock; the definition
+    itself is :meth:`DefVar.define`, by whoever took the last part.
+    """
+
+    __slots__ = ("_parts", "_fold", "_folded")
+
+    def __init__(
+        self,
+        parts: int,
+        fold: Callable[[Any, Any], Any],
+        initial: Any,
+        name: str = "",
+    ) -> None:
+        super().__init__(name)
+        self._parts = parts
+        self._fold = fold
+        self._folded = initial
+        if parts == 0:
+            super().define(initial)
+
+    def define(self, value: Any) -> None:
+        """Answer one part with ``value``."""
+        if isinstance(value, DefVar):
+            value.on_define(self.define)
+            return
+        with _lock:
+            left = self._parts - 1
+            if left < 0:
+                raise SingleAssignmentError(
+                    f"tally {self.name or id(self)} answered more often "
+                    f"than it has parts"
+                )
+            self._parts = left
+            folded = self._folded
+            if value is not _UNDEFINED:
+                self._folded = folded = self._fold(folded, value)
+        if not left:
+            super().define(folded)
+
+    def forget(self) -> None:
+        """Give up on one part: it counts as arrived, with no answer."""
+        self.define(_UNDEFINED)
+
+
 def is_defvar(obj: Any) -> bool:
     """True when ``obj`` is a definitional variable."""
     return isinstance(obj, DefVar)

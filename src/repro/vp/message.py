@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 
@@ -32,7 +32,7 @@ class MessageType(enum.Enum):
 _sequence = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """One point-to-point message.
 
@@ -49,6 +49,12 @@ class Message:
     preceded it within that trace.  :meth:`repro.vp.machine.Machine.send`
     builds a message with ``trace_id``/``hop`` taken from the sender's
     execution context; ``route`` stamps one handed to it without them.
+
+    Frozen, compared by fields and copied by ``dataclasses.replace`` like
+    any frozen dataclass; only ``__init__`` is written by hand.  The
+    generated one pays an ``object.__setattr__`` per field to get past its
+    own freeze — on every routed message of every workload — where filling
+    the instance dictionary costs half that.
     """
 
     source: int
@@ -57,7 +63,8 @@ class Message:
     mtype: MessageType = MessageType.PCN
     tag: Hashable = None
     group: Optional[Hashable] = None
-    seq: int = field(default_factory=lambda: next(_sequence))
+    # None asks for the next number of the module's sequence.
+    seq: Optional[int] = None
     kind: str = "user"
     trace_id: Optional[str] = None
     hop: int = 0
@@ -66,6 +73,33 @@ class Message:
     # alongside trace_id; lets span-level traces and per-message records be
     # stitched without guessing.
     span_id: Optional[str] = None
+
+    def __init__(
+        self,
+        source: int,
+        dest: int,
+        payload: Any,
+        mtype: MessageType = MessageType.PCN,
+        tag: Hashable = None,
+        group: Optional[Hashable] = None,
+        seq: Optional[int] = None,
+        kind: str = "user",
+        trace_id: Optional[str] = None,
+        hop: int = 0,
+        span_id: Optional[str] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["source"] = source
+        fields["dest"] = dest
+        fields["payload"] = payload
+        fields["mtype"] = mtype
+        fields["tag"] = tag
+        fields["group"] = group
+        fields["seq"] = next(_sequence) if seq is None else seq
+        fields["kind"] = kind
+        fields["trace_id"] = trace_id
+        fields["hop"] = hop
+        fields["span_id"] = span_id
 
     def matches(
         self,

@@ -21,6 +21,12 @@ other message, and costs exactly one routed message per hop.  Requests
 whose origin *is* the target node (and requests from unplaced top-level
 threads, which the thesis treats as running "on" the local node) execute
 locally without any message, matching §5.1.1's local-server semantics.
+
+A request asked of many processors at once — §5.1.1's "``create_local`` on
+every processor" — is one :meth:`ServerRegistry.request_each`, not a loop
+of requests: one routed message per remote processor still, everything
+that does not depend on the processor done once, one shared status and
+one shared completion.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Optional
 
-from repro.pcn.defvar import DefVar
+from repro.pcn.defvar import DefVar, Tally
+from repro.status import ProcessorFailedError
 from repro.vp import fabric
 from repro.vp.message import Message
 
@@ -39,16 +46,27 @@ class ServerRequestError(Exception):
     """No loaded module provides the requested capability."""
 
 
+def _no_capability(request_type: str) -> ServerRequestError:
+    return ServerRequestError(
+        f"no capability registered for request type {request_type!r}"
+    )
+
+
 class _ServerCall:
     """Payload of a routed ``server_request`` message.
 
     Completion flows back through definitional variables (§5.1.1's
     bidirectional-communication idiom) rather than a reply message:
-    ``done`` carries the synchronous outcome, ``proc_out`` the spawned
-    handler process for asynchronous requests.
+    ``done`` is defined with the synchronous outcome (None, or the error
+    the handler raised), ``proc_out`` with the spawned handler process of
+    an asynchronous request.  ``served`` makes servicing exactly-once: a
+    duplicated delivery carries the same call object.
     """
 
-    __slots__ = ("request_type", "parameters", "synchronous", "done", "proc_out")
+    __slots__ = (
+        "request_type", "parameters", "synchronous", "done", "proc_out",
+        "served",
+    )
 
     def __init__(
         self,
@@ -63,9 +81,17 @@ class _ServerCall:
         self.synchronous = synchronous
         self.done = done
         self.proc_out = proc_out
+        self.served = False
 
     def __repr__(self) -> str:
         return f"<server call {self.request_type!r}>"
+
+
+def _first_error(
+    first: Optional[BaseException], outcome: Optional[BaseException]
+) -> Optional[BaseException]:
+    """Fold of a fan-out's hop outcomes: the first error, else None."""
+    return outcome if first is None else first
 
 
 class ServerRegistry:
@@ -136,9 +162,7 @@ class ServerRegistry:
         """
         handler = self._capabilities.get(request_type)
         if handler is None:
-            raise ServerRequestError(
-                f"no capability registered for request type {request_type!r}"
-            )
+            raise _no_capability(request_type)
         number = 0 if processor is None else processor
         self._machine.check_alive([number])
         origin = source if source is not None else fabric.current_processor()
@@ -188,11 +212,105 @@ class ServerRegistry:
             else self._machine.default_recv_timeout
         )
         if synchronous:
-            state, error = done.read(timeout=limit)
-            if state == "error":
+            error = done.read(timeout=limit)
+            if error is not None:
                 raise error
             return None
         return proc_out.read(timeout=limit)
+
+    def request_each(
+        self,
+        request_type: str,
+        holders: "dict[int, tuple]",
+        parameters: tuple,
+        status: Tally,
+        skip_failed: bool = False,
+    ) -> None:
+        """One synchronous request, served on every processor in
+        ``holders`` — a fan-out is one request, not one per holder.
+
+        ``holders`` maps each processor to its own trailing parameters
+        (its share of a region, say; ``()`` for none) and a holder's
+        handler is called with ``(*parameters, *own, status)``.  ``status``
+        is the one answer of the whole request, a :class:`Tally` with a
+        part per holder: every handler defines it as it would a variable
+        of its own.
+
+        What does not depend on the holder happens once: the capability
+        lookup, the origin, the common parameter tuple and the envelope —
+        all hops carry one trace id, the caller's or else one fresh root,
+        so ``TraceInterceptor.spans_for`` returns the fan-out whole.  What
+        is left per holder is what §5.1.1 prices a remote operation at:
+        one ``server_request`` message through :meth:`Machine.route` and
+        every interceptor, or, for a holder that is the origin (any
+        holder, for an unplaced caller), the handler run in place as
+        :meth:`request` runs it.
+
+        All hops share one completion, waited for once (the machine's
+        ``default_recv_timeout``) after every holder has been asked: when
+        delivery is asynchronous the hops are in flight together, and the
+        request takes as long as its slowest hop.  The first error a
+        handler raised is re-raised then, not before.  A dead holder
+        raises :class:`~repro.status.ProcessorFailedError` when its turn
+        comes, unless ``skip_failed``, which passes over it — whether it
+        was dead when checked or died before its message was routed.
+        """
+        handler = self._capabilities.get(request_type)
+        if handler is None:
+            raise _no_capability(request_type)
+        machine = self._machine
+        origin = fabric.current_processor()
+        common = (*parameters, status)
+        tag = ("server", request_type)
+        done = Tally(
+            len(holders), _first_error, None, f"server-{request_type}-done"
+        )
+        # The caller's trace, or one fresh root for all the hops.
+        with fabric.execution_context(trace_id=fabric.current_envelope()[0]):
+            for holder, own in holders.items():
+                asked = (*parameters, *own, status) if own else common
+                try:
+                    machine.check_alive((holder,))
+                    if origin is None or origin == holder:
+                        self._serve(handler, holder, asked, done)
+                    else:
+                        machine.send(
+                            origin,
+                            holder,
+                            _ServerCall(request_type, asked, True, done, None),
+                            tag=tag,
+                            kind="server_request",
+                        )
+                except ProcessorFailedError:
+                    if not skip_failed:
+                        raise
+                    done.forget()
+                    status.forget()
+        error = done.read(timeout=machine.default_recv_timeout)
+        if error is not None:
+            raise error
+
+    def _serve(
+        self,
+        handler: Handler,
+        number: int,
+        parameters: tuple,
+        done: DefVar,
+        trace_id: Optional[str] = None,
+        hop: Optional[int] = None,
+        span_id: Optional[str] = None,
+    ) -> None:
+        """Run a synchronous request's handler on processor ``number``
+        and define ``done`` with how it ended: None, or the error — any
+        error, an interrupt included: whoever reads ``done`` re-raises it
+        on the requester's side of the hop."""
+        try:
+            with fabric.execution_context(number, trace_id, hop, span_id):
+                handler(self._machine.processor(number), *parameters)
+        except BaseException as exc:  # noqa: BLE001 - crosses the hop
+            done.define(exc)
+        else:
+            done.define(None)
 
     def _execute(self, message: Message) -> None:
         """Service one delivered ``server_request`` message at its target.
@@ -204,41 +322,27 @@ class ServerRegistry:
         """
         call: _ServerCall = message.payload
         # Exactly-once servicing: a duplicated delivery (fault injection)
-        # carries the same call whose outcome variable is already
-        # defined — re-running the handler would double-apply it and
-        # double-define ``done``.
-        outcome = call.done if call.synchronous else call.proc_out
-        if outcome is not None and outcome.data():
+        # carries the same call — re-running the handler would apply it
+        # twice and answer twice.
+        if call.served:
             return
-        node = self._machine.processor(message.dest)
+        call.served = True
         handler = self._capabilities.get(call.request_type)
+        if handler is None:
+            if call.done is not None:
+                call.done.define(_no_capability(call.request_type))
+            return
         # span_id: the handler's spans parent onto the requester's open
         # span (carried on the message), not onto whatever span the
         # delivering thread happens to be inside.
-        context = fabric.execution_context(
-            processor=message.dest,
-            trace_id=message.trace_id,
-            hop=message.hop + 1,
-            span_id=message.span_id,
-        )
-        if handler is None:
-            exc: BaseException = ServerRequestError(
-                f"no capability registered for request type "
-                f"{call.request_type!r}"
-            )
-            if call.done is not None:
-                call.done.define(("error", exc))
-            return
+        envelope = (message.trace_id, message.hop + 1, message.span_id)
         if call.synchronous:
-            try:
-                with context:
-                    handler(node, *call.parameters)
-            except BaseException as exc:  # noqa: BLE001 - crosses the hop
-                call.done.define(("error", exc))
-            else:
-                call.done.define(("ok", None))
+            self._serve(
+                handler, message.dest, call.parameters, call.done, *envelope
+            )
             return
-        with context:
+        node = self._machine.processor(message.dest)
+        with fabric.execution_context(message.dest, *envelope):
             proc = node.spawn(
                 handler, node, *call.parameters,
                 name=f"server-{call.request_type}",

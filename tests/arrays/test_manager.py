@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
+from repro.arrays.durability import replica_store_for
 from repro.arrays.local_section import TRACKER
 from repro.arrays.manager import (
     _records,
@@ -229,6 +230,40 @@ class TestFree:
             assert aid not in _records(m16.processor(p))
             _out, st = am_user.find_info(m16, aid, "type", processor=p)
             assert st is Status.NOT_FOUND
+
+    @pytest.mark.parametrize("replication", [0, 1])
+    def test_holder_revived_after_the_free_forgets_the_array(
+        self, m16, replication
+    ):
+        """Regression: the free passes over a failed holder, which kept
+        the freed array's record, storage and mirrors if it was later
+        revived — the rejoin protocol walked live arrays only."""
+        live_before = TRACKER.live
+        aid, st = am_user.create_array(
+            m16, "double", (16,), am_util.node_array(0, 1, 8), ["block"],
+            replication=replication,
+        )
+        assert st is Status.OK
+        m16.fail(5)
+        assert am_user.free_array(m16, aid, processor=0) is Status.OK
+        assert aid in _records(m16.processor(5))  # could not be asked
+        m16.revive(5)
+        get_array_manager(m16).rejoin_processor(5)
+        assert aid not in _records(m16.processor(5))
+        _out, st = am_user.find_info(m16, aid, "type", processor=5)
+        assert st is Status.NOT_FOUND
+        assert replica_store_for(m16.processor(5)).sections_for(aid) == []
+        assert TRACKER.live == live_before
+
+    def test_rejoin_keeps_the_records_of_live_arrays(self, m16):
+        aid, st = am_user.create_array(
+            m16, "double", (16,), am_util.node_array(0, 1, 8), ["block"]
+        )
+        assert st is Status.OK
+        get_array_manager(m16).rejoin_processor(5)
+        assert am_user.write_element(m16, aid, (10,), 7.0) is Status.OK
+        assert am_user.read_element(m16, aid, (10,)) == (7.0, Status.OK)
+        assert am_user.free_array(m16, aid) is Status.OK
 
     def test_free_releases_storage(self, m16):
         live_before = TRACKER.live

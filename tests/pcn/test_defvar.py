@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pcn.defvar import DefVar, Mutable, data, resolve, wait_all
+from repro.pcn.defvar import (
+    DefVar,
+    Mutable,
+    Tally,
+    data,
+    resolve,
+    wait_all,
+)
 from repro.status import SharedVariableConflictError, SingleAssignmentError
 
 
@@ -255,3 +262,106 @@ def test_property_defvars_deliver_exact_values(values):
     for var, value in zip(variables, values):
         var.define(value)
     assert [v.read() for v in variables] == values
+
+
+class TestTally:
+    """One variable answered in parts (the status of a fan-out)."""
+
+    def test_defined_by_the_last_answer_with_the_fold_of_all(self):
+        tally = Tally(3, max, 0, "status")
+        tally.define(2)
+        tally.define(0)
+        assert not tally.data()
+        tally.define(1)
+        assert tally.read(timeout=0) == 2
+
+    def test_fold_starts_from_the_initial_value_in_answer_order(self):
+        tally = Tally(3, lambda folded, answer: folded + [answer], ["start"])
+        for answer in "abc":
+            tally.define(answer)
+        assert tally.read(timeout=0) == ["start", "a", "b", "c"]
+
+    def test_no_parts_is_defined_at_birth(self):
+        tally = Tally(0, max, 7)
+        assert tally.data() and tally.read(timeout=0) == 7
+        with pytest.raises(SingleAssignmentError):
+            tally.define(1)
+        with pytest.raises(SingleAssignmentError):
+            tally.forget()
+
+    def test_one_answer_too_many_raises(self):
+        tally = Tally(2, max, 0, "status")
+        tally.define(0)
+        tally.define(0)
+        with pytest.raises(SingleAssignmentError, match="status"):
+            tally.define(0)
+        assert tally.read(timeout=0) == 0
+
+    def test_forget_stands_in_for_an_answer_that_will_not_come(self):
+        tally = Tally(3, max, 0)
+        tally.define(1)
+        tally.forget()
+        assert not tally.data()
+        tally.forget()
+        assert tally.read(timeout=0) == 1
+
+    def test_all_forgotten_is_the_initial_value(self):
+        tally = Tally(2, max, 0)
+        tally.forget()
+        tally.forget()
+        assert tally.read(timeout=0) == 0
+
+    def test_is_a_defvar_to_everything_that_takes_one(self):
+        tally = Tally(1, max, 0, "t")
+        seen = []
+        tally.on_define(seen.append)
+        assert isinstance(tally, DefVar) and not data(tally)
+        tally.define(5)
+        assert seen == [5] and resolve(tally) == 5 and tally.peek() == 5
+
+    def test_answering_with_a_variable_answers_when_it_is_defined(self):
+        tally = Tally(2, max, 0)
+        later = DefVar("later")
+        tally.define(later)
+        tally.define(1)
+        assert not tally.data()
+        later.define(3)
+        assert tally.read(timeout=0) == 3
+
+    def test_suspended_reader_wakes_on_the_last_answer(self):
+        tally = Tally(2, max, 0)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(tally.read(timeout=5))
+        )
+        reader.start()
+        tally.define(1)
+        reader.join(timeout=0.05)
+        assert reader.is_alive() and got == []
+        tally.define(0)
+        reader.join(timeout=5)
+        assert got == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(0, 99)), max_size=8))
+def test_property_tally_is_defined_once_by_the_last_part_with_the_fold(parts):
+    """Whatever the mix and order of answers (an int) and forgets (None):
+    undefined until the last part, then the fold of exactly the answers,
+    and closed to any further part."""
+    tally = Tally(len(parts), max, -1, "t")
+    definitions = []
+    tally.on_define(definitions.append)
+    for part in parts:
+        assert not tally.data() and definitions == []
+        if part is None:
+            tally.forget()
+        else:
+            tally.define(part)
+    expected = max([-1] + [part for part in parts if part is not None])
+    assert tally.read(timeout=0) == expected
+    assert definitions == [expected]
+    for one_too_many in (tally.forget, lambda: tally.define(0)):
+        with pytest.raises(SingleAssignmentError):
+            one_too_many()
+    assert tally.read(timeout=0) == expected

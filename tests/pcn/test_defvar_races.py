@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.pcn import defvar
-from repro.pcn.defvar import DefVar
+from repro.pcn.defvar import DefVar, Tally
 from repro.status import SingleAssignmentError
 
 ROUNDS = 200
@@ -181,3 +181,35 @@ def test_definition_racing_a_timeout_is_never_lost():
         run_threads(reader, lambda: var.define("v"))
         assert results in (["v"], ["timeout"])
         assert var.read(timeout=0) == "v"
+
+
+def test_answers_racing_into_a_tally_wake_its_reader_exactly_once():
+    """Six answerers and a forgetter race for the last part: whoever takes
+    it defines the tally once, with every answer folded in, and the reader
+    suspended on it wakes — a missed last answer would hang here."""
+    for round_ in range(ROUNDS):
+        tally = Tally(7, lambda folded, answer: folded + answer, 0, "raced")
+        definitions = []
+        tally.on_define(definitions.append)
+        seen = []
+        errors = []
+
+        def reader():
+            seen.append(tally.read(timeout=JOIN_S))
+
+        def answerer(value):
+            def body():
+                try:
+                    tally.define(value)
+                except SingleAssignmentError as exc:
+                    errors.append(exc)
+            return body
+
+        run_threads(
+            reader, tally.forget, *[answerer(10 ** i) for i in range(6)]
+        )
+        assert errors == []
+        assert seen == definitions == [111111]
+        assert tally._sleepers is None and tally._callbacks is None
+        with pytest.raises(SingleAssignmentError):
+            tally.define(round_)

@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from repro.pcn.defvar import DefVar
+from repro.pcn.defvar import DefVar, Tally
+from repro.status import ProcessorFailedError
+from repro.vp import fabric
 from repro.vp.machine import Machine
 from repro.vp.server import ServerRequestError
 
@@ -86,3 +88,251 @@ class TestRouting:
         m.server.load({"now": handler})
         m.server.request("now", synchronous=True)
         assert log == ["ran"]
+
+
+def status_tally(parts):
+    """The combined answer of a fan-out over ``parts`` holders: the worst
+    code, as the array manager folds it."""
+    return Tally(parts, max, 0, "status")
+
+
+def on_processor(number):
+    """Place the calling thread on ``number`` for a ``with`` block (None:
+    leave it unplaced, a top-level thread)."""
+    return fabric.execution_context(processor=number)
+
+
+class TestRequestEach:
+    """A fan-out is one request (``ServerRegistry.request_each``)."""
+
+    @pytest.fixture
+    def m8(self):
+        return Machine(8, default_recv_timeout=2.0)
+
+    @staticmethod
+    def holders(machine):
+        return dict.fromkeys(range(machine.num_nodes), ())
+
+    def test_every_holder_is_served_once_on_its_own_node(self, m8):
+        served = []
+
+        def handler(node, common, status):
+            served.append((node.number, fabric.current_processor(), common))
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        status = status_tally(8)
+        with on_processor(2):
+            m8.server.request_each("ask", self.holders(m8), ("c",), status)
+        assert served == [(p, p, "c") for p in range(8)]
+        assert status.read(timeout=0) == 0
+        # One routed message per remote holder; the origin is served in place.
+        assert m8.routed_count == 7
+
+    def test_own_parameters_follow_the_common_ones_status_last(self, m8):
+        got = {}
+
+        def handler(node, *parameters):
+            got[node.number] = parameters[:-1]
+            parameters[-1].define(0)
+
+        m8.server.load({"ask": handler})
+        status = status_tally(3)
+        shares = {1: ("one", 1), 4: (), 6: ("six",)}
+        m8.server.request_each("ask", shares, ("a", "b"), status)
+        assert got == {
+            1: ("a", "b", "one", 1), 4: ("a", "b"), 6: ("a", "b", "six"),
+        }
+
+    def test_status_is_the_fold_of_every_answer(self, m8):
+        m8.server.load(
+            {"ask": lambda node, status: status.define(node.number % 3)}
+        )
+        status = status_tally(8)
+        m8.server.request_each("ask", self.holders(m8), (), status)
+        assert status.read(timeout=0) == 2
+
+    def test_no_holders_is_already_answered(self, m8):
+        m8.server.load({"ask": lambda node, status: status.define(1)})
+        status = status_tally(0)
+        m8.server.request_each("ask", {}, (), status)
+        assert status.read(timeout=0) == 0
+
+    def test_unknown_request_type_raises_before_anyone_is_asked(self, m8):
+        with pytest.raises(ServerRequestError):
+            m8.server.request_each(
+                "nope", self.holders(m8), (), status_tally(8)
+            )
+        assert m8.routed_count == 0
+
+    def test_unplaced_caller_sends_no_message(self, m8):
+        """§5.1.1: a top-level thread is "on" whichever node it asks."""
+        where = []
+
+        def handler(node, status):
+            where.append(fabric.current_processor())
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        m8.server.request_each("ask", self.holders(m8), (), status_tally(8))
+        assert where == list(range(8))
+        assert m8.routed_count == 0
+
+    def test_a_raising_handler_does_not_stop_the_rest(self, m8):
+        """All eight are asked; the first error is re-raised afterwards."""
+        asked = []
+
+        def handler(node, status):
+            asked.append(node.number)
+            if node.number in (3, 6):
+                raise RuntimeError(f"boom on {node.number}")
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        for origin in (None, 0, 3):
+            asked.clear()
+            with on_processor(origin), pytest.raises(
+                RuntimeError, match="boom on 3"
+            ):
+                m8.server.request_each(
+                    "ask", self.holders(m8), (), status_tally(8)
+                )
+            assert asked == list(range(8))
+
+    def test_dead_holder_raises_unless_skipped(self, m8):
+        asked = []
+
+        def handler(node, status):
+            asked.append(node.number)
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        m8.fail(5)
+        with on_processor(0), pytest.raises(ProcessorFailedError):
+            m8.server.request_each(
+                "ask", self.holders(m8), (), status_tally(8)
+            )
+        asked.clear()
+        status = status_tally(8)
+        with on_processor(0):
+            m8.server.request_each(
+                "ask", self.holders(m8), (), status, skip_failed=True
+            )
+        assert asked == [0, 1, 2, 3, 4, 6, 7]
+        assert status.read(timeout=0) == 0  # defined without holder 5
+
+    def test_skip_failed_covers_a_death_between_check_and_route(
+        self, m8, monkeypatch
+    ):
+        asked = []
+
+        def handler(node, status):
+            asked.append(node.number)
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        check_alive = m8.check_alive
+
+        def check_then_die(processors):
+            check_alive(processors)
+            if 4 in processors:
+                m8.fail(4)  # alive when checked, dead when routed to
+
+        monkeypatch.setattr(m8, "check_alive", check_then_die)
+        status = status_tally(8)
+        with on_processor(0):
+            m8.server.request_each(
+                "ask", self.holders(m8), (), status, skip_failed=True
+            )
+        assert asked == [0, 1, 2, 3, 5, 6, 7]
+        assert status.read(timeout=0) == 0
+
+    def test_all_hops_are_sent_before_the_first_is_waited_for(self, m8):
+        """With asynchronous delivery the hops are in flight together."""
+        held = []
+        all_sent = threading.Event()
+
+        def hold(message, forward):
+            held.append(message)
+            if len(held) == 7:
+                all_sent.set()
+
+        m8.transport_stack.push(hold)
+        served = []
+
+        def handler(node, status):
+            served.append(node.number)
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        status = status_tally(8)
+
+        def caller():
+            with on_processor(0):
+                m8.server.request_each("ask", self.holders(m8), (), status)
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        assert all_sent.wait(timeout=5)
+        assert served == [0] and not status.data()
+        for message in reversed(held):  # any order of arrival will do
+            m8.transport_stack.forward_from(hold, message)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert served == [0, 7, 6, 5, 4, 3, 2, 1]
+        assert status.read(timeout=0) == 0
+
+    def test_a_lost_hop_is_a_timeout_not_a_hang(self):
+        m = Machine(4, default_recv_timeout=0.05)
+        m.transport_stack.push(
+            lambda message, forward: None if message.dest == 2
+            else forward(message)
+        )
+        m.server.load({"ask": lambda node, status: status.define(0)})
+        with on_processor(0), pytest.raises(TimeoutError):
+            m.server.request_each(
+                "ask", dict.fromkeys(range(4), ()), (), status_tally(4)
+            )
+
+    def test_a_duplicated_hop_is_served_once(self, m8):
+        m8.transport_stack.push(
+            lambda message, forward: (forward(message), forward(message))
+        )
+        served = []
+
+        def handler(node, status):
+            served.append(node.number)
+            status.define(0)
+
+        m8.server.load({"ask": handler})
+        status = status_tally(8)
+        with on_processor(0):
+            m8.server.request_each("ask", self.holders(m8), (), status)
+            m8.server.request("ask", status_tally(1), processor=1)
+            proc = m8.server.request(
+                "ask", status_tally(1), processor=2, synchronous=False
+            )
+        proc.join(timeout=5)
+        assert sorted(served) == [0, 1, 1, 2, 2, 3, 4, 5, 6, 7]
+
+    def test_hops_of_one_fan_out_share_one_trace(self, m8):
+        tracer = fabric.TraceInterceptor(m8).install()
+        m8.server.load({"ask": lambda node, status: status.define(0)})
+        with on_processor(0):
+            m8.server.request_each(
+                "ask", self.holders(m8), (), status_tally(8)
+            )
+            m8.server.request_each(
+                "ask", self.holders(m8), (), status_tally(8)
+            )
+            with fabric.execution_context(trace_id="ambient", hop=2):
+                m8.server.request_each(
+                    "ask", self.holders(m8), (), status_tally(8)
+                )
+        first, second, third = tracer.traces()
+        assert first != second and third == "ambient"
+        for trace in (first, second, third):
+            spans = tracer.spans_for(trace)
+            assert [s["dest"] for s in spans] == [1, 2, 3, 4, 5, 6, 7]
+            assert {s["kind"] for s in spans} == {"server_request"}
+        assert {s["hop"] for s in tracer.spans_for("ambient")} == {2}
