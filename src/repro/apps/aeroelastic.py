@@ -47,9 +47,11 @@ from repro.status import check_status
 
 
 def _deflection_halo(ctx, section):
-    """Open a depth-1 planned halo exchange for the deflection section,
-    or None when the planned path cannot engage (borderless array, no
-    perf layer) — the point-to-point fallback handles those."""
+    """Open a depth-1 planned halo exchange for the deflection section's
+    west border — the only one the kernel reads, so the only one any copy
+    posts a strip for — or None when the planned path cannot engage
+    (borderless array, no perf layer): the point-to-point fallback
+    handles those."""
     if not isinstance(section, LocalSection) or min(section.borders) < 1:
         return None
     machine = ctx.machine
@@ -66,7 +68,7 @@ def _deflection_halo(ctx, section):
     sec = record.section_number_for(ctx.processor_number)
     return plan.begin(
         plans, record, section.full(), sec, 1,
-        (ctx.group, 0), ctx.processor_number,
+        (ctx.group, 0), ctx.processor_number, sides=("west",),
     )
 
 
@@ -82,12 +84,10 @@ def _aero_pressure(ctx, q_dyn, alpha, deflection_in, pressure) -> None:
     exchange = _deflection_halo(ctx, deflection_in)
     if exchange is not None:
         # Planned path: the neighbour's cell travels as a halo_bulk
-        # strip posted here and claimed after the overlapped arithmetic;
-        # complete() waits only on the west border — the one this kernel
-        # reads (the east strip is posted for the neighbour's benefit).
+        # strip posted here and claimed after the overlapped arithmetic.
         exchange.prefetch()
         twist[1:] = w[1:] - w[:-1]
-        exchange.complete(sides=("west",))
+        exchange.complete()
         if exchange.receives("west"):
             pad = deflection_in.borders[0]
             twist[0] = w[0] - float(deflection_in.full()[pad - 1])

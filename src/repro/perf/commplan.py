@@ -125,16 +125,19 @@ class HaloStrip:
     with a later phase's rendezvous.  ``epoch`` is the sender's record
     epoch at capture time; the receiver's kind handler fences strips
     older than the authoritative durability epoch.  ``done`` is the
-    acknowledgement variable the sender's retry loop waits on.
+    acknowledgement variable the sender's retry loop waits on.  ``key``
+    is the strip's rendezvous key, ``(edge prefix, token)``: a schedule
+    passes the prefix it compiled, a strip built by hand derives it.
     """
 
     __slots__ = ("array_id", "src_section", "dest_section", "side", "stage",
-                 "token", "epoch", "dest_slices", "data", "done")
+                 "token", "epoch", "dest_slices", "data", "done", "_key",
+                 "nbytes")
 
     def __init__(self, array_id: Any, src_section: int, dest_section: int,
                  side: str, stage: int, token: tuple, epoch: int,
                  dest_slices: tuple, data: Any,
-                 done: Optional[DefVar]) -> None:
+                 done: Optional[DefVar], key: Optional[tuple] = None) -> None:
         self.array_id = array_id
         self.src_section = src_section
         self.dest_section = dest_section
@@ -145,19 +148,41 @@ class HaloStrip:
         self.dest_slices = dest_slices
         self.data = data
         self.done = done
+        self._key = key if key is not None else (
+            (array_id.as_tuple(), src_section, dest_section, side, stage),
+            token,
+        )
+        # The simulated wire size ``Message.nbytes`` reads: data + header.
+        self.nbytes = int(getattr(data, "nbytes", 8)) + 64
 
     def key(self) -> tuple:
-        return (self.array_id.as_tuple(), self.src_section,
-                self.dest_section, self.side, self.stage, self.token)
-
-    @property
-    def nbytes(self) -> int:
-        return int(getattr(self.data, "nbytes", 8)) + 64
+        return self._key
 
     def __repr__(self) -> str:
         return (f"<HaloStrip {self.array_id} {self.src_section}->"
                 f"{self.dest_section} side={self.side} stage={self.stage} "
                 f"token={self.token} epoch={self.epoch}>")
+
+
+class Schedule:
+    """One section's part in one exchange phase, in the order it is run.
+
+    ``stages`` holds, for each plan stage in which the section has a
+    transfer, ``(stage, sends, receives)``: a send is ``(dest_section,
+    side, src_slices, dest_slices, key_prefix)`` and a receive ``(side,
+    key_prefix)``, with ``key_prefix = (array, src_section, dest_section,
+    side, stage)`` — the edge.  A strip is parked and claimed under
+    ``(key_prefix, token)``, so a phase builds one pair per strip and
+    nothing else.  ``sides`` is where the section receives at all: where
+    it has a neighbour, on a side the schedule covers."""
+
+    __slots__ = ("stages", "sides")
+
+    def __init__(self, stages: tuple) -> None:
+        self.stages = stages
+        self.sides = frozenset(
+            side for _, _, receives in stages for side, _ in receives
+        )
 
 
 def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
@@ -181,7 +206,7 @@ class CommPlan:
     ``(epoch, processors)`` membership."""
 
     __slots__ = ("op", "array_id", "layout", "pad", "depth", "epoch",
-                 "processors", "stages", "edges")
+                 "processors", "stages", "edges", "tag", "_schedules")
 
     def __init__(self, op: str, array_id: Any, layout: Any, pad: int,
                  epoch: int, processors: tuple) -> None:
@@ -195,6 +220,11 @@ class CommPlan:
         self.epoch = epoch
         self.processors = tuple(processors)
         self.stages = 2 if layout.rank == 2 else 1
+        self.tag = (HALO_BULK_KIND, array_id.as_tuple())
+        # (section, k, sides) -> Schedule, compiled on first use and kept
+        # for the life of the plan.  Two copies racing to compile the same
+        # entry build equal, immutable schedules, so no lock is needed.
+        self._schedules: Dict[tuple, Schedule] = {}
         names = _SIDE_NAMES[layout.rank]
         self.edges: List[PlanEdge] = []
         for dest in range(layout.num_sections):
@@ -272,12 +302,58 @@ class CommPlan:
             out.append(Transfer(edge, k, src, dest))
         return out
 
+    def schedule(self, section: int, k: int,
+                 sides: Optional[frozenset] = None) -> "Schedule":
+        """What ``section`` posts and claims in one phase at depth ``k``
+        (see :class:`Schedule`): :meth:`transfers` filtered per role and
+        stage once, with every key a strip is parked and claimed under
+        already built.  ``sides`` keeps only the strips that land on those
+        receiver-relative sides — in the last stage: an earlier stage's
+        strips are what the last one relays, so they always travel."""
+        found = self._schedules.get((section, k, sides))
+        if found is None:
+            found = self._schedules[(section, k, sides)] = self._compile(
+                section, k, sides
+            )
+        return found
+
+    def _compile(self, section: int, k: int,
+                 sides: Optional[frozenset]) -> "Schedule":
+        aid = self.array_id.as_tuple()
+        stages = []
+        for stage in range(self.stages):
+            sends = tuple(
+                (t.edge.dest_section, t.edge.side, t.src_slices,
+                 t.dest_slices,
+                 (aid, section, t.edge.dest_section, t.edge.side, stage))
+                for t in self.transfers(k, section, "send", stage)
+            )
+            receives = tuple(
+                (t.edge.side,
+                 (aid, t.edge.src_section, section, t.edge.side, stage))
+                for t in self.transfers(k, section, "recv", stage)
+            )
+            if sends or receives:
+                stages.append((stage, sends, receives))
+        if sides is not None and stages:
+            stage, sends, receives = stages[-1]
+            stages[-1] = (
+                stage,
+                tuple(send for send in sends if send[1] in sides),
+                tuple(recv for recv in receives if recv[0] in sides),
+            )
+        return Schedule(tuple(stages))
+
     def begin(self, registry: "PlanRegistry", record: Any, full: Any,
-              section: int, k: int, token: tuple,
-              source: int) -> "HaloExchange":
-        """Open one exchange phase for ``section`` at depth ``k``."""
+              section: int, k: int, token: tuple, source: int,
+              sides: Optional[Iterable[str]] = None) -> "HaloExchange":
+        """Open one exchange phase for ``section`` at depth ``k``.
+
+        ``sides`` names the borders the kernel reads (default: all).
+        Every copy of a call passes the same ones, so a strip that would
+        land on any other side is neither posted nor waited for."""
         return HaloExchange(registry, self, record, full, section, k,
-                            token, source)
+                            token, source, sides)
 
     def describe(self) -> dict:
         return {
@@ -294,17 +370,19 @@ class CommPlan:
 class HaloExchange:
     """One phase of planned halo traffic for one section.
 
-    ``prefetch()`` posts the first-stage bulk sends and returns their
-    ``done`` futures immediately — the strips are in flight while the
-    caller computes interior work.  ``complete()`` settles the protocol:
-    it secures acknowledgements for everything this copy sent (retrying
-    dropped strips against the re-resolved owner, exactly the
-    write-coalescer's retry discipline), claims the inbound stage-0
-    strips, posts the orthogonal stage-1 strips that span the freshly
-    filled halo rows, and claims those.  ``sides`` restricts *claiming*
-    to the borders the kernel actually reads; protocol obligations
-    (acknowledging sends, claiming stage-0 strips that feed stage-1
-    sends) are always met.
+    The exchange walks the :class:`Schedule` its plan compiled for
+    ``(section, k, sides)``.  ``prefetch()`` posts the first stage's bulk
+    sends and returns their ``done`` futures immediately — the strips are
+    in flight while the caller computes interior work.  ``complete()``
+    settles the protocol: it secures acknowledgements for everything this
+    copy sent (retrying dropped strips against the re-resolved owner,
+    exactly the write-coalescer's retry discipline), claims the inbound
+    strips of that stage, and — where the schedule has a further stage —
+    posts the orthogonal strips that span the freshly filled halo rows,
+    and claims those.  ``sides`` given at ``begin`` is part of the
+    schedule: strips for other sides are neither posted nor claimed.
+    ``complete(sides=...)`` restricts *claiming* further, for this copy
+    only; what it leaves unclaimed stays parked in its rendezvous.
 
     Deadlock-freedom: acknowledgements are defined by the *delivery*
     thread the moment a strip is fenced/stashed, never by the peer copy's
@@ -313,10 +391,8 @@ class HaloExchange:
     """
 
     def __init__(self, registry: "PlanRegistry", plan: CommPlan, record: Any,
-                 full: Any, section: int, k: int, token: tuple,
-                 source: int) -> None:
-        if not 1 <= k <= plan.depth:
-            raise ValueError(f"exchange depth {k} outside [1, {plan.depth}]")
+                 full: Any, section: int, k: int, token: tuple, source: int,
+                 sides: Optional[Iterable[str]] = None) -> None:
         self.registry = registry
         self.plan = plan
         self.record = record
@@ -325,21 +401,20 @@ class HaloExchange:
         self.k = k
         self.token = token
         self.source = source
+        self.schedule = plan.schedule(
+            section, k, None if sides is None else frozenset(sides)
+        )
         self.futures: List[DefVar] = []
         self._pending: List[HaloStrip] = []
-        self._filled: set = set()
         self._claimed_strips = 0
         self._claimed_bytes = 0
         self._prefetched = False
         self._completed = False
 
     def receives(self, side: str) -> bool:
-        """Does this section receive a strip on ``side`` (i.e. does it
-        have a neighbour there)?"""
-        return any(
-            e.dest_section == self.section and e.side == side
-            for e in self.plan.edges
-        )
+        """Does this exchange receive a strip on ``side`` (i.e. does the
+        section have a neighbour there, on a side the exchange covers)?"""
+        return side in self.schedule.sides
 
     # -- protocol ------------------------------------------------------------
 
@@ -353,77 +428,80 @@ class HaloExchange:
         if self._prefetched:
             return self.futures
         self.registry.flush_for(self.plan.array_id)
-        self._post_stage(0)
+        if self.schedule.stages:
+            self._post_stage(0)
         self._prefetched = True
         return self.futures
 
     def complete(self, sides: Optional[Iterable[str]] = None) -> None:
-        """Block until the halo cells on ``sides`` (default: all) hold
-        this phase's data; settles all send acknowledgements."""
+        """Block until the halo cells on ``sides`` (default: every side
+        of the exchange) hold this phase's data; settles all send
+        acknowledgements."""
         if self._completed:
             return
         if not self._prefetched:
             self.prefetch()
         wanted = None if sides is None else set(sides)
         registry = self.registry
-        with obs_span(
-            registry.machine,
-            "perf:halo",
-            array=str(self.plan.array_id.as_tuple()),
-            section=self.section,
-            depth=self.k,
-            phase=str(self.token),
-        ) as span:
-            self._secure_pending()
-            # Stage-0 strips must all land before stage-1 sends read the
-            # halo rows they span — regardless of the ``sides`` filter.
-            self._claim_stage(0, None if self.plan.stages > 1 else wanted)
-            if self.plan.stages > 1:
-                self._post_stage(1)
-                self._secure_pending()
-                self._claim_stage(1, wanted)
-            span.annotate(strips=self._claimed_strips)
-        registry.exchanges += 1
         observer = getattr(registry.machine, "_observer", None)
-        if observer is not None:
+        if observer is None:
+            self._settle(wanted)
+        else:
+            with obs_span(
+                registry.machine,
+                "perf:halo",
+                array=str(self.plan.array_id.as_tuple()),
+                section=self.section,
+                depth=self.k,
+                phase=str(self.token),
+            ) as span:
+                self._settle(wanted)
+                span.annotate(strips=self._claimed_strips)
             observer.halo_exchange(self._claimed_strips, self._claimed_bytes)
+        registry.exchanges += 1
         self._completed = True
 
     # -- internals -----------------------------------------------------------
 
-    def _post_stage(self, stage: int) -> None:
-        for transfer in self.plan.transfers(
-            self.k, section=self.section, role="send", stage=stage
-        ):
-            data = self.full[transfer.src_slices].copy()
+    def _settle(self, wanted: Optional[set]) -> None:
+        # Every stage's strips must all land before the next stage's
+        # sends read the halo rows they span — regardless of ``wanted``,
+        # which therefore narrows the last stage only.
+        last = len(self.schedule.stages) - 1
+        for index in range(last + 1):
+            if index:
+                self._post_stage(index)
+            self._secure_pending()
+            self._claim_stage(index, wanted if index == last else None)
+
+    def _owners(self) -> tuple:
+        state = self.registry.manager.durability_state(self.plan.array_id)
+        return (state.processors if state is not None
+                else self.plan.processors)
+
+    def _post_stage(self, index: int) -> None:
+        stage, sends, _ = self.schedule.stages[index]
+        array_id = self.plan.array_id
+        section = self.section
+        token = self.token
+        epoch = self.record.epoch
+        full = self.full
+        owners = self._owners()  # once per stage; a reship re-resolves
+        for dest_section, side, src_slices, dest_slices, prefix in sends:
             strip = HaloStrip(
-                self.plan.array_id,
-                transfer.edge.src_section,
-                transfer.edge.dest_section,
-                transfer.edge.side,
-                stage,
-                self.token,
-                self.record.epoch,
-                transfer.dest_slices,
-                data,
-                DefVar(f"halo_ack[{transfer.edge.dest_section}]"),
+                array_id, section, dest_section, side, stage, token, epoch,
+                dest_slices, full[src_slices].copy(), DefVar("halo_ack"),
+                (prefix, token),
             )
-            self._route(strip)
+            self._route(strip, owners)
             self._pending.append(strip)
             self.futures.append(strip.done)
 
-    def _owner_of(self, dest_section: int) -> Optional[int]:
-        state = self.registry.manager.durability_state(self.plan.array_id)
-        procs = (state.processors if state is not None
-                 else self.plan.processors)
-        if dest_section >= len(procs):
-            return None
-        return procs[dest_section]
-
-    def _route(self, strip: HaloStrip) -> None:
+    def _route(self, strip: HaloStrip, owners: tuple) -> None:
         registry = self.registry
         machine = registry.machine
-        dest = self._owner_of(strip.dest_section)
+        dest = (owners[strip.dest_section]
+                if strip.dest_section < len(owners) else None)
         if dest is None or machine.is_failed(dest):
             raise ProcessorFailedError(
                 f"halo destination section {strip.dest_section} of "
@@ -437,7 +515,7 @@ class HaloExchange:
                 self.source,
                 dest,
                 strip,
-                tag=(HALO_BULK_KIND, strip.array_id.as_tuple()),
+                tag=self.plan.tag,
                 kind=HALO_BULK_KIND,
             )
             registry.routed_strips += 1
@@ -447,10 +525,9 @@ class HaloExchange:
         fresh = HaloStrip(
             strip.array_id, strip.src_section, strip.dest_section,
             strip.side, strip.stage, strip.token, strip.epoch,
-            strip.dest_slices, strip.data,
-            DefVar(f"halo_ack[{strip.dest_section}]"),
+            strip.dest_slices, strip.data, DefVar("halo_ack"), strip.key(),
         )
-        self._route(fresh)
+        self._route(fresh, self._owners())
         return fresh
 
     def _secure_pending(self) -> None:
@@ -458,10 +535,14 @@ class HaloExchange:
         for strip in self._pending:
             current = strip
             for _attempt in range(registry.max_retries + 1):
+                done = current.done
+                if not done.data():
+                    # About to suspend: name the variable for the wait
+                    # graph and the timeout message (it is anonymous on
+                    # the path where the ack is already there).
+                    done.name = f"halo_ack[{current.dest_section}]"
                 try:
-                    outcome = current.done.read(
-                        timeout=registry.retry_timeout
-                    )
+                    outcome = done.read(timeout=registry.retry_timeout)
                 except TimeoutError:
                     # Dropped or delayed in transit: reship the same
                     # (token, stage, side) unit — the receiver's
@@ -490,27 +571,20 @@ class HaloExchange:
                 )
         self._pending = []
 
-    def _claim_stage(self, stage: int, sides: Optional[set]) -> None:
+    def _claim_stage(self, index: int, sides: Optional[set]) -> None:
         registry = self.registry
-        machine = registry.machine
-        for transfer in self.plan.transfers(
-            self.k, section=self.section, role="recv", stage=stage
-        ):
-            side = transfer.edge.side
+        timeout = registry.machine.default_recv_timeout
+        token = self.token
+        lock = self.record.lock
+        full = self.full
+        for side, prefix in self.schedule.stages[index][2]:
             if sides is not None and side not in sides:
                 continue
-            if (stage, side) in self._filled:
-                continue
-            key = (self.plan.array_id.as_tuple(), transfer.edge.src_section,
-                   self.section, side, stage, self.token)
-            strip = registry.await_strip(
-                key, timeout=machine.default_recv_timeout
-            )
-            with self.record.lock:
-                self.full[strip.dest_slices] = strip.data
-            self._filled.add((stage, side))
+            strip = registry.await_strip((prefix, token), timeout=timeout)
+            with lock:
+                full[strip.dest_slices] = strip.data
             self._claimed_strips += 1
-            self._claimed_bytes += int(getattr(strip.data, "nbytes", 0))
+            self._claimed_bytes += strip.data.nbytes
             registry.strips_claimed += 1
 
 
@@ -613,7 +687,7 @@ class PlanRegistry:
         with self._lock:
             for key in [k for k in self._plans if k[1] == aid]:
                 del self._plans[key]
-            for key in [k for k in self._rendezvous if k[0] == aid]:
+            for key in [k for k in self._rendezvous if k[0][0] == aid]:
                 del self._rendezvous[key]
 
     def flush_for(self, array_id: Any) -> None:
@@ -635,12 +709,17 @@ class PlanRegistry:
                         : self.max_rendezvous // 4
                     ]:
                         del self._rendezvous[old]
-                var = DefVar(f"halo{key}")
-                self._rendezvous[key] = var
+                var = self._rendezvous[key] = DefVar("halo_strip")
         return var
 
     def await_strip(self, key: tuple, timeout: Optional[float]) -> HaloStrip:
         var = self._rendezvous_var(key)
+        if not var.data():
+            # About to suspend: name the variable for the wait graph and
+            # the timeout message.  (Formatting the key costs as much as
+            # the rest of a claim, so a strip that is already parked is
+            # claimed from an anonymous variable.)
+            var.name = f"halo{key}"
         outcome = var.read(timeout=timeout)
         with self._lock:
             self._rendezvous.pop(key, None)

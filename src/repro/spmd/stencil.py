@@ -161,6 +161,66 @@ def _plan_for(ctx: SPMDContext, section, gr: int, gc: int):
     return record, plan, plans
 
 
+def _extended(d: int, h: int, w: int, e: int, sides) -> tuple:
+    """The local region ``(r0, r1, c0, c1)`` of the full view, reached
+    ``e`` cells toward every side in ``sides`` (the sides with a
+    neighbour) and never past a physical edge."""
+    return (
+        d - (e if "north" in sides else 0),
+        d + h + (e if "south" in sides else 0),
+        d - (e if "west" in sides else 0),
+        d + w + (e if "east" in sides else 0),
+    )
+
+
+def _sweep0_split(
+    d: int, h: int, w: int, e: int, sides
+) -> tuple[Optional[tuple], list]:
+    """Split a phase's first sweep around the cells the phase receives.
+
+    ``sides`` are the sides the section receives strips on and ``e`` is
+    how far sweep 0 reaches toward each of them.  Returns ``(inner,
+    frame)``, regions ``(r0, r1, c0, c1)`` of the full view that tile
+    ``_extended(d, h, w, e, sides)``: ``inner`` is every cell of it whose
+    stencil reads no received cell — it stops one cell short of the
+    interior's edge on a side that receives and reaches the region's own
+    edge on a side that does not — and ``frame`` is the rest, one band
+    per receiving side.  A section too thin to have such a cell gets
+    ``inner`` None and the whole region as its frame.
+    """
+    r0, r1, c0, c1 = region = _extended(d, h, w, e, sides)
+    ir0 = d + 1 if "north" in sides else r0
+    ir1 = d + h - 1 if "south" in sides else r1
+    ic0 = d + 1 if "west" in sides else c0
+    ic1 = d + w - 1 if "east" in sides else c1
+    if ir0 >= ir1 or ic0 >= ic1:
+        return None, [region]
+    frame = [
+        band
+        for band in (
+            (r0, ir0, c0, c1), (ir1, r1, c0, c1),
+            (ir0, ir1, c0, ic0), (ir0, ir1, ic1, c1),
+        )
+        if band[0] < band[1] and band[2] < band[3]
+    ]
+    return (ir0, ir1, ic0, ic1), frame
+
+
+def _interior_change(
+    full: np.ndarray, part: tuple, new: np.ndarray, d: int, h: int, w: int
+) -> float:
+    """max |new - old| over the cells of region ``part`` that are interior
+    (``new`` holds the region's updated values)."""
+    r0, r1, c0, c1 = part
+    a, b = max(r0, d), min(r1, d + h)
+    lo, hi = max(c0, d), min(c1, d + w)
+    if a >= b or lo >= hi:
+        return 0.0
+    return float(np.max(np.abs(
+        new[a - r0:b - r0, lo - c0:hi - c0] - full[a:b, lo:hi]
+    )))
+
+
 def _heat_steps_planned(
     ctx: SPMDContext,
     record,
@@ -168,6 +228,7 @@ def _heat_steps_planned(
     registry,
     full: np.ndarray,
     n_steps: int,
+    want_delta: bool,
 ) -> float:
     """Jacobi relaxation on the planned path: deep-halo phases.
 
@@ -176,66 +237,50 @@ def _heat_steps_planned(
     extended by ``k-1-j`` cells toward every neighbour (never past a
     physical edge).  The extension cells redundantly recompute what the
     neighbour computes for its own interior — same arithmetic, same
-    values — so the result is bit-identical to exchanging every sweep,
-    while the interior of sweep 0 overlaps with the in-flight halo
-    traffic between ``prefetch()`` and ``complete()``.
+    values — so the result is bit-identical to exchanging every sweep.
+    Sweep 0 is split (:func:`_sweep0_split`): the cells that read nothing
+    the phase receives are computed between ``prefetch()`` and
+    ``complete()``, while the strips are in flight, the bands along the
+    receiving sides after it.  Returns the max |change| of the last sweep
+    over the interior when ``want_delta``, else 0.
     """
-    layout = record.layout
     d = plan.pad
-    h, w = layout.local_dims
+    h, w = record.layout.local_dims
     section = record.section_number_for(ctx.processor_number)
-    coords = layout.section_coords(section)
-    ext_n = coords[0] > 0
-    ext_s = coords[0] + 1 < layout.grid[0]
-    ext_w = coords[1] > 0
-    ext_e = coords[1] + 1 < layout.grid[1]
+    # Where this copy has a neighbour is where the plan has it receive.
+    sides = plan.schedule(section, 1).sides
     delta = 0.0
     done_steps = 0
     phase = 0
+    split_k = 0
     while done_steps < n_steps:
         k = min(plan.depth, n_steps - done_steps)
+        if k != split_k:
+            inner, frame = _sweep0_split(d, h, w, k - 1, sides)
+            split_k = k
         exchange = plan.begin(
             registry, record, full, section, k,
             (ctx.group, phase), ctx.processor_number,
         )
         exchange.prefetch()
-        # Overlap: the sweep-0 inner block reads interior cells only, so
-        # it can run while the halo strips are in flight.
-        inner = None
-        if h > 2 and w > 2:
-            inner = _sweep_region(full, d + 1, d + h - 1, d + 1, d + w - 1)
+        pieces = []
+        if inner is not None:
+            pieces.append((inner, _sweep_region(full, *inner)))
         exchange.complete()
+        pieces += [(band, _sweep_region(full, *band)) for band in frame]
         for j in range(k):
-            e = k - 1 - j
-            r0 = d - (e if ext_n else 0)
-            r1 = d + h + (e if ext_s else 0)
-            c0 = d - (e if ext_w else 0)
-            c1 = d + w + (e if ext_e else 0)
-            if j == 0 and inner is not None:
-                new = np.empty((r1 - r0, c1 - c0), dtype=full.dtype)
-                new[d + 1 - r0:d + h - 1 - r0,
-                    d + 1 - c0:d + w - 1 - c0] = inner
-                # The frame around the inner block reads halo cells, so
-                # it runs after complete().
-                new[:d + 1 - r0, :] = _sweep_region(full, r0, d + 1, c0, c1)
-                new[d + h - 1 - r0:, :] = _sweep_region(
-                    full, d + h - 1, r1, c0, c1
+            if j:
+                region = _extended(d, h, w, k - 1 - j, sides)
+                pieces = [(region, _sweep_region(full, *region))]
+            if want_delta and done_steps + j == n_steps - 1:
+                delta = max(
+                    _interior_change(full, part, new, d, h, w)
+                    for part, new in pieces
                 )
-                new[d + 1 - r0:d + h - 1 - r0, :d + 1 - c0] = _sweep_region(
-                    full, d + 1, d + h - 1, c0, d + 1
-                )
-                new[d + 1 - r0:d + h - 1 - r0,
-                    d + w - 1 - c0:] = _sweep_region(
-                    full, d + 1, d + h - 1, d + w - 1, c1
-                )
-            else:
-                new = _sweep_region(full, r0, r1, c0, c1)
-            if done_steps + j == n_steps - 1:
-                delta = float(np.max(np.abs(
-                    new[d - r0:d + h - r0, d - c0:d + w - c0]
-                    - full[d:d + h, d:d + w]
-                )))
-            full[r0:r1, c0:c1] = new
+            # Every piece was computed from the old values; only now may
+            # they be overwritten.
+            for (r0, r1, c0, c1), new in pieces:
+                full[r0:r1, c0:c1] = new
         done_steps += k
         phase += 1
     return delta
@@ -269,11 +314,12 @@ def heat_steps(
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
     n_steps = int(steps[0]) if hasattr(steps, "__getitem__") else int(steps)
+    want_delta = delta_out is not None
     planned = _plan_for(ctx, section, gr, gc)
     if planned is not None:
         record, plan, registry = planned
         delta = _heat_steps_planned(
-            ctx, record, plan, registry, section.full(), n_steps
+            ctx, record, plan, registry, section.full(), n_steps, want_delta
         )
     else:
         full = _full(section)
@@ -285,13 +331,16 @@ def heat_steps(
                 "perf layer loaded)"
             )
         delta = 0.0
-        for _ in range(n_steps):
+        for step in range(n_steps):
             exchange_halos(ctx, full, gr, gc)
             new_interior = jacobi_sweep(full)
-            delta = float(np.max(np.abs(new_interior - full[1:-1, 1:-1])))
+            if want_delta and step == n_steps - 1:
+                delta = float(np.max(np.abs(new_interior - full[1:-1, 1:-1])))
             full[1:-1, 1:-1] = new_interior
-    delta = collectives.allreduce(ctx.comm, delta, op="max")
-    if delta_out is not None:
+    if want_delta:
+        # Every copy of a call has the same parameter list, so all of
+        # them reduce or none does.
+        delta = collectives.allreduce(ctx.comm, delta, op="max")
         if isinstance(delta_out, OutCell):
             delta_out.set(delta)
         else:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps.aeroelastic import AeroelasticSimulation
 from repro.core.runtime import IntegratedRuntime
+from repro.perf import get_perf_layer
 
 
 @pytest.fixture
@@ -72,6 +73,25 @@ class TestSemanticEquivalence:
         assert np.array_equal(run_a.pressures, run_b.pressures)
         assert np.array_equal(run_a.deflections, run_b.deflections)
         assert run_a.coupling_history == run_b.coupling_history
+
+
+class TestHaloTraffic:
+    def test_only_the_claimed_border_is_exchanged(self, rt):
+        """The aero kernel reads its west border only.  Every strip posted
+        is claimed — 3 a call on a group of four, none toward the east —
+        and nothing stays parked in the rendezvous table."""
+        sim = AeroelasticSimulation(rt, span_points=16, seed=9)
+        run = sim.run(max_iterations=5, tolerance=0.0)
+        diag = get_perf_layer(rt.machine).plans.diagnostics()
+        assert diag["strips_sent"] == diag["strips_claimed"] == 3 * 5
+        assert diag["pending_rendezvous"] == 0
+        sim.free()
+        rt_b = IntegratedRuntime(8)
+        sim_b = AeroelasticSimulation(rt_b, span_points=16, seed=9)
+        reference = sim_b.run_reference(max_iterations=5, tolerance=0.0)
+        sim_b.free()
+        assert np.array_equal(run.pressures, reference.pressures)
+        assert np.array_equal(run.deflections, reference.deflections)
 
 
 class TestValidation:

@@ -10,18 +10,23 @@ prefetch/complete overlap producing bit-identical results).
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrays import am_user, am_util
+from repro.arrays.layout import COLUMN_MAJOR, ROW_MAJOR, ArrayLayout
 from repro.arrays.manager import get_array_manager
+from repro.arrays.record import ArrayID
 from repro.calls import Local, Reduce, distributed_call
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, install_recovery
 from repro.perf import HALO_BULK_KIND, StalePlanError, get_perf_layer
-from repro.perf.commplan import HaloStrip
+from repro.perf.commplan import HaloStrip, compile_halo_plan
 from repro.spmd.stencil import exchange_halos, heat_steps, jacobi_sweep
 from repro.status import Status
 from repro.vp.fabric import TrafficMeter
@@ -226,6 +231,116 @@ class TestPlanGeometry:
 
 
 # ---------------------------------------------------------------------------
+# The schedule a phase walks vs the transfer list it was compiled from
+# ---------------------------------------------------------------------------
+
+SIDES = ("north", "south", "west", "east")
+
+
+@st.composite
+def plans_and_depths(draw):
+    """A plan over any block layout in scope — rank 1 or 2, any grid
+    shape incl. ``(P, 1)`` / ``(1, P)`` / one section, unequal local
+    dims, either grid ordering, any pad — and a depth it supports."""
+    rank = draw(st.sampled_from([1, 2]))
+    grid = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    local = tuple(draw(st.integers(1, 5)) for _ in range(rank))
+    pad = draw(st.integers(1, 3))
+    layout = ArrayLayout(
+        dims=tuple(g * n for g, n in zip(grid, local)),
+        grid=grid,
+        borders=(pad,) * (2 * rank),
+        indexing=ROW_MAJOR,
+        grid_indexing=draw(st.sampled_from([ROW_MAJOR, COLUMN_MAJOR])),
+    )
+    plan = compile_halo_plan(
+        "prop", ArrayID(0, 7), layout, 0, tuple(range(layout.num_sections))
+    )
+    return plan, draw(st.integers(1, plan.depth))
+
+
+def stage_of(schedule, stage):
+    for number, sends, receives in schedule.stages:
+        if number == stage:
+            return sends, receives
+    return (), ()
+
+
+class TestSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(plans_and_depths())
+    def test_schedule_is_the_transfer_filter_it_replaces(self, case):
+        """Per section and stage the compiled schedule lists exactly what
+        ``transfers(k, section=, role=, stage=)`` lists, in its order,
+        under the rendezvous key prefix of the edge; a stage with no
+        transfer is not in the schedule at all."""
+        plan, k = case
+        aid = plan.array_id.as_tuple()
+        for section in range(plan.layout.num_sections):
+            schedule = plan.schedule(section, k)
+            assert plan.schedule(section, k) is schedule  # kept, not rebuilt
+            numbers = [number for number, _, _ in schedule.stages]
+            assert numbers == sorted(set(numbers))
+            for stage in range(plan.stages):
+                sends, receives = stage_of(schedule, stage)
+                want_sends = plan.transfers(k, section, "send", stage)
+                want_recvs = plan.transfers(k, section, "recv", stage)
+                assert list(sends) == [
+                    (t.edge.dest_section, t.edge.side, t.src_slices,
+                     t.dest_slices,
+                     (aid, section, t.edge.dest_section, t.edge.side, stage))
+                    for t in want_sends
+                ]
+                assert list(receives) == [
+                    (t.edge.side,
+                     (aid, t.edge.src_section, section, t.edge.side, stage))
+                    for t in want_recvs
+                ]
+                assert (stage in numbers) == bool(want_sends or want_recvs)
+            assert schedule.sides == {
+                t.edge.side for t in plan.transfers(k, section, "recv")
+            }
+
+    @settings(max_examples=150, deadline=None)
+    @given(plans_and_depths(), st.sets(st.sampled_from(SIDES)))
+    def test_every_strip_posted_is_the_strip_claimed(self, case, sides):
+        """For every directed edge, whatever ``sides`` the exchange was
+        opened with (every copy of a call passes the same): the sender
+        posts a strip exactly when the receiver claims one under the same
+        key, and the cells the sender copies out are, in global
+        coordinates, the cells the receiver fills.  Nothing is posted to
+        sit unclaimed; nobody waits for a strip nobody posts."""
+        plan, k = case
+        layout = plan.layout
+        for chosen in (None, frozenset(sides)):
+            posted, claimed = {}, set()
+            for section in range(layout.num_sections):
+                for _, sends, receives in plan.schedule(
+                    section, k, chosen
+                ).stages:
+                    for dest, side, src, dst, prefix in sends:
+                        assert prefix not in posted
+                        posted[prefix] = (section, dest, src, dst)
+                    for side, prefix in receives:
+                        assert prefix not in claimed
+                        claimed.add(prefix)
+            assert set(posted) == claimed
+            if chosen is None:
+                assert len(posted) == len(plan.edges)
+            for (_, src_sec, dest_sec, side, stage) in posted:
+                relayed = stage + 1 < plan.stages and any(
+                    e.stage > stage for e in plan.edges
+                )
+                assert chosen is None or side in chosen or relayed
+            for section, dest, src, dst in posted.values():
+                src_o = section_origin(layout, section)
+                dst_o = section_origin(layout, dest)
+                for axis, (s, d) in enumerate(zip(src, dst)):
+                    assert global_range(src_o, plan.pad, s, axis) == \
+                        global_range(dst_o, plan.pad, d, axis)
+
+
+# ---------------------------------------------------------------------------
 # Planned vs unplanned equivalence + message fusion
 # ---------------------------------------------------------------------------
 
@@ -291,6 +406,35 @@ class TestPlannedEquivalence:
         finally:
             machine.transport_stack.remove(meter)
         assert halo[0] == 3 * 8  # 3 phases x 8 neighbour edges
+
+    def test_rendezvous_holds_under_a_tiny_switch_interval(self, machine):
+        """Deliverer and claimer meet in one variable through the
+        registry's get-or-create / read / pop, whichever comes first, and
+        copies share the plan's lazily compiled schedules.  Forty short
+        calls with threads switched every microsecond: bit-identical to
+        the serial reference, one strip per edge per phase, nothing left
+        parked (a missed wake-up would be a 10 s TimeoutError here)."""
+        rng = np.random.default_rng(4)
+        initial = rng.uniform(0, 100, (8, 8))
+        arr = make_array(machine, (8, 8), (2, 2), borders=2)
+        arr.from_numpy(initial)
+        meter = TrafficMeter()
+        machine.transport_stack.push(meter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                run_heat(machine, arr, (2, 2), 3)
+        finally:
+            sys.setswitchinterval(interval)
+            machine.transport_stack.remove(meter)
+        assert np.array_equal(arr.to_numpy(), serial_reference(initial, 120))
+        # 2 phases a call (depth 2 then 1), 8 directed edges on 2 x 2; the
+        # meter counts under a lock (the registry's own counters are bare
+        # ``+=`` and may lose an update at this interval).
+        halo = meter.snapshot()["by_kind"][HALO_BULK_KIND]
+        assert halo[0] == 40 * 2 * 8
+        assert plans_of(machine).diagnostics()["pending_rendezvous"] == 0
 
     def test_unplanned_fallback_rejects_deep_borders(self, machine):
         arr = make_array(machine, (8, 8), (2, 2), borders=4)
@@ -384,6 +528,35 @@ class TestPlanCache:
             machine, arr.array_id, arr.layout,
             tuple(state.processors), "double",
         ), (2, 2), 2)
+
+    def test_invalidated_plan_serves_no_old_schedule(self, machine):
+        """The schedules a phase walks live and die with their plan: a
+        call after a membership rewrite compiles afresh and reaches the
+        section's new home; nothing compiled for the old membership is
+        served again."""
+        rng = np.random.default_rng(5)
+        initial = rng.uniform(0, 100, (8, 8))
+        arr = make_array(machine, borders=2)
+        arr.from_numpy(initial)
+        run_heat(machine, arr, (2, 2), 2)
+        plan1 = arr.halo_plan()
+        old = dict(plan1._schedules)
+        assert old  # the call compiled one per copy
+        arr.migrate({3: 4})
+        moved = DistributedArray(
+            machine, arr.array_id, arr.layout, (0, 1, 2, 4), "double"
+        )
+        run_heat(machine, moved, (2, 2), 2)
+        plan2 = arr.halo_plan()
+        assert plan2 is not plan1 and plan2.processors[3] == 4
+        assert plan2._schedules
+        assert not any(
+            new is stale
+            for new in plan2._schedules.values()
+            for stale in old.values()
+        )
+        assert plan1._schedules == old  # the dead plan compiled no more
+        assert np.array_equal(arr.to_numpy(), serial_reference(initial, 4))
 
     def test_stale_strip_is_fenced_never_applied(self, machine):
         """A strip stamped with a pre-rewrite epoch is refused: counted,

@@ -9,13 +9,16 @@ import pytest
 
 from repro import IntegratedRuntime
 from repro.apps import innerproduct
+from repro.apps.climate import ClimateSimulation
 from repro.arrays import am_user, am_util
 from repro.arrays.durability import REPLICA_UPDATE_KIND, replica_store_for
 from repro.arrays.manager import get_array_manager
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport
 from repro.faults.plan import FaultDecision
-from repro.perf import ARRAY_BATCH_KIND, get_perf_layer
+from repro.calls.params import Local, Reduce
+from repro.perf import ARRAY_BATCH_KIND, HALO_BULK_KIND, get_perf_layer
+from repro.spmd.stencil import heat_steps
 from repro.status import Status
 from repro.vp.fabric import TrafficMeter
 from repro.vp.machine import Machine
@@ -188,6 +191,67 @@ def test_ex61_wire_is_pinned():
         "find_local": 16,
         "free_array": 2,
         "free_local": 16,
+    }
+
+
+def test_climate_wire_is_pinned():
+    """The FIG-2.1 op of the macro benchmark's ``climate_halo`` — one
+    coupled time step of two 32 x 64 domains, each four (8 x 64)-row
+    sections with 1-deep borders, two sweeps a step, then both fields
+    read back — in routed messages, each derived:
+
+    * halo: a ``(4, 1)`` grid has 3 adjacent pairs = 6 directed edges and
+      no second stage; 1-deep borders make every sweep a phase.  2
+      domains x 2 phases x 6 edges = 24 ``halo_bulk``, each one row of 64
+      doubles (512 B) + the 64 B strip header: 13824 B.
+    * the step asks for no convergence measure, so no copy computes or
+      reduces one: no ``user`` message.
+    * task level, from the unplaced top-level thread (its requests run
+      on processor 0, a targeted write runs in place at its owner): the
+      interface exchange reads the ocean's top row (processor 0 itself)
+      and the atmosphere's bottom row (processor 7: 1 message) and writes
+      both back in place; ``to_numpy`` asks each domain's four owners
+      (ocean 0-3: 3 routed, atmosphere 4-7: 4).  1 + 3 + 4 = 8
+      ``server_request`` of one 8-byte word.
+
+    32 messages, 13888 bytes.  A caller that does ask for the delta pays
+    a binomial reduce + bcast over each group of 4: 2 x 2 x (4 - 1) = 12
+    ``user`` words more — the 44 / 13984 this op cost while every call
+    reduced a delta nobody read."""
+    rt = IntegratedRuntime(8)
+    machine = rt.machine
+    sim = ClimateSimulation(rt, shape=(32, 64), sweeps_per_step=2)
+    sim.run(1)  # the two plans compile here
+    registry = get_perf_layer(machine).plans
+    before = registry.diagnostics()
+    meter = meter_on(machine)
+    machine.reset_traffic()
+    sim.run(1)
+    snapshot = machine.traffic_snapshot()
+    assert (snapshot["messages"], snapshot["bytes"]) == (32, 13888)
+    assert meter.snapshot()["by_kind"] == {
+        HALO_BULK_KIND: (24, 24 * (512 + 64)),
+        "server_request": (8, 64),
+    }
+    after = registry.diagnostics()
+    assert after["compiled"] == before["compiled"]
+    assert after["strips_sent"] - before["strips_sent"] == 24
+    assert after["strips_claimed"] - before["strips_claimed"] == 24
+    assert after["pending_rendezvous"] == 0
+
+    machine.transport_stack.remove(meter)
+    meter = meter_on(machine)
+    for domain in (sim.ocean, sim.atmosphere):
+        result = rt.call(
+            domain.processors,
+            heat_steps,
+            [domain.grid_rows, domain.grid_cols, 2,
+             Local(domain.array.array_id), Reduce("double", 1, "max")],
+        )
+        assert result.status is Status.OK
+    assert meter.snapshot()["by_kind"] == {
+        HALO_BULK_KIND: (24, 13824),
+        "user": (12, 96),
     }
 
 

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrays import am_user, am_util
+from repro.arrays.layout import ROW_MAJOR, ArrayLayout
+from repro.arrays.record import ArrayID
 from repro.calls import Local, Reduce, distributed_call
+from repro.perf.commplan import compile_halo_plan
 from repro.spmd.stencil import (
+    _extended,
+    _sweep0_split,
+    _sweep_region,
     border_query,
     grid_coords,
     heat_steps,
@@ -90,6 +98,73 @@ class TestHelpers:
     def test_jacobi_sweep_shape(self):
         full = np.zeros((5, 6))
         assert jacobi_sweep(full).shape == (3, 4)
+
+
+class TestSweepSplit:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        grid=st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3])),
+        local=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        pad=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_inner_and_frame_are_the_sweep_minus_what_it_receives(
+        self, grid, local, pad, data
+    ):
+        """For every neighbour pattern (grid extents 1 / 2 / 3 give a
+        section no, one or both neighbours along an axis) and every depth
+        the plan supports: the inner block and the frame bands tile the
+        sweep-0 region exactly once; computing them piecewise equals one
+        ``_sweep_region`` over the region bit for bit; and the inner
+        block's stencil reads no cell in any destination slice of what the
+        section receives in that phase — which is what lets it run before
+        ``complete()``."""
+        h, w = local
+        layout = ArrayLayout(
+            dims=(grid[0] * h, grid[1] * w), grid=grid,
+            borders=(pad,) * 4, indexing=ROW_MAJOR, grid_indexing=ROW_MAJOR,
+        )
+        plan = compile_halo_plan(
+            "prop", ArrayID(0, 3), layout, 0, tuple(range(grid[0] * grid[1]))
+        )
+        k = data.draw(st.integers(1, plan.depth))
+        shape = (h + 2 * pad, w + 2 * pad)
+        full = np.random.default_rng(h * 7 + w).uniform(0, 100, shape)
+        for section in range(layout.num_sections):
+            sides = plan.schedule(section, k).sides
+            region = _extended(pad, h, w, k - 1, sides)
+            inner, frame = _sweep0_split(pad, h, w, k - 1, sides)
+            pieces = frame if inner is None else [inner] + frame
+            assert len(frame) == (len(sides) if inner is not None else 1)
+
+            cover = np.zeros(shape, dtype=int)
+            whole = np.full(shape, np.nan)
+            piecewise = np.full(shape, np.nan)
+            r0, r1, c0, c1 = region
+            whole[r0:r1, c0:c1] = _sweep_region(full, *region)
+            for a, b, c, e in pieces:
+                assert a < b and c < e
+                cover[a:b, c:e] += 1
+                piecewise[a:b, c:e] = _sweep_region(full, a, b, c, e)
+            expected = np.zeros(shape, dtype=int)
+            expected[r0:r1, c0:c1] = 1
+            assert np.array_equal(cover, expected)
+            assert np.array_equal(whole, piecewise, equal_nan=True)
+
+            if inner is None:
+                continue
+            received = np.zeros(shape, dtype=bool)
+            for t in plan.transfers(k, section, "recv"):
+                received[t.dest_slices] = True
+            a, b, c, e = inner
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                assert not received[a + dr:b + dr, c + dc:e + dc].any()
+            # ... and it is maximal: every frame band touches one.
+            for a, b, c, e in frame:
+                assert any(
+                    received[a + dr:b + dr, c + dc:e + dc].any()
+                    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                )
 
 
 class TestDistributedStencil:
