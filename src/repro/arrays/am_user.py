@@ -29,8 +29,31 @@ from repro.status import Status
 from repro.vp.machine import Machine
 
 
-def _out(var: Optional[DefVar], name: str) -> DefVar:
-    return var if var is not None else DefVar(name)
+def _serve(
+    machine: Machine,
+    request_type: str,
+    processor: int,
+    status_out: Optional[DefVar],
+    *ins: Any,
+    **out: Optional[DefVar],
+) -> Any:
+    """One library procedure (§5.1.2): issue ``request_type`` on
+    ``processor`` and wait until it has been serviced.
+
+    Every array-manager request takes its in-parameters ``ins``, then its
+    out variable if it has one, then its status variable.  ``out`` is at
+    most one ``Name=variable`` — the thesis' name for the out-parameter
+    and the caller's own definitional variable for it — and, like
+    ``status_out``, a variable given as None is made here.  Returns the
+    Status, after the out value when there is one.
+    """
+    variables = [
+        given if given is not None else DefVar(name)
+        for name, given in (*out.items(), ("Status", status_out))
+    ]
+    machine.server.request(request_type, *ins, *variables, processor=processor)
+    status = Status(variables[-1].read())
+    return (variables[0].read(), status) if out else status
 
 
 def create_array(
@@ -53,22 +76,11 @@ def create_array(
     messages on every write (see ``docs/fault_model.md``, Durable arrays).
     """
     get_array_manager(machine)
-    array_id = _out(array_id_out, "Array_ID")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "create_array",
-        array_id,
-        type_name,
-        dimensions,
-        processors,
-        distrib_info,
-        border_info,
-        indexing_type,
-        status,
-        replication,
-        processor=processor,
+    return _serve(
+        machine, "create_array", processor, status_out, type_name, dimensions,
+        processors, distrib_info, border_info, indexing_type, replication,
+        Array_ID=array_id_out,
     )
-    return array_id.read(), Status(status.read())
 
 
 def free_array(
@@ -78,9 +90,7 @@ def free_array(
     status_out: Optional[DefVar] = None,
 ) -> Status:
     """am_user:free_array (§4.2.2)."""
-    status = _out(status_out, "Status")
-    machine.server.request("free_array", array_id, status, processor=processor)
-    return Status(status.read())
+    return _serve(machine, "free_array", processor, status_out, array_id)
 
 
 def read_element(
@@ -92,13 +102,10 @@ def read_element(
     status_out: Optional[DefVar] = None,
 ) -> tuple[Any, Status]:
     """am_user:read_element (§4.2.3)."""
-    element = _out(element_out, "Element")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "read_element", array_id, tuple(indices), element, status,
-        processor=processor,
+    return _serve(
+        machine, "read_element", processor, status_out,
+        array_id, tuple(indices), Element=element_out,
     )
-    return element.read(), Status(status.read())
 
 
 def write_element(
@@ -110,12 +117,10 @@ def write_element(
     status_out: Optional[DefVar] = None,
 ) -> Status:
     """am_user:write_element (§4.2.4)."""
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "write_element", array_id, tuple(indices), element, status,
-        processor=processor,
+    return _serve(
+        machine, "write_element", processor, status_out,
+        array_id, tuple(indices), element,
     )
-    return Status(status.read())
 
 
 def read_region(
@@ -132,17 +137,10 @@ def read_region(
     the result is a dense NumPy array of the region's shape.  Costs one
     message per owning processor instead of one per element.
     """
-    data = _out(data_out, "Region")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "read_region",
-        array_id,
-        tuple(tuple(b) for b in region),
-        data,
-        status,
-        processor=processor,
+    return _serve(
+        machine, "read_region", processor, status_out,
+        array_id, tuple(tuple(b) for b in region), Region=data_out,
     )
-    return data.read(), Status(status.read())
 
 
 def write_region(
@@ -154,16 +152,10 @@ def write_region(
     status_out: Optional[DefVar] = None,
 ) -> Status:
     """am_user:write_region — region-granular write (extension)."""
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "write_region",
-        array_id,
-        tuple(tuple(b) for b in region),
-        data,
-        status,
-        processor=processor,
+    return _serve(
+        machine, "write_region", processor, status_out,
+        array_id, tuple(tuple(b) for b in region), data,
     )
-    return Status(status.read())
 
 
 def get_local_block(
@@ -175,12 +167,10 @@ def get_local_block(
 ) -> tuple[Any, Status]:
     """am_user:get_local_block — ``(global origin, interior copy)`` of the
     section held by ``processor`` (extension; local view like find_local)."""
-    block = _out(block_out, "Block")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "get_local_block", array_id, block, status, processor=processor
+    return _serve(
+        machine, "get_local_block", processor, status_out,
+        array_id, Block=block_out,
     )
-    return block.read(), Status(status.read())
 
 
 def find_local(
@@ -196,12 +186,10 @@ def find_local(
     Users rarely call this directly; the distributed-call wrapper invokes it
     automatically (§5.2.2).
     """
-    section = _out(section_out, "Local_section")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "find_local", array_id, section, status, processor=processor
+    return _serve(
+        machine, "find_local", processor, status_out,
+        array_id, Local_section=section_out,
     )
-    return section.read(), Status(status.read())
 
 
 def find_info(
@@ -213,12 +201,9 @@ def find_info(
     status_out: Optional[DefVar] = None,
 ) -> tuple[Any, Status]:
     """am_user:find_info (§4.2.6)."""
-    out_var = _out(out, "Out")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "find_info", array_id, which, out_var, status, processor=processor
+    return _serve(
+        machine, "find_info", processor, status_out, array_id, which, Out=out
     )
-    return out_var.read(), Status(status.read())
 
 
 def verify_array(
@@ -231,17 +216,10 @@ def verify_array(
     status_out: Optional[DefVar] = None,
 ) -> Status:
     """am_user:verify_array (§4.2.7)."""
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "verify_array",
-        array_id,
-        n_dims,
-        border_info,
-        indexing_type,
-        status,
-        processor=processor,
+    return _serve(
+        machine, "verify_array", processor, status_out,
+        array_id, n_dims, border_info, indexing_type,
     )
-    return Status(status.read())
 
 
 def checkpoint_array(
@@ -257,12 +235,10 @@ def checkpoint_array(
     :class:`~repro.arrays.durability.ArraySnapshot`, which also becomes
     the array's latest checkpoint for replication-free recovery.
     """
-    snapshot = _out(snapshot_out, "Snapshot")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "checkpoint_array", array_id, snapshot, status, processor=processor
+    return _serve(
+        machine, "checkpoint_array", processor, status_out,
+        array_id, Snapshot=snapshot_out,
     )
-    return snapshot.read(), Status(status.read())
 
 
 def restore_array(
@@ -274,11 +250,9 @@ def restore_array(
 ) -> Status:
     """am_user:restore_array — write a snapshot back under a fresh epoch
     (extension)."""
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "restore_array", array_id, snapshot, status, processor=processor
+    return _serve(
+        machine, "restore_array", processor, status_out, array_id, snapshot
     )
-    return Status(status.read())
 
 
 def migrate_sections(
@@ -296,17 +270,10 @@ def migrate_sections(
     ``(moved_sections, status)``; the move is transactional — on failure
     it is rolled back under a fresh epoch and status is ERROR.
     """
-    moved = _out(moved_out, "Moved")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "migrate_sections",
-        array_id,
-        assignments,
-        moved,
-        status,
-        processor=processor,
+    return _serve(
+        machine, "migrate_sections", processor, status_out,
+        array_id, assignments, Moved=moved_out,
     )
-    return moved.read(), Status(status.read())
 
 
 def rebalance_array(
@@ -323,17 +290,11 @@ def rebalance_array(
     processors outside the target set) onto spare processors — including
     ones added at runtime with ``Machine.add_processor()``.
     """
-    moved = _out(moved_out, "Moved")
-    status = _out(status_out, "Status")
-    machine.server.request(
-        "rebalance_array",
-        array_id,
+    return _serve(
+        machine, "rebalance_array", processor, status_out, array_id,
         None if targets is None else tuple(int(t) for t in targets),
-        moved,
-        status,
-        processor=processor,
+        Moved=moved_out,
     )
-    return moved.read(), Status(status.read())
 
 
 def distributed_call(*args, **kwargs):
@@ -422,21 +383,9 @@ def write_region_targeted(
         return write_region(machine, array_id, region, data)
     # The creation-time layout serves: verify_array can only change the
     # borders, and neither validation nor region_sections depends on them.
-    layout = state.layout
-    checked = manager.validated_region_write(
-        layout, state.type_name, region, data
+    return manager.region_write(
+        array_id, state.layout, state.type_name, state.processors, region, data
     )
-    if checked is None:
-        return Status.INVALID
-    bounds, dense = checked
-    flush_writes(machine, array_id)
-    shares = {
-        state.processors[section]: (local_slices, dense[region_slices].copy())
-        for section, local_slices, region_slices
-        in layout.region_sections(bounds)
-    }
-    ok = manager._fan_out("write_region_local", shares, array_id)
-    return Status.OK if ok else Status.ERROR
 
 
 def set_read_cache(machine: Machine, enabled: bool) -> bool:

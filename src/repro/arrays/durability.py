@@ -47,7 +47,6 @@ from repro.arrays.layout import ArrayLayout
 from repro.arrays.local_section import dtype_for
 from repro.arrays.placement import (
     PlacementPlan,
-    SectionMover,
     SectionSourceError,
     StalePlanError,
 )
@@ -56,7 +55,6 @@ from repro.obs.spans import span as obs_span
 from repro.perf.coalescer import apply_mutations, mutations_nbytes
 
 REPLICA_UPDATE_KIND = "replica_update"
-RECOVERY_KIND = "recovery"
 
 
 # -- replica placement --------------------------------------------------------
@@ -395,72 +393,57 @@ class RecoveryCoordinator:
                     and entry[0] not in pending
                 ]
             for dead in pending:
-                try:
-                    self._recover_array(array_id, state, dead)
-                except Exception as exc:  # noqa: BLE001 - same contract
-                    # as _on_failure: a failed retry re-queues itself.
-                    with state.lock:
-                        state.unrecovered.append((dead, repr(exc)))
-                    with self._lock:
-                        self.recoveries.append(
-                            {
-                                "array": array_id.as_tuple(),
-                                "dead": dead,
-                                "ok": False,
-                                "error": repr(exc),
-                            }
-                        )
+                # Same contract as _on_failure: a failed retry re-queues
+                # itself.
+                self._recover_array(array_id, state, dead)
 
     def _on_failure(self, dead: int) -> None:
         manager = getattr(self.machine, "_array_manager", None)
         if manager is None:
             return
         for array_id, state in manager.durability_states():
-            try:
-                self._recover_array(array_id, state, dead)
-            except Exception as exc:  # noqa: BLE001 - never break transport
-                with state.lock:
-                    state.unrecovered.append((dead, repr(exc)))
-                with self._lock:
-                    self.recoveries.append(
-                        {
-                            "array": array_id.as_tuple(),
-                            "dead": dead,
-                            "ok": False,
-                            "error": repr(exc),
-                        }
-                    )
+            self._recover_array(array_id, state, dead)
 
     def _recover_array(
         self, array_id: ArrayID, state: DurabilityState, dead: int
     ) -> None:
-        machine = self.machine
+        """One recovery episode: rebuild ``dead``'s sections of one array
+        and log what came of it — the one place an episode is logged.  An
+        error is recorded (the episode, and ``state.unrecovered`` for the
+        retry), never raised: this runs beneath the transport."""
         with state.lock:
             if dead not in state.processors or dead in state.recovered_procs:
                 return
-            with obs_span(
-                machine, "recovery",
-                array=str(array_id.as_tuple()), dead=dead,
-            ):
-                return self._rebuild_locked(array_id, state, dead)
-
-    def _mover(self) -> SectionMover:
-        """The machine's section mover (shared with planned migration)."""
-        manager = getattr(self.machine, "_array_manager", None)
-        if manager is not None:
-            return manager.mover
-        return SectionMover(self.machine, None)
+            try:
+                with obs_span(
+                    self.machine, "recovery",
+                    array=str(array_id.as_tuple()), dead=dead,
+                ):
+                    event = self._rebuild_locked(array_id, state, dead)
+            except Exception as exc:  # noqa: BLE001 - never break transport
+                state.unrecovered.append((dead, repr(exc)))
+                event = {
+                    "array": array_id.as_tuple(),
+                    "dead": dead,
+                    "ok": False,
+                    "error": repr(exc),
+                }
+        if event is not None:
+            with self._lock:
+                self.recoveries.append(event)
 
     def _rebuild_locked(
         self, array_id: ArrayID, state: DurabilityState, dead: int
-    ) -> None:
+    ) -> Optional[dict]:
         """Rebuild ``dead``'s sections; ``state.lock`` is held throughout.
+        Returns the episode to log, None when there was nothing to do.
 
-        All bookkeeping (the recovery event log, ``unrecovered`` entries,
+        All bookkeeping (the episode, ``unrecovered`` entries,
         ``recovered_procs``) stays here; the actual section movement —
         sourcing from replicas/checkpoints, adoption, membership rewrite,
         epoch bump — is one :class:`~repro.arrays.placement.PlacementPlan`
-        executed by the shared :class:`~repro.arrays.placement.SectionMover`.
+        executed by the machine's :class:`~repro.arrays.placement
+        .SectionMover`, the one planned migration uses.
         """
         machine = self.machine
         state.recovered_procs.add(dead)
@@ -470,7 +453,12 @@ class RecoveryCoordinator:
             "sections": [],
             "ok": False,
         }
-        mover = self._mover()
+
+        def unrecovered(reason: str, error: Optional[str] = None) -> dict:
+            state.unrecovered.append((dead, reason))
+            event["error"] = error or reason
+            return event
+
         # The plan is recomputed per attempt: a kill firing during this
         # rebuild's own traffic runs recovery *reentrantly* (state.lock
         # is an RLock), and the nested rebuild rewrites membership under
@@ -479,53 +467,39 @@ class RecoveryCoordinator:
         for _attempt in range(3):
             if dead not in state.processors:
                 # A nested rebuild already superseded this owner.
-                return
-            alive = [
-                p
-                for p in range(machine.num_nodes)
-                if not machine.is_unavailable(p)
-            ]
-            spare = mover.select_spare(state, alive)
+                return None
+            # The spare: the first alive VP holding no section.
+            spare = next(
+                (
+                    p
+                    for p in range(machine.num_nodes)
+                    if p not in state.processors
+                    and not machine.is_unavailable(p)
+                ),
+                None,
+            )
             if spare is None:
-                state.unrecovered.append((dead, "no spare processor"))
-                event["error"] = "no spare processor"
-                with self._lock:
-                    self.recoveries.append(event)
-                return
+                return unrecovered("no spare processor")
             event["spare"] = spare
             plan = PlacementPlan.for_failure(state, dead, spare)
             try:
-                # rollback=False: partial recovery progress is recorded
-                # as unrecovered by our caller, never undone;
-                # flush=False: the kill may have fired inside a
-                # coalescer flush on this very thread, and the per-key
-                # flush locks are not reentrant.
-                outcome = mover.execute_locked(
-                    state,
-                    plan,
-                    kind=RECOVERY_KIND,
-                    origin=alive[0],
-                    rollback=False,
-                    flush=False,
+                # No origin named: the mover asks from the first alive VP.
+                outcome = machine._array_manager.mover.execute_locked(
+                    state, plan
                 )
             except StalePlanError:
                 continue
             except SectionSourceError as exc:
-                state.unrecovered.append((dead, str(exc)))
-                event["error"] = f"section {exc.section} unrecoverable"
-                with self._lock:
-                    self.recoveries.append(event)
-                return
+                return unrecovered(
+                    str(exc), f"section {exc.section} unrecoverable"
+                )
             event["sections"] = outcome["sections"]
             event["ok"] = True
             event["epoch"] = outcome["epoch"]
-            with self._lock:
-                self.recoveries.append(event)
-            return
-        state.unrecovered.append((dead, "membership kept changing"))
-        event["error"] = "stale plan after retries"
-        with self._lock:
-            self.recoveries.append(event)
+            return event
+        return unrecovered(
+            "membership kept changing", "stale plan after retries"
+        )
 
 
 def install_recovery(machine) -> RecoveryCoordinator:

@@ -43,7 +43,6 @@ import numpy as np
 from repro.arrays.borders import BorderSpecError, resolve_borders
 from repro.arrays.decomposition import DecompositionError, compute_grid
 from repro.arrays.durability import (
-    RECOVERY_KIND,
     REPLICA_UPDATE_KIND,
     ArraySnapshot,
     DurabilityState,
@@ -55,6 +54,7 @@ from repro.arrays.layout import ArrayLayout, normalize_indexing
 from repro.arrays.local_section import LocalSection, dtype_for
 from repro.arrays.placement import (
     MIGRATE_KIND,
+    RECOVERY_KIND,
     MigrationError,
     PlacementPlan,
     SectionMover,
@@ -69,7 +69,7 @@ from repro.perf import (
 )
 from repro.perf.coalescer import apply_mutations
 from repro.pcn.defvar import DefVar, Tally
-from repro.status import ProcessorFailedError, Status
+from repro.status import ProcessorFailedError, ReproError, Status
 from repro.vp import fabric
 from repro.vp.machine import Machine
 from repro.vp.message import Message
@@ -129,7 +129,7 @@ class ArrayManager:
         # The shared section-migration engine (repro.arrays.placement):
         # failure recovery and planned migration both execute their
         # placement plans through this one mover.
-        self.mover = SectionMover(machine, self)
+        self.mover = SectionMover(machine)
         # Planned-migration log, surfaced via diagnostics and tests.
         self.migrations: list[dict] = []
 
@@ -195,7 +195,6 @@ class ArrayManager:
             "adopt_section": self.adopt_section,
             "update_membership_local": self.update_membership_local,
             "reseed_replicas_local": self.reseed_replicas_local,
-            "rejoin_local": self.rejoin_local,
             "yield_section_local": self.yield_section_local,
             "migrate_sections": self.migrate_sections,
             "rebalance_array": self.rebalance_array,
@@ -508,15 +507,15 @@ class ArrayManager:
     def create_array(
         self,
         node: VirtualProcessor,
-        array_id_out: DefVar,
         type_name: str,
         dimensions: Sequence[int],
         processors: Sequence[int],
         distrib_info: Sequence,
         border_info: Any,
         indexing_type: str,
+        replication: int,
+        array_id_out: DefVar,
         status: DefVar,
-        replication: int = 0,
     ) -> None:
         """Create a distributed array (§4.2.1).
 
@@ -609,6 +608,31 @@ class ArrayManager:
     ) -> None:
         """Create one processor's record, with its local section when it
         is in the distribution (§5.1.1)."""
+        record = self._make_record(
+            node, array_id, type_name, layout, processors, border_spec,
+            replication, replica_map,
+        )
+        _records(node)[array_id] = record
+        # Seed the backup mirrors with the initial contents: a section
+        # lost *before* its first write must still be recoverable.
+        self._seed_mirrors(node, record)
+        _define(status, Status.OK)
+
+    def _make_record(
+        self,
+        node: VirtualProcessor,
+        array_id: ArrayID,
+        type_name: str,
+        layout: ArrayLayout,
+        processors: Sequence[int],
+        border_spec: tuple,
+        replication: int,
+        replica_map: Any,
+        epoch: int = 0,
+    ) -> ArrayRecord:
+        """This node's record of an array under the given membership, not
+        yet tabled: with a fresh local section when the node is one of
+        ``processors``, without one otherwise."""
         section = (
             LocalSection(
                 type_name, layout.local_dims, layout.borders, layout.indexing
@@ -616,25 +640,32 @@ class ArrayManager:
             if node.number in processors
             else None
         )
-        record = ArrayRecord(
+        return ArrayRecord(
             array_id=array_id,
             type_name=type_name,
             layout=layout,
-            processors=processors,
+            processors=tuple(processors),
             section=section,
             border_spec=border_spec,
             replication=replication,
             replica_map=replica_map,
+            epoch=int(epoch),
         )
-        _records(node)[array_id] = record
-        if section is not None and replication > 0 and replica_map is not None:
-            # Seed the backup mirrors with the initial contents: a section
-            # lost *before* its first write must still be recoverable.
+
+    def _seed_mirrors(
+        self, node: VirtualProcessor, record: ArrayRecord
+    ) -> None:
+        """Push this node's whole section interior to its backups at the
+        record's epoch; nothing to do without a section or a backup."""
+        if (
+            record.section is not None
+            and record.replication > 0
+            and record.replica_map is not None
+        ):
             with record.lock:
                 self._replicate(
-                    node, record, [(None, section.interior().copy())]
+                    node, record, [(None, record.section.interior().copy())]
                 )
-        _define(status, Status.OK)
 
     # -- free ----------------------------------------------------------------------
 
@@ -947,20 +978,35 @@ class ArrayManager:
             return None
         return bounds
 
-    def validated_region_write(
-        self, layout: ArrayLayout, type_name: str, region: Sequence, data: Any
-    ) -> Optional[tuple]:
-        """``(bounds, dense data)`` for a region write, or None when the
-        region is out of range or ``data`` is not of its shape — the
-        INVALID conditions of ``write_region``, checked before any owner
-        is asked."""
+    def region_write(
+        self,
+        array_id: ArrayID,
+        layout: ArrayLayout,
+        type_name: str,
+        processors: Sequence[int],
+        region: Sequence,
+        data: Any,
+    ) -> Status:
+        """A region write from wherever it is issued: one
+        ``write_region_local`` request per owning processor, carrying only
+        that owner's share.  INVALID, and no owner is asked, when the
+        region is out of range or ``data`` is not of its shape."""
         bounds = self._validated_region(layout, region)
         if bounds is None:
-            return None
+            return Status.INVALID
         dense = np.asarray(data, dtype=dtype_for(type_name))
         if tuple(dense.shape) != layout.region_shape(bounds):
-            return None
-        return bounds, dense
+            return Status.INVALID
+        # Region writes stay synchronous and act as ordering barriers:
+        # queued element writes from before this call land first.
+        self._flush_writes(array_id)
+        shares = {
+            processors[section]: (local_slices, dense[out_slices].copy())
+            for section, local_slices, out_slices
+            in layout.region_sections(bounds)
+        }
+        ok = self._fan_out("write_region_local", shares, array_id)
+        return Status.OK if ok else Status.ERROR
 
     def read_region(
         self,
@@ -1039,22 +1085,11 @@ class ArrayManager:
         record = self._resolve(node, array_id, status)
         if record is None:
             return
-        checked = self.validated_region_write(
-            record.layout, record.type_name, region, data
+        outcome = self.region_write(
+            array_id, record.layout, record.type_name, record.processors,
+            region, data,
         )
-        if checked is None:
-            return _fail(status, Status.INVALID)
-        bounds, data = checked
-        # Region writes stay synchronous and act as ordering barriers:
-        # queued element writes from before this call land first.
-        self._flush_writes(record.array_id)
-        shares = {
-            record.processors[section]: (local_slices, data[out_slices].copy())
-            for section, local_slices, out_slices
-            in record.layout.region_sections(bounds)
-        }
-        ok = self._fan_out("write_region_local", shares, array_id)
-        _define(status, Status.OK if ok else Status.ERROR)
+        _define(status, outcome)
 
     def write_region_local(
         self,
@@ -1362,21 +1397,11 @@ class ArrayManager:
             # data under an old epoch — refuse instead.
             self._refuse_stale(array_id, status)
             return
-        section = LocalSection(
-            type_name, layout.local_dims, layout.borders, layout.indexing
+        record = self._make_record(
+            node, array_id, type_name, layout, processors, border_spec,
+            replication, replica_map, epoch,
         )
-        section.interior()[...] = data
-        record = ArrayRecord(
-            array_id=array_id,
-            type_name=type_name,
-            layout=layout,
-            processors=tuple(processors),
-            section=section,
-            border_spec=border_spec,
-            replication=replication,
-            replica_map=replica_map,
-            epoch=int(epoch),
-        )
+        record.section.interior()[...] = data
         _records(node)[array_id] = record
         with record.lock:
             self._bump_version(node, record)
@@ -1391,20 +1416,44 @@ class ArrayManager:
         epoch: int,
         status: DefVar,
     ) -> None:
-        """Rewrite a surviving record's membership after recovery."""
+        """Rewrite this holder's record to the membership ``(processors,
+        replica_map, epoch)`` — the only place a record's membership
+        changes.  A mover publishing a plan asks for it (recovery,
+        migration, rollback), and so does :meth:`rejoin_processor`, under
+        ``kind="rejoin"``, of a falsely-suspected VP leaving quarantine:
+        while the VP was unreachable recovery may have reassigned its
+        sections, and the rewrite makes its fencing token current again
+        and its routing view the survivors'.
+
+        A section this node still holds that the new membership places
+        elsewhere is freed: the copy on the new owner is authoritative —
+        keeping both would be split-brain.  NOT_FOUND when the node holds
+        nothing of the array: there is nothing to rewrite.
+        """
         record = self._resolve(node, array_id, status)
         if record is None:
             return
+        processors = tuple(processors)
         with record.lock:
             # Fenced membership rewrite: a delayed rewrite from a
             # superseded plan must not roll this record's epoch (its
             # fencing token) backwards.
             stale = int(epoch) < record.epoch
             if not stale:
-                record.processors = tuple(processors)
+                # The node keeps its section where both memberships name
+                # it for the same section number.
+                if record.section is not None and not any(
+                    old == node.number == new
+                    for old, new in zip(record.processors, processors)
+                ):
+                    record.section.free()
+                    record.section = None
+                record.processors = processors
                 record.replica_map = replica_map
                 record.epoch = int(epoch)
                 record.invalidate_section_index()
+                if node.number in processors:
+                    self._bump_version(node, record)
         if stale:
             self._refuse_stale(array_id, status)
             return
@@ -1422,75 +1471,21 @@ class ArrayManager:
         record = self._resolve(node, array_id, status)
         if record is None:
             return
-        if record.section is None:
-            # A record without a section (the creating processor, or an
-            # owner that just yielded its section to a migration) has
-            # nothing to reseed — an OK no-op, so recovery running
-            # reentrantly under a mid-migration kill is not tripped by
-            # the section being legitimately in flight.
-            _define(status, Status.OK)
-            return
-        with record.lock:
-            self._replicate(
-                node, record, [(None, record.section.interior().copy())]
-            )
+        # A record without a section (the creating processor, or an
+        # owner that just yielded its section to a migration) has
+        # nothing to reseed — an OK no-op, so recovery running
+        # reentrantly under a mid-migration kill is not tripped by
+        # the section being legitimately in flight.
+        self._seed_mirrors(node, record)
         _define(status, Status.OK)
 
     # -- quarantine rejoin (repro.health) -----------------------------------------
 
-    def rejoin_local(
-        self,
-        node: VirtualProcessor,
-        array_id: ArrayID,
-        processors: tuple[int, ...],
-        replica_map: Any,
-        epoch: int,
-        status: DefVar,
-    ) -> None:
-        """Rewrite authoritative membership onto a falsely-suspected VP
-        leaving quarantine.
-
-        While the VP was unreachable, recovery may have reassigned its
-        sections: any section this node still holds that the new
-        membership places elsewhere is freed (the rebuilt copy is
-        authoritative — keeping both would be split-brain), then the
-        record's membership, replica map, and epoch are rewritten so the
-        node's fencing token is current again and its routing view
-        matches the survivors'.
-        """
-        record = self._lookup(node, array_id)
-        if record is None:
-            # Nothing of the array here: the rejoin is a no-op, not an
-            # error — the VP may simply never have held a section.
-            _define(status, Status.OK)
-            return
-        new_processors = tuple(processors)
-        with record.lock:
-            if record.section is not None:
-                try:
-                    section_number = record.section_number_for(node.number)
-                except ValueError:
-                    section_number = None
-                still_owner = (
-                    section_number is not None
-                    and section_number < len(new_processors)
-                    and new_processors[section_number] == node.number
-                )
-                if not still_owner:
-                    record.section.free()
-                    record.section = None
-            record.processors = new_processors
-            record.replica_map = replica_map
-            record.epoch = int(epoch)
-            record.invalidate_section_index()
-            if node.number in new_processors:
-                self._bump_version(node, record)
-        _define(status, Status.OK)
-
     def rejoin_processor(self, vp: int, origin: int = 0) -> dict:
         """Run the rejoin protocol for one quarantined VP across every
-        durable array: push current membership/epoch onto it (freeing
-        sections it lost to recovery) and clear the per-array
+        durable array: push current membership/epoch onto it
+        (:meth:`update_membership_local`, freeing sections it lost to
+        recovery) and clear the per-array
         ``recovered_procs`` guard so a *real* death of this VP later
         fires recovery again.  Records of arrays that were freed while it
         was away are dropped with their storage.
@@ -1515,28 +1510,23 @@ class ArrayManager:
             )
         for array_id, state in self.durability_states():
             with state.lock:
-                membership = tuple(state.processors)
-                replica_map = state.replica_map
-                epoch = state.epoch
+                membership = (
+                    tuple(state.processors), state.replica_map, state.epoch
+                )
                 state.recovered_procs.discard(vp)
             try:
                 with fabric.execution_context(processor=origin):
-                    st = DefVar(f"rejoin@{vp}")
-                    machine.server.request(
-                        "rejoin_local",
-                        array_id,
-                        membership,
-                        replica_map,
-                        epoch,
-                        st,
-                        processor=vp,
-                        kind=REJOIN_KIND,
+                    self.mover._ask(
+                        "update_membership_local", vp, REJOIN_KIND, array_id,
+                        *membership,
                     )
-                    results[array_id] = Status(
-                        st.read(timeout=machine.default_recv_timeout)
-                    )
-            except (ProcessorFailedError, TimeoutError):
+                results[array_id] = Status.OK
+            except TimeoutError:
                 results[array_id] = Status.ERROR
+            except ReproError as exc:
+                # The VP is gone again (ERROR), or the rewrite was refused:
+                # NOT_FOUND is no error, the VP holds nothing of the array.
+                results[array_id] = exc.status
         # An array freed while the VP could not be asked (``free_array``
         # passes over a failed holder) is still recorded here, storage and
         # mirrors included.  No durability state means no array: forget it.
@@ -1586,43 +1576,52 @@ class ArrayManager:
     def _run_plan(
         self,
         node: VirtualProcessor,
-        array_id: ArrayID,
-        state: DurabilityState,
-        plan: Optional[PlacementPlan],
+        array_id: Any,
+        build: Any,
         moved_out: DefVar,
         status: DefVar,
     ) -> None:
-        """Execute one planned migration, logging the outcome."""
-        if plan is None or not plan.moves:
-            _define(moved_out, [])
-            _define(status, Status.OK)
-            return
-        entry = {
-            "array": array_id.as_tuple(),
-            "moves": [(m.section, m.source, m.dest) for m in plan.moves],
-            "ok": False,
-        }
-        try:
-            with obs_span(
-                self.machine,
-                "migrate",
-                array=str(array_id.as_tuple()),
-                moves=len(plan.moves),
-            ):
-                outcome = self.mover.execute_locked(
-                    state, plan, kind=MIGRATE_KIND, origin=node.number
-                )
-        except Exception as exc:  # noqa: BLE001 - rolled back -> Status
-            entry["error"] = repr(exc)
+        """The body of both planned-migration requests: under the state
+        lock, ``build(state)`` the plan — a :class:`MigrationError` there
+        is INVALID — execute it, and log the outcome."""
+        state = self.durability_state(array_id)
+        if state is None:
+            return _fail(status, Status.NOT_FOUND, moved_out)
+        with state.lock:
+            try:
+                plan = build(state)
+            except MigrationError:
+                return _fail(status, Status.INVALID, moved_out)
+            if plan is None or not plan.moves:
+                _define(moved_out, [])
+                _define(status, Status.OK)
+                return
+            entry = {
+                "array": array_id.as_tuple(),
+                "moves": [(m.section, m.source, m.dest) for m in plan.moves],
+                "ok": False,
+            }
+            try:
+                with obs_span(
+                    self.machine,
+                    "migrate",
+                    array=str(array_id.as_tuple()),
+                    moves=len(plan.moves),
+                ):
+                    outcome = self.mover.execute_locked(
+                        state, plan, origin=node.number
+                    )
+            except Exception as exc:  # noqa: BLE001 - rolled back -> Status
+                entry["error"] = repr(exc)
+            else:
+                entry["ok"] = True
+                entry["epoch"] = outcome["epoch"]
             with self._trace_lock:
                 self.migrations.append(entry)
-            return _fail(status, Status.ERROR, moved_out)
-        entry["ok"] = True
-        entry["epoch"] = outcome["epoch"]
-        with self._trace_lock:
-            self.migrations.append(entry)
-        _define(moved_out, outcome["sections"])
-        _define(status, Status.OK)
+            if not entry["ok"]:
+                return _fail(status, Status.ERROR, moved_out)
+            _define(moved_out, outcome["sections"])
+            _define(status, Status.OK)
 
     def migrate_sections(
         self,
@@ -1640,21 +1639,17 @@ class ArrayManager:
         dropped message rolls the sourced sections back onto the current
         owners under a fresh epoch and returns ERROR.
         """
-        state = self.durability_state(array_id)
-        if state is None:
-            return _fail(status, Status.NOT_FOUND, moved_out)
-        with state.lock:
-            try:
-                plan = (
-                    assignments
-                    if isinstance(assignments, PlacementPlan)
-                    else PlacementPlan.from_assignments(
-                        state, dict(assignments)
-                    )
-                )
-            except MigrationError:
-                return _fail(status, Status.INVALID, moved_out)
-            self._run_plan(node, array_id, state, plan, moved_out, status)
+        self._run_plan(
+            node,
+            array_id,
+            lambda state: (
+                assignments
+                if isinstance(assignments, PlacementPlan)
+                else PlacementPlan.from_assignments(state, dict(assignments))
+            ),
+            moved_out,
+            status,
+        )
 
     def rebalance_array(
         self,
@@ -1669,19 +1664,15 @@ class ArrayManager:
         processors — including processors added at runtime, which is how
         ``add_processor()`` + ``rebalance()`` repairs an array recovery
         had to leave unrecovered for want of a spare."""
-        state = self.durability_state(array_id)
-        if state is None:
-            return _fail(status, Status.NOT_FOUND, moved_out)
-        with state.lock:
-            try:
-                plan = PlacementPlan.rebalance(
-                    state,
-                    self.machine,
-                    None if targets is None else tuple(targets),
-                )
-            except MigrationError:
-                return _fail(status, Status.INVALID, moved_out)
-            self._run_plan(node, array_id, state, plan, moved_out, status)
+        self._run_plan(
+            node,
+            array_id,
+            lambda state: PlacementPlan.rebalance(
+                state, self.machine, targets
+            ),
+            moved_out,
+            status,
+        )
 
     # -- info ---------------------------------------------------------------------------
 

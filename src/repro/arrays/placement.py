@@ -20,16 +20,17 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
 
 * :class:`SectionMover` — executes a plan under the array's
   ``DurabilityState`` lock: source each moving section, adopt it on its
-  destination, rewrite membership on every holder, reseed mirrors, and
-  commit the epoch bump.  Planned migration runs with ``rollback=True``
-  — a failure mid-plan (destination dies, fault-injected drop times
-  out, concurrent recovery rewrites membership underneath) restores the
-  sourced sections onto the current owners under a *fresh* epoch, so a
-  delayed ``yield_section_local`` from the abandoned attempt is refused
-  by its epoch guard instead of destroying restored data.  Recovery
-  runs with ``rollback=False`` and ``flush=False``: its caller already
-  records partial progress as ``unrecovered``, and flushing the write
-  coalescer from inside a failure listener could self-deadlock on the
+  destination, publish the new membership (rewrite it on every holder,
+  reseed mirrors), and commit the epoch bump.  The plan's ``reason``
+  decides the rest.  A planned migration rolls back — a failure
+  mid-plan (destination dies, fault-injected drop times out, concurrent
+  recovery rewrites membership underneath) restores the sourced
+  sections onto the current owners under a *fresh* epoch and publishes
+  that, so a delayed ``yield_section_local`` from the abandoned attempt
+  is refused by its epoch guard instead of destroying restored data.
+  Recovery neither rolls back nor flushes: its caller already records
+  partial progress as ``unrecovered``, and flushing the write coalescer
+  from inside a failure listener could self-deadlock on the
   non-reentrant per-key flush locks when the kill fired mid-flush.
 
 The migration barrier (docs/elasticity.md): a planned move first drains
@@ -43,18 +44,22 @@ batches racing the move chase the section to its new owner.
 from __future__ import annotations
 
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.pcn.defvar import DefVar
-from repro.status import ProcessorFailedError, Status
+from repro.status import ArrayNotFoundError, ProcessorFailedError, check_status
 from repro.vp import fabric
 
-# Envelope kind for planned-migration RPCs: yield/adopt/membership
-# traffic is distinguishable from recovery's on the wire (meters,
-# tracers, fault plans can target one without the other).
+# Envelope kinds of the two reasons a section moves, which are also the
+# two values of ``PlacementPlan.reason``.  Planned-migration RPCs —
+# yield/adopt/membership traffic — are distinguishable from recovery's on
+# the wire (meters, tracers, fault plans can target one without the
+# other).
+RECOVERY_KIND = "recovery"
 MIGRATE_KIND = "migrate"
 
 
@@ -95,9 +100,11 @@ class PlacementPlan:
 
     ``base_processors`` is the membership the plan was computed against;
     the mover refuses a plan whose base no longer matches the live state
-    (stale plan).  ``reason`` is ``"recovery"`` or ``"migrate"`` and
-    selects which statistic (``sections_rebuilt`` / ``sections_migrated``)
-    and observer metric the commit advances.
+    (stale plan).  ``reason`` is ``"recovery"`` or ``"migrate"``
+    (:data:`RECOVERY_KIND` / :data:`MIGRATE_KIND`): the envelope kind the
+    plan's traffic carries, whether the mover flushes first and rolls
+    back, and which statistic (``sections_rebuilt`` /
+    ``sections_migrated``) and observer metric the commit advances.
     """
 
     array_id: Any
@@ -107,32 +114,41 @@ class PlacementPlan:
     new_replica_map: Any
     moves: Tuple[SectionMove, ...]
 
-    @staticmethod
-    def _replica_map(state: Any, processors: Tuple[int, ...]) -> Any:
-        if state.replication <= 0:
-            return None
+    @classmethod
+    def _over(
+        cls, state: Any, reason: str, new_processors: Sequence[int], moves: Any
+    ) -> "PlacementPlan":
+        """The plan that takes ``state``'s membership to ``new_processors``,
+        with the replica map recomputed for them."""
         from repro.arrays.durability import ReplicaMap
 
-        return ReplicaMap.assign(state.layout, processors, state.replication)
+        new_processors = tuple(new_processors)
+        return cls(
+            array_id=state.array_id,
+            reason=reason,
+            base_processors=tuple(state.processors),
+            new_processors=new_processors,
+            new_replica_map=(
+                ReplicaMap.assign(
+                    state.layout, new_processors, state.replication
+                )
+                if state.replication > 0
+                else None
+            ),
+            moves=tuple(moves),
+        )
 
     @classmethod
     def for_failure(cls, state: Any, dead: int, spare: int) -> "PlacementPlan":
         """Recovery's plan: every section of ``dead`` moves to ``spare``."""
         base = tuple(state.processors)
-        moves = tuple(
+        moves = [
             SectionMove(section, dead, spare)
             for section, proc in enumerate(base)
             if proc == dead
-        )
-        new_processors = tuple(spare if p == dead else p for p in base)
-        return cls(
-            array_id=state.array_id,
-            reason="recovery",
-            base_processors=base,
-            new_processors=new_processors,
-            new_replica_map=cls._replica_map(state, new_processors),
-            moves=moves,
-        )
+        ]
+        new_processors = [spare if p == dead else p for p in base]
+        return cls._over(state, RECOVERY_KIND, new_processors, moves)
 
     @classmethod
     def from_assignments(
@@ -173,15 +189,7 @@ class PlacementPlan:
             new[section] = dest
         if not moves:
             return None
-        new_processors = tuple(new)
-        return cls(
-            array_id=state.array_id,
-            reason="migrate",
-            base_processors=base,
-            new_processors=new_processors,
-            new_replica_map=cls._replica_map(state, new_processors),
-            moves=tuple(moves),
-        )
+        return cls._over(state, MIGRATE_KIND, new, moves)
 
     @classmethod
     def rebalance(
@@ -199,18 +207,10 @@ class PlacementPlan:
         spare target exists — the caller can ``Machine.add_processor()``
         and retry.  Returns ``None`` when the array is already placed.
         """
-        alive = [
-            p
-            for p in range(machine.num_nodes)
-            if not machine.is_unavailable(p)
+        candidates = range(machine.num_nodes) if targets is None else targets
+        pool = [
+            int(p) for p in candidates if not machine.is_unavailable(int(p))
         ]
-        pool = (
-            alive
-            if targets is None
-            else [
-                int(t) for t in targets if not machine.is_unavailable(int(t))
-            ]
-        )
         base = tuple(state.processors)
         homeless = [
             section
@@ -235,46 +235,43 @@ class SectionMover:
     """Executes placement plans — the single code path that moves a
     section, shared by failure recovery and planned migration."""
 
-    def __init__(self, machine: Any, manager: Any) -> None:
+    def __init__(self, machine: Any) -> None:
         self.machine = machine
-        self.manager = manager
         self._lock = threading.Lock()
-        # Executed-plan log, surfaced through ArrayManager.migrations.
-        self.moves_executed = 0
+        # Plans rolled back, surfaced to tests and diagnostics.
         self.aborts = 0
-
-    # -- plan helpers ---------------------------------------------------------
-
-    def select_spare(self, state: Any, alive: Sequence[int]) -> Optional[int]:
-        """Recovery's spare choice: first alive VP holding no section."""
-        return next((p for p in alive if p not in state.processors), None)
 
     # -- execution ------------------------------------------------------------
 
     def execute_locked(
-        self,
-        state: Any,
-        plan: PlacementPlan,
-        *,
-        kind: str,
-        origin: Optional[int] = None,
-        rollback: bool = True,
-        flush: bool = True,
+        self, state: Any, plan: PlacementPlan, origin: Optional[int] = None
     ) -> dict:
-        """Run one plan; the caller holds ``state.lock`` throughout.
+        """Run one plan; the caller holds ``state.lock`` throughout, and
+        the plan's requests are made from ``origin`` — when that is not
+        given or cannot be reached, from the first processor that can.
 
         The protocol, in order: (migration barrier) flush coalesced
         writes for the array; source each moving section — a live yield
         from its owner, else the freshest surviving replica, else the
         latest checkpoint; adopt it on the destination at the new epoch;
-        rewrite membership on every holder; reseed mirrors; commit the
-        state.  ``rollback=True`` (planned migration) restores sourced
-        sections under a fresh epoch on any failure and re-raises;
-        ``rollback=False`` (recovery) propagates the failure with state
-        untouched, matching the pre-extraction recovery semantics.
+        publish the new membership (:meth:`_publish`: rewrite it on every
+        holder, reseed mirrors); commit the state; then have each former
+        owner the new membership leaves without a role forget the array.
+
+        ``plan.reason`` decides the rest, and is the envelope kind the
+        plan's traffic carries.  A planned migration flushes, and on any
+        failure restores the sourced sections under a fresh epoch
+        (:meth:`_abort_locked`) and re-raises.  Recovery does neither: it
+        propagates the failure with state untouched — its caller records
+        partial progress as ``unrecovered``, never undoes it — and must
+        not flush, because the kill may have fired inside a coalescer
+        flush on this very thread and the per-key flush locks are not
+        reentrant.
         """
         machine = self.machine
         array_id = plan.array_id
+        kind = plan.reason
+        planned = kind == MIGRATE_KIND
         if tuple(plan.base_processors) != tuple(state.processors):
             raise StalePlanError(
                 f"stale plan for {array_id}: membership is "
@@ -283,11 +280,20 @@ class SectionMover:
             )
         entry_epoch = state.epoch
         new_epoch = entry_epoch + 1
-        if flush:
+        membership = (plan.new_processors, plan.new_replica_map, new_epoch)
+
+        def gate(when: str) -> None:
+            """Stop once the epoch has moved: a kill during the plan's
+            own traffic ran recovery reentrantly (``state.lock`` is an
+            RLock) and rewrote the membership underneath the plan."""
+            if state.epoch != entry_epoch:
+                raise StalePlanError(
+                    f"membership of {array_id} changed {when}"
+                )
+
+        if planned:
             # Migration barrier: write-behind batches aimed at the old
-            # owner must land before the section leaves it.  Recovery
-            # passes flush=False — a kill that fired inside a flush
-            # already holds this key's flush lock on this very thread.
+            # owner must land before the section leaves it.
             perf = getattr(machine, "_perf", None)
             if perf is not None:
                 perf.coalescer.flush(array_id)
@@ -298,38 +304,18 @@ class SectionMover:
                 if not machine.is_unavailable(p)
             )
         sourced: List[Tuple[SectionMove, np.ndarray]] = []
-        try:
-            # Moves and membership traffic must originate from a live
-            # node: recovery may be running on the dead VP's own thread.
-            with fabric.execution_context(processor=origin):
+        # Moves and membership traffic must originate from a live
+        # node: recovery may be running on the dead VP's own thread.
+        with fabric.execution_context(processor=origin):
+            try:
                 for move in plan.moves:
-                    data = self._section_data(
-                        state, array_id, move, entry_epoch, kind
-                    )
-                    if state.epoch != entry_epoch:
-                        # A kill during our sourcing traffic ran recovery
-                        # reentrantly and committed a new membership;
-                        # adopting against the old one would clobber it.
-                        raise StalePlanError(
-                            f"membership of {array_id} changed while "
-                            f"sourcing section {move.section}"
-                        )
+                    data = self._section_data(state, move, entry_epoch, kind)
+                    # Adopting against the old membership would clobber
+                    # the one the nested recovery committed.
+                    gate(f"while sourcing section {move.section}")
                     sourced.append((move, data))
-                    self._request(
-                        "adopt_section",
-                        array_id,
-                        state.type_name,
-                        state.layout,
-                        plan.new_processors,
-                        state.border_spec,
-                        state.replication,
-                        plan.new_replica_map,
-                        new_epoch,
-                        data,
-                        processor=move.dest,
-                        kind=kind,
-                    )
-                if rollback:
+                    self._adopt(state, membership, data, move.dest, kind)
+                if planned:
                     dead_dests = [
                         move.dest
                         for move in plan.moves
@@ -343,93 +329,48 @@ class SectionMover:
                             f"destination processor {dead_dests[0]} of "
                             f"{array_id} failed mid-migration"
                         )
-                if state.epoch != entry_epoch:
-                    # A kill during our own traffic ran recovery
-                    # reentrantly (state.lock is an RLock) and rewrote
-                    # the membership underneath the plan.
-                    raise StalePlanError(
-                        f"membership of {array_id} changed mid-migration "
-                        f"(concurrent recovery)"
-                    )
-                dests = {move.dest for move in plan.moves}
+                gate("mid-migration (concurrent recovery)")
                 holders = (
                     set(plan.new_processors)
                     | set(plan.base_processors)
                     | {state.creator}
-                ) - dests
-                for holder in sorted(holders):
-                    if machine.is_unavailable(holder):
-                        # An unreachable holder keeps its old record at
-                        # the old epoch — exactly what the fencing check
-                        # (docs/fault_model.md §9) exists to refuse if
-                        # the holder was falsely suspected and returns.
-                        continue
-                    self._request(
-                        "update_membership_local",
-                        array_id,
-                        plan.new_processors,
-                        plan.new_replica_map,
-                        new_epoch,
-                        processor=holder,
-                        kind=kind,
-                    )
-                if state.replication > 0 and plan.new_replica_map is not None:
-                    for owner in plan.new_processors:
-                        if machine.is_unavailable(owner):
-                            continue
-                        self._request(
-                            "reseed_replicas_local",
-                            array_id,
-                            processor=owner,
-                            kind=kind,
-                        )
-                if state.epoch != entry_epoch:
-                    # Final gate at the commit point: the rewrite/reseed
-                    # traffic above can itself trigger a kill, whose
-                    # reentrant recovery commits a new epoch after the
-                    # mid-migration check already passed.
-                    raise StalePlanError(
-                        f"membership of {array_id} changed during "
-                        f"commit traffic"
-                    )
-        except Exception:
-            if rollback:
-                self._abort_locked(state, plan, sourced, new_epoch, kind)
-            raise
-        state.processors = plan.new_processors
-        state.replica_map = plan.new_replica_map
-        state.epoch = new_epoch
-        if plan.reason == "recovery":
-            state.sections_rebuilt += len(plan.moves)
-        else:
+                ) - {move.dest for move in plan.moves}
+                reseeded = self._publish(
+                    state, membership, holders, kind, strict=True
+                )
+                # Final gate at the commit point: the rewrite/reseed
+                # traffic above can itself trigger a kill, whose
+                # reentrant recovery commits a new epoch after the
+                # mid-migration check already passed.
+                gate("during commit traffic")
+            except Exception:
+                if planned:
+                    self._abort_locked(state, plan, sourced, new_epoch)
+                raise
+            state.processors, state.replica_map, state.epoch = membership
+            if reseeded:
+                self._forget(state, plan)
+        if planned:
             state.sections_migrated += len(plan.moves)
-        with self._lock:
-            self.moves_executed += len(plan.moves)
+        else:
+            state.sections_rebuilt += len(plan.moves)
         observer = getattr(machine, "_observer", None)
         if observer is not None:
             for _ in plan.moves:
-                if plan.reason == "recovery":
-                    observer.section_rebuilt(array_id)
-                else:
+                if planned:
                     observer.section_migrated(array_id)
+                else:
+                    observer.section_rebuilt(array_id)
             observer.array_epoch(array_id, new_epoch)
         return {
             "sections": [move.section for move in plan.moves],
             "epoch": new_epoch,
-            "moves": [
-                (move.section, move.source, move.dest) for move in plan.moves
-            ],
         }
 
     # -- sourcing -------------------------------------------------------------
 
     def _section_data(
-        self,
-        state: Any,
-        array_id: Any,
-        move: SectionMove,
-        entry_epoch: int,
-        kind: str,
+        self, state: Any, move: SectionMove, entry_epoch: int, kind: str
     ) -> np.ndarray:
         """A copy of the moving section.
 
@@ -439,26 +380,14 @@ class SectionMover:
         replica, then the latest checkpoint — recovery's sourcing order.
         """
         machine = self.machine
+        array_id = state.array_id
         if not machine.is_unavailable(move.source):
-            out = DefVar(f"yield_section@{move.source}")
-            status = DefVar(f"yield_section_status@{move.source}")
             try:
-                machine.server.request(
-                    "yield_section_local",
-                    array_id,
-                    entry_epoch,
-                    out,
-                    status,
-                    processor=move.source,
-                    kind=kind,
-                )
-                result = Status(
-                    status.read(timeout=machine.default_recv_timeout)
-                )
+                return self._yield(array_id, entry_epoch, move.source, kind)
             except ProcessorFailedError:
                 # The source died under us: fall through to the replica
                 # path exactly as if the plan had targeted a dead owner.
-                result = None
+                pass
             except TimeoutError:
                 # The yield request was dropped or delayed in transit
                 # while the source is still alive.  A late execution
@@ -468,32 +397,26 @@ class SectionMover:
                     f"yield of section {move.section} from processor "
                     f"{move.source} timed out"
                 )
-            if result is Status.OK:
-                return out.read()
-            if result is not None:
-                raise MigrationError(
-                    f"yield of section {move.section} from processor "
-                    f"{move.source} failed with {result.name}"
-                )
         if state.replica_map is not None:
+
+            def mirror(host: int) -> Optional[Tuple[int, np.ndarray]]:
+                """``(epoch, data)`` of the mirror ``host`` keeps of the
+                section, None when it keeps none."""
+                try:
+                    return self._ask(
+                        "replica_fetch", host, kind, array_id, move.section,
+                        out=True,
+                    )
+                except ArrayNotFoundError:
+                    return None
+
             chain = state.replica_map.backups_for(move.section)
             for backup in chain:
                 if machine.is_unavailable(backup):
                     continue
-                out = DefVar(f"replica_fetch@{backup}")
-                status = DefVar(f"replica_fetch_status@{backup}")
-                machine.server.request(
-                    "replica_fetch",
-                    array_id,
-                    move.section,
-                    out,
-                    status,
-                    processor=backup,
-                    kind=kind,
-                )
-                if Status(status.read()) is Status.OK:
-                    _epoch, data = out.read()
-                    return data
+                found = mirror(backup)
+                if found is not None:
+                    return found[1]
             # The chain came up empty.  A membership rewrite (another
             # owner's recovery) re-derives every chain for the new ring,
             # which can orphan the only surviving mirror on a processor
@@ -504,21 +427,9 @@ class SectionMover:
             for host in range(machine.num_nodes):
                 if host in chain or machine.is_unavailable(host):
                     continue
-                out = DefVar(f"replica_sweep@{host}")
-                status = DefVar(f"replica_sweep_status@{host}")
-                machine.server.request(
-                    "replica_fetch",
-                    array_id,
-                    move.section,
-                    out,
-                    status,
-                    processor=host,
-                    kind=kind,
-                )
-                if Status(status.read()) is Status.OK:
-                    epoch, data = out.read()
-                    if best is None or epoch > best[0]:
-                        best = (int(epoch), data)
+                found = mirror(host)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = found
             if best is not None:
                 return best[1]
         if state.last_checkpoint is not None:
@@ -526,6 +437,71 @@ class SectionMover:
             if data is not None:
                 return data.copy()
         raise SectionSourceError(move.section)
+
+    # -- publishing -----------------------------------------------------------
+
+    def _publish(
+        self, state: Any, membership: tuple, holders: Any, kind: str,
+        strict: bool,
+    ) -> bool:
+        """Make ``membership`` — ``(processors, replica_map, epoch)`` — the
+        array's membership wherever it is recorded: every holder rewrites
+        its record behind the epoch fence, then every owner reseeds its
+        mirrors under the new chains.  True when every owner reseeded, so
+        that no older mirror is the last copy of anything.
+
+        The move publishes ``strict``: requests are routed from the
+        caller's processor and the first that fails raises.  The rollback
+        publishes best-effort: every request runs inside the *target's*
+        own execution context, so it executes node-locally with zero
+        routed messages — the fault injector that failed the forward pass
+        (drops, duplicate storms, kills) cannot also eat the restore — and
+        each is individually best-effort against concurrent death, but
+        never against message faults.  Either way an unreachable
+        processor is passed over: it keeps its old record at the old
+        epoch — exactly what the fencing check (docs/fault_model.md §9)
+        exists to refuse if it was falsely suspected and returns.
+        """
+
+        def ask(request_type: str, processor: int, *parameters: Any) -> bool:
+            if self.machine.is_unavailable(processor):
+                return False
+            try:
+                self._ask(
+                    request_type, processor, kind, state.array_id, *parameters,
+                    in_place=not strict,
+                )
+            except Exception:  # noqa: BLE001 - best effort unless strict
+                if strict:
+                    raise
+            return True
+
+        processors, replica_map, _epoch = membership
+        for holder in sorted(holders):
+            ask("update_membership_local", holder, *membership)
+        reseeded = True
+        if state.replication > 0 and replica_map is not None:
+            for owner in processors:
+                reseeded &= ask("reseed_replicas_local", owner)
+        return reseeded
+
+    def _forget(self, state: Any, plan: PlacementPlan) -> None:
+        """After the commit: a former owner the new membership leaves
+        without a role — no section, no mirror to keep, not the creating
+        processor, whose record must go on answering (§5.1.4) — forgets
+        the array, record and mirrors, because no ``free_array`` will
+        ever reach it.  Not before every owner has reseeded: until then a
+        mirror it keeps may be the last copy of a section, the fallback
+        :meth:`_section_data` sweeps for if the plan dies on the way.
+        Best-effort: the move is committed, and a former owner that
+        cannot be told only keeps what it kept before."""
+        formers = set(plan.base_processors) - set(plan.new_processors)
+        for former in sorted(formers - {state.creator}):
+            if not self.machine.is_unavailable(former):
+                with suppress(Exception):
+                    self._ask(
+                        "free_local", former, plan.reason, state.array_id
+                    )
 
     # -- rollback -------------------------------------------------------------
 
@@ -535,7 +511,6 @@ class SectionMover:
         plan: PlacementPlan,
         sourced: List[Tuple[SectionMove, np.ndarray]],
         new_epoch: int,
-        kind: str,
     ) -> None:
         """Rollback of a half-executed plan.
 
@@ -544,103 +519,42 @@ class SectionMover:
         rewritten it while we were mid-plan) under a fresh epoch above
         both the entry epoch and the abandoned plan's, so straggling
         yields and replica updates stamped with either are refused as
-        stale.
+        stale, then publishes that membership and epoch best-effort
+        (:meth:`_publish`).
 
-        Every request runs inside the *target's* own execution context,
-        so it executes node-locally with zero routed messages: the fault
-        injector that failed the forward pass (drops, duplicate storms,
-        kills) cannot also eat the restore.  Dead processors are skipped
-        — each step is individually best-effort against concurrent
-        death, but never against message faults.
+        Every request runs in place on its target, and dead processors
+        are skipped — each step is individually best-effort against
+        concurrent death, but never against message faults.
         """
         machine = self.machine
         array_id = plan.array_id
+        kind = plan.reason
         rollback_epoch = max(state.epoch, new_epoch) + 1
         restore_procs = tuple(state.processors)
-        restore_map = state.replica_map
+        membership = (restore_procs, state.replica_map, rollback_epoch)
         with self._lock:
             self.aborts += 1
         for move, data in sourced:
             # Free the half-installed copy at the destination so the
             # abandoned adopt cannot shadow the restored section.
             if not machine.is_unavailable(move.dest):
-                try:
-                    with fabric.execution_context(processor=move.dest):
-                        out = DefVar(f"unadopt@{move.dest}")
-                        st = DefVar(f"unadopt_status@{move.dest}")
-                        machine.server.request(
-                            "yield_section_local",
-                            array_id,
-                            new_epoch,
-                            out,
-                            st,
-                            processor=move.dest,
-                            kind=kind,
-                        )
-                        st.read(timeout=machine.default_recv_timeout)
-                except Exception:  # noqa: BLE001 - best effort
-                    pass
-            owner = (
-                restore_procs[move.section]
-                if move.section < len(restore_procs)
-                else move.source
-            )
-            if machine.is_unavailable(owner):
-                continue
-            try:
-                with fabric.execution_context(processor=owner):
-                    self._request(
-                        "adopt_section",
-                        array_id,
-                        state.type_name,
-                        state.layout,
-                        restore_procs,
-                        state.border_spec,
-                        state.replication,
-                        restore_map,
-                        rollback_epoch,
-                        data,
-                        processor=owner,
-                        kind=kind,
+                with suppress(Exception):
+                    self._yield(
+                        array_id, new_epoch, move.dest, kind, in_place=True
                     )
-            except Exception:  # noqa: BLE001 - best effort
-                pass
+            owner = restore_procs[move.section]
+            if not machine.is_unavailable(owner):
+                with suppress(Exception):
+                    self._adopt(
+                        state, membership, data, owner, kind, in_place=True
+                    )
         holders = (
             set(restore_procs)
             | set(plan.base_processors)
             | {state.creator}
             | {move.dest for move, _ in sourced}
         )
-        for holder in sorted(holders):
-            if machine.is_unavailable(holder):
-                continue
-            try:
-                with fabric.execution_context(processor=holder):
-                    self._request(
-                        "update_membership_local",
-                        array_id,
-                        restore_procs,
-                        restore_map,
-                        rollback_epoch,
-                        processor=holder,
-                        kind=kind,
-                    )
-            except Exception:  # noqa: BLE001 - best effort
-                pass
-        if state.replication > 0 and restore_map is not None:
-            for owner in restore_procs:
-                if machine.is_unavailable(owner):
-                    continue
-                try:
-                    with fabric.execution_context(processor=owner):
-                        self._request(
-                            "reseed_replicas_local",
-                            array_id,
-                            processor=owner,
-                            kind=kind,
-                        )
-                except Exception:  # noqa: BLE001 - best effort
-                    pass
+        self._publish(state, membership, holders, kind, strict=False)
         state.epoch = rollback_epoch
         observer = getattr(machine, "_observer", None)
         if observer is not None:
@@ -648,21 +562,68 @@ class SectionMover:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _request(
-        self, request_type: str, *parameters: Any, processor: int, kind: str
+    def _yield(
+        self, array_id: Any, epoch: int, processor: int, kind: str,
+        in_place: bool = False,
+    ) -> np.ndarray:
+        """The section ``processor`` surrenders: copied out and freed
+        there, and refused unless its record is at ``epoch``."""
+        return self._ask(
+            "yield_section_local", processor, kind, array_id, epoch,
+            out=True, in_place=in_place,
+        )
+
+    def _adopt(
+        self, state: Any, membership: tuple, data: np.ndarray,
+        processor: int, kind: str, in_place: bool = False,
     ) -> None:
-        """One status-checked server request on ``processor``."""
-        status = DefVar(f"{request_type}@{processor}")
-        self.machine.server.request(
+        """Install ``data`` as the section ``processor`` owns under
+        ``membership`` — ``(processors, replica_map, epoch)``."""
+        processors, replica_map, epoch = membership
+        self._ask(
+            "adopt_section",
+            processor,
+            kind,
+            state.array_id,
+            state.type_name,
+            state.layout,
+            processors,
+            state.border_spec,
+            state.replication,
+            replica_map,
+            epoch,
+            data,
+            in_place=in_place,
+        )
+
+    def _ask(
+        self,
+        request_type: str,
+        processor: int,
+        kind: str,
+        *parameters: Any,
+        out: bool = False,
+        in_place: bool = False,
+    ) -> Any:
+        """One status-checked server request on ``processor``: raises
+        unless it answers OK (:func:`~repro.status.check_status` — the
+        exception carries the status).  With ``out`` the handler is given
+        an out variable before its status, and what it defined there is
+        returned.  ``in_place`` issues the request from the target's own
+        execution context: it runs node-locally, no message is routed."""
+        machine = self.machine
+        status = DefVar(f"{request_type}_status@{processor}")
+        result = DefVar(f"{request_type}@{processor}") if out else None
+        machine.server.request(
             request_type,
             *parameters,
-            status,
+            *((result, status) if out else (status,)),
             processor=processor,
             kind=kind,
+            source=processor if in_place else None,
         )
-        result = Status(status.read(timeout=self.machine.default_recv_timeout))
-        if result is not Status.OK:
-            raise RuntimeError(
-                f"placement request {request_type!r} on processor "
-                f"{processor} failed with {result.name}"
-            )
+        check_status(
+            status.read(timeout=machine.default_recv_timeout),
+            f"placement request {request_type!r} on processor {processor}",
+        )
+        return result.read() if out else None

@@ -17,7 +17,7 @@ from repro.arrays import am_user
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
-from repro.status import ArrayNotFoundError, check_status
+from repro.status import ArrayNotFoundError, Status, check_status
 from repro.vp.machine import Machine
 
 
@@ -113,46 +113,57 @@ class DistributedArray:
         if self._freed:
             raise ArrayNotFoundError(f"array {self.array_id} has been freed")
 
-    def __getitem__(self, indices) -> Any:
+    def _checked(
+        self, call: Any, what: str, *arguments: Any, **keywords: Any
+    ) -> Any:
+        """One library procedure on the live array: ``call`` is the
+        ``am_user`` procedure — looked up by the caller as it calls, so a
+        tracer's replacement is the one that runs — given the machine, the
+        array ID and ``arguments``.  Its status is checked; ``what`` names
+        the operation in the error raised, a format of ``arguments`` that
+        is filled in only then.  Its out value is returned, None when it
+        has none."""
         self._check_live()
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        value, status = am_user.read_element(
-            self.machine, self.array_id, indices, processor=self._home
-        )
-        check_status(status, f"read_element{indices} failed")
+        result = call(self.machine, self.array_id, *arguments, **keywords)
+        value, status = result if type(result) is tuple else (None, result)
+        if status is not Status.OK:
+            check_status(status, what.format(*arguments) + " failed")
         return value
 
-    def __setitem__(self, indices, value) -> None:
-        self._check_live()
+    def __getitem__(self, indices) -> Any:
         if not isinstance(indices, tuple):
             indices = (indices,)
-        status = am_user.write_element(
-            self.machine, self.array_id, indices, value, processor=self._home
+        return self._checked(
+            am_user.read_element, "read_element{0}", indices,
+            processor=self._home,
         )
-        check_status(status, f"write_element{indices} failed")
+
+    def __setitem__(self, indices, value) -> None:
+        if not isinstance(indices, tuple):
+            indices = (indices,)
+        self._checked(
+            am_user.write_element, "write_element{0}", indices, value,
+            processor=self._home,
+        )
 
     # -- region access ----------------------------------------------------------------
 
     def read_region(self, region: Sequence[Sequence[int]]) -> np.ndarray:
         """Dense copy of a rectangular region (one half-open ``(start,
         stop)`` pair per dimension) — one message per owning processor."""
-        self._check_live()
-        data, status = am_user.read_region(
-            self.machine, self.array_id, region, processor=self._home
+        return self._checked(
+            am_user.read_region, "read_region{0}", region,
+            processor=self._home,
         )
-        check_status(status, f"read_region{tuple(region)} failed")
-        return data
 
     def write_region(
         self, region: Sequence[Sequence[int]], values: Any
     ) -> None:
         """Overwrite a rectangular region from a dense array of its shape."""
-        self._check_live()
-        status = am_user.write_region(
-            self.machine, self.array_id, region, values, processor=self._home
+        self._checked(
+            am_user.write_region, "write_region{0}", region, values,
+            processor=self._home,
         )
-        check_status(status, f"write_region{tuple(region)} failed")
 
     def write_region_targeted(
         self, region: Sequence[Sequence[int]], values: Any
@@ -160,11 +171,10 @@ class DistributedArray:
         """Overwrite a region with one fused write per owning processor,
         issued directly at each owner (``am_user.write_region_targeted``)
         instead of through a single intermediary hop."""
-        self._check_live()
-        status = am_user.write_region_targeted(
-            self.machine, self.array_id, region, values
+        self._checked(
+            am_user.write_region_targeted, "write_region_targeted{0}",
+            region, values,
         )
-        check_status(status, f"write_region_targeted{tuple(region)} failed")
 
     def halo_plan(self, op: str = "stencil5") -> Any:
         """The compiled halo-exchange plan for this array (or None when
@@ -174,12 +184,9 @@ class DistributedArray:
 
     def local_block(self, processor: int) -> tuple[tuple[int, ...], np.ndarray]:
         """``(global origin, interior copy)`` of one processor's section."""
-        self._check_live()
-        block, status = am_user.get_local_block(
-            self.machine, self.array_id, processor
+        return self._checked(
+            am_user.get_local_block, "get_local_block@{0}", processor
         )
-        check_status(status, f"get_local_block@{processor} failed")
-        return block
 
     # -- info ---------------------------------------------------------------------------
 
@@ -196,31 +203,24 @@ class DistributedArray:
         return self.layout.local_dims
 
     def info(self, which: str) -> Any:
-        self._check_live()
-        value, status = am_user.find_info(
-            self.machine, self.array_id, which, processor=self._home
+        return self._checked(
+            am_user.find_info, "find_info({0!r})", which,
+            processor=self._home,
         )
-        check_status(status, f"find_info({which!r}) failed")
-        return value
 
     # -- borders ----------------------------------------------------------------------------
 
     def verify_borders(self, border_info: Any, indexing: Optional[str] = None) -> None:
         """§4.2.7: ensure borders match, reallocating sections if needed."""
-        self._check_live()
-        status = am_user.verify_array(
-            self.machine,
-            self.array_id,
+        self._checked(
+            am_user.verify_array,
+            "verify_array",
             self.layout.rank,
             border_info,
             indexing if indexing is not None else self.layout.indexing,
             processor=self._home,
         )
-        check_status(status, "verify_array failed")
-        borders, st = am_user.find_info(
-            self.machine, self.array_id, "borders", processor=self._home
-        )
-        check_status(st)
+        borders = self.info("borders")
         self.layout = self.layout.replace_borders(tuple(int(b) for b in borders))
 
     # -- durability ---------------------------------------------------------------------------
@@ -229,21 +229,17 @@ class DistributedArray:
         """Epoch-consistent snapshot of the whole array (quiesces writers
         at a barrier); also becomes the latest checkpoint used by
         replication-free recovery."""
-        self._check_live()
-        snapshot, status = am_user.checkpoint_array(
-            self.machine, self.array_id, processor=self._home
+        return self._checked(
+            am_user.checkpoint_array, "checkpoint_array", processor=self._home
         )
-        check_status(status, "checkpoint_array failed")
-        return snapshot
 
     def restore(self, snapshot: Any) -> None:
         """Write a snapshot back under a fresh epoch; stale in-flight
         replica updates from before the restore are rejected."""
-        self._check_live()
-        status = am_user.restore_array(
-            self.machine, self.array_id, snapshot, processor=self._home
+        self._checked(
+            am_user.restore_array, "restore_array", snapshot,
+            processor=self._home,
         )
-        check_status(status, "restore_array failed")
 
     def flush(self) -> int:
         """Drain this array's pending write-behind writes (repro.perf);
@@ -254,11 +250,7 @@ class DistributedArray:
     # -- elastic placement --------------------------------------------------------------------
 
     def _refresh_processors(self) -> None:
-        procs, status = am_user.find_info(
-            self.machine, self.array_id, "processors", processor=self._home
-        )
-        check_status(status, "find_info('processors') failed")
-        self.processors = tuple(int(p) for p in procs)
+        self.processors = tuple(int(p) for p in self.info("processors"))
 
     def migrate(self, assignments: Any) -> list[int]:
         """Move sections per ``{section: destination processor}``.
@@ -268,11 +260,10 @@ class DistributedArray:
         back under a fresh epoch if anything fails mid-flight (see
         ``docs/elasticity.md``).  Returns the moved section numbers.
         """
-        self._check_live()
-        moved, status = am_user.migrate_sections(
-            self.machine, self.array_id, assignments, processor=self._home
+        moved = self._checked(
+            am_user.migrate_sections, "migrate_sections({0!r})", assignments,
+            processor=self._home,
         )
-        check_status(status, f"migrate_sections({assignments!r}) failed")
         self._refresh_processors()
         return list(moved)
 
@@ -281,22 +272,17 @@ class DistributedArray:
         outside ``targets``) move to spare processors — including ones
         added at runtime with ``Machine.add_processor()``.  Returns the
         moved section numbers (empty when already balanced)."""
-        self._check_live()
-        moved, status = am_user.rebalance_array(
-            self.machine, self.array_id, targets, processor=self._home
+        moved = self._checked(
+            am_user.rebalance_array, "rebalance_array", targets,
+            processor=self._home,
         )
-        check_status(status, "rebalance_array failed")
         self._refresh_processors()
         return list(moved)
 
     # -- lifetime ------------------------------------------------------------------------------
 
     def free(self) -> None:
-        self._check_live()
-        status = am_user.free_array(
-            self.machine, self.array_id, processor=self._home
-        )
-        check_status(status, "free_array failed")
+        self._checked(am_user.free_array, "free_array", processor=self._home)
         self._freed = True
 
     def __enter__(self) -> "DistributedArray":

@@ -255,6 +255,31 @@ class TestFree:
         assert replica_store_for(m16.processor(5)).sections_for(aid) == []
         assert TRACKER.live == live_before
 
+    @pytest.mark.parametrize("replication", [0, 1])
+    def test_free_after_a_migration_leaves_nothing_behind(
+        self, m16, replication
+    ):
+        """Regression (ROADMAP 3(f)): the owner a section migrated away
+        from kept its section-less record — and, replicated, the mirror
+        it held of its ring neighbour's section — and no free ever
+        reached it: it is no longer one of the array's processors."""
+        live_before = TRACKER.live
+        aid, st = am_user.create_array(
+            m16, "double", (16,), [0, 1, 2, 3], ["block"],
+            replication=replication,
+        )
+        assert st is Status.OK
+        moved, st = am_user.migrate_sections(m16, aid, {1: 6})
+        assert (moved, st) == ([1], Status.OK)
+        # The former owner has forgotten the array as the move committed.
+        assert aid not in _records(m16.processor(1))
+        assert am_user.free_array(m16, aid) is Status.OK
+        for p in range(m16.num_nodes):
+            node = m16.processor(p)
+            assert aid not in _records(node)
+            assert replica_store_for(node).sections_for(aid) == []
+        assert TRACKER.live == live_before
+
     def test_rejoin_keeps_the_records_of_live_arrays(self, m16):
         aid, st = am_user.create_array(
             m16, "double", (16,), am_util.node_array(0, 1, 8), ["block"]

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
-from repro.arrays.manager import get_array_manager
+from repro.arrays.durability import replica_store_for
+from repro.arrays.manager import _records, get_array_manager
 from repro.arrays.placement import (
     MigrationError,
     PlacementPlan,
@@ -25,6 +26,7 @@ from repro.core.darray import DistributedArray
 from repro.faults import install_recovery
 from repro.perf import get_perf_layer
 from repro.status import Status
+from repro.vp.fabric import TraceInterceptor
 from repro.vp.machine import Machine
 
 DISTRIB_2X2 = (("block", 2), ("block", 2))
@@ -253,6 +255,101 @@ class TestMoveTransactionality:
             am_user.verify_array(machine, arr.array_id, 2, [0, 0, 0, 0], "row")
             is Status.OK
         )
+
+
+# -- what a move puts on the wire, and what it leaves behind ------------------
+
+
+def wire(tracer):
+    return [(s["kind"], s["source"], s["dest"]) for s in tracer.spans()]
+
+
+class TestWire:
+    """The ``(kind, source, dest)`` sequence of a move is pinned: scripted
+    ``KillSpec(vp, after=n, on="recv")`` tests and every fuzz seed are
+    keyed on it.  An array on ``(0, 1, 2, 3)`` with one backup a section
+    (section ``s`` is mirrored by the next owner in the ring), moved from
+    processor 0: requests processor 0 makes of itself are not messages."""
+
+    @pytest.fixture
+    def machine(self):
+        m = Machine(8, default_recv_timeout=10)
+        am_util.load_all(m)
+        return m
+
+    def test_migration_wire_is_pinned(self, machine):
+        arr = make_array(machine, replication=1)
+        with TraceInterceptor(machine) as tracer:
+            moved, status = am_user.migrate_sections(
+                machine, arr.array_id, {1: 6}, processor=0
+            )
+        assert (moved, status) == ([1], Status.OK)
+        assert wire(tracer) == [
+            ("migrate", 0, 1),  # yield
+            ("migrate", 0, 6),  # adopt
+            ("migrate", 0, 1),  # rewrite membership: 0 itself, 1, 2, 3
+            ("migrate", 0, 2),
+            ("migrate", 0, 3),
+            ("replica_update", 0, 6),  # reseed: 0 itself, 6, 2, 3
+            ("migrate", 0, 6),
+            ("replica_update", 6, 2),
+            ("migrate", 0, 2),
+            ("replica_update", 2, 3),
+            ("migrate", 0, 3),
+            ("replica_update", 3, 0),
+            ("migrate", 0, 1),  # after the commit: former owner 1 forgets
+        ]
+
+    def test_recovery_wire_is_pinned(self, machine):
+        install_recovery(machine)
+        make_array(machine, replication=1)
+        with TraceInterceptor(machine) as tracer:
+            machine.fail(1)
+        # No trailing message: the former owner is the corpse.
+        assert wire(tracer) == [
+            ("recovery", 0, 2),  # fetch the mirror of section 1
+            ("recovery", 0, 4),  # adopt
+            ("recovery", 0, 2),  # rewrite membership: 0 itself, 2, 3
+            ("recovery", 0, 3),
+            ("replica_update", 0, 4),  # reseed: 0 itself, 4, 2, 3
+            ("recovery", 0, 4),
+            ("replica_update", 4, 2),
+            ("recovery", 0, 2),
+            ("replica_update", 2, 3),
+            ("recovery", 0, 3),
+            ("replica_update", 3, 0),
+        ]
+
+    def test_former_owner_keeps_its_mirrors_until_every_owner_reseeded(
+        self, machine
+    ):
+        """The forgetting must not cost a section its last copy: with
+        owner 2 dead and nothing recovering it, the mirror on processor 3
+        is all there is of section 2, and moving 3's own section away
+        must leave it there for the repair to find."""
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        machine.fail(2)
+
+        assert arr.migrate({3: 6}) == [3]
+
+        former = machine.processor(3)
+        assert replica_store_for(former).sections_for(arr.array_id) == [2]
+        assert arr.rebalance() == [2]
+        assert np.array_equal(arr.to_numpy(), ref)
+
+    def test_committed_move_leaves_nothing_on_the_former_owner(self, machine):
+        arr = make_array(machine, replication=1)
+        arr.migrate({1: 6})
+        former = machine.processor(1)
+        assert arr.array_id not in _records(former)
+        assert replica_store_for(former).sections_for(arr.array_id) == []
+        # The creating processor is a former owner that keeps its record:
+        # it must go on answering for the array (§5.1.4).
+        arr.migrate({0: 7})
+        assert arr.array_id in _records(machine.processor(0))
+        assert arr.info("processors") == [7, 6, 2, 3]
 
 
 # -- the migration barrier and the perf layer ---------------------------------

@@ -1,12 +1,14 @@
 """Model-based testing of the array manager.
 
 Hypothesis drives random sequences of distributed-array operations
-(element and region writes, reads from random processors, border
+(element and region writes, reads from random owners, border
 verifications, bulk transfers, checkpoint/restore, distributed-call
-mutations) on arrays of replication 0, 1 or 2 against a plain NumPy
-oracle; the distributed array and the oracle must never disagree, and
-every backup mirror must hold what its owner holds.  This catches
-cross-operation interactions no example-based test enumerates.
+mutations, planned migrations onto two spare processors) on arrays of
+replication 0, 1 or 2 against a plain NumPy oracle; the distributed array
+and the oracle must never disagree, every backup mirror must hold what
+its owner holds, and once the array is freed no processor may hold
+anything of it.  This catches cross-operation interactions no
+example-based test enumerates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arrays import am_user, am_util
 from repro.arrays.durability import replica_store_for
-from repro.arrays.manager import get_array_manager
+from repro.arrays.manager import _records, get_array_manager
 from repro.calls import Local, distributed_call
 from repro.pcn.defvar import DefVar
 from repro.status import Status
@@ -26,8 +28,9 @@ from repro.vp.machine import Machine
 N = 8  # global vector length
 P = 4
 LOCAL = N // P  # elements per section
+SPARES = 2  # processors a section can migrate onto
 
-_MACHINE = Machine(P)
+_MACHINE = Machine(P + SPARES)
 am_util.load_all(_MACHINE)
 _PROCS = am_util.node_array(0, 1, P)
 
@@ -46,11 +49,15 @@ region_op = st.tuples(
 checkpoint_op = st.tuples(st.just("checkpoint"))
 restore_op = st.tuples(st.just("restore"))
 call_op = st.tuples(st.just("call_add"), st.floats(-10, 10, allow_nan=False))
+# (section, which of the processors then holding no section takes it)
+migrate_op = st.tuples(
+    st.just("migrate"), st.integers(0, P - 1), st.integers(0, SPARES - 1)
+)
 
 operations = st.lists(
     st.one_of(
         write_op, read_op, verify_op, bulk_op, region_op, checkpoint_op,
-        restore_op, call_op,
+        restore_op, call_op, migrate_op,
     ),
     min_size=1,
     max_size=25,
@@ -104,6 +111,16 @@ def _add_program(ctx, delta, sec):
     ],
     2,
 )
+# A section moved off a plain owner and one moved off the creating
+# processor, with the operations that must follow the membership after.
+@example(
+    [
+        ("write", 2, 3.0), ("migrate", 1, 0), ("call_add", 1.0),
+        ("read", 3, 1), ("migrate", 0, 1), ("bulk", 5), ("verify", 1),
+        ("checkpoint",), ("migrate", 1, 0), ("restore",), ("read", 0, 0),
+    ],
+    1,
+)
 def test_property_array_tracks_numpy_oracle(ops, replication):
     aid, st_create = am_user.create_array(
         _MACHINE, "double", (N,), _PROCS, ["block"], replication=replication
@@ -113,12 +130,15 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
     saved = None  # (snapshot, oracle at the checkpoint)
     # Distributed-call mutations write through find_local and do not
     # update mirrors by design: after one, mirrors are compared again only
-    # once a whole-section write (bulk, restore) has reseeded them.
+    # once a whole-section write (bulk, restore) or a migration's reseed
+    # round has made them current.
     mirrors_current = True
+    state = get_array_manager(_MACHINE).durability_state(aid)
     try:
         _check_sections(aid, oracle, mirrors_current, settled=True)
         for op in ops:
             kind = op[0]
+            owners = state.processors  # section number -> its processor
             if kind == "write":
                 _, index, value = op
                 status = am_user.write_element(
@@ -127,9 +147,9 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
                 assert status is Status.OK
                 oracle[index] = value
             elif kind == "read":
-                _, index, processor = op
+                _, index, section = op
                 value, status = am_user.read_element(
-                    _MACHINE, aid, (index,), processor=processor
+                    _MACHINE, aid, (index,), processor=owners[section]
                 )
                 assert status is Status.OK
                 assert value == oracle[index]
@@ -142,7 +162,7 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
             elif kind == "bulk":
                 _, seed = op
                 data = np.random.default_rng(seed).uniform(-50, 50, N)
-                for rank, proc in enumerate(_PROCS):
+                for rank, proc in enumerate(owners):
                     s = DefVar("s")
                     _MACHINE.server.request(
                         "write_section_local", aid,
@@ -175,10 +195,20 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
                 assert status is Status.OK
                 oracle = saved[1].copy()
                 mirrors_current = True
+            elif kind == "migrate":
+                _, section, spare = op
+                spares = sorted(set(range(P + SPARES)) - set(owners))
+                moved, status = am_user.migrate_sections(
+                    _MACHINE, aid, {section: spares[spare]}
+                )
+                assert (moved, status) == ([section], Status.OK)
+                assert state.processors[section] == spares[spare]
+                # The move ends with every owner reseeding its mirrors.
+                mirrors_current = True
             else:  # call_add
                 _, delta = op
                 result = distributed_call(
-                    _MACHINE, _PROCS, _add_program,
+                    _MACHINE, list(owners), _add_program,
                     [float(delta), Local(aid)],
                 )
                 assert result.status is Status.OK
@@ -195,3 +225,8 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
         assert np.allclose(final, oracle, atol=1e-9)
     finally:
         am_user.free_array(_MACHINE, aid)
+    # Nothing left after the free, wherever the sections have been.
+    for p in range(_MACHINE.num_nodes):
+        node = _MACHINE.processor(p)
+        assert aid not in _records(node)
+        assert replica_store_for(node).sections_for(aid) == []
