@@ -356,7 +356,7 @@ class ArrayManager:
         applied = replica_store_for(node).apply(update)
         observer = getattr(self.machine, "_observer", None)
         if observer is not None:
-            observer.replica_update(applied)
+            observer.replica_update()
         if not applied:
             state = self.durability_state(update.array_id)
             if state is not None:
@@ -487,9 +487,6 @@ class ArrayManager:
         state = self.durability_state(array_id)
         if state is not None:
             state.note_fenced()
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.fenced_write(str(array_id.as_tuple()))
         _define(status, Status.STALE_EPOCH)
 
     def _write_status(self, node: VirtualProcessor, status: DefVar) -> None:
@@ -764,10 +761,7 @@ class ArrayManager:
         state = self.durability_state(array_id)
         epoch = state.epoch if state is not None else record.epoch
         version = perf.versions.get(array_id, section)
-        observer = getattr(self.machine, "_observer", None)
         data = perf.cache.lookup(array_id, section, epoch, version)
-        if observer is not None:
-            observer.perf_cache(hit=data is not None)
         if data is None:
             # Miss: fetch the whole section once, stamped with the owner's
             # (epoch, version) — validation of later hits costs no
@@ -1268,9 +1262,6 @@ class ArrayManager:
             state.epoch = target_epoch
             state.last_checkpoint = snapshot
             state.last_checkpoint_epoch = target_epoch
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.array_epoch(array_id, target_epoch)
         _define(snapshot_out, snapshot)
         _define(status, Status.OK)
 
@@ -1335,9 +1326,6 @@ class ArrayManager:
             ):
                 return _fail(status, Status.ERROR)
             state.epoch = new_epoch
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.array_epoch(array_id, new_epoch)
         _define(status, Status.OK)
 
     def restore_local(

@@ -354,14 +354,6 @@ class SectionMover:
             state.sections_migrated += len(plan.moves)
         else:
             state.sections_rebuilt += len(plan.moves)
-        observer = getattr(machine, "_observer", None)
-        if observer is not None:
-            for _ in plan.moves:
-                if planned:
-                    observer.section_migrated(array_id)
-                else:
-                    observer.section_rebuilt(array_id)
-            observer.array_epoch(array_id, new_epoch)
         return {
             "sections": [move.section for move in plan.moves],
             "epoch": new_epoch,
@@ -556,9 +548,6 @@ class SectionMover:
         )
         self._publish(state, membership, holders, kind, strict=False)
         state.epoch = rollback_epoch
-        observer = getattr(machine, "_observer", None)
-        if observer is not None:
-            observer.array_epoch(array_id, rollback_epoch)
 
     # -- plumbing -------------------------------------------------------------
 

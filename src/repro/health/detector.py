@@ -230,10 +230,7 @@ class FailureDetector:
         with self._lock:
             self._events.extend(events)
             listeners = list(self._listeners)
-        observer = getattr(self.machine, "_observer", None)
         for event in events:
-            if observer is not None:
-                observer.health_transition(event.vp, event.transition)
             for listener in listeners:
                 try:
                     listener(event)
@@ -301,6 +298,10 @@ class FailureDetector:
                     for vp, entry in sorted(self._vps.items())
                 },
                 "heartbeats_received": self.heartbeats_received,
+                "heartbeats": {
+                    vp: entry.heartbeats
+                    for vp, entry in sorted(self._vps.items())
+                },
                 "false_positives": self.false_positives,
                 "rejoins": self.rejoins,
                 "transitions": len(self._events),
@@ -353,11 +354,6 @@ class FailureDetector:
                         vp, "quarantine", HealthState.QUARANTINED, now
                     )
                 )
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.heartbeat(vp)
-            if any(e.transition == "quarantine" for e in events):
-                observer.false_positive(vp)
         for event in events:
             if event.transition == "alive":
                 self.machine.flush_suspect_queue(vp)

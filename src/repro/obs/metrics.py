@@ -14,8 +14,10 @@ of a Prometheus client:
 
 Instruments are identified by ``(name, labels)``; :meth:`MetricsRegistry.
 counter` and friends get-or-create, so instrumentation sites never need
-to pre-register anything.  :meth:`MetricsRegistry.to_prometheus` renders
-the whole registry in the Prometheus text exposition format and
+to pre-register anything.  An instrument is *fed*; a registry can also
+export *views* — series read, at export time, from a counter somebody
+else keeps (:mod:`repro.obs.views`).  :meth:`MetricsRegistry.
+to_prometheus` renders both in the Prometheus text exposition format and
 :meth:`MetricsRegistry.snapshot` as a plain dict for tests and
 ``Machine.diagnostics()``.
 """
@@ -23,7 +25,7 @@ the whole registry in the Prometheus text exposition format and
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 # Default histogram boundaries, in seconds: spans from sub-millisecond
 # collective hops to multi-second supervised-retry waits.
@@ -36,11 +38,22 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+# What the text exposition format requires escaped inside a label value.
+_ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
+
+
 def _label_str(labels: tuple) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
+    inner = ",".join(f'{k}="{v.translate(_ESCAPES)}"' for k, v in labels)
     return "{" + inner + "}"
+
+
+def _number(value: float) -> str:
+    """A sample value as the exposition prints it: whole numbers in full
+    (``%g`` would round a byte count to six digits)."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 class Counter:
@@ -168,6 +181,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, Any] = {}
+        # The views exported beside the instruments: a callable returning
+        # ``(name, type, labels, value)`` rows, read at every export.  An
+        # Observer points it at its machine; a bare registry has none.
+        self.views: Callable[[], Iterable[tuple]] = lambda: ()
 
     def _get(self, factory, name: str, labels: dict, **kwargs) -> Any:
         key = (name, _label_key(labels))
@@ -201,52 +218,50 @@ class MetricsRegistry:
 
     # -- export ---------------------------------------------------------------
 
+    def series(self) -> Iterator[tuple]:
+        """``(name, type, labels, sample)`` of everything exported: the
+        fed instruments, then the views."""
+        for inst in self.instruments():
+            yield inst.name, inst.kind, inst.labels, inst.sample()
+        yield from self.views()
+
     def snapshot(self) -> dict:
         """``{name{labels}: sample}`` for diagnostics and tests."""
-        out = {}
-        for instrument in self.instruments():
-            out[instrument.name + _label_str(instrument.labels)] = (
-                instrument.sample()
-            )
-        return out
+        return {
+            name + _label_str(labels): sample
+            for name, _kind, labels, sample in self.series()
+        }
 
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format."""
-        by_name: dict[str, list] = {}
-        kinds: dict[str, str] = {}
-        for instrument in self.instruments():
-            by_name.setdefault(instrument.name, []).append(instrument)
-            kinds[instrument.name] = instrument.kind
+        by_name: dict[tuple, list] = {}
+        for name, kind, labels, sample in self.series():
+            by_name.setdefault((name, kind), []).append((labels, sample))
         lines = []
-        for name in sorted(by_name):
-            lines.append(f"# TYPE {name} {kinds[name]}")
-            for inst in by_name[name]:
-                labels = inst.labels
-                if isinstance(inst, Histogram):
-                    cumulative = 0
-                    sample = inst.sample()
-                    for bound in inst.buckets:
-                        cumulative += sample["buckets"][str(bound)]
-                        le = dict(labels)
-                        le["le"] = f"{bound:g}"
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_label_str(_label_key(le))} {cumulative}"
-                        )
-                    le = dict(labels)
-                    le["le"] = "+Inf"
+        for name, kind in sorted(by_name):
+            lines.append(f"# TYPE {name} {kind}")
+            for labels, sample in by_name[name, kind]:
+                if kind != "histogram":
                     lines.append(
-                        f"{name}_bucket"
-                        f"{_label_str(_label_key(le))} {sample['count']}"
+                        f"{name}{_label_str(labels)} {_number(sample)}"
                     )
+                    continue
+                cumulative = 0
+                for bound, count in sample["buckets"].items():
+                    cumulative += count
+                    le = _label_key(dict(labels, le=f"{float(bound):g}"))
                     lines.append(
-                        f"{name}_sum{_label_str(labels)} {sample['sum']:g}"
+                        f"{name}_bucket{_label_str(le)} {cumulative}"
                     )
-                    lines.append(
-                        f"{name}_count{_label_str(labels)} {sample['count']}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{_label_str(labels)} {inst.value:g}"
-                    )
+                le = _label_key(dict(labels, le="+Inf"))
+                lines.append(
+                    f"{name}_bucket{_label_str(le)} {sample['count']}"
+                )
+                lines.append(
+                    f"{name}_sum{_label_str(labels)} "
+                    f"{_number(sample['sum'])}"
+                )
+                lines.append(
+                    f"{name}_count{_label_str(labels)} {sample['count']}"
+                )
         return "\n".join(lines) + ("\n" if lines else "")

@@ -3,38 +3,98 @@
 ``Machine.observe()`` constructs an :class:`Observer` and installs it:
 
 * sets itself as ``machine._observer`` — the single attribute every
-  instrumentation site probes (spans, fault counters, array-manager
-  handler timing all stay no-ops until this flips);
+  instrumentation site probes (spans, mailbox depth and wait, fault
+  counters, array-manager handler timing all stay no-ops until this
+  flips);
 * pushes a message-event interceptor onto the transport stack, recording
   a timed event per routed message (stitched to spans by ``trace_id`` and
   ``span``);
-* hooks every mailbox (queue depth gauge, delivery counter, receive-wait
-  histogram) and subscribes to :mod:`repro.pcn.defvar` suspensions.
+* subscribes to :mod:`repro.pcn.defvar` suspensions (``pcn`` knows no
+  machine, so that one hook is module-level).
 
 ``close()`` (or the context-manager exit) reverses all of it, restoring
 the exact pre-observation machine.
+
+What the feed methods below count is what nothing reachable from the
+machine counts already; every event a subsystem counts for itself is
+exported as a view of that counter (:mod:`repro.obs.views`), so no event
+has two.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import threading
 import time
-from typing import Any, Optional
+from typing import Any
 
+from repro.obs import views
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.pcn import defvar as _defvar
 from repro.vp import fabric
 
 
-class _MessageRecorder:
-    """Transport-stack interceptor appending one timed event per message."""
+class Observer:
+    """Spans + metrics + event log for one machine."""
 
-    def __init__(self, observer: "Observer") -> None:
-        self.observer = observer
+    def __init__(
+        self,
+        machine: Any,
+        max_spans: int = 100_000,
+        max_events: int = 200_000,
+    ) -> None:
+        self.machine = machine
+        self.recorder = SpanRecorder(max_spans=max_spans)
+        self.metrics = MetricsRegistry()
+        self.metrics.views = functools.partial(views.read, machine)
+        self.epoch = time.perf_counter()
+        self.events_dropped = 0
+        self._events: collections.deque = collections.deque(maxlen=max_events)
+        self._events_lock = threading.Lock()
+        self._mailbox: dict[int, tuple] = {}
 
-    def __call__(self, message: Any, forward: Any) -> None:
-        self.observer._record_event(
+    # -- lifecycle -----------------------------------------------------------
+
+    def install(self) -> "Observer":
+        if self.installed:
+            return self
+        self.machine._observer = self
+        self.machine.transport_stack.push(self._on_message)
+        _defvar.add_suspend_hook(self._on_defvar_suspend)
+        return self
+
+    def close(self) -> None:
+        """Uninstall every hook; recorded data stays readable."""
+        if not self.installed:
+            return
+        self.machine.transport_stack.remove(self._on_message)
+        _defvar.remove_suspend_hook(self._on_defvar_suspend)
+        self.machine._observer = None
+
+    @property
+    def installed(self) -> bool:
+        return self.machine._observer is self
+
+    def __enter__(self) -> "Observer":
+        return self.install()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    # -- span helper ----------------------------------------------------------
+
+    def span(self, name: str, **attrs: Any) -> Any:
+        """Open a span directly on this observer (observer already known)."""
+        return self.recorder.start(name, attrs)
+
+    # -- event log -------------------------------------------------------------
+
+    def _on_message(self, message: Any, forward: Any) -> None:
+        """The transport-stack interceptor: one timed event per routed
+        message."""
+        self._record_event(
             {
                 "type": "message",
                 "ts": time.perf_counter(),
@@ -50,93 +110,11 @@ class _MessageRecorder:
         )
         forward(message)
 
-
-class Observer:
-    """Spans + metrics + event log for one machine."""
-
-    def __init__(
-        self,
-        machine: Any,
-        spans: bool = True,
-        metrics: bool = True,
-        messages: bool = True,
-        max_spans: int = 100_000,
-        max_events: int = 200_000,
-    ) -> None:
-        self.machine = machine
-        self.spans_enabled = spans
-        self.metrics_enabled = metrics
-        self.messages_enabled = messages
-        self.recorder = SpanRecorder(max_spans=max_spans)
-        self.metrics = MetricsRegistry()
-        self.epoch = time.perf_counter()
-        self.max_events = max_events
-        self.events_dropped = 0
-        self._events: list[dict] = []
-        self._events_lock = threading.Lock()
-        self._interceptor: Optional[_MessageRecorder] = None
-        self._installed = False
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def install(self) -> "Observer":
-        if self._installed:
-            return self
-        self.machine._observer = self
-        if self.messages_enabled:
-            self._interceptor = _MessageRecorder(self)
-            self.machine.transport_stack.push(self._interceptor)
-        if self.metrics_enabled:
-            for node in self.machine.processors():
-                node.mailbox.obs_hooks = self
-            _defvar.add_suspend_hook(self._on_defvar_suspend)
-        self._installed = True
-        return self
-
-    def close(self) -> None:
-        """Uninstall every hook; recorded data stays readable."""
-        if not self._installed:
-            return
-        if self._interceptor is not None:
-            self.machine.transport_stack.remove(self._interceptor)
-            self._interceptor = None
-        for node in self.machine.processors():
-            if node.mailbox.obs_hooks is self:
-                node.mailbox.obs_hooks = None
-        _defvar.remove_suspend_hook(self._on_defvar_suspend)
-        if getattr(self.machine, "_observer", None) is self:
-            self.machine._observer = None
-        self._installed = False
-
-    @property
-    def installed(self) -> bool:
-        return self._installed
-
-    def __enter__(self) -> "Observer":
-        return self.install()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- span helper ----------------------------------------------------------
-
-    def span(self, name: str, **attrs: Any) -> Any:
-        """Open a span directly on this observer (observer already known)."""
-        from repro.obs.spans import NOOP_SPAN
-
-        if not self.spans_enabled:
-            return NOOP_SPAN
-        return self.recorder.start(name, attrs)
-
-    # -- event log -------------------------------------------------------------
-
     def _record_event(self, event: dict) -> None:
         with self._events_lock:
+            if len(self._events) == self._events.maxlen:
+                self.events_dropped += 1  # the ring drops its oldest
             self._events.append(event)
-            if len(self._events) > self.max_events:
-                overflow = len(self._events) - self.max_events
-                del self._events[:overflow]
-                self.events_dropped += overflow
 
     def events(self) -> list[dict]:
         with self._events_lock:
@@ -144,117 +122,54 @@ class Observer:
 
     # -- metric feed points ----------------------------------------------------
 
+    def _mailbox_instruments(self, owner: int) -> tuple:
+        """One VP's delivery counter, depth gauge and wait histogram,
+        looked up by name once and held: the two feeds below run per
+        message."""
+        held = self._mailbox.get(owner)
+        if held is None:
+            held = self._mailbox[owner] = (
+                self.metrics.counter(
+                    "repro_mailbox_delivered_total", vp=owner
+                ),
+                self.metrics.gauge("repro_mailbox_depth", vp=owner),
+                self.metrics.histogram(
+                    "repro_mailbox_recv_wait_seconds", vp=owner
+                ),
+            )
+        return held
+
     def mailbox_delivered(self, owner: int, depth: int) -> None:
-        self.metrics.counter("repro_mailbox_delivered_total", vp=owner).inc()
-        self.metrics.gauge("repro_mailbox_depth", vp=owner).set(depth)
+        delivered, queued, _ = self._mailbox_instruments(owner)
+        delivered.inc()
+        queued.set(depth)
 
     def mailbox_received(self, owner: int, wait: float, depth: int) -> None:
-        self.metrics.histogram(
-            "repro_mailbox_recv_wait_seconds", vp=owner
-        ).observe(wait)
-        self.metrics.gauge("repro_mailbox_depth", vp=owner).set(depth)
+        _, queued, waited = self._mailbox_instruments(owner)
+        waited.observe(wait)
+        queued.set(depth)
 
-    def process_spawned(self, processor: int, live: int) -> None:
+    def process_spawned(self, processor: int) -> None:
         self.metrics.counter(
             "repro_processes_spawned_total", vp=processor
         ).inc()
-        self.metrics.gauge("repro_live_processes", vp=processor).set(live)
 
     def fault_injected(self, fault_type: str) -> None:
         self.metrics.counter(
             "repro_faults_injected_total", type=fault_type
         ).inc()
 
-    def replica_update(self, applied: bool) -> None:
+    def replica_update(self) -> None:
+        """One ``replica_update`` message applied to (or refused by) a
+        backup's mirror; a refusal is counted by the array's durability
+        state."""
         self.metrics.counter("repro_replica_updates_total").inc()
-        if not applied:
-            self.metrics.counter("repro_replica_stale_rejects_total").inc()
-
-    def perf_flush(self, ops: int, routed: bool) -> None:
-        """One write-coalescer batch flush of ``ops`` fused writes."""
-        self.metrics.counter("repro_perf_flushes_total").inc()
-        self.metrics.counter("repro_perf_coalesced_writes_total").inc(ops)
-        if not routed:
-            self.metrics.counter("repro_perf_inline_batches_total").inc()
-
-    def comm_plan(self, event: str) -> None:
-        """One halo-plan registry event: ``"compiled"``, ``"hit"``, or
-        ``"invalidated"`` (epoch/membership moved under a cached plan)."""
-        name = {
-            "compiled": "repro_comm_plans_compiled_total",
-            "hit": "repro_comm_plans_hits_total",
-            "invalidated": "repro_comm_plans_invalidations_total",
-        }.get(event)
-        if name is not None:
-            self.metrics.counter(name).inc()
-
-    def halo_exchange(self, strips: int, nbytes: int) -> None:
-        """One completed planned halo exchange (``strips`` fused bulk
-        strips claimed into border cells)."""
-        self.metrics.counter("repro_halo_exchanges_total").inc()
-        self.metrics.counter("repro_halo_strips_total").inc(int(strips))
-        self.metrics.counter("repro_halo_bytes_total").inc(int(nbytes))
-
-    def perf_cache(self, hit: bool) -> None:
-        """One section-cache lookup on the element-read path."""
-        name = (
-            "repro_perf_cache_hits_total"
-            if hit
-            else "repro_perf_cache_misses_total"
-        )
-        self.metrics.counter(name).inc()
-
-    def array_epoch(self, array_id: Any, epoch: int) -> None:
-        self.metrics.gauge(
-            "repro_array_epoch", array=str(getattr(array_id, "as_tuple", lambda: array_id)())
-        ).set(epoch)
-
-    def section_rebuilt(self, array_id: Any) -> None:
-        self.metrics.counter(
-            "repro_sections_rebuilt_total",
-            array=str(getattr(array_id, "as_tuple", lambda: array_id)()),
-        ).inc()
-
-    def section_migrated(self, array_id: Any) -> None:
-        """One section moved by a *planned* migration (not recovery)."""
-        self.metrics.counter(
-            "repro_sections_migrated_total",
-            array=str(getattr(array_id, "as_tuple", lambda: array_id)()),
-        ).inc()
-
-    # -- health (repro.health failure detection) --------------------------------
-
-    def heartbeat(self, vp: int) -> None:
-        self.metrics.counter("repro_heartbeats_total", vp=vp).inc()
-
-    def health_transition(self, vp: int, transition: str) -> None:
-        """One detector verdict transition (suspect/alive/dead/
-        quarantine/rejoin) for one VP."""
-        self.metrics.counter(
-            "repro_health_transitions_total", vp=vp, transition=transition
-        ).inc()
-        if transition == "suspect":
-            self.metrics.counter(
-                "repro_health_suspicions_total", vp=vp
-            ).inc()
-
-    def false_positive(self, vp: int) -> None:
-        """A VP the detector declared dead resumed heartbeating."""
-        self.metrics.counter(
-            "repro_health_false_positives_total", vp=vp
-        ).inc()
 
     def detection_latency(self, seconds: float) -> None:
         """Observed silence at the moment a timeout verdict hardened."""
         self.metrics.histogram(
             "repro_health_detection_latency_seconds"
         ).observe(seconds)
-
-    def fenced_write(self, array: str) -> None:
-        """A write/adopt/batch refused by the epoch fencing token."""
-        self.metrics.counter(
-            "repro_fenced_writes_total", array=array
-        ).inc()
 
     def _on_defvar_suspend(self, label: str) -> None:
         processor = fabric.current_processor()
@@ -308,7 +223,7 @@ class Observer:
 
     def diagnostics(self) -> dict:
         return {
-            "enabled": self._installed,
+            "enabled": self.installed,
             "spans": len(self.recorder.spans()),
             "spans_dropped": self.recorder.dropped,
             "events": len(self.events()),

@@ -19,6 +19,7 @@ locks, no clock reads.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 import time
@@ -137,7 +138,7 @@ class SpanRecorder:
             raise ValueError("max_spans must be positive")
         self.max_spans = max_spans
         self._lock = threading.Lock()
-        self._spans: list[dict] = []
+        self._spans: collections.deque = collections.deque(maxlen=max_spans)
         self.dropped = 0
 
     def start(self, name: str, attrs: dict) -> SpanHandle:
@@ -146,11 +147,9 @@ class SpanRecorder:
     def record(self, handle: SpanHandle) -> None:
         entry = handle.as_dict()
         with self._lock:
+            if len(self._spans) == self.max_spans:
+                self.dropped += 1  # the ring drops its oldest
             self._spans.append(entry)
-            if len(self._spans) > self.max_spans:
-                overflow = len(self._spans) - self.max_spans
-                del self._spans[:overflow]
-                self.dropped += overflow
 
     # -- queries -------------------------------------------------------------
 
@@ -197,11 +196,10 @@ def span(machine: Any, name: str, **attrs: Any) -> Any:
         with obs_span(machine, "combine", parts=n):
             ...
 
-    When ``Machine.observe()`` has not been called (or span recording is
-    disabled) this costs a single attribute probe and returns the shared
-    :data:`NOOP_SPAN`.
+    When ``Machine.observe()`` has not been called this costs a single
+    attribute probe and returns the shared :data:`NOOP_SPAN`.
     """
     observer = getattr(machine, "_observer", None)
-    if observer is None or not observer.spans_enabled:
+    if observer is None:
         return NOOP_SPAN
     return observer.recorder.start(name, attrs)

@@ -354,9 +354,6 @@ class WriteCoalescer:
                 self.flushed_ops += len(ops)
                 if attempt:
                     span.annotate(retries=attempt)
-                observer = getattr(machine, "_observer", None)
-                if observer is not None:
-                    observer.perf_flush(len(ops), routed=source != owner)
                 return
             self.lost_batches += 1
             span.annotate(outcome="lost")

@@ -407,7 +407,6 @@ class HaloExchange:
         self.futures: List[DefVar] = []
         self._pending: List[HaloStrip] = []
         self._claimed_strips = 0
-        self._claimed_bytes = 0
         self._prefetched = False
         self._completed = False
 
@@ -443,8 +442,7 @@ class HaloExchange:
             self.prefetch()
         wanted = None if sides is None else set(sides)
         registry = self.registry
-        observer = getattr(registry.machine, "_observer", None)
-        if observer is None:
+        if getattr(registry.machine, "_observer", None) is None:
             self._settle(wanted)
         else:
             with obs_span(
@@ -457,7 +455,6 @@ class HaloExchange:
             ) as span:
                 self._settle(wanted)
                 span.annotate(strips=self._claimed_strips)
-            observer.halo_exchange(self._claimed_strips, self._claimed_bytes)
         registry.exchanges += 1
         self._completed = True
 
@@ -584,8 +581,8 @@ class HaloExchange:
             with lock:
                 full[strip.dest_slices] = strip.data
             self._claimed_strips += 1
-            self._claimed_bytes += strip.data.nbytes
             registry.strips_claimed += 1
+            registry.bytes_claimed += strip.data.nbytes
 
 
 class PlanRegistry:
@@ -613,6 +610,7 @@ class PlanRegistry:
         self.exchanges = 0
         self.strips_sent = 0
         self.strips_claimed = 0
+        self.bytes_claimed = 0
         self.inline_strips = 0
         self.routed_strips = 0
         self.duplicate_strips = 0
@@ -621,11 +619,6 @@ class PlanRegistry:
         self.retries = 0
 
     # -- plan cache ----------------------------------------------------------
-
-    def _observe(self, event: str) -> None:
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.comm_plan(event)
 
     def _layout_for(self, array_id: Any, state: Any) -> Any:
         for proc in state.processors:
@@ -653,7 +646,6 @@ class PlanRegistry:
         if layout is None:
             return None
         key = (op, array_id.as_tuple())
-        invalidated = False
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
@@ -666,20 +658,15 @@ class PlanRegistry:
                 else:
                     del self._plans[key]
                     self.invalidations += 1
-                    invalidated = True
                     cached = None
         if cached is not None:
-            self._observe("hit")
             return cached
-        if invalidated:
-            self._observe("invalidated")
         plan = compile_halo_plan(op, array_id, layout, state.epoch, procs)
         if plan is None:
             return None
         with self._lock:
             self._plans[key] = plan
             self.compiled += 1
-        self._observe("compiled")
         return plan
 
     def drop_array(self, array_id: Any) -> None:
@@ -794,6 +781,7 @@ class PlanRegistry:
             "exchanges": self.exchanges,
             "strips_sent": self.strips_sent,
             "strips_claimed": self.strips_claimed,
+            "bytes_claimed": self.bytes_claimed,
             "inline_strips": self.inline_strips,
             "routed_strips": self.routed_strips,
             "duplicate_strips": self.duplicate_strips,

@@ -119,19 +119,20 @@ class Machine:
         stack, kind handlers, and server registry are machine-wide, so no
         per-processor registration is needed) and immediately placeable —
         recovery's spare selection and ``rebalance()`` consider it like
-        any original processor.  If an observer is installed its mailbox
-        is hooked, so depth/wait metrics cover the newcomer too.
+        any original processor.  It learns which peers are already dead,
+        so a receive from one fails fast there as on every other node
+        (§4.1.2); under the lock, so that a concurrent ``fail`` / ``revive``
+        either is replayed here or finds the newcomer in its own sweep.
 
         Returns the new processor number.
         """
         with self._lock:
             number = len(self._processors)
             node = VirtualProcessor(number, self)
+            for dead in self._failed:
+                node.mailbox.mark_source_dead(dead)
             self._processors.append(node)
             self._added_processors.append(number)
-            observer = self._observer
-        if observer is not None and getattr(observer, "metrics_enabled", False):
-            node.mailbox.obs_hooks = observer
         return number
 
     # -- failure semantics ----------------------------------------------------
@@ -276,8 +277,8 @@ class Machine:
         account, and dispatch down the interceptor stack to delivery."""
         source = message.source
         dest = message.dest
-        self.processor(dest)  # validate range
-        sender = self.processor(source)
+        self.processor(dest)  # validate both ranges
+        self.processor(source)
         failed = self._failed
         if failed:
             if source in failed:
@@ -321,14 +322,11 @@ class Machine:
                 message, trace_id=trace_id, hop=hop, span_id=span_id
             )
         nbytes = message.nbytes()
-        # The one lock acquisition of a delivered message: all four
-        # traffic counters advance together, so the send side and the
-        # machine total agree exactly (the cost model stays exact).
+        # The one lock acquisition of a delivered message: the message
+        # and byte totals advance together (the cost model stays exact).
         with self._lock:
             self.routed_count += 1
             self.routed_bytes += nbytes
-            sender.sent_count += 1
-            sender.sent_bytes += nbytes
         if direct:
             self._deliver(message)
         else:
@@ -404,11 +402,6 @@ class Machine:
         with self._lock:
             self.routed_count = 0
             self.routed_bytes = 0
-            for node in self._processors:
-                node.sent_count = 0
-                node.sent_bytes = 0
-        for node in self._processors:
-            node.mailbox.reset_traffic_counters()
 
     # -- observability ---------------------------------------------------------
 
@@ -418,11 +411,11 @@ class Machine:
 
         One call turns on the causal span layer, the metrics registry
         (mailbox depth/wait, process churn, DefVar suspensions, fault and
-        replica counters), and the per-message event log.  Options are
-        forwarded to the Observer (``spans=``, ``metrics=``, ``messages=``,
-        ``max_spans=``, ``max_events=``).  Idempotent: a second call
-        returns the already-installed observer.  ``observer.close()``
-        removes every hook.
+        replica counters, and a view of every counter the runtime keeps
+        anyway), and the per-message event log.  Options are forwarded to
+        the Observer (``max_spans=``, ``max_events=``).  Idempotent: a
+        second call returns the already-installed observer.
+        ``observer.close()`` removes every hook.
         """
         if self._observer is not None:
             return self._observer

@@ -89,14 +89,10 @@ class Mailbox:
         # builder — a waiter's source lets the watchdog distinguish
         # "waiting on a suspected peer" from a true circular wait.
         self._waiters: dict[int, _Waiter] = {}
-        # Traffic accounting for the simulated-cost model (DESIGN.md
-        # "Fidelity notes"): counts are exact and GIL-independent.
-        self.received_count = 0
-        self.received_bytes = 0
-        # Observability feed (repro.obs.Observer) or None.  Set by
-        # Machine.observe(); queue-depth and receive-wait metrics stay
-        # no-ops (one attribute check) while unset.
-        self.obs_hooks = None
+        # The machine whose VirtualProcessor built this mailbox, which
+        # sets it; the depth and receive-wait metrics go to that machine's
+        # observer.  A bare ``Mailbox(owner)`` has none and feeds nothing.
+        self.machine = None
 
     def deliver(self, message: Message) -> None:
         """Called by the machine's transport: hand ``message`` to the
@@ -104,9 +100,9 @@ class Mailbox:
         with self._lock:
             self._hand_off(message, len(self._buffer))
             depth = len(self._buffer)
-        hooks = self.obs_hooks
-        if hooks is not None:
-            hooks.mailbox_delivered(self.owner, depth)
+        observer = getattr(self.machine, "_observer", None)
+        if observer is not None:
+            observer.mailbox_delivered(self.owner, depth)
 
     def _hand_off(self, message: Message, index: int) -> None:
         """Give ``message`` to the oldest waiter that accepts it, else
@@ -114,16 +110,10 @@ class Mailbox:
         for ident, waiter in self._waiters.items():
             if waiter.accepts(message):
                 del self._waiters[ident]
-                self._consumed(message)
                 waiter.message = message
                 waiter.wake.release()
                 return
         self._buffer.insert(index, message)
-
-    def _consumed(self, message: Message) -> None:
-        """Count a message leaving the mailbox; the lock must be held."""
-        self.received_count += 1
-        self.received_bytes += message.nbytes()
 
     # -- failure semantics ---------------------------------------------------
 
@@ -215,8 +205,8 @@ class Mailbox:
         until ``deliver`` hands one over; raise on poison, a dead selective
         ``source`` or the deadline.  ``describe()`` names the receive; it
         is called only by a diagnostic snapshot or an error message."""
-        hooks = self.obs_hooks
-        t0 = time.perf_counter() if hooks is not None else 0.0
+        observer = getattr(self.machine, "_observer", None)
+        t0 = time.perf_counter() if observer is not None else 0.0
         with self._lock:
             if self._poison is not None:
                 raise self._poison
@@ -224,7 +214,6 @@ class Mailbox:
             for index, message in enumerate(buffer):
                 if accepts(message):
                     del buffer[index]
-                    self._consumed(message)
                     break
             else:
                 message = None
@@ -242,13 +231,11 @@ class Mailbox:
                 # Interrupted (KeyboardInterrupt on the main thread): this
                 # receive takes nothing, so a later deliver must not find
                 # its waiter, and a message already handed to it goes
-                # back, uncounted, ahead of everything that arrived since.
+                # back, ahead of everything that arrived since.
                 with self._lock:
                     self._waiters.pop(ident, None)
                     handed = waiter.message
                     if handed is not None:
-                        self.received_count -= 1
-                        self.received_bytes -= handed.nbytes()
                         self._hand_off(handed, 0)
                 raise
             if not woken:
@@ -264,8 +251,8 @@ class Mailbox:
                     f"processor {self.owner}: {describe()} timed out "
                     f"after {limit}s"
                 )
-        if hooks is not None:
-            hooks.mailbox_received(
+        if observer is not None:
+            observer.mailbox_received(
                 self.owner, time.perf_counter() - t0, len(self._buffer)
             )
         return message
@@ -307,12 +294,6 @@ class Mailbox:
         return self._receive(
             lambda message: True, None, timeout, lambda: "untyped recv"
         )
-
-    def reset_traffic_counters(self) -> None:
-        """Zero the receive-side traffic accounting."""
-        with self._lock:
-            self.received_count = 0
-            self.received_bytes = 0
 
     def pending(self) -> int:
         return len(self._buffer)

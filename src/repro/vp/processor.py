@@ -30,6 +30,7 @@ class VirtualProcessor:
             owner=number,
             default_timeout=getattr(machine, "default_recv_timeout", None),
         )
+        self.mailbox.machine = machine
         # The node's private address space.  Only code executing "on" this
         # processor may touch it; cross-node access must use messages or
         # server requests.
@@ -37,11 +38,6 @@ class VirtualProcessor:
         self._heap_lock = threading.RLock()
         self._processes: list[Process] = []
         self._processes_lock = threading.Lock()
-        # Messages routed with this node as source; advanced by
-        # Machine.route under the machine lock, together with the machine
-        # totals, so the two always agree.
-        self.sent_count = 0
-        self.sent_bytes = 0
 
     # -- process placement --------------------------------------------------
 
@@ -83,10 +79,9 @@ class VirtualProcessor:
         with self._processes_lock:
             self._processes = [p for p in self._processes if p.is_alive()]
             self._processes.append(proc)
-            live = len(self._processes)
         observer = getattr(self.machine, "_observer", None)
         if observer is not None:
-            observer.process_spawned(self.number, live)
+            observer.process_spawned(self.number)
         return proc
 
     def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:

@@ -544,11 +544,8 @@ class TestRebalancer:
         try:
             arr = make_array(machine)
             arr.migrate({0: 4})
-            counters = [
-                inst
-                for inst in observer.metrics.instruments()
-                if inst.name == "repro_sections_migrated_total"
-            ]
+            snap = observer.metrics.snapshot()
         finally:
             observer.close()
-        assert counters and counters[0].value == 1
+        key = f'{{array="{arr.array_id.as_tuple()}"}}'
+        assert snap["repro_sections_migrated_total" + key] == 1

@@ -103,3 +103,21 @@ class TestRegistry:
         assert "wait_seconds_sum 0.5" in text
         assert "wait_seconds_count 1" in text
         assert text.endswith("\n")
+
+    def test_label_values_are_escaped_and_whole_numbers_exact(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", path='a"b\\c\nd').inc(1234567)
+        assert reg.to_prometheus().splitlines()[1] == (
+            'x_total{path="a\\"b\\\\c\\nd"} 1234567'
+        )
+
+    def test_views_are_exported_beside_the_instruments(self):
+        reg = MetricsRegistry()
+        reg.counter("fed_total").inc()
+        reg.views = lambda: [("kept_total", "counter", (("vp", "3"),), 7)]
+        assert reg.snapshot() == {"fed_total": 1, 'kept_total{vp="3"}': 7}
+        assert reg.to_prometheus() == (
+            "# TYPE fed_total counter\nfed_total 1\n"
+            '# TYPE kept_total counter\nkept_total{vp="3"} 7\n'
+        )
+        assert [i.name for i in reg.instruments()] == ["fed_total"]

@@ -34,10 +34,11 @@ class TestLifecycle:
         observer = machine.observe()
         assert machine.observer is observer
         assert observer.installed
-        assert machine.processor(0).mailbox.obs_hooks is observer
+        assert len(machine.transport_stack) == 1
         observer.close()
         assert machine.observer is None
-        assert machine.processor(0).mailbox.obs_hooks is None
+        assert not observer.installed
+        assert len(machine.transport_stack) == 0
 
     def test_observe_is_idempotent(self, machine):
         assert machine.observe() is machine.observe()
@@ -199,3 +200,214 @@ class TestDiagnostics:
         summary = observer.span_summary()
         assert [row[0] for row in summary] == ["slow", "fast"]
         assert summary[0][1] == 1
+
+
+class TestViews:
+    """A series whose event a subsystem counts for itself is read from
+    that counter at export: it counts from machine start, agrees with
+    ``Machine.diagnostics()`` by construction, and is fed by nobody."""
+
+    @staticmethod
+    def work(rt, arr, move):
+        """Element writes and a cached read, a checkpoint, a planned
+        ``heat_steps`` call and a migration."""
+        from repro.calls import Local, Reduce
+        from repro.spmd.stencil import heat_steps
+        from repro.status import Status
+
+        for i in range(8):
+            arr[i, i] = float(i)
+        assert arr[5, 5] == 5.0 and arr[6, 6] == 6.0  # a miss, then a hit
+        arr.checkpoint()
+        result = rt.call(
+            list(arr.processors), heat_steps,
+            [2, 2, 2, Local(arr.array_id), Reduce("double", 1, "max")],
+        )
+        assert result.status is Status.OK
+        assert arr.migrate(move) == list(move)
+
+    @staticmethod
+    def cut_until_dead(detector, plan):
+        """VP 7 falls silent behind a cut and is declared dead.  The
+        monitor thread sleeps (an hour's interval); rounds are stepped by
+        hand so no heartbeat arrives while the test reads."""
+        from repro.health import HealthState
+
+        deadline = time.monotonic() + 10
+        while detector.heartbeats_received < 8:  # the thread's one round
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        plan.cut("iso")
+        while detector.state_of(7) is not HealthState.DEAD:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+            detector.step()
+
+    @staticmethod
+    def heal_and_rejoin(detector, plan):
+        """The cut heals and VP 7 rejoins: with the above, a suspicion, a
+        false positive and four verdicts in the detector's log."""
+        from repro.health import HealthState
+
+        plan.heal("iso")
+        detector.step()
+        assert detector.state_of(7) is HealthState.ALIVE
+
+    def test_every_view_equals_its_owners_counter(self):
+        import collections
+        import re
+
+        from repro.core.darray import DistributedArray
+        from repro.faults import (
+            FaultPlan, FaultyTransport, PartitionCut, PartitionPlan,
+        )
+        from repro.health import install_detector
+        from repro.obs.views import VIEWS
+        from repro.perf import get_perf_layer
+
+        rt = IntegratedRuntime(8, default_recv_timeout=20)
+        machine = rt.machine
+        get_perf_layer(machine).cache.enabled = True
+        arr = DistributedArray.create(
+            machine, "double", (8, 8), [0, 1, 2, 3],
+            [("block", 2), ("block", 2)], borders=[2] * 4, replication=1,
+        )
+        plan = PartitionPlan([PartitionCut("iso", (7,), tuple(range(7)))])
+        plan.heal("iso")
+        # Suspect after 0.18 s of silence, dead after 0.36 s, on an
+        # interval nobody waits out.
+        detector = install_detector(
+            machine, interval=3600.0, suspect_after=5e-5, dead_after=1e-4
+        )
+        try:
+            self.work(rt, arr, {1: 4})
+            with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
+                self.cut_until_dead(detector, plan)
+                observer = rt.observe()
+                self.heal_and_rejoin(detector, plan)
+            self.work(rt, arr, {2: 5})
+            release = DefVar("release")
+            blocked = machine.processor(3).spawn(release.read, 10)
+
+            diag = machine.diagnostics()
+            snap = diag["observability"]["metrics"]
+            text = observer.metrics.to_prometheus()
+            assert observer.metrics.snapshot() == snap  # nothing moved
+            release.define(None)
+            blocked.join()
+        finally:
+            detector.close()
+            if rt.observer is not None:
+                rt.observer.close()
+
+        array_key = str(arr.array_id.as_tuple())
+        perf, array = diag["perf"], diag["arrays"][array_key]
+        health = diag["health"]
+        verdicts = collections.Counter(
+            (e.vp, e.transition) for e in detector.events()
+        )
+        expected = {
+            "repro_routed_messages_total": diag["routed_messages"],
+            "repro_routed_bytes_total": diag["routed_bytes"],
+            "repro_perf_flushes_total": perf["flushes"],
+            "repro_perf_coalesced_writes_total": perf["coalesced_writes"],
+            "repro_perf_inline_batches_total":
+                perf["coalescer"]["inline_batches"],
+            "repro_perf_cache_hits_total": perf["cache_hits"],
+            "repro_perf_cache_misses_total": perf["cache_misses"],
+            "repro_comm_plans_compiled_total": perf["comm_plans"]["compiled"],
+            "repro_comm_plans_hits_total": perf["comm_plans"]["hits"],
+            "repro_comm_plans_invalidations_total":
+                perf["comm_plans"]["invalidations"],
+            "repro_halo_exchanges_total": perf["comm_plans"]["exchanges"],
+            "repro_halo_strips_total": perf["comm_plans"]["strips_claimed"],
+            "repro_halo_bytes_total": perf["comm_plans"]["bytes_claimed"],
+        }
+        for metric, key in (
+            ("repro_array_epoch", "epoch"),
+            ("repro_sections_rebuilt_total", "sections_rebuilt"),
+            ("repro_sections_migrated_total", "sections_migrated"),
+            ("repro_fenced_writes_total", "fenced_writes"),
+            ("repro_replica_stale_rejects_total",
+             "stale_replica_updates_rejected"),
+        ):
+            expected[f'{metric}{{array="{array_key}"}}'] = array[key]
+        for vp in range(8):
+            label = f'{{vp="{vp}"}}'
+            expected["repro_live_processes" + label] = (
+                diag["live_processes"].get(vp, 0)
+            )
+            expected["repro_heartbeats_total" + label] = (
+                health["heartbeats"][vp]
+            )
+            expected["repro_health_suspicions_total" + label] = (
+                verdicts[vp, "suspect"]
+            )
+            expected["repro_health_false_positives_total" + label] = (
+                verdicts[vp, "quarantine"]
+            )
+        for (vp, transition), count in verdicts.items():
+            expected[
+                "repro_health_transitions_total"
+                f'{{transition="{transition}",vp="{vp}"}}'
+            ] = count
+
+        # Every row of the table is checked, and nothing else is a view.
+        viewed = {row[0] for row in VIEWS}
+        assert {key.split("{")[0] for key in expected} == viewed
+        assert {
+            key: value for key, value in snap.items()
+            if key.split("{")[0] in viewed
+        } == expected
+
+        # The work above happened, on both sides of observe(): a count
+        # that started at observe() would be about half of these.
+        assert perf["flushes"] >= 4 and perf["coalesced_writes"] == 16
+        assert perf["cache_hits"] == 2 and perf["cache_misses"] == 2
+        assert perf["comm_plans"]["exchanges"] >= 8
+        assert array["sections_migrated"] == 2 and array["epoch"] >= 4
+        assert expected['repro_live_processes{vp="3"}'] == 1
+        assert sum(health["heartbeats"].values()) == (
+            health["heartbeats_received"]
+        )
+        assert sum(verdicts.values()) == health["transitions"] >= 4
+        assert verdicts[7, "suspect"] >= 1
+        assert verdicts[7, "quarantine"] == health["false_positives"] == 1
+
+        # The exposition parses line by line and says the same.
+        line = re.compile(
+            r'([a-zA-Z_:][a-zA-Z0-9_:]*)'
+            r'(\{[a-zA-Z_]\w*="(?:[^"\\\n]|\\["\\n])*"'
+            r'(?:,[a-zA-Z_]\w*="(?:[^"\\\n]|\\["\\n])*")*\})?'
+            r' (-?[0-9.]+(?:e[-+]?[0-9]+)?)'
+        )
+        exposed = {}
+        for row in text.splitlines():
+            if not row.startswith("#"):
+                match = line.fullmatch(row)
+                assert match, row
+                exposed[match[1] + (match[2] or "")] = float(match[3])
+        for key, value in expected.items():
+            assert exposed[key] == value, key
+
+    def test_a_freed_arrays_series_end_with_it(self):
+        rt = IntegratedRuntime(4)
+        observer = rt.observe()
+        arr = rt.array("double", (8,), distrib=["block"])
+        key = f'repro_array_epoch{{array="{arr.array_id.as_tuple()}"}}'
+        assert observer.metrics.snapshot()[key] == 0
+        arr.free()
+        assert key not in observer.metrics.snapshot()
+        observer.close()
+
+    def test_processor_added_under_observation_is_covered(self, machine):
+        observer = machine.observe()
+        new = machine.add_processor()
+        machine.send(source=0, dest=new, payload="welcome")
+        machine.processor(new).mailbox.recv(source=0, timeout=5)
+        snap = observer.metrics.snapshot()
+        assert snap[f'repro_mailbox_delivered_total{{vp="{new}"}}'] == 1
+        assert snap[f'repro_mailbox_recv_wait_seconds{{vp="{new}"}}'][
+            "count"
+        ] == 1
+        assert snap[f'repro_live_processes{{vp="{new}"}}'] == 0

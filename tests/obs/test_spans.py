@@ -25,10 +25,6 @@ class TestNoopPath:
         with handle:
             pass  # enter/exit are free
 
-    def test_span_with_spans_disabled_is_noop(self, machine):
-        with machine.observe(spans=False):
-            assert obs_span(machine, "anything") is NOOP_SPAN
-
     def test_span_on_non_machine_object_is_noop(self):
         assert obs_span(object(), "x") is NOOP_SPAN
 

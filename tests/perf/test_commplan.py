@@ -622,13 +622,17 @@ class TestPlanCache:
         arr.halo_plan()
         arr.halo_plan()
         run_heat(machine, arr, (2, 2), 2)
-        snap = observer.metrics.snapshot()
-        assert snap["repro_comm_plans_compiled_total"] >= 1
-        assert snap["repro_comm_plans_hits_total"] >= 1
-        assert snap["repro_halo_exchanges_total"] >= 4
-        assert snap["repro_halo_strips_total"] >= 8
         diag = machine.diagnostics()["perf"]["comm_plans"]
-        assert diag["compiled"] >= 1 and diag["exchanges"] >= 4
+        assert diag["compiled"] >= 1 and diag["hits"] >= 1
+        assert diag["exchanges"] >= 4 and diag["strips_claimed"] >= 8
+        assert diag["bytes_claimed"] >= 8 * 2 * 4 * 8  # depth 2, 4 cells
+        # The exported series are those counters, not a second count.
+        snap = observer.metrics.snapshot()
+        assert snap["repro_comm_plans_compiled_total"] == diag["compiled"]
+        assert snap["repro_comm_plans_hits_total"] == diag["hits"]
+        assert snap["repro_halo_exchanges_total"] == diag["exchanges"]
+        assert snap["repro_halo_strips_total"] == diag["strips_claimed"]
+        assert snap["repro_halo_bytes_total"] == diag["bytes_claimed"]
         spans = [
             s for s in observer.spans() if s["name"] == "perf:halo"
         ] if hasattr(observer, "spans") else []

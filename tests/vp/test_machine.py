@@ -31,6 +31,23 @@ class TestTopology:
         assert [p.number for p in m.processors()] == [0, 1, 2]
 
 
+class TestAddProcessor:
+    def test_newcomer_fails_fast_on_peers_that_were_already_dead(self):
+        """§4.1.2: a receive that names a dead source raises at once — on
+        a processor added after the death as on one that saw it."""
+        from repro.status import ProcessorFailedError
+
+        m = Machine(3, default_recv_timeout=2.0)
+        m.fail(2)
+        new = m.add_processor()
+        for vp in (0, new):
+            with pytest.raises(ProcessorFailedError):
+                m.processor(vp).mailbox.recv(source=2, timeout=0.5)
+        m.revive(2)
+        m.send(source=2, dest=new, payload="back")
+        assert m.processor(new).mailbox.recv(source=2).payload == "back"
+
+
 class TestRouting:
     def test_send_delivers_to_dest_mailbox(self):
         m = Machine(4)
@@ -64,8 +81,6 @@ class TestRouting:
         m.processor(1).mailbox.recv()
         m.reset_traffic()
         assert m.traffic_snapshot() == {"messages": 0, "bytes": 0}
-        assert m.processor(0).sent_count == 0
-        assert m.processor(1).mailbox.received_count == 0
 
 
 class TestAddressSpaces:
@@ -184,8 +199,8 @@ class TestLockFreeReads:
 
 class TestSendCounters:
     def test_send_side_counters_are_exact_under_concurrent_senders(self):
-        """8 threads x 2,000 sends: the per-VP send counters and the
-        machine totals advance under one lock, so they agree exactly."""
+        """8 threads x 2,000 sends: the message and byte totals advance
+        under one lock, so neither loses an update."""
         import sys
 
         m = Machine(8)
@@ -211,8 +226,5 @@ class TestSendCounters:
             sys.setswitchinterval(saved)
         assert not any(t.is_alive() for t in threads)
         snap = m.traffic_snapshot()
-        nodes = m.processors()
         assert snap["messages"] == 8 * sends
-        assert sum(n.sent_count for n in nodes) == snap["messages"]
-        assert sum(n.sent_bytes for n in nodes) == snap["bytes"]
         assert snap["bytes"] == 8 * sum(i % 7 for i in range(sends))

@@ -110,13 +110,6 @@ class TestUntypedReceive:
 
 
 class TestAccounting:
-    def test_counters(self):
-        box = Mailbox(0)
-        box.deliver(msg(payload=b"12345678"))
-        box.recv()
-        assert box.received_count == 1
-        assert box.received_bytes == 8
-
     def test_drain(self):
         box = Mailbox(0)
         box.deliver(msg())
@@ -213,7 +206,6 @@ class TestHandOff:
                 left = box.drain()
                 assert len(got) + len(left) == 1
                 assert (got or left)[0].payload == round_no
-                assert box.received_count == len(got)
                 assert box.blocked_receivers() == {}
         finally:
             sys.setswitchinterval(interval)
@@ -272,20 +264,11 @@ class TestHandOff:
         assert finished(thread)
         assert box.blocked_receivers_detailed() == {}
 
-    def test_counters_advance_once_per_consumed_message(self):
-        box = Mailbox(0)
-        thread, got = suspended_recv(box, tag="t")
-        box.deliver(msg(tag="t", payload=b"1234"))  # handed over
-        assert finished(thread)
-        box.deliver(msg(tag="t", payload=b"12345678"))  # buffered
-        assert (box.received_count, box.received_bytes) == (1, 4)
-        box.recv(tag="t")
-        assert (box.received_count, box.received_bytes) == (2, 12)
-        with pytest.raises(TimeoutError):
-            box.recv(tag="t", timeout=0.01)
-        assert (box.received_count, box.received_bytes) == (2, 12)
+    def test_observer_sees_depth_and_wait(self):
+        """A mailbox feeds the observer of the machine that built it (a
+        bare ``Mailbox(owner)``, as everywhere else here, has none)."""
+        from repro.vp.machine import Machine
 
-    def test_obs_hooks_see_depth_and_wait(self):
         class Hooks:
             def __init__(self):
                 self.delivered, self.received = [], []
@@ -296,8 +279,9 @@ class TestHandOff:
             def mailbox_received(self, owner, wait, depth):
                 self.received.append((owner, wait, depth))
 
-        box = Mailbox(9)
-        box.obs_hooks = hooks = Hooks()
+        machine = Machine(10)
+        box = machine.processor(9).mailbox
+        machine._observer = hooks = Hooks()
         box.deliver(msg(tag="x"))
         box.deliver(msg(tag="t"))
         assert hooks.delivered == [(9, 1), (9, 2)]
@@ -341,15 +325,15 @@ class TestInterruptedReceive:
             box.recv(tag="t")
         assert box.blocked_receivers() == {}
         box.deliver(msg(tag="t", payload="kept"))
-        assert (box.pending(), box.received_count) == (1, 0)
+        assert box.pending() == 1
         monkeypatch.undo()
         assert box.recv(tag="t").payload == "kept"
 
     def test_message_handed_to_an_interrupted_receive_goes_back(
         self, monkeypatch
     ):
-        """Handed over, then the wait is interrupted: the message returns
-        uncounted, ahead of what arrived after it."""
+        """Handed over, then the wait is interrupted: the message returns,
+        ahead of what arrived after it."""
         box = Mailbox(0)
 
         def hand_over_then_more():
@@ -360,12 +344,9 @@ class TestInterruptedReceive:
         with pytest.raises(KeyboardInterrupt):
             box.recv(tag="t")
         monkeypatch.undo()
-        assert (box.pending(), box.received_count, box.received_bytes) == (
-            2, 0, 0,
-        )
+        assert box.pending() == 2
         assert box.recv(tag="t").payload == b"1234"
         assert box.recv(tag="t").payload == b"later"
-        assert (box.received_count, box.received_bytes) == (2, 9)
 
     def test_returned_message_goes_to_a_waiting_receive(self, monkeypatch):
         """A younger receive suspended on an overlapping filter gets the
@@ -384,4 +365,4 @@ class TestInterruptedReceive:
             box.recv(tag="t")
         thread, got = younger
         assert finished(thread) and got[0].payload == "once"
-        assert (box.pending(), box.received_count) == (0, 1)
+        assert box.pending() == 0
