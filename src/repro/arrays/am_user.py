@@ -387,15 +387,3 @@ def write_region_targeted(
         array_id, state.layout, state.type_name, state.processors, region, data
     )
 
-
-def set_read_cache(machine: Machine, enabled: bool) -> bool:
-    """Toggle the epoch-validated section read cache (default off);
-    returns the previous setting."""
-    perf = getattr(machine, "_perf", None)
-    if perf is None:
-        return False
-    previous = perf.cache.enabled
-    perf.cache.enabled = bool(enabled)
-    if not enabled:
-        perf.cache.clear()
-    return previous

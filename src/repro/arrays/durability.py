@@ -31,8 +31,13 @@ Epoch rules (the consistency contract):
 1. epochs are per-array, start at 0, and never decrease;
 2. every replica update carries the writing owner's current epoch; a
    backup rejects updates older than its mirror's epoch;
-3. checkpoint, restore, and recovery each bump the epoch, so data from
-   before the cut / the dead attempt is identifiable and refusable.
+3. checkpoint, restore, recovery, migration and a migration's rollback
+   each commit a new epoch, so data from before the cut / the dead
+   attempt is identifiable and refusable;
+4. an epoch number is *allocated*, never computed: each of those draws
+   its number from :meth:`DurabilityState.allocate_epoch` when it starts,
+   so no two plans — not even a recovery nested inside a migration —
+   ever hold the same fencing token.
 """
 
 from __future__ import annotations
@@ -245,6 +250,19 @@ class DurabilityState:
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
+    # The highest epoch number handed out, committed or not.
+    allocated_epoch: int = 0
+
+    def allocate_epoch(self, above: int = 0) -> int:
+        """A fresh epoch number — the only place one is made.  Strictly
+        greater than the committed epoch, than every number drawn before
+        (whether or not its plan went on to commit it) and than ``above``
+        (a snapshot being restored carries an epoch of its own).  Whoever
+        draws it commits by assigning it to ``epoch``, under ``lock``."""
+        with self.lock:
+            latest = max(self.allocated_epoch, self.epoch, above)
+            self.allocated_epoch = latest + 1
+            return self.allocated_epoch
 
     def note_stale(self) -> None:
         with self.lock:

@@ -26,9 +26,8 @@ One path per concern: every handler starts from ``_resolve`` (the record, or
 NOT_FOUND answered); every write — element, region, whole section, restore,
 coalesced batch — is a list of ``(target, value)`` mutations
 (:mod:`repro.perf.coalescer`) handed to ``_commit``, the only code that takes
-the record lock for a write, checks the epoch fence, assigns into the section,
-bumps its version and replicates; requests are counted once, in the
-``capabilities()`` wrapper.
+the record lock for a write, checks the epoch fence, assigns into the section
+and replicates; requests are counted once, in the ``capabilities()`` wrapper.
 """
 
 from __future__ import annotations
@@ -181,7 +180,6 @@ class ArrayManager:
             "copy_local": self.copy_local,
             "verify_array": self.verify_array,
             "read_section_local": self.read_section_local,
-            "read_section_stamped": self.read_section_stamped,
             "write_section_local": self.write_section_local,
             "read_region": self.read_region,
             "read_region_local": self.read_region_local,
@@ -284,17 +282,6 @@ class ArrayManager:
         if perf is not None:
             perf.coalescer.flush(array_id, section)
 
-    def _bump_version(
-        self, node: VirtualProcessor, record: ArrayRecord
-    ) -> None:
-        """Advance the section's write version so epoch-validated cache
-        entries for it stop validating.  Caller holds ``record.lock``."""
-        perf = self._perf()
-        if perf is not None:
-            perf.versions.bump(
-                record.array_id, record.section_number_for(node.number)
-            )
-
     # -- durability plumbing ---------------------------------------------------
 
     def durability_state(self, array_id: Any) -> Optional[DurabilityState]:
@@ -375,8 +362,8 @@ class ArrayManager:
         """The one owner-side write sequence (§3.2.1.5), whatever the
         granularity: under ``record.lock``, epoch fence, replay
         ``mutations`` (the ``(target, value)`` pairs of
-        :mod:`repro.perf.coalescer`) into the interior, bump the section
-        version, replicate; then define ``status``.  False when fenced.
+        :mod:`repro.perf.coalescer`) into the interior, replicate; then
+        define ``status``.  False when fenced.
 
         ``epoch`` is given only by a restore, which installs it (mirrors
         are reseeded under it) and is deliberately *not* fenced — the
@@ -389,7 +376,6 @@ class ArrayManager:
             if not fenced:
                 # One interior view per commit, however many mutations.
                 apply_mutations(record.section.interior(), mutations)
-                self._bump_version(node, record)
                 self._replicate(node, record, mutations)
         if fenced:
             # Outside record.lock: note_fenced takes state.lock, and the
@@ -674,7 +660,7 @@ class ArrayManager:
         if record is None:
             return
         # Pending coalesced writes to a dying array can never be
-        # observed: drop them (and any cache entries) instead of racing
+        # observed: drop them (and any compiled plans) instead of racing
         # the free.
         perf = self._perf()
         if perf is not None:
@@ -722,9 +708,7 @@ class ArrayManager:
         ``read_element_local`` on the owner.  A read is a flush point: any
         coalesced writes pending against the element's section drain first,
         so a program always reads its own writes (§3.3 sequential
-        equivalence).  With the section cache enabled, the element is
-        served from an epoch-validated local copy of the section instead
-        of a per-element hop.
+        equivalence).
         """
         record = self._resolve(node, array_id, status, element_out)
         if record is None:
@@ -735,52 +719,10 @@ class ArrayManager:
             return _fail(status, Status.INVALID, element_out)
         owner = record.processors[section]
         self._flush_writes(record.array_id, section)
-        perf = self._perf()
-        if perf is not None and perf.cache.enabled:
-            return self._read_element_cached(
-                record, section, owner, tuple(local), element_out, status
-            )
         self.machine.server.request(
             "read_element_local", array_id, local, element_out, status,
             processor=owner,
         )
-
-    def _read_element_cached(
-        self,
-        record: ArrayRecord,
-        section: int,
-        owner: int,
-        local: tuple,
-        element_out: DefVar,
-        status: DefVar,
-    ) -> None:
-        """Serve one element read through the section cache: a hit, or a
-        miss satisfied by one stamped section fetch."""
-        perf = self._perf()
-        array_id = record.array_id
-        state = self.durability_state(array_id)
-        epoch = state.epoch if state is not None else record.epoch
-        version = perf.versions.get(array_id, section)
-        data = perf.cache.lookup(array_id, section, epoch, version)
-        if data is None:
-            # Miss: fetch the whole section once, stamped with the owner's
-            # (epoch, version) — validation of later hits costs no
-            # messages.
-            out = DefVar(f"read_section_stamped@{owner}")
-            st = DefVar(f"read_section_stamped_status@{owner}")
-            self.machine.server.request(
-                "read_section_stamped", array_id, out, st, processor=owner
-            )
-            result = Status(st.read())
-            if result is not Status.OK:
-                return _fail(status, result, element_out)
-            data, r_epoch, r_version = out.read()
-            perf.cache.store(array_id, section, r_epoch, r_version, data)
-        value = data[local]
-        _define(
-            element_out, value.item() if hasattr(value, "item") else value
-        )
-        _define(status, Status.OK)
 
     def read_element_local(
         self,
@@ -907,36 +849,6 @@ class ArrayManager:
             record.array_id, record.section_number_for(node.number)
         )
         _define(data_out, record.section.interior().copy())
-        _define(status, Status.OK)
-
-    def read_section_stamped(
-        self,
-        node: VirtualProcessor,
-        array_id: ArrayID,
-        out: DefVar,
-        status: DefVar,
-    ) -> None:
-        """Section copy plus its ``(epoch, version)`` stamp.
-
-        The fetch half of the epoch-validated read cache: the stamp rides
-        the reply, so the requester can validate later cache hits against
-        machine-wide epoch/version state without any extra messages.
-        """
-        record = self._resolve(node, array_id, status, out, section=True)
-        if record is None:
-            return
-        section_number = record.section_number_for(node.number)
-        self._flush_writes(record.array_id, section_number)
-        perf = self._perf()
-        with record.lock:
-            data = record.section.interior().copy()
-            epoch = record.epoch
-            version = (
-                perf.versions.get(record.array_id, section_number)
-                if perf is not None
-                else 0
-            )
-        _define(out, (data, epoch, version))
         _define(status, Status.OK)
 
     def write_section_local(
@@ -1213,7 +1125,7 @@ class ArrayManager:
         self._flush_writes(array_id)
         with state.lock:
             procs = state.processors
-            target_epoch = state.epoch + 1
+            target_epoch = state.allocate_epoch()
             group = (
                 "am.ckpt",
                 array_id.as_tuple(),
@@ -1314,7 +1226,7 @@ class ArrayManager:
         # past: flush them out so they cannot land *after* the restore.
         self._flush_writes(array_id)
         with state.lock:
-            new_epoch = max(state.epoch, snapshot.epoch) + 1
+            new_epoch = state.allocate_epoch(above=snapshot.epoch)
             shares = {
                 proc: (snapshot.sections.get(section_number),)
                 for section_number, proc in enumerate(state.processors)
@@ -1391,8 +1303,6 @@ class ArrayManager:
         )
         record.section.interior()[...] = data
         _records(node)[array_id] = record
-        with record.lock:
-            self._bump_version(node, record)
         _define(status, Status.OK)
 
     def update_membership_local(
@@ -1440,8 +1350,6 @@ class ArrayManager:
                 record.replica_map = replica_map
                 record.epoch = int(epoch)
                 record.invalidate_section_index()
-                if node.number in processors:
-                    self._bump_version(node, record)
         if stale:
             self._refuse_stale(array_id, status)
             return
@@ -1557,7 +1465,6 @@ class ArrayManager:
             data = record.section.interior().copy()
             record.section.free()
             record.section = None
-            self._bump_version(node, record)
         define_once(out, data)
         define_once(status, Status.OK)
 
@@ -1714,7 +1621,7 @@ def install_array_manager(
     # VP) carry their own kind: exempt from suspect-send queueing and
     # targetable by fault plans independently of recovery/migration.
     machine.register_kind_handler(REJOIN_KIND, machine.server._execute)
-    # The batching-and-caching layer (repro.perf): fused write batches
+    # The batching-and-planning layer (repro.perf): fused write batches
     # arrive under their own kind and apply atomically at the owner.
     machine.register_kind_handler(ARRAY_BATCH_KIND, manager._on_array_batch)
     machine._perf = PerfLayer(machine, manager)  # type: ignore[attr-defined]

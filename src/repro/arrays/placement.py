@@ -21,13 +21,17 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
 * :class:`SectionMover` — executes a plan under the array's
   ``DurabilityState`` lock: source each moving section, adopt it on its
   destination, publish the new membership (rewrite it on every holder,
-  reseed mirrors), and commit the epoch bump.  The plan's ``reason``
-  decides the rest.  A planned migration rolls back — a failure
-  mid-plan (destination dies, fault-injected drop times out, concurrent
-  recovery rewrites membership underneath) restores the sourced
-  sections onto the current owners under a *fresh* epoch and publishes
-  that, so a delayed ``yield_section_local`` from the abandoned attempt
-  is refused by its epoch guard instead of destroying restored data.
+  reseed mirrors), and commit the epoch the plan drew when it started
+  (``DurabilityState.allocate_epoch`` — no two plans hold the same
+  number).  The plan's ``reason`` decides the rest.  A planned migration
+  rolls back — a failure mid-plan (destination dies, fault-injected drop
+  times out, concurrent recovery rewrites membership underneath)
+  restores the sourced sections onto the current owners under a
+  *freshly drawn* epoch and publishes that membership to every holder
+  and destination: the rewrite frees whatever a destination adopted that
+  the restored membership places elsewhere, and a delayed
+  ``yield_section_local`` from the abandoned attempt is refused by its
+  epoch guard instead of destroying restored data.
   Recovery neither rolls back nor flushes: its caller already records
   partial progress as ``unrecovered``, and flushing the write coalescer
   from inside a failure listener could self-deadlock on the
@@ -35,10 +39,9 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
 
 The migration barrier (docs/elasticity.md): a planned move first drains
 the write coalescer for the array, so write-behind batches aimed at the
-old owner land before the section leaves it; the commit's epoch bump
-invalidates every ``SectionCache`` entry for the moved sections, and the
-coalescer re-resolves owners from the durability state at ship time, so
-batches racing the move chase the section to its new owner.
+old owner land before the section leaves it, and the coalescer
+re-resolves owners from the durability state at ship time, so batches
+racing the move chase the section to its new owner.
 """
 
 from __future__ import annotations
@@ -253,7 +256,8 @@ class SectionMover:
         The protocol, in order: (migration barrier) flush coalesced
         writes for the array; source each moving section — a live yield
         from its owner, else the freshest surviving replica, else the
-        latest checkpoint; adopt it on the destination at the new epoch;
+        latest checkpoint; adopt it on the destination at the epoch the
+        plan drew on entry;
         publish the new membership (:meth:`_publish`: rewrite it on every
         holder, reseed mirrors); commit the state; then have each former
         owner the new membership leaves without a role forget the array.
@@ -279,7 +283,7 @@ class SectionMover:
                 f"{tuple(plan.base_processors)}"
             )
         entry_epoch = state.epoch
-        new_epoch = entry_epoch + 1
+        new_epoch = state.allocate_epoch()
         membership = (plan.new_processors, plan.new_replica_map, new_epoch)
 
         def gate(when: str) -> None:
@@ -345,11 +349,14 @@ class SectionMover:
                 gate("during commit traffic")
             except Exception:
                 if planned:
-                    self._abort_locked(state, plan, sourced, new_epoch)
+                    self._abort_locked(state, plan, sourced)
                 raise
             state.processors, state.replica_map, state.epoch = membership
             if reseeded:
-                self._forget(state, plan)
+                self._forget(
+                    state, kind,
+                    set(plan.base_processors) - set(plan.new_processors),
+                )
         if planned:
             state.sections_migrated += len(plan.moves)
         else:
@@ -477,22 +484,26 @@ class SectionMover:
                 reseeded &= ask("reseed_replicas_local", owner)
         return reseeded
 
-    def _forget(self, state: Any, plan: PlacementPlan) -> None:
-        """After the commit: a former owner the new membership leaves
-        without a role — no section, no mirror to keep, not the creating
-        processor, whose record must go on answering (§5.1.4) — forgets
-        the array, record and mirrors, because no ``free_array`` will
-        ever reach it.  Not before every owner has reseeded: until then a
-        mirror it keeps may be the last copy of a section, the fallback
-        :meth:`_section_data` sweeps for if the plan dies on the way.
-        Best-effort: the move is committed, and a former owner that
-        cannot be told only keeps what it kept before."""
-        formers = set(plan.base_processors) - set(plan.new_processors)
-        for former in sorted(formers - {state.creator}):
-            if not self.machine.is_unavailable(former):
+    def _forget(
+        self, state: Any, kind: str, roleless: Any, in_place: bool = False
+    ) -> None:
+        """Have each of ``roleless`` forget the array, record and mirrors:
+        processors the membership just decided leaves without a role — no
+        section, no mirror to keep — which no ``free_array`` will ever
+        reach.  Never the creating processor, whose record must go on
+        answering (§5.1.4).  After a commit they are the former owners,
+        after a rollback the destinations the restored membership does
+        not name.  Either way not before every owner has reseeded: until
+        then a mirror one keeps may be the last copy of a section, the
+        fallback :meth:`_section_data` sweeps for if the plan dies on the
+        way.  Best-effort: the membership is decided, and a processor
+        that cannot be told only keeps what it kept before."""
+        for processor in sorted(set(roleless) - {state.creator}):
+            if not self.machine.is_unavailable(processor):
                 with suppress(Exception):
                     self._ask(
-                        "free_local", former, plan.reason, state.array_id
+                        "free_local", processor, kind, state.array_id,
+                        in_place=in_place,
                     )
 
     # -- rollback -------------------------------------------------------------
@@ -502,64 +513,65 @@ class SectionMover:
         state: Any,
         plan: PlacementPlan,
         sourced: List[Tuple[SectionMove, np.ndarray]],
-        new_epoch: int,
     ) -> None:
         """Rollback of a half-executed plan.
 
         Restores every sourced section onto the *current* authoritative
         owner (``state.processors`` — concurrent recovery may have
-        rewritten it while we were mid-plan) under a fresh epoch above
-        both the entry epoch and the abandoned plan's, so straggling
-        yields and replica updates stamped with either are refused as
-        stale, then publishes that membership and epoch best-effort
-        (:meth:`_publish`).
+        rewritten it while we were mid-plan) under a freshly drawn epoch,
+        above the entry epoch, the abandoned plan's and any a nested
+        recovery committed, so straggling yields and replica updates
+        stamped with either are refused as stale, then publishes that
+        membership and epoch best-effort (:meth:`_publish`) to every
+        holder and every destination.  The rewrite is what retracts the
+        abandoned adopt: a destination frees a section the restored
+        membership places elsewhere, and keeps one it names it for —
+        which a nested recovery may have installed there meanwhile.  A
+        destination left without a role then forgets the array
+        (:meth:`_forget`).
 
         Every request runs in place on its target, and dead processors
         are skipped — each step is individually best-effort against
         concurrent death, but never against message faults.
         """
-        machine = self.machine
-        array_id = plan.array_id
         kind = plan.reason
-        rollback_epoch = max(state.epoch, new_epoch) + 1
         restore_procs = tuple(state.processors)
+        rollback_epoch = state.allocate_epoch()
         membership = (restore_procs, state.replica_map, rollback_epoch)
         with self._lock:
             self.aborts += 1
         for move, data in sourced:
-            # Free the half-installed copy at the destination so the
-            # abandoned adopt cannot shadow the restored section.
-            if not machine.is_unavailable(move.dest):
-                with suppress(Exception):
-                    self._yield(
-                        array_id, new_epoch, move.dest, kind, in_place=True
-                    )
             owner = restore_procs[move.section]
-            if not machine.is_unavailable(owner):
+            if not self.machine.is_unavailable(owner):
                 with suppress(Exception):
                     self._adopt(
                         state, membership, data, owner, kind, in_place=True
                     )
+        dests = {move.dest for move, _ in sourced}
         holders = (
             set(restore_procs)
             | set(plan.base_processors)
             | {state.creator}
-            | {move.dest for move, _ in sourced}
+            | dests
         )
-        self._publish(state, membership, holders, kind, strict=False)
+        reseeded = self._publish(
+            state, membership, holders, kind, strict=False
+        )
         state.epoch = rollback_epoch
+        if reseeded:
+            self._forget(
+                state, kind, dests - set(restore_procs), in_place=True
+            )
 
     # -- plumbing -------------------------------------------------------------
 
     def _yield(
-        self, array_id: Any, epoch: int, processor: int, kind: str,
-        in_place: bool = False,
+        self, array_id: Any, epoch: int, processor: int, kind: str
     ) -> np.ndarray:
         """The section ``processor`` surrenders: copied out and freed
         there, and refused unless its record is at ``epoch``."""
         return self._ask(
-            "yield_section_local", processor, kind, array_id, epoch,
-            out=True, in_place=in_place,
+            "yield_section_local", processor, kind, array_id, epoch, out=True
         )
 
     def _adopt(

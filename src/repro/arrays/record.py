@@ -27,7 +27,7 @@ class ArrayID:
     serial: int
 
     def __post_init__(self) -> None:
-        # IDs key every record/pending-write/cache dict on the element
+        # IDs key every record/pending-write/plan dict on the element
         # hot path; precompute the hash instead of re-deriving it per
         # lookup (frozen fields make this safe).
         object.__setattr__(

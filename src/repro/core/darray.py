@@ -256,8 +256,8 @@ class DistributedArray:
         """Move sections per ``{section: destination processor}``.
 
         A migration barrier: pending coalesced writes flush first, the
-        epoch bump invalidates cached section copies, and the move rolls
-        back under a fresh epoch if anything fails mid-flight (see
+        move commits the epoch it drew when it started, and it rolls back
+        under a freshly drawn one if anything fails mid-flight (see
         ``docs/elasticity.md``).  Returns the moved section numbers.
         """
         moved = self._checked(

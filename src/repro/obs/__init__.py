@@ -8,8 +8,8 @@ The observability layer for the integrated runtime:
   fed by the mailbox/processor/fault hooks that count what nothing else
   does;
 * :mod:`repro.obs.views` — the table of series that are *read* from the
-  counters the runtime keeps anyway (coalescer, plan registry, section
-  cache, durability states, failure detector, routed traffic);
+  counters the runtime keeps anyway (coalescer, plan registry,
+  durability states, failure detector, routed traffic);
 * :mod:`repro.obs.observer` — :class:`Observer`, installed with one call
   (``machine.observe()``) and removed with ``observer.close()``;
 * :mod:`repro.obs.export` — JSONL event log, Chrome trace-event dump

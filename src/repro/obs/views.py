@@ -27,8 +27,6 @@ VIEWS = (
     ("repro_perf_flushes_total", "counter", "coalescer", "flushes"),
     ("repro_perf_coalesced_writes_total", "counter", "coalescer", "flushed_ops"),
     ("repro_perf_inline_batches_total", "counter", "coalescer", "inline_batches"),
-    ("repro_perf_cache_hits_total", "counter", "cache", "hits"),
-    ("repro_perf_cache_misses_total", "counter", "cache", "misses"),
     ("repro_comm_plans_compiled_total", "counter", "plans", "compiled"),
     ("repro_comm_plans_hits_total", "counter", "plans", "hits"),
     ("repro_comm_plans_invalidations_total", "counter", "plans", "invalidations"),
@@ -62,7 +60,6 @@ def _owners(machine: Any) -> dict:
     perf = getattr(machine, "_perf", None)
     if perf is not None:
         owners["coalescer"] = [((), vars(perf.coalescer))]
-        owners["cache"] = [((), vars(perf.cache))]
         owners["plans"] = [((), vars(perf.plans))]
     manager = getattr(machine, "_array_manager", None)
     if manager is not None:

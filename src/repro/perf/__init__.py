@@ -1,9 +1,9 @@
-"""repro.perf: the batching-and-caching layer over the array manager.
+"""repro.perf: the batching-and-planning layer over the array manager.
 
 Installed automatically by
 :func:`~repro.arrays.manager.install_array_manager` as ``machine._perf``;
 see :mod:`repro.perf.coalescer` (write-behind batching),
-:mod:`repro.perf.cache` (epoch-validated read caching), and
+:mod:`repro.perf.commplan` (precompiled halo exchanges), and
 ``docs/performance.md`` for the flush-point consistency argument.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Optional
 
-from repro.perf.cache import SectionCache, SectionVersions
 from repro.perf.coalescer import (
     ARRAY_BATCH_KIND,
     ArrayBatch,
@@ -38,8 +37,6 @@ __all__ = [
     "HaloStrip",
     "PerfLayer",
     "PlanRegistry",
-    "SectionCache",
-    "SectionVersions",
     "StalePlanError",
     "WriteCoalescer",
     "coalescing_disabled",
@@ -50,13 +47,11 @@ __all__ = [
 
 
 class PerfLayer:
-    """One machine's perf state: coalescer + cache + section versions."""
+    """One machine's perf state: write coalescer + communication plans."""
 
     def __init__(self, machine: Any, manager: Any) -> None:
         self.machine = machine
         self.coalescer = WriteCoalescer(machine, manager)
-        self.cache = SectionCache()
-        self.versions = SectionVersions()
         self.plans = PlanRegistry(machine, manager)
 
     def flush(
@@ -66,25 +61,19 @@ class PerfLayer:
         return self.coalescer.flush(array_id, section)
 
     def drop_array(self, array_id: Any) -> int:
-        """Forget a freed array: pending writes, cache entries, versions."""
+        """Forget a freed array: pending writes and compiled plans."""
         dropped = self.coalescer.discard(array_id)
-        self.cache.drop_array(array_id)
-        self.versions.drop_array(array_id)
         self.plans.drop_array(array_id)
         return dropped
 
     def diagnostics(self) -> dict:
         coalescer = self.coalescer.diagnostics()
-        cache = self.cache.diagnostics()
         return {
             "enabled": coalescer["enabled"],
             # The headline counters named by Machine.diagnostics()["perf"]:
             "flushes": coalescer["flushes"],
             "coalesced_writes": coalescer["flushed_ops"],
-            "cache_hits": cache["hits"],
-            "cache_misses": cache["misses"],
             "coalescer": coalescer,
-            "cache": cache,
             "comm_plans": self.plans.diagnostics(),
         }
 

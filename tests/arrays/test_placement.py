@@ -4,7 +4,7 @@ Planned migration and failure recovery share exactly one code path that
 moves a section (``SectionMover.execute_locked``); these tests exercise
 the plan builders, the transactional move (commit, stale-plan refusal,
 rollback on mid-plan failure), the migration barrier's interplay with
-the perf layer (coalesced writes flushed, cached sections invalidated),
+the perf layer (coalesced writes flushed before the section leaves),
 runtime membership growth, and the metrics-driven :class:`Rebalancer`.
 """
 
@@ -23,7 +23,8 @@ from repro.arrays.placement import (
 )
 from repro.arrays.rebalance import Rebalancer
 from repro.core.darray import DistributedArray
-from repro.faults import install_recovery
+from repro.faults import FaultPlan, FaultyTransport, KillSpec, install_recovery
+from repro.faults.plan import FaultDecision
 from repro.perf import get_perf_layer
 from repro.status import Status
 from repro.vp.fabric import TraceInterceptor
@@ -48,6 +49,25 @@ def make_array(machine, replication=0, procs=(0, 1, 2, 3)):
 
 def durability(machine, arr):
     return get_array_manager(machine).durability_state(arr.array_id)
+
+
+class DropRoutedRewrites(FaultPlan):
+    """Drop every membership rewrite that crosses the wire.  The strict
+    publish of a move stops at the first one lost — after its destination,
+    alive, has adopted; a rollback's rewrites run in place on their
+    targets and never meet the plan."""
+
+    def decide(self, message, channel_ordinal):
+        request = getattr(message.payload, "request_type", None)
+        return FaultDecision(drop=request == "update_membership_local")
+
+
+def holds_anything(machine, array_id, processor):
+    """Does ``processor`` keep a record or a mirror of the array?"""
+    node = machine.processor(processor)
+    return array_id in _records(node) or bool(
+        replica_store_for(node).sections_for(array_id)
+    )
 
 
 # -- plan builders ------------------------------------------------------------
@@ -256,6 +276,77 @@ class TestMoveTransactionality:
             is Status.OK
         )
 
+    def test_rollback_spares_what_nested_recovery_installed(self, machine):
+        """Fuzz seed 108, scripted.  The move of section 2 onto spare 4
+        has yielded and adopted when its first membership rewrite reaches
+        processor 1 — that processor's first receive — and kills it.
+        Recovery runs nested inside the move (same thread, same state
+        lock), finds processor 4 still outside the committed membership
+        and installs section 1 there.  The move then meets a membership
+        that changed under it and rolls back: it must put section 2 back
+        on processor 2 and leave processor 4 what recovery gave it.  When
+        the move and the recovery both computed "entry epoch + 1", the
+        rollback's retraction at processor 4, fenced by that number, freed
+        recovery's section: an owner without storage, and rows answering
+        ``status=99``."""
+        coordinator = install_recovery(machine)
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        state = durability(machine, arr)
+        kill = FaultPlan(kills=(KillSpec(1, after=1, on="recv"),))
+        with FaultyTransport(machine, kill) as ft:
+            _moved, status = am_user.migrate_sections(
+                machine, arr.array_id, {2: 4}
+            )
+
+        assert status is Status.ERROR
+        assert ft.stats.killed == [1]
+        assert get_array_manager(machine).mover.aborts == 1
+        assert state.processors == (0, 4, 2, 3)
+        record = _records(machine.processor(4))[arr.array_id]
+        assert record.section is not None
+        assert record.section_number_for(4) == 1
+        for row in range(8):
+            data, row_status = am_user.read_region(
+                machine, arr.array_id, [(row, row + 1), (0, 8)]
+            )
+            assert row_status is Status.OK
+            assert np.array_equal(data, ref[row:row + 1])
+        assert np.array_equal(arr.to_numpy(), ref)
+        # The move, the recovery nested in it, the rollback: three numbers.
+        # The move's is the one its rewrite left on processor 1, whose
+        # record nothing has reached since.
+        move_epoch = _records(machine.processor(1))[arr.array_id].epoch
+        recovery_epoch = coordinator.recoveries[-1]["epoch"]
+        assert 0 < move_epoch < recovery_epoch < state.epoch
+
+    def test_rolled_back_destination_forgets_the_array(self):
+        """A destination that adopted and then saw the move rolled back
+        is left without a role, and ``free_array`` — which asks the
+        membership and the creator — will never reach it: the rollback
+        itself has it forget the array."""
+        machine = Machine(6, default_recv_timeout=1)
+        am_util.load_all(machine)
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+
+        with FaultyTransport(machine, DropRoutedRewrites()) as ft:
+            _moved, status = am_user.migrate_sections(
+                machine, arr.array_id, {2: 4}
+            )
+
+        assert status is Status.ERROR and ft.stats.dropped == 1
+        assert durability(machine, arr).processors == (0, 1, 2, 3)
+        assert np.array_equal(arr.to_numpy(), ref)
+        assert not holds_anything(machine, arr.array_id, 4)
+        arr.free()
+        assert not any(
+            holds_anything(machine, arr.array_id, p) for p in range(6)
+        )
+        assert get_perf_layer(machine).coalescer.pending_ops(arr.array_id) == 0
+
 
 # -- what a move puts on the wire, and what it leaves behind ------------------
 
@@ -320,6 +411,46 @@ class TestWire:
             ("replica_update", 3, 0),
         ]
 
+    def test_rollback_wire_is_pinned(self):
+        """A rollback after a *live* destination has adopted.  The forward
+        pass of ``{1: 6}`` routes the yield, the adopt, and — processor 0
+        having rewritten its own record in place — the rewrite for
+        processor 1, which is lost; the request times out and the move
+        rolls back.  Every step of a rollback runs in place on its target
+        (adopt on 1; rewrite on 0, 1, 2, 3 and 6; reseed on the four
+        owners; free on 6), so the rollback routes nothing but the four
+        owners' reseeded mirrors, which are data, not requests.  The move
+        drew epoch entry + 1 and abandoned it; the rollback drew and
+        committed entry + 2."""
+        machine = Machine(8, default_recv_timeout=1)
+        am_util.load_all(machine)
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        state = durability(machine, arr)
+        entry = state.epoch
+        with FaultyTransport(machine, DropRoutedRewrites()) as ft:
+            with TraceInterceptor(machine) as tracer:
+                _moved, status = am_user.migrate_sections(
+                    machine, arr.array_id, {1: 6}, processor=0
+                )
+        assert status is Status.ERROR and ft.stats.dropped == 1
+        assert wire(tracer) == [
+            ("migrate", 0, 1),  # yield
+            ("migrate", 0, 6),  # adopt
+            ("migrate", 0, 1),  # rewrite membership: 0 itself, 1 — lost
+            ("replica_update", 0, 1),  # rollback: the reseed, and no request
+            ("replica_update", 1, 2),
+            ("replica_update", 2, 3),
+            ("replica_update", 3, 0),
+        ]
+        assert state.processors == (0, 1, 2, 3)
+        assert state.epoch == entry + 2
+        assert np.array_equal(arr.to_numpy(), ref)
+        _section, status = am_user.find_local(machine, arr.array_id, 6)
+        assert status is Status.NOT_FOUND
+        assert get_array_manager(machine).mover.aborts == 1
+
     def test_former_owner_keeps_its_mirrors_until_every_owner_reseeded(
         self, machine
     ):
@@ -369,23 +500,6 @@ class TestPerfInterplay:
         # owner before the section left it, and travelled with it.
         assert perf.coalescer.pending_ops(arr.array_id) == 0
         assert arr[7, 7] == 5.0
-
-    def test_epoch_bump_invalidates_cached_sections(self, machine):
-        am_user.set_read_cache(machine, True)
-        arr = make_array(machine)
-        arr.from_numpy(np.arange(64, dtype=float).reshape(8, 8))
-        assert arr[7, 7] == 63.0  # miss: populate the cache
-        machine.reset_traffic()
-        assert arr[7, 6] == 62.0  # hit: no messages
-        assert machine.traffic_snapshot()["messages"] == 0
-
-        arr.migrate({3: 4})
-
-        # The cached copy is stamped with the old epoch: the next read
-        # must refetch from the new owner, not serve the stale entry.
-        machine.reset_traffic()
-        assert arr[7, 7] == 63.0
-        assert machine.traffic_snapshot()["messages"] > 0
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -59,7 +59,10 @@ def durable_write(machine, array_id, row, data, errors):
     errors.append(f"row {row}: write never committed")
 
 
-MIGRATE_SEEDS = list(range(SEED_BASE, SEED_BASE + 10))
+# A seed that found a bug stays, whatever the window: 108 kills a
+# section owner inside a migration's own traffic (the rollback that freed
+# what the nested recovery had installed).
+MIGRATE_SEEDS = sorted({*range(SEED_BASE, SEED_BASE + 10), 108})
 
 
 @pytest.mark.parametrize("seed", MIGRATE_SEEDS)

@@ -179,7 +179,6 @@ class TestDiagnostics:
         assert perf["enabled"]
         assert perf["flushes"] >= 1
         assert perf["coalesced_writes"] == 16
-        assert "cache_hits" in perf and "cache_misses" in perf
 
     def test_observer_metrics(self, m8):
         with m8.observe() as observer:

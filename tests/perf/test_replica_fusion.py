@@ -308,21 +308,26 @@ class TestFaultInterplay:
             machine.transport_stack.remove(meter)
 
     def test_duplicated_batch_applies_exactly_once(self, machine):
-        perf = get_perf_layer(machine)
-        arr = make_array(machine, replication=0)
+        arr = make_array(machine, replication=1)
         ft = FaultyTransport(machine, _plan(_DuplicateBatches)).install()
+        meter = meter_on(machine)  # after creation: seeding not counted
         try:
             for i in range(4):
-                arr[7, 4 + i] = float(i)
-            before = perf.versions.get(arr.array_id, 3)
+                arr[7, 4 + i] = float(i)  # section 3, one backup
             am_user.flush_writes(machine)
             assert ft.stats.duplicated == 1
             # The duplicate delivery is rejected by the owner's sequence
-            # check: the section's write version moves once, not twice.
-            assert perf.versions.get(arr.array_id, 3) == before + 1
-            assert arr[7, 4] == 0.0 and arr[7, 7] == 3.0
+            # check: an applied batch ships one replica update per backup,
+            # and the section has one backup — a second apply would have
+            # shipped a second.
+            assert kind_count(meter, ARRAY_BATCH_KIND) == 1
+            assert kind_count(meter, REPLICA_UPDATE_KIND) == 1
+            assert arr.read_region([(7, 8), (4, 8)]).tolist() == [
+                [0.0, 1.0, 2.0, 3.0]
+            ]
         finally:
             ft.uninstall()
+            machine.transport_stack.remove(meter)
 
     def test_batch_to_dead_owner_without_recovery_is_lost(self, machine):
         machine.dead_send_policy = "drop"
