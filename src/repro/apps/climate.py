@@ -52,11 +52,22 @@ def _make_domain(
     shape: tuple[int, int],
     processors: Sequence[int],
     initial: float,
-    boundary: float,
+    sweeps: int,
     grid: Optional[tuple[int, int]] = None,
 ) -> ClimateDomain:
-    """Create a domain array with 1-deep borders, interior ``initial``,
-    physical-edge interior cells pinned near ``boundary`` by the halo.
+    """Create a domain array with interior ``initial`` and uniform borders
+    as deep as a time step has sweeps.
+
+    Borders are fixed when the array is made (§4.2.7: changing them later
+    reallocates and copies every section), and this is the program that
+    knows how many sweeps a step holds: with borders ``sweeps`` deep,
+    :func:`~repro.spmd.stencil.heat_steps` exchanges once a step instead
+    of once a sweep.  A phase cannot ship more rows than a section has,
+    so the depth is clipped by the thinnest local extent — the clip
+    ``CommPlan.depth`` applies — and no border row is allocated that no
+    phase can use; it is never less than the 1 the stencil needs.
+    Physical-edge border cells are the zeros the section
+    was created with: the Dirichlet boundary values.
 
     ``grid`` selects the processor-grid shape; the default decomposes by
     rows only (``(block, "*")``), keeping full-width strips per copy.  A
@@ -68,13 +79,14 @@ def _make_domain(
         grid = (p, 1)
     if grid[0] * grid[1] != p:
         raise ValueError(f"grid {grid} does not use {p} processors")
+    depth = max(1, min(sweeps, shape[0] // grid[0], shape[1] // grid[1]))
     array = DistributedArray.create(
         rt.machine,
         "double",
         shape,
         processors,
         [("block", grid[0]), ("block", grid[1])],
-        borders=[1, 1, 1, 1],
+        borders=[depth] * 4,
     )
     field = np.full(shape, initial, dtype=np.float64)
     array.from_numpy(field)
@@ -162,11 +174,11 @@ class ClimateSimulation:
         self.sweeps = sweeps_per_step
         g_ocean, g_atmos = rt.split_processors(2)
         self.ocean = _make_domain(
-            rt, "ocean", shape, g_ocean, ocean_temp, ocean_temp,
+            rt, "ocean", shape, g_ocean, ocean_temp, sweeps_per_step,
             grid=domain_grid,
         )
         self.atmosphere = _make_domain(
-            rt, "atmosphere", shape, g_atmos, atmos_temp, atmos_temp,
+            rt, "atmosphere", shape, g_atmos, atmos_temp, sweeps_per_step,
             grid=domain_grid,
         )
 

@@ -30,16 +30,27 @@ from repro.spmd.context import OutCell, SPMDContext
 from repro.spmd.linalg import interior
 
 
-def _full(section: Union[LocalSection, np.ndarray]) -> np.ndarray:
-    if isinstance(section, LocalSection):
-        if min(section.borders) < 1:
-            raise ValueError(
-                "stencil kernels need borders >= 1 in every direction "
-                f"(got {section.borders}); create the array with "
-                "Border_info=[1,1,1,1] or foreign_borders"
-            )
-        return section.full()
-    return np.asarray(section)
+def _framed(section: Union[LocalSection, np.ndarray]) -> np.ndarray:
+    """The interior plus a one-cell frame, as a view: what the per-sweep
+    path exchanges into and sweeps over.  On a section with uniform
+    borders ``d`` deep that is the innermost ring of the border; a raw
+    ndarray is taken to carry exactly its frame."""
+    if not isinstance(section, LocalSection):
+        return np.asarray(section)
+    d = min(section.borders)
+    if d < 1:
+        raise ValueError(
+            "stencil kernels need borders >= 1 in every direction "
+            f"(got {section.borders}); create the array with "
+            "Border_info of at least [1,1,1,1] or foreign_borders"
+        )
+    if max(section.borders) != d:
+        raise ValueError(
+            "stencil kernels need the same border depth in every "
+            f"direction (got {section.borders})"
+        )
+    full = section.full()
+    return full[tuple(slice(d - 1, n - d + 1) for n in full.shape)]
 
 
 def grid_coords(index: int, grid_cols: int) -> tuple[int, int]:
@@ -49,7 +60,8 @@ def grid_coords(index: int, grid_cols: int) -> tuple[int, int]:
 
 def border_query(parm_num: int, rank: int) -> tuple[int, ...]:
     """``foreign_borders`` protocol (§5.1.7): every array parameter of the
-    stencil programs needs a 1-deep border on each side."""
+    stencil programs needs a border at least 1 deep on each side, and
+    asks for exactly that."""
     return (1,) * (2 * rank)
 
 
@@ -308,8 +320,10 @@ def heat_steps(
     per phase), interior compute overlapped with in-flight halo traffic,
     and — with borders deeper than 1 — one exchange amortised over that
     many sweeps (:mod:`repro.perf.commplan`).  The per-sweep
-    ``exchange_halos`` path remains the fallback for raw ndarrays and
-    unmanaged sections, and is bit-identical in results.
+    ``exchange_halos`` path remains the fallback for raw ndarrays,
+    unmanaged sections and planning switched off; it exchanges every
+    sweep into the innermost ring of whatever uniform border the section
+    has, and is bit-identical in results.
     """
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
@@ -322,14 +336,7 @@ def heat_steps(
             ctx, record, plan, registry, section.full(), n_steps, want_delta
         )
     else:
-        full = _full(section)
-        if isinstance(section, LocalSection) and max(section.borders) > 1:
-            raise ValueError(
-                "the unplanned heat_steps path supports exactly 1-deep "
-                f"borders (got {section.borders}); deep borders need the "
-                "planned path (a managed array on a machine with the "
-                "perf layer loaded)"
-            )
+        full = _framed(section)
         delta = 0.0
         for step in range(n_steps):
             exchange_halos(ctx, full, gr, gc)
@@ -358,7 +365,7 @@ def halo_traffic_for(
     (the ABL-1 metric): perimeter strips x 8 bytes."""
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
-    full = _full(section)
+    full = _framed(section)
     r, c = grid_coords(ctx.index, gc)
     rows, cols = full.shape[0] - 2, full.shape[1] - 2
     nbytes = 0

@@ -6,12 +6,60 @@ import numpy as np
 import pytest
 
 from repro.apps.climate import ClimateSimulation
+from repro.arrays.manager import get_array_manager
 from repro.core.runtime import IntegratedRuntime
+from repro.perf import get_perf_layer
 
 
 @pytest.fixture
 def rt():
     return IntegratedRuntime(8)
+
+
+def mirror_fields(shape, ocean_temp=10.0, atmos_temp=-10.0):
+    """Both domains as serial NumPy arrays inside a 1-deep frame of zeros:
+    the Dirichlet values the sections' physical-edge border cells hold."""
+    fields = {}
+    for name, value in (("ocean", ocean_temp), ("atmosphere", atmos_temp)):
+        full = np.zeros((shape[0] + 2, shape[1] + 2))
+        full[1:-1, 1:-1] = value
+        fields[name] = full
+    return fields
+
+
+def mirror_step(fields, sweeps, coupling=0.5):
+    """One coupled step in plain NumPy, in the kernel's own order of
+    additions, so that the comparison can be bit for bit."""
+    for full in fields.values():
+        for _ in range(sweeps):
+            full[1:-1, 1:-1] = 0.25 * (
+                full[:-2, 1:-1] + full[2:, 1:-1]
+                + full[1:-1, :-2] + full[1:-1, 2:]
+            )
+    ocean_top = fields["ocean"][1, 1:-1].copy()
+    atmos_bottom = fields["atmosphere"][-2, 1:-1].copy()
+    mean = 0.5 * (ocean_top + atmos_bottom)
+    fields["ocean"][1, 1:-1] = (1 - coupling) * ocean_top + coupling * mean
+    fields["atmosphere"][-2, 1:-1] = (
+        (1 - coupling) * atmos_bottom + coupling * mean
+    )
+
+
+def assert_matches_mirror(run, fields):
+    assert np.array_equal(run.ocean, fields["ocean"][1:-1, 1:-1])
+    assert np.array_equal(run.atmosphere, fields["atmosphere"][1:-1, 1:-1])
+
+
+def section_borders(rt, domain):
+    """The borders every section of ``domain`` was allocated with."""
+    manager = get_array_manager(rt.machine)
+    array_id = domain.array.array_id
+    borders = {
+        manager._lookup(rt.machine.processor(p), array_id).section.borders
+        for p in domain.array.processors
+    }
+    assert len(borders) == 1
+    return borders.pop()
 
 
 class TestCoupling:
@@ -75,6 +123,116 @@ class TestSemanticEquivalence:
         second = sim_b.run(4)
         sim_b.free()
         assert np.array_equal(first.ocean, second.ocean)
+
+
+class TestBorderDepth:
+    """Borders as deep as a step has sweeps, clipped by the thinnest local
+    extent; whatever the depth, the fields are the serial mirror's."""
+
+    @pytest.mark.parametrize("grid", [None, (2, 2)])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3, 5])
+    def test_run_equals_serial_mirror(self, rt, sweeps, grid):
+        shape = (8, 16)
+        sim = ClimateSimulation(
+            rt, shape=shape, sweeps_per_step=sweeps, domain_grid=grid
+        )
+        # Sections are 2 x 16 on the default (4, 1) grid, 4 x 8 on (2, 2).
+        depth = min(sweeps, 2 if grid is None else 4)
+        for domain in (sim.ocean, sim.atmosphere):
+            assert section_borders(rt, domain) == (depth,) * 4
+        fields = mirror_fields(shape)
+        for _ in range(3):
+            run = sim.run(1)
+            mirror_step(fields, sweeps)
+            assert_matches_mirror(run, fields)
+        sim.free()
+
+    def test_sections_thinner_than_the_step_run_several_phases(self, rt):
+        """2-row sections, 5 sweeps a step: borders 2 deep, so each call
+        is three phases (2 + 2 + 1 sweeps) for each of 4 copies."""
+        sim = ClimateSimulation(rt, shape=(8, 16), sweeps_per_step=5)
+        registry = get_perf_layer(rt.machine).plans
+        before = registry.diagnostics()["exchanges"]
+        sim.run(1)
+        assert registry.diagnostics()["exchanges"] - before == 2 * 4 * 3
+        sim.free()
+
+    def test_concurrent_equals_sequential_at_depth_3(self, rt):
+        sim_a = ClimateSimulation(
+            rt, shape=(16, 16), sweeps_per_step=3, domain_grid=(2, 2)
+        )
+        assert sim_a.ocean.array.layout.borders == (3, 3, 3, 3)
+        run_a = sim_a.run(4)
+        sim_a.free()
+        sim_b = ClimateSimulation(
+            IntegratedRuntime(8), shape=(16, 16), sweeps_per_step=3,
+            domain_grid=(2, 2),
+        )
+        run_b = sim_b.run_reference(4)
+        sim_b.free()
+        assert np.array_equal(run_a.ocean, run_b.ocean)
+        assert np.array_equal(run_a.atmosphere, run_b.atmosphere)
+
+    def test_planning_off_gives_the_same_fields(self, rt):
+        """The per-sweep fallback accepts the deep borders the simulation
+        allocates and produces the planned path's fields."""
+        shape = (8, 16)
+        sim = ClimateSimulation(rt, shape=shape, sweeps_per_step=2)
+        registry = get_perf_layer(rt.machine).plans
+        registry.enabled = False
+        try:
+            run = sim.run(3)
+        finally:
+            registry.enabled = True
+        fields = mirror_fields(shape)
+        for _ in range(3):
+            mirror_step(fields, 2)
+        assert_matches_mirror(run, fields)
+        assert registry.diagnostics()["strips_sent"] == 0
+        sim.free()
+
+    def test_migration_between_steps_recompiles_the_deep_plan(self, rt):
+        """A section of a depth-2 domain moves to a new processor between
+        two steps: the ocean's plan is invalidated once and compiled
+        again, and the next step is still the mirror's, bit for bit."""
+        shape = (8, 16)
+        sim = ClimateSimulation(rt, shape=shape, sweeps_per_step=2)
+        fields = mirror_fields(shape)
+        run = sim.run(1)
+        mirror_step(fields, 2)
+        assert_matches_mirror(run, fields)
+
+        registry = get_perf_layer(rt.machine).plans
+        before = registry.diagnostics()
+        spare = rt.machine.add_processor()
+        assert sim.ocean.array.migrate({3: spare}) == [3]
+        # The domain's group is the application's to keep: the
+        # distributed call goes to whoever holds the sections now.
+        sim.ocean.processors = sim.ocean.array.processors
+        assert section_borders(rt, sim.ocean) == (2, 2, 2, 2)
+
+        run = sim.run(1)
+        mirror_step(fields, 2)
+        assert_matches_mirror(run, fields)
+        after = registry.diagnostics()
+        assert after["invalidations"] - before["invalidations"] == 1
+        assert after["compiled"] - before["compiled"] == 1
+        assert after["pending_rendezvous"] == 0
+        sim.free()
+
+    def test_free_leaves_nothing_behind(self, rt):
+        sim = ClimateSimulation(rt, shape=(8, 16), sweeps_per_step=2)
+        sim.run(2)
+        array_ids = [sim.ocean.array.array_id, sim.atmosphere.array.array_id]
+        sim.free()
+        diag = get_perf_layer(rt.machine).plans.diagnostics()
+        assert diag["plans"] == 0
+        assert diag["pending_rendezvous"] == 0
+        manager = get_array_manager(rt.machine)
+        for array_id in array_ids:
+            assert manager.durability_state(array_id) is None
+            for node in rt.machine.processors():
+                assert manager._lookup(node, array_id) is None
 
 
 class TestValidation:

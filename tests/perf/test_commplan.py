@@ -436,18 +436,42 @@ class TestPlannedEquivalence:
         assert halo[0] == 40 * 2 * 8
         assert plans_of(machine).diagnostics()["pending_rendezvous"] == 0
 
-    def test_unplanned_fallback_rejects_deep_borders(self, machine):
-        arr = make_array(machine, (8, 8), (2, 2), borders=4)
-        arr.from_numpy(np.ones((8, 8)))
+    def test_unplanned_fallback_sweeps_deep_bordered_sections(self, machine):
+        """With planning off the per-sweep path runs on the innermost
+        ring of a deep border: same field and same delta as the planned
+        path and as the serial reference, bit for bit, and no planned
+        strip is sent."""
+        rng = np.random.default_rng(3)
+        initial = rng.uniform(0, 100, (8, 8))
         registry = plans_of(machine)
-        registry.enabled = False
-        try:
-            res = distributed_call(
-                machine, list(arr.processors), heat_steps,
-                [2, 2, 1, Local(arr.array_id)],
-            )
-        finally:
-            registry.enabled = True
+        for grid, borders in (((2, 2), 4), ((4, 1), 2)):
+            planned = make_array(machine, (8, 8), grid, borders=borders)
+            planned.from_numpy(initial)
+            d_planned = run_heat(machine, planned, grid, 5)
+
+            unplanned = make_array(machine, (8, 8), grid, borders=borders)
+            unplanned.from_numpy(initial)
+            strips_before = registry.strips_sent
+            registry.enabled = False
+            try:
+                d_unplanned = run_heat(machine, unplanned, grid, 5)
+            finally:
+                registry.enabled = True
+            assert registry.strips_sent == strips_before
+            assert d_unplanned == d_planned
+            field = unplanned.to_numpy()
+            assert np.array_equal(field, planned.to_numpy())
+            assert np.array_equal(field, serial_reference(initial, 5))
+            planned.free()
+            unplanned.free()
+
+    def test_unplanned_fallback_rejects_ragged_borders(self, machine):
+        arr = make_array(machine, (8, 8), (2, 2), borders=[1, 1, 2, 2])
+        arr.from_numpy(np.ones((8, 8)))
+        res = distributed_call(
+            machine, list(arr.processors), heat_steps,
+            [2, 2, 1, Local(arr.array_id)],
+        )
         assert res.status is Status.ERROR
 
 

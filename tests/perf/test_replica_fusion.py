@@ -194,16 +194,46 @@ def test_ex61_wire_is_pinned():
     }
 
 
-def test_climate_wire_is_pinned():
-    """The FIG-2.1 op of the macro benchmark's ``climate_halo`` — one
+def _climate_wire(sweeps):
+    """Run the FIG-2.1 op of the macro benchmark's ``climate_halo`` — one
     coupled time step of two 32 x 64 domains, each four (8 x 64)-row
-    sections with 1-deep borders, two sweeps a step, then both fields
-    read back — in routed messages, each derived:
+    sections, ``sweeps`` sweeps a step, then both fields read back — once
+    to compile the two plans and once metered.  Returns the simulation,
+    the metered op's ``(messages, bytes)``, its traffic by kind, and what
+    the plan registry counted for it."""
+    rt = IntegratedRuntime(8)
+    machine = rt.machine
+    sim = ClimateSimulation(rt, shape=(32, 64), sweeps_per_step=sweeps)
+    sim.run(1)  # the two plans compile here
+    registry = get_perf_layer(machine).plans
+    before = registry.diagnostics()
+    meter = meter_on(machine)
+    machine.reset_traffic()
+    sim.run(1)
+    snapshot = machine.traffic_snapshot()
+    after = registry.diagnostics()
+    machine.transport_stack.remove(meter)
+    counted = {
+        key: after[key] - before[key]
+        for key in ("compiled", "strips_sent", "strips_claimed")
+    }
+    counted["pending_rendezvous"] = after["pending_rendezvous"]
+    return (
+        sim,
+        (snapshot["messages"], snapshot["bytes"]),
+        meter.snapshot()["by_kind"],
+        counted,
+    )
+
+
+def test_climate_wire_is_pinned():
+    """The ``climate_halo`` op — two sweeps a step, so borders 2 deep —
+    in routed messages, each derived:
 
     * halo: a ``(4, 1)`` grid has 3 adjacent pairs = 6 directed edges and
-      no second stage; 1-deep borders make every sweep a phase.  2
-      domains x 2 phases x 6 edges = 24 ``halo_bulk``, each one row of 64
-      doubles (512 B) + the 64 B strip header: 13824 B.
+      no second stage; borders as deep as the step make the step one
+      phase.  2 domains x 1 phase x 6 edges = 12 ``halo_bulk``, each two
+      rows of 64 doubles (1024 B) + the 64 B strip header: 13056 B.
     * the step asks for no convergence measure, so no copy computes or
       reduces one: no ``user`` message.
     * task level, from the unplaced top-level thread (its requests run
@@ -214,35 +244,26 @@ def test_climate_wire_is_pinned():
       (ocean 0-3: 3 routed, atmosphere 4-7: 4).  1 + 3 + 4 = 8
       ``server_request`` of one 8-byte word.
 
-    32 messages, 13888 bytes.  A caller that does ask for the delta pays
-    a binomial reduce + bcast over each group of 4: 2 x 2 x (4 - 1) = 12
-    ``user`` words more — the 44 / 13984 this op cost while every call
-    reduced a delta nobody read."""
-    rt = IntegratedRuntime(8)
-    machine = rt.machine
-    sim = ClimateSimulation(rt, shape=(32, 64), sweeps_per_step=2)
-    sim.run(1)  # the two plans compile here
-    registry = get_perf_layer(machine).plans
-    before = registry.diagnostics()
-    meter = meter_on(machine)
-    machine.reset_traffic()
-    sim.run(1)
-    snapshot = machine.traffic_snapshot()
-    assert (snapshot["messages"], snapshot["bytes"]) == (32, 13888)
-    assert meter.snapshot()["by_kind"] == {
-        HALO_BULK_KIND: (24, 24 * (512 + 64)),
+    20 messages, 13120 bytes — against 32 / 13888 while the borders were
+    1 deep and every sweep was a phase (the twin below keeps that
+    derivation running).  A caller that does ask for the delta pays a
+    binomial reduce + bcast over each group of 4: 2 x 2 x (4 - 1) = 12
+    ``user`` words more."""
+    sim, total, by_kind, counted = _climate_wire(sweeps=2)
+    assert sim.ocean.array.layout.borders == (2, 2, 2, 2)
+    assert total == (20, 13120)
+    assert by_kind == {
+        HALO_BULK_KIND: (12, 12 * (2 * 512 + 64)),
         "server_request": (8, 64),
     }
-    after = registry.diagnostics()
-    assert after["compiled"] == before["compiled"]
-    assert after["strips_sent"] - before["strips_sent"] == 24
-    assert after["strips_claimed"] - before["strips_claimed"] == 24
-    assert after["pending_rendezvous"] == 0
+    assert counted == {
+        "compiled": 0, "strips_sent": 12, "strips_claimed": 12,
+        "pending_rendezvous": 0,
+    }
 
-    machine.transport_stack.remove(meter)
-    meter = meter_on(machine)
+    meter = meter_on(sim.rt.machine)
     for domain in (sim.ocean, sim.atmosphere):
-        result = rt.call(
+        result = sim.rt.call(
             domain.processors,
             heat_steps,
             [domain.grid_rows, domain.grid_cols, 2,
@@ -250,8 +271,28 @@ def test_climate_wire_is_pinned():
         )
         assert result.status is Status.OK
     assert meter.snapshot()["by_kind"] == {
-        HALO_BULK_KIND: (24, 13824),
+        HALO_BULK_KIND: (12, 13056),
         "user": (12, 96),
+    }
+
+
+def test_climate_wire_at_one_sweep_a_step_is_pinned():
+    """``sweeps_per_step=1`` is the depth-1 configuration: one phase a
+    call, each strip one row.  2 domains x 1 phase x 6 edges = 12
+    ``halo_bulk`` of 512 + 64 B = 6912 B, + the same 8 one-word
+    ``server_request``: 20 messages, 6976 bytes.  (Two such phases a
+    call — 24 strips, 13824 B — were the 32 / 13888 the two-sweep op
+    cost with 1-deep borders.)"""
+    sim, total, by_kind, counted = _climate_wire(sweeps=1)
+    assert sim.ocean.array.layout.borders == (1, 1, 1, 1)
+    assert total == (20, 6976)
+    assert by_kind == {
+        HALO_BULK_KIND: (12, 12 * (512 + 64)),
+        "server_request": (8, 64),
+    }
+    assert counted == {
+        "compiled": 0, "strips_sent": 12, "strips_claimed": 12,
+        "pending_rendezvous": 0,
     }
 
 
