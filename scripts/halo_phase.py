@@ -112,6 +112,9 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
         record = manager._lookup(machine.processor(owner), arr.array_id)
         copies.append((record, record.section.full(), section, owner))
     two_stage = len(plan.transfers(depth, stage=1)) > 0
+    # A --src checkout from before PR 23 has _claim_stage(index, sides).
+    from repro.perf.commplan import HaloExchange
+    every_side = (None,) * (HaloExchange._claim_stage.__code__.co_argcount - 2)
     strips, cell_bytes = phase_wire(grid, depth)
 
     def phase(i: int) -> tuple:
@@ -127,11 +130,11 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
         if two_stage:
             for ex in exchanges:
                 ex._secure_pending()
-                ex._claim_stage(0, None)
+                ex._claim_stage(0, *every_side)
                 ex._post_stage(1)
             for ex in exchanges:
                 ex._secure_pending()
-                ex._claim_stage(1, None)
+                ex._claim_stage(1, *every_side)
         else:
             for ex in exchanges:
                 ex.complete()

@@ -17,7 +17,7 @@ The model (deliberately simple, but genuinely two-way coupled):
   solve);
 * **structures** (group B): an elastic foundation model — deflection w
   solves (K + k I) w = p where K is a diagonally dominant stiffness
-  matrix, solved by distributed conjugate gradient;
+  matrix, solved by distributed Jacobi iteration;
 * **task-parallel coupling**: each iteration the TP level feeds the
   aerodynamic pressures into the structural load and the structural
   deflections back into the aerodynamic boundary condition, with
@@ -33,71 +33,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arrays.local_section import LocalSection
 from repro.calls.params import Local, Reduce
 from repro.core.runtime import IntegratedRuntime
 from repro.pcn.composition import par
+from repro.perf import get_perf_layer
 from repro.spmd.linalg import (
-    conjugate_gradient,
     interior,
+    jacobi_iterate,
     mat_diagonally_dominant,
-    vec_fill,
 )
 from repro.status import check_status
 
 
-def _deflection_halo(ctx, section):
-    """Open a depth-1 planned halo exchange for the deflection section's
-    west border — the only one the kernel reads, so the only one any copy
-    posts a strip for — or None when the planned path cannot engage
-    (borderless array, no perf layer): the point-to-point fallback
-    handles those."""
-    if not isinstance(section, LocalSection) or min(section.borders) < 1:
-        return None
-    machine = ctx.machine
-    manager = getattr(machine, "_array_manager", None)
-    plans = getattr(getattr(machine, "_perf", None), "plans", None)
-    if plans is None or manager is None or not plans.enabled:
-        return None
-    record = manager.record_for_section(ctx.node, section)
-    if record is None or record.layout.rank != 1:
-        return None
-    plan = plans.halo_plan("aero_twist", record.array_id)
-    if plan is None:
-        return None
-    sec = record.section_number_for(ctx.processor_number)
-    return plan.begin(
-        plans, record, section.full(), sec, 1,
-        (ctx.group, 0), ctx.processor_number, sides=("west",),
-    )
-
-
 def _aero_pressure(ctx, q_dyn, alpha, deflection_in, pressure) -> None:
     """DP aerodynamic model: pressure from incidence minus local twist,
-    then one smoothing sweep with halo exchange over the group."""
+    then one smoothing sweep with halo exchange over the group.
+
+    Precondition: ``deflection_in`` is the local section of a managed
+    array with borders at least 1 deep — the neighbour's cell arrives in
+    its west border, the only one the kernel reads, so the only one any
+    copy posts a strip for."""
     w = interior(deflection_in)
     p = interior(pressure)
+    plans = get_perf_layer(ctx.machine).plans
+    record, plan = plans.engage(ctx.node, deflection_in, "aero_twist")
+    exchange = plan.begin(
+        plans, record, deflection_in.full(),
+        record.section_number_for(ctx.processor_number), 1,
+        (ctx.group, 0), ctx.processor_number, sides=("west",),
+    )
     # local "twist": finite difference of deflection along the span; the
     # first cell of each section differences against the left neighbour's
-    # last cell (root section keeps twist[0] = 0).
+    # last cell (root section keeps twist[0] = 0).  That cell travels as a
+    # halo_bulk strip posted here and claimed after the overlapped
+    # arithmetic.
     twist = np.zeros_like(w)
-    exchange = _deflection_halo(ctx, deflection_in)
-    if exchange is not None:
-        # Planned path: the neighbour's cell travels as a halo_bulk
-        # strip posted here and claimed after the overlapped arithmetic.
-        exchange.prefetch()
-        twist[1:] = w[1:] - w[:-1]
-        exchange.complete()
-        if exchange.receives("west"):
-            pad = deflection_in.borders[0]
-            twist[0] = w[0] - float(deflection_in.full()[pad - 1])
-    else:
-        twist[1:] = w[1:] - w[:-1]
-        if ctx.index + 1 < ctx.num_procs:
-            ctx.comm.send(ctx.index + 1, float(w[-1]), tag="last")
-        if ctx.index > 0:
-            left_last = ctx.comm.recv(source_rank=ctx.index - 1, tag="last")
-            twist[0] = w[0] - left_last
+    exchange.prefetch()
+    twist[1:] = w[1:] - w[:-1]
+    exchange.complete()
+    if exchange.receives("west"):
+        twist[0] = w[0] - float(deflection_in.full()[plan.pad - 1])
     p[:] = float(q_dyn) * (float(alpha) - twist)
     # one smoothing pass (neighbour average) to mimic panel influence
     smoothed = p.copy()
@@ -106,18 +81,40 @@ def _aero_pressure(ctx, q_dyn, alpha, deflection_in, pressure) -> None:
     p[:] = smoothed
 
 
+# The structural solve's cap and the residual ||K w - load||_2 it must
+# reach under it.  The Jacobi iteration matrix of a 16-point K has
+# spectral radius 0.165, so fourteen sweeps from the last coupling
+# iteration's deflection shrink the error by 1e-11: the largest residual
+# of a run (its second iteration, when the load first appears) reads
+# 8e-12 at alpha = 1, the top of ``design_for_lift``'s default bounds.
+_STRUCTURAL_SWEEPS = 14
+_STRUCTURAL_TOLERANCE = 1e-10
+
+
 def _structural_solve(ctx, n, stiffness, load, deflection, res_out) -> None:
-    """DP structural model: CG solve of (K) w = load."""
-    conjugate_gradient(
-        ctx, int(n), 100, 1e-12, stiffness, load, deflection, res_out
+    """DP structural model: Jacobi solve of (K) w = load, from the
+    current w.  K is diagonally dominant and not symmetric — the
+    precondition of ``jacobi_iterate``, not of ``conjugate_gradient``."""
+    jacobi_iterate(
+        ctx, int(n), _STRUCTURAL_SWEEPS, stiffness, load, deflection, res_out
     )
+
+
+def _in_turn(*blocks):
+    """Sequential composition with ``par``'s shape."""
+    return [block() for block in blocks]
 
 
 @dataclass
 class AeroelasticResult:
+    """``converged``: the coupling met its tolerance *and* every
+    structural solve on the way met its own (``residual_history`` holds
+    one ||K w - load||_2 per coupling iteration)."""
+
     iterations: int
     converged: bool
     coupling_history: list
+    residual_history: list
     pressures: np.ndarray
     deflections: np.ndarray
 
@@ -179,10 +176,10 @@ class AeroelasticSimulation:
 
     # -- one coupled iteration -------------------------------------------------
 
-    def _solve_components(self) -> float:
-        """Run both discipline solves concurrently; return the structural
-        residual (they read only their own arrays, so the concurrency is
-        safe — Fig 3.4)."""
+    def _solve_components(self, compose) -> float:
+        """Run both discipline solves under ``compose`` — ``par``:
+        concurrently — and return the structural residual (they read only
+        their own arrays, so the concurrency is safe — Fig 3.4)."""
 
         def aero():
             return self.rt.call(
@@ -209,7 +206,7 @@ class AeroelasticSimulation:
                 ],
             )
 
-        aero_result, struct_result = par(aero, structural)
+        aero_result, struct_result = compose(aero, structural)
         check_status(aero_result.status, "aerodynamic solve failed")
         check_status(struct_result.status, "structural solve failed")
         return float(struct_result.reductions[0])
@@ -227,25 +224,30 @@ class AeroelasticSimulation:
         self.aero_deflection.from_numpy(self.deflection.to_numpy())
         return float(np.max(np.abs(new_load - old_load)))
 
-    def run(
-        self, max_iterations: int = 20, tolerance: float = 1e-8
+    def _iterate(
+        self, compose, max_iterations: int, tolerance: float
     ) -> AeroelasticResult:
-        history = []
-        converged = False
+        """The fixed-point loop, the components composed by ``compose``."""
+        history, residuals = [], []
         for _ in range(max_iterations):
-            self._solve_components()
-            change = self._exchange()
-            history.append(change)
-            if change < tolerance:
-                converged = True
+            residuals.append(self._solve_components(compose))
+            history.append(self._exchange())
+            if history[-1] < tolerance:
                 break
         return AeroelasticResult(
             iterations=len(history),
-            converged=converged,
+            converged=bool(history) and history[-1] < tolerance
+            and max(residuals) <= _STRUCTURAL_TOLERANCE,
             coupling_history=history,
+            residual_history=residuals,
             pressures=self.pressure.to_numpy(),
             deflections=self.deflection.to_numpy(),
         )
+
+    def run(
+        self, max_iterations: int = 20, tolerance: float = 1e-8
+    ) -> AeroelasticResult:
+        return self._iterate(par, max_iterations, tolerance)
 
     def run_reference(
         self, max_iterations: int = 20, tolerance: float = 1e-8
@@ -253,46 +255,7 @@ class AeroelasticSimulation:
         """Sequential component stepping — the semantic-equivalence
         baseline (the components' reads/writes are disjoint, so the result
         must be identical)."""
-        history = []
-        converged = False
-        for _ in range(max_iterations):
-            check_status(
-                self.rt.call(
-                    self.g_aero,
-                    _aero_pressure,
-                    [
-                        self.q_dyn,
-                        self.alpha,
-                        Local(self.aero_deflection.array_id),
-                        Local(self.pressure.array_id),
-                    ],
-                ).status
-            )
-            check_status(
-                self.rt.call(
-                    self.g_struct,
-                    _structural_solve,
-                    [
-                        self.n,
-                        Local(self.stiffness.array_id),
-                        Local(self.load.array_id),
-                        Local(self.deflection.array_id),
-                        Reduce("double", 1, "max"),
-                    ],
-                ).status
-            )
-            change = self._exchange()
-            history.append(change)
-            if change < tolerance:
-                converged = True
-                break
-        return AeroelasticResult(
-            iterations=len(history),
-            converged=converged,
-            coupling_history=history,
-            pressures=self.pressure.to_numpy(),
-            deflections=self.deflection.to_numpy(),
-        )
+        return self._iterate(_in_turn, max_iterations, tolerance)
 
     def free(self) -> None:
         for arr in (
@@ -347,13 +310,18 @@ def design_for_lift(
 
     Precondition: lift is monotone in alpha over ``alpha_bounds`` (true
     for this model) and the target lies within the bounds' lift range.
+    A design whose lift came from a coupled solve that did not converge
+    (:class:`AeroelasticResult`) is reported as not converged.
     """
+
+    unsolved = []  # design points whose coupled solve did not converge
 
     def evaluate(alpha: float) -> float:
         sim = AeroelasticSimulation(
             rt, span_points=span_points, alpha=alpha, seed=seed
         )
-        sim.run(max_iterations=40, tolerance=1e-9)
+        if not sim.run(max_iterations=40, tolerance=1e-9).converged:
+            unsolved.append(alpha)
         lift = total_lift(sim)
         sim.free()
         return lift
@@ -387,7 +355,7 @@ def design_for_lift(
                 lift=lift,
                 target_lift=target_lift,
                 evaluations=evaluations,
-                converged=True,
+                converged=not unsolved,
             )
         if (lift < target_lift) == increasing:
             lo = alpha
@@ -398,5 +366,5 @@ def design_for_lift(
         lift=lift,
         target_lift=target_lift,
         evaluations=evaluations,
-        converged=abs(lift - target_lift) <= tolerance,
+        converged=abs(lift - target_lift) <= tolerance and not unsolved,
     )

@@ -344,17 +344,12 @@ def halo_plan(
     """Compile (or fetch the cached) halo-exchange :class:`CommPlan` for
     one array (:mod:`repro.perf.commplan`).
 
-    Returns None when planning cannot engage: no perf layer, planning
-    disabled, unknown array, rank > 2, or missing/non-uniform borders.
-    The registry revalidates the cached plan against the durability
-    ``(epoch, processors)`` on every call, so recovery and migration
-    invalidate transparently.
+    Returns None when the array is out of a plan's scope: unknown array,
+    rank > 2, or missing/non-uniform borders.  The registry revalidates
+    the cached plan against the durability ``(epoch, processors)`` on
+    every call, so recovery and migration invalidate transparently.
     """
-    perf = getattr(machine, "_perf", None)
-    plans = getattr(perf, "plans", None)
-    if plans is None:
-        return None
-    return plans.halo_plan(op, array_id)
+    return machine._perf.plans.halo_plan(op, array_id)
 
 
 def write_region_targeted(

@@ -234,8 +234,8 @@ class ArrayManager:
         """Reverse lookup: the record whose live local section *is*
         ``section`` (object identity) on this node.  Lets SPMD kernels
         that were handed a bare :class:`LocalSection` recover the array
-        it belongs to (the halo-plan engagement path in
-        :mod:`repro.spmd.stencil`)."""
+        it belongs to; its one caller is how a kernel engages a halo
+        plan, :meth:`repro.perf.commplan.PlanRegistry.engage`."""
         if section is None:
             return None
         for record in list(_records(node).values()):

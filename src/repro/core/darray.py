@@ -178,7 +178,7 @@ class DistributedArray:
 
     def halo_plan(self, op: str = "stencil5") -> Any:
         """The compiled halo-exchange plan for this array (or None when
-        planning cannot engage — see ``am_user.halo_plan``)."""
+        it is out of a plan's scope — see ``am_user.halo_plan``)."""
         self._check_live()
         return am_user.halo_plan(self.machine, self.array_id, op)
 

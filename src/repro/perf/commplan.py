@@ -201,30 +201,24 @@ def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
     return CommPlan(op, array_id, layout, pad, epoch, processors)
 
 
-class CommPlan:
-    """The compiled halo-exchange schedule for one ``(op, array)`` at one
-    ``(epoch, processors)`` membership."""
+class HaloGeometry:
+    """The cells a halo exchange moves, derived from a block layout with
+    uniform borders ``pad`` deep and from nothing else: one directed
+    :class:`PlanEdge` per neighbour adjacency, made concrete at a depth
+    by :meth:`transfers`.  It is bound to no array — a :class:`CommPlan`
+    adds that; the per-sweep reference
+    (:func:`repro.spmd.stencil.exchange_halos`) reads its slices here
+    too, so a halo's cells are named in this class only."""
 
-    __slots__ = ("op", "array_id", "layout", "pad", "depth", "epoch",
-                 "processors", "stages", "edges", "tag", "_schedules")
+    __slots__ = ("layout", "pad", "depth", "stages", "edges")
 
-    def __init__(self, op: str, array_id: Any, layout: Any, pad: int,
-                 epoch: int, processors: tuple) -> None:
-        self.op = op
-        self.array_id = array_id
+    def __init__(self, layout: Any, pad: int) -> None:
         self.layout = layout
         self.pad = pad
         # A depth-k exchange ships k interior cells per side, so the
         # usable depth is clipped by the thinnest local dimension.
         self.depth = min(pad, min(layout.local_dims))
-        self.epoch = epoch
-        self.processors = tuple(processors)
         self.stages = 2 if layout.rank == 2 else 1
-        self.tag = (HALO_BULK_KIND, array_id.as_tuple())
-        # (section, k, sides) -> Schedule, compiled on first use and kept
-        # for the life of the plan.  Two copies racing to compile the same
-        # entry build equal, immutable schedules, so no lock is needed.
-        self._schedules: Dict[tuple, Schedule] = {}
         names = _SIDE_NAMES[layout.rank]
         self.edges: List[PlanEdge] = []
         for dest in range(layout.num_sections):
@@ -241,8 +235,6 @@ class CommPlan:
                         dest_section=dest,
                     )
                 )
-
-    # -- geometry ------------------------------------------------------------
 
     def _slices(self, edge: PlanEdge, k: int) -> tuple:
         """(src_slices, dest_slices) for ``edge`` at exchange depth ``k``.
@@ -283,8 +275,8 @@ class CommPlan:
         (``role="recv"``) and/or one stage."""
         if not 1 <= k <= self.depth:
             raise ValueError(
-                f"exchange depth {k} outside [1, {self.depth}] for plan "
-                f"{self.op!r} on {self.array_id}"
+                f"exchange depth {k} outside [1, {self.depth}] for "
+                f"{self.layout.local_dims} sections bordered {self.pad} deep"
             )
         out = []
         for edge in self.edges:
@@ -301,6 +293,28 @@ class CommPlan:
             src, dest = self._slices(edge, k)
             out.append(Transfer(edge, k, src, dest))
         return out
+
+
+class CommPlan(HaloGeometry):
+    """The compiled halo-exchange schedule for one ``(op, array)`` at one
+    ``(epoch, processors)`` membership: the layout's
+    :class:`HaloGeometry` bound to the array whose strips it ships."""
+
+    __slots__ = ("op", "array_id", "epoch", "processors", "tag",
+                 "_schedules")
+
+    def __init__(self, op: str, array_id: Any, layout: Any, pad: int,
+                 epoch: int, processors: tuple) -> None:
+        super().__init__(layout, pad)
+        self.op = op
+        self.array_id = array_id
+        self.epoch = epoch
+        self.processors = tuple(processors)
+        self.tag = (HALO_BULK_KIND, array_id.as_tuple())
+        # (section, k, sides) -> Schedule, compiled on first use and kept
+        # for the life of the plan.  Two copies racing to compile the same
+        # entry build equal, immutable schedules, so no lock is needed.
+        self._schedules: Dict[tuple, Schedule] = {}
 
     def schedule(self, section: int, k: int,
                  sides: Optional[frozenset] = None) -> "Schedule":
@@ -355,25 +369,14 @@ class CommPlan:
         return HaloExchange(registry, self, record, full, section, k,
                             token, source, sides)
 
-    def describe(self) -> dict:
-        return {
-            "op": self.op,
-            "array": str(self.array_id.as_tuple()),
-            "epoch": self.epoch,
-            "depth": self.depth,
-            "stages": self.stages,
-            "edges": len(self.edges),
-            "processors": self.processors,
-        }
-
 
 class HaloExchange:
     """One phase of planned halo traffic for one section.
 
     The exchange walks the :class:`Schedule` its plan compiled for
     ``(section, k, sides)``.  ``prefetch()`` posts the first stage's bulk
-    sends and returns their ``done`` futures immediately — the strips are
-    in flight while the caller computes interior work.  ``complete()``
+    sends and returns at once — the strips are in flight while the
+    caller computes interior work.  ``complete()``
     settles the protocol: it secures acknowledgements for everything this
     copy sent (retrying dropped strips against the re-resolved owner,
     exactly the write-coalescer's retry discipline), claims the inbound
@@ -381,8 +384,6 @@ class HaloExchange:
     posts the orthogonal strips that span the freshly filled halo rows,
     and claims those.  ``sides`` given at ``begin`` is part of the
     schedule: strips for other sides are neither posted nor claimed.
-    ``complete(sides=...)`` restricts *claiming* further, for this copy
-    only; what it leaves unclaimed stays parked in its rendezvous.
 
     Deadlock-freedom: acknowledgements are defined by the *delivery*
     thread the moment a strip is fenced/stashed, never by the peer copy's
@@ -404,7 +405,6 @@ class HaloExchange:
         self.schedule = plan.schedule(
             section, k, None if sides is None else frozenset(sides)
         )
-        self.futures: List[DefVar] = []
         self._pending: List[HaloStrip] = []
         self._claimed_strips = 0
         self._prefetched = False
@@ -417,33 +417,30 @@ class HaloExchange:
 
     # -- protocol ------------------------------------------------------------
 
-    def prefetch(self) -> List[DefVar]:
-        """Issue the first-stage halo sends; returns their ack futures.
+    def prefetch(self) -> None:
+        """Issue the first-stage halo sends.
 
         Flushes the write-behind coalescer for this array first, so a
         strip carries every acknowledged element write (the plan flush
         point, docs/performance.md).
         """
         if self._prefetched:
-            return self.futures
+            return
         self.registry.flush_for(self.plan.array_id)
         if self.schedule.stages:
             self._post_stage(0)
         self._prefetched = True
-        return self.futures
 
-    def complete(self, sides: Optional[Iterable[str]] = None) -> None:
-        """Block until the halo cells on ``sides`` (default: every side
-        of the exchange) hold this phase's data; settles all send
-        acknowledgements."""
+    def complete(self) -> None:
+        """Block until the halo cells on every side of the exchange hold
+        this phase's data; settles all send acknowledgements."""
         if self._completed:
             return
         if not self._prefetched:
             self.prefetch()
-        wanted = None if sides is None else set(sides)
         registry = self.registry
         if getattr(registry.machine, "_observer", None) is None:
-            self._settle(wanted)
+            self._settle()
         else:
             with obs_span(
                 registry.machine,
@@ -453,23 +450,21 @@ class HaloExchange:
                 depth=self.k,
                 phase=str(self.token),
             ) as span:
-                self._settle(wanted)
+                self._settle()
                 span.annotate(strips=self._claimed_strips)
         registry.exchanges += 1
         self._completed = True
 
     # -- internals -----------------------------------------------------------
 
-    def _settle(self, wanted: Optional[set]) -> None:
+    def _settle(self) -> None:
         # Every stage's strips must all land before the next stage's
-        # sends read the halo rows they span — regardless of ``wanted``,
-        # which therefore narrows the last stage only.
-        last = len(self.schedule.stages) - 1
-        for index in range(last + 1):
+        # sends read the halo rows they span.
+        for index in range(len(self.schedule.stages)):
             if index:
                 self._post_stage(index)
             self._secure_pending()
-            self._claim_stage(index, wanted if index == last else None)
+            self._claim_stage(index)
 
     def _owners(self) -> tuple:
         state = self.registry.manager.durability_state(self.plan.array_id)
@@ -492,7 +487,6 @@ class HaloExchange:
             )
             self._route(strip, owners)
             self._pending.append(strip)
-            self.futures.append(strip.done)
 
     def _route(self, strip: HaloStrip, owners: tuple) -> None:
         registry = self.registry
@@ -568,15 +562,13 @@ class HaloExchange:
                 )
         self._pending = []
 
-    def _claim_stage(self, index: int, sides: Optional[set]) -> None:
+    def _claim_stage(self, index: int) -> None:
         registry = self.registry
         timeout = registry.machine.default_recv_timeout
         token = self.token
         lock = self.record.lock
         full = self.full
-        for side, prefix in self.schedule.stages[index][2]:
-            if sides is not None and side not in sides:
-                continue
+        for _side, prefix in self.schedule.stages[index][2]:
             strip = registry.await_strip((prefix, token), timeout=timeout)
             with lock:
                 full[strip.dest_slices] = strip.data
@@ -597,7 +589,6 @@ class PlanRegistry:
     def __init__(self, machine: Any, manager: Any) -> None:
         self.machine = machine
         self.manager = manager
-        self.enabled = True
         self.max_retries = 3
         self.retry_timeout = 5.0
         self.max_rendezvous = 4096
@@ -632,8 +623,6 @@ class PlanRegistry:
     def halo_plan(self, op: str, array_id: Any) -> Optional[CommPlan]:
         """The cached plan for ``(op, array_id)``, recompiled when the
         durability epoch or membership moved since compile time."""
-        if not self.enabled:
-            return None
         state = self.manager.durability_state(array_id)
         if state is None:
             return None
@@ -669,6 +658,20 @@ class PlanRegistry:
             self.compiled += 1
         return plan
 
+    def engage(self, node: Any, section: Any, op: str) -> Optional[tuple]:
+        """How a kernel engages a plan: ``(record, plan)`` of the managed
+        array that ``section`` — the :class:`LocalSection` the kernel was
+        handed on ``node`` — is a local section of, or None when no
+        record holds it (a bare ndarray frame, a section made by hand) or
+        its geometry is out of a plan's scope.  What a kernel is handed
+        is the same kind of thing on every copy of a call, so all of them
+        take the same branch."""
+        record = self.manager.record_for_section(node, section)
+        if record is None:
+            return None
+        plan = self.halo_plan(op, record.array_id)
+        return None if plan is None else (record, plan)
+
     def drop_array(self, array_id: Any) -> None:
         aid = array_id.as_tuple()
         with self._lock:
@@ -678,9 +681,9 @@ class PlanRegistry:
                 del self._rendezvous[key]
 
     def flush_for(self, array_id: Any) -> None:
-        perf = getattr(self.machine, "_perf", None)
-        if perf is not None:
-            perf.coalescer.flush(array_id)
+        # The registry is half of the machine's perf layer; the coalescer
+        # is the other half.
+        self.machine._perf.coalescer.flush(array_id)
 
     # -- rendezvous ----------------------------------------------------------
 
@@ -773,7 +776,6 @@ class PlanRegistry:
             plans = len(self._plans)
             pending = len(self._rendezvous)
         return {
-            "enabled": self.enabled,
             "plans": plans,
             "compiled": self.compiled,
             "hits": self.hits,

@@ -20,21 +20,26 @@ boundary hold fixed values the kernel never overwrites.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 import numpy as np
 
+from repro.arrays.layout import ROW_MAJOR, ArrayLayout
 from repro.arrays.local_section import LocalSection
+from repro.perf import get_perf_layer
+from repro.perf.commplan import HaloGeometry
 from repro.spmd import collectives
 from repro.spmd.context import OutCell, SPMDContext
-from repro.spmd.linalg import interior
 
 
-def _framed(section: Union[LocalSection, np.ndarray]) -> np.ndarray:
+def frame_view(section: Union[LocalSection, np.ndarray]) -> np.ndarray:
     """The interior plus a one-cell frame, as a view: what the per-sweep
     path exchanges into and sweeps over.  On a section with uniform
     borders ``d`` deep that is the innermost ring of the border; a raw
-    ndarray is taken to carry exactly its frame."""
+    ndarray is taken to carry exactly its frame.  Handing a kernel this
+    view of a managed section is how the per-sweep reference is reached
+    on it."""
     if not isinstance(section, LocalSection):
         return np.asarray(section)
     d = min(section.borders)
@@ -65,17 +70,47 @@ def border_query(parm_num: int, rank: int) -> tuple[int, ...]:
     return (1,) * (2 * rank)
 
 
+@functools.lru_cache(maxsize=256)
+def _frame_stages(
+    grid_rows: int, grid_cols: int, h: int, w: int, index: int
+) -> tuple:
+    """``(sends, receives)`` of copy ``index`` for each stage of a depth-1
+    exchange between ``(h, w)`` blocks framed one cell deep on a
+    row-major ``grid_rows x grid_cols`` grid (the distribution contract
+    above, as a layout).  Kept, because a reference that recompiled its
+    geometry every sweep would be timed for that."""
+    geometry = HaloGeometry(
+        ArrayLayout(
+            dims=(grid_rows * h, grid_cols * w), grid=(grid_rows, grid_cols),
+            borders=(1, 1, 1, 1), indexing=ROW_MAJOR, grid_indexing=ROW_MAJOR,
+        ),
+        1,
+    )
+    return tuple(
+        (geometry.transfers(1, index, "send", stage),
+         geometry.transfers(1, index, "recv", stage))
+        for stage in range(geometry.stages)
+    )
+
+
 def exchange_halos(
     ctx: SPMDContext,
     full: np.ndarray,
     grid_rows: int,
     grid_cols: int,
 ) -> int:
-    """Swap 1-deep edge strips with the four grid neighbours.
+    """Swap 1-deep edge strips with the four grid neighbours: the
+    per-sweep reference the planned path is compared against.
 
+    Which cells leave and which they land on is
+    :class:`~repro.perf.commplan.HaloGeometry`'s answer for the frame's
+    layout at depth 1, stage by stage (row strips, then the column
+    strips that span them); what is this function's own is the check of
+    the grid against the call and ``ctx.comm`` as the transport.
     Returns the number of messages sent (the ABL-1 traffic metric).
-    Communication is deadlock-free because sends never block: every copy
-    posts all sends, then receives selectively by tag and source.
+    Communication is deadlock-free because sends never block: in each
+    stage every copy posts its sends, then receives selectively by tag
+    and source.
     """
     expected = grid_rows * grid_cols
     if expected != len(ctx.procs):
@@ -86,41 +121,21 @@ def exchange_halos(
             f"{getattr(full, 'shape', None)}); the grid arguments must "
             "match the array layout's owner count"
         )
-    r, c = grid_coords(ctx.index, grid_cols)
     sent = 0
-    neighbours = {
-        "north": (r - 1, c) if r > 0 else None,
-        "south": (r + 1, c) if r + 1 < grid_rows else None,
-        "west": (r, c - 1) if c > 0 else None,
-        "east": (r, c + 1) if c + 1 < grid_cols else None,
-    }
-    strips = {
-        "north": full[1, 1:-1].copy(),
-        "south": full[-2, 1:-1].copy(),
-        "west": full[1:-1, 1].copy(),
-        "east": full[1:-1, -2].copy(),
-    }
-    opposite = {"north": "south", "south": "north", "west": "east", "east": "west"}
-    for side, coords in neighbours.items():
-        if coords is None:
-            continue
-        dest_rank = coords[0] * grid_cols + coords[1]
-        # Tag by the side the *receiver* will see it on.
-        ctx.comm.send(dest_rank, strips[side], tag=("halo", opposite[side]))
-        sent += 1
-    for side, coords in neighbours.items():
-        if coords is None:
-            continue
-        src_rank = coords[0] * grid_cols + coords[1]
-        strip = ctx.comm.recv(source_rank=src_rank, tag=("halo", side))
-        if side == "north":
-            full[0, 1:-1] = strip
-        elif side == "south":
-            full[-1, 1:-1] = strip
-        elif side == "west":
-            full[1:-1, 0] = strip
-        else:
-            full[1:-1, -1] = strip
+    for sends, receives in _frame_stages(
+        grid_rows, grid_cols, full.shape[0] - 2, full.shape[1] - 2, ctx.index
+    ):
+        for t in sends:
+            # Tag by the side the *receiver* will see it on.
+            ctx.comm.send(
+                t.edge.dest_section, full[t.src_slices].copy(),
+                tag=("halo", t.edge.side),
+            )
+            sent += 1
+        for t in receives:
+            full[t.dest_slices] = ctx.comm.recv(
+                source_rank=t.edge.src_section, tag=("halo", t.edge.side)
+            )
     return sent
 
 
@@ -145,32 +160,6 @@ def _sweep_region(
         + full[r0:r1, c0 - 1:c1 - 1]
         + full[r0:r1, c0 + 1:c1 + 1]
     )
-
-
-def _plan_for(ctx: SPMDContext, section, gr: int, gc: int):
-    """Resolve ``(record, plan, registry)`` for the planned heat path, or
-    None when it cannot engage: raw ndarray, unmanaged section, no perf
-    layer, planning disabled, grid mismatch, or unsupported geometry.
-    Every input to this decision is machine-global or layout-derived, so
-    all copies of one call take the same branch."""
-    if not isinstance(section, LocalSection):
-        return None
-    machine = ctx.machine
-    perf = getattr(machine, "_perf", None)
-    manager = getattr(machine, "_array_manager", None)
-    plans = getattr(perf, "plans", None)
-    if plans is None or manager is None or not plans.enabled:
-        return None
-    record = manager.record_for_section(ctx.node, section)
-    if record is None:
-        return None
-    layout = record.layout
-    if layout.rank != 2 or tuple(layout.grid) != (gr, gc):
-        return None
-    plan = plans.halo_plan("stencil5", record.array_id)
-    if plan is None:
-        return None
-    return record, plan, plans
 
 
 def _extended(d: int, h: int, w: int, e: int, sides) -> tuple:
@@ -314,29 +303,39 @@ def heat_steps(
     relaxed field; ``delta_out`` (if given) the global max |change| of the
     final sweep — the convergence measure.
 
-    When the section belongs to a managed distributed array and the
-    machine carries a perf layer, the sweeps run on the *planned* path:
-    precompiled ``halo_bulk`` transfers (one fused message per neighbour
-    per phase), interior compute overlapped with in-flight halo traffic,
-    and — with borders deeper than 1 — one exchange amortised over that
-    many sweeps (:mod:`repro.perf.commplan`).  The per-sweep
-    ``exchange_halos`` path remains the fallback for raw ndarrays,
-    unmanaged sections and planning switched off; it exchanges every
-    sweep into the innermost ring of whatever uniform border the section
-    has, and is bit-identical in results.
+    What ``section`` is selects the path.  The local section of a
+    managed distributed array runs *planned*
+    (:meth:`~repro.perf.commplan.PlanRegistry.engage`): precompiled
+    ``halo_bulk`` transfers (one fused message per neighbour per phase),
+    interior compute overlapped with in-flight halo traffic, and — with
+    borders deeper than 1 — one exchange amortised over that many sweeps
+    (:mod:`repro.perf.commplan`); grid arguments that are not the
+    array's grid are an error.  A bare ndarray frame, or a section no
+    record holds, runs the per-sweep reference: ``exchange_halos`` every
+    sweep, into the innermost ring of whatever uniform border the
+    section has.  The two are bit-identical in results;
+    :func:`frame_view` of a managed section reaches the reference on it.
     """
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
     n_steps = int(steps[0]) if hasattr(steps, "__getitem__") else int(steps)
     want_delta = delta_out is not None
-    planned = _plan_for(ctx, section, gr, gc)
-    if planned is not None:
-        record, plan, registry = planned
+    perf = get_perf_layer(ctx.machine)
+    engaged = perf and perf.plans.engage(ctx.node, section, "stencil5")
+    if engaged:
+        record, plan = engaged
+        if tuple(record.layout.grid) != (gr, gc):
+            raise ValueError(
+                f"heat_steps: processor grid {gr}x{gc} is not the "
+                f"{record.layout.grid} grid {record.array_id} is "
+                "distributed over"
+            )
         delta = _heat_steps_planned(
-            ctx, record, plan, registry, section.full(), n_steps, want_delta
+            ctx, record, plan, perf.plans, section.full(), n_steps,
+            want_delta,
         )
     else:
-        full = _framed(section)
+        full = frame_view(section)
         delta = 0.0
         for step in range(n_steps):
             exchange_halos(ctx, full, gr, gc)
@@ -365,7 +364,7 @@ def halo_traffic_for(
     (the ABL-1 metric): perimeter strips x 8 bytes."""
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
-    full = _framed(section)
+    full = frame_view(section)
     r, c = grid_coords(ctx.index, gc)
     rows, cols = full.shape[0] - 2, full.shape[1] - 2
     nbytes = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps import aeroelastic
 from repro.apps.aeroelastic import AeroelasticSimulation
 from repro.core.runtime import IntegratedRuntime
 from repro.perf import get_perf_layer
@@ -59,6 +60,39 @@ class TestFixedPoint:
         assert result.converged
         assert np.allclose(result.deflections, 0.0, atol=1e-8)
         sim.free()
+
+
+class TestStructuralSolve:
+    """The inner solve has a cap and a tolerance; which of them ended it
+    is part of the result."""
+
+    def test_every_structural_solve_meets_its_tolerance(self, rt):
+        sim = AeroelasticSimulation(rt, alpha=0.25)
+        before = rt.machine.traffic_snapshot()["messages"]
+        result = sim.run(max_iterations=40, tolerance=1e-9)
+        routed = rt.machine.traffic_snapshot()["messages"] - before
+        assert result.converged and result.iterations == 18
+        assert len(result.residual_history) == 18
+        assert max(result.residual_history) <= 1e-10
+        # 2,059 messages an iteration when the solver was a CG that ran
+        # to its cap on a matrix that is not symmetric.
+        assert routed < 5000
+        sim.free()
+
+    def test_a_solve_that_ends_on_its_cap_is_reported(self, rt, monkeypatch):
+        monkeypatch.setattr(aeroelastic, "_STRUCTURAL_SWEEPS", 2)
+        sim = AeroelasticSimulation(rt, alpha=0.25)
+        result = sim.run(max_iterations=40, tolerance=1e-9)
+        sim.free()
+        # Warm-started, even two sweeps a solve reach the fixed point ...
+        assert result.final_change() < 1e-9
+        # ... but some solve on the way ended above its tolerance.
+        assert max(result.residual_history) > 1e-10
+        assert not result.converged
+        design = aeroelastic.design_for_lift(
+            rt, target_lift=10.0, tolerance=1e-4, max_evaluations=30
+        )
+        assert design.lift_error() <= 1e-4 and not design.converged
 
 
 class TestSemanticEquivalence:

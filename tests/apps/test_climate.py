@@ -173,24 +173,6 @@ class TestBorderDepth:
         assert np.array_equal(run_a.ocean, run_b.ocean)
         assert np.array_equal(run_a.atmosphere, run_b.atmosphere)
 
-    def test_planning_off_gives_the_same_fields(self, rt):
-        """The per-sweep fallback accepts the deep borders the simulation
-        allocates and produces the planned path's fields."""
-        shape = (8, 16)
-        sim = ClimateSimulation(rt, shape=shape, sweeps_per_step=2)
-        registry = get_perf_layer(rt.machine).plans
-        registry.enabled = False
-        try:
-            run = sim.run(3)
-        finally:
-            registry.enabled = True
-        fields = mirror_fields(shape)
-        for _ in range(3):
-            mirror_step(fields, 2)
-        assert_matches_mirror(run, fields)
-        assert registry.diagnostics()["strips_sent"] == 0
-        sim.free()
-
     def test_migration_between_steps_recompiles_the_deep_plan(self, rt):
         """A section of a depth-2 domain moves to a new processor between
         two steps: the ocean's plan is invalidated once and compiled

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import am_user, am_util
+from repro.arrays import am_util
 from repro.arrays.layout import COLUMN_MAJOR, ROW_MAJOR, ArrayLayout
 from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
@@ -27,7 +27,12 @@ from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, install_recovery
 from repro.perf import HALO_BULK_KIND, StalePlanError, get_perf_layer
 from repro.perf.commplan import HaloStrip, compile_halo_plan
-from repro.spmd.stencil import exchange_halos, heat_steps, jacobi_sweep
+from repro.spmd.stencil import (
+    exchange_halos,
+    frame_view,
+    heat_steps,
+    jacobi_sweep,
+)
 from repro.status import Status
 from repro.vp.fabric import TrafficMeter
 from repro.vp.machine import Machine
@@ -59,12 +64,21 @@ def plans_of(machine):
     return get_perf_layer(machine).plans
 
 
-def serial_reference(field, steps):
+def serial_sweeps(field, steps):
+    """The single-domain NumPy mirror: the relaxed field and the max
+    |change| of the last sweep."""
     full = np.zeros((field.shape[0] + 2, field.shape[1] + 2))
     full[1:-1, 1:-1] = field
+    delta = 0.0
     for _ in range(steps):
-        full[1:-1, 1:-1] = jacobi_sweep(full)
-    return full[1:-1, 1:-1]
+        new = jacobi_sweep(full)
+        delta = float(np.max(np.abs(new - full[1:-1, 1:-1])))
+        full[1:-1, 1:-1] = new
+    return full[1:-1, 1:-1], delta
+
+
+def serial_reference(field, steps):
+    return serial_sweeps(field, steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +213,6 @@ class TestPlanGeometry:
             for s, _, _, _ in exchanges
         )
 
-    def test_selective_complete_claims_only_named_sides(self, machine):
-        """complete(sides=...) blocks only on the borders the kernel
-        reads; the other side's strip stays parked in its rendezvous."""
-        arr = make_array(machine, (12,), (4,), borders=1)
-        arr.from_numpy(np.arange(12, dtype=float))
-        plan = arr.halo_plan()
-        registry = plans_of(machine)
-        manager = get_array_manager(machine)
-        state = manager.durability_state(arr.array_id)
-        exchanges = []
-        for section, owner in enumerate(state.processors):
-            record = manager._lookup(machine.processor(owner), arr.array_id)
-            exchanges.append(
-                (section, record,
-                 plan.begin(registry, record, record.section.full(),
-                            section, 1, ("sides-call", 0), owner))
-            )
-        for _, _, ex in exchanges:
-            ex.prefetch()
-        for section, record, ex in exchanges:
-            ex.complete(sides=("west",))
-            full = record.section.full()
-            if ex.receives("west"):
-                # west halo holds the neighbour's last interior cell
-                assert full[0] == float(section * 3 - 1)
-            if ex.receives("east"):
-                # east strip arrived but was never claimed/applied
-                assert full[-1] == 0.0
-        assert registry.diagnostics()["pending_rendezvous"] > 0
-
 
 # ---------------------------------------------------------------------------
 # The schedule a phase walks vs the transfer list it was compiled from
@@ -345,9 +329,17 @@ class TestSchedule:
 # ---------------------------------------------------------------------------
 
 
-def run_heat(machine, arr, grid, steps):
+def per_sweep_heat_steps(ctx, grid_rows, grid_cols, steps, section, delta_out):
+    """The per-sweep reference, reached by input: the same kernel handed
+    the section's frame view — a bare ndarray, which no record holds."""
+    heat_steps(
+        ctx, grid_rows, grid_cols, steps, frame_view(section), delta_out
+    )
+
+
+def run_heat(machine, arr, grid, steps, program=heat_steps):
     res = distributed_call(
-        machine, list(arr.processors), heat_steps,
+        machine, list(arr.processors), program,
         [grid[0], grid[1], steps, Local(arr.array_id),
          Reduce("double", 1, "max")],
     )
@@ -371,25 +363,44 @@ class TestPlannedEquivalence:
             rtol=0, atol=0,
         )
 
-    def test_planned_and_unplanned_deltas_agree(self, machine):
-        rng = np.random.default_rng(2)
-        initial = rng.uniform(0, 100, (8, 8))
-        planned = make_array(machine, (8, 8), (2, 2), borders=4)
-        planned.from_numpy(initial)
-        d_planned = run_heat(machine, planned, (2, 2), 5)
-
-        unplanned = make_array(
-            machine, (8, 8), (2, 2), borders=1, procs=[0, 1, 2, 3]
-        )
-        unplanned.from_numpy(initial)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=st.sampled_from([(2, 2), (4, 1), (1, 4), (1, 1)]),
+        depth=st.integers(1, 4),
+        steps=st.integers(1, 7),
+    )
+    def test_planned_reference_and_serial_mirror_agree(
+        self, grid, depth, steps
+    ):
+        """Planned field and delta == the per-sweep reference's == the
+        serial mirror's, bit for bit, at every border depth (sections
+        thinner than their border included: ``(4, 1)`` has 2 rows).  The
+        path follows the input: the managed section sends planned strips
+        wherever it has a neighbour, the frame view of an identical array
+        sends none — a reference that engaged the plan fails here."""
+        machine = Machine(4, default_recv_timeout=10)
+        am_util.load_all(machine)
         registry = plans_of(machine)
-        registry.enabled = False
-        try:
-            d_unplanned = run_heat(machine, unplanned, (2, 2), 5)
-        finally:
-            registry.enabled = True
-        assert d_planned == d_unplanned
-        assert np.array_equal(planned.to_numpy(), unplanned.to_numpy())
+        initial = np.random.default_rng(depth * 8 + steps).uniform(
+            0, 100, (8, 8)
+        )
+        planned = make_array(machine, (8, 8), grid, borders=depth)
+        planned.from_numpy(initial)
+        d_planned = run_heat(machine, planned, grid, steps)
+        sent = registry.strips_sent
+        assert (sent > 0) == (grid != (1, 1))
+
+        reference = make_array(machine, (8, 8), grid, borders=depth)
+        reference.from_numpy(initial)
+        d_reference = run_heat(
+            machine, reference, grid, steps, per_sweep_heat_steps
+        )
+        assert registry.strips_sent == sent
+
+        field, delta = serial_sweeps(initial, steps)
+        assert d_planned == d_reference == delta
+        assert np.array_equal(planned.to_numpy(), field)
+        assert np.array_equal(reference.to_numpy(), field)
 
     def test_one_fused_message_per_neighbour_per_phase(self, machine):
         """Depth-4 borders: 9 sweeps = 3 exchange phases, 8 routed strips
@@ -436,36 +447,9 @@ class TestPlannedEquivalence:
         assert halo[0] == 40 * 2 * 8
         assert plans_of(machine).diagnostics()["pending_rendezvous"] == 0
 
-    def test_unplanned_fallback_sweeps_deep_bordered_sections(self, machine):
-        """With planning off the per-sweep path runs on the innermost
-        ring of a deep border: same field and same delta as the planned
-        path and as the serial reference, bit for bit, and no planned
-        strip is sent."""
-        rng = np.random.default_rng(3)
-        initial = rng.uniform(0, 100, (8, 8))
-        registry = plans_of(machine)
-        for grid, borders in (((2, 2), 4), ((4, 1), 2)):
-            planned = make_array(machine, (8, 8), grid, borders=borders)
-            planned.from_numpy(initial)
-            d_planned = run_heat(machine, planned, grid, 5)
-
-            unplanned = make_array(machine, (8, 8), grid, borders=borders)
-            unplanned.from_numpy(initial)
-            strips_before = registry.strips_sent
-            registry.enabled = False
-            try:
-                d_unplanned = run_heat(machine, unplanned, grid, 5)
-            finally:
-                registry.enabled = True
-            assert registry.strips_sent == strips_before
-            assert d_unplanned == d_planned
-            field = unplanned.to_numpy()
-            assert np.array_equal(field, planned.to_numpy())
-            assert np.array_equal(field, serial_reference(initial, 5))
-            planned.free()
-            unplanned.free()
-
     def test_unplanned_fallback_rejects_ragged_borders(self, machine):
+        """No plan covers them, so the section reaches the per-sweep
+        reference, which has no frame to take either."""
         arr = make_array(machine, (8, 8), (2, 2), borders=[1, 1, 2, 2])
         arr.from_numpy(np.ones((8, 8)))
         res = distributed_call(
@@ -490,13 +474,16 @@ class TestGridMismatch:
     def test_distributed_call_with_wrong_grid_fails_cleanly(self, machine):
         arr = make_array(machine, (8, 8), (2, 2), borders=1)
         arr.from_numpy(np.ones((8, 8)))
-        # Grid args disagree with the 4-owner layout: the planned path
-        # refuses to engage and the fallback raises the descriptive error.
-        res = distributed_call(
-            machine, list(arr.processors), heat_steps,
-            [4, 4, 1, Local(arr.array_id)],
-        )
-        assert res.status is Status.ERROR
+        # Grid args that are not the grid of the array the section
+        # belongs to — whether or not they multiply to its owner count:
+        # the kernel refuses them.
+        for wrong in ((4, 4), (4, 1)):
+            res = distributed_call(
+                machine, list(arr.processors), heat_steps,
+                [wrong[0], wrong[1], 1, Local(arr.array_id)],
+            )
+            assert res.status is Status.ERROR
+        assert np.array_equal(arr.to_numpy(), np.ones((8, 8)))
 
 
 # ---------------------------------------------------------------------------

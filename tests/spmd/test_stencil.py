@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 
 from repro.arrays import am_user, am_util
 from repro.arrays.layout import ROW_MAJOR, ArrayLayout
+from repro.arrays.local_section import LocalSection
 from repro.arrays.record import ArrayID
 from repro.calls import Local, Reduce, distributed_call
+from repro.pcn.composition import par
+from repro.perf import get_perf_layer
 from repro.perf.commplan import compile_halo_plan
+from repro.spmd.context import SPMDContext
 from repro.spmd.stencil import (
     _extended,
     _sweep0_split,
@@ -224,3 +228,73 @@ class TestDistributedStencil:
             current = gather(m4, aid, shape, (2, 2)).sum()
             assert current <= previous + 1e-9
             previous = current
+
+
+class TestUnmanagedInputs:
+    """What ``heat_steps`` is handed selects the path: anything that is
+    not the local section of a managed array runs the per-sweep
+    reference — here without a distributed call or an array around it."""
+
+    GRIDS = [(2, 2), (4, 1), (1, 4), (1, 1)]
+
+    def run_copies(self, machine, grid, make_section, steps=3):
+        """One copy per grid cell under a bare ``SPMDContext``, each on
+        the block of a random 8 x 8 field that ``make_section`` wraps;
+        returns the gathered field, the copies' deltas and the serial
+        mirror's field."""
+        gr, gc = grid
+        rows, cols = 8 // gr, 8 // gc
+        initial = np.random.default_rng(gr * 5 + gc).uniform(0, 100, (8, 8))
+        sections, deltas = [], []
+        for rank in range(gr * gc):
+            r, c = divmod(rank, gc)
+            sections.append(make_section(
+                initial[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols]
+            ))
+            deltas.append(np.zeros(1))
+        contexts = [
+            SPMDContext(machine, list(range(gr * gc)), rank, "bare")
+            for rank in range(gr * gc)
+        ]
+        par(*[
+            lambda ctx=ctx, section=section, delta=delta: heat_steps(
+                ctx, gr, gc, steps, section, delta
+            )
+            for ctx, section, delta in zip(contexts, sections, deltas)
+        ])
+        out = np.empty((8, 8))
+        for rank, section in enumerate(sections):
+            r, c = divmod(rank, gc)
+            out[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols] = (
+                section[1:-1, 1:-1] if isinstance(section, np.ndarray)
+                else section.interior()
+            )
+        return out, deltas, serial_reference(initial, steps)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_bare_frames_on_a_machine_with_no_array_manager(self, grid):
+        def framed(block):
+            full = np.zeros((block.shape[0] + 2, block.shape[1] + 2))
+            full[1:-1, 1:-1] = block
+            return full
+
+        machine = Machine(grid[0] * grid[1], default_recv_timeout=10)
+        field, deltas, expected = self.run_copies(machine, grid, framed)
+        assert np.array_equal(field, expected)
+        assert len({float(d[0]) for d in deltas}) == 1 and deltas[0][0] > 0
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_sections_no_record_holds(self, grid):
+        """A ``LocalSection`` made by hand, borders 2 deep, on a machine
+        whose array manager knows no array: the registry finds no record
+        for it and sends no strip."""
+        def by_hand(block):
+            section = LocalSection("double", block.shape, (2,) * 4, "row")
+            section.interior()[:] = block
+            return section
+
+        machine = Machine(grid[0] * grid[1], default_recv_timeout=10)
+        am_util.load_all(machine)
+        field, _, expected = self.run_copies(machine, grid, by_hand)
+        assert np.array_equal(field, expected)
+        assert get_perf_layer(machine).plans.strips_sent == 0
