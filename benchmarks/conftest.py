@@ -4,7 +4,10 @@ Each ``bench_*.py`` file regenerates one experiment from DESIGN.md's
 per-experiment index (a figure or worked example of the thesis).  Every
 benchmark
 
-* measures wall-clock with pytest-benchmark,
+* hands its timed body to pytest-benchmark (run once under
+  ``--benchmark-disable``, the way CI and EXPERIMENTS.md run these
+  files: no file records a wall-clock number — timing is
+  ``benchmarks/macro``'s business),
 * records the *shape* metrics (who wins, by what factor, where the
   crossover falls) in ``benchmark.extra_info`` and via :func:`report`,
   and
@@ -16,19 +19,11 @@ the deterministic message/byte counters are not.
 
 from __future__ import annotations
 
-import json
-import statistics
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.core.runtime import IntegratedRuntime
-
-# Machine-readable results: every benchmark session merges its timings
-# into this file (repo root), keyed by test id — CI uploads it as an
-# artifact and bench_obs_overhead reads the baseline from it.
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,44 +34,6 @@ def rt8() -> IntegratedRuntime:
 @pytest.fixture(scope="module")
 def rt16() -> IntegratedRuntime:
     return IntegratedRuntime(16)
-
-
-def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    """Merge this session's pytest-benchmark timings into BENCH_results.json.
-
-    Runs after every benchmark session (no-op under --benchmark-disable,
-    when the session records nothing).  Existing entries for other
-    benchmarks are preserved, so partial runs accumulate into one file.
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    try:
-        existing = json.loads(RESULTS_PATH.read_text())
-    except (OSError, ValueError):
-        existing = {}
-    results = existing.get("benchmarks", {})
-    for bench in bench_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None:
-            continue
-        data = list(getattr(stats, "data", []) or [])
-        if not data:
-            continue
-        results[bench.fullname] = {
-            "name": bench.name,
-            "group": bench.group,
-            "median_seconds": statistics.median(data),
-            "min_seconds": min(data),
-            "rounds": len(data),
-            "iterations": getattr(bench.stats, "iterations", 1),
-            "extra_info": dict(bench.extra_info),
-        }
-    RESULTS_PATH.write_text(
-        json.dumps({"benchmarks": results}, indent=2, sort_keys=True,
-                   default=repr)
-        + "\n"
-    )
 
 
 def report(title: str, rows: list) -> None:

@@ -41,9 +41,14 @@ class ClimateDomain:
 
     name: str
     array: DistributedArray
-    processors: Sequence[int]
     grid_rows: int
     grid_cols: int
+
+    @property
+    def processors(self) -> Sequence[int]:
+        """The group is whoever holds the sections now: a migration or a
+        rebalance of ``array`` moves the domain's calls with it."""
+        return self.array.processors
 
 
 def _make_domain(
@@ -93,7 +98,6 @@ def _make_domain(
     return ClimateDomain(
         name=name,
         array=array,
-        processors=processors,
         grid_rows=grid[0],
         grid_cols=grid[1],
     )

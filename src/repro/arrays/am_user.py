@@ -349,6 +349,7 @@ def halo_plan(
     the cached plan against the durability ``(epoch, processors)`` on
     every call, so recovery and migration invalidate transparently.
     """
+    get_array_manager(machine)
     return machine._perf.plans.halo_plan(op, array_id)
 
 

@@ -9,7 +9,6 @@ see :mod:`repro.perf.coalescer` (write-behind batching),
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Optional
 
 from repro.perf.coalescer import (
@@ -39,7 +38,6 @@ __all__ = [
     "PlanRegistry",
     "StalePlanError",
     "WriteCoalescer",
-    "coalescing_disabled",
     "compile_halo_plan",
     "define_once",
     "get_perf_layer",
@@ -82,21 +80,3 @@ def get_perf_layer(machine: Any) -> Optional[PerfLayer]:
     """The machine's perf layer (None before the array manager loads)."""
     return getattr(machine, "_perf", None)
 
-
-@contextmanager
-def coalescing_disabled(machine: Any):
-    """Temporarily run with the per-write path (benchmark baselines).
-
-    Flushes pending writes first so the two regimes never interleave.
-    """
-    perf = get_perf_layer(machine)
-    if perf is None:
-        yield
-        return
-    perf.coalescer.flush()
-    previous = perf.coalescer.enabled
-    perf.coalescer.enabled = False
-    try:
-        yield
-    finally:
-        perf.coalescer.enabled = previous

@@ -188,9 +188,6 @@ class TestBorderDepth:
         before = registry.diagnostics()
         spare = rt.machine.add_processor()
         assert sim.ocean.array.migrate({3: spare}) == [3]
-        # The domain's group is the application's to keep: the
-        # distributed call goes to whoever holds the sections now.
-        sim.ocean.processors = sim.ocean.array.processors
         assert section_borders(rt, sim.ocean) == (2, 2, 2, 2)
 
         run = sim.run(1)

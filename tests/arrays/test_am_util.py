@@ -7,7 +7,8 @@ import io
 import numpy as np
 import pytest
 
-from repro.arrays import am_util
+from repro.arrays import am_user, am_util
+from repro.arrays.record import ArrayID
 from repro.pcn.defvar import DefVar
 from repro.pcn.process import spawn
 from repro.vp.machine import Machine
@@ -47,6 +48,12 @@ class TestLoadAll:
     def test_unknown_module_rejected(self):
         with pytest.raises(ValueError):
             am_util.load_all(Machine(1), "mystery")
+
+    def test_not_loaded_is_a_typed_error(self):
+        """§B.3: before ``load "am"`` a request that needs the manager
+        fails naming it — one with no server hop to fail for it included."""
+        with pytest.raises(RuntimeError, match="array manager not loaded"):
+            am_user.halo_plan(Machine(2), ArrayID(0, 1))
 
 
 class TestAtomicPrint:

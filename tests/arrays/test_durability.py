@@ -126,6 +126,12 @@ def test_replica_updates_visible_to_traffic_meter(machine):
         counts = meter.snapshot()["by_kind"]
         # One whole-array region write = 4 section writes x 1 backup each.
         assert counts.get(REPLICA_UPDATE_KIND, (0, 0))[0] >= 4
+        # Exactly k a section write, seeding aside: two backups each.
+        arr = make_array(machine, replication=2)
+        seeded = meter.snapshot()["by_kind"][REPLICA_UPDATE_KIND][0]
+        arr.from_numpy(np.ones((8, 8)))
+        written = meter.snapshot()["by_kind"][REPLICA_UPDATE_KIND][0]
+        assert written - seeded == 4 * 2
     finally:
         machine.transport_stack.remove(meter)
 

@@ -133,6 +133,9 @@ class TestMidMigrationKill:
         assert np.array_equal(arr.to_numpy(), ref)
         log = get_array_manager(machine).migrations[-1]
         assert not log["ok"] and "error" in log
+        # A retry onto the surviving spare lands the move.
+        assert arr.migrate({2: 5}) == [2]
+        assert np.array_equal(arr.to_numpy(), ref)
 
     def test_source_killed_mid_migration_recovers(self):
         """The *source* dies while yielding its section: reentrant

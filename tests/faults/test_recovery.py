@@ -104,11 +104,28 @@ class TestCheckpointRecovery:
         ref = np.arange(64, dtype=float).reshape(8, 8)
         arr.from_numpy(ref)
         arr.checkpoint()
+        # A row committed into section 3 after the checkpoint: with no
+        # mirror to carry it, it dies with its owner.
+        delta = np.full((1, 4), -1.0)
+        region = [(7, 8), (4, 8)]
+        assert am_user.write_region(
+            machine, arr.array_id, region, delta
+        ) is Status.OK
 
         machine.fail(3)
 
         state = durability(machine, arr)
         assert state.processors == (0, 1, 2, 4)
+        assert np.array_equal(arr.to_numpy(), ref)
+        # The workload's to replay, a message a row — where a planned
+        # move would have carried the row with the section — and the
+        # rebuilt section takes it.
+        machine.reset_traffic()
+        assert am_user.write_region(
+            machine, arr.array_id, region, delta
+        ) is Status.OK
+        assert machine.traffic_snapshot()["messages"] == 1
+        ref[7:8, 4:8] = delta
         assert np.array_equal(arr.to_numpy(), ref)
 
     def test_unreplicated_array_without_checkpoint_is_unrecoverable(

@@ -156,10 +156,19 @@ class TestSilenceVerdicts:
                     lambda: detector.snapshot()["heartbeats_received"] > 3
                 )
                 plan.cut("iso")
+                cut_at = time.monotonic()
                 assert wait_until(lambda: detector.is_suspect(2))
                 assert wait_until(
                     lambda: detector.state_of(2) is HealthState.DEAD
                 )
+                # Latency is governed by the heartbeat interval.  Silence
+                # must actually accrue: the verdict can land at most one
+                # pre-cut heartbeat early ...
+                latency = time.monotonic() - cut_at
+                window = DEAD_AFTER * INTERVAL
+                assert latency > window - 2 * INTERVAL
+                # ... and scheduling slack on a loaded box stays bounded.
+                assert latency < window + max(0.6, 20 * INTERVAL)
                 # Not an oracle death: the fabric lost the VP, the
                 # machine did not.
                 assert not machine.is_failed(2)

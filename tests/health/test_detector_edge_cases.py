@@ -98,6 +98,35 @@ def test_delayed_heartbeats_do_not_harden_dead_verdicts():
         finally:
             detector.close()
 
+    # Windows tight enough that an injected delay *can* trip suspicion
+    # (suspect after 2 intervals, heartbeats up to 3 late) and still
+    # inside the dead window of 6: suspicion stays reversible — it flaps
+    # back, never hardens.
+    observation = 80 * INTERVAL
+    for prob in (0.0, 0.3, 0.6):
+        machine = Machine(4)
+        plan = FaultPlan(
+            seed=11,
+            delay=prob,
+            delay_seconds=3 * INTERVAL,
+            kinds=("heartbeat",),
+        )
+        with FaultyTransport(machine, plan):
+            detector = FailureDetector(
+                machine, interval=INTERVAL, suspect_after=2.0, dead_after=6.0
+            ).install()
+            try:
+                time.sleep(observation)
+                seen = [e.transition for e in detector.events()]
+            finally:
+                detector.close()
+        assert "dead" not in seen, f"delay={prob}"
+        # At most one suspect a VP still in flight when observation ended.
+        assert seen.count("suspect") - seen.count("alive") <= 4
+        if not prob:
+            # A fault-free fabric produces no suspicion at all.
+            assert "suspect" not in seen
+
 
 def test_duplicated_heartbeats_are_harmless():
     """Duplicates refresh last-seen twice; nothing transitions, and the

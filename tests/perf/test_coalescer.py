@@ -15,7 +15,7 @@ import pytest
 from repro.arrays import am_user, am_util
 from repro.calls import Local, distributed_call
 from repro.core.darray import DistributedArray
-from repro.perf import coalescing_disabled, get_perf_layer
+from repro.perf import get_perf_layer
 from repro.status import Status
 from repro.vp.machine import Machine
 
@@ -68,15 +68,24 @@ class TestBatching:
         assert perf.coalescer.pending_ops(arr.array_id) < 4 + 1
         assert perf.coalescer.flushes >= 2
 
-    def test_coalescing_disabled_restores_per_write_path(self, m8):
+    def test_set_coalescing_false_restores_per_write_path(self, m8):
         arr = make_array(m8, n=16, owners=4)
-        with coalescing_disabled(m8):
-            m8.reset_traffic()
-            for i in range(4, 8):  # section 1, owned by processor 1
-                arr[i] = float(i)
-            # One write_element_local request per element.
-            assert m8.traffic_snapshot()["messages"] == 4
-        assert get_perf_layer(m8).coalescer.enabled
+        coalescer = get_perf_layer(m8).coalescer
+        arr[4] = -1.0
+        assert coalescer.pending_ops(arr.array_id) == 1
+        # Returns the previous setting, and flushes first: the two
+        # regimes never interleave on one array.
+        assert am_user.set_coalescing(m8, False) is True
+        assert coalescer.pending_ops(arr.array_id) == 0
+        m8.reset_traffic()
+        for i in range(4, 8):  # section 1, owned by processor 1
+            arr[i] = float(i)
+        # One write_element_local request per element.
+        assert m8.traffic_snapshot()["messages"] == 4
+        assert coalescer.pending_ops(arr.array_id) == 0
+        assert am_user.set_coalescing(m8, True) is False
+        assert coalescer.enabled
+        assert arr.to_numpy()[4:8].tolist() == [4.0, 5.0, 6.0, 7.0]
 
     def test_statuses_match_per_write_path(self, m8):
         arr = make_array(m8)
