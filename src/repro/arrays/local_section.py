@@ -15,11 +15,14 @@ element access goes through the interior view (§3.2.1.3 last paragraph).
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.arrays.layout import ROW_MAJOR, normalize_indexing
+
 _DTYPES = {"int": np.int64, "double": np.float64, "complex": np.complex128}
+_FREED = "use of freed local section"
 
 
 def dtype_for(type_name: str) -> np.dtype:
@@ -80,8 +83,10 @@ class LocalSection:
         self.type_name = type_name
         self.local_dims = tuple(local_dims)
         self.borders = tuple(borders)
-        # 'C' for row-major, 'F' for column-major storage interpretation.
-        self.order = "C" if indexing_order == "row" else "F"
+        # 'C' for row-major, 'F' for column-major storage interpretation;
+        # any of §3.2.1.4's spellings is accepted, anything else raises.
+        row_major = normalize_indexing(indexing_order) == ROW_MAJOR
+        self.order = "C" if row_major else "F"
         self.local_dims_plus = tuple(
             ld + borders[2 * i] + borders[2 * i + 1]
             for i, ld in enumerate(local_dims)
@@ -91,41 +96,52 @@ class LocalSection:
             size *= d
         # The flat contiguous buffer — the pseudo-definitional array.
         self.storage = np.zeros(size, dtype=dtype_for(type_name))
-        self._freed = False
+        # Its geometry is fixed from build to free (§3.2.1.3), so both views
+        # are made here, once; free() drops them with the buffer, and a
+        # view that is None is what "freed" means.
+        self._full: Optional[np.ndarray] = self.storage.reshape(
+            self.local_dims_plus, order=self.order
+        )
+        self._interior: Optional[np.ndarray] = self._full[
+            tuple(
+                slice(self.borders[2 * i], self.borders[2 * i] + ld)
+                for i, ld in enumerate(self.local_dims)
+            )
+        ]
         TRACKER.on_alloc(self.storage.nbytes)
 
     # -- lifetime --------------------------------------------------------------
 
     def free(self) -> None:
         """Explicit deallocation (the ``free`` primitive, §5.1.6)."""
-        if not self._freed:
-            self._freed = True
+        if self._full is not None:
+            self._full = self._interior = None
             TRACKER.on_free(self.storage.nbytes)
             self.storage = np.zeros(0, dtype=self.storage.dtype)
 
     @property
     def is_freed(self) -> bool:
-        return self._freed
+        return self._full is None
 
     def _check_live(self) -> None:
-        if self._freed:
-            raise ValueError("use of freed local section")
+        if self._full is None:
+            raise ValueError(_FREED)
 
     # -- views -------------------------------------------------------------------
 
     def full(self) -> np.ndarray:
         """Bordered view, shape ``local_dims_plus`` (DP programs only)."""
-        self._check_live()
-        return self.storage.reshape(self.local_dims_plus, order=self.order)
+        full = self._full
+        if full is None:
+            raise ValueError(_FREED)
+        return full
 
     def interior(self) -> np.ndarray:
         """Border-free view, shape ``local_dims`` (what the TP layer sees)."""
-        full = self.full()
-        slices = tuple(
-            slice(self.borders[2 * i], self.borders[2 * i] + ld)
-            for i, ld in enumerate(self.local_dims)
-        )
-        return full[slices]
+        interior = self._interior
+        if interior is None:
+            raise ValueError(_FREED)
+        return interior
 
     def flat(self) -> np.ndarray:
         """The raw flat buffer, as passed to a called DP program (§4.2.5)."""
@@ -164,5 +180,5 @@ class LocalSection:
         return (
             f"<LocalSection {self.type_name} interior={self.local_dims} "
             f"borders={self.borders} order={self.order!r}"
-            f"{' FREED' if self._freed else ''}>"
+            f"{' FREED' if self.is_freed else ''}>"
         )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.pcn.process import process_scoped
 from repro.vp.message import Message
@@ -55,11 +55,13 @@ def new_trace_id(prefix: str = "t") -> str:
     return f"{prefix}-{next(_trace_counter)}"
 
 
+Frame = Tuple[Optional[int], Optional[str], int, Optional[str]]
+
+
 class _Context(threading.local):
-    processor: Optional[int] = None
-    trace_id: Optional[str] = None
-    hop: int = 0
-    span_id: Optional[str] = None
+    # (processor, trace_id, hop, span_id): replaced whole, never mutated,
+    # so a scope saves and restores one reference.
+    frame: Frame = (None, None, 0, None)
 
 
 # Scoped to the process, not the thread: a body that leaves a context or
@@ -70,22 +72,23 @@ _context = process_scoped(_Context())
 def current_processor() -> Optional[int]:
     """The virtual processor the calling thread executes on (None for
     top-level threads that are not placed on any node)."""
-    return _context.processor
+    return _context.frame[0]
 
 
 def current_trace() -> "tuple[Optional[str], int]":
     """The (trace id, hop count) envelope the calling thread inherited."""
-    return _context.trace_id, _context.hop
+    _, trace_id, hop, _ = _context.frame
+    return trace_id, hop
 
 
 def current_envelope() -> "tuple[str, int, Optional[str]]":
     """The ``(trace_id, hop, span_id)`` a message sent by the calling
     thread carries.  A top-level sender with no ambient trace gets a
     synthesized root id — no message is ever attributed to trace None."""
-    trace_id = _context.trace_id
+    _, trace_id, hop, span_id = _context.frame
     if trace_id is None:
         trace_id = new_trace_id()
-    return trace_id, _context.hop, _context.span_id
+    return trace_id, hop, span_id
 
 
 def current_span_id() -> Optional[str]:
@@ -94,7 +97,7 @@ def current_span_id() -> Optional[str]:
     Maintained by :class:`repro.obs.spans.SpanHandle`; rides the same
     thread-local as the trace envelope so spawned processes and server
     handlers parent their spans onto the caller's."""
-    return _context.span_id
+    return _context.frame[3]
 
 
 class execution_context:
@@ -113,48 +116,27 @@ class execution_context:
         hop: Optional[int] = None,
         span_id: Optional[str] = None,
     ) -> None:
-        self._processor = processor
-        self._trace_id = trace_id
-        self._hop = hop
-        self._span_id = span_id
-        self._saved: "tuple[Optional[int], Optional[str], int, Optional[str]]" = (
-            None, None, 0, None,
-        )
+        self._fields = (processor, trace_id, hop, span_id)
+        self._saved: Frame = _Context.frame
 
     def __enter__(self) -> "execution_context":
-        self._saved = (
-            _context.processor,
-            _context.trace_id,
-            _context.hop,
-            _context.span_id,
+        outer = self._saved = _context.frame
+        processor, trace_id, hop, span_id = self._fields
+        _context.frame = (
+            outer[0] if processor is None else processor,
+            outer[1] if trace_id is None else trace_id,
+            outer[2] if hop is None else hop,
+            outer[3] if span_id is None else span_id,
         )
-        if self._processor is not None:
-            _context.processor = self._processor
-        if self._trace_id is not None:
-            _context.trace_id = self._trace_id
-        if self._hop is not None:
-            _context.hop = self._hop
-        if self._span_id is not None:
-            _context.span_id = self._span_id
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        (
-            _context.processor,
-            _context.trace_id,
-            _context.hop,
-            _context.span_id,
-        ) = self._saved
+        _context.frame = self._saved
 
 
-def snapshot_context() -> "tuple[Optional[int], Optional[str], int, Optional[str]]":
+def snapshot_context() -> Frame:
     """Capture the context for propagation into a spawned process."""
-    return (
-        _context.processor,
-        _context.trace_id,
-        _context.hop,
-        _context.span_id,
-    )
+    return _context.frame
 
 
 # -- the interceptor stack ----------------------------------------------------
@@ -172,18 +154,26 @@ class TransportStack:
 
     def __init__(self, terminal: Forward) -> None:
         self._terminal = terminal
-        # Replaced whole on every mutation, so the per-message readers
+        # Both replaced whole on every mutation, so the per-message readers
         # (``len``, ``dispatch``) need no lock; the lock serialises writers.
+        # ``_forward`` is ``_layers`` composed over the terminal, built when
+        # the stack changes rather than per message.
         self._layers: tuple = ()
+        self._forward: Forward = terminal
         self._lock = threading.Lock()
 
     # -- mutation -----------------------------------------------------------
+
+    def _install(self, layers: tuple) -> None:
+        """Publish ``layers`` and their composed chain (writers' lock held)."""
+        self._forward = self._chain(layers)
+        self._layers = layers
 
     def push(self, interceptor: Interceptor) -> Interceptor:
         """Install ``interceptor`` as the new top layer; returns it so
         ``stack.push(Tracer())`` reads naturally."""
         with self._lock:
-            self._layers = (interceptor,) + self._layers
+            self._install((interceptor,) + self._layers)
         return interceptor
 
     def remove(self, interceptor: Interceptor) -> bool:
@@ -195,12 +185,12 @@ class TransportStack:
                 layers.remove(interceptor)
             except ValueError:
                 return False
-            self._layers = tuple(layers)
+            self._install(tuple(layers))
         return True
 
     def clear(self) -> None:
         with self._lock:
-            self._layers = ()
+            self._install(())
 
     # -- introspection -------------------------------------------------------
 
@@ -224,7 +214,7 @@ class TransportStack:
 
     def dispatch(self, message: Message) -> None:
         """Send ``message`` through every layer, top to bottom."""
-        self._chain(self._layers)(message)
+        self._forward(message)
 
     def forward_from(self, interceptor: Interceptor, message: Message) -> None:
         """Deliver ``message`` through the layers strictly *below*

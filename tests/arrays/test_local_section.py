@@ -69,6 +69,26 @@ class TestStorageGeometry:
         with pytest.raises(ValueError):
             LocalSection("double", (2, 2), (1, 1), "row")
 
+    @pytest.mark.parametrize(
+        "spelling, order",
+        [("row", "C"), ("C", "C"), ("c", "C"),
+         ("column", "F"), ("Fortran", "F"), ("fortran", "F")],
+    )
+    def test_storage_order_follows_indexing_spellings(self, spelling, order):
+        """§3.2.1.4 accepts "C" for row-major and "Fortran" for
+        column-major; the storage order follows whichever is spelled."""
+        section = LocalSection("double", (2, 3), (0,) * 4, spelling)
+        assert section.order == order
+        section.interior()[...] = np.arange(6).reshape(2, 3)
+        expected = [0, 1, 2, 3, 4, 5] if order == "C" else [0, 3, 1, 4, 2, 5]
+        assert list(section.flat()) == expected
+
+    def test_unknown_indexing_spelling_rejected(self):
+        live_before = TRACKER.live
+        with pytest.raises(ValueError, match="indexing"):
+            LocalSection("double", (2, 3), (0,) * 4, "diagonal")
+        assert TRACKER.live == live_before  # nothing allocated
+
 
 class TestBorderSeparation:
     def test_borders_not_visible_through_interior(self):
@@ -118,11 +138,48 @@ class TestExplicitLifetime:
             section.interior()
         with pytest.raises(ValueError, match="freed"):
             section.flat()
+        with pytest.raises(ValueError, match="freed"):
+            section.full()
+        with pytest.raises(ValueError, match="freed"):
+            section.read((0,))
+        with pytest.raises(ValueError, match="freed"):
+            section.write((0,), 1.0)
 
     def test_nbytes(self):
         section = LocalSection("double", (4,), (1, 1), "row")
         assert section.nbytes() == 6 * 8
         section.free()
+
+
+class TestViewLifetime:
+    """The views are made once, when the storage is, and live as long as
+    it does (§3.2.1.3: the geometry is fixed from build to free)."""
+
+    @pytest.mark.parametrize("order", ["row", "column"])
+    def test_views_are_built_once_and_alias_storage(self, order):
+        section = LocalSection("double", (3, 2), (1, 2, 0, 1), order)
+        assert section.full() is section.full()
+        assert section.interior() is section.interior()
+        assert np.shares_memory(section.full(), section.storage)
+        assert np.shares_memory(section.interior(), section.storage)
+        section.write((2, 1), 7.0)
+        assert section.read((2, 1)) == 7.0
+        assert section.full()[3, 1] == 7.0  # offset by the leading borders
+        assert np.count_nonzero(section.flat()) == 1
+        section.free()
+
+    def test_reallocate_hands_out_views_of_the_new_buffer(self):
+        section = LocalSection("double", (2, 2), (0, 0, 0, 0), "column")
+        section.interior()[...] = [[1.0, 2.0], [3.0, 4.0]]
+        bigger = section.reallocate_with_borders((1, 1, 1, 1))
+        for view in (bigger.full(), bigger.interior()):
+            assert np.shares_memory(view, bigger.storage)
+            assert not np.shares_memory(view, section.storage)
+        bigger.interior()[0, 0] = 9.0
+        assert section.interior()[0, 0] == 1.0
+        section.free()
+        assert bigger.interior()[1, 1] == 4.0  # outlives the old buffer
+        bigger.free()
 
 
 @settings(max_examples=50, deadline=None)
@@ -139,7 +196,8 @@ def test_property_interior_embedding(local_dims, border, order):
     data = np.random.default_rng(0).standard_normal(tuple(local_dims))
     section.interior()[...] = data
     assert np.array_equal(section.interior(), data)
-    # Total non-interior cells untouched (still zero).
-    total = section.full().size - section.interior().size
-    assert np.count_nonzero(section.full()) <= data.size + 0
+    # Every non-interior cell is untouched (still zero).
+    outside = np.ones(section.local_dims_plus, dtype=bool)
+    outside[tuple(slice(border, border + ld) for ld in local_dims)] = False
+    assert not np.any(section.full()[outside])
     section.free()

@@ -3,6 +3,9 @@ and propagated through spawns and server-request hops."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.pcn.defvar import DefVar
@@ -45,6 +48,21 @@ class TestExecutionContext:
 
     def test_trace_ids_are_unique(self):
         assert fabric.new_trace_id() != fabric.new_trace_id()
+
+    @pytest.mark.parametrize(
+        "override, inner",
+        [({"hop": 9}, (5, "t-outer", 9, "s-outer")),
+         ({"span_id": "s-in"}, (5, "t-outer", 2, "s-in"))],
+    )
+    def test_single_field_override_inherits_the_other_three(
+        self, override, inner
+    ):
+        outer = (5, "t-outer", 2, "s-outer")
+        with fabric.execution_context(*outer):
+            with fabric.execution_context(**override):
+                assert fabric.snapshot_context() == inner
+            assert fabric.snapshot_context() == outer
+        assert fabric.snapshot_context() == (None, None, 0, None)
 
 
 class TestEnvelopeStamping:
@@ -222,6 +240,111 @@ class TestContextEdgeCases:
         assert meter.snapshot()["messages"] == 1
         m.transport_stack.remove(holder)
         m.transport_stack.remove(meter)
+
+
+class TestComposedOnce:
+    """The interceptor chain is composed when the stack changes; routing
+    a message composes nothing."""
+
+    @staticmethod
+    def recorder(name, log):
+        def layer(message, forward):
+            log.append(name)
+            forward(message)
+
+        return layer
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_dispatch_composes_nothing(self, monkeypatch, depth):
+        m = Machine(2)
+        log = []
+        for i in range(depth):
+            m.transport_stack.push(self.recorder(i, log))
+        composed = []
+        chain = fabric.TransportStack._chain
+
+        def counting(stack, layers):
+            composed.append(layers)
+            return chain(stack, layers)
+
+        monkeypatch.setattr(fabric.TransportStack, "_chain", counting)
+        for n in range(10):
+            m.send(0, 1, n, tag="t")
+        assert [m.processor(1).mailbox.recv(tag="t", timeout=2.0).payload
+                for _ in range(10)] == list(range(10))
+        assert composed == []
+        assert len(log) == 10 * depth
+
+    def test_next_message_reaches_exactly_the_installed_layers(self):
+        m = Machine(2)
+        log = []
+        a, b = self.recorder("a", log), self.recorder("b", log)
+
+        def sent():
+            del log[:]
+            m.send(0, 1, "x", tag="t")
+            m.processor(1).mailbox.recv(tag="t", timeout=2.0)
+            return list(log)
+
+        assert sent() == []
+        m.transport_stack.push(a)
+        assert sent() == ["a"]
+        m.transport_stack.push(b)
+        assert sent() == ["b", "a"]
+        assert m.transport_stack.remove(a)
+        assert sent() == ["b"]
+        assert not m.transport_stack.remove(a)
+        assert sent() == ["b"]
+        m.transport_stack.push(a)
+        m.transport_stack.clear()
+        assert sent() == []
+
+    def test_concurrent_mutation_leaves_chain_and_layers_in_step(self):
+        """Eight threads push, route through and remove their own layer
+        while the others do the same, then each leaves one layer installed.
+        A chain composed from a stale stack would let a message sent
+        between a push and its remove miss the layer, drop a kept layer
+        or keep a removed one."""
+        m = Machine(2)
+        log = []
+        rounds, workers = 100, 8
+        crossed = [0] * workers  # entry i: only thread i's sends touch it
+        start = threading.Barrier(workers)
+
+        def churn(i):
+            def mine(message, forward):
+                if message.payload[0] == i:
+                    crossed[i] += 1
+                forward(message)
+
+            start.wait(timeout=30.0)
+            for n in range(rounds):
+                m.transport_stack.push(mine)
+                m.send(0, 1, (i, n), tag="t")
+                m.transport_stack.remove(mine)
+            m.transport_stack.push(self.recorder(("kept", i), log))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert crossed == [rounds] * workers
+        mailbox = m.processor(1).mailbox
+        for _ in range(rounds * workers):
+            mailbox.recv(tag="t", timeout=2.0)
+        del log[:]
+        m.send(0, 1, "last", tag="t")
+        assert mailbox.recv(tag="t", timeout=2.0).payload == "last"
+        assert sorted(log) == [("kept", i) for i in range(workers)]
+        assert len(m.transport_stack) == workers
 
 
 class TestEnvelopeRegressions:
