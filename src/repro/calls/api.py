@@ -26,13 +26,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.calls.combine import make_combine_program
 from repro.calls.do_all import do_all
-from repro.calls.params import (
-    Reduce,
-    normalize_parameters,
-    reduce_specs,
-    status_position,
-)
-from repro.calls.wrapper import build_wrapper, bundle_parameters, next_call_group
+from repro.calls.params import CallPlan
+from repro.calls.wrapper import build_wrapper, next_call_group
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
 from repro.status import Status
@@ -105,7 +100,7 @@ def distributed_call(
     half-wrote (Chunks-and-Tasks re-execution over recoverable data,
     arXiv:1210.7427).
     """
-    specs = normalize_parameters(parameters)
+    plan = CallPlan.of(parameters)
     procs = [int(p) for p in processors]
     if not procs:
         raise ValueError("distributed call over an empty processor group")
@@ -130,8 +125,7 @@ def distributed_call(
         # join bound would race them.
         timeout = machine.default_recv_timeout + 30.0
 
-    reduces = reduce_specs(specs)
-    if combine is not None and status_position(specs) is None:
+    if combine is not None and not plan.has_status:
         # §4.3.1 precondition: a combine program is only meaningful with a
         # status parameter.
         raise ValueError(
@@ -176,13 +170,14 @@ def distributed_call(
         # A fresh call group per attempt: stale messages from a failed
         # attempt can never be intercepted by the re-execution (§3.4.1).
         group = next_call_group()
-        wrapper = build_wrapper(machine, program, specs, procs, group)
-        combiner = make_combine_program(combine, [r.combine for r in reduces])
-        parms = bundle_parameters(specs)
+        wrapper = build_wrapper(machine, program, plan, procs, group)
+        combiner = make_combine_program(
+            combine, [r.combine for r in plan.reductions]
+        )
 
         with obs_span(machine, "attempt", group=str(group)):
             folded = do_all(
-                machine, procs, wrapper, parms, combiner, timeout=timeout
+                machine, procs, wrapper, plan.parms, combiner, timeout=timeout
             )
         # Per-copy statuses are plain integers assigned by the called
         # program (§4.3.1); the merged value is mapped onto the Status enum
@@ -220,7 +215,7 @@ def distributed_call(
 
     if status_out is not None:
         status_out.define(result.status)
-    for spec, value in zip(reduces, result.reductions):
+    for spec, value in zip(plan.reductions, result.reductions):
         if spec.out is not None:
             spec.out.define(value)
     return result

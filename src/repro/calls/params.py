@@ -17,7 +17,9 @@ program is one of:
   call).
 
 Both the pythonic spec objects and the paper's string/tuple syntax are
-accepted; :func:`normalize_parameters` canonicalises.
+accepted; :func:`normalize_parameters` canonicalises, and
+:class:`CallPlan` is the one reading of a call's list that the wrapper
+executes and the PTN renderer prints.
 """
 
 from __future__ import annotations
@@ -25,11 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.arrays.record import ArrayID
 from repro.pcn.defvar import DefVar
 from repro.spmd.reduce_ops import resolve_op
 
-_VALID_REDUCE_TYPES = ("int", "double", "char", "complex")
+# A reduction's declared type and the element type of the buffer each copy
+# gets for it: a "char" is a byte.
+_REDUCE_DTYPES = {
+    "int": np.dtype(np.int64),
+    "double": np.dtype(np.float64),
+    "char": np.dtype(np.uint8),
+    "complex": np.dtype(np.complex128),
+}
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,9 @@ class Reduce:
     out: Optional[DefVar] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.type_name not in _VALID_REDUCE_TYPES:
+        if self.type_name not in _REDUCE_DTYPES:
             raise ValueError(
-                f"reduce type must be one of {_VALID_REDUCE_TYPES}, got "
+                f"reduce type must be one of {tuple(_REDUCE_DTYPES)}, got "
                 f"{self.type_name!r}"
             )
         if self.length < 1:
@@ -132,12 +143,57 @@ def normalize_parameters(parameters: Sequence[Any]) -> list[ParamSpec]:
     return specs
 
 
-def status_position(specs: Sequence[ParamSpec]) -> Optional[int]:
-    for i, s in enumerate(specs):
-        if isinstance(s, StatusVar):
-            return i
-    return None
+@dataclass(frozen=True)
+class CallPlan:
+    """One reading of a distributed call's parameter list (§5.2.3, §F).
 
+    The thesis' PTN pass reads the list once and generates the wrappers
+    and the combine program from that reading; this is the reading.
+    :func:`repro.calls.wrapper.build_wrapper` executes it, the combine
+    program is made from its reductions, and :mod:`repro.pcn.ptn` renders
+    it.  Every position is decided here by what a copy passes there: its
+    bundled value (``constant_at``), its local section of the bundled array
+    (``local_at``), its index, its status cell, or a reduction buffer
+    (``reduce_at``, of element type ``dtypes[k]``).  ``parms`` is the §F.2
+    ``(bundle, reduce lengths)`` value ``do_all`` hands every copy:
+    constants by value, Local arrays by ID, None for the other positions.
+    """
 
-def reduce_specs(specs: Sequence[ParamSpec]) -> list[Reduce]:
-    return [s for s in specs if isinstance(s, Reduce)]
+    specs: tuple[ParamSpec, ...]
+    constant_at: tuple[int, ...]
+    local_at: tuple[int, ...]
+    index_at: tuple[int, ...]
+    status_at: Optional[int]
+    reduce_at: tuple[int, ...]
+    reductions: tuple[Reduce, ...]
+    dtypes: tuple[np.dtype, ...]
+    parms: tuple[tuple, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, parameters: Sequence[Any]) -> "CallPlan":
+        """Normalise ``parameters`` (paper or pythonic forms) and plan them."""
+        specs = tuple(normalize_parameters(parameters))
+        at = {kind: [] for kind in (Constant, Local, Index, StatusVar, Reduce)}
+        for i, spec in enumerate(specs):  # normalised: exactly these kinds
+            at[type(spec)].append(i)
+        reductions = tuple(specs[i] for i in at[Reduce])
+        bundle = tuple(
+            s.value if isinstance(s, Constant)
+            else s.array_id if isinstance(s, Local) else None
+            for s in specs
+        )
+        return cls(
+            specs=specs,
+            constant_at=tuple(at[Constant]),
+            local_at=tuple(at[Local]),
+            index_at=tuple(at[Index]),
+            status_at=next(iter(at[StatusVar]), None),
+            reduce_at=tuple(at[Reduce]),
+            reductions=reductions,
+            dtypes=tuple(_REDUCE_DTYPES[r.type_name] for r in reductions),
+            parms=(bundle, tuple(r.length for r in reductions)),
+        )
+
+    @property
+    def has_status(self) -> bool:
+        return self.status_at is not None

@@ -14,10 +14,12 @@ program.  The wrapper is two-level:
   packs ``(local_status, local_reduce_1, ...)`` into the tuple the combine
   program merges.
 
-We generate the same structure as closures.  Failure behaviour follows the
-generated PCN exactly: a find_local failure or malformed parameter bundle
-defines the status tuple as STATUS_INVALID without calling the program; a
-program that raises yields STATUS_ERROR.
+We generate the same structure as closures, from the
+:class:`~repro.calls.params.CallPlan` that :mod:`repro.pcn.ptn` renders as
+PCN source.  Failure behaviour follows the generated PCN exactly: a
+find_local failure or malformed parameter bundle defines the status tuple
+as STATUS_INVALID without calling the program; a program that raises
+yields STATUS_ERROR.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.arrays import am_user
-from repro.arrays.local_section import dtype_for
 from repro.obs.spans import span as obs_span
-from repro.calls.params import (
-    Constant,
-    Index,
-    Local,
-    ParamSpec,
-    Reduce,
-    StatusVar,
-)
+from repro.calls.params import CallPlan
 from repro.pcn.defvar import DefVar
 from repro.spmd.context import OutCell, SPMDContext
 from repro.status import ProcessorFailedError, Status
@@ -54,20 +48,22 @@ def next_call_group() -> tuple:
 def build_wrapper(
     machine: Machine,
     program: Callable[..., Any],
-    specs: Sequence[ParamSpec],
+    plan: CallPlan,
     processors: Sequence[int],
     group: Any,
 ) -> Callable[[int, Any, DefVar], None]:
     """Generate the wrapper program for one distributed call.
 
     The returned callable has the ``do_all`` program signature
-    ``wrapper(index, parms, status_var)``.  ``parms`` carries the bundled
-    constants/array IDs; per §F the reduction *lengths* travel in the bundle
-    and are unpacked by the first level before local declarations happen.
+    ``wrapper(index, parms, status_var)``.  ``parms`` is ``plan.parms``:
+    the bundled constants/array IDs and, per §F, the reduction *lengths*,
+    unpacked by the first level before local declarations happen.  What
+    each parameter position receives was decided when ``plan`` was built;
+    a copy only fills the positions in.
     """
     procs = tuple(int(p) for p in processors)
-    reduce_list = [s for s in specs if isinstance(s, Reduce)]
-    n_reduce = len(reduce_list)
+    n_params = len(plan.specs)
+    n_reduce = len(plan.reductions)
 
     def failure_tuple(status: Status) -> tuple:
         return (int(status),) + (None,) * n_reduce
@@ -89,46 +85,38 @@ def build_wrapper(
         reduce_lengths: Sequence[int],
     ) -> None:
         # §F.4: declare local variables now that lengths are known.
-        if len(reduce_lengths) != n_reduce or len(bundle) != len(specs):
+        if len(reduce_lengths) != n_reduce or len(bundle) != n_params:
             status_var.define(failure_tuple(Status.INVALID))
             return
-        status_cell: Optional[OutCell] = None
-        reduce_buffers: list[np.ndarray] = []
         ctx = SPMDContext(machine, procs, index, group)
-
-        new_parameters: list[Any] = []
-        reduce_i = 0
-        for spec, bundled in zip(specs, bundle):
-            if isinstance(spec, Local):
-                # §F.4: obtain the local section via am_user:find_local on
-                # the executing processor; failure aborts the copy with
-                # STATUS_INVALID (the generated "default -> _l1=[1]").
-                section, st = am_user.find_local(
-                    machine, spec.array_id, processor=procs[index]
-                )
-                if st is not Status.OK or section is None:
-                    status_var.define(failure_tuple(Status.INVALID))
-                    return
-                new_parameters.append(section)
-            elif isinstance(spec, Index):
-                new_parameters.append(index)
-            elif isinstance(spec, StatusVar):
-                status_cell = OutCell("local_status")
-                new_parameters.append(status_cell)
-            elif isinstance(spec, Reduce):
-                length = int(reduce_lengths[reduce_i])
-                reduce_i += 1
-                buf = np.zeros(length, dtype=dtype_for(
-                    "double" if spec.type_name == "char" else spec.type_name
-                ))
-                reduce_buffers.append(buf)
-                new_parameters.append(buf)
-            else:
-                assert isinstance(spec, Constant)
-                new_parameters.append(bundled)
+        # Every position starts as its bundled value, which is what a
+        # constant receives; the others are filled in by role.
+        arguments = list(bundle)
+        for i in plan.local_at:
+            # §F.4: obtain the local section via am_user:find_local on the
+            # executing processor; failure aborts the copy with
+            # STATUS_INVALID (the generated "default -> _l1=[1]").
+            section, st = am_user.find_local(
+                machine, bundle[i], processor=procs[index]
+            )
+            if st is not Status.OK or section is None:
+                status_var.define(failure_tuple(Status.INVALID))
+                return
+            arguments[i] = section
+        for i in plan.index_at:
+            arguments[i] = index
+        status_cell: Optional[OutCell] = None
+        if plan.status_at is not None:
+            status_cell = arguments[plan.status_at] = OutCell("local_status")
+        buffers = [
+            np.zeros(int(length), dtype=dtype)
+            for length, dtype in zip(reduce_lengths, plan.dtypes)
+        ]
+        for i, buf in zip(plan.reduce_at, buffers):
+            arguments[i] = buf
 
         try:
-            program(ctx, *new_parameters)
+            program(ctx, *arguments)
         except ProcessorFailedError:
             # Machine-level failure (a VP died under this call): propagate
             # as an exception so supervision/failover layers can react,
@@ -151,32 +139,8 @@ def build_wrapper(
         else:
             local_status = int(Status.OK)
         result: list[Any] = [local_status]
-        for spec, buf in zip(reduce_list, reduce_buffers):
-            value = buf.copy()
-            result.append(value[0].item() if spec.length == 1 else value)
+        for buf in buffers:
+            result.append(buf[0].item() if len(buf) == 1 else buf.copy())
         status_var.define(tuple(result))
 
     return wrapper_first_level
-
-
-def bundle_parameters(
-    specs: Sequence[ParamSpec],
-) -> tuple[tuple, tuple]:
-    """Build the ``parms`` value passed to ``do_all`` (§F.2/§F.5).
-
-    Constants travel by value; Local specs travel as their array IDs;
-    Index/Status/Reduce positions travel as placeholders (None).  Reduction
-    lengths travel alongside so the first-level wrapper can declare buffers.
-    """
-    bundle: list[Any] = []
-    lengths: list[int] = []
-    for spec in specs:
-        if isinstance(spec, Constant):
-            bundle.append(spec.value)
-        elif isinstance(spec, Local):
-            bundle.append(spec.array_id)
-        else:
-            bundle.append(None)
-            if isinstance(spec, Reduce):
-                lengths.append(spec.length)
-    return tuple(bundle), tuple(lengths)

@@ -13,25 +13,19 @@ exactly like the §5.2.4 worked examples.
 
 This serves two purposes: it documents precisely what the runtime wrapper
 does (the rendered text and the executed closure are generated from the
-same parameter analysis), and it lets tests pin the transformation against
-the thesis' printed examples (xform_ex2/3/4).
+same parameter analysis, one :class:`~repro.calls.params.CallPlan`), and
+it lets tests pin the transformation against the thesis' printed examples
+(xform_ex2/3/4).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.calls.params import (
-    Constant,
-    Index,
-    Local,
-    ParamSpec,
-    Reduce,
-    StatusVar,
-    normalize_parameters,
-)
+from repro.arrays.record import ArrayID
+from repro.calls.params import CallPlan
 
 _label_counter = itertools.count(1)
 
@@ -54,56 +48,26 @@ class TransformResult:
         )
 
 
-@dataclass
-class _Analysis:
-    """Everything the generators need, computed once from the specs."""
-
-    specs: Sequence[ParamSpec]
-    module: str
-    program: str
-    combine_module: str
-    combine_program: str
-    has_status: bool = False
-    reduces: list = field(default_factory=list)
-    locals_: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for i, spec in enumerate(self.specs):
-            if isinstance(spec, StatusVar):
-                self.has_status = True
-            elif isinstance(spec, Reduce):
-                self.reduces.append((i, spec))
-            elif isinstance(spec, Local):
-                self.locals_.append((i, spec))
-
-    @property
-    def tuple_len(self) -> int:
-        """Length of the merged status tuple: 1 + #reductions (§F.6)."""
-        return 1 + len(self.reduces)
+def _array_name(array_id: ArrayID) -> str:
+    """The source variable a Local's array ID is rendered as: one name per
+    array, as the thesis' examples write ``AA``."""
+    return f"A{array_id.creating_processor}_{array_id.serial}"
 
 
-def _parms_tuple_source(analysis: _Analysis) -> str:
+def _parms_tuple_source(plan: CallPlan) -> str:
     """Render the bundled Parms argument of the do_all call (§F.2).
 
     Constants appear by their source text, Local parameters by their
-    array-ID variable, Index/Status placeholders as ``_``; reduction
+    array's variable, Index/Status placeholders as ``_``; reduction
     entries contribute a placeholder plus their Length at the tail (the
     first-level wrapper peels lengths off to declare local buffers)."""
-    entries = []
-    lengths = []
-    for spec in analysis.specs:
-        if isinstance(spec, Constant):
-            entries.append(str(spec.value))
-        elif isinstance(spec, Local):
-            entries.append(f"{spec.array_id}" if isinstance(
-                spec.array_id, str
-            ) else "AA")
-        elif isinstance(spec, Reduce):
-            entries.append("_")
-            lengths.append(str(spec.length))
-        else:
-            entries.append("_")
-    return "{" + ",".join(entries + lengths) + "}"
+    bundle, lengths = plan.parms
+    entries = ["_"] * len(bundle)
+    for i in plan.constant_at:
+        entries[i] = str(bundle[i])
+    for i in plan.local_at:
+        entries[i] = _array_name(bundle[i])
+    return "{" + ",".join(entries + [str(n) for n in lengths]) + "}"
 
 
 def transform_distributed_call(
@@ -118,37 +82,33 @@ def transform_distributed_call(
     """Apply the §F transformation to one distributed call.
 
     ``parameters`` uses the same forms as
-    :func:`repro.calls.api.distributed_call`; Local specs may carry a
-    string in place of an ArrayID so the rendered text shows the source
-    variable name (as the thesis' examples do with ``AA``).
+    :func:`repro.calls.api.distributed_call`, and is planned the same way.
     """
-    specs = normalize_parameters(
-        [p if not isinstance(p, tuple) or p[:1] != ("local",) else p
-         for p in parameters]
-    )
+    plan = CallPlan.of(parameters)
     n = next(_label_counter)
     wrapper1 = f"wrapper_{n}"
     wrapper2 = f"wrapper2_{n}"
     combine = f"combine_{n + 1}"
-    analysis = _Analysis(
-        specs, module, program, combine_module, combine_program
+    status_comb = (
+        f"{combine_module}:{combine_program}"
+        if combine_module
+        else "am_util:max"
     )
-
-    result = TransformResult(
+    return TransformResult(
         call_block=_render_call_block(
-            analysis, processors, wrapper1, combine, status_var
+            plan, module, processors, wrapper1, combine, status_var
         ),
-        wrapper_first=_render_wrapper_first(analysis, wrapper1, wrapper2),
-        wrapper_second=_render_wrapper_second(analysis, wrapper2),
-        combine=_render_combine(analysis, combine),
+        wrapper_first=_render_wrapper_first(plan, wrapper1, wrapper2),
+        wrapper_second=_render_wrapper_second(plan, program, wrapper2),
+        combine=_render_combine(plan, status_comb, combine),
         wrapper_name=wrapper1,
         combine_name=combine,
     )
-    return result
 
 
 def _render_call_block(
-    analysis: _Analysis,
+    plan: CallPlan,
+    module: str,
     processors: str,
     wrapper1: str,
     combine: str,
@@ -159,27 +119,31 @@ def _render_call_block(
     variables."""
     lines = [
         "{||",
-        f'    am_util:do_all({processors},"{analysis.module}",'
+        f'    am_util:do_all({processors},"{module}",'
         f'"{wrapper1}",',
-        f"        {_parms_tuple_source(analysis)},",
-        f'        "{analysis.module}","{combine}",_l1),',
+        f"        {_parms_tuple_source(plan)},",
+        f'        "{module}","{combine}",_l1),',
         f"    {status_var} = _l1[0]",
     ]
-    for k, (_i, spec) in enumerate(analysis.reduces):
+    for k, spec in enumerate(plan.reductions):
         var = getattr(spec.out, "name", None) or f"RR{k}"
         lines.append(f"    , {var} = _l1[{k + 1}]")
     lines.append("}")
     return "\n".join(lines)
 
 
+def _reduce_letters(plan: CallPlan) -> list[str]:
+    """The suffix of each reduction's local buffer and length names."""
+    return [chr(97 + k) for k in range(len(plan.reductions))]
+
+
 def _render_wrapper_first(
-    analysis: _Analysis, wrapper1: str, wrapper2: str
+    plan: CallPlan, wrapper1: str, wrapper2: str
 ) -> str:
     """The first-level wrapper (§F.3): peel reduction lengths off the
     Parms tuple — values needed to *declare* second-level locals — and
     delegate; a bundle that fails to match yields STATUS_INVALID."""
-    n_lengths = len(analysis.reduces)
-    peeled = ["_l7"] + [f"_l8{chr(97 + k)}" for k in range(n_lengths)]
+    peeled = ["_l7"] + [f"_l8{c}" for c in _reduce_letters(plan)]
     pattern = ",".join(peeled)
     forward = ",".join(["Index", "_l7", "_l1"] + peeled[1:])
     return "\n".join(
@@ -194,61 +158,49 @@ def _render_wrapper_first(
     )
 
 
-def _render_wrapper_second(analysis: _Analysis, wrapper2: str) -> str:
+def _render_wrapper_second(plan: CallPlan, program: str, wrapper2: str) -> str:
     """The second-level wrapper (§F.4): declare local status/reduction
     variables, unbundle Parms, find_local every local section, call the
-    program, and pack the result tuple."""
-    decls = []
-    if analysis.has_status:
-        decls.append("int local_status")
-    for k, (_i, spec) in enumerate(analysis.reduces):
-        ctype = {"double": "double", "int": "int", "char": "char",
-                 "complex": "double"}[spec.type_name]
-        decls.append(f"{ctype} _l7{chr(97 + k)}[_l8{chr(97 + k)}]")
+    program, and pack the result tuple.  Positions are filled in by role
+    exactly as :func:`repro.calls.wrapper.build_wrapper` fills them."""
+    letters = _reduce_letters(plan)
+    decls = ["int local_status"] if plan.has_status else []
+    decls += [
+        f"{spec.type_name} _l7{c}[_l8{c}]"
+        for spec, c in zip(plan.reductions, letters)
+    ]
 
-    unbundle = []
-    call_args = []
-    find_locals = []
-    for i, spec in enumerate(analysis.specs):
-        slot = f"_p{i}"
-        if isinstance(spec, Constant):
-            unbundle.append(slot)
-            call_args.append(slot)
-        elif isinstance(spec, Local):
-            unbundle.append(slot)
-            local = f"_s{i}"
-            find_locals.append(
-                f"        am_user:find_local({slot},{local},_st{i}),"
-            )
-            call_args.append(local)
-        elif isinstance(spec, Index):
-            unbundle.append("_")
-            call_args.append("Index")
-        elif isinstance(spec, StatusVar):
-            unbundle.append("_")
-            call_args.append("local_status")
-        else:  # Reduce
-            k = [j for j, (ri, _s) in enumerate(analysis.reduces)
-                 if ri == i][0]
-            unbundle.append("_")
-            call_args.append(f"_l7{chr(97 + k)}")
+    # Every position starts as its unbundled slot, which is what a
+    # constant is passed as; the others are filled in by role.
+    unbundle = [f"_p{i}" for i in range(len(plan.specs))]
+    call_args = list(unbundle)
+    for i in plan.local_at:
+        call_args[i] = f"_s{i}"
+    for i in plan.index_at:
+        unbundle[i], call_args[i] = "_", "Index"
+    if plan.has_status:
+        unbundle[plan.status_at] = "_"
+        call_args[plan.status_at] = "local_status"
+    for i, c in zip(plan.reduce_at, letters):
+        unbundle[i], call_args[i] = "_", f"_l7{c}"
+    find_locals = [
+        f"        am_user:find_local(_p{i},_s{i},_st{i}),"
+        for i in plan.local_at
+    ]
 
-    pack = ["_l1[0] = "
-            + ("local_status" if analysis.has_status else "0")]
-    for k in range(len(analysis.reduces)):
-        pack.append(f"_l1[{k + 1}] = _l7{chr(97 + k)}")
+    pack = ["_l1[0] = " + ("local_status" if plan.has_status else "0")]
+    pack += [f"_l1[{k + 1}] = _l7{c}" for k, c in enumerate(letters)]
 
-    lengths = [f"_l8{chr(97 + k)}" for k in range(len(analysis.reduces))]
-    header_parms = ",".join(["Index", "Parms", "_l1"] + lengths)
+    header_parms = ",".join(
+        ["Index", "Parms", "_l1"] + [f"_l8{c}" for c in letters]
+    )
     lines = [f"{wrapper2}({header_parms})"]
     lines.extend(decls)
     lines.append("{?  Parms ?= {" + ",".join(unbundle) + "} ->")
     lines.append("    {||")
     lines.extend(find_locals)
-    lines.append(
-        f"        {analysis.program}({','.join(call_args)}),"
-    )
-    lines.append(f"        make_tuple({analysis.tuple_len},_l1),")
+    lines.append(f"        {program}({','.join(call_args)}),")
+    lines.append(f"        make_tuple({1 + len(letters)},_l1),")
     lines.extend(f"        {p}," for p in pack)
     lines.append("    },")
     lines.append("    default ->")
@@ -257,16 +209,11 @@ def _render_wrapper_second(analysis: _Analysis, wrapper2: str) -> str:
     return "\n".join(lines)
 
 
-def _render_combine(analysis: _Analysis, combine: str) -> str:
+def _render_combine(plan: CallPlan, status_comb: str, combine: str) -> str:
     """The generated combine program (§F.6): merge two result tuples,
     status slot by the user's (or default max) combiner, each reduction
     slot by its own combiner."""
-    status_comb = (
-        f"{analysis.combine_module}:{analysis.combine_program}"
-        if analysis.combine_module
-        else "am_util:max"
-    )
-    n = analysis.tuple_len
+    n = 1 + len(plan.reductions)  # the merged tuple's length (§F.6)
     lines = [
         f"{combine}(C_in1,C_in2,C_out)",
         "{?  data(C_in1),tuple(C_in2),"
@@ -275,7 +222,7 @@ def _render_combine(analysis: _Analysis, combine: str) -> str:
         f"        make_tuple({n},C_out),",
         f"        {status_comb}(C_in1[0],C_in2[0],C_out[0]),",
     ]
-    for k, (_i, spec) in enumerate(analysis.reduces):
+    for k, spec in enumerate(plan.reductions):
         comb = spec.combine if isinstance(spec.combine, str) else getattr(
             spec.combine, "__name__", "combine_it"
         )

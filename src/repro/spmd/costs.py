@@ -90,11 +90,10 @@ def scatter_cost(p: int) -> Cost:
 
 
 def allgather_cost(p: int, algorithm: str = "tree") -> Cost:
-    """linear: gather at 0 (p-1) + linear bcast of the list (p-1);
-    tree: ring, p messages per round for p-1 rounds... the ring moves
-    p*(p-1)/... exactly (p-1) sends per rank = p(p-1) total? no: each
-    rank sends one message per round for p-1 rounds -> p(p-1) messages
-    but each carries one item; rounds = p-1."""
+    """linear: gather at 0 (p-1 messages, 1 round) then a linear bcast of
+    the list (p-1 messages, p-1 rounds) — 2(p-1) messages in p rounds;
+    tree: a ring, every rank sending one item a round — p(p-1) messages
+    in p-1 rounds."""
     if p == 1:
         return Cost(0, 0)
     if algorithm == "linear":

@@ -281,6 +281,19 @@ class TestReduceVariants:
         )
         assert result.reductions[0] == 12
 
+    def test_char_reduce_is_bytes(self, m4):
+        """A "char" reduction runs in the byte buffer PTN declares
+        (``char _l7a[_l8a]``), not in a double one."""
+        def program(ctx, out):
+            out[:] = [ord("A"), ord("A") + ctx.index // 3]
+
+        result = distributed_call(
+            m4, procs(m4), program, [Reduce("char", 2, "max")]
+        )
+        value = result.reductions[0]
+        assert value.dtype == np.uint8
+        assert bytes(value) == b"AB"
+
     def test_multiple_reductions_ordered(self, m4):
         def program(ctx, lo, hi):
             lo[0] = float(ctx.index)

@@ -7,14 +7,13 @@ import pytest
 
 from repro.arrays.record import ArrayID
 from repro.calls.params import (
+    CallPlan,
     Constant,
     Index,
     Local,
     Reduce,
     StatusVar,
     normalize_parameters,
-    reduce_specs,
-    status_position,
 )
 from repro.pcn.defvar import DefVar
 
@@ -93,17 +92,55 @@ class TestValidation:
             normalize_parameters([("reduce", "double")])
 
 
-class TestHelpers:
-    def test_status_position(self):
-        specs = normalize_parameters([1, "status", 2])
-        assert status_position(specs) == 1
+class TestCallPlan:
+    """One reading of the list: what each position receives is decided
+    here, once, for the wrapper to fill in and PTN to render."""
 
-    def test_status_position_absent(self):
-        assert status_position(normalize_parameters([1, 2])) is None
+    def test_status_at(self):
+        plan = CallPlan.of([1, "status", 2])
+        assert plan.status_at == 1
+        assert plan.has_status
 
-    def test_reduce_specs_in_order(self):
-        specs = normalize_parameters(
+    def test_status_at_absent(self):
+        plan = CallPlan.of([1, 2])
+        assert plan.status_at is None
+        assert not plan.has_status
+
+    def test_reductions_in_order(self):
+        plan = CallPlan.of(
             [("reduce", "int", 1, "max"), 5, ("reduce", "double", 2, "sum")]
         )
-        found = reduce_specs(specs)
-        assert [r.type_name for r in found] == ["int", "double"]
+        assert [r.type_name for r in plan.reductions] == ["int", "double"]
+        assert plan.reduce_at == (0, 2)
+
+    def test_positions_by_role(self):
+        aid = ArrayID(0, 1)
+        plan = CallPlan.of(
+            ["index", 7, ("local", aid), "status", ("reduce", "int", 1, "sum"),
+             ("local", aid), "index"]
+        )
+        assert plan.index_at == (0, 6)
+        assert plan.constant_at == (1,)
+        assert plan.local_at == (2, 5)
+        assert plan.status_at == 3
+        assert plan.reduce_at == (4,)
+
+    def test_reduction_element_types(self):
+        plan = CallPlan.of(
+            [Reduce(t, 1, "sum") for t in ("int", "double", "char", "complex")]
+        )
+        assert plan.dtypes == (
+            np.dtype(np.int64),
+            np.dtype(np.float64),
+            np.dtype(np.uint8),
+            np.dtype(np.complex128),
+        )
+
+    def test_plan_is_frozen(self):
+        plan = CallPlan.of(["index"])
+        with pytest.raises(AttributeError):
+            plan.status_at = 0
+
+    def test_plan_validates_like_normalize(self):
+        with pytest.raises(ValueError, match="at most one"):
+            CallPlan.of(["status", "status"])

@@ -160,6 +160,20 @@ class TestGeneralShape:
         assert "sum(C_in1[1]" in result.combine
         assert "min(C_in1[2]" in result.combine
 
+    def test_each_array_rendered_under_its_own_name(self):
+        result = transform_distributed_call(
+            [("local", ArrayID(0, 1)), ("local", ArrayID(0, 2)), "index",
+             ("local", ArrayID(0, 1))]
+        )
+        assert "{A0_1,A0_2,_,A0_1}" in result.call_block
+
+    def test_reduction_declared_with_its_type(self):
+        result = transform_distributed_call(
+            [("reduce", "char", 4, "max"), ("reduce", "complex", 2, "sum")]
+        )
+        assert "char _l7a[_l8a]" in result.wrapper_second
+        assert "complex _l7b[_l8b]" in result.wrapper_second
+
     def test_no_status_packs_zero(self):
         result = transform_distributed_call(["index"])
         assert "_l1[0] = 0" in result.wrapper_second
