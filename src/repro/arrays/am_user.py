@@ -47,13 +47,18 @@ def _serve(
     ``status_out``, a variable given as None is made here.  Returns the
     Status, after the out value when there is one.
     """
-    variables = [
-        given if given is not None else DefVar(name)
-        for name, given in (*out.items(), ("Status", status_out))
-    ]
+    status_var = DefVar("Status") if status_out is None else status_out
+    if out:
+        ((name, given),) = out.items()
+        out_var = DefVar(name) if given is None else given
+        variables = (out_var, status_var)
+    else:
+        variables = (status_var,)
     machine.server.request(request_type, *ins, *variables, processor=processor)
-    status = Status(variables[-1].read())
-    return (variables[0].read(), status) if out else status
+    status = status_var.read()
+    if not isinstance(status, Status):
+        status = Status(status)  # an Enum call: only for a bare int
+    return (out_var.read(), status) if out else status
 
 
 def create_array(

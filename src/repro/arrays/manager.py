@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
+from types import MappingProxyType
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ from repro.arrays.placement import (
     SectionMover,
 )
 from repro.arrays.record import SERIALS, ArrayID, ArrayRecord
-from repro.obs.spans import span as obs_span
+from repro.obs.spans import NOOP_SPAN, span as obs_span
 from repro.perf import (
     ARRAY_BATCH_KIND,
     HALO_BULK_KIND,
@@ -81,6 +82,8 @@ from repro.vp.processor import VirtualProcessor
 REJOIN_KIND = "rejoin"
 
 _RECORDS_KEY = "am.records"
+# What a lookup reads on a node that has never held a record.
+_NO_RECORDS = MappingProxyType({})
 
 
 def _records(node: VirtualProcessor) -> dict[ArrayID, ArrayRecord]:
@@ -134,33 +137,34 @@ class ArrayManager:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _note(self, request_type: str, *detail: Any) -> None:
-        with self._trace_lock:
-            self.request_counts[request_type] = (
-                self.request_counts.get(request_type, 0) + 1
-            )
-            if self.trace_enabled:
-                self.trace_log.append((request_type, *detail))
-
     def _instrumented(self, name: str, handler) -> Any:
-        """Wrap one server handler: count (and, under ``am_debug``, log)
-        the request, then run it in an ``am:<name>`` observability span.
+        """Wrap one server handler: count (and, under ``am_debug``, log
+        ``(name, vp, first parameter)``) the request, then run it in an
+        ``am:<name>`` observability span.
 
         The handler executes on its target node, so the span lands on that
         VP's track and parents onto the requester's span carried by the
-        routed message.  One attribute probe per request while observation
-        is off.
+        routed message.  What does not change per request — the machine,
+        the counter table and its lock — is bound here, when the capability
+        is loaded; one attribute probe per request while observation is
+        off.
         """
         label = f"am:{name}"
+        machine = self.machine
+        counts = self.request_counts
+        lock = self._trace_lock
 
         @functools.wraps(handler)
         def traced(node: VirtualProcessor, *parameters: Any) -> Any:
-            self._note(name, node.number, *parameters[:1])
-            if getattr(self.machine, "_observer", None) is None:
+            with lock:
+                counts[name] = counts.get(name, 0) + 1
+                if self.trace_enabled:
+                    self.trace_log.append((name, node.number, *parameters[:1]))
+            if machine._observer is None:
                 # Observation off: skip the span plumbing entirely rather
                 # than paying for a no-op context manager per request.
                 return handler(node, *parameters)
-            with obs_span(self.machine, label, vp=node.number):
+            with obs_span(machine, label, vp=node.number):
                 return handler(node, *parameters)
 
         return traced
@@ -207,7 +211,7 @@ class ArrayManager:
     def _lookup(
         self, node: VirtualProcessor, array_id: ArrayID
     ) -> Optional[ArrayRecord]:
-        return _records(node).get(array_id)
+        return node.load_default(_RECORDS_KEY, _NO_RECORDS).get(array_id)
 
     def _resolve(
         self,
@@ -269,18 +273,13 @@ class ArrayManager:
 
     # -- perf plumbing ---------------------------------------------------------
 
-    def _perf(self) -> Optional[PerfLayer]:
-        return getattr(self.machine, "_perf", None)
-
     def _flush_writes(
         self, array_id: Any = None, section: Optional[int] = None
     ) -> None:
         """Flush-point hook: drain coalesced writes that the operation
         about to run could observe (read of a dirty range, checkpoint,
         restore, verify — see docs/performance.md)."""
-        perf = self._perf()
-        if perf is not None:
-            perf.coalescer.flush(array_id, section)
+        self.machine._perf.coalescer.flush(array_id, section)
 
     # -- durability plumbing ---------------------------------------------------
 
@@ -407,8 +406,14 @@ class ArrayManager:
         here, and its completion variable is defined defensively so no
         flusher is left waiting.
         """
-        self._note("array_batch", node.number, batch.array_id)
-        perf = self._perf()
+        machine = self.machine
+        with self._trace_lock:
+            counts = self.request_counts
+            counts["array_batch"] = counts.get("array_batch", 0) + 1
+            if self.trace_enabled:
+                self.trace_log.append(
+                    ("array_batch", node.number, batch.array_id)
+                )
         record = self._lookup(node, batch.array_id)
         if record is None or record.section is None:
             # No section here (it migrated away, was freed, or never
@@ -427,17 +432,16 @@ class ArrayManager:
             self._refuse_stale(record.array_id, None)
             define_once(batch.done, "stale")
             return
-        if perf is not None and not perf.coalescer.should_apply(
+        if not machine._perf.coalescer.should_apply(
             (batch.array_id, batch.section), batch.seq
         ):
             define_once(batch.done, "duplicate")
             return
-        with obs_span(
-            self.machine,
-            "am:array_batch",
-            vp=node.number,
-            ops=len(batch.ops),
-        ) as span:
+        # The span's attributes are built only when someone records them.
+        batch_span = NOOP_SPAN if machine._observer is None else obs_span(
+            machine, "am:array_batch", vp=node.number, ops=len(batch.ops)
+        )
+        with batch_span as span:
             applied = self._commit(node, record, batch.ops)
             if record.replication > 0 and record.replica_map is not None:
                 span.annotate(fused_replicas=True)
@@ -480,10 +484,8 @@ class ArrayManager:
         died mid-write (a kill triggered by the write's own replica
         traffic): the local mutation may be torn relative to its mirrors,
         so the caller must treat the write as failed and retry."""
-        if self.machine.is_failed(node.number):
-            _define(status, Status.ERROR)
-        else:
-            _define(status, Status.OK)
+        failed = node.number in self.machine._failed
+        _define(status, Status.ERROR if failed else Status.OK)
 
     # -- create -------------------------------------------------------------------
 
@@ -662,9 +664,7 @@ class ArrayManager:
         # Pending coalesced writes to a dying array can never be
         # observed: drop them (and any compiled plans) instead of racing
         # the free.
-        perf = self._perf()
-        if perf is not None:
-            perf.drop_array(record.array_id)
+        self.machine._perf.drop_array(record.array_id)
         # Every processor with a record forgets it (§5.1.3) — the owners,
         # the creating processor even when it holds no section (§5.1.4),
         # and this one — so a later request for the ID answers NOT_FOUND
@@ -753,6 +753,8 @@ class ArrayManager:
         acknowledged immediately and queued in the write-behind
         coalescer; the actual mutation lands at the next flush point as
         part of one fused ``array_batch`` message (docs/performance.md).
+        A write to a dead owner raises :class:`ProcessorFailedError` at
+        once, under every ``dead_send_policy``, queued or not.
         """
         record = self._resolve(node, array_id, status)
         if record is None:
@@ -764,28 +766,18 @@ class ArrayManager:
         except (ValueError, IndexError):
             return _fail(status, Status.INVALID)
         owner = record.processors[section]
-        perf = self._perf()
-        if perf is not None and perf.coalescer.enabled:
-            if self.machine.is_failed(owner):
-                # Match the per-write path's observable behaviour for a
-                # known-dead owner: raise under the "raise" policy, let
-                # the write vanish under "drop".
-                if self.machine.dead_send_policy == "raise":
-                    raise ProcessorFailedError(
-                        f"send to failed processor {owner}", processor=owner
-                    )
-                return
-            perf.coalescer.enqueue(
-                record.array_id,
-                section,
-                owner,
-                tuple(local),
-                element,
-                source=node.number,
+        machine = self.machine
+        coalescer = machine._perf.coalescer
+        if coalescer.enabled:
+            if owner in machine._failed:
+                # The error the per-write path's request raises.
+                machine.check_alive((owner,))
+            coalescer.enqueue(
+                record.array_id, section, owner, local, element, node.number
             )
             self._write_status(node, status)
             return
-        self.machine.server.request(
+        machine.server.request(
             "write_element_local", array_id, local, element, status,
             processor=owner,
         )

@@ -51,7 +51,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Optional
 
-from repro.obs.spans import span as obs_span
+from repro.obs.spans import NOOP_SPAN, span as obs_span
 from repro.pcn.defvar import DefVar
 from repro.status import ProcessorFailedError, SingleAssignmentError
 
@@ -68,14 +68,10 @@ def define_once(var: Optional[DefVar], value: Any) -> None:
         pass
 
 
-def _value_nbytes(value: Any) -> int:
-    return int(getattr(value, "nbytes", 8))
-
-
 def mutations_nbytes(mutations: Iterable) -> int:
     """Simulated wire size of a mutation list: each value's ``nbytes``,
     8 for a scalar."""
-    return sum(_value_nbytes(value) for _target, value in mutations)
+    return sum(int(getattr(value, "nbytes", 8)) for _target, value in mutations)
 
 
 def apply_mutations(interior: Any, mutations: Iterable) -> None:
@@ -184,14 +180,15 @@ class WriteCoalescer:
         value: Any,
         source: int,
     ) -> None:
-        """Queue one validated write; flush on threshold crossing."""
+        """Queue one validated write, priced as :func:`mutations_nbytes`
+        prices it; flush on threshold crossing."""
         key = (array_id, section)
         with self._lock:
             pending = self._pending.get(key)
             if pending is None:
                 pending = self._pending[key] = _Pending(source, owner)
             pending.ops.append((target, value))
-            pending.nbytes += _value_nbytes(value)
+            pending.nbytes += int(getattr(value, "nbytes", 8))
             self.enqueued_writes += 1
             over = (
                 len(pending.ops) >= self.flush_ops
@@ -292,14 +289,16 @@ class WriteCoalescer:
         array_id, section = key
         source = pending.source
         ops = pending.ops
-        with obs_span(
+        # The span's attributes are built only when someone records them.
+        flush_span = NOOP_SPAN if machine._observer is None else obs_span(
             machine,
             "perf:flush",
             array=str(array_id.as_tuple()),
             section=section,
             ops=len(ops),
             reason=reason,
-        ) as span:
+        )
+        with flush_span as span:
             for attempt in range(self.max_retries + 1):
                 owner = self._resolve_owner(key, pending.owner)
                 if machine.is_failed(owner):
@@ -309,7 +308,7 @@ class WriteCoalescer:
                 if machine.is_failed(source):
                     # Orphaned requester: originate the batch at the owner.
                     source = owner
-                done = DefVar(f"array_batch[{seq}]@{owner}")
+                done = DefVar()
                 batch = ArrayBatch(array_id, section, seq, ops, done)
                 if source == owner:
                     # Same-node: apply directly, zero messages — matching
@@ -329,6 +328,10 @@ class WriteCoalescer:
                     except ProcessorFailedError:
                         self.retries += 1
                         continue
+                if not done.data():
+                    # About to suspend: name the variable for the wait
+                    # graph and the timeout message.
+                    done.name = f"array_batch[{seq}]@{owner}"
                 try:
                     outcome = done.read(timeout=self.retry_timeout)
                 except TimeoutError:

@@ -124,8 +124,11 @@ class Message:
     def nbytes(self) -> int:
         """Approximate payload size, for simulated-traffic accounting."""
         payload = self.payload
-        if hasattr(payload, "nbytes"):
-            return int(payload.nbytes)
+        # One evaluation: a batch's or update's ``nbytes`` walks its
+        # mutation list.
+        nbytes = getattr(payload, "nbytes", None)
+        if nbytes is not None:
+            return int(nbytes)
         if isinstance(payload, (bytes, bytearray)):
             return len(payload)
         if isinstance(payload, (list, tuple)):

@@ -164,14 +164,16 @@ class ServerRegistry:
         if handler is None:
             raise _no_capability(request_type)
         number = 0 if processor is None else processor
-        self._machine.check_alive([number])
+        machine = self._machine
+        if machine._failed:
+            machine.check_alive((number,))
         origin = source if source is not None else fabric.current_processor()
         if origin is not None and origin != number:
             return self._request_remote(
                 request_type, parameters, origin, number, synchronous,
                 timeout, kind,
             )
-        node = self._machine.processor(number)
+        node = machine.processor(number)
         if synchronous:
             if timeout is not None:
                 proc = node.spawn(
@@ -197,26 +199,28 @@ class ServerRegistry:
         timeout: Optional[float],
         kind: str = "server_request",
     ) -> Optional[Any]:
-        """Ship the request as one routed message from origin to target."""
-        done = DefVar(f"server-{request_type}-done") if synchronous else None
-        proc_out = (
-            None if synchronous else DefVar(f"server-{request_type}-proc")
-        )
+        """Ship the request as one routed message from origin to target.
+
+        What the requester waits on — ``done`` of a synchronous request,
+        ``proc_out`` of an asynchronous one — is named (for the wait graph
+        and the timeout message) only if it is about to suspend on it."""
+        machine = self._machine
+        answer = DefVar()
+        done, proc_out = (answer, None) if synchronous else (None, answer)
         call = _ServerCall(request_type, parameters, synchronous, done, proc_out)
-        self._machine.send(
+        machine.send(
             origin, number, call, tag=("server", request_type), kind=kind
         )
-        limit = (
-            timeout
-            if timeout is not None
-            else self._machine.default_recv_timeout
+        if not answer.data():
+            answer.name = (
+                f"server-{request_type}-{'done' if synchronous else 'proc'}"
+            )
+        outcome = answer.read(
+            timeout=machine.default_recv_timeout if timeout is None else timeout
         )
-        if synchronous:
-            error = done.read(timeout=limit)
-            if error is not None:
-                raise error
-            return None
-        return proc_out.read(timeout=limit)
+        if synchronous and outcome is not None:
+            raise outcome
+        return outcome
 
     def request_each(
         self,

@@ -9,14 +9,19 @@ queue out first.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
+from repro.arrays.manager import get_array_manager
 from repro.calls import Local, distributed_call
 from repro.core.darray import DistributedArray
+from repro.pcn import defvar
 from repro.perf import get_perf_layer
-from repro.status import Status
+from repro.status import ProcessorFailedError, Status
 from repro.vp.machine import Machine
 
 
@@ -209,3 +214,144 @@ class TestDiagnostics:
                 if s["name"] == "perf:flush"
             ]
             assert spans and spans[0]["attrs"]["ops"] == 1
+
+
+class TestDeadOwner:
+    @pytest.mark.parametrize("coalescing", [True, False])
+    @pytest.mark.parametrize("policy", ["raise", "drop", "queue"])
+    def test_write_to_dead_owner_raises_at_once(
+        self, monkeypatch, policy, coalescing
+    ):
+        # Queued or not, under every dead_send_policy: the per-write
+        # path's request checks liveness before any policy applies.  A
+        # write nobody answers would wait out the DefVar deadline; a
+        # short one keeps that failure quick.
+        monkeypatch.setattr(defvar, "DEFAULT_TIMEOUT", 2.0)
+        machine = Machine(8, dead_send_policy=policy)
+        am_util.load_all(machine)
+        arr = make_array(machine, n=16, owners=4)
+        am_user.set_coalescing(machine, coalescing)
+        machine.fail(2)  # the owner of section 2, elements 8..11
+        started = time.monotonic()
+        with pytest.raises(ProcessorFailedError):
+            am_user.write_element(machine, arr.array_id, (9,), 1.0)
+        assert time.monotonic() - started < 1.0
+        assert get_perf_layer(machine).coalescer.pending_ops() == 0
+
+
+class _Hold:
+    """An interceptor that holds every message of one kind until
+    released."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.held = []
+
+    def __call__(self, message, forward):
+        if message.kind != self.kind:
+            return forward(message)
+        self.held.append((message, forward))
+
+    def release(self):
+        for message, forward in self.held:
+            forward(message)
+
+
+def _suspended_as(machine, kind, action):
+    """Run ``action`` on a thread while every ``kind`` message is held;
+    return the name it was suspended on (None if it never was), once the
+    held messages have been let through and the thread has finished."""
+    hold = machine.transport_stack.push(_Hold(kind))
+    worker = threading.Thread(target=action)
+    worker.start()
+    name = None
+    try:
+        deadline = time.monotonic() + 5.0
+        while name is None and time.monotonic() < deadline:
+            name = defvar.blocked_reads().get(worker.ident)
+            time.sleep(0.001)
+    finally:
+        machine.transport_stack.remove(hold)
+        hold.release()
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    return name
+
+
+class TestWhatTheRequestPathKeeps:
+    """An element request's wrappers bind what was fixed when they were
+    loaded; what they report stays what it was."""
+
+    @pytest.fixture
+    def m4(self):
+        machine = Machine(4)
+        am_util.load_all(machine)
+        return machine
+
+    def test_write_and_flush_spans(self, m4):
+        arr = make_array(m4, n=16, owners=4, replication=1)
+        with m4.observe() as observer:
+            arr[5] = 1.0  # section 1, owned by processor 1
+            am_user.flush_writes(m4)
+            spans = observer.recorder.spans()
+        attrs = {
+            s["name"]: s["attrs"]
+            for s in spans
+            if s["name"] in ("am:write_element", "perf:flush", "am:array_batch")
+        }
+        assert attrs == {
+            "am:write_element": {"vp": 0},
+            "perf:flush": {
+                "array": str(arr.array_id.as_tuple()),
+                "section": 1,
+                "ops": 1,
+                "reason": "forced",
+            },
+            "am:array_batch": {"vp": 1, "ops": 1, "fused_replicas": True},
+        }
+
+    def test_am_debug_logs_and_counts_each_request_once(self):
+        machine = Machine(4)
+        am_util.load_all(machine, "am_debug")
+        manager = get_array_manager(machine)
+        arr = make_array(machine, n=16, owners=4)
+        aid = arr.array_id
+        counts = dict(manager.request_counts)
+        logged = len(manager.trace_log)
+        arr[9] = 1.0  # queued for processor 2
+        assert arr[9] == 1.0  # the read flushes the batch first
+        assert manager.trace_log[logged:] == [
+            ("write_element", 0, aid),
+            ("read_element", 0, aid),
+            ("array_batch", 2, aid),
+            ("read_element_local", 2, aid),
+        ]
+        moved = {
+            name: count - counts.get(name, 0)
+            for name, count in manager.request_counts.items()
+            if count != counts.get(name, 0)
+        }
+        assert moved == {
+            "write_element": 1,
+            "read_element": 1,
+            "array_batch": 1,
+            "read_element_local": 1,
+        }
+
+    def test_held_request_is_listed_under_its_full_name(self, m4):
+        arr = make_array(m4, n=16, owners=4)
+        arr[9] = 2.0
+        arr.flush()
+        read = []
+        name = _suspended_as(
+            m4, "server_request", lambda: read.append(arr[9])
+        )
+        assert name == "server-read_element_local-done"
+        assert read == [2.0]
+
+    def test_held_batch_is_listed_under_its_full_name(self, m4):
+        arr = make_array(m4, n=16, owners=4)
+        arr[9] = 2.0  # the first batch of section 2's queue
+        name = _suspended_as(m4, "array_batch", arr.flush)
+        assert name == "array_batch[1]@2"
+        assert arr[9] == 2.0

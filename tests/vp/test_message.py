@@ -60,6 +60,21 @@ class TestSizeAccounting:
     def test_scalar_payload(self):
         assert make(1.5).nbytes() == 8
 
+    def test_payload_nbytes_is_evaluated_once(self):
+        # An array batch's or a replica update's nbytes walks its whole
+        # mutation list: pricing a message must not walk it twice.
+        class Counted:
+            evaluations = 0
+
+            @property
+            def nbytes(self):
+                self.evaluations += 1
+                return 24
+
+        payload = Counted()
+        assert make(payload).nbytes() == 24
+        assert payload.evaluations == 1
+
 
 def test_sequence_numbers_increase():
     a, b = make(), make()
