@@ -1,4 +1,4 @@
-"""Untraced phase split of one op of a request-bound macro workload.
+"""Untraced phase split of one op of a gated macro workload.
 
     python3 scripts/op_phases.py [--workload W] [--src DIR] [--ops N]
         [--rounds R] [--seed S]
@@ -8,6 +8,10 @@
 ``ex61_calls`` (default)  create x2 / call / free x2 — two vectors over
                           ``IntegratedRuntime(8)``, one distributed call,
                           both freed (``apps/innerproduct.run``)
+``climate_halo``          component step / interface exchange /
+                          to_numpy x2 — one FIG-2.1 coupled step
+                          (``ClimateSimulation.run(1)``), split by the
+                          ``CoupledResult`` it returns
 ``array_writes``          element writes / flush / region / read-backs
 ``array_reads``           element reads / region
 
@@ -15,24 +19,29 @@ The macro benchmark times the whole op; its tracer splits it but sits on
 every hop (an interceptor, wrapped ``route`` and ``DefVar.read``), so what
 it says about a layer is an upper bound.  This script runs the same op
 with nothing installed, pinned to one CPU like the benchmark's children,
-and reads the clock at the phase boundaries only.  The two array workloads
-are the benchmark's own classes (``benchmarks/macro/workloads.py``), built
-from ``--seed``, and every op is checked against their NumPy mirror outside
-the clock.  ``array_writes``' op flushes its element writes inside the
-region write; here the flush is a phase of its own (``arr.flush()``, the
-same whole-array flush), so the region finds nothing queued.  ``--src``
-points at the ``src`` directory of another checkout (the parent commit,
-say), so the same file measures both sides.
+and reads the clock at the phase boundaries only.  Every workload but
+``ex61_calls`` is the benchmark's own class (``benchmarks/macro/
+workloads.py``), built from ``--seed``, and every op is checked against
+its NumPy mirror outside the clock.  ``array_writes``' op flushes its
+element writes inside the region write; here the flush is a phase of its
+own (``arr.flush()``, the same whole-array flush), so the region finds
+nothing queued.  ``--src`` points at the ``src`` directory of another
+checkout (the parent commit, say), so the same file measures both sides.
 
 Printed per phase: the median over all ops of the quietest round (the one
 with the smallest whole-op median), in microseconds — the host's speed
 wanders, and the quietest round is the one least disturbed — and, for a
-phase of element requests, that median per request.
+phase of element requests, that median per request.  Then the routed
+messages and bytes an op.  For ``climate_halo`` they must be the figure
+:func:`op_wire` derives from (grid, border depth, sweeps) alone — the
+pinned-wire test (``tests/perf/test_replica_fusion.py``) spells the same
+number its own way — and the script exits non-zero when they are not.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -41,6 +50,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 clock = time.perf_counter_ns
+
+STRIP_HEADER = 64  # bytes a ``halo_bulk`` message carries beside its cells
+# What the task level routes in one climate op on 8 processors, 4 a
+# domain: the atmosphere's interface row read from processor 7 (the
+# ocean's is on processor 0, where the top-level thread's requests run;
+# both rows are written in place), and 3 + 4 owners asked by the two
+# ``to_numpy``.
+TASK_MSGS = 8
+
+
+def phase_wire(shape: tuple, grid: tuple, k: int) -> tuple:
+    """(strips, cell bytes) of one depth-``k`` phase of a ``shape`` array
+    on ``grid``: stage 0 swaps ``k`` rows of interior columns across every
+    cut between section rows, both ways; stage 1 swaps ``k`` columns of
+    the full row range (the ``k`` halo rows on either side included)
+    across every cut between section columns."""
+    (gr, gc), (h, w) = grid, (shape[0] // grid[0], shape[1] // grid[1])
+    row_strips, col_strips = 2 * (gr - 1) * gc, 2 * gr * (gc - 1)
+    cells = k * (row_strips * w + col_strips * (h + 2 * k))
+    return row_strips + col_strips, 8 * cells
+
+
+def op_wire(shape: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
+    """(messages, bytes) one coupled step of two ``shape`` domains routes:
+    a call is ``ceil(sweeps / depth)`` phases, the last as shallow as the
+    sweeps left; the task level adds TASK_MSGS one-word requests."""
+    msgs, nbytes = TASK_MSGS, 8 * TASK_MSGS
+    while sweeps > 0:
+        strips, cell_bytes = phase_wire(shape, grid, min(depth, sweeps))
+        msgs += 2 * strips
+        nbytes += 2 * (cell_bytes + STRIP_HEADER * strips)
+        sweeps -= depth
+    return msgs, nbytes
 
 
 def ex61_calls(rt, seed: int) -> tuple:
@@ -69,7 +111,32 @@ def ex61_calls(rt, seed: int) -> tuple:
         assert float(result.reductions[0]) == expected
         return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
-    return ("create x2", "call", "free x2"), {}, op
+    return ("create x2", "call", "free x2"), {}, op, None
+
+
+def climate_halo(rt, seed: int) -> tuple:
+    import numpy as np
+    from benchmarks.macro.workloads import ClimateHalo
+
+    w = ClimateHalo(rt, np.random.default_rng(seed))
+    ocean = w.sim.ocean
+
+    def op(i: int) -> tuple:
+        t0 = clock()
+        run = w.run_op(i)
+        whole = clock() - t0
+        assert w.ok(i, run)
+        result = run.coupled_result
+        step = result.step_wall_times[0] * 1e9
+        exchange = result.exchange_wall_times[0] * 1e9
+        return step, exchange, whole - result.wall_time * 1e9, whole
+
+    wire = op_wire(
+        w.shape, (ocean.grid_rows, ocean.grid_cols),
+        ocean.array.layout.borders[0], w.sweeps,
+    )
+    names = ("component step", "interface exchange", "to_numpy x2")
+    return names, {}, op, wire
 
 
 def array_writes(rt, seed: int) -> tuple:
@@ -98,7 +165,8 @@ def array_writes(rt, seed: int) -> tuple:
         "element writes": sum(w.per_section),
         "read-backs": len(w.readback_sections),
     }
-    return ("element writes", "flush", "region", "read-backs"), requests, op
+    names = ("element writes", "flush", "region", "read-backs")
+    return names, requests, op, None
 
 
 def array_reads(rt, seed: int) -> tuple:
@@ -125,11 +193,12 @@ def array_reads(rt, seed: int) -> tuple:
 
     # Every 16th read is followed by a write and a read-back of its cell.
     requests = {"element reads": w.reads + 2 * (w.reads // 16)}
-    return ("element reads", "region"), requests, op
+    return ("element reads", "region"), requests, op, None
 
 
 WORKLOADS = {
     "ex61_calls": ex61_calls,
+    "climate_halo": climate_halo,
     "array_writes": array_writes,
     "array_reads": array_reads,
 }
@@ -151,25 +220,34 @@ def main() -> None:
     from repro.core.runtime import IntegratedRuntime
 
     rt = IntegratedRuntime(8)
-    names, requests, op = WORKLOADS[args.workload](rt, args.seed)
-    for i in range(args.ops // 5):  # warm-up: thread pool, caches
-        op(i)
+    names, requests, op, derived = WORKLOADS[args.workload](rt, args.seed)
+    # The mirrors advance one op at a time, so ops are numbered on.
+    ops = itertools.count()
+    for _ in range(args.ops // 5):  # warm-up: thread pool, caches
+        op(next(ops))
+    rt.machine.reset_traffic()
     rounds = []
     for _ in range(args.rounds):
-        samples = [op(i) for i in range(args.ops)]
+        samples = [op(next(ops)) for _ in range(args.ops)]
         rounds.append(
             [statistics.median(col) / 1e3 for col in zip(*samples)]
         )
+    traffic = rt.machine.traffic_snapshot()
     *phases, whole = min(rounds, key=lambda r: r[-1])
-    print(f"src             {args.src}")
-    print(f"workload        {args.workload} (seed {args.seed})")
+    print(f"src                {args.src}")
+    print(f"workload           {args.workload} (seed {args.seed})")
     for name, us in zip(names, phases):
-        line = f"{name:15s} {us:8.1f} us"
+        line = f"{name:18s} {us:8.1f} us"
         if name in requests:
             n = requests[name]
             line += f"  {us / n:6.2f} us per request ({n})"
         print(line)
-    print(f"{'op':15s} {whole:8.1f} us")
+    print(f"{'op':18s} {whole:8.1f} us")
+    n = args.ops * args.rounds
+    wire = (traffic["messages"] / n, traffic["bytes"] / n)
+    print(f"{'per op':18s} {wire[0]:g} msgs  {wire[1]:g} B")
+    if derived is not None and wire != derived:
+        sys.exit(f"per op {wire} is not the derived {derived} msgs, B")
 
 
 if __name__ == "__main__":

@@ -178,10 +178,11 @@ _REPLICA_STORE_KEY = "am.replicas"
 
 
 def replica_store_for(node) -> ReplicaStore:
+    """This node's replica store, made by whichever handler first needs
+    one: two handlers on a fresh node get the same store."""
     store = node.load_default(_REPLICA_STORE_KEY)
     if store is None:
-        store = ReplicaStore()
-        node.store(_REPLICA_STORE_KEY, store)
+        store = node.load_or_store(_REPLICA_STORE_KEY, ReplicaStore())
     return store
 
 

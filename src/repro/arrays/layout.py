@@ -14,18 +14,24 @@ The mapping between multi-dimensional and flat indices is row-major
 applies to *both* the array and the processor grid (§3.2.1.4, Fig 3.8).
 
 All functions here are pure — they are the property-testing surface for the
-bijectivity invariants of the decomposition.
+bijectivity invariants of the decomposition.  (A layout keeps the region
+decompositions it has worked out; that changes what an ask costs, not what
+it answers.)
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 ROW_MAJOR = "row"
 COLUMN_MAJOR = "column"
+
+# How many region decompositions one layout keeps: the last regions asked.
+KEPT_REGIONS = 64
 
 _INDEXING_ALIASES = {
     "row": ROW_MAJOR,
@@ -99,6 +105,11 @@ class ArrayLayout:
         for d, g in zip(self.dims, self.grid):
             if d % g != 0:
                 raise ValueError(f"grid dim {g} does not divide array dim {d}")
+        # region -> its decomposition (region_sections).  Read without the
+        # lock: one dict.get is atomic, and only inserts and evictions,
+        # which hold it, iterate or change the table.
+        object.__setattr__(self, "_regions", {})
+        object.__setattr__(self, "_regions_lock", threading.Lock())
 
     # -- derived geometry ----------------------------------------------------
 
@@ -113,6 +124,18 @@ class ArrayLayout:
     def local_dims(self) -> tuple[int, ...]:
         """Interior (border-free) local-section dimensions."""
         return tuple(d // g for d, g in zip(self.dims, self.grid))
+
+    @cached_property
+    def _grid_strides(self) -> tuple[int, ...]:
+        """Per grid axis, what one step along it adds to a section number:
+        :meth:`section_index` is ``sum(c * s)`` over these."""
+        strides = [0] * self.rank
+        stride = 1
+        axes = range(self.rank)
+        for axis in reversed(axes) if self.grid_indexing == ROW_MAJOR else axes:
+            strides[axis] = stride
+            stride *= self.grid[axis]
+        return tuple(strides)
 
     @property
     def local_dims_plus(self) -> tuple[int, ...]:
@@ -242,34 +265,53 @@ class ArrayLayout:
         return tuple(stop - start for start, stop in region)
 
     def region_sections(
-        self, region: Sequence[Sequence[int]]
-    ) -> Iterator[tuple[int, tuple[slice, ...], tuple[slice, ...]]]:
+        self, region: tuple[tuple[int, int], ...]
+    ) -> tuple[tuple[int, tuple[slice, ...], tuple[slice, ...]], ...]:
         """Decompose a rectangular region over the owning local sections.
 
-        Yields one ``(section, local_slices, region_slices)`` triple per
-        local section the region intersects: ``local_slices`` select the
+        One ``(section, local_slices, region_slices)`` triple per local
+        section the region intersects: ``local_slices`` select the
         intersection inside that section's interior, ``region_slices``
         select where it lands in a dense array of :meth:`region_shape`.
         This is the geometry behind region-granular RPC — one message per
-        yielded section instead of one per element.
+        section instead of one per element.
+
+        ``region`` is a tuple of ``(start, stop)`` pairs: the layout is
+        frozen, so the first ask validates and decomposes it and later
+        asks return the tuple kept then (the last :data:`KEPT_REGIONS`
+        regions).  An invalid region raises on every ask and is never
+        kept.
         """
+        kept = self._regions.get(region)
+        if kept is not None:
+            return kept
         self.validate_region(region)
+        # Per dimension, one entry per grid coordinate the region spans:
+        # what that coordinate adds to the section number, and the local
+        # and region slices of the overlap along that dimension.
         per_dim = []
-        for (start, stop), ld in zip(region, self.local_dims):
+        for (start, stop), ld, stride in zip(
+            region, self.local_dims, self._grid_strides
+        ):
             entries = []
             for c in range(start // ld, (stop - 1) // ld + 1):
                 lo, hi = max(start, c * ld), min(stop, (c + 1) * ld)
-                entries.append(
-                    (c, slice(lo - c * ld, hi - c * ld), slice(lo - start, hi - start))
-                )
+                entries.append((
+                    c * stride,
+                    slice(lo - c * ld, hi - c * ld),
+                    slice(lo - start, hi - start),
+                ))
             per_dim.append(entries)
+        parts = []
         for combo in itertools.product(*per_dim):
-            coords = tuple(entry[0] for entry in combo)
-            yield (
-                self.section_index(coords),
-                tuple(entry[1] for entry in combo),
-                tuple(entry[2] for entry in combo),
-            )
+            offsets, local_slices, region_slices = zip(*combo)
+            parts.append((sum(offsets), local_slices, region_slices))
+        with self._regions_lock:
+            table = self._regions
+            if len(table) >= KEPT_REGIONS:
+                # Evict the oldest: insertion order is arrival order.
+                del table[next(iter(table))]
+            return table.setdefault(region, tuple(parts))
 
     # -- neighbour geometry ------------------------------------------------------
 

@@ -87,10 +87,11 @@ _NO_RECORDS = MappingProxyType({})
 
 
 def _records(node: VirtualProcessor) -> dict[ArrayID, ArrayRecord]:
+    """This node's record table, made by whichever handler first needs
+    one: two handlers on a fresh node get the same table."""
     table = node.load_default(_RECORDS_KEY)
     if table is None:
-        table = {}
-        node.store(_RECORDS_KEY, table)
+        table = node.load_or_store(_RECORDS_KEY, {})
     return table
 
 
@@ -242,7 +243,9 @@ class ArrayManager:
         plan, :meth:`repro.perf.commplan.PlanRegistry.engage`."""
         if section is None:
             return None
-        for record in list(_records(node).values()):
+        # A lookup: a node that never held a record keeps no table.
+        records = node.load_default(_RECORDS_KEY, _NO_RECORDS)
+        for record in list(records.values()):
             if record.section is section:
                 return record
         return None
@@ -285,11 +288,13 @@ class ArrayManager:
 
     def durability_state(self, array_id: Any) -> Optional[DurabilityState]:
         """The array's durability record; None for a freed or foreign
-        array and for anything that is not an :class:`ArrayID`."""
+        array and for anything that is not an :class:`ArrayID`.
+
+        One ``dict.get``, without the lock: it is atomic, and only the
+        writers, which hold the lock, change or iterate the table."""
         if not isinstance(array_id, ArrayID):
             return None
-        with self._durability_lock:
-            return self._durability.get(array_id)
+        return self._durability.get(array_id)
 
     def durability_states(self) -> list[tuple[ArrayID, DurabilityState]]:
         with self._durability_lock:
@@ -866,15 +871,16 @@ class ArrayManager:
 
     # -- region access -----------------------------------------------------------------
 
-    def _validated_region(
+    def _decomposed(
         self, layout: ArrayLayout, region: Sequence
-    ) -> Optional[tuple[tuple[int, int], ...]]:
+    ) -> Optional[tuple[tuple, tuple]]:
+        """``(bounds, layout.region_sections(bounds))`` of a caller's
+        region, or None when it is malformed or out of range."""
         try:
             bounds = tuple((int(a), int(b)) for a, b in region)
-            layout.validate_region(bounds)
+            return bounds, layout.region_sections(bounds)
         except (ValueError, IndexError, TypeError):
             return None
-        return bounds
 
     def region_write(
         self,
@@ -889,9 +895,10 @@ class ArrayManager:
         ``write_region_local`` request per owning processor, carrying only
         that owner's share.  INVALID, and no owner is asked, when the
         region is out of range or ``data`` is not of its shape."""
-        bounds = self._validated_region(layout, region)
-        if bounds is None:
+        decomposed = self._decomposed(layout, region)
+        if decomposed is None:
             return Status.INVALID
+        bounds, parts = decomposed
         dense = np.asarray(data, dtype=dtype_for(type_name))
         if tuple(dense.shape) != layout.region_shape(bounds):
             return Status.INVALID
@@ -900,8 +907,7 @@ class ArrayManager:
         self._flush_writes(array_id)
         shares = {
             processors[section]: (local_slices, dense[out_slices].copy())
-            for section, local_slices, out_slices
-            in layout.region_sections(bounds)
+            for section, local_slices, out_slices in parts
         }
         ok = self._fan_out("write_region_local", shares, array_id)
         return Status.OK if ok else Status.ERROR
@@ -925,22 +931,23 @@ class ArrayManager:
         record = self._resolve(node, array_id, status, data_out)
         if record is None:
             return
-        bounds = self._validated_region(record.layout, region)
-        if bounds is None:
+        decomposed = self._decomposed(record.layout, region)
+        if decomposed is None:
             return _fail(status, Status.INVALID, data_out)
+        bounds, parts = decomposed
         # Reads are flush points: drain queued writes to any section the
         # region may touch before copying.
         self._flush_writes(record.array_id)
-        out = np.zeros(
+        # The parts tile the region exactly once: every cell is written.
+        out = np.empty(
             record.layout.region_shape(bounds), dtype=dtype_for(record.type_name)
         )
         shares, pieces = {}, []
-        for section, local_slices, out_slices in record.layout.region_sections(
-            bounds
-        ):
-            owner = record.processors[section]
-            part = DefVar(f"read_region@{owner}")
-            shares[owner] = (local_slices, part)
+        for section, local_slices, out_slices in parts:
+            # Anonymous: a part is read only once the fan-out has returned,
+            # when every part is defined, so no reader suspends on one.
+            part = DefVar()
+            shares[record.processors[section]] = (local_slices, part)
             pieces.append((out_slices, part))
         if not self._fan_out("read_region_local", shares, array_id):
             return _fail(status, Status.ERROR, data_out)

@@ -53,7 +53,8 @@ def do_all(
     perf = getattr(machine, "_perf", None)
     if perf is not None:
         perf.coalescer.flush()
-    statuses = [DefVar(f"do_all_status[{i}]") for i in range(len(procs))]
+    # Anonymous: each is read only after every copy has been joined.
+    statuses = [DefVar() for _ in procs]
     processes = []
     # One trace scope per call: every copy inherits the same trace id, so
     # all wrapper traffic (find_local hops, SPMD messages) of one

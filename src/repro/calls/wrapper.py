@@ -75,6 +75,10 @@ def build_wrapper(
         except (TypeError, ValueError):
             status_var.define(failure_tuple(Status.INVALID))
             return
+        if machine._observer is None:
+            # Observation off: no span to build, not even a no-op one.
+            wrapper_second_level(index, bundle, status_var, reduce_lengths)
+            return
         with obs_span(machine, "wrapper", index=index):
             wrapper_second_level(index, bundle, status_var, reduce_lengths)
 

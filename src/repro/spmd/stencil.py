@@ -21,6 +21,7 @@ boundary hold fixed values the kernel never overwrites.
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Optional, Union
 
 import numpy as np
@@ -147,19 +148,58 @@ def jacobi_sweep(full: np.ndarray) -> np.ndarray:
     )
 
 
-def _sweep_region(
-    full: np.ndarray, r0: int, r1: int, c0: int, c1: int
-) -> np.ndarray:
-    """5-point Jacobi update of ``full[r0:r1, c0:c1]`` (reads the +-1
-    frame around it).  Operand order matches :func:`jacobi_sweep` exactly,
-    so the planned path's frame computations are bit-identical to a
-    neighbour's interior update of the same cells."""
-    return 0.25 * (
-        full[r0 - 1:r1 - 1, c0:c1]
-        + full[r0 + 1:r1 + 1, c0:c1]
-        + full[r0:r1, c0 - 1:c1 - 1]
-        + full[r0:r1, c0 + 1:c1 + 1]
-    )
+class _SweepRegion:
+    """One region ``full[r0:r1, c0:c1]`` of a planned sweep, made once: the
+    four neighbour views its stencil reads (the +-1 frame around it), its
+    own cells, and the buffer its update is computed into.
+
+    :meth:`sweep` is :func:`jacobi_sweep`'s arithmetic in its operand
+    order — ``0.25 * (((north + south) + west) + east)`` — so the planned
+    path's frame computations are bit-identical to a neighbour's interior
+    update of the same cells; only the temporaries are gone.  The buffer
+    is shared by whoever sweeps this region: two calls sweeping one
+    section at once already race on its storage (§3.1.1.4), so it adds no
+    hazard of its own."""
+
+    __slots__ = ("bounds", "north", "south", "west", "east", "own", "out")
+
+    def __init__(
+        self, full: np.ndarray, r0: int, r1: int, c0: int, c1: int
+    ) -> None:
+        self.bounds = (r0, r1, c0, c1)
+        self.north = full[r0 - 1:r1 - 1, c0:c1]
+        self.south = full[r0 + 1:r1 + 1, c0:c1]
+        self.west = full[r0:r1, c0 - 1:c1 - 1]
+        self.east = full[r0:r1, c0 + 1:c1 + 1]
+        self.own = full[r0:r1, c0:c1]
+        self.out = np.empty(
+            self.own.shape, dtype=np.result_type(full.dtype, 0.25)
+        )
+
+    def sweep(self) -> np.ndarray:
+        """The region's updated values, from the current ones (not yet
+        written back: :meth:`store` does that)."""
+        out = self.out
+        np.add(self.north, self.south, out=out)
+        np.add(out, self.west, out=out)
+        np.add(out, self.east, out=out)
+        np.multiply(0.25, out, out=out)
+        return out
+
+    def store(self) -> None:
+        self.own[...] = self.out
+
+    def change(self, d: int, h: int, w: int) -> float:
+        """max |new - old| over the region's cells that are interior to an
+        ``(h, w)`` section bordered ``d`` deep."""
+        r0, r1, c0, c1 = self.bounds
+        rows = slice(max(r0, d) - r0, min(r1, d + h) - r0)
+        cols = slice(max(c0, d) - c0, min(c1, d + w) - c0)
+        if rows.start >= rows.stop or cols.start >= cols.stop:
+            return 0.0
+        return float(np.max(np.abs(
+            self.out[rows, cols] - self.own[rows, cols]
+        )))
 
 
 def _extended(d: int, h: int, w: int, e: int, sides) -> tuple:
@@ -207,19 +247,33 @@ def _sweep0_split(
     return (ir0, ir1, ic0, ic1), frame
 
 
-def _interior_change(
-    full: np.ndarray, part: tuple, new: np.ndarray, d: int, h: int, w: int
-) -> float:
-    """max |new - old| over the cells of region ``part`` that are interior
-    (``new`` holds the region's updated values)."""
-    r0, r1, c0, c1 = part
-    a, b = max(r0, d), min(r1, d + h)
-    lo, hi = max(c0, d), min(c1, d + w)
-    if a >= b or lo >= hi:
-        return 0.0
-    return float(np.max(np.abs(
-        new[a - r0:b - r0, lo - c0:hi - c0] - full[a:b, lo:hi]
-    )))
+# LocalSection -> {(k, sides): its phase's sweep regions}, made the first
+# time a planned phase of that depth runs on the section.  The section's
+# geometry is fixed from allocation to free, so the regions are too; the
+# key is weak, so they go with their section and no view outlives it.
+_PHASE_REGIONS: "weakref.WeakKeyDictionary[LocalSection, dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _phase_regions(
+    full: np.ndarray, d: int, h: int, w: int, k: int, sides
+) -> tuple:
+    """``(first, early, later)`` for a depth-``k`` phase: sweep 0's regions
+    — the inner block when there is one, then the frame bands — of which
+    the first ``early`` (1 or 0) read nothing the phase receives, and one
+    region for each later sweep ``j``, the local region extended
+    ``k-1-j`` cells toward every side in ``sides``."""
+    inner, frame = _sweep0_split(d, h, w, k - 1, sides)
+    first = frame if inner is None else [inner] + frame
+    return (
+        tuple(_SweepRegion(full, *region) for region in first),
+        int(inner is not None),
+        tuple(
+            _SweepRegion(full, *_extended(d, h, w, k - 1 - j, sides))
+            for j in range(1, k)
+        ),
+    )
 
 
 def _heat_steps_planned(
@@ -227,7 +281,7 @@ def _heat_steps_planned(
     record,
     plan,
     registry,
-    full: np.ndarray,
+    section: LocalSection,
     n_steps: int,
     want_delta: bool,
 ) -> float:
@@ -242,46 +296,52 @@ def _heat_steps_planned(
     Sweep 0 is split (:func:`_sweep0_split`): the cells that read nothing
     the phase receives are computed between ``prefetch()`` and
     ``complete()``, while the strips are in flight, the bands along the
-    receiving sides after it.  Returns the max |change| of the last sweep
-    over the interior when ``want_delta``, else 0.
+    receiving sides after it.  Every region is a :class:`_SweepRegion`
+    kept with ``section`` (:data:`_PHASE_REGIONS`).  Returns the max
+    |change| of the last sweep over the interior when ``want_delta``,
+    else 0.
     """
     d = plan.pad
     h, w = record.layout.local_dims
-    section = record.section_number_for(ctx.processor_number)
+    full = section.full()
+    number = record.section_number_for(ctx.processor_number)
     # Where this copy has a neighbour is where the plan has it receive.
-    sides = plan.schedule(section, 1).sides
+    sides = plan.schedule(number, 1).sides
+    phases = _PHASE_REGIONS.get(section)
+    if phases is None:
+        phases = _PHASE_REGIONS.setdefault(section, {})
     delta = 0.0
     done_steps = 0
     phase = 0
-    split_k = 0
     while done_steps < n_steps:
         k = min(plan.depth, n_steps - done_steps)
-        if k != split_k:
-            inner, frame = _sweep0_split(d, h, w, k - 1, sides)
-            split_k = k
+        regions = phases.get((k, sides))
+        if regions is None:
+            regions = phases[(k, sides)] = _phase_regions(
+                full, d, h, w, k, sides
+            )
+        first, early, later = regions
         exchange = plan.begin(
-            registry, record, full, section, k,
+            registry, record, full, number, k,
             (ctx.group, phase), ctx.processor_number,
         )
         exchange.prefetch()
-        pieces = []
-        if inner is not None:
-            pieces.append((inner, _sweep_region(full, *inner)))
+        for region in first[:early]:
+            region.sweep()
         exchange.complete()
-        pieces += [(band, _sweep_region(full, *band)) for band in frame]
+        for region in first[early:]:
+            region.sweep()
+        pieces = first
         for j in range(k):
             if j:
-                region = _extended(d, h, w, k - 1 - j, sides)
-                pieces = [(region, _sweep_region(full, *region))]
+                pieces = later[j - 1:j]
+                pieces[0].sweep()
             if want_delta and done_steps + j == n_steps - 1:
-                delta = max(
-                    _interior_change(full, part, new, d, h, w)
-                    for part, new in pieces
-                )
+                delta = max(piece.change(d, h, w) for piece in pieces)
             # Every piece was computed from the old values; only now may
             # they be overwritten.
-            for (r0, r1, c0, c1), new in pieces:
-                full[r0:r1, c0:c1] = new
+            for piece in pieces:
+                piece.store()
         done_steps += k
         phase += 1
     return delta
@@ -331,8 +391,7 @@ def heat_steps(
                 "distributed over"
             )
         delta = _heat_steps_planned(
-            ctx, record, plan, perf.plans, section.full(), n_steps,
-            want_delta,
+            ctx, record, plan, perf.plans, section, n_steps, want_delta,
         )
     else:
         full = frame_view(section)

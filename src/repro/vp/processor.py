@@ -104,8 +104,16 @@ class VirtualProcessor:
             return self.heap[key]
 
     def load_default(self, key: str, default: Any = None) -> Any:
+        # One dict.get is atomic, and only the writers, which hold the
+        # lock, change the heap: no lock to read one key.
+        return self.heap.get(key, default)
+
+    def load_or_store(self, key: str, value: Any) -> Any:
+        """The value stored under ``key``, or ``value`` stored there now
+        and returned: the read and the store are one step, so two callers
+        racing on an absent key get the same value."""
         with self._heap_lock:
-            return self.heap.get(key, default)
+            return self.heap.setdefault(key, value)
 
     def delete(self, key: str) -> None:
         with self._heap_lock:

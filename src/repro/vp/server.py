@@ -266,9 +266,7 @@ class ServerRegistry:
         origin = fabric.current_processor()
         common = (*parameters, status)
         tag = ("server", request_type)
-        done = Tally(
-            len(holders), _first_error, None, f"server-{request_type}-done"
-        )
+        done = Tally(len(holders), _first_error, None)
         # The caller's trace, or one fresh root for all the hops.
         with fabric.execution_context(trace_id=fabric.current_envelope()[0]):
             for holder, own in holders.items():
@@ -290,6 +288,10 @@ class ServerRegistry:
                         raise
                     done.forget()
                     status.forget()
+        if not done.data():
+            # Named (for the wait graph and the timeout message) only if
+            # the requester is about to suspend on it.
+            done.name = f"server-{request_type}-done"
         error = done.read(timeout=machine.default_recv_timeout)
         if error is not None:
             raise error

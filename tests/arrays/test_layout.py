@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrays.layout import (
     COLUMN_MAJOR,
+    KEPT_REGIONS,
     ROW_MAJOR,
     ArrayLayout,
     flatten_index,
@@ -180,3 +184,129 @@ def test_property_replace_borders_preserves_partition(layout):
     assert new.grid == layout.grid
     assert new.local_dims == layout.local_dims
     assert all(b == 1 for b in new.borders)
+
+
+# -- region decompositions --------------------------------------------------
+
+
+def draw_region(data, layout):
+    """A valid region of ``layout``: one non-empty ``(start, stop)`` pair
+    per dimension, inside the bounds."""
+    region = []
+    for dim in layout.dims:
+        start = data.draw(st.integers(0, dim - 1))
+        region.append((start, data.draw(st.integers(start + 1, dim))))
+    return tuple(region)
+
+
+def fresh(layout):
+    """An equal layout that has kept nothing."""
+    return ArrayLayout(
+        layout.dims, layout.grid, layout.borders, layout.indexing,
+        layout.grid_indexing,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_strategy(), st.data())
+def test_property_region_sections_tile_the_region_as_locate_does(
+    layout, data
+):
+    """The triples tile the region exactly once, every cell lands where
+    ``locate`` puts it, and a second ask returns the kept tuple."""
+    region = draw_region(data, layout)
+    parts = layout.region_sections(region)
+    cover = np.zeros(layout.region_shape(region), dtype=int)
+    for section, local_slices, region_slices in parts:
+        cover[region_slices] += 1
+        for offset in itertools.product(
+            *(range(s.start, s.stop) for s in region_slices)
+        ):
+            cell = tuple(lo + o for (lo, _), o in zip(region, offset))
+            local = tuple(
+                ls.start + o - rs.start
+                for ls, rs, o in zip(local_slices, region_slices, offset)
+            )
+            assert layout.locate(cell) == (section, local)
+    assert (cover == 1).all()
+    assert layout.region_sections(region) is parts
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_strategy(), st.data())
+def test_property_an_invalid_region_raises_on_every_ask_and_is_never_kept(
+    layout, data
+):
+    axis = data.draw(st.integers(0, layout.rank - 1))
+    region = list(draw_region(data, layout))
+    dim = layout.dims[axis]
+    region[axis] = data.draw(st.sampled_from([
+        (0, 0), (-1, 1), (0, dim + 1), (dim, dim + 1), (1, 1),
+    ]))
+    for invalid in (tuple(region), tuple(region[:-1]), tuple(region) * 2):
+        for _ in range(2):
+            with pytest.raises((ValueError, IndexError)):
+                layout.region_sections(invalid)
+        assert invalid not in layout._regions
+
+
+@settings(max_examples=30, deadline=None)
+@given(layout_strategy(), st.data())
+def test_property_the_kept_table_is_bounded_and_serves_true_answers(
+    layout, data
+):
+    """However many regions are asked, in any order and with repeats, the
+    table never holds more than its bound, and what an ask returns is
+    what a layout that has kept nothing works out."""
+    for _ in range(data.draw(st.integers(1, 3 * KEPT_REGIONS))):
+        region = draw_region(data, layout)
+        assert layout.region_sections(region) == fresh(layout).region_sections(
+            region
+        )
+        assert len(layout._regions) <= KEPT_REGIONS
+
+
+def test_the_last_regions_asked_are_the_ones_kept():
+    layout = ArrayLayout((256,), (4,), (0, 0), ROW_MAJOR, ROW_MAJOR)
+    regions = [((i, i + 2),) for i in range(KEPT_REGIONS + 20)]
+    for region in regions:
+        layout.region_sections(region)
+    assert list(layout._regions) == regions[-KEPT_REGIONS:]
+
+
+def test_threads_sharing_one_table_get_true_answers():
+    """Every thread that reads a region shares its layout's table: eight
+    threads asking overlapping regions, more of them than the table
+    keeps, with threads switched every microsecond, each get what a
+    layout that has kept nothing works out, and the bound holds."""
+    layout = ArrayLayout((64, 64), (4, 2), (0,) * 4, ROW_MAJOR, ROW_MAJOR)
+    regions = [
+        ((r, r + 1 + r % 7), (c, c + 1 + c % 5))
+        for r in range(0, 60, 6) for c in range(0, 60, 4)
+    ]
+    expected = {
+        region: fresh(layout).region_sections(region) for region in regions
+    }
+    wrong = []
+
+    def ask(offset):
+        for i in range(4 * len(regions)):
+            region = regions[(offset + 7 * i) % len(regions)]
+            if layout.region_sections(region) != expected[region]:
+                wrong.append(region)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=ask, args=(k,)) for k in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(layout._regions) <= KEPT_REGIONS

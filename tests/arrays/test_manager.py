@@ -3,12 +3,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
 from repro.arrays.durability import replica_store_for
-from repro.arrays.local_section import TRACKER
+from repro.arrays.local_section import TRACKER, LocalSection
 from repro.arrays.manager import (
     _records,
     get_array_manager,
@@ -159,6 +162,73 @@ class TestElementAccess:
             section, st = am_user.find_local(m16, aid, processor=int(proc))
             assert st is Status.OK
             assert list(section.interior()) == [rank * 2.0, rank * 2.0 + 1]
+
+
+def interleave(node, other):
+    """Make ``node``'s next ``load_default`` run ``other`` to completion
+    between its read and its return: another handler getting in between
+    a read of an absent key and the store that follows it."""
+    read = node.load_default
+    pending = [other]
+
+    def load_default(key, default=None):
+        value = read(key, default)
+        if pending:
+            pending.pop()()
+        return value
+
+    node.load_default = load_default
+
+
+class TestHeapTables:
+    """A node's record table and replica store are made by whichever
+    handler first needs one, and a lookup makes neither."""
+
+    def test_two_handlers_on_a_fresh_node_keep_both_records(self):
+        node = Machine(2).processor(1)
+        interleave(node, lambda: _records(node).update(second=2))
+        _records(node).update(first=1)
+        assert node.load("am.records") == {"first": 1, "second": 2}
+
+    def test_two_handlers_on_a_fresh_node_share_one_replica_store(self):
+        node = Machine(2).processor(1)
+        other = []
+        interleave(node, lambda: other.append(replica_store_for(node)))
+        store = replica_store_for(node)
+        assert len(other) == 1 and other[0] is store
+        assert node.load("am.replicas") is store
+
+    def test_racing_handlers_on_a_fresh_node_lose_no_record(self):
+        """Eight threads each make their first record on a fresh node,
+        switched every microsecond: every record is in the one table."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                node = Machine(2).processor(1)
+                threads = [
+                    threading.Thread(
+                        target=lambda k=k: _records(node).update({k: trial})
+                    )
+                    for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(node.load("am.records")) == list(range(8))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_engaging_a_hand_made_section_writes_no_table(self):
+        machine = Machine(2)
+        am_util.load_all(machine)
+        node = machine.processor(1)
+        section = LocalSection("double", (4, 4), (1,) * 4, "row")
+        plans = get_perf_layer(machine).plans
+        assert plans.engage(node, section, "stencil5") is None
+        assert not node.has("am.records")
 
 
 class TestUnknownArray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import am_user, am_util
+from repro.calls.api import distributed_call
 from repro.calls.params import CallPlan, Local
 from repro.calls.wrapper import build_wrapper, next_call_group
 from repro.pcn.defvar import DefVar
@@ -150,6 +151,18 @@ class TestGeneratedWrapper:
         assert seen["index"] == 1
         assert seen["buf"].dtype == np.uint8 and len(seen["buf"]) == 2
         assert result[0] == 3
+
+    def test_observed_call_records_one_wrapper_span_per_copy(self, m2):
+        """The wrapper builds its span only under an observer, and under
+        one every copy still records it, with its index."""
+        def program(ctx):
+            pass
+
+        with m2.observe() as observer:
+            res = distributed_call(m2, [0, 1], program, [])
+            spans = observer.recorder.spans_named("wrapper")
+        assert res.status is Status.OK
+        assert sorted(span["attrs"]["index"] for span in spans) == [0, 1]
 
     def test_group_ids_unique(self):
         assert next_call_group() != next_call_group()

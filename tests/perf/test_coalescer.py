@@ -349,6 +349,18 @@ class TestWhatTheRequestPathKeeps:
         assert name == "server-read_element_local-done"
         assert read == [2.0]
 
+    def test_held_fan_out_is_listed_under_its_full_name(self, m4):
+        arr = make_array(m4, n=16, owners=4)
+        arr[9] = 2.0
+        arr.flush()
+        read = []
+        name = _suspended_as(
+            m4, "server_request",
+            lambda: read.append(arr.read_region([(0, 16)])),
+        )
+        assert name == "server-read_region_local-done"
+        assert read[0][9] == 2.0
+
     def test_held_batch_is_listed_under_its_full_name(self, m4):
         arr = make_array(m4, n=16, owners=4)
         arr[9] = 2.0  # the first batch of section 2's queue

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +13,21 @@ from hypothesis import strategies as st
 from repro.arrays import am_user, am_util
 from repro.arrays.layout import ROW_MAJOR, ArrayLayout
 from repro.arrays.local_section import LocalSection
+from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
 from repro.calls import Local, Reduce, distributed_call
+from repro.core.darray import DistributedArray
 from repro.pcn.composition import par
 from repro.perf import get_perf_layer
 from repro.perf.commplan import compile_halo_plan
 from repro.spmd.context import SPMDContext
 from repro.spmd.stencil import (
+    _PHASE_REGIONS,
+    _SweepRegion,
     _extended,
     _sweep0_split,
-    _sweep_region,
     border_query,
+    frame_view,
     grid_coords,
     heat_steps,
     jacobi_sweep,
@@ -119,7 +126,7 @@ class TestSweepSplit:
         section no, one or both neighbours along an axis) and every depth
         the plan supports: the inner block and the frame bands tile the
         sweep-0 region exactly once; computing them piecewise equals one
-        ``_sweep_region`` over the region bit for bit; and the inner
+        ``_SweepRegion`` over the region bit for bit; and the inner
         block's stencil reads no cell in any destination slice of what the
         section receives in that phase — which is what lets it run before
         ``complete()``."""
@@ -145,11 +152,11 @@ class TestSweepSplit:
             whole = np.full(shape, np.nan)
             piecewise = np.full(shape, np.nan)
             r0, r1, c0, c1 = region
-            whole[r0:r1, c0:c1] = _sweep_region(full, *region)
+            whole[r0:r1, c0:c1] = _SweepRegion(full, *region).sweep()
             for a, b, c, e in pieces:
                 assert a < b and c < e
                 cover[a:b, c:e] += 1
-                piecewise[a:b, c:e] = _sweep_region(full, a, b, c, e)
+                piecewise[a:b, c:e] = _SweepRegion(full, a, b, c, e).sweep()
             expected = np.zeros(shape, dtype=int)
             expected[r0:r1, c0:c1] = 1
             assert np.array_equal(cover, expected)
@@ -169,6 +176,109 @@ class TestSweepSplit:
                     received[a + dr:b + dr, c + dc:e + dc].any()
                     for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
                 )
+
+
+def per_sweep(ctx, grid_rows, grid_cols, steps, section, delta_out=None):
+    """The per-sweep reference, reached by input: the kernel handed the
+    section's frame view, which no record holds."""
+    heat_steps(
+        ctx, grid_rows, grid_cols, steps, frame_view(section), delta_out
+    )
+
+
+class TestKeptSweepRegions:
+    """The planned path sweeps regions kept with their section: each call
+    after the first finds the ones an earlier call made, whatever depth
+    its phases run at."""
+
+    @staticmethod
+    def pair(machine, grid, depth, seed):
+        """Two arrays bordered ``depth`` deep holding the same field."""
+        initial = np.random.default_rng(seed).uniform(0, 100, (8, 8))
+        arrays = []
+        for _ in range(2):
+            arr = DistributedArray.create(
+                machine, "double", (8, 8), list(range(4)),
+                [("block", g) for g in grid], borders=[depth] * 4,
+            )
+            arr.from_numpy(initial)
+            arrays.append(arr)
+        return arrays
+
+    @staticmethod
+    def run(machine, arr, grid, steps, program, delta):
+        parameters = [grid[0], grid[1], steps, Local(arr.array_id)]
+        if delta:
+            parameters.append(Reduce("double", 1, "max"))
+        res = distributed_call(
+            machine, list(arr.processors), program, parameters
+        )
+        assert res.status is Status.OK
+        return res.reductions[0] if delta else None
+
+    def run_both(self, machine, planned, reference, grid, steps, delta):
+        d_planned = self.run(machine, planned, grid, steps, heat_steps, delta)
+        d_reference = self.run(
+            machine, reference, grid, steps, per_sweep, delta
+        )
+        assert d_planned == d_reference
+        assert np.array_equal(planned.to_numpy(), reference.to_numpy())
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [(4, 1), (2, 2), (1, 4)])
+    def test_planned_is_bit_identical_to_the_per_sweep_reference(
+        self, grid, depth
+    ):
+        """Sweeps 1-5 in turn on one pair of arrays, with and without
+        ``delta_out``: every call's field and delta equal the reference's
+        bit for bit (``(4, 1)`` sections are 2 rows, thinner than a
+        3-deep border)."""
+        machine = Machine(4, default_recv_timeout=10)
+        am_util.load_all(machine)
+        planned, reference = self.pair(machine, grid, depth, depth)
+        for steps in range(1, 6):
+            for delta in (False, True):
+                self.run_both(
+                    machine, planned, reference, grid, steps, delta
+                )
+        assert get_perf_layer(machine).plans.strips_sent > 0
+
+    def test_a_reallocated_section_gets_new_regions_and_the_old_go(self):
+        """``verify_borders`` gives every copy a new section: the next
+        calls sweep regions made for it and stay bit-identical, and once
+        an old section is collected, the regions kept with it are too."""
+        machine = Machine(4, default_recv_timeout=10)
+        am_util.load_all(machine)
+        grid = (2, 2)
+        planned, reference = self.pair(machine, grid, 1, 11)
+        self.run_both(machine, planned, reference, grid, 2, True)
+        manager = get_array_manager(machine)
+
+        def sections():
+            return [
+                manager._lookup(
+                    machine.processor(p), planned.array_id
+                ).section
+                for p in planned.processors
+            ]
+
+        old = sections()
+        buffers = [
+            weakref.ref(region.out)
+            for section in old
+            for first, _, later in _PHASE_REGIONS[section].values()
+            for region in first + later
+        ]
+        for arr in (planned, reference):
+            arr.verify_borders([2, 2, 2, 2])
+        for steps in (1, 2, 3):
+            self.run_both(machine, planned, reference, grid, steps, True)
+        new = sections()
+        assert all(section in _PHASE_REGIONS for section in new)
+        assert not any(a is b for a, b in zip(old, new))
+        del old
+        gc.collect()
+        assert buffers and all(ref() is None for ref in buffers)
 
 
 class TestDistributedStencil:
