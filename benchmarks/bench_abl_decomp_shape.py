@@ -3,9 +3,11 @@ Fig 3.6).
 
 The thesis exposes grid-shape control (block/block(N)/"*") but does not
 quantify it; this ablation does.  Claim: for a 5-point stencil, the halo
-traffic of a decomposition is its total internal perimeter — square-ish
-grids minimise it for square arrays, and 1-D strip decompositions pay
-proportionally more as P grows.
+traffic of a decomposition follows from its grid alone — the cuts between
+sections, each crossed by one strip each way — so square-ish grids
+minimise it for square arrays, and 1-D strip decompositions pay
+proportionally more as P grows.  The bytes a sweep routes are measured
+against :func:`repro.spmd.costs.halo_phase`, and must equal it.
 """
 
 from __future__ import annotations
@@ -13,72 +15,75 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import report
-from repro.calls import Local, Reduce
+from repro.calls import Local
 from repro.core.runtime import IntegratedRuntime
-from repro.spmd.stencil import halo_traffic_for, heat_steps
+from repro.spmd import costs
+from repro.spmd.stencil import heat_steps
 
 N = 64
+GRIDS = ((4, 4), (16, 1), (1, 16), (8, 2))
 
 
 def measure(rt, grid):
+    """(messages, bytes) a 4-step ``heat_steps`` call routes, and those of
+    one sweep: the 1-step/5-step marginal, which cancels whatever a call
+    routes besides its sweeps."""
     procs = rt.all_processors()
     arr = rt.array(
         "double", (N, N), procs,
         [("block", grid[0]), ("block", grid[1])], borders=[1, 1, 1, 1],
     )
     arr.from_numpy(np.random.default_rng(0).uniform(0, 1, (N, N)))
-    result = rt.call(
-        procs, halo_traffic_for,
-        [grid[0], grid[1], Local(arr.array_id), Reduce("double", 1, "max")],
-    )
-    nbytes = result.reductions[0]
 
-    rt.machine.reset_traffic()
-    rt.call(procs, heat_steps, [grid[0], grid[1], 4, Local(arr.array_id)])
-    measured = rt.machine.traffic_snapshot()
-
-    # Messages attributable to one sweep: the 1-step/5-step marginal
-    # cancels the per-call scaffolding (spawn, collect, allreduce).
-    def msgs(steps):
+    def wire(steps):
         rt.machine.reset_traffic()
         rt.call(
             procs, heat_steps, [grid[0], grid[1], steps, Local(arr.array_id)]
         )
-        return rt.machine.traffic_snapshot()["messages"]
+        snapshot = rt.machine.traffic_snapshot()
+        return snapshot["messages"], snapshot["bytes"]
 
-    per_sweep = (msgs(5) - msgs(1)) / 4.0
+    four = wire(4)
+    (m5, b5), (m1, b1) = wire(5), wire(1)
     arr.free()
-    return nbytes, measured, per_sweep
+    return four, ((m5 - m1) / 4.0, (b5 - b1) / 4.0)
 
 
 class TestAbl1DecompositionShape:
     def test_halo_bytes_by_grid_shape(self, benchmark):
         rt = IntegratedRuntime(16)
-        rows = [("grid", "halo bytes/step (model)",
+        rows = [("grid", "halo bytes/sweep (model)", "measured bytes/sweep",
                  "measured bytes (4 steps)", "msgs/sweep")]
-        results = {}
+        model = {}
         msgs_per_sweep = {}
-        for grid in ((4, 4), (16, 1), (1, 16), (8, 2)):
-            model_bytes, measured, per_sweep = measure(rt, grid)
-            results[grid] = (model_bytes, measured["bytes"])
+        for grid in GRIDS:
+            model[grid] = costs.halo_phase((N // grid[0], N // grid[1]), grid)
+            (_, four_steps), (per_sweep, sweep_bytes) = measure(rt, grid)
             msgs_per_sweep[grid] = per_sweep
             rows.append(
-                (grid, int(model_bytes), measured["bytes"], per_sweep)
+                (grid, model[grid][1], sweep_bytes, four_steps, per_sweep)
             )
+            # (4) the model is the wire: a sweep routes exactly its bytes,
+            # a 4-step call four times them.
+            assert sweep_bytes == model[grid][1]
+            assert four_steps == 4 * model[grid][1]
         report("ABL-1 halo traffic by decomposition shape (64x64, P=16)", rows)
+        nbytes = {grid: wire[1] for grid, wire in model.items()}
+        assert nbytes == {
+            (4, 4): 9600, (8, 2): 11264, (16, 1): 17280, (1, 16): 17760,
+        }
 
         # shape claims:
         # (1) the square grid strictly beats both strip grids;
-        assert results[(4, 4)][0] < results[(16, 1)][0]
-        assert results[(4, 4)][0] < results[(1, 16)][0]
-        # (2) the two strip orientations cost the same on a square array;
-        assert results[(16, 1)][0] == results[(1, 16)][0]
+        assert nbytes[(4, 4)] < nbytes[(16, 1)]
+        assert nbytes[(4, 4)] < nbytes[(1, 16)]
+        # (2) the two strip orientations move the same interior cells on a
+        # square array; (1, 16) pays only the corner relay — each of its
+        # 30 column strips also carries the 2 halo rows the row stage
+        # filled, 8 B a cell;
+        assert nbytes[(1, 16)] - nbytes[(16, 1)] == 30 * 2 * 8
         # (3) the 8x2 grid sits between square and strip;
-        assert results[(4, 4)][0] < results[(8, 2)][0] < results[(16, 1)][0]
-        # (4) the analytic model tracks the measured traffic ordering.
-        ordered_model = sorted(results, key=lambda g: results[g][0])
-        ordered_measured = sorted(results, key=lambda g: results[g][1])
-        assert ordered_model == ordered_measured
+        assert nbytes[(4, 4)] < nbytes[(8, 2)] < nbytes[(16, 1)]
         # (5) message count is the *complementary* trade-off: one fused
         # strip per internal directed edge per sweep, so the strip grid
         # sends the fewest (largest) messages and the square grid the
@@ -101,19 +106,3 @@ class TestAbl1DecompositionShape:
             )
         )
         arr.free()
-
-    def test_model_formula(self, benchmark):
-        """The analytic perimeter model: internal edges x strip length x 2
-        directions x 8 bytes."""
-
-        def internal_halo_bytes(n, gr, gc):
-            rows, cols = n // gr, n // gc
-            horizontal_cuts = (gr - 1) * gc * cols  # cells per cut row
-            vertical_cuts = (gc - 1) * gr * rows
-            return (horizontal_cuts + vertical_cuts) * 2 * 8
-
-        rt = IntegratedRuntime(16)
-        for grid in ((4, 4), (16, 1), (8, 2)):
-            model, _, _ = measure(rt, grid)
-            assert model == internal_halo_bytes(N, *grid)
-        benchmark(lambda: internal_halo_bytes(N, 4, 4))

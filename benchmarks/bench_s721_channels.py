@@ -21,6 +21,9 @@ from repro.spmd import collectives
 
 ITEMS = 8
 CHUNK = 4096
+TRANSFER_REQUESTS = (
+    "read_region", "read_region_local", "write_region", "write_region_local",
+)
 
 
 def _expected_total(group_width: int) -> float:
@@ -79,9 +82,19 @@ class TestS721Channels:
             )
             return results[1].reductions[0]
 
+        # Array-manager requests that move section data: a ``to_numpy`` is
+        # one ``read_region`` fanned out as a ``read_region_local`` per
+        # owner, a ``from_numpy`` the same in writes.
+        counts = rt.array_manager.request_counts
+
+        def transfers():
+            return sum(counts.get(name, 0) for name in TRANSFER_REQUESTS)
+
+        before = transfers()
         t0 = time.perf_counter()
         total_tp = tp_route()
         tp_time = time.perf_counter() - t0
+        assert transfers() - before == ITEMS * ((1 + len(ga)) + (1 + len(gb)))
 
         total_ch = benchmark.pedantic(channel_route, rounds=3, iterations=1)
         t0 = time.perf_counter()
@@ -91,12 +104,10 @@ class TestS721Channels:
         expected = _expected_total(4)
         assert total_tp == total_ch == expected
 
-        # PCN-level request counts: the channel route makes no
-        # section-transfer server requests at all.
-        counts = rt.array_manager.request_counts
-        before = counts.get("read_section_local", 0)
+        # The channel route makes none at all.
+        before = transfers()
         channel_route()
-        assert counts.get("read_section_local", 0) == before
+        assert transfers() == before
 
         report(
             "S-7.2.1 TP-level route vs direct channel "

@@ -19,8 +19,9 @@ claiming its row strips, and the next copy's ``complete()`` waits for them),
 so for ``(2, 2)`` the script walks ``complete()``'s own steps in stage order:
 secure / claim 0 / post 1 for every copy, then secure / claim 1 for every
 copy.  Printed: the depth, microseconds per phase, per copy-phase and per
-strip; the strips and bytes the registry counted must be the ones
-``op_phases.phase_wire`` derives.
+strip; the strips and cell bytes the registry counted must be the ones
+the measured tree's halo model (``repro.spmd.costs.halo_phase``) gives,
+so a tree older than that model cannot be measured.
 
 Where a whole FIG-2.1 op goes — component step, interface exchange, the
 two ``to_numpy`` — and whether its wire is the derived one is
@@ -38,8 +39,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-
-from op_phases import phase_wire
 
 SHAPE = (32, 64)
 clock = time.perf_counter_ns
@@ -59,6 +58,7 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
     from repro.core.darray import DistributedArray
     from repro.core.runtime import IntegratedRuntime
     from repro.perf import get_perf_layer
+    from repro.spmd.costs import halo_phase
 
     rt = IntegratedRuntime(8)
     machine = rt.machine
@@ -77,10 +77,9 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
         record = manager._lookup(machine.processor(owner), arr.array_id)
         copies.append((record, record.section.full(), section, owner))
     two_stage = len(plan.transfers(depth, stage=1)) > 0
-    # A --src checkout from before PR 23 has _claim_stage(index, sides).
-    from repro.perf.commplan import HaloExchange
-    every_side = (None,) * (HaloExchange._claim_stage.__code__.co_argcount - 2)
-    strips, cell_bytes = phase_wire(SHAPE, grid, depth)
+    strips, cell_bytes = halo_phase(
+        arr.layout.local_dims, grid, depth, header=0
+    )
 
     def phase(i: int) -> tuple:
         t0 = clock()
@@ -95,11 +94,11 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
         if two_stage:
             for ex in exchanges:
                 ex._secure_pending()
-                ex._claim_stage(0, *every_side)
+                ex._claim_stage(0)
                 ex._post_stage(1)
             for ex in exchanges:
                 ex._secure_pending()
-                ex._claim_stage(1, *every_side)
+                ex._claim_stage(1)
         else:
             for ex in exchanges:
                 ex.complete()
@@ -129,7 +128,9 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--src", default=str(Path(__file__).resolve().parent.parent / "src")
+        "--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+        help="src directory of the tree to measure; it needs the halo model "
+        "(repro.spmd.costs.halo_phase), which older trees lack",
     )
     parser.add_argument("--depth", type=int, default=1)
     parser.add_argument("--phases", type=int, default=2000)

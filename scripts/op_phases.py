@@ -33,9 +33,10 @@ with the smallest whole-op median), in microseconds — the host's speed
 wanders, and the quietest round is the one least disturbed — and, for a
 phase of element requests, that median per request.  Then the routed
 messages and bytes an op.  For ``climate_halo`` they must be the figure
-:func:`op_wire` derives from (grid, border depth, sweeps) alone — the
-pinned-wire test (``tests/perf/test_replica_fusion.py``) spells the same
-number its own way — and the script exits non-zero when they are not.
+:func:`op_wire` derives from (grid, border depth, sweeps) with the halo
+model of the measured tree (``repro.spmd.costs.halo_phase``), and the
+script exits non-zero when they are not; a tree older than that model
+cannot run this workload.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 clock = time.perf_counter_ns
 
-STRIP_HEADER = 64  # bytes a ``halo_bulk`` message carries beside its cells
 # What the task level routes in one climate op on 8 processors, 4 a
 # domain: the atmosphere's interface row read from processor 7 (the
 # ocean's is on processor 0, where the top-level thread's requests run;
@@ -60,27 +60,18 @@ STRIP_HEADER = 64  # bytes a ``halo_bulk`` message carries beside its cells
 TASK_MSGS = 8
 
 
-def phase_wire(shape: tuple, grid: tuple, k: int) -> tuple:
-    """(strips, cell bytes) of one depth-``k`` phase of a ``shape`` array
-    on ``grid``: stage 0 swaps ``k`` rows of interior columns across every
-    cut between section rows, both ways; stage 1 swaps ``k`` columns of
-    the full row range (the ``k`` halo rows on either side included)
-    across every cut between section columns."""
-    (gr, gc), (h, w) = grid, (shape[0] // grid[0], shape[1] // grid[1])
-    row_strips, col_strips = 2 * (gr - 1) * gc, 2 * gr * (gc - 1)
-    cells = k * (row_strips * w + col_strips * (h + 2 * k))
-    return row_strips + col_strips, 8 * cells
+def op_wire(local_dims: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
+    """(messages, bytes) one coupled step of two domains of ``local_dims``
+    sections on ``grid`` routes: a call is ``ceil(sweeps / depth)`` phases,
+    the last as shallow as the sweeps left; the task level adds TASK_MSGS
+    one-word requests."""
+    from repro.spmd.costs import halo_phase
 
-
-def op_wire(shape: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
-    """(messages, bytes) one coupled step of two ``shape`` domains routes:
-    a call is ``ceil(sweeps / depth)`` phases, the last as shallow as the
-    sweeps left; the task level adds TASK_MSGS one-word requests."""
     msgs, nbytes = TASK_MSGS, 8 * TASK_MSGS
     while sweeps > 0:
-        strips, cell_bytes = phase_wire(shape, grid, min(depth, sweeps))
+        strips, strip_bytes = halo_phase(local_dims, grid, min(depth, sweeps))
         msgs += 2 * strips
-        nbytes += 2 * (cell_bytes + STRIP_HEADER * strips)
+        nbytes += 2 * strip_bytes
         sweeps -= depth
     return msgs, nbytes
 
@@ -119,7 +110,7 @@ def climate_halo(rt, seed: int) -> tuple:
     from benchmarks.macro.workloads import ClimateHalo
 
     w = ClimateHalo(rt, np.random.default_rng(seed))
-    ocean = w.sim.ocean
+    layout = w.sim.ocean.array.layout
 
     def op(i: int) -> tuple:
         t0 = clock()
@@ -131,10 +122,7 @@ def climate_halo(rt, seed: int) -> tuple:
         exchange = result.exchange_wall_times[0] * 1e9
         return step, exchange, whole - result.wall_time * 1e9, whole
 
-    wire = op_wire(
-        w.shape, (ocean.grid_rows, ocean.grid_cols),
-        ocean.array.layout.borders[0], w.sweeps,
-    )
+    wire = op_wire(layout.local_dims, layout.grid, layout.borders[0], w.sweeps)
     names = ("component step", "interface exchange", "to_numpy x2")
     return names, {}, op, wire
 
@@ -207,7 +195,11 @@ WORKLOADS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, default="ex61_calls")
-    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument(
+        "--src", default=str(ROOT / "src"),
+        help="src directory of the tree to measure; climate_halo needs its "
+        "halo model (repro.spmd.costs.halo_phase), which older trees lack",
+    )
     parser.add_argument("--ops", type=int, default=1500)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)

@@ -69,9 +69,6 @@ class AnimationResult:
     frames: list
     farm_result: FarmResult
 
-    def checksums(self) -> list[float]:
-        return [float(f.sum()) for f in self.frames]
-
 
 def render_frame_on(
     rt: IntegratedRuntime,

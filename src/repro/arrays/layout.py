@@ -173,17 +173,6 @@ class ArrayLayout:
 
     # -- global <-> (section, local) -------------------------------------------
 
-    def validate_global(self, indices: Sequence[int]) -> None:
-        if len(indices) != self.rank:
-            raise ValueError(
-                f"index rank {len(indices)} != array rank {self.rank}"
-            )
-        for i, (idx, dim) in enumerate(zip(indices, self.dims)):
-            if not 0 <= idx < dim:
-                raise IndexError(
-                    f"index {idx} out of range [0, {dim}) in dimension {i}"
-                )
-
     def owner_coords(self, indices: Sequence[int]) -> tuple[int, ...]:
         """Processor-grid coordinates of the section holding ``indices``."""
         local = self.local_dims
@@ -379,11 +368,6 @@ class ArrayLayout:
             li + self.borders[2 * i] for i, li in enumerate(local)
         )
         return flatten_index(shifted, self.local_dims_plus, self.indexing)
-
-    def storage_offset_global(self, indices: Sequence[int]) -> tuple[int, int]:
-        """Global indices -> (section number, flat storage offset)."""
-        section, local = self.locate(indices)
-        return section, self.storage_offset(local)
 
     def replace_borders(self, borders: Sequence[int]) -> "ArrayLayout":
         """A copy of this layout with different border sizes (verify_array)."""

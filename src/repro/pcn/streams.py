@@ -143,10 +143,6 @@ class StreamWriter:
         self._tail.cell.define(tail.cell)
         self._closed = True
 
-    @property
-    def is_closed(self) -> bool:
-        return self._closed
-
 
 def stream_pair() -> tuple[Stream, StreamWriter]:
     """Create a stream and its producer handle."""

@@ -59,6 +59,8 @@ from repro.status import ProcessorFailedError, SingleAssignmentError
 from repro.vp.message import Message
 
 HALO_BULK_KIND = "halo_bulk"
+# Bytes a ``halo_bulk`` message carries beside its cells.
+STRIP_HEADER = 64
 
 # Receiver-relative side names — the side of the *destination* section a
 # strip lands on.  Rank 2 uses compass names (axis 0 = rows, axis 1 =
@@ -152,8 +154,8 @@ class HaloStrip:
             (array_id.as_tuple(), src_section, dest_section, side, stage),
             token,
         )
-        # The simulated wire size ``Message.nbytes`` reads: data + header.
-        self.nbytes = int(getattr(data, "nbytes", 8)) + 64
+        # The simulated wire size ``Message.nbytes`` reads.
+        self.nbytes = int(getattr(data, "nbytes", 8)) + STRIP_HEADER
 
     def key(self) -> tuple:
         return self._key

@@ -2,11 +2,13 @@
 
 The thesis evaluates its prototype qualitatively; this module gives the
 reproduction a quantitative footing that is independent of the GIL: for
-every collective algorithm, the stencil halo exchange, and the distributed
-FFT, closed-form **message counts** and **critical-path rounds** (the two
-terms of a LogP-style latency model).  Tests validate each formula against
-the machine's exact routed-message counters, so the model is load-bearing,
-not decorative; the ABL benchmarks use it to explain their measurements.
+every collective algorithm and the distributed FFT, closed-form **message
+counts** and **critical-path rounds** (the two terms of a LogP-style
+latency model), and for a halo exchange its messages and bytes.  Tests
+validate each formula against the machine's exact routed-message
+counters, so the model is load-bearing, not decorative; the ABL
+benchmarks, the pinned-wire tests and the phase scripts measure the
+runtime against it.
 
 Conventions: ``p`` ranks in the group, messages counted machine-wide (one
 per point-to-point send), rounds = length of the longest chain of
@@ -17,6 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from repro.perf.commplan import STRIP_HEADER
 
 
 def _ceil_log2(p: int) -> int:
@@ -118,22 +123,49 @@ def scan_cost(p: int) -> Cost:
 # -- application kernels --------------------------------------------------------
 
 
-def halo_exchange_cost(grid_rows: int, grid_cols: int) -> Cost:
-    """One 1-deep halo exchange on a gr x gc grid: every internal edge
-    carries one message in each direction; all exchanges proceed
-    concurrently (1 round)."""
-    internal_edges = (grid_rows - 1) * grid_cols + (grid_cols - 1) * grid_rows
-    return Cost(2 * internal_edges, 1 if internal_edges else 0)
+def halo_phase(
+    local_dims: tuple,
+    grid: tuple,
+    k: int = 1,
+    sides: Optional[Iterable[str]] = None,
+    header: int = STRIP_HEADER,
+) -> tuple[int, int]:
+    """``(messages, bytes)`` of one depth-``k`` halo exchange between
+    ``local_dims`` blocks of doubles on a rank-1 or rank-2 ``grid``, from
+    the distribution alone.
 
-
-def halo_exchange_bytes(n_rows: int, n_cols: int, grid_rows: int,
-                        grid_cols: int, itemsize: int = 8) -> int:
-    """Total bytes moved by one halo exchange of an (n_rows x n_cols)
-    array on a (grid_rows x grid_cols) grid — the ABL-1 model."""
-    rows, cols = n_rows // grid_rows, n_cols // grid_cols
-    horizontal_cells = (grid_rows - 1) * grid_cols * cols
-    vertical_cells = (grid_cols - 1) * grid_rows * rows
-    return (horizontal_cells + vertical_cells) * 2 * itemsize
+    Every cut between neighbouring sections carries one strip each way,
+    ``k`` cells deep.  A rank-2 exchange runs in two stages: strips across
+    row cuts span the ``w`` interior columns; strips across column cuts
+    span ``h + 2k`` rows, the halo rows the first stage filled included —
+    corner data reaches a diagonal neighbour relayed, never in a message
+    of its own.  ``sides`` (default: all) keeps the strips that land on
+    those receiver-relative sides (``north`` / ``south`` / ``west`` /
+    ``east``; rank 1 has ``west`` / ``east``) in the last stage only: an
+    earlier stage's strips are what the last one relays.  A message costs
+    its cells plus ``header``: a planned ``halo_bulk`` strip carries
+    :data:`~repro.perf.commplan.STRIP_HEADER`, the per-sweep reference's
+    bare arrays nothing (``header=0``).
+    """
+    if len(grid) == 1:
+        names, cells = (("west", "east"),), (k,)
+    else:
+        h, w = local_dims
+        names = (("north", "south"), ("west", "east"))
+        cells = (k * w, k * (h + 2 * k))
+    cuts = [(g - 1) * math.prod(grid) // g for g in grid]
+    # The last stage is the last axis with a cut: a (gr, 1) grid has no
+    # column stage, so its row strips are the ones ``sides`` filters.
+    last = max((axis for axis, n in enumerate(cuts) if n), default=0)
+    messages = nbytes = 0
+    for axis, n in enumerate(cuts):
+        strips = n * sum(
+            axis != last or sides is None or side in sides
+            for side in names[axis]
+        )
+        messages += strips
+        nbytes += strips * (8 * cells[axis] + header)
+    return messages, nbytes
 
 
 def fft_exchange_cost(n: int, p: int) -> Cost:

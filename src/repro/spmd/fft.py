@@ -144,16 +144,7 @@ def dit_serial(x: np.ndarray, eps: np.ndarray, inverse: bool) -> None:
     """In-place DIT: bit-reversed input -> natural output."""
     n = x.size
     _log2(n)
-    span = 1
-    while span < n:
-        exps = (np.arange(span) * (n // (2 * span))) % n
-        w = eps[exps] if inverse else np.conj(eps[exps])
-        y = x.reshape(-1, 2 * span)
-        u = y[:, :span].copy()
-        t = w * y[:, span:]
-        y[:, :span] = u + t
-        y[:, span:] = u - t
-        span *= 2
+    _local_stages_dit(x, eps, n, n, inverse)
     if not inverse:
         x /= n
 
@@ -162,23 +153,44 @@ def dif_serial(x: np.ndarray, eps: np.ndarray, inverse: bool) -> None:
     """In-place DIF: natural input -> bit-reversed output."""
     n = x.size
     _log2(n)
-    span = n // 2
-    while span >= 1:
-        exps = (np.arange(span) * (n // (2 * span))) % n
-        w = eps[exps] if inverse else np.conj(eps[exps])
-        y = x.reshape(-1, 2 * span)
-        u = y[:, :span].copy()
-        v = y[:, span:]
-        y[:, :span] = u + v
-        y[:, span:] = (u - v) * w
-        span //= 2
+    _local_stages_dif(x, eps, n, n // 2, inverse)
     if not inverse:
         x /= n
 
 
 # ---------------------------------------------------------------------------
-# distributed stages
+# stages
 # ---------------------------------------------------------------------------
+
+
+def _twiddles(
+    eps: np.ndarray, j: np.ndarray, n: int, span: int, inverse: bool
+) -> np.ndarray:
+    """The twiddle factor of butterfly offset ``j`` at ``span``: ω^(j N/2span),
+    conjugated for the FORWARD transform."""
+    exps = (j * (n // (2 * span))) % n
+    return eps[exps] if inverse else np.conj(eps[exps])
+
+
+def _exchange(
+    ctx: SPMDContext,
+    x: np.ndarray,
+    eps: np.ndarray,
+    n: int,
+    span: int,
+    inverse: bool,
+) -> tuple:
+    """Swap blocks with the partner ``index XOR span/m`` of a binary-exchange
+    stage with butterfly span >= m.  Returns ``(other, am_low, w)``: the
+    partner's block, whether this copy holds the butterflies' low halves,
+    and the twiddles of the pair's butterflies."""
+    m = x.size
+    partner = ctx.index ^ (span // m)
+    am_low = (ctx.index & (span // m)) == 0
+    other = ctx.comm.sendrecv(partner, x.copy(), tag=("fft", span))
+    base_low = (ctx.index if am_low else partner) * m
+    j = (base_low + np.arange(m)) % span
+    return other, am_low, _twiddles(eps, j, n, span, inverse)
 
 
 def _exchange_stage_dit(
@@ -190,14 +202,7 @@ def _exchange_stage_dit(
     inverse: bool,
 ) -> None:
     """One binary-exchange DIT stage with butterfly span >= m."""
-    m = x.size
-    partner = ctx.index ^ (span // m)
-    am_low = (ctx.index & (span // m)) == 0
-    other = ctx.comm.sendrecv(partner, x.copy(), tag=("fft", span))
-    base_low = (ctx.index if am_low else partner) * m
-    j = (base_low + np.arange(m)) % span
-    exps = (j * (n // (2 * span))) % n
-    w = eps[exps] if inverse else np.conj(eps[exps])
+    other, am_low, w = _exchange(ctx, x, eps, n, span, inverse)
     if am_low:
         x += w * other  # u + t
     else:
@@ -213,14 +218,7 @@ def _exchange_stage_dif(
     inverse: bool,
 ) -> None:
     """One binary-exchange DIF stage with butterfly span >= m."""
-    m = x.size
-    partner = ctx.index ^ (span // m)
-    am_low = (ctx.index & (span // m)) == 0
-    other = ctx.comm.sendrecv(partner, x.copy(), tag=("fft", span))
-    base_low = (ctx.index if am_low else partner) * m
-    j = (base_low + np.arange(m)) % span
-    exps = (j * (n // (2 * span))) % n
-    w = eps[exps] if inverse else np.conj(eps[exps])
+    other, am_low, w = _exchange(ctx, x, eps, n, span, inverse)
     if am_low:
         x += other  # u + v
     else:
@@ -233,8 +231,7 @@ def _local_stages_dit(
     """All DIT stages with span < max_span, fully local and vectorised."""
     span = 1
     while span < max_span:
-        exps = (np.arange(span) * (n // (2 * span))) % n
-        w = eps[exps] if inverse else np.conj(eps[exps])
+        w = _twiddles(eps, np.arange(span), n, span, inverse)
         y = x.reshape(-1, 2 * span)
         u = y[:, :span].copy()
         t = w * y[:, span:]
@@ -244,20 +241,14 @@ def _local_stages_dit(
 
 
 def _local_stages_dif(
-    x: np.ndarray,
-    eps: np.ndarray,
-    n: int,
-    base: int,
-    start_span: int,
-    inverse: bool,
+    x: np.ndarray, eps: np.ndarray, n: int, start_span: int, inverse: bool
 ) -> None:
-    """All DIF stages with span <= start_span (local).  ``base`` is the
-    copy's global offset, needed because j = i % span is span-periodic and
-    base is a multiple of every local span."""
+    """All DIF stages with span <= start_span, fully local and vectorised
+    (a block's global offset is a multiple of every local span, so the
+    twiddles are the same on every copy)."""
     span = start_span
     while span >= 1:
-        exps = (np.arange(span) * (n // (2 * span))) % n
-        w = eps[exps] if inverse else np.conj(eps[exps])
+        w = _twiddles(eps, np.arange(span), n, span, inverse)
         y = x.reshape(-1, 2 * span)
         u = y[:, :span].copy()
         v = y[:, span:]
@@ -316,8 +307,7 @@ def fft_natural(ctx: SPMDContext, procs, p, index, n, flag, epsilon, bb) -> None
     while span >= m:
         _exchange_stage_dif(ctx, x, eps, nn, span, inverse)
         span //= 2
-    base = ctx.index * m
-    _local_stages_dif(x, eps, nn, base, span, inverse)
+    _local_stages_dif(x, eps, nn, span, inverse)
     if not inverse:
         x /= nn
 

@@ -9,7 +9,8 @@ exchanging edge data into the neighbours' border cells.
 These kernels power the FIG-2.1 climate experiment (ocean/atmosphere
 subdomains are each a bordered distributed array relaxed by these programs)
 and the ABL-1 decomposition-shape ablation (halo traffic of ``(block,
-block)`` vs ``(block, "*")`` grids).
+block)`` vs ``(block, "*")`` grids, measured against
+:func:`repro.spmd.costs.halo_phase`).
 
 Distribution contract: the array is 2-D, distributed over a ``gr x gc``
 processor grid with row-major grid indexing (copy ``index`` sits at grid
@@ -99,7 +100,7 @@ def exchange_halos(
     full: np.ndarray,
     grid_rows: int,
     grid_cols: int,
-) -> int:
+) -> None:
     """Swap 1-deep edge strips with the four grid neighbours: the
     per-sweep reference the planned path is compared against.
 
@@ -107,8 +108,8 @@ def exchange_halos(
     :class:`~repro.perf.commplan.HaloGeometry`'s answer for the frame's
     layout at depth 1, stage by stage (row strips, then the column
     strips that span them); what is this function's own is the check of
-    the grid against the call and ``ctx.comm`` as the transport.
-    Returns the number of messages sent (the ABL-1 traffic metric).
+    the grid against the call and ``ctx.comm`` as the transport.  What
+    it routes is :func:`repro.spmd.costs.halo_phase` at ``header=0``.
     Communication is deadlock-free because sends never block: in each
     stage every copy posts its sends, then receives selectively by tag
     and source.
@@ -122,7 +123,6 @@ def exchange_halos(
             f"{getattr(full, 'shape', None)}); the grid arguments must "
             "match the array layout's owner count"
         )
-    sent = 0
     for sends, receives in _frame_stages(
         grid_rows, grid_cols, full.shape[0] - 2, full.shape[1] - 2, ctx.index
     ):
@@ -132,12 +132,10 @@ def exchange_halos(
                 t.edge.dest_section, full[t.src_slices].copy(),
                 tag=("halo", t.edge.side),
             )
-            sent += 1
         for t in receives:
             full[t.dest_slices] = ctx.comm.recv(
                 source_rank=t.edge.src_section, tag=("halo", t.edge.side)
             )
-    return sent
 
 
 def jacobi_sweep(full: np.ndarray) -> np.ndarray:
@@ -410,33 +408,3 @@ def heat_steps(
             delta_out.set(delta)
         else:
             delta_out[0] = delta
-
-
-def halo_traffic_for(
-    ctx: SPMDContext,
-    grid_rows,
-    grid_cols,
-    section: Union[LocalSection, np.ndarray],
-    bytes_out: Union[OutCell, np.ndarray],
-) -> None:
-    """Measure one halo exchange's outbound bytes for this decomposition
-    (the ABL-1 metric): perimeter strips x 8 bytes."""
-    gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
-    gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
-    full = frame_view(section)
-    r, c = grid_coords(ctx.index, gc)
-    rows, cols = full.shape[0] - 2, full.shape[1] - 2
-    nbytes = 0
-    if r > 0:
-        nbytes += cols * 8
-    if r + 1 < gr:
-        nbytes += cols * 8
-    if c > 0:
-        nbytes += rows * 8
-    if c + 1 < gc:
-        nbytes += rows * 8
-    total = collectives.allreduce(ctx.comm, nbytes, op="sum")
-    if isinstance(bytes_out, OutCell):
-        bytes_out.set(total)
-    else:
-        bytes_out[0] = total

@@ -124,7 +124,6 @@ class ServerRegistry:
         *parameters: Any,
         processor: Optional[int] = None,
         synchronous: bool = True,
-        timeout: Optional[float] = None,
         source: Optional[int] = None,
         kind: str = "server_request",
     ) -> Optional[Any]:
@@ -150,10 +149,9 @@ class ServerRegistry:
         interceptor stack.  Origin-less (top-level) and same-node requests
         execute locally with no message.
 
-        ``timeout`` bounds how long a synchronous request may take; None
-        inherits the machine's ``default_recv_timeout`` behaviour.
-        Requests addressed to a dead processor raise
-        :class:`~repro.status.ProcessorFailedError` immediately.
+        A remote request waits for its answer as long as the machine's
+        ``default_recv_timeout``.  Requests addressed to a dead processor
+        raise :class:`~repro.status.ProcessorFailedError` immediately.
 
         ``kind`` names the fabric envelope kind of the routed hop (default
         ``"server_request"``); recovery traffic uses ``"recovery"`` so
@@ -170,18 +168,10 @@ class ServerRegistry:
         origin = source if source is not None else fabric.current_processor()
         if origin is not None and origin != number:
             return self._request_remote(
-                request_type, parameters, origin, number, synchronous,
-                timeout, kind,
+                request_type, parameters, origin, number, synchronous, kind,
             )
         node = machine.processor(number)
         if synchronous:
-            if timeout is not None:
-                proc = node.spawn(
-                    handler, node, *parameters,
-                    name=f"server-{request_type}",
-                )
-                proc.join(timeout=timeout)
-                return None
             with fabric.execution_context(processor=number):
                 handler(node, *parameters)
             return None
@@ -196,7 +186,6 @@ class ServerRegistry:
         origin: int,
         number: int,
         synchronous: bool,
-        timeout: Optional[float],
         kind: str = "server_request",
     ) -> Optional[Any]:
         """Ship the request as one routed message from origin to target.
@@ -215,9 +204,7 @@ class ServerRegistry:
             answer.name = (
                 f"server-{request_type}-{'done' if synchronous else 'proc'}"
             )
-        outcome = answer.read(
-            timeout=machine.default_recv_timeout if timeout is None else timeout
-        )
+        outcome = answer.read(timeout=machine.default_recv_timeout)
         if synchronous and outcome is not None:
             raise outcome
         return outcome

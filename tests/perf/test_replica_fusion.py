@@ -18,6 +18,7 @@ from repro.faults import FaultPlan, FaultyTransport
 from repro.faults.plan import FaultDecision
 from repro.calls.params import Local, Reduce
 from repro.perf import ARRAY_BATCH_KIND, HALO_BULK_KIND, get_perf_layer
+from repro.spmd import costs
 from repro.spmd.stencil import heat_steps
 from repro.status import Status
 from repro.vp.fabric import TrafficMeter
@@ -226,6 +227,14 @@ def _climate_wire(sweeps):
     )
 
 
+def _modelled_halo(sim, k):
+    """``halo_bulk`` (messages, bytes) of one depth-``k`` phase in each of
+    the two domains, by :func:`repro.spmd.costs.halo_phase`."""
+    layout = sim.ocean.array.layout
+    messages, nbytes = costs.halo_phase(layout.local_dims, layout.grid, k)
+    return 2 * messages, 2 * nbytes
+
+
 def test_climate_wire_is_pinned():
     """The ``climate_halo`` op — two sweeps a step, so borders 2 deep —
     in routed messages, each derived:
@@ -233,7 +242,8 @@ def test_climate_wire_is_pinned():
     * halo: a ``(4, 1)`` grid has 3 adjacent pairs = 6 directed edges and
       no second stage; borders as deep as the step make the step one
       phase.  2 domains x 1 phase x 6 edges = 12 ``halo_bulk``, each two
-      rows of 64 doubles (1024 B) + the 64 B strip header: 13056 B.
+      rows of 64 doubles (1024 B) + the 64 B strip header: 13056 B, the
+      model's figure (``costs.halo_phase``) for one phase of each domain.
     * the step asks for no convergence measure, so no copy computes or
       reduces one: no ``user`` message.
     * task level, from the unplaced top-level thread (its requests run
@@ -256,6 +266,7 @@ def test_climate_wire_is_pinned():
         HALO_BULK_KIND: (12, 12 * (2 * 512 + 64)),
         "server_request": (8, 64),
     }
+    assert by_kind[HALO_BULK_KIND] == _modelled_halo(sim, 2)
     assert counted == {
         "compiled": 0, "strips_sent": 12, "strips_claimed": 12,
         "pending_rendezvous": 0,
@@ -290,6 +301,7 @@ def test_climate_wire_at_one_sweep_a_step_is_pinned():
         HALO_BULK_KIND: (12, 12 * (512 + 64)),
         "server_request": (8, 64),
     }
+    assert by_kind[HALO_BULK_KIND] == _modelled_halo(sim, 1)
     assert counted == {
         "compiled": 0, "strips_sent": 12, "strips_claimed": 12,
         "pending_rendezvous": 0,

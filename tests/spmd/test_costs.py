@@ -3,14 +3,33 @@ counters — every formula must match what the machine actually moves."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.arrays import am_user, am_util
+from repro.arrays.manager import get_array_manager
+from repro.calls import Index, Local, distributed_call
+from repro.core.darray import DistributedArray
 from repro.pcn.composition import par
+from repro.perf import HALO_BULK_KIND, get_perf_layer
 from repro.spmd import collectives, costs
 from repro.spmd.comm import GroupComm
 from repro.spmd.context import SPMDContext
-from repro.spmd.fft import distributed_transpose
+from repro.spmd.fft import (
+    INVERSE,
+    compute_roots,
+    distributed_transpose,
+    fft2,
+    fft_reverse,
+)
+from repro.spmd.stencil import exchange_halos
+from repro.status import Status
+from repro.vp.fabric import TrafficMeter
 from repro.vp.machine import Machine
 
 SIZES = [1, 2, 3, 4, 7, 8]
@@ -101,8 +120,6 @@ class TestCollectiveFormulas:
 class TestKernelFormulas:
     @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (4, 1), (1, 4), (4, 2)])
     def test_halo_exchange(self, grid):
-        from repro.spmd.stencil import exchange_halos
-
         gr, gc = grid
         p = gr * gc
         machine = Machine(p)
@@ -116,27 +133,13 @@ class TestKernelFormulas:
             exchange_halos(ctx, full, gr, gc)
 
         par(*[lambda c=c: body(c) for c in contexts])
-        assert (
-            machine.traffic_snapshot()["messages"]
-            == costs.halo_exchange_cost(gr, gc).messages
+        snapshot = machine.traffic_snapshot()
+        assert (snapshot["messages"], snapshot["bytes"]) == costs.halo_phase(
+            (2, 2), grid, header=0
         )
-
-    @pytest.mark.parametrize("grid", [(2, 2), (4, 4), (16, 1)])
-    def test_halo_bytes_formula(self, grid):
-        n = 64
-        gr, gc = grid
-        model = costs.halo_exchange_bytes(n, n, gr, gc)
-        # internal perimeter argument: each cut crosses full strips
-        rows, cols = n // gr, n // gc
-        expected = ((gr - 1) * gc * cols + (gc - 1) * gr * rows) * 16
-        assert model == expected
 
     @pytest.mark.parametrize("p,n", [(1, 8), (2, 16), (4, 16), (8, 32)])
     def test_fft_exchange(self, p, n):
-        from repro.calls import Index, Local, distributed_call
-        from repro.arrays import am_user, am_util
-        from repro.spmd.fft import INVERSE, compute_roots, fft_reverse
-
         machine = Machine(p)
         am_util.load_all(machine)
         procs = am_util.node_array(0, 1, p)
@@ -161,6 +164,24 @@ class TestKernelFormulas:
             == costs.fft_exchange_cost(n, p).messages
         )
 
+    @pytest.mark.parametrize("p,n", [(2, 8), (4, 8), (4, 16), (8, 16)])
+    def test_fft2(self, p, n):
+        machine = Machine(p)
+        am_util.load_all(machine)
+        procs = am_util.node_array(0, 1, p)
+        aid, _ = am_user.create_array(
+            machine, "double", (n, 2 * n), procs, [("block", p), "*"]
+        )
+        machine.reset_traffic()
+        result = distributed_call(
+            machine, procs, fft2, [n, INVERSE, Local(aid)]
+        )
+        assert result.status is Status.OK
+        assert (
+            machine.traffic_snapshot()["messages"]
+            == costs.fft2_cost(n, p).messages
+        )
+
     @pytest.mark.parametrize("p", [2, 4])
     def test_transpose(self, p):
         n = 4 * p
@@ -179,6 +200,90 @@ class TestKernelFormulas:
             machine.traffic_snapshot()["messages"]
             == costs.transpose_cost(p).messages
         )
+
+
+SIDES = {1: ("west", "east"), 2: ("north", "south", "west", "east")}
+_phases = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def machine16():
+    machine = Machine(16, default_recv_timeout=10)
+    am_util.load_all(machine)
+    return machine
+
+
+def _routed(machine, thunks) -> dict:
+    """Traffic by kind while ``thunks`` run as concurrent processes."""
+    meter = TrafficMeter().install(machine)
+    try:
+        par(*thunks)
+    finally:
+        meter.uninstall()
+    return meter.snapshot()["by_kind"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid=st.one_of(
+        st.tuples(st.integers(1, 8)),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    ),
+    extents=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    pad=st.integers(1, 3),
+    data=st.data(),
+)
+def test_property_one_phase_routes_the_model(
+    machine16, grid, extents, pad, data
+):
+    """One planned phase of any rank-1 or rank-2 block layout, at any depth
+    its plan allows and on any sides, routes exactly the model's
+    ``halo_bulk`` messages and bytes; one per-sweep ``exchange_halos`` of
+    the same rank-2 blocks routes exactly its header-free ones."""
+    machine = machine16
+    rank = len(grid)
+    local = extents[:rank]
+    procs = list(range(math.prod(grid)))
+    arr = DistributedArray.create(
+        machine, "double", tuple(n * g for n, g in zip(local, grid)), procs,
+        [("block", g) for g in grid], borders=[pad] * (2 * rank),
+    )
+    try:
+        plan = arr.halo_plan()
+        k = data.draw(st.integers(1, plan.depth), label="k")
+        sides = data.draw(
+            st.none() | st.frozensets(st.sampled_from(SIDES[rank])),
+            label="sides",
+        )
+        manager = get_array_manager(machine)
+        registry = get_perf_layer(machine).plans
+        token = ("model", next(_phases))
+        exchanges = []
+        for section, owner in enumerate(
+            manager.durability_state(arr.array_id).processors
+        ):
+            record = manager._lookup(machine.processor(owner), arr.array_id)
+            exchanges.append(plan.begin(
+                registry, record, record.section.full(), section, k, token,
+                owner, sides,
+            ))
+        messages, nbytes = costs.halo_phase(local, grid, k, sides)
+        routed = _routed(machine, [ex.complete for ex in exchanges])
+        assert routed == ({HALO_BULK_KIND: (messages, nbytes)}
+                          if messages else {})
+    finally:
+        arr.free()
+    if rank == 2:
+        group = ("model", next(_phases))
+        frames = [np.zeros((local[0] + 2, local[1] + 2)) for _ in procs]
+        routed = _routed(machine, [
+            lambda r=r: exchange_halos(
+                SPMDContext(machine, procs, r, group), frames[r], *grid
+            )
+            for r in procs
+        ])
+        messages, nbytes = costs.halo_phase(local, grid, header=0)
+        assert routed == ({"user": (messages, nbytes)} if messages else {})
 
 
 class TestLatencyModel:
