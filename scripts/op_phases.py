@@ -31,8 +31,12 @@ checkout (the parent commit, say), so the same file measures both sides.
 Printed per phase: the median over all ops of the quietest round (the one
 with the smallest whole-op median), in microseconds — the host's speed
 wanders, and the quietest round is the one least disturbed — and, for a
-phase of element requests, that median per request.  Then the routed
-messages and bytes an op.  For ``climate_halo`` they must be the figure
+phase of element requests, that median per request beside the Python
+frames of the measured package one request of the phase enters.  The
+frames are counted once, on one warm-up op, outside the clock, with
+``sys.setprofile`` as ``tests/perf/test_request_path.py`` counts them;
+they do not wander with the host.  Then the routed messages and bytes an
+op.  For ``climate_halo`` they must be the figure
 :func:`op_wire` derives from (grid, border depth, sweeps) with the halo
 model of the measured tree (``repro.spmd.costs.halo_phase``), and the
 script exits non-zero when they are not; a tree older than that model
@@ -58,6 +62,27 @@ clock = time.perf_counter_ns
 # both rows are written in place), and 3 + 4 owners asked by the two
 # ``to_numpy``.
 TASK_MSGS = 8
+
+
+def entered(fn, *args) -> tuple:
+    """(frames of the measured package that ``fn(*args)`` enters, what it
+    returned)."""
+    import repro
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count, result
 
 
 def op_wire(local_dims: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
@@ -102,7 +127,7 @@ def ex61_calls(rt, seed: int) -> tuple:
         assert float(result.reductions[0]) == expected
         return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
-    return ("create x2", "call", "free x2"), {}, op, None
+    return ("create x2", "call", "free x2"), {}, op, None, None
 
 
 def climate_halo(rt, seed: int) -> tuple:
@@ -124,7 +149,7 @@ def climate_halo(rt, seed: int) -> tuple:
 
     wire = op_wire(layout.local_dims, layout.grid, layout.borders[0], w.sweeps)
     names = ("component step", "interface exchange", "to_numpy x2")
-    return names, {}, op, wire
+    return names, {}, op, wire, None
 
 
 def array_writes(rt, seed: int) -> tuple:
@@ -134,27 +159,44 @@ def array_writes(rt, seed: int) -> tuple:
     w = ArrayWrites(rt, np.random.default_rng(seed))
     arr = w.arr
 
-    def op(i: int) -> tuple:
-        writes, (r0, c0), block, readbacks = w.inputs[i % POOL]
-        t0 = clock()
-        for row, col, value in writes:
+    def element_writes(i: int) -> None:
+        for row, col, value in w.inputs[i % POOL][0]:
             arr[row, col] = value
+
+    def region(i: int) -> None:
+        _writes, (r0, c0), block, _readbacks = w.inputs[i % POOL]
+        arr.write_region([(r0, r0 + 16), (c0, c0 + 16)], block)
+
+    def read_backs(i: int) -> list:
+        return [arr[row, col] for row, col in w.inputs[i % POOL][3]]
+
+    def op(i: int) -> tuple:
+        t0 = clock()
+        element_writes(i)
         t1 = clock()
         arr.flush()
         t2 = clock()
-        arr.write_region([(r0, r0 + 16), (c0, c0 + 16)], block)
+        region(i)
         t3 = clock()
-        values = [arr[row, col] for row, col in readbacks]
+        values = read_backs(i)
         t4 = clock()
         assert w.ok(i, values)
         return t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t0
+
+    def frames(i: int) -> dict:
+        writes, _ = entered(element_writes, i)
+        arr.flush()
+        region(i)
+        backs, values = entered(read_backs, i)
+        assert w.ok(i, values)
+        return {"element writes": writes, "read-backs": backs}
 
     requests = {
         "element writes": sum(w.per_section),
         "read-backs": len(w.readback_sections),
     }
     names = ("element writes", "flush", "region", "read-backs")
-    return names, requests, op, None
+    return names, requests, op, None, frames
 
 
 def array_reads(rt, seed: int) -> tuple:
@@ -164,24 +206,37 @@ def array_reads(rt, seed: int) -> tuple:
     w = ArrayReads(rt, np.random.default_rng(seed))
     arr = w.arr
 
-    def op(i: int) -> tuple:
-        cells, values, (r0, c0) = w.inputs[i % POOL]
-        t0 = clock()
+    def element_reads(i: int) -> list:
+        cells, values, _corner = w.inputs[i % POOL]
         got = []
         for k, cell in enumerate(cells):
             got.append(arr[cell])
             if k % 16 == 15:
                 arr[cell] = values[k // 16]
                 got.append(arr[cell])
+        return got
+
+    def region(i: int) -> object:
+        r0, c0 = w.inputs[i % POOL][2]
+        return arr.read_region([(r0, r0 + 32), (c0, c0 + 32)])
+
+    def op(i: int) -> tuple:
+        t0 = clock()
+        got = element_reads(i)
         t1 = clock()
-        region = arr.read_region([(r0, r0 + 32), (c0, c0 + 32)])
+        data = region(i)
         t2 = clock()
-        assert w.ok(i, (got, region))
+        assert w.ok(i, (got, data))
         return t1 - t0, t2 - t1, t2 - t0
+
+    def frames(i: int) -> dict:
+        count, got = entered(element_reads, i)
+        assert w.ok(i, (got, region(i)))
+        return {"element reads": count}
 
     # Every 16th read is followed by a write and a read-back of its cell.
     requests = {"element reads": w.reads + 2 * (w.reads // 16)}
-    return ("element reads", "region"), requests, op, None
+    return ("element reads", "region"), requests, op, None, frames
 
 
 WORKLOADS = {
@@ -212,11 +267,14 @@ def main() -> None:
     from repro.core.runtime import IntegratedRuntime
 
     rt = IntegratedRuntime(8)
-    names, requests, op, derived = WORKLOADS[args.workload](rt, args.seed)
+    names, requests, op, derived, frames = WORKLOADS[args.workload](
+        rt, args.seed
+    )
     # The mirrors advance one op at a time, so ops are numbered on.
     ops = itertools.count()
     for _ in range(args.ops // 5):  # warm-up: thread pool, caches
         op(next(ops))
+    counted = frames(next(ops)) if frames is not None else {}
     rt.machine.reset_traffic()
     rounds = []
     for _ in range(args.rounds):
@@ -233,6 +291,7 @@ def main() -> None:
         if name in requests:
             n = requests[name]
             line += f"  {us / n:6.2f} us per request ({n})"
+            line += f"  {counted[name] / n:5.1f} frames per request"
         print(line)
     print(f"{'op':18s} {whole:8.1f} us")
     n = args.ops * args.rounds

@@ -198,8 +198,9 @@ class ArrayLayout:
         """Global indices -> (section number, local indices).
 
         Single fused pass over the dimensions (validate + owner + local):
-        this runs once per element operation, so it avoids the three
-        intermediate tuples of the compositional form.
+        this runs once per element operation, so it builds no grid
+        coordinates — each one adds its grid stride to the section number
+        as it is found, the flattening :meth:`section_index` does.
         """
         dims = self.dims
         if len(indices) != len(dims):
@@ -207,7 +208,8 @@ class ArrayLayout:
                 f"index rank {len(indices)} != array rank {len(dims)}"
             )
         local_dims = self.local_dims
-        coords = [0] * len(dims)
+        strides = self._grid_strides
+        section = 0
         local = [0] * len(dims)
         for i, idx in enumerate(indices):
             if not 0 <= idx < dims[i]:
@@ -215,12 +217,9 @@ class ArrayLayout:
                     f"index {idx} out of range [0, {dims[i]}) in dimension {i}"
                 )
             ld = local_dims[i]
-            coords[i] = idx // ld
+            section += idx // ld * strides[i]
             local[i] = idx % ld
-        return (
-            flatten_index(coords, self.grid, self.grid_indexing),
-            tuple(local),
-        )
+        return section, tuple(local)
 
     def global_indices(
         self, section: int, local: Sequence[int]

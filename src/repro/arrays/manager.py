@@ -226,8 +226,11 @@ class ArrayManager:
         ``section=True``, only one holding a local section), or None after
         answering NOT_FOUND.  ``array_id`` is caller input: anything that
         is not an ArrayID is reported through Status, not an exception."""
-        known = isinstance(array_id, ArrayID)
-        record = self._lookup(node, array_id) if known else None
+        record = (
+            node.heap.get(_RECORDS_KEY, _NO_RECORDS).get(array_id)
+            if isinstance(array_id, ArrayID)
+            else None
+        )
         if record is None or (section and record.section is None):
             _fail(status, Status.NOT_FOUND, *outs)
             return None
@@ -273,16 +276,6 @@ class ArrayManager:
             request_type, holders, parameters, status, skip_failed
         )
         return status.read() == Status.OK
-
-    # -- perf plumbing ---------------------------------------------------------
-
-    def _flush_writes(
-        self, array_id: Any = None, section: Optional[int] = None
-    ) -> None:
-        """Flush-point hook: drain coalesced writes that the operation
-        about to run could observe (read of a dirty range, checkpoint,
-        restore, verify — see docs/performance.md)."""
-        self.machine._perf.coalescer.flush(array_id, section)
 
     # -- durability plumbing ---------------------------------------------------
 
@@ -489,8 +482,11 @@ class ArrayManager:
         died mid-write (a kill triggered by the write's own replica
         traffic): the local mutation may be torn relative to its mirrors,
         so the caller must treat the write as failed and retry."""
-        failed = node.number in self.machine._failed
-        _define(status, Status.ERROR if failed else Status.OK)
+        if status is not None:
+            status.define(
+                Status.ERROR if node.number in self.machine._failed
+                else Status.OK
+            )
 
     # -- create -------------------------------------------------------------------
 
@@ -723,7 +719,7 @@ class ArrayManager:
         except (ValueError, IndexError):
             return _fail(status, Status.INVALID, element_out)
         owner = record.processors[section]
-        self._flush_writes(record.array_id, section)
+        self.machine._perf.coalescer.flush(record.array_id, section)
         self.machine.server.request(
             "read_element_local", array_id, local, element_out, status,
             processor=owner,
@@ -741,8 +737,8 @@ class ArrayManager:
         if record is None:
             return
         value = record.section.read(local_indices)
-        _define(element_out, value.item() if hasattr(value, "item") else value)
-        _define(status, Status.OK)
+        element_out.define(value.item() if hasattr(value, "item") else value)
+        status.define(Status.OK)
 
     def write_element(
         self,
@@ -819,7 +815,7 @@ class ArrayManager:
             return
         # The caller gets direct access to the section storage: pending
         # coalesced writes against it must land first.
-        self._flush_writes(
+        self.machine._perf.coalescer.flush(
             record.array_id, record.section_number_for(node.number)
         )
         _define(section_out, record.section)
@@ -842,7 +838,7 @@ class ArrayManager:
         record = self._resolve(node, array_id, status, data_out, section=True)
         if record is None:
             return
-        self._flush_writes(
+        self.machine._perf.coalescer.flush(
             record.array_id, record.section_number_for(node.number)
         )
         _define(data_out, record.section.interior().copy())
@@ -864,7 +860,7 @@ class ArrayManager:
             return _fail(status, Status.INVALID)
         # A bulk overwrite is an ordering barrier for queued element
         # writes against this section: earlier writes land first.
-        self._flush_writes(
+        self.machine._perf.coalescer.flush(
             record.array_id, record.section_number_for(node.number)
         )
         self._commit(node, record, mutations, status)
@@ -904,7 +900,7 @@ class ArrayManager:
             return Status.INVALID
         # Region writes stay synchronous and act as ordering barriers:
         # queued element writes from before this call land first.
-        self._flush_writes(array_id)
+        self.machine._perf.coalescer.flush(array_id)
         shares = {
             processors[section]: (local_slices, dense[out_slices].copy())
             for section, local_slices, out_slices in parts
@@ -937,7 +933,7 @@ class ArrayManager:
         bounds, parts = decomposed
         # Reads are flush points: drain queued writes to any section the
         # region may touch before copying.
-        self._flush_writes(record.array_id)
+        self.machine._perf.coalescer.flush(record.array_id)
         # The parts tile the region exactly once: every cell is written.
         out = np.empty(
             record.layout.region_shape(bounds), dtype=dtype_for(record.type_name)
@@ -968,7 +964,7 @@ class ArrayManager:
         record = self._resolve(node, array_id, status, data_out, section=True)
         if record is None:
             return
-        self._flush_writes(
+        self.machine._perf.coalescer.flush(
             record.array_id, record.section_number_for(node.number)
         )
         _define(data_out, record.section.interior()[tuple(local_slices)].copy())
@@ -1028,7 +1024,7 @@ class ArrayManager:
         if record is None:
             return
         section_number = record.section_number_for(node.number)
-        self._flush_writes(record.array_id, section_number)
+        self.machine._perf.coalescer.flush(record.array_id, section_number)
         origin = record.layout.global_indices(
             section_number, (0,) * record.layout.rank
         )
@@ -1085,7 +1081,7 @@ class ArrayManager:
             return
         # Sections are about to be reallocated: pending writes must land
         # in the old storage before copy_local copies it.
-        self._flush_writes(record.array_id)
+        self.machine._perf.coalescer.flush(record.array_id)
         new_layout = record.layout.replace_borders(expected)
         ok = self._fan_out(
             "copy_local", record.processors, array_id, expected, new_layout
@@ -1121,7 +1117,7 @@ class ArrayManager:
         # A checkpoint is a flush point: writes accepted before the call
         # must be inside the cut.  Flush before taking the state lock so
         # batch application never contends with the quiesce barrier.
-        self._flush_writes(array_id)
+        self.machine._perf.coalescer.flush(array_id)
         with state.lock:
             procs = state.processors
             target_epoch = state.allocate_epoch()
@@ -1223,7 +1219,7 @@ class ArrayManager:
             return _fail(status, Status.INVALID)
         # Writes accepted before the restore belong to the overwritten
         # past: flush them out so they cannot land *after* the restore.
-        self._flush_writes(array_id)
+        self.machine._perf.coalescer.flush(array_id)
         with state.lock:
             new_epoch = state.allocate_epoch(above=snapshot.epoch)
             shares = {

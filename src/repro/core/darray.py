@@ -49,7 +49,7 @@ class DistributedArray:
         that has failed, the first live owner of the current membership."""
         machine = self.machine
         creator = self.array_id.creating_processor
-        if not machine.is_failed(creator):
+        if creator not in machine._failed:
             return creator
         state = get_array_manager(machine).durability_state(self.array_id)
         owners = self.processors if state is None else state.processors
@@ -123,7 +123,8 @@ class DistributedArray:
         the operation in the error raised, a format of ``arguments`` that
         is filled in only then.  Its out value is returned, None when it
         has none."""
-        self._check_live()
+        if self._freed:
+            self._check_live()  # raises; the flag is tested inline
         result = call(self.machine, self.array_id, *arguments, **keywords)
         value, status = result if type(result) is tuple else (None, result)
         if status is not Status.OK:

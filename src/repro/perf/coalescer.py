@@ -205,17 +205,23 @@ class WriteCoalescer:
         """Drain pending writes (all, one array's, or one section's).
 
         Returns the number of writes flushed.  Cheap when nothing is
-        pending — every flush point calls this unconditionally.
+        pending — every flush point calls this unconditionally — and one
+        section's flush looks up its one queue instead of scanning them.
         """
         with self._lock:
-            if not self._pending:
+            pending = self._pending
+            if not pending:
                 return 0
-            keys = [
-                key
-                for key in self._pending
-                if (array_id is None or key[0] == array_id)
-                and (section is None or key[1] == section)
-            ]
+            if array_id is not None and section is not None:
+                key = (array_id, section)
+                keys = [key] if key in pending else []
+            else:
+                keys = [
+                    key
+                    for key in pending
+                    if (array_id is None or key[0] == array_id)
+                    and (section is None or key[1] == section)
+                ]
         total = 0
         for key in keys:
             total += self._flush_key(key, reason="forced")

@@ -104,9 +104,10 @@ class execution_context:
     """Scoped override of the calling thread's fabric context.
 
     Any field passed as ``None`` is inherited from the enclosing scope, so
-    nesting composes: a server handler runs under
-    ``execution_context(processor=dest, trace_id=msg.trace_id,
-    hop=msg.hop + 1)`` and a process spawned from it inherits all three.
+    nesting composes: a program run under
+    ``execution_context(trace_id=t)`` keeps its processor, and a process
+    spawned from it inherits both.  (A served request sets its frame
+    whole, with :func:`call_in_frame`.)
     """
 
     def __init__(
@@ -139,6 +140,22 @@ def snapshot_context() -> Frame:
     return _context.frame
 
 
+def call_in_frame(frame: Frame, fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)`` with the calling thread's frame set to ``frame`` —
+    ``(processor, trace_id, hop, span_id)``, every field as given — and
+    the thread's own frame put back however ``fn`` ends.
+
+    The one frame swap a served request costs: a server handler run in
+    place or at a remote target enters its node's frame through here, in
+    one Python frame, where :class:`execution_context` takes three."""
+    saved = _context.frame
+    _context.frame = frame
+    try:
+        return fn(*args)
+    finally:
+        _context.frame = saved
+
+
 # -- the interceptor stack ----------------------------------------------------
 
 
@@ -155,9 +172,10 @@ class TransportStack:
     def __init__(self, terminal: Forward) -> None:
         self._terminal = terminal
         # Both replaced whole on every mutation, so the per-message readers
-        # (``len``, ``dispatch``) need no lock; the lock serialises writers.
-        # ``_forward`` is ``_layers`` composed over the terminal, built when
-        # the stack changes rather than per message.
+        # (``Machine.send`` and ``Machine.route``, which read them directly)
+        # need no lock; the lock serialises writers.  ``_forward`` is
+        # ``_layers`` composed over the terminal, built when the stack
+        # changes rather than per message.
         self._layers: tuple = ()
         self._forward: Forward = terminal
         self._lock = threading.Lock()

@@ -40,6 +40,10 @@ from repro.vp.processor import VirtualProcessor
 from repro.vp.server import ServerRegistry
 
 
+def _out_of_range(number: Any, num_nodes: int) -> ValueError:
+    return ValueError(f"processor {number} out of range 0..{num_nodes - 1}")
+
+
 class Machine:
     """A multicomputer of ``num_nodes`` virtual processors."""
 
@@ -101,12 +105,13 @@ class Machine:
         return len(self._processors)
 
     def processor(self, number: int) -> VirtualProcessor:
-        try:
-            return self._processors[number]
-        except IndexError:
-            raise ValueError(
-                f"processor {number} out of range 0..{self.num_nodes - 1}"
-            ) from None
+        """Processor ``number``; a number outside ``0..num_nodes - 1`` —
+        a negative one included, which list indexing would wrap onto a
+        real processor — raises ValueError."""
+        nodes = self._processors
+        if 0 <= number < len(nodes):
+            return nodes[number]
+        raise _out_of_range(number, len(nodes))
 
     def processors(self) -> list[VirtualProcessor]:
         return list(self._processors)
@@ -263,22 +268,21 @@ class Machine:
         with self._lock:
             self._kind_handlers = {**self._kind_handlers, kind: handler}
 
-    def _is_direct(self, source: int, dest: int) -> bool:
-        """Same-node fast path: with no interceptors installed nothing
+    def route(self, message: Message) -> None:
+        """The single routing choke point: validate, stamp the envelope,
+        account, and dispatch down the interceptor stack to delivery.
+
+        Same-node fast path: with no interceptors installed nothing
         between route and delivery can observe the envelope, so stamping
         it and the interceptor dispatch are pure overhead — ``send`` and
         ``route`` skip both.  Any installed interceptor (tracer, meter,
         fault plan, observer) disables the path by making the stack
         non-empty."""
-        return source == dest and len(self.transport_stack) == 0
-
-    def route(self, message: Message) -> None:
-        """The single routing choke point: validate, stamp the envelope,
-        account, and dispatch down the interceptor stack to delivery."""
         source = message.source
         dest = message.dest
-        self.processor(dest)  # validate both ranges
-        self.processor(source)
+        n = len(self._processors)
+        if not (0 <= dest < n and 0 <= source < n):
+            raise _out_of_range(source if 0 <= dest < n else dest, n)
         failed = self._failed
         if failed:
             if source in failed:
@@ -312,7 +316,8 @@ class Machine:
             with self._lock:
                 self._suspect_queues.setdefault(dest, []).append(message)
             return
-        direct = self._is_direct(source, dest)
+        stack = self.transport_stack
+        direct = source == dest and not stack._layers
         if message.trace_id is None and not direct:
             # A bare message from a direct caller: stamp it here.  ``send``
             # builds its messages already stamped, so in-tree traffic
@@ -330,7 +335,7 @@ class Machine:
         if direct:
             self._deliver(message)
         else:
-            self.transport_stack.dispatch(message)
+            stack._forward(message)
 
     def flush_suspect_queue(self, dest: int) -> int:
         """Re-route sends buffered for a once-suspected destination (the
@@ -374,7 +379,7 @@ class Machine:
         id, hop, span — see :func:`fabric.current_envelope`), and route it.
         A message ``route`` will deliver on its same-node fast path stays
         unstamped: nothing can observe its envelope."""
-        if self._is_direct(source, dest):
+        if source == dest and not self.transport_stack._layers:
             trace_id, hop, span_id = None, 0, None
         else:
             trace_id, hop, span_id = fabric.current_envelope()

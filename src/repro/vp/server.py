@@ -37,7 +37,7 @@ from typing import Any, Callable, Optional
 from repro.pcn.defvar import DefVar, Tally
 from repro.status import ProcessorFailedError
 from repro.vp import fabric
-from repro.vp.message import Message
+from repro.vp.message import Message, MessageType
 
 Handler = Callable[..., None]
 
@@ -165,19 +165,26 @@ class ServerRegistry:
         machine = self._machine
         if machine._failed:
             machine.check_alive((number,))
-        origin = source if source is not None else fabric.current_processor()
+        frame = fabric.snapshot_context()
+        origin = frame[0] if source is None else source
         if origin is not None and origin != number:
             return self._request_remote(
                 request_type, parameters, origin, number, synchronous, kind,
             )
         node = machine.processor(number)
-        if synchronous:
-            with fabric.execution_context(processor=number):
-                handler(node, *parameters)
-            return None
-        return node.spawn(
-            handler, node, *parameters, name=f"server-{request_type}"
-        )
+        if not synchronous:
+            return node.spawn(
+                handler, node, *parameters, name=f"server-{request_type}"
+            )
+        if frame[0] == number:
+            # The thread is on the node already: its frame is the handler's.
+            handler(node, *parameters)
+        else:
+            fabric.call_in_frame(
+                (number, frame[1], frame[2], frame[3]),
+                handler, node, *parameters,
+            )
+        return None
 
     def _request_remote(
         self,
@@ -198,7 +205,8 @@ class ServerRegistry:
         done, proc_out = (answer, None) if synchronous else (None, answer)
         call = _ServerCall(request_type, parameters, synchronous, done, proc_out)
         machine.send(
-            origin, number, call, tag=("server", request_type), kind=kind
+            origin, number, call, MessageType.PCN, ("server", request_type),
+            None, kind,
         )
         if not answer.data():
             answer.name = (
@@ -246,35 +254,44 @@ class ServerRegistry:
         comes, unless ``skip_failed``, which passes over it — whether it
         was dead when checked or died before its message was routed.
         """
+        frame = fabric.snapshot_context()
+        if frame[1] is None:
+            # Every hop carries one trace: without the caller's, the
+            # fan-out is asked again in a frame with one fresh root.
+            return fabric.call_in_frame(
+                (frame[0], fabric.new_trace_id(), frame[2], frame[3]),
+                self.request_each,
+                request_type, holders, parameters, status, skip_failed,
+            )
         handler = self._capabilities.get(request_type)
         if handler is None:
             raise _no_capability(request_type)
         machine = self._machine
-        origin = fabric.current_processor()
+        origin = frame[0]
         common = (*parameters, status)
         tag = ("server", request_type)
         done = Tally(len(holders), _first_error, None)
-        # The caller's trace, or one fresh root for all the hops.
-        with fabric.execution_context(trace_id=fabric.current_envelope()[0]):
-            for holder, own in holders.items():
-                asked = (*parameters, *own, status) if own else common
-                try:
-                    machine.check_alive((holder,))
-                    if origin is None or origin == holder:
-                        self._serve(handler, holder, asked, done)
-                    else:
-                        machine.send(
-                            origin,
-                            holder,
-                            _ServerCall(request_type, asked, True, done, None),
-                            tag=tag,
-                            kind="server_request",
-                        )
-                except ProcessorFailedError:
-                    if not skip_failed:
-                        raise
-                    done.forget()
-                    status.forget()
+        for holder, own in holders.items():
+            asked = (*parameters, *own, status) if own else common
+            try:
+                machine.check_alive((holder,))
+                if origin is None or origin == holder:
+                    self._serve(
+                        handler, machine.processor(holder), asked, done,
+                        None if origin == holder
+                        else (holder, frame[1], frame[2], frame[3]),
+                    )
+                else:
+                    machine.send(
+                        origin, holder,
+                        _ServerCall(request_type, asked, True, done, None),
+                        MessageType.PCN, tag, None, "server_request",
+                    )
+            except ProcessorFailedError:
+                if not skip_failed:
+                    raise
+                done.forget()
+                status.forget()
         if not done.data():
             # Named (for the wait graph and the timeout message) only if
             # the requester is about to suspend on it.
@@ -286,20 +303,21 @@ class ServerRegistry:
     def _serve(
         self,
         handler: Handler,
-        number: int,
+        node: Any,
         parameters: tuple,
         done: DefVar,
-        trace_id: Optional[str] = None,
-        hop: Optional[int] = None,
-        span_id: Optional[str] = None,
+        frame: Optional[fabric.Frame] = None,
     ) -> None:
-        """Run a synchronous request's handler on processor ``number``
-        and define ``done`` with how it ended: None, or the error — any
-        error, an interrupt included: whoever reads ``done`` re-raises it
-        on the requester's side of the hop."""
+        """Run a synchronous request's handler on ``node`` — in ``frame``,
+        or in the calling thread's own frame when that already names the
+        node — and define ``done`` with how it ended: None, or the error —
+        any error, an interrupt included: whoever reads ``done`` re-raises
+        it on the requester's side of the hop."""
         try:
-            with fabric.execution_context(number, trace_id, hop, span_id):
-                handler(self._machine.processor(number), *parameters)
+            if frame is None:
+                handler(node, *parameters)
+            else:
+                fabric.call_in_frame(frame, handler, node, *parameters)
         except BaseException as exc:  # noqa: BLE001 - crosses the hop
             done.define(exc)
         else:
@@ -309,9 +327,9 @@ class ServerRegistry:
         """Service one delivered ``server_request`` message at its target.
 
         Called beneath the interceptor stack by the machine's final
-        delivery; the handler runs under the target node's execution
-        context with the message's trace envelope (hop + 1), so nested
-        requests it issues are causally chained onto the same trace.
+        delivery; the handler runs in the target node's frame with the
+        message's trace envelope (hop + 1), so nested requests it issues
+        are causally chained onto the same trace.
         """
         call: _ServerCall = message.payload
         # Exactly-once servicing: a duplicated delivery (fault injection)
@@ -325,19 +343,22 @@ class ServerRegistry:
             if call.done is not None:
                 call.done.define(_no_capability(call.request_type))
             return
+        dest = message.dest
+        # Route has checked the number: the node is indexed, not looked up.
+        node = self._machine._processors[dest]
         # span_id: the handler's spans parent onto the requester's open
         # span (carried on the message), not onto whatever span the
         # delivering thread happens to be inside.
-        envelope = (message.trace_id, message.hop + 1, message.span_id)
+        frame = (dest, message.trace_id, message.hop + 1, message.span_id)
         if call.synchronous:
-            self._serve(
-                handler, message.dest, call.parameters, call.done, *envelope
-            )
+            self._serve(handler, node, call.parameters, call.done, frame)
             return
-        node = self._machine.processor(message.dest)
-        with fabric.execution_context(message.dest, *envelope):
-            proc = node.spawn(
-                handler, node, *call.parameters,
-                name=f"server-{call.request_type}",
+        call.proc_out.define(
+            fabric.call_in_frame(
+                frame,
+                lambda: node.spawn(
+                    handler, node, *call.parameters,
+                    name=f"server-{call.request_type}",
+                ),
             )
-        call.proc_out.define(proc)
+        )

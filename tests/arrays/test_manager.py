@@ -89,6 +89,18 @@ class TestCreate:
         )
         assert st is Status.INVALID
 
+    def test_negative_processor_invalid_and_leaves_no_record(self):
+        """-1 is out of range, not another name for the last processor:
+        the array is refused before any processor is asked."""
+        m4 = Machine(4)
+        am_util.load_all(m4)
+        aid, st = am_user.create_array(
+            m4, "double", (8,), [0, 1, 3, -1], ["block"]
+        )
+        assert st is Status.INVALID and aid is None
+        for p in range(m4.num_nodes):
+            assert not _records(m4.processor(p))
+
     def test_bad_indexing_type_invalid(self, m16):
         _aid, st = am_user.create_array(
             m16, "double", (8,), all_procs(m16)[:4], ["block"],

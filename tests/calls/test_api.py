@@ -251,6 +251,15 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             distributed_call(m4, [0, 77], lambda ctx: None, [])
 
+    def test_negative_processor_rejected_before_any_copy_runs(self, m4):
+        """-1 names no processor: no copy runs on processor 3 under it."""
+        ran = []
+        with pytest.raises(ValueError, match="out of range"):
+            distributed_call(
+                m4, [0, 1, -1], lambda ctx: ran.append(ctx.index), []
+            )
+        assert ran == []
+
 
 class TestReduceVariants:
     def test_scalar_reduce_returns_python_scalar(self, m4):

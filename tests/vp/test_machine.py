@@ -26,6 +26,20 @@ class TestTopology:
         with pytest.raises(ValueError):
             m.processor(4)
 
+    def test_negative_processor_out_of_range(self):
+        """List indexing would wrap -1 onto processor 3."""
+        m = Machine(4)
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3"):
+            m.processor(-1)
+
+    @pytest.mark.parametrize("source,dest", [(0, -1), (-1, 0), (0, 4)])
+    def test_send_outside_the_machine_routes_nothing(self, source, dest):
+        m = Machine(4)
+        with pytest.raises(ValueError, match="out of range"):
+            m.send(source, dest, "x")
+        assert m.routed_count == 0
+        assert [node.mailbox.pending() for node in m.processors()] == [0] * 4
+
     def test_processors_listing(self):
         m = Machine(3)
         assert [p.number for p in m.processors()] == [0, 1, 2]

@@ -336,3 +336,88 @@ class TestRequestEach:
             assert [s["dest"] for s in spans] == [1, 2, 3, 4, 5, 6, 7]
             assert {s["kind"] for s in spans} == {"server_request"}
         assert {s["hop"] for s in tracer.spans_for("ambient")} == {2}
+
+
+class TestTheFrameIsRestored:
+    """A served request swaps the thread's frame for its handler's and
+    puts it back — whatever the handler does, raising included."""
+
+    @pytest.fixture
+    def m4(self):
+        m = Machine(4, default_recv_timeout=2.0)
+        seen = []
+
+        def boom(node, *parameters):
+            seen.append(fabric.snapshot_context())
+            raise RuntimeError(f"boom on {node.number}")
+
+        m.server.load({"boom": boom})
+        m.seen = seen
+        return m
+
+    @staticmethod
+    def raises_and_restores(ask):
+        before = fabric.snapshot_context()
+        with pytest.raises(RuntimeError, match="boom"):
+            ask()
+        assert fabric.snapshot_context() == before
+
+    def test_in_place_from_an_unplaced_thread(self, m4):
+        with fabric.execution_context(trace_id="t", hop=3, span_id="s"):
+            self.raises_and_restores(
+                lambda: m4.server.request("boom", processor=2)
+            )
+        assert m4.seen == [(2, "t", 3, "s")]
+
+    def test_in_place_from_a_thread_already_on_the_node(self, m4):
+        with fabric.execution_context(
+            processor=1, trace_id="t", hop=3, span_id="s"
+        ):
+            self.raises_and_restores(
+                lambda: m4.server.request("boom", processor=1)
+            )
+        assert m4.seen == [(1, "t", 3, "s")]
+
+    def test_at_a_remote_target(self, m4):
+        with fabric.execution_context(
+            processor=0, trace_id="t", hop=3, span_id="s"
+        ):
+            self.raises_and_restores(
+                lambda: m4.server.request("boom", processor=3)
+            )
+        # The message's envelope, one hop on, on the target node.
+        assert m4.seen == [(3, "t", 4, "s")]
+        assert m4.routed_count == 1
+
+    @pytest.mark.parametrize("origin", [None, 2])
+    def test_as_a_fan_outs_in_place_holder(self, m4, origin):
+        holders = dict.fromkeys(range(4), ())
+        with fabric.execution_context(processor=origin, trace_id="t"):
+            self.raises_and_restores(
+                lambda: m4.server.request_each(
+                    "boom", holders, (), status_tally(4)
+                )
+            )
+        in_place = [frame for frame in m4.seen if frame[2] == 0]
+        assert [frame[0] for frame in in_place] == (
+            [0, 1, 2, 3] if origin is None else [origin]
+        )
+        assert {frame[1] for frame in m4.seen} == {"t"}
+
+    def test_a_caller_on_the_node_lends_the_handler_its_own_frame(self):
+        m = Machine(2)
+        seen = []
+
+        def look(node, *status):
+            seen.append(fabric.snapshot_context())
+            for variable in status:
+                variable.define(0)
+
+        m.server.load({"look": look})
+        with fabric.execution_context(
+            processor=1, trace_id="mine", hop=5, span_id="open"
+        ):
+            m.server.request("look", processor=1)
+            m.server.request_each("look", {1: ()}, (), status_tally(1))
+        assert seen == [(1, "mine", 5, "open")] * 2
+        assert m.routed_count == 0
