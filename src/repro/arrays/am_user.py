@@ -25,7 +25,7 @@ from typing import Any, Optional, Sequence
 from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
 from repro.pcn.defvar import DefVar
-from repro.status import Status
+from repro.status import ProcessorFailedError, SectionLostError, Status
 from repro.vp.machine import Machine
 
 
@@ -46,6 +46,10 @@ def _serve(
     and the caller's own definitional variable for it — and, like
     ``status_out``, a variable given as None is made here.  Returns the
     Status, after the out value when there is one.
+
+    A request that fails on the dead owner of a lost section raises
+    :class:`~repro.status.SectionLostError` instead
+    (:func:`_raise_if_lost`).
     """
     status_var = DefVar("Status") if status_out is None else status_out
     if out:
@@ -54,11 +58,35 @@ def _serve(
         variables = (out_var, status_var)
     else:
         variables = (status_var,)
-    machine.server.request(request_type, *ins, *variables, processor=processor)
+    try:
+        machine.server.request(request_type, *ins, *variables, processor=processor)
+    except ProcessorFailedError as failure:
+        _raise_if_lost(machine, ins[0], failure)
+        raise
     status = status_var.read()
     if not isinstance(status, Status):
         status = Status(status)  # an Enum call: only for a bare int
     return (out_var.read(), status) if out else status
+
+
+def _raise_if_lost(
+    machine: Machine, array_id: Any, failure: ProcessorFailedError
+) -> None:
+    """Raise :class:`~repro.status.SectionLostError` when the processor
+    ``failure`` names owns a lost section of ``array_id``: that failure
+    is final, not one a retry outlives.  Reached only by a request that
+    already failed, so a machine with no failed processor never runs it.
+
+    Asked under the state lock, so a recovery under way finishes first:
+    the answer is the one it leaves, and a retry after a
+    ``ProcessorFailedError`` finds the rebuilt membership."""
+    state = get_array_manager(machine).durability_state(array_id)
+    if state is None:
+        return
+    with state.lock:
+        for section, cause in state.lost.items():
+            if state.processors[section] == failure.processor:
+                raise SectionLostError(section, cause) from failure
 
 
 def create_array(
@@ -384,7 +412,12 @@ def write_region_targeted(
         return write_region(machine, array_id, region, data)
     # The creation-time layout serves: verify_array can only change the
     # borders, and neither validation nor region_sections depends on them.
-    return manager.region_write(
-        array_id, state.layout, state.type_name, state.processors, region, data
-    )
+    try:
+        return manager.region_write(
+            array_id, state.layout, state.type_name, state.processors,
+            region, data,
+        )
+    except ProcessorFailedError as failure:
+        _raise_if_lost(machine, array_id, failure)
+        raise
 

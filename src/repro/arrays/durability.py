@@ -229,7 +229,12 @@ class ArraySnapshot:
 class DurabilityState:
     """The array manager's machine-wide durability record for one array:
     authoritative epoch counter, current membership, replica placement,
-    latest checkpoint, and recovery statistics."""
+    latest checkpoint, recovery statistics, and the sections lost.
+
+    ``lost`` maps each section no copy of which can come back to its
+    cause; it is the one thing recovery stores.  A section whose owner
+    is unavailable and which is not lost is *pending*: its rebuild is
+    still owed (no spare yet, or its mirror sits behind a partition)."""
 
     array_id: ArrayID
     replication: int
@@ -246,8 +251,7 @@ class DurabilityState:
     sections_migrated: int = 0
     stale_rejected: int = 0
     fenced_writes: int = 0
-    recovered_procs: set = field(default_factory=set)
-    unrecovered: list = field(default_factory=list)
+    lost: Dict[int, str] = field(default_factory=dict)
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -302,7 +306,7 @@ class DurabilityState:
                 "sections_migrated": self.sections_migrated,
                 "stale_replica_updates_rejected": self.stale_rejected,
                 "fenced_writes": self.fenced_writes,
-                "unrecovered": list(self.unrecovered),
+                "lost": dict(self.lost),
                 "placement": self.placement(),
             }
 
@@ -321,12 +325,12 @@ class RecoveryCoordinator:
     replica map deterministically for the new membership, reseeds the
     mirrors, and bumps the array epoch.
 
-    Registration is idempotent at three layers: the machine deduplicates
-    listeners by identity, :func:`install_recovery` returns the
-    machine's existing coordinator, and the per-array ``recovered_procs``
-    set guards against double rebuilds even when two distinct
-    coordinator instances are installed (e.g. in nested supervised
-    calls).
+    Registration is idempotent: the machine deduplicates listeners by
+    identity and :func:`install_recovery` returns the machine's existing
+    coordinator.  A rebuild never runs twice, even under two distinct
+    coordinators (e.g. in nested supervised calls): the first one moves
+    the section off the dead owner, and recovery only acts on an owner
+    that still holds a section that is not lost.
     """
 
     def __init__(self, machine) -> None:
@@ -372,49 +376,24 @@ class RecoveryCoordinator:
         rebuilds.  Suspicion (and flapping back to alive) deliberately
         does nothing — recovery is destructive to the suspect's
         ownership, so it waits for confirmation.  A VP *returning* to
-        the fabric retries recoveries that failed while it was away."""
+        the fabric re-runs recovery for the pending sections."""
         if event.transition == "dead":
             self._on_failure(event.vp)
         elif event.transition in ("alive", "rejoin"):
-            self._retry_unrecovered()
+            self._retry_pending()
 
-    def _retry_unrecovered(self) -> None:
-        """Re-run recoveries stranded by unreachability.
+    def _retry_pending(self) -> None:
+        """Re-run recovery for every unavailable VP: it acts on the
+        pending sections such a VP owns, and on nothing else.
 
-        A rebuild can fail transiently when the only surviving backup of
-        a dead owner's section sits on the minority side of a partition:
-        the replica fetch times out and the episode lands in
-        ``state.unrecovered``.  When any VP returns (heals or rejoins),
-        walk those entries — a dead member still unavailable gets its
-        ``recovered_procs`` guard cleared and recovery re-fired (the
-        returned VP may hold the backup it needs); an entry whose VP is
-        reachable again or no longer a member is moot and dropped."""
-        machine = self.machine
-        manager = getattr(machine, "_array_manager", None)
-        if manager is None:
-            return
-        for array_id, state in manager.durability_states():
-            with state.lock:
-                pending = []
-                for dead, _reason in state.unrecovered:
-                    if (
-                        dead in state.processors
-                        and machine.is_unavailable(dead)
-                        and dead not in pending
-                    ):
-                        pending.append(dead)
-                        state.recovered_procs.discard(dead)
-                state.unrecovered = [
-                    entry
-                    for entry in state.unrecovered
-                    if entry[0] in state.processors
-                    and machine.is_unavailable(entry[0])
-                    and entry[0] not in pending
-                ]
-            for dead in pending:
-                # Same contract as _on_failure: a failed retry re-queues
-                # itself.
-                self._recover_array(array_id, state, dead)
+        A rebuild stays owed when no spare was free, or when the only
+        surviving backup sat on the minority side of a partition (the
+        replica fetch timed out).  The VP that just returned may be the
+        spare or hold that backup; a retry that fails again leaves the
+        section pending, or lost once no source can come back."""
+        for vp in range(self.machine.num_nodes):
+            if self.machine.is_unavailable(vp):
+                self._on_failure(vp)
 
     def _on_failure(self, dead: int) -> None:
         manager = getattr(self.machine, "_array_manager", None)
@@ -428,56 +407,49 @@ class RecoveryCoordinator:
     ) -> None:
         """One recovery episode: rebuild ``dead``'s sections of one array
         and log what came of it — the one place an episode is logged.  An
-        error is recorded (the episode, and ``state.unrecovered`` for the
-        retry), never raised: this runs beneath the transport."""
-        with state.lock:
-            if dead not in state.processors or dead in state.recovered_procs:
-                return
-            try:
-                with obs_span(
-                    self.machine, "recovery",
-                    array=str(array_id.as_tuple()), dead=dead,
-                ):
-                    event = self._rebuild_locked(array_id, state, dead)
-            except Exception as exc:  # noqa: BLE001 - never break transport
-                state.unrecovered.append((dead, repr(exc)))
-                event = {
-                    "array": array_id.as_tuple(),
-                    "dead": dead,
-                    "ok": False,
-                    "error": repr(exc),
-                }
-        if event is not None:
-            with self._lock:
-                self.recoveries.append(event)
-
-    def _rebuild_locked(
-        self, array_id: ArrayID, state: DurabilityState, dead: int
-    ) -> Optional[dict]:
-        """Rebuild ``dead``'s sections; ``state.lock`` is held throughout.
-        Returns the episode to log, None when there was nothing to do.
-
-        All bookkeeping (the episode, ``unrecovered`` entries,
-        ``recovered_procs``) stays here; the actual section movement —
-        sourcing from replicas/checkpoints, adoption, membership rewrite,
-        epoch bump — is one :class:`~repro.arrays.placement.PlacementPlan`
-        executed by the machine's :class:`~repro.arrays.placement
-        .SectionMover`, the one planned migration uses.
-        """
-        machine = self.machine
-        state.recovered_procs.add(dead)
+        error is recorded in the episode, never raised: this runs beneath
+        the transport.  Nothing happens unless ``dead`` still owns a
+        section that is not lost."""
         event: dict = {
             "array": array_id.as_tuple(),
             "dead": dead,
             "sections": [],
             "ok": False,
         }
+        with state.lock:
+            if all(
+                section in state.lost
+                for section, owner in enumerate(state.processors)
+                if owner == dead
+            ):
+                return
+            try:
+                with obs_span(
+                    self.machine, "recovery",
+                    array=str(array_id.as_tuple()), dead=dead,
+                ):
+                    if not self._rebuild_locked(state, dead, event):
+                        return
+            except Exception as exc:  # noqa: BLE001 - never break transport
+                event["error"] = repr(exc)
+        with self._lock:
+            self.recoveries.append(event)
 
-        def unrecovered(reason: str, error: Optional[str] = None) -> dict:
-            state.unrecovered.append((dead, reason))
-            event["error"] = error or reason
-            return event
+    def _rebuild_locked(
+        self, state: DurabilityState, dead: int, event: dict
+    ) -> bool:
+        """Rebuild ``dead``'s sections and fill in ``event``, the episode;
+        ``state.lock`` is held throughout.  False when a nested rebuild
+        left nothing to do, and there is no episode to log.
 
+        All bookkeeping (the episode, ``state.lost``) stays here; the
+        actual section movement — sourcing from replicas/checkpoints,
+        adoption, membership rewrite, epoch bump — is one
+        :class:`~repro.arrays.placement.PlacementPlan`
+        executed by the machine's :class:`~repro.arrays.placement
+        .SectionMover`, the one planned migration uses.
+        """
+        machine = self.machine
         # The plan is recomputed per attempt: a kill firing during this
         # rebuild's own traffic runs recovery *reentrantly* (state.lock
         # is an RLock), and the nested rebuild rewrites membership under
@@ -486,7 +458,7 @@ class RecoveryCoordinator:
         for _attempt in range(3):
             if dead not in state.processors:
                 # A nested rebuild already superseded this owner.
-                return None
+                return False
             # The spare: the first alive VP holding no section.
             spare = next(
                 (
@@ -498,7 +470,8 @@ class RecoveryCoordinator:
                 None,
             )
             if spare is None:
-                return unrecovered("no spare processor")
+                event["error"] = "no spare processor"
+                return True
             event["spare"] = spare
             plan = PlacementPlan.for_failure(state, dead, spare)
             try:
@@ -509,16 +482,23 @@ class RecoveryCoordinator:
             except StalePlanError:
                 continue
             except SectionSourceError as exc:
-                return unrecovered(
-                    str(exc), f"section {exc.section} unrecoverable"
-                )
-            event["sections"] = outcome["sections"]
-            event["ok"] = True
-            event["epoch"] = outcome["epoch"]
-            return event
-        return unrecovered(
-            "membership kept changing", "stale plan after retries"
-        )
+                # Lost only when no source can come back: a VP the
+                # detector gave up on but the oracle never killed (one
+                # behind a partition) may still hold a mirror.
+                if not any(
+                    machine.is_unavailable(p) and not machine.is_failed(p)
+                    for p in range(machine.num_nodes)
+                ):
+                    state.lost[exc.section] = (
+                        f"owner {dead} failed and no replica or "
+                        "checkpoint of it survives"
+                    )
+                event["error"] = f"section {exc.section} unrecoverable"
+                return True
+            event.update(outcome, ok=True)  # its sections and epoch
+            return True
+        event["error"] = "stale plan after retries"
+        return True
 
 
 def install_recovery(machine) -> RecoveryCoordinator:

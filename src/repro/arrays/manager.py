@@ -1376,10 +1376,9 @@ class ArrayManager:
         """Run the rejoin protocol for one quarantined VP across every
         durable array: push current membership/epoch onto it
         (:meth:`update_membership_local`, freeing sections it lost to
-        recovery) and clear the per-array
-        ``recovered_procs`` guard so a *real* death of this VP later
-        fires recovery again.  Records of arrays that were freed while it
-        was away are dropped with their storage.
+        recovery).  Records of arrays that were freed while it was away
+        are dropped with their storage.  A *real* death of this VP later
+        fires recovery again: recovery acts on whatever the VP then owns.
 
         Called by the failure detector's monitor thread when a
         false-positive resumes heartbeating.  Best-effort per array: a
@@ -1404,7 +1403,6 @@ class ArrayManager:
                 membership = (
                     tuple(state.processors), state.replica_map, state.epoch
                 )
-                state.recovered_procs.discard(vp)
             try:
                 with fabric.execution_context(processor=origin):
                     self.mover._ask(
@@ -1552,8 +1550,8 @@ class ArrayManager:
         """Repair/respread one array: keep sections whose owner is alive
         (and within ``targets``, when given); move the rest onto spare
         processors — including processors added at runtime, which is how
-        ``add_processor()`` + ``rebalance()`` repairs an array recovery
-        had to leave unrecovered for want of a spare."""
+        ``add_processor()`` + ``rebalance()`` repairs a section recovery
+        had to leave pending for want of a spare."""
         self._run_plan(
             node,
             array_id,

@@ -32,10 +32,10 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
   the restored membership places elsewhere, and a delayed
   ``yield_section_local`` from the abandoned attempt is refused by its
   epoch guard instead of destroying restored data.
-  Recovery neither rolls back nor flushes: its caller already records
-  partial progress as ``unrecovered``, and flushing the write coalescer
-  from inside a failure listener could self-deadlock on the
-  non-reentrant per-key flush locks when the kill fired mid-flush.
+  Recovery neither rolls back nor flushes: a section it could not move
+  stays pending for a retry (or is recorded lost), and flushing the
+  write coalescer from inside a failure listener could self-deadlock on
+  the non-reentrant per-key flush locks when the kill fired mid-flush.
 
 The migration barrier (docs/elasticity.md): a planned move first drains
 the write coalescer for the array, so write-behind batches aimed at the
@@ -266,8 +266,8 @@ class SectionMover:
         plan's traffic carries.  A planned migration flushes, and on any
         failure restores the sourced sections under a fresh epoch
         (:meth:`_abort_locked`) and re-raises.  Recovery does neither: it
-        propagates the failure with state untouched — its caller records
-        partial progress as ``unrecovered``, never undoes it — and must
+        propagates the failure with state untouched — the section stays
+        pending, or its caller records it lost; nothing is undone — and must
         not flush, because the kill may have fired inside a coalescer
         flush on this very thread and the per-key flush locks are not
         reentrant.
@@ -319,20 +319,6 @@ class SectionMover:
                     gate(f"while sourcing section {move.section}")
                     sourced.append((move, data))
                     self._adopt(state, membership, data, move.dest, kind)
-                if planned:
-                    dead_dests = [
-                        move.dest
-                        for move in plan.moves
-                        if machine.is_unavailable(move.dest)
-                    ]
-                    if dead_dests:
-                        # A destination died *after* adopting (kills fire
-                        # once the delivery completes): committing would
-                        # hand the section to a corpse.
-                        raise MigrationError(
-                            f"destination processor {dead_dests[0]} of "
-                            f"{array_id} failed mid-migration"
-                        )
                 gate("mid-migration (concurrent recovery)")
                 holders = (
                     set(plan.new_processors)
@@ -347,6 +333,21 @@ class SectionMover:
                 # reentrant recovery commits a new epoch after the
                 # mid-migration check already passed.
                 gate("during commit traffic")
+                dead_dests = [
+                    move.dest
+                    for move in plan.moves
+                    if machine.is_unavailable(move.dest)
+                ]
+                if dead_dests:
+                    # A destination died *after* adopting (kills fire
+                    # once the delivery completes), before it was a
+                    # member, so no recovery will ever move the section
+                    # off it: committing would hand it to a corpse.  A
+                    # recovery recomputes its plan onto another spare.
+                    raise StalePlanError(
+                        f"destination processor {dead_dests[0]} of "
+                        f"{array_id} failed mid-{kind}"
+                    )
             except Exception:
                 if planned:
                     self._abort_locked(state, plan, sourced)

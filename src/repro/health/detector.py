@@ -488,10 +488,9 @@ class FailureDetector:
         its *view*: arrays whose membership and epoch moved on while it
         was unreachable.  The array manager's rejoin protocol rewrites
         membership onto it (freeing sections it no longer owns, so the
-        one-owner-per-section invariant holds) and clears the per-array
-        ``recovered_procs`` guard so a *real* death later re-fires
-        recovery.  Only after that do suspect-queued sends flush and
-        the ``"rejoin"`` verdict fire.
+        one-owner-per-section invariant holds).  A *real* death later
+        re-fires recovery for whatever the VP then owns.  Only after that
+        do suspect-queued sends flush and the ``"rejoin"`` verdict fire.
         """
         machine = self.machine
         now = time.monotonic()

@@ -108,6 +108,20 @@ class ProcessorFailedError(ReproError):
         self.processor = processor
 
 
+class SectionLostError(ReproError):
+    """A section of a durable array is lost: its owner died and no
+    replica or checkpoint of it survives, so no operation that needs it
+    can be served (docs/fault_model.md §6).  Deliberately not a
+    :class:`ProcessorFailedError`: retrying cannot bring it back."""
+
+    status = Status.ERROR
+
+    def __init__(self, section: int, cause: str) -> None:
+        super().__init__(f"section {section} is lost: {cause}")
+        self.section = section
+        self.cause = cause
+
+
 _EXCEPTION_FOR_STATUS = {
     Status.INVALID: InvalidParameterError,
     Status.NOT_FOUND: ArrayNotFoundError,

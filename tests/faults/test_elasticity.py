@@ -42,8 +42,9 @@ def durability(machine, arr):
 class TestGrowToRepair:
     def test_no_spare_is_recorded_then_repaired_by_growth(self):
         """The full elastic loop: a failure with nowhere to rebuild is
-        *recorded* (never raised); diagnostics expose the reason; adding
-        a processor and rebalancing repairs the array bit-identically."""
+        *logged* (never raised) and leaves the section pending, not lost;
+        adding a processor and rebalancing repairs the array
+        bit-identically."""
         machine = Machine(4, default_recv_timeout=10)
         am_util.load_all(machine)
         coordinator = install_recovery(machine)
@@ -54,14 +55,12 @@ class TestGrowToRepair:
         machine.fail(2)  # every VP hosts a section: nowhere to rebuild
 
         state = durability(machine, arr)
-        assert state.unrecovered == [(2, "no spare processor")]
+        assert state.lost == {}  # pending: a spare can still rebuild it
         assert state.sections_rebuilt == 0
-        assert not coordinator.recoveries[-1]["ok"]
-        # Diagnostics expose the reason, not just the failure.
+        event = coordinator.recoveries[-1]
+        assert not event["ok"] and event["error"] == "no spare processor"
         diag = machine.diagnostics()["arrays"][str(arr.array_id.as_tuple())]
-        assert diag["unrecovered"] == [[2, "no spare processor"]] or diag[
-            "unrecovered"
-        ] == [(2, "no spare processor")]
+        assert diag["lost"] == {}
         assert diag["placement"][2]["owner"] == 2  # still the corpse
 
         new = machine.add_processor()
@@ -97,7 +96,7 @@ class TestGrowToRepair:
         arr.from_numpy(ref)
         arr.checkpoint()
         machine.fail(3)
-        assert durability(machine, arr).unrecovered
+        assert durability(machine, arr).lost == {}  # pending: no spare yet
         machine.add_processor()
         moved = arr.rebalance()
         assert moved == [3]

@@ -303,7 +303,7 @@ def test_partition_heal_converges_without_split_brain(seed):
             # No rebuild left permanently stranded.
             state = manager.durability_state(arr.array_id)
             with state.lock:
-                assert state.unrecovered == [], state.unrecovered
+                assert state.lost == {}, state.lost
             # The rejoined minority is alive with no stale ownership (its
             # stale sections were freed by the rejoin protocol).
             for vp in minority:

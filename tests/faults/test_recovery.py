@@ -19,7 +19,7 @@ from repro.faults import (
     install_recovery,
     supervised_call,
 )
-from repro.status import ProcessorFailedError, Status
+from repro.status import ProcessorFailedError, SectionLostError, Status
 from repro.vp.machine import Machine
 
 DISTRIB_2X2 = (("block", 2), ("block", 2))
@@ -41,6 +41,36 @@ def make_array(machine, replication, dims=(8, 8), procs=(0, 1, 2, 3)):
 
 def durability(machine, arr):
     return get_array_manager(machine).durability_state(arr.array_id)
+
+
+def section_ops(machine, arr, section):
+    """One call apiece of every element, region and local-block op,
+    each touching ``section`` only."""
+    layout = arr.layout
+    region = [
+        (c * ld, (c + 1) * ld)
+        for c, ld in zip(layout.section_coords(section), layout.local_dims)
+    ]
+    corner = tuple(lo for lo, _ in region)
+    block = np.full(layout.local_dims, 2.0)
+    owner = durability(machine, arr).processors[section]
+    aid = arr.array_id
+    return {
+        "read_element": lambda: am_user.read_element(machine, aid, corner),
+        "write_element": lambda: am_user.write_element(
+            machine, aid, corner, 2.0
+        ),
+        "read_region": lambda: am_user.read_region(machine, aid, region),
+        "write_region": lambda: am_user.write_region(
+            machine, aid, region, block
+        ),
+        "write_region_targeted": lambda: am_user.write_region_targeted(
+            machine, aid, region, block
+        ),
+        "get_local_block": lambda: am_user.get_local_block(
+            machine, aid, owner
+        ),
+    }
 
 
 # -- replica-based recovery ---------------------------------------------------
@@ -80,6 +110,23 @@ class TestReplicaRecovery:
             machine, arr.array_id, (0, 7), processor=3
         )
         assert status is Status.OK and value == 1.0
+
+    def test_spare_killed_by_its_adopt_is_passed_over(self, machine):
+        """The spare dies on the adopt itself, before it is a member, so
+        no recovery would ever move the section off it: the rebuild
+        takes the next spare instead of committing onto a corpse."""
+        install_recovery(machine)
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        # VP 4 holds nothing: the first message it receives is the adopt.
+        plan = FaultPlan(seed=0, kills=(KillSpec(4, after=1, on="recv"),))
+        with FaultyTransport(machine, plan) as ft:
+            machine.fail(2)
+        assert ft.stats.killed == [4]
+        state = durability(machine, arr)
+        assert state.processors == (0, 1, 5, 3)
+        assert np.array_equal(arr.to_numpy(), ref)
 
     def test_replicas_reseeded_after_recovery(self, machine):
         install_recovery(machine)
@@ -136,9 +183,37 @@ class TestCheckpointRecovery:
         arr.from_numpy(np.ones((8, 8)))
         machine.fail(3)
         state = durability(machine, arr)
-        assert state.unrecovered  # recorded, not silently dropped
+        # Recorded as lost, with its cause — not silently dropped.
+        assert list(state.lost) == [3]
+        assert "owner 3 failed" in state.lost[3]
+        diag = machine.diagnostics()["arrays"][str(arr.array_id.as_tuple())]
+        assert diag["lost"] == state.lost
         assert state.sections_rebuilt == 0
         assert not coordinator.recoveries[-1]["ok"]
+
+    @pytest.mark.parametrize("coalescing", [True, False])
+    def test_every_op_on_a_lost_section_fails_at_once(
+        self, machine, coalescing
+    ):
+        """Each op that needs the lost section raises SectionLostError at
+        its first call — no bounce to retry — and the same ops on a
+        surviving section answer OK."""
+        install_recovery(machine)
+        arr = make_array(machine, replication=0)
+        arr.from_numpy(np.ones((8, 8)))
+        am_user.set_coalescing(machine, coalescing)
+        machine.fail(3)
+        for name, op in section_ops(machine, arr, 3).items():
+            with pytest.raises(SectionLostError) as caught:
+                op()
+            assert caught.value.section == 3, name
+            assert caught.value.status is Status.ERROR
+        with pytest.raises(SectionLostError):
+            arr.to_numpy()
+        for name, op in section_ops(machine, arr, 0).items():
+            result = op()
+            status = result[1] if isinstance(result, tuple) else result
+            assert status is Status.OK, name
 
 
 # -- degenerate topologies ----------------------------------------------------
@@ -153,8 +228,7 @@ class TestNoSpare:
         arr.from_numpy(np.ones((8, 8)))
         m.fail(2)  # every VP already hosts a section: nowhere to rebuild
         state = durability(m, arr)
-        assert state.unrecovered[0][0] == 2
-        assert "no spare processor" in state.unrecovered[0][1]
+        assert state.lost == {}  # pending until a spare appears
         assert state.sections_rebuilt == 0
         event = coordinator.recoveries[-1]
         assert not event["ok"] and event["error"] == "no spare processor"
