@@ -1380,8 +1380,8 @@ class ArrayManager:
         are dropped with their storage.  A *real* death of this VP later
         fires recovery again: recovery acts on whatever the VP then owns.
 
-        Called by the failure detector's monitor thread when a
-        false-positive resumes heartbeating.  Best-effort per array: a
+        Called by a failure detector round when a false-positive
+        resumes heartbeating.  Best-effort per array: a
         re-cut partition or concurrent death leaves the VP quarantined
         and the next quarantine round retries.
         """

@@ -204,7 +204,9 @@ class PlacementPlan:
         """Plan a repair/respread: keep each section on its owner when
         the owner is alive and inside the target set; move every other
         section (dead owner, or owner outside an explicit ``targets``)
-        onto a spare target holding no section of the array.
+        onto a spare target holding no section of the array.  A lost
+        section (``state.lost``) has nothing to move and stays where it
+        is.
 
         Raises :class:`MigrationError` when a section must move but no
         spare target exists — the caller can ``Machine.add_processor()``
@@ -218,7 +220,8 @@ class PlacementPlan:
         homeless = [
             section
             for section, owner in enumerate(base)
-            if machine.is_unavailable(owner) or owner not in pool
+            if section not in state.lost
+            and (machine.is_unavailable(owner) or owner not in pool)
         ]
         if not homeless:
             return None

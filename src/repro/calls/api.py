@@ -203,7 +203,7 @@ def distributed_call(
 
             label = f"{getattr(program, '__name__', 'call')}#{next(_CALL_LABELS)}"
             last, history = run_with_retry(
-                attempt, retry, classify=lambda r: r.status, label=label
+                attempt, retry, lambda r: r.status, machine.clock, label
             )
             if isinstance(last, BaseException):
                 result = CallResult(

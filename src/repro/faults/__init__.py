@@ -10,7 +10,7 @@ package makes partial failure an *input*.  It provides:
   machine's transport hook, composable with every existing workload;
 * :class:`~repro.faults.partition.PartitionPlan` /
   :class:`~repro.faults.partition.PartitionCut` — named network cuts
-  between VP groups with scripted heal times (and one-way asymmetric
+  between VP groups, cut and healed by hand (and one-way asymmetric
   variants), composed into the transport to starve the failure detector
   and manufacture split-brain scenarios;
 * :class:`~repro.faults.retry.RetryPolicy` — bounded re-execution with

@@ -1,12 +1,13 @@
-"""Network partitions: named cuts between VP groups, with heal times.
+"""Network partitions: named cuts between VP groups, cut and healed by hand.
 
 A :class:`PartitionCut` severs traffic between two disjoint groups of
 virtual processors — symmetric (no traffic either way) or asymmetric
 (one-way: ``side_a`` cannot reach ``side_b`` but replies still flow).
-A :class:`PartitionPlan` holds a set of cuts with scripted activation
-(``start_after`` seconds from attach) and heal (``heal_after``) times,
-plus manual :meth:`~PartitionPlan.cut` / :meth:`~PartitionPlan.heal`
-overrides for tests that want to script the window explicitly.
+A :class:`PartitionPlan` holds a set of named cuts, each active or
+healed: every cut starts active, and :meth:`~PartitionPlan.cut` /
+:meth:`~PartitionPlan.heal` open and close them.  A test that wants a
+timed window sets it on the machine's clock:
+``machine.clock.call_later(t, plan.cut, name)``.
 
 The plan composes into :class:`~repro.faults.transport.FaultyTransport`
 (``FaultyTransport(machine, plan, partitions=...)``): a routed message
@@ -19,7 +20,7 @@ of evidence and drives false suspicion, which is the scenario §9 of
 its sections are rebuilt on the majority, and after heal the stale
 owner must be fenced (epoch check) and rejoined rather than trusted.
 
-:func:`random_partitions` is the seeded schedule factory, sibling to
+:func:`random_partitions` is the seeded cut factory, sibling to
 :func:`~repro.faults.plan.random_kills`, for the fuzz suite.
 """
 
@@ -27,18 +28,14 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
 class PartitionCut:
     """One named cut between two disjoint VP groups.
 
-    ``start_after`` / ``heal_after`` are seconds since the owning plan
-    was attached to a transport; ``heal_after=None`` means the cut
-    never heals on its own (manual :meth:`PartitionPlan.heal` only).
     ``symmetric=False`` severs only ``side_a -> side_b`` — an
     asymmetric cut, the classic one-way-link failure where A's requests
     vanish but B can still reach A.
@@ -47,15 +44,11 @@ class PartitionCut:
     name: str
     side_a: Tuple[int, ...]
     side_b: Tuple[int, ...]
-    start_after: float = 0.0
-    heal_after: Optional[float] = None
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.side_a, tuple):
-            object.__setattr__(self, "side_a", tuple(self.side_a))
-        if not isinstance(self.side_b, tuple):
-            object.__setattr__(self, "side_b", tuple(self.side_b))
+        object.__setattr__(self, "side_a", tuple(self.side_a))
+        object.__setattr__(self, "side_b", tuple(self.side_b))
         if not self.side_a or not self.side_b:
             raise ValueError(f"cut {self.name!r}: both sides must be non-empty")
         overlap = set(self.side_a) & set(self.side_b)
@@ -63,15 +56,9 @@ class PartitionCut:
             raise ValueError(
                 f"cut {self.name!r}: sides overlap on {sorted(overlap)}"
             )
-        if self.start_after < 0:
-            raise ValueError(f"cut {self.name!r}: start_after must be >= 0")
-        if self.heal_after is not None and self.heal_after <= self.start_after:
-            raise ValueError(
-                f"cut {self.name!r}: heal_after must exceed start_after"
-            )
 
     def crosses(self, src: int, dst: int) -> bool:
-        """Does (src, dst) traverse this cut (ignoring schedule)?"""
+        """Does (src, dst) traverse this cut (active or not)?"""
         if src in self.side_a and dst in self.side_b:
             return True
         if self.symmetric and src in self.side_b and dst in self.side_a:
@@ -80,16 +67,11 @@ class PartitionCut:
 
 
 class PartitionPlan:
-    """A set of cuts with scripted and manual activation.
+    """A set of named cuts, each active or healed.
 
-    The plan is a clock-relative schedule: :meth:`attach` (called by
-    ``FaultyTransport.install``, or lazily on first use) starts the
-    clock, and each cut is active while
-    ``start_after <= elapsed < heal_after``.  Manual overrides win over
-    the schedule in both directions: :meth:`cut` forces a named cut
-    active, :meth:`heal` forces one (or all) inactive — the fuzz suite
-    uses ``heal()`` to close every window before asserting
-    convergence.
+    Every cut starts active; :meth:`cut` opens a named cut, :meth:`heal`
+    closes one (or, with no name, all — the fuzz suite heals every
+    window before asserting convergence).
     """
 
     def __init__(self, cuts: Iterable[PartitionCut] = ()) -> None:
@@ -98,86 +80,47 @@ class PartitionPlan:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate cut names in {names}")
         self._lock = threading.Lock()
-        self._attached_at: Optional[float] = None
-        # Manual overrides by cut name: True = forced active, False =
-        # forced healed.  Absent = follow the schedule.
-        self._forced: Dict[str, bool] = {}
+        self._active = set(names)
         self.severed_count = 0
-
-    def attach(self, now: Optional[float] = None) -> "PartitionPlan":
-        """Start (or restart) the schedule clock."""
-        with self._lock:
-            self._attached_at = time.monotonic() if now is None else now
-        return self
-
-    def _elapsed_locked(self) -> float:
-        if self._attached_at is None:
-            self._attached_at = time.monotonic()
-        return time.monotonic() - self._attached_at
-
-    def _active_locked(self, cut: PartitionCut, elapsed: float) -> bool:
-        forced = self._forced.get(cut.name)
-        if forced is not None:
-            return forced
-        if elapsed < cut.start_after:
-            return False
-        return cut.heal_after is None or elapsed < cut.heal_after
 
     def severs(self, src: int, dst: int) -> Optional[str]:
         """Name of the first active cut severing ``src -> dst``, else
         None.  This is the transport's per-message query."""
         with self._lock:
-            elapsed = self._elapsed_locked()
             for cut in self.cuts:
-                if cut.crosses(src, dst) and self._active_locked(cut, elapsed):
+                if cut.name in self._active and cut.crosses(src, dst):
                     self.severed_count += 1
                     return cut.name
         return None
 
     def active(self) -> List[str]:
         with self._lock:
-            elapsed = self._elapsed_locked()
-            return [
-                c.name for c in self.cuts if self._active_locked(c, elapsed)
-            ]
+            return [c.name for c in self.cuts if c.name in self._active]
 
     def cut(self, name: str) -> None:
-        """Force the named cut active now (overrides its schedule)."""
-        self._require(name)
+        """Make the named cut active."""
         with self._lock:
-            self._forced[name] = True
+            self._active.add(self._require(name))
 
     def heal(self, name: Optional[str] = None) -> None:
-        """Force the named cut — or, with no name, every cut — healed."""
-        if name is None:
-            with self._lock:
-                for c in self.cuts:
-                    self._forced[c.name] = False
-            return
-        self._require(name)
+        """Heal the named cut — or, with no name, every cut."""
         with self._lock:
-            self._forced[name] = False
+            if name is None:
+                self._active.clear()
+            else:
+                self._active.discard(self._require(name))
 
-    def _require(self, name: str) -> PartitionCut:
-        for c in self.cuts:
-            if c.name == name:
-                return c
-        raise ValueError(f"no cut named {name!r}")
+    def _require(self, name: str) -> str:
+        if all(c.name != name for c in self.cuts):
+            raise ValueError(f"no cut named {name!r}")
+        return name
 
     def snapshot(self) -> dict:
-        with self._lock:
-            elapsed = (
-                self._elapsed_locked() if self._attached_at is not None else 0.0
-            )
-            return {
-                "cuts": [c.name for c in self.cuts],
-                "active": [
-                    c.name
-                    for c in self.cuts
-                    if self._active_locked(c, elapsed)
-                ],
-                "severed": self.severed_count,
-            }
+        return {
+            "cuts": [c.name for c in self.cuts],
+            "active": self.active(),
+            "severed": self.severed_count,
+        }
 
     def __repr__(self) -> str:
         return f"<PartitionPlan cuts={[c.name for c in self.cuts]}>"
@@ -188,21 +131,18 @@ def random_partitions(
     processors: Sequence[int],
     isolate: Optional[Sequence[int]] = None,
     count: int = 1,
-    max_start: float = 0.3,
-    min_duration: float = 0.4,
-    max_duration: float = 1.2,
     oneway: float = 0.25,
 ) -> Tuple[PartitionCut, ...]:
-    """Seeded random partition schedule for fuzzing.
+    """Seeded random partition cuts for fuzzing.
 
     Draws ``count`` cuts from a generator seeded by ``seed`` alone (same
-    seed, same schedule — the :func:`~repro.faults.plan.random_kills`
+    seed, same cuts — the :func:`~repro.faults.plan.random_kills`
     discipline).  Each cut isolates a strict minority drawn from
     ``isolate`` (default: every processor but the first, so the monitor
     and quorum side stays connected) from the rest of ``processors``,
-    starts within ``max_start`` seconds, heals after a duration in
-    ``[min_duration, max_duration]``, and is one-way (minority's sends
-    vanish, majority's still arrive) with probability ``oneway``.
+    and is one-way (minority's sends vanish, majority's still arrive)
+    with probability ``oneway``.  When a cut opens and heals is the
+    caller's to say.
     """
     processors = [int(p) for p in processors]
     if len(processors) < 2:
@@ -220,14 +160,11 @@ def random_partitions(
         size = rng.randint(1, min(max_minority, len(pool)))
         minority = tuple(sorted(rng.sample(pool, size)))
         majority = tuple(p for p in processors if p not in minority)
-        start = rng.uniform(0.0, max_start)
         cuts.append(
             PartitionCut(
                 name=f"part{seed}-{i}",
                 side_a=minority,
                 side_b=majority,
-                start_after=start,
-                heal_after=start + rng.uniform(min_duration, max_duration),
                 symmetric=rng.random() >= oneway,
             )
         )

@@ -15,11 +15,11 @@ the final attempt's failure escapes to the caller.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.status import ProcessorFailedError, Status
+from repro.vp.clock import Clock
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def run_with_retry(
     attempt_fn: Callable[[], Any],
     policy: RetryPolicy,
     classify: Callable[[Any], Any],
-    sleep: Callable[[float], None] = time.sleep,
+    clock: Clock,
     label: Optional[str] = None,
 ) -> tuple[Any, list[AttemptRecord]]:
     """Drive ``attempt_fn`` under ``policy``.
@@ -85,9 +85,10 @@ def run_with_retry(
     ``classify(result)`` returns the attempt's Status; a retryable
     exception (``ProcessorFailedError``/``TimeoutError``) counts as
     ``Status.ERROR``.  Returns ``(last_result_or_exception, history)``;
-    the caller decides how to surface the final failure.  ``label``
-    decorrelates this call's backoff jitter from other calls sharing the
-    policy (see :meth:`RetryPolicy.delay`).
+    the caller decides how to surface the final failure.  The backoff
+    sleeps on ``clock`` (a distributed call passes its machine's).
+    ``label`` decorrelates this call's backoff jitter from other calls
+    sharing the policy (see :meth:`RetryPolicy.delay`).
     """
     history: list[AttemptRecord] = []
     last: Any = None
@@ -106,7 +107,7 @@ def run_with_retry(
             if status is Status.OK or status == int(Status.OK):
                 return result, history
         if attempt + 1 < policy.max_attempts:
-            sleep(policy.delay(attempt, label))
+            clock.sleep(policy.delay(attempt, label))
     return last, history
 
 

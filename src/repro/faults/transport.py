@@ -21,8 +21,12 @@ Implementation notes:
 * *reorder* holds a message back and releases it after the next routed
   message; a short fallback timer flushes a held message when traffic
   stops, so no message is ever lost to reordering.
-* *delay* re-delivers on a timer thread; :meth:`flush` forces all pending
+* *delay* re-delivers on a timer; :meth:`flush` forces all pending
   delayed/held messages through (uninstall does this automatically).
+
+Both timers are set on the machine's clock (``machine.clock``), so under a
+:class:`~repro.vp.clock.ManualClock` a delayed or held message arrives
+when the test advances time past it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Optional
 
 from repro.faults.partition import PartitionPlan
 from repro.faults.plan import FaultPlan
+from repro.vp.clock import Timer
 from repro.vp.machine import Machine
 from repro.vp.message import Message
 
@@ -85,8 +90,8 @@ class FaultyTransport:
         self._recv_counts: dict[int, int] = {}
         self._fired_kills: set = set()
         self._held: Optional[Message] = None
-        self._held_timer: Optional[threading.Timer] = None
-        self._pending_delays: dict[int, tuple[Message, threading.Timer]] = {}
+        self._held_timer: Optional[Timer] = None
+        self._pending_delays: dict[int, tuple[Message, Timer]] = {}
         self._delay_ids = itertools.count()
         self._installed = False
 
@@ -94,10 +99,6 @@ class FaultyTransport:
 
     def install(self) -> "FaultyTransport":
         if not self._installed:
-            if self.partitions is not None:
-                # The partition schedule is clock-relative: cuts start
-                # counting from the moment injection begins.
-                self.partitions.attach()
             self.machine.transport_stack.push(self)
             self._installed = True
         return self
@@ -119,8 +120,8 @@ class FaultyTransport:
     def __call__(self, message: Message, forward=None) -> None:
         plan = self.plan
         # Partition check first: a message into a cable break never even
-        # reaches the lossy-network dice.  (The plan's own lock guards the
-        # schedule; ours guards the stats/ordinal state.)
+        # reaches the lossy-network dice.  (The plan's own lock guards its
+        # cuts; ours guards the stats/ordinal state.)
         severed = (
             self.partitions.severs(message.source, message.dest)
             if self.partitions is not None
@@ -159,11 +160,9 @@ class FaultyTransport:
             with self._lock:
                 self.stats.reordered += 1
                 self._held = message
-                self._held_timer = threading.Timer(
+                self._held_timer = self.machine.clock.call_later(
                     _REORDER_FLUSH_SECONDS, self._flush_held
                 )
-                self._held_timer.daemon = True
-                self._held_timer.start()
             self._count_fault("reorder")
         else:
             deliver_now.append(message)
@@ -229,11 +228,9 @@ class FaultyTransport:
             if entry is not None:
                 self._deliver(entry[0])
 
-        timer = threading.Timer(self.plan.delay_seconds, fire)
-        timer.daemon = True
         with self._lock:
+            timer = self.machine.clock.call_later(self.plan.delay_seconds, fire)
             self._pending_delays[delay_id] = (message, timer)
-        timer.start()
 
     def _flush_held(self) -> None:
         with self._lock:

@@ -1,8 +1,9 @@
 """The heartbeat failure detector: alive -> suspect -> dead, and back.
 
-``FailureDetector`` runs one monitor thread that, every ``interval``
-seconds, emits a ``kind="heartbeat"`` message *on behalf of* every live
-virtual processor (inside that VP's execution context, through
+``FailureDetector`` runs one round every ``interval`` seconds of the
+machine's clock (``machine.clock``, :mod:`repro.vp.clock`).  A round
+emits a ``kind="heartbeat"`` message *on behalf of* every live virtual
+processor (inside that VP's execution context, through
 ``Machine.route``) addressed to the monitor VP, then evaluates per-VP
 silence.  Because emission goes through the routing choke point, a VP
 that is oracle-dead cannot emit (route raises), and an installed
@@ -24,7 +25,7 @@ Suspicion lifecycle (docs/fault_model.md §9):
 * **quarantined** — a heartbeat arrived from a VP the detector had
   declared dead *that the oracle never killed*: a false positive (e.g.
   a healed partition).  The VP is fenced — its stale records refuse
-  writes by epoch — until the monitor thread runs the rejoin protocol:
+  writes by epoch — until a detector round runs the rejoin protocol:
   membership/epoch rewritten onto it, suspect-queued sends flushed,
   and only then is it alive again (``"rejoin"`` verdict).
 
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.status import ProcessorFailedError
 from repro.vp import fabric
+from repro.vp.clock import Timer
 from repro.vp.message import Message
 
 HEARTBEAT_KIND = "heartbeat"
@@ -118,6 +119,7 @@ class FailureDetector:
             )
         machine.processor(monitor)  # validate range
         self.machine = machine
+        self.clock = machine.clock
         self.interval = float(interval)
         self.suspect_after = float(suspect_after)
         self.dead_after = float(dead_after)
@@ -127,8 +129,7 @@ class FailureDetector:
         self._listeners: List[Callable[[HealthEvent], None]] = []
         self._pending_rejoin: List[int] = []
         self._events: List[HealthEvent] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._rounds: Optional[Timer] = None
         self._installed = False
         # Counters surfaced through snapshot()/diagnostics.
         self.heartbeats_received = 0
@@ -138,7 +139,7 @@ class FailureDetector:
     # -- lifecycle -----------------------------------------------------------
 
     def install(self) -> "FailureDetector":
-        """Wire the detector into the machine and start the monitor.
+        """Wire the detector into the machine and start its rounds.
 
         Registers the ``heartbeat`` kind handler, becomes the machine's
         health authority (``machine._health``), converts oracle kills
@@ -150,7 +151,7 @@ class FailureDetector:
         if self._installed:
             return self
         machine = self.machine
-        now = time.monotonic()
+        now = self.clock.now()
         with self._lock:
             for p in range(machine.num_nodes):
                 self._vps.setdefault(p, _VPHealth(now))
@@ -166,21 +167,15 @@ class FailureDetector:
             # now that machine._health is set and installed.
             coordinator.uninstall()
             coordinator.install()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="health-monitor", daemon=True
-        )
-        self._thread.start()
+        self._rounds = self.clock.every(self.interval, self._round)
         return self
 
     def close(self) -> None:
         if not self._installed:
             return
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
+        # Returns once a round in progress on another thread has finished.
+        self._rounds.cancel()
+        self._rounds = None
         machine = self.machine
         machine.remove_failure_listener(self._on_oracle_failure)
         if getattr(machine, "_health", None) is self:
@@ -266,13 +261,14 @@ class FailureDetector:
         """Phi-style suspicion score: observed silence over the smoothed
         inter-arrival mean.  ~1 for a healthy VP, growing without bound
         as silence accumulates."""
-        now = time.monotonic()
+        now = self.clock.now()
         with self._lock:
             entry = self._vps.get(vp)
-            if entry is None:
-                return 0.0
-            mean = entry.mean_interval or self.interval
-            return (now - entry.last_seen) / max(mean, 1e-9)
+            return 0.0 if entry is None else self._score(entry, now)
+
+    def _score(self, entry: _VPHealth, now: float) -> float:
+        mean = entry.mean_interval or self.interval
+        return (now - entry.last_seen) / max(mean, 1e-9)
 
     def events(self) -> List[HealthEvent]:
         with self._lock:
@@ -280,7 +276,7 @@ class FailureDetector:
 
     def snapshot(self) -> dict:
         """Diagnostics block for ``Machine.diagnostics()``."""
-        now = time.monotonic()
+        now = self.clock.now()
         with self._lock:
             return {
                 "interval": self.interval,
@@ -290,11 +286,7 @@ class FailureDetector:
                     for vp, entry in sorted(self._vps.items())
                 },
                 "suspicion": {
-                    vp: round(
-                        (now - entry.last_seen)
-                        / max(entry.mean_interval or self.interval, 1e-9),
-                        3,
-                    )
+                    vp: round(self._score(entry, now), 3)
                     for vp, entry in sorted(self._vps.items())
                 },
                 "heartbeats_received": self.heartbeats_received,
@@ -319,7 +311,7 @@ class FailureDetector:
         vp = message.source
         if self.machine.is_failed(vp):
             return
-        now = time.monotonic()
+        now = self.clock.now()
         events: List[HealthEvent] = []
         with self._lock:
             entry = self._vps.get(vp)
@@ -345,7 +337,7 @@ class FailureDetector:
             elif entry.state is HealthState.DEAD:
                 # A heartbeat from a VP we declared dead that the oracle
                 # never killed: false positive.  Fence it in quarantine;
-                # the monitor thread performs the rejoin protocol.
+                # the next detector round performs the rejoin protocol.
                 entry.state = HealthState.QUARANTINED
                 self.false_positives += 1
                 self._pending_rejoin.append(vp)
@@ -364,7 +356,7 @@ class FailureDetector:
     def _on_oracle_failure(self, vp: int) -> None:
         """A scripted ``Machine.fail``: immediate dead verdict, no
         timeout — the oracle is ground truth, never a suspicion."""
-        now = time.monotonic()
+        now = self.clock.now()
         events: List[HealthEvent] = []
         with self._lock:
             entry = self._vps.get(vp)
@@ -380,33 +372,30 @@ class FailureDetector:
         self.machine.drop_suspect_queue(vp)
         self._fire(events)
 
-    # -- the monitor loop ------------------------------------------------------
+    # -- the rounds ------------------------------------------------------------
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.step()
-            except Exception:  # noqa: BLE001 - the monitor must survive
-                pass
-            self._stop.wait(self.interval)
+    def _round(self) -> None:
+        try:
+            self.step()
+        except Exception:  # noqa: BLE001 - the rounds must survive
+            pass
 
     def step(self) -> None:
-        """One monitor round: emit heartbeats, evaluate silence, and
-        complete pending rejoins.  Public so tests can drive detection
-        deterministically without the thread."""
-        started = time.monotonic()
+        """One detector round: emit heartbeats, evaluate silence, and
+        complete pending rejoins."""
+        started = self.clock.now()
         self._emit_heartbeats()
         # A kill listener (and the recovery it triggers) runs
-        # synchronously inside route(), so one emission can stall this
-        # thread for seconds.  Heartbeats that arrived *before* the
-        # stall then look ancient, and evaluating against them would
-        # falsely suspect half the machine.  When the round overran the
+        # synchronously inside route(), so one emission can stall a round
+        # for seconds.  Heartbeats that arrived *before* the stall then
+        # look ancient, and evaluating against them would falsely suspect
+        # half the machine.  When the round overran the
         # suspect window, refresh every VP heard from during the round —
         # it was provably alive despite the stall — while a VP silent
         # since before the round keeps accruing real silence, so
         # detection is never starved by persistent slowness.
-        if time.monotonic() - started > self.suspect_after * self.interval:
-            now = time.monotonic()
+        if self.clock.now() - started > self.suspect_after * self.interval:
+            now = self.clock.now()
             with self._lock:
                 for entry in self._vps.values():
                     if entry.last_seen >= started:
@@ -434,7 +423,7 @@ class FailureDetector:
                 continue
 
     def _evaluate(self) -> None:
-        now = time.monotonic()
+        now = self.clock.now()
         suspect_limit = self.suspect_after * self.interval
         dead_limit = self.dead_after * self.interval
         events: List[HealthEvent] = []
@@ -444,8 +433,7 @@ class FailureDetector:
                 if entry.state in (HealthState.DEAD, HealthState.QUARANTINED):
                     continue
                 silence = now - entry.last_seen
-                mean = entry.mean_interval or self.interval
-                score = silence / max(mean, 1e-9)
+                score = self._score(entry, now)
                 if entry.state is HealthState.ALIVE:
                     if silence > suspect_limit:
                         entry.state = HealthState.SUSPECT
@@ -493,7 +481,7 @@ class FailureDetector:
         do suspect-queued sends flush and the ``"rejoin"`` verdict fire.
         """
         machine = self.machine
-        now = time.monotonic()
+        now = self.clock.now()
         manager = getattr(machine, "_array_manager", None)
         if manager is not None:
             try:

@@ -34,6 +34,7 @@ from typing import Any, Callable, Hashable, Optional
 from repro.pcn.process import thread_stats
 from repro.status import ProcessorFailedError
 from repro.vp import fabric
+from repro.vp.clock import Clock
 from repro.vp.fabric import TransportStack
 from repro.vp.message import Message, MessageType
 from repro.vp.processor import VirtualProcessor
@@ -52,6 +53,7 @@ class Machine:
         num_nodes: int,
         default_recv_timeout: Optional[float] = None,
         dead_send_policy: str = "raise",
+        clock: Optional[Clock] = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("a machine needs at least one processor")
@@ -62,6 +64,9 @@ class Machine:
             )
         self.default_recv_timeout = default_recv_timeout
         self.dead_send_policy = dead_send_policy
+        # The one clock the failure detector, the fault transport and
+        # retry read (repro.vp.clock); a test passes a ManualClock.
+        self.clock = clock if clock is not None else Clock()
         self._processors = [VirtualProcessor(i, self) for i in range(num_nodes)]
         self.server = ServerRegistry(self)
         # Serialises writers and makes the traffic counters exact.  What

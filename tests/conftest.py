@@ -8,6 +8,8 @@ TimeoutError, not a hung suite.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.arrays.am_util import load_all, node_array
@@ -53,3 +55,27 @@ def rt16() -> IntegratedRuntime:
 
 def procs_for(machine: Machine):
     return node_array(0, 1, machine.num_nodes)
+
+
+def wait_until(predicate, timeout=10.0, interval=0.005):
+    """Poll ``predicate`` on real time until it holds or ``timeout``
+    seconds pass; return its last value.  Only for what waits out a real
+    deadline (a recv deadline, a worker thread): a wait on the failure
+    detector steps the machine's clock with :func:`advance_until`."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def advance_until(clock, predicate, step, rounds=400):
+    """Advance a :class:`~repro.vp.clock.ManualClock` ``step`` seconds at
+    a time until ``predicate`` holds, at most ``rounds`` times; return
+    whether it held."""
+    for _ in range(rounds):
+        if predicate():
+            return True
+        clock.advance(step)
+    return predicate()

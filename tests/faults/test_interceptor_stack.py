@@ -8,6 +8,7 @@ import pytest
 from repro.faults import FaultPlan, FaultyTransport
 from repro.vp.fabric import TraceInterceptor, TrafficMeter, TransportStack
 from repro.vp.machine import Machine
+from tests.conftest import wait_until
 
 
 @pytest.fixture
@@ -128,18 +129,13 @@ class TestForwardFrom:
     def test_delayed_redelivery_crosses_meter_below(self, m2):
         """A FaultyTransport timer redelivery still flows through layers
         beneath it, resolved at release time."""
-        import time
-
         meter = TrafficMeter(m2).install()
         plan = FaultPlan(seed=3, delay=1.0, delay_seconds=0.01)
         with FaultyTransport(m2, plan):
             flood(m2, 4)
-            deadline = time.monotonic() + 2.0
-            while (
-                m2.processor(1).mailbox.pending() < 4
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
+            wait_until(
+                lambda: m2.processor(1).mailbox.pending() == 4, timeout=2.0
+            )
         assert m2.processor(1).mailbox.pending() == 4
         assert meter.messages == 4
 

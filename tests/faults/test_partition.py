@@ -1,8 +1,6 @@
-"""Partition injection: cut semantics, schedules, and transport wiring."""
+"""Partition injection: cut semantics, cut and heal, and transport wiring."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -13,6 +11,7 @@ from repro.faults import (
     PartitionPlan,
     random_partitions,
 )
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
 
 
@@ -34,30 +33,25 @@ class TestPartitionCut:
             PartitionCut("c", (), (1,))
         with pytest.raises(ValueError):
             PartitionCut("c", (0, 1), (1, 2))
-        with pytest.raises(ValueError):
-            PartitionCut("c", (0,), (1,), start_after=-1.0)
-        with pytest.raises(ValueError):
-            PartitionCut("c", (0,), (1,), start_after=1.0, heal_after=0.5)
 
 
 class TestPartitionPlan:
     def test_scheduled_window_activates_and_heals(self):
-        plan = PartitionPlan(
-            [PartitionCut("w", (1,), (0,), start_after=0.05, heal_after=0.15)]
-        )
-        plan.attach()
+        """A timed window is two timers on a clock, not a plan field."""
+        clock = ManualClock()
+        plan = PartitionPlan([PartitionCut("w", (1,), (0,))])
+        plan.heal("w")
+        clock.call_later(0.05, plan.cut, "w")
+        clock.call_later(0.15, plan.heal, "w")
         assert plan.severs(1, 0) is None  # before the window
-        time.sleep(0.07)
+        clock.advance(0.07)
         assert plan.severs(1, 0) == "w"
-        time.sleep(0.12)
-        assert plan.severs(1, 0) is None  # healed on schedule
+        clock.advance(0.12)
+        assert plan.severs(1, 0) is None  # healed on time
 
-    def test_manual_overrides_beat_the_schedule(self):
-        plan = PartitionPlan(
-            [PartitionCut("w", (1,), (0,), start_after=0.0, heal_after=None)]
-        )
-        plan.attach()
-        assert plan.severs(1, 0) == "w"  # active by schedule
+    def test_cut_and_heal_by_name(self):
+        plan = PartitionPlan([PartitionCut("w", (1,), (0,))])
+        assert plan.severs(1, 0) == "w"  # a cut starts active
         plan.heal("w")
         assert plan.severs(1, 0) is None
         plan.cut("w")
@@ -76,7 +70,6 @@ class TestPartitionPlan:
 
     def test_snapshot_reports_active_cuts_and_severed_count(self):
         plan = PartitionPlan([PartitionCut("w", (1,), (0,))])
-        plan.attach()
         plan.severs(1, 0)
         snap = plan.snapshot()
         assert snap["cuts"] == ["w"]
@@ -98,10 +91,8 @@ class TestRandomPartitions:
             for cut in random_partitions(seed, range(6), count=2):
                 assert 0 not in cut.side_a
                 assert 0 in cut.side_b
-                # Strict minority, scheduled heal.
+                # Strict minority.
                 assert len(cut.side_a) <= (6 - 1) // 2
-                assert cut.heal_after is not None
-                assert cut.heal_after > cut.start_after
 
     def test_validation(self):
         with pytest.raises(ValueError):

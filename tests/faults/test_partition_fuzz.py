@@ -19,8 +19,13 @@ the authoritative epoch), every probe fenced, recovery fired at most
 once per dead episode, and the array bit-identical to the fault-free
 expectation.
 
+The machine runs on a :class:`~repro.vp.clock.ManualClock`: the
+detector's rounds happen when the test steps the clock, on the test's
+thread, so what is left of a run's wall time is the writes and the recv
+deadlines recovery waits out.
+
 The seed window shifts with ``REPRO_PARTITION_SEED_BASE`` so CI shards
-explore disjoint schedules.
+explore disjoint cuts.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from repro.health import FailureDetector, HealthState
 from repro.pcn.defvar import DefVar
 from repro.status import ProcessorFailedError, Status
 from repro.vp import fabric
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
+from tests.conftest import advance_until
 
 SEED_BASE = int(os.environ.get("REPRO_PARTITION_SEED_BASE", "0"))
 SEEDS = list(range(SEED_BASE, SEED_BASE + 10))
@@ -55,16 +62,7 @@ SEEDS = list(range(SEED_BASE, SEED_BASE + 10))
 DIMS = (8, 8)
 DISTRIB_2X2 = (("block", 2), ("block", 2))
 BANDS = [(0, 3), (3, 5), (5, 7), (7, 8)]
-INTERVAL = 0.02
-
-
-def wait_until(predicate, timeout=15.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+INTERVAL = 1 / 64
 
 
 def row_value(seed: int, band: int, row: int, pass_no: int) -> float:
@@ -141,7 +139,12 @@ def live_owners_at_current_epoch(machine, manager, array_id):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partition_heal_converges_without_split_brain(seed):
-    machine = Machine(6, default_recv_timeout=5)
+    clock = ManualClock()
+    machine = Machine(6, default_recv_timeout=5, clock=clock)
+
+    def rounds(predicate):
+        return advance_until(clock, predicate, INTERVAL)
+
     am_util.load_all(machine)
     coordinator = install_recovery(machine)
     arr = DistributedArray.create(
@@ -185,21 +188,21 @@ def test_partition_heal_converges_without_split_brain(seed):
             for cut in cuts:
                 pplan.cut(cut.name)
             # The detector gives up on every unreachable minority VP
-            # (oracle kills count immediately; timeouts harden on their
-            # own clock).
-            assert wait_until(
+            # (oracle kills count immediately; timeouts harden over
+            # rounds).
+            assert rounds(
                 lambda: all(detector.is_dead(p) for p in minority)
             ), f"minority {minority} never declared dead"
-            # Recovery pulls the lost sections back onto the majority.
-            # (If a scripted kill stranded a rebuild behind the cut —
-            # the only backup on the minority side — it is retried at
-            # heal, so the mid-window wait tolerates stragglers.)
-            wait_until(
+            # Recovery pulls the lost sections back onto the majority,
+            # inside the round that gives the verdict.  (If a scripted
+            # kill stranded a rebuild behind the cut — the only backup on
+            # the minority side — it is retried at heal, so the
+            # mid-window wait tolerates stragglers.)
+            rounds(
                 lambda: all(
                     p not in manager.durability_state(arr.array_id).processors
                     for p in minority
-                ),
-                timeout=10.0,
+                )
             )
             # Stale-owner probes: a minority ex-owner that recovery has
             # superseded still holds its old section at the old epoch —
@@ -229,19 +232,18 @@ def test_partition_heal_converges_without_split_brain(seed):
             # mid-rejoin — so "rejoined" and "oracle-killed while we
             # waited" are both terminal outcomes here.
             for vp in minority:
-                assert wait_until(
+                assert rounds(
                     lambda v=vp: machine.is_failed(v)
                     or detector.state_of(v) is HealthState.ALIVE
                 ), f"vp {vp} never rejoined after heal"
             # Membership must converge onto reachable owners (stranded
             # rebuilds retry once the minority returns) before the
             # second pass can commit everywhere.
-            assert wait_until(
+            assert rounds(
                 lambda: all(
                     not machine.is_unavailable(p)
                     for p in manager.durability_state(arr.array_id).processors
-                ),
-                timeout=30.0,
+                )
             ), "membership never converged onto reachable owners"
             run_write_pass(machine, arr.array_id, seed, 1, errors)
             assert not errors, errors

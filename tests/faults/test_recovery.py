@@ -215,6 +215,26 @@ class TestCheckpointRecovery:
             status = result[1] if isinstance(result, tuple) else result
             assert status is Status.OK, name
 
+    def test_rebalance_leaves_a_lost_section_where_it_is(self, machine):
+        """A respread moves the sections it can and leaves the lost one
+        on its dead owner: nothing to source, nothing to plan."""
+        install_recovery(machine)
+        arr = make_array(machine, replication=0)
+        arr.from_numpy(np.ones((8, 8)))
+        machine.fail(3)
+        state = durability(machine, arr)
+        lost = dict(state.lost)
+        assert list(lost) == [3]
+        moved, status = am_user.rebalance_array(
+            machine, arr.array_id, targets=[0, 2, 4, 5]
+        )
+        assert status is Status.OK
+        assert moved == [1]
+        assert state.processors[1] in (4, 5)
+        assert state.lost == lost
+        with pytest.raises(SectionLostError):
+            am_user.read_element(machine, arr.array_id, (4, 4))
+
 
 # -- degenerate topologies ----------------------------------------------------
 

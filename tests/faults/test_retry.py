@@ -14,6 +14,7 @@ from repro.faults import (
     supervised_call,
 )
 from repro.status import ProcessorFailedError, Status
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
 from repro.vp.message import MessageType
 
@@ -43,16 +44,16 @@ class TestRetryPolicy:
 
 class TestRunWithRetry:
     def test_succeeds_first_try_no_sleep(self):
-        sleeps = []
+        clock = ManualClock()
         result, history = run_with_retry(
             lambda: "ok",
             RetryPolicy(max_attempts=3),
             classify=lambda r: Status.OK,
-            sleep=sleeps.append,
+            clock=clock,
         )
         assert result == "ok"
         assert len(history) == 1
-        assert sleeps == []
+        assert clock.now() == 0.0
 
     def test_retries_until_ok(self):
         calls = {"n": 0}
@@ -61,16 +62,17 @@ class TestRunWithRetry:
             calls["n"] += 1
             return Status.OK if calls["n"] >= 3 else Status.ERROR
 
+        policy = RetryPolicy(max_attempts=5)
+        clock = ManualClock()
         result, history = run_with_retry(
-            attempt,
-            RetryPolicy(max_attempts=5),
-            classify=lambda r: r,
-            sleep=lambda s: None,
+            attempt, policy, classify=lambda r: r, clock=clock
         )
         assert result is Status.OK
         assert [h.status for h in history] == [
             Status.ERROR, Status.ERROR, Status.OK,
         ]
+        # Two backoffs, slept on the clock it was given.
+        assert clock.now() == policy.delay(0) + policy.delay(1)
 
     def test_exhaustion_returns_last_failure(self):
         def attempt():
@@ -80,7 +82,7 @@ class TestRunWithRetry:
             attempt,
             RetryPolicy(max_attempts=2),
             classify=lambda r: Status.OK,
-            sleep=lambda s: None,
+            clock=ManualClock(),
         )
         assert isinstance(last, ProcessorFailedError)
         assert len(history) == 2
@@ -89,7 +91,8 @@ class TestRunWithRetry:
 
 @pytest.fixture
 def m4():
-    machine = Machine(4, default_recv_timeout=1.0)
+    # Backoffs pass on the machine's clock; recv deadlines stay real.
+    machine = Machine(4, default_recv_timeout=1.0, clock=ManualClock())
     am_util.load_all(machine)
     return machine
 
@@ -141,7 +144,9 @@ class TestSupervisedDistributedCall:
             # A short recv deadline makes every copy of a perturbed
             # attempt finish (with ERROR) before the next attempt starts,
             # so per-channel fault ordinals line up across runs.
-            machine = Machine(4, default_recv_timeout=0.4)
+            machine = Machine(
+                4, default_recv_timeout=0.4, clock=ManualClock()
+            )
             am_util.load_all(machine)
             plan = FaultPlan(
                 seed=15, drop=0.10, mtypes=(MessageType.DATA_PARALLEL,)

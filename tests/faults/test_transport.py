@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.faults import FaultPlan, FaultyTransport, KillSpec
 from repro.status import ProcessorFailedError
 from repro.vp.machine import Machine
 from repro.vp.message import MessageType
+from tests.conftest import wait_until
 
 
 @pytest.fixture
@@ -59,12 +58,9 @@ class TestDelayReorder:
         plan = FaultPlan(seed=3, delay=1.0, delay_seconds=0.01)
         with FaultyTransport(m2, plan) as ft:
             flood(m2, 4)
-            deadline = time.monotonic() + 2.0
-            while (
-                m2.processor(1).mailbox.pending() < 4
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
+            wait_until(
+                lambda: m2.processor(1).mailbox.pending() == 4, timeout=2.0
+            )
         assert m2.processor(1).mailbox.pending() == 4
         assert ft.stats.delayed == 4
 

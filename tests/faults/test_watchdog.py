@@ -10,8 +10,10 @@ from repro.faults import Watchdog
 from repro.pcn.defvar import DefVar
 from repro.pcn.process import spawn
 from repro.status import DeadlockError
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
 from repro.vp.message import MessageType
+from tests.conftest import advance_until
 
 
 class TestCircularWait:
@@ -131,22 +133,31 @@ class TestNoFalsePositives:
 class TestSuspectedPeers:
     """Waiting on a *suspected* peer is silence under adjudication, not
     a circular dependency: the watchdog must report it, never convert it
-    into a false DeadlockError."""
+    into a false DeadlockError.  The detector's rounds run on a manual
+    clock the tests step; the watchdog and the receives stay on real
+    time."""
 
-    @staticmethod
-    def _suspected_machine():
+    INTERVAL = 1 / 64
+
+    def _rounds(self, machine, predicate):
+        return advance_until(machine.clock, predicate, self.INTERVAL)
+
+    def _suspected_machine(self):
         from repro.faults import FaultPlan, FaultyTransport
         from repro.faults.partition import PartitionCut, PartitionPlan
         from repro.health import FailureDetector
 
-        machine = Machine(2, default_recv_timeout=20.0)
+        machine = Machine(2, default_recv_timeout=20.0, clock=ManualClock())
         plan = PartitionPlan([PartitionCut("iso", (1,), (0,))])
         plan.heal("iso")
         transport = FaultyTransport(
             machine, FaultPlan(seed=0), partitions=plan
         ).install()
         detector = FailureDetector(
-            machine, interval=0.02, suspect_after=2.0, dead_after=10_000.0
+            machine,
+            interval=self.INTERVAL,
+            suspect_after=2.0,
+            dead_after=10_000.0,
         ).install()
         return machine, plan, transport, detector
 
@@ -154,10 +165,7 @@ class TestSuspectedPeers:
         machine, plan, transport, detector = self._suspected_machine()
         try:
             plan.cut("iso")
-            deadline = time.monotonic() + 8.0
-            while not detector.is_suspect(1) and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert detector.is_suspect(1)
+            assert self._rounds(machine, lambda: detector.is_suspect(1))
 
             def node0():
                 return machine.processor(0).mailbox.recv(
@@ -172,8 +180,7 @@ class TestSuspectedPeers:
                 wd.join([p], timeout=1.0)
             # The suspect proves alive; the wait satisfies normally.
             plan.heal("iso")
-            while detector.is_suspect(1) and time.monotonic() < deadline:
-                time.sleep(0.005)
+            assert self._rounds(machine, lambda: not detector.is_suspect(1))
             machine.send(1, 0, "pong", tag="ping")
             assert wd.join([p], timeout=10.0)[0].payload == "pong"
         finally:
@@ -184,9 +191,7 @@ class TestSuspectedPeers:
         machine, plan, transport, detector = self._suspected_machine()
         try:
             plan.cut("iso")
-            deadline = time.monotonic() + 8.0
-            while not detector.is_suspect(1) and time.monotonic() < deadline:
-                time.sleep(0.005)
+            assert self._rounds(machine, lambda: detector.is_suspect(1))
 
             def node0():
                 return machine.processor(0).mailbox.recv(
@@ -202,8 +207,7 @@ class TestSuspectedPeers:
             assert "[waiting on suspect]" in str(graph[0])
             # A wait on a healthy peer stays an ordinary edge.
             plan.heal("iso")
-            while detector.is_suspect(1) and time.monotonic() < deadline:
-                time.sleep(0.005)
+            assert self._rounds(machine, lambda: not detector.is_suspect(1))
             graph = wd.wait_graph([p])
             assert len(graph) == 1 and not graph[0].suspect
             machine.send(1, 0, "pong", tag="ping")

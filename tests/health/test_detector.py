@@ -1,13 +1,13 @@
 """Failure detector: lifecycle, verdicts, quarantine, and rejoin.
 
-The scripted-partition tests use manual :meth:`PartitionPlan.cut` /
-:meth:`heal` overrides rather than timed windows, so the silence the
-detector observes is under explicit test control.
+The machines run on a :class:`~repro.vp.clock.ManualClock`: a detector
+round happens when the test advances the clock an interval, and the
+partition tests cut and heal by hand, so the silence the detector
+observes — and the round on which each verdict lands — is under explicit
+test control.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -24,23 +24,15 @@ from repro.faults import (
 )
 from repro.health import FailureDetector, HealthState, install_detector
 from repro.status import Status
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
+from tests.conftest import advance_until
 
-# Fast-clock parameters: suspect after 0.04 s of silence, dead after
-# 0.12 s.  Polling deadlines are generous (seconds) so slow CI only
-# makes the tests slower, never flaky.
-INTERVAL = 0.02
+# Suspect after two intervals of silence, dead after six.  The interval
+# is a power of two, so round times add up exactly.
+INTERVAL = 1 / 64
 SUSPECT_AFTER = 2.0
 DEAD_AFTER = 6.0
-
-
-def wait_until(predicate, timeout=8.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def make_detector(machine, **overrides) -> FailureDetector:
@@ -54,7 +46,7 @@ def make_detector(machine, **overrides) -> FailureDetector:
 
 
 def isolation(vp: int, others) -> PartitionPlan:
-    """A manual-override plan isolating ``vp`` (initially healed)."""
+    """A plan isolating ``vp``, initially healed."""
     plan = PartitionPlan(
         [PartitionCut("iso", (vp,), tuple(others))]
     )
@@ -62,15 +54,23 @@ def isolation(vp: int, others) -> PartitionPlan:
     return plan
 
 
+def rounds(clock, predicate):
+    """Run detector rounds until ``predicate`` holds (at most 400)."""
+    return advance_until(clock, predicate, INTERVAL)
+
+
 class TestLifecycle:
     def test_install_makes_detector_the_health_authority(self):
-        machine = Machine(3)
+        clock = ManualClock()
+        machine = Machine(3, clock=clock)
         detector = make_detector(machine)
         try:
             assert machine._health is detector
             assert detector.installed
             # Heartbeats flow: every VP stays alive.
-            assert wait_until(lambda: detector.snapshot()["heartbeats_received"] > 6)
+            assert rounds(
+                clock, lambda: detector.snapshot()["heartbeats_received"] > 6
+            )
             for p in range(3):
                 assert detector.state_of(p) is HealthState.ALIVE
                 assert not detector.is_dead(p)
@@ -111,13 +111,13 @@ class TestLifecycle:
 
 class TestOracleIntegration:
     def test_scripted_kill_is_an_immediate_dead_verdict(self):
-        machine = Machine(3)
+        machine = Machine(3, clock=ManualClock())
         detector = make_detector(machine)
         try:
             verdicts = []
             detector.add_listener(verdicts.append)
             machine.fail(2)
-            # No timeout wait: the oracle listener fires synchronously.
+            # No round runs: the oracle listener fires synchronously.
             assert detector.state_of(2) is HealthState.DEAD
             assert detector.is_dead(2)
             dead = [e for e in verdicts if e.transition == "dead"]
@@ -126,7 +126,7 @@ class TestOracleIntegration:
             detector.close()
 
     def test_straggler_heartbeat_from_oracle_dead_vp_is_ignored(self):
-        machine = Machine(3)
+        machine = Machine(3, clock=ManualClock())
         detector = make_detector(machine)
         try:
             machine.fail(2)
@@ -147,57 +147,47 @@ class TestOracleIntegration:
 
 class TestSilenceVerdicts:
     def test_partition_silence_drives_suspect_then_dead(self):
-        machine = Machine(3)
+        clock = ManualClock()
+        machine = Machine(3, clock=clock)
         plan = isolation(2, (0, 1))
         with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
             detector = make_detector(machine)
             try:
-                assert wait_until(
-                    lambda: detector.snapshot()["heartbeats_received"] > 3
-                )
+                # Rounds at 0, 1, 2, 3 and 4 intervals: VP 2 last heard
+                # from at 4.
+                clock.advance(4 * INTERVAL)
+                assert detector.snapshot()["heartbeats"][2] == 5
                 plan.cut("iso")
-                cut_at = time.monotonic()
-                assert wait_until(lambda: detector.is_suspect(2))
-                assert wait_until(
-                    lambda: detector.state_of(2) is HealthState.DEAD
-                )
-                # Latency is governed by the heartbeat interval.  Silence
-                # must actually accrue: the verdict can land at most one
-                # pre-cut heartbeat early ...
-                latency = time.monotonic() - cut_at
-                window = DEAD_AFTER * INTERVAL
-                assert latency > window - 2 * INTERVAL
-                # ... and scheduling slack on a loaded box stays bounded.
-                assert latency < window + max(0.6, 20 * INTERVAL)
+                clock.advance(10 * INTERVAL)
+                # Silence is judged against the thresholds exactly: it
+                # first exceeds two intervals on the third round after the
+                # cut, six on the seventh.
+                verdicts = [
+                    (e.vp, e.transition, e.at / INTERVAL)
+                    for e in detector.events()
+                ]
+                assert verdicts == [(2, "suspect", 7.0), (2, "dead", 11.0)]
                 # Not an oracle death: the fabric lost the VP, the
                 # machine did not.
                 assert not machine.is_failed(2)
                 assert machine.is_unavailable(2)
-                transitions = [
-                    (e.vp, e.transition) for e in detector.events()
-                ]
-                assert (2, "suspect") in transitions
-                assert (2, "dead") in transitions
-                # The suspect verdict preceded the dead verdict.
-                assert transitions.index((2, "suspect")) < transitions.index(
-                    (2, "dead")
-                )
             finally:
                 detector.close()
 
     def test_false_positive_heals_into_quarantine_and_rejoin(self):
-        machine = Machine(3)
+        clock = ManualClock()
+        machine = Machine(3, clock=clock)
         plan = isolation(2, (0, 1))
         with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
             detector = make_detector(machine)
             try:
                 plan.cut("iso")
-                assert wait_until(
-                    lambda: detector.state_of(2) is HealthState.DEAD
+                assert rounds(
+                    clock, lambda: detector.state_of(2) is HealthState.DEAD
                 )
                 plan.heal("iso")
-                assert wait_until(
-                    lambda: detector.state_of(2) is HealthState.ALIVE
+                assert rounds(
+                    clock, lambda: detector.state_of(2) is HealthState.ALIVE
                 )
                 assert detector.false_positives == 1
                 assert detector.rejoins == 1
@@ -209,28 +199,65 @@ class TestSilenceVerdicts:
                 detector.close()
 
     def test_suspicion_score_grows_with_silence(self):
-        machine = Machine(3)
+        clock = ManualClock()
+        machine = Machine(3, clock=clock)
         plan = isolation(2, (0, 1))
         with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
             detector = make_detector(machine, dead_after=1000.0)
             try:
-                assert wait_until(
-                    lambda: detector.snapshot()["heartbeats_received"] > 6
+                assert rounds(
+                    clock,
+                    lambda: detector.snapshot()["heartbeats_received"] > 6,
                 )
                 healthy = detector.suspicion(2)
                 plan.cut("iso")
-                assert wait_until(
-                    lambda: detector.suspicion(2) > healthy + 3.0
+                assert rounds(
+                    clock, lambda: detector.suspicion(2) > healthy + 3.0
                 )
             finally:
                 detector.close()
+
+    def test_verdicts_repeat_under_one_schedule(self):
+        """Seeded heartbeat drops and delays, then a cut and a heal: two
+        runs on a manual clock give the same verdicts at the same
+        times."""
+
+        def run():
+            clock = ManualClock()
+            machine = Machine(4, clock=clock)
+            plan = isolation(3, (0, 1, 2))
+            faults = FaultPlan(
+                seed=21,
+                drop=0.3,
+                delay=0.3,
+                delay_seconds=3 * INTERVAL,
+                kinds=("heartbeat",),
+            )
+            with FaultyTransport(machine, faults, partitions=plan) as ft:
+                detector = make_detector(machine)
+                try:
+                    clock.advance(40 * INTERVAL)
+                    plan.cut("iso")
+                    clock.advance(20 * INTERVAL)
+                    plan.heal("iso")
+                    clock.advance(20 * INTERVAL)
+                finally:
+                    detector.close()
+            assert ft.stats.dropped and ft.stats.delayed
+            return [(e.vp, e.transition, e.at) for e in detector.events()]
+
+        first = run()
+        isolated = [transition for vp, transition, _ in first if vp == 3]
+        assert isolated.index("dead") < isolated.index("rejoin")
+        assert first == run()
 
 
 class TestFlapping:
     def test_flapping_suspect_never_fires_recovery(self):
         """suspect -> alive -> suspect flaps stay non-destructive: no
         dead verdict, no recovery, membership untouched."""
-        machine = Machine(6, default_recv_timeout=5)
+        clock = ManualClock()
+        machine = Machine(6, default_recv_timeout=5, clock=clock)
         am_util.load_all(machine)
         coordinator = install_recovery(machine)
         arr = DistributedArray.create(
@@ -245,16 +272,17 @@ class TestFlapping:
         plan = isolation(3, (0, 1, 2, 4, 5))
         with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
             # dead_after high enough that a flap window (one suspect
-            # poll) cannot harden into a dead verdict.
+            # round) cannot harden into a dead verdict.
             detector = make_detector(machine, dead_after=400.0)
             try:
                 flaps = 0
                 for _ in range(3):
                     plan.cut("iso")
-                    assert wait_until(lambda: detector.is_suspect(3))
+                    assert rounds(clock, lambda: detector.is_suspect(3))
                     plan.heal("iso")
-                    assert wait_until(
-                        lambda: detector.state_of(3) is HealthState.ALIVE
+                    assert rounds(
+                        clock,
+                        lambda: detector.state_of(3) is HealthState.ALIVE,
                     )
                     flaps += 1
                 events = [e for e in detector.events() if e.vp == 3]
@@ -277,7 +305,8 @@ class TestDetectorDrivenRecovery:
         the lost section -> heal -> quarantine -> rejoin, with the
         falsely-declared-dead VP fenced out of ownership and recovery
         fired exactly once."""
-        machine = Machine(6, default_recv_timeout=5)
+        clock = ManualClock()
+        machine = Machine(6, default_recv_timeout=5, clock=clock)
         am_util.load_all(machine)
         coordinator = install_recovery(machine)
         arr = DistributedArray.create(
@@ -297,20 +326,21 @@ class TestDetectorDrivenRecovery:
             detector = make_detector(machine)
             try:
                 plan.cut("iso")
-                assert wait_until(
-                    lambda: detector.state_of(3) is HealthState.DEAD
+                assert rounds(
+                    clock, lambda: detector.state_of(3) is HealthState.DEAD
                 )
-                # Recovery ran off the detector verdict (no oracle kill).
+                # Recovery ran off the detector verdict (no oracle kill),
+                # inside the round that gave it.
                 assert not machine.is_failed(3)
-                assert wait_until(
-                    lambda: 3
+                assert (
+                    3
                     not in manager.durability_state(arr.array_id).processors
                 )
                 ok = [r for r in coordinator.recoveries if r.get("ok")]
                 assert len(ok) == 1 and ok[0]["dead"] == 3
                 plan.heal("iso")
-                assert wait_until(
-                    lambda: detector.state_of(3) is HealthState.ALIVE
+                assert rounds(
+                    clock, lambda: detector.state_of(3) is HealthState.ALIVE
                 )
                 # Rejoin must not have re-fired recovery or changed
                 # membership again.

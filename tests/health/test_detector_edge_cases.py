@@ -5,43 +5,41 @@ detector's own traffic while leaving the data plane intact — the
 detector must tolerate lossy evidence without hardening false verdicts
 (beyond what its thresholds promise) and without ever *missing* a real
 death.
+
+Every machine here runs on a :class:`~repro.vp.clock.ManualClock`: an
+observation window is a number of detector rounds the test steps, and a
+delayed heartbeat arrives in the round its delay runs out.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.arrays import am_util
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, install_recovery
 from repro.health import FailureDetector, HealthState
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
+from tests.conftest import advance_until
 
-INTERVAL = 0.02
-
-
-def wait_until(predicate, timeout=8.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+INTERVAL = 1 / 64
 
 
 def test_dropped_heartbeats_below_threshold_stay_alive():
     """Losing some heartbeats is indistinguishable from jitter: with
     drops well under the suspect window, nobody hardens to dead."""
-    machine = Machine(4)
+    clock = ManualClock()
+    machine = Machine(4, clock=clock)
     plan = FaultPlan(seed=7, drop=0.3, kinds=("heartbeat",))
     with FaultyTransport(machine, plan) as ft:
         detector = FailureDetector(
             machine, interval=INTERVAL, suspect_after=6.0, dead_after=40.0
         ).install()
         try:
-            assert wait_until(lambda: ft.stats.dropped >= 5)
+            assert advance_until(
+                clock, lambda: ft.stats.dropped >= 5, INTERVAL
+            )
             # Survive a long observation window without a dead verdict.
-            time.sleep(30 * INTERVAL)
+            clock.advance(30 * INTERVAL)
             for p in range(4):
                 assert detector.state_of(p) is not HealthState.DEAD
             dead = [
@@ -56,16 +54,19 @@ def test_total_heartbeat_loss_is_a_timeout_death():
     """drop=1.0 on heartbeat traffic only: every VP but the monitor
     falls silent and hardens to dead — data traffic was never touched,
     so this is purely the detector's inference."""
-    machine = Machine(3)
+    clock = ManualClock()
+    machine = Machine(3, clock=clock)
     plan = FaultPlan(seed=1, drop=1.0, kinds=("heartbeat",))
     with FaultyTransport(machine, plan):
         detector = FailureDetector(
             machine, interval=INTERVAL, suspect_after=2.0, dead_after=6.0
         ).install()
         try:
-            assert wait_until(
+            assert advance_until(
+                clock,
                 lambda: detector.state_of(1) is HealthState.DEAD
-                and detector.state_of(2) is HealthState.DEAD
+                and detector.state_of(2) is HealthState.DEAD,
+                INTERVAL,
             )
             for event in detector.events():
                 if event.transition == "dead":
@@ -78,7 +79,8 @@ def test_total_heartbeat_loss_is_a_timeout_death():
 def test_delayed_heartbeats_do_not_harden_dead_verdicts():
     """Delivery delay inflates inter-arrival jitter; the dead window is
     sized in heartbeat multiples, so bounded delay must not kill."""
-    machine = Machine(3)
+    clock = ManualClock()
+    machine = Machine(3, clock=clock)
     plan = FaultPlan(
         seed=3,
         delay=0.8,
@@ -90,8 +92,10 @@ def test_delayed_heartbeats_do_not_harden_dead_verdicts():
             machine, interval=INTERVAL, suspect_after=6.0, dead_after=40.0
         ).install()
         try:
-            assert wait_until(lambda: ft.stats.delayed >= 5)
-            time.sleep(30 * INTERVAL)
+            assert advance_until(
+                clock, lambda: ft.stats.delayed >= 5, INTERVAL
+            )
+            clock.advance(30 * INTERVAL)
             assert not [
                 e for e in detector.events() if e.transition == "dead"
             ]
@@ -102,9 +106,9 @@ def test_delayed_heartbeats_do_not_harden_dead_verdicts():
     # (suspect after 2 intervals, heartbeats up to 3 late) and still
     # inside the dead window of 6: suspicion stays reversible — it flaps
     # back, never hardens.
-    observation = 80 * INTERVAL
     for prob in (0.0, 0.3, 0.6):
-        machine = Machine(4)
+        clock = ManualClock()
+        machine = Machine(4, clock=clock)
         plan = FaultPlan(
             seed=11,
             delay=prob,
@@ -116,7 +120,7 @@ def test_delayed_heartbeats_do_not_harden_dead_verdicts():
                 machine, interval=INTERVAL, suspect_after=2.0, dead_after=6.0
             ).install()
             try:
-                time.sleep(observation)
+                clock.advance(80 * INTERVAL)
                 seen = [e.transition for e in detector.events()]
             finally:
                 detector.close()
@@ -131,14 +135,17 @@ def test_delayed_heartbeats_do_not_harden_dead_verdicts():
 def test_duplicated_heartbeats_are_harmless():
     """Duplicates refresh last-seen twice; nothing transitions, and the
     received counter simply runs ahead of the emission count."""
-    machine = Machine(3)
+    clock = ManualClock()
+    machine = Machine(3, clock=clock)
     plan = FaultPlan(seed=5, duplicate=0.5, kinds=("heartbeat",))
     with FaultyTransport(machine, plan) as ft:
         detector = FailureDetector(
             machine, interval=INTERVAL, suspect_after=4.0, dead_after=12.0
         ).install()
         try:
-            assert wait_until(lambda: ft.stats.duplicated >= 5)
+            assert advance_until(
+                clock, lambda: ft.stats.duplicated >= 5, INTERVAL
+            )
             for p in range(3):
                 assert detector.state_of(p) is HealthState.ALIVE
             assert not [
@@ -155,7 +162,8 @@ def test_flapping_under_lossy_heartbeats_never_double_fires_recovery():
     however many flaps occur, recovery fires at most once per VP that
     actually hardens to dead — and not at all here, because the drop
     rate keeps every VP under the dead window."""
-    machine = Machine(6, default_recv_timeout=5)
+    clock = ManualClock()
+    machine = Machine(6, default_recv_timeout=5, clock=clock)
     am_util.load_all(machine)
     coordinator = install_recovery(machine)
     DistributedArray.create(
@@ -164,21 +172,21 @@ def test_flapping_under_lossy_heartbeats_never_double_fires_recovery():
     )
     plan = FaultPlan(seed=11, drop=0.6, kinds=("heartbeat",))
     with FaultyTransport(machine, plan):
-        # The dead window is deliberately enormous (30 s): the test is
-        # about suspect/alive flapping, and no scheduler stall on a
-        # loaded CI box should be able to harden a flap into a dead
-        # verdict and fire real recovery.
+        # The dead window is deliberately enormous (1500 intervals): the
+        # test is about suspect/alive flapping, and no run of drops may
+        # harden a flap into a dead verdict and fire real recovery.
         detector = FailureDetector(
             machine, interval=INTERVAL, suspect_after=1.5, dead_after=1500.0
         ).install()
         try:
             # Wait for genuine flapping: at least one suspect and one
             # flap-back-alive somewhere.
-            assert wait_until(
+            assert advance_until(
+                clock,
                 lambda: any(
                     e.transition == "alive" for e in detector.events()
                 ),
-                timeout=15.0,
+                INTERVAL,
             )
             assert coordinator.recoveries == []
             # Per-VP sanity: dead verdicts (there should be none) never

@@ -1,5 +1,6 @@
 """TaskFarm x FailureDetector: park suspects, retire the confirmed dead,
-revive false positives."""
+revive false positives.  The detector's rounds run on a
+:class:`~repro.vp.clock.ManualClock` the tests step."""
 
 from __future__ import annotations
 
@@ -14,23 +15,16 @@ from repro.faults import (
     PartitionPlan,
 )
 from repro.health import FailureDetector, HealthState
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
+from tests.conftest import advance_until
 
-INTERVAL = 0.02
-
-
-def wait_until(predicate, timeout=10.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+INTERVAL = 1 / 64
 
 
 def harness(dead_after=10_000.0):
     """Machine with VP 2 isolatable; farm groups [(1,), (2,)]."""
-    machine = Machine(3)
+    machine = Machine(3, clock=ManualClock())
     plan = PartitionPlan([PartitionCut("iso", (2,), (0, 1))])
     plan.heal("iso")
     transport = FaultyTransport(
@@ -44,6 +38,11 @@ def harness(dead_after=10_000.0):
     return machine, plan, transport, detector, farm
 
 
+def rounds(machine, predicate):
+    """Run detector rounds until ``predicate`` holds (at most 400)."""
+    return advance_until(machine.clock, predicate, INTERVAL)
+
+
 def teardown(transport, detector, farm):
     farm.detach_detector()
     detector.close()
@@ -54,7 +53,7 @@ def test_suspected_group_parks_until_proven_alive():
     machine, plan, transport, detector, farm = harness()
     try:
         plan.cut("iso")
-        assert wait_until(lambda: 1 in farm._quarantined)
+        assert rounds(machine, lambda: 1 in farm._quarantined)
         # Every job lands on the healthy group; the parked worker pulls
         # nothing and the run still completes.
         result = farm.run([lambda group: group for _ in range(6)], timeout=30.0)
@@ -63,7 +62,7 @@ def test_suspected_group_parks_until_proven_alive():
         assert result.dead_groups == []
         # Heal: the flap back to alive unparks the group.
         plan.heal("iso")
-        assert wait_until(lambda: farm._quarantined == set())
+        assert rounds(machine, lambda: farm._quarantined == set())
         slow = lambda group: (time.sleep(0.02), group)[1]  # noqa: E731
         result = farm.run([slow for _ in range(8)], timeout=30.0)
         assert result.jobs_per_group[1] > 0
@@ -90,7 +89,7 @@ def test_inflight_timeout_on_parked_group_requeues_the_job():
         def orchestrate():
             assert grabbed.wait(timeout=20.0)
             plan.cut("iso")
-            assert wait_until(lambda: 1 in farm._quarantined)
+            assert rounds(machine, lambda: 1 in farm._quarantined)
             release.set()
 
         driver = threading.Thread(target=orchestrate)
@@ -110,8 +109,10 @@ def test_dead_verdict_retires_group_and_rejoin_revives_it():
     machine, plan, transport, detector, farm = harness(dead_after=6.0)
     try:
         plan.cut("iso")
-        assert wait_until(lambda: detector.state_of(2) is HealthState.DEAD)
-        assert wait_until(lambda: 1 in farm._dead_by_verdict)
+        assert rounds(
+            machine, lambda: detector.state_of(2) is HealthState.DEAD
+        )
+        assert 1 in farm._dead_by_verdict
         assert farm._quarantined == set()
         slow = lambda group: (time.sleep(0.02), group)[1]  # noqa: E731
         result = farm.run([slow for _ in range(4)], timeout=30.0)
@@ -119,8 +120,10 @@ def test_dead_verdict_retires_group_and_rejoin_revives_it():
         assert result.dead_groups == [1]
         # Heal: quarantine -> rejoin -> the group is a worker again.
         plan.heal("iso")
-        assert wait_until(lambda: detector.state_of(2) is HealthState.ALIVE)
-        assert wait_until(lambda: farm._dead_by_verdict == set())
+        assert rounds(
+            machine, lambda: detector.state_of(2) is HealthState.ALIVE
+        )
+        assert farm._dead_by_verdict == set()
         slow = lambda group: (time.sleep(0.02), group)[1]  # noqa: E731
         result = farm.run([slow for _ in range(8)], timeout=30.0)
         assert result.jobs_per_group[1] > 0

@@ -4,12 +4,11 @@ A suspect's death is unconfirmed, so instead of raising (the suspicion
 may be a network blip) or dropping (the suspect may be alive and the
 data lost), the machine buffers the send and replays it when the
 verdict resolves: flushed on alive/rejoin, drained to the dead counter
-on a hardened dead verdict.
+on a hardened dead verdict.  The detector's rounds run on a
+:class:`~repro.vp.clock.ManualClock` the tests step.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -20,18 +19,11 @@ from repro.faults import (
     PartitionPlan,
 )
 from repro.health import FailureDetector, HealthState
+from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
+from tests.conftest import advance_until
 
-INTERVAL = 0.02
-
-
-def wait_until(predicate, timeout=8.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+INTERVAL = 1 / 64
 
 
 def isolation(vp, others):
@@ -48,7 +40,8 @@ def test_queue_is_a_valid_policy():
 
 
 def test_send_to_suspect_is_buffered_and_flushed_on_heal():
-    machine = Machine(3, dead_send_policy="queue")
+    clock = ManualClock()
+    machine = Machine(3, dead_send_policy="queue", clock=clock)
     plan = isolation(2, (0, 1))
     with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
         detector = FailureDetector(
@@ -56,18 +49,20 @@ def test_send_to_suspect_is_buffered_and_flushed_on_heal():
         ).install()
         try:
             plan.cut("iso")
-            assert wait_until(lambda: detector.is_suspect(2))
+            assert advance_until(
+                clock, lambda: detector.is_suspect(2), INTERVAL
+            )
             machine.send(0, 2, "parked payload", tag="queued")
             assert machine.diagnostics()["suspect_queued"] == {2: 1}
             # The partition heals, a heartbeat gets through, the VP flaps
             # back to alive — and the buffered send is replayed.
             plan.heal("iso")
-            assert wait_until(
-                lambda: detector.state_of(2) is HealthState.ALIVE
+            assert advance_until(
+                clock,
+                lambda: detector.state_of(2) is HealthState.ALIVE,
+                INTERVAL,
             )
-            assert wait_until(
-                lambda: machine.diagnostics()["suspect_queued"] == {}
-            )
+            assert machine.diagnostics()["suspect_queued"] == {}
             message = machine.processor(2).mailbox.recv(
                 tag="queued", timeout=5.0
             )
@@ -78,7 +73,8 @@ def test_send_to_suspect_is_buffered_and_flushed_on_heal():
 
 
 def test_queue_drains_to_dead_counter_on_hardened_verdict():
-    machine = Machine(3, dead_send_policy="queue")
+    clock = ManualClock()
+    machine = Machine(3, dead_send_policy="queue", clock=clock)
     plan = isolation(2, (0, 1))
     with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
         detector = FailureDetector(
@@ -86,18 +82,21 @@ def test_queue_drains_to_dead_counter_on_hardened_verdict():
         ).install()
         try:
             plan.cut("iso")
-            assert wait_until(lambda: detector.is_suspect(2))
-            if detector.state_of(2) is HealthState.SUSPECT:
-                machine.send(0, 2, "doomed", tag="queued")
+            assert advance_until(
+                clock, lambda: detector.is_suspect(2), INTERVAL
+            )
+            assert detector.state_of(2) is HealthState.SUSPECT
+            machine.send(0, 2, "doomed", tag="queued")
             dropped_before = machine.dropped_to_dead
-            assert wait_until(
-                lambda: detector.state_of(2) is HealthState.DEAD
+            assert advance_until(
+                clock,
+                lambda: detector.state_of(2) is HealthState.DEAD,
+                INTERVAL,
             )
             assert machine.diagnostics()["suspect_queued"] == {}
-            # Whatever was buffered at verdict time drained to the
-            # dropped counter (the send may have raced the verdict, in
-            # which case it was never buffered — both are legal).
-            assert machine.dropped_to_dead >= dropped_before
+            # What was buffered at verdict time drained to the dropped
+            # counter.
+            assert machine.dropped_to_dead == dropped_before + 1
         finally:
             detector.close()
 

@@ -227,30 +227,30 @@ class TestViews:
         assert arr.migrate(move) == list(move)
 
     @staticmethod
-    def cut_until_dead(detector, plan):
-        """VP 7 falls silent behind a cut and is declared dead.  The
-        monitor thread sleeps (an hour's interval); rounds are stepped by
-        hand so no heartbeat arrives while the test reads."""
+    def cut_until_dead(clock, detector, plan):
+        """VP 7 falls silent behind a cut and is declared dead.  Rounds
+        run only when the test advances the machine's clock, so no
+        heartbeat arrives while the test reads."""
         from repro.health import HealthState
+        from tests.conftest import advance_until
 
-        deadline = time.monotonic() + 10
-        while detector.heartbeats_received < 8:  # the thread's one round
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        clock.advance(0)  # the round due at install
+        assert detector.heartbeats_received == 8
         plan.cut("iso")
-        while detector.state_of(7) is not HealthState.DEAD:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-            detector.step()
+        assert advance_until(
+            clock,
+            lambda: detector.state_of(7) is HealthState.DEAD,
+            detector.interval,
+        )
 
     @staticmethod
-    def heal_and_rejoin(detector, plan):
+    def heal_and_rejoin(clock, detector, plan):
         """The cut heals and VP 7 rejoins: with the above, a suspicion, a
         false positive and four verdicts in the detector's log."""
         from repro.health import HealthState
 
         plan.heal("iso")
-        detector.step()
+        clock.advance(detector.interval)
         assert detector.state_of(7) is HealthState.ALIVE
 
     def test_every_view_equals_its_owners_counter(self):
@@ -263,26 +263,28 @@ class TestViews:
         )
         from repro.health import install_detector
         from repro.obs.views import VIEWS
+        from repro.vp.clock import ManualClock
 
         rt = IntegratedRuntime(8, default_recv_timeout=20)
         machine = rt.machine
+        # Before anything reads it: the detector's rounds run only when
+        # the test advances this clock.
+        machine.clock = clock = ManualClock()
         arr = DistributedArray.create(
             machine, "double", (8, 8), [0, 1, 2, 3],
             [("block", 2), ("block", 2)], borders=[2] * 4, replication=1,
         )
         plan = PartitionPlan([PartitionCut("iso", (7,), tuple(range(7)))])
         plan.heal("iso")
-        # Suspect after 0.18 s of silence, dead after 0.36 s, on an
-        # interval nobody waits out.
         detector = install_detector(
-            machine, interval=3600.0, suspect_after=5e-5, dead_after=1e-4
+            machine, interval=1 / 64, suspect_after=2.0, dead_after=6.0
         )
         try:
             self.work(rt, arr, {1: 4})
             with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
-                self.cut_until_dead(detector, plan)
+                self.cut_until_dead(clock, detector, plan)
                 observer = rt.observe()
-                self.heal_and_rejoin(detector, plan)
+                self.heal_and_rejoin(clock, detector, plan)
             self.work(rt, arr, {2: 5})
             release = DefVar("release")
             blocked = machine.processor(3).spawn(release.read, 10)
