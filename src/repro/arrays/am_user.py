@@ -410,8 +410,6 @@ def write_region_targeted(
         # Unknown here (foreign or freed array): the single-hop path
         # produces the authoritative NOT_FOUND.
         return write_region(machine, array_id, region, data)
-    # The creation-time layout serves: verify_array can only change the
-    # borders, and neither validation nor region_sections depends on them.
     try:
         return manager.region_write(
             array_id, state.layout, state.type_name, state.processors,

@@ -213,12 +213,7 @@ class ArraySnapshot:
         """The global array this snapshot captured (test/diagnostic aid)."""
         out = np.zeros(self.layout.dims, dtype=dtype_for(self.type_name))
         for section, data in self.sections.items():
-            coords = self.layout.section_coords(section)
-            slices = tuple(
-                slice(c * ld, (c + 1) * ld)
-                for c, ld in zip(coords, self.layout.local_dims)
-            )
-            out[slices] = data
+            out[self.layout.section_slices(section)] = data
         return out
 
 
@@ -229,7 +224,12 @@ class ArraySnapshot:
 class DurabilityState:
     """The array manager's machine-wide durability record for one array:
     authoritative epoch counter, current membership, replica placement,
-    latest checkpoint, recovery statistics, and the sections lost.
+    layout, latest checkpoint, recovery statistics, and the sections lost.
+
+    ``layout`` is the array's one layout: ``verify_array`` changes it
+    under ``lock`` once every holder has reallocated, and whatever makes
+    a section (recovery, migration, rollback) or plans over the sections
+    (halo plans, targeted region writes) reads it here.
 
     ``lost`` maps each section no copy of which can come back to its
     cause; it is the one thing recovery stores.  A section whose owner
@@ -240,12 +240,9 @@ class DurabilityState:
     replication: int
     processors: Tuple[int, ...]
     replica_map: Optional[ReplicaMap]
-    creator: int
     type_name: str
     layout: ArrayLayout
-    border_spec: tuple
     epoch: int = 0
-    last_checkpoint_epoch: Optional[int] = None
     last_checkpoint: Optional[ArraySnapshot] = None
     sections_rebuilt: int = 0
     sections_migrated: int = 0
@@ -268,6 +265,11 @@ class DurabilityState:
             latest = max(self.allocated_epoch, self.epoch, above)
             self.allocated_epoch = latest + 1
             return self.allocated_epoch
+
+    @property
+    def last_checkpoint_epoch(self) -> Optional[int]:
+        snapshot = self.last_checkpoint
+        return None if snapshot is None else snapshot.epoch
 
     def note_stale(self) -> None:
         with self.lock:

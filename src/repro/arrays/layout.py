@@ -194,6 +194,13 @@ class ArrayLayout:
     def section_coords(self, section: int) -> tuple[int, ...]:
         return unflatten_index(section, self.grid, self.grid_indexing)
 
+    def section_slices(self, section: int) -> tuple[slice, ...]:
+        """The slices of the global array that ``section`` holds."""
+        return tuple(
+            slice(c * ld, (c + 1) * ld)
+            for c, ld in zip(self.section_coords(section), self.local_dims)
+        )
+
     def locate(self, indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         """Global indices -> (section number, local indices).
 

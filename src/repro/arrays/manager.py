@@ -547,9 +547,6 @@ class ArrayManager:
             return _fail(status, Status.INVALID, array_id_out)
 
         array_id = ArrayID(node.number, SERIALS.next_for(node.number))
-        border_spec = border_info if isinstance(border_info, tuple) else tuple(
-            borders
-        )
 
         # Every processor that is to hold a record: the distribution and,
         # even when it holds no section, this creating processor — so later
@@ -561,7 +558,6 @@ class ArrayManager:
             type_name,
             layout,
             procs,
-            border_spec,
             replication,
             replica_map,
         ):
@@ -572,10 +568,8 @@ class ArrayManager:
                 replication=replication,
                 processors=procs,
                 replica_map=replica_map,
-                creator=node.number,
                 type_name=type_name,
                 layout=layout,
-                border_spec=border_spec,
             )
         _define(array_id_out, array_id)
         _define(status, Status.OK)
@@ -587,7 +581,6 @@ class ArrayManager:
         type_name: str,
         layout: ArrayLayout,
         processors: tuple[int, ...],
-        border_spec: tuple,
         replication: int,
         replica_map: Any,
         status: DefVar,
@@ -595,8 +588,8 @@ class ArrayManager:
         """Create one processor's record, with its local section when it
         is in the distribution (§5.1.1)."""
         record = self._make_record(
-            node, array_id, type_name, layout, processors, border_spec,
-            replication, replica_map,
+            node, array_id, type_name, layout, processors, replication,
+            replica_map,
         )
         _records(node)[array_id] = record
         # Seed the backup mirrors with the initial contents: a section
@@ -611,7 +604,6 @@ class ArrayManager:
         type_name: str,
         layout: ArrayLayout,
         processors: Sequence[int],
-        border_spec: tuple,
         replication: int,
         replica_map: Any,
         epoch: int = 0,
@@ -632,7 +624,6 @@ class ArrayManager:
             layout=layout,
             processors=tuple(processors),
             section=section,
-            border_spec=border_spec,
             replication=replication,
             replica_map=replica_map,
             epoch=int(epoch),
@@ -1035,19 +1026,25 @@ class ArrayManager:
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
-        new_borders: tuple[int, ...],
-        new_layout: ArrayLayout,
+        layout: ArrayLayout,
         status: DefVar,
     ) -> None:
-        """Reallocate the local section with different borders, copying the
-        interior data (§5.1.1, used by verify_array)."""
-        record = self._resolve(node, array_id, status, section=True)
+        """Give this processor's record ``layout``, reallocating its local
+        section with the new borders and copying the interior data
+        (§5.1.1, used by verify_array).  Copy and swap happen under
+        ``record.lock``, so no write lands in the storage being freed; a
+        record without a section takes the layout alone."""
+        record = self._resolve(node, array_id, status)
         if record is None:
             return
-        replacement = record.section.reallocate_with_borders(new_borders)
-        record.section.free()
-        record.section = replacement
-        record.layout = new_layout
+        with record.lock:
+            if record.section is not None:
+                replacement = record.section.reallocate_with_borders(
+                    layout.borders
+                )
+                record.section.free()
+                record.section = replacement
+            record.layout = layout
         _define(status, Status.OK)
 
     def verify_array(
@@ -1059,35 +1056,50 @@ class ArrayManager:
         indexing_type: str,
         status: DefVar,
     ) -> None:
-        """Verify borders/indexing; reallocate local sections on border
-        mismatch (§4.2.7)."""
-        record = self._resolve(node, array_id, status)
-        if record is None:
+        """Verify borders/indexing against the array's layout
+        (``DurabilityState.layout``); on a border mismatch reallocate every
+        local section and commit the new layout (§4.2.7).
+
+        Every member and the creating processor take the new layout
+        (``copy_local``); a failed holder is passed over, since a section
+        rebuilt later is made to the state's layout.  The layout is
+        committed only when every holder asked answered OK, so a retried
+        ``verify_array`` asks again."""
+        if self._resolve(node, array_id, status) is None:
             return
+        state = self.durability_state(array_id)
+        if state is None:
+            return _fail(status, Status.NOT_FOUND)
+        layout = state.layout
         try:
             indexing = normalize_indexing(indexing_type)
         except ValueError:
             return _fail(status, Status.INVALID)
-        if n_dims != record.layout.rank or indexing != record.indexing_type:
+        if n_dims != layout.rank or indexing != layout.indexing:
             # Indexing type cannot be corrected without repartitioning;
             # mismatch is invalid (§4.2.7 third example).
             return _fail(status, Status.INVALID)
         try:
-            expected = resolve_borders(border_info, record.layout.rank)
+            expected = resolve_borders(border_info, layout.rank)
         except BorderSpecError:
             return _fail(status, Status.INVALID)
-        if expected == record.borders:
+        if expected == layout.borders:
             _define(status, Status.OK)
             return
         # Sections are about to be reallocated: pending writes must land
         # in the old storage before copy_local copies it.
-        self.machine._perf.coalescer.flush(record.array_id)
-        new_layout = record.layout.replace_borders(expected)
-        ok = self._fan_out(
-            "copy_local", record.processors, array_id, expected, new_layout
-        )
-        # Update the creating-processor record too.
-        record.layout = new_layout
+        self.machine._perf.coalescer.flush(array_id)
+        with state.lock:
+            new_layout = state.layout.replace_borders(expected)
+            ok = self._fan_out(
+                "copy_local",
+                (*state.processors, array_id.creating_processor),
+                array_id,
+                new_layout,
+                skip_failed=True,
+            )
+            if ok:
+                state.layout = new_layout
         _define(status, Status.OK if ok else Status.ERROR)
 
     # -- checkpoint / restore -----------------------------------------------------------
@@ -1168,7 +1180,6 @@ class ArrayManager:
             )
             state.epoch = target_epoch
             state.last_checkpoint = snapshot
-            state.last_checkpoint_epoch = target_epoch
         _define(snapshot_out, snapshot)
         _define(status, Status.OK)
 
@@ -1276,7 +1287,6 @@ class ArrayManager:
         type_name: str,
         layout: ArrayLayout,
         processors: tuple[int, ...],
-        border_spec: tuple,
         replication: int,
         replica_map: Any,
         epoch: int,
@@ -1293,8 +1303,8 @@ class ArrayManager:
             self._refuse_stale(array_id, status)
             return
         record = self._make_record(
-            node, array_id, type_name, layout, processors, border_spec,
-            replication, replica_map, epoch,
+            node, array_id, type_name, layout, processors, replication,
+            replica_map, epoch,
         )
         record.section.interior()[...] = data
         _records(node)[array_id] = record

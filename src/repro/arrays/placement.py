@@ -326,7 +326,7 @@ class SectionMover:
                 holders = (
                     set(plan.new_processors)
                     | set(plan.base_processors)
-                    | {state.creator}
+                    | {array_id.creating_processor}
                 ) - {move.dest for move in plan.moves}
                 reseeded = self._publish(
                     state, membership, holders, kind, strict=True
@@ -502,7 +502,7 @@ class SectionMover:
         fallback :meth:`_section_data` sweeps for if the plan dies on the
         way.  Best-effort: the membership is decided, and a processor
         that cannot be told only keeps what it kept before."""
-        for processor in sorted(set(roleless) - {state.creator}):
+        for processor in sorted(set(roleless) - {state.array_id.creating_processor}):
             if not self.machine.is_unavailable(processor):
                 with suppress(Exception):
                     self._ask(
@@ -555,7 +555,7 @@ class SectionMover:
         holders = (
             set(restore_procs)
             | set(plan.base_processors)
-            | {state.creator}
+            | {state.array_id.creating_processor}
             | dests
         )
         reseeded = self._publish(
@@ -583,7 +583,8 @@ class SectionMover:
         processor: int, kind: str, in_place: bool = False,
     ) -> None:
         """Install ``data`` as the section ``processor`` owns under
-        ``membership`` — ``(processors, replica_map, epoch)``."""
+        ``membership`` — ``(processors, replica_map, epoch)`` — made to
+        the array's current layout (``state.layout``)."""
         processors, replica_map, epoch = membership
         self._ask(
             "adopt_section",
@@ -593,7 +594,6 @@ class SectionMover:
             state.type_name,
             state.layout,
             processors,
-            state.border_spec,
             state.replication,
             replica_map,
             epoch,

@@ -26,7 +26,7 @@ score: hot VPs score high, idle VPs score low (possibly negative).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.arrays.placement import MigrationError, PlacementPlan
 from repro.status import Status
@@ -99,12 +99,14 @@ class Rebalancer:
 
         Two rules, in priority order:
 
-        1. **Repair** — any section owned by a failed processor moves to
-           a spare unconditionally (the metric gates do not apply to
-           correctness);
-        2. **Spread** — the hottest owner sheds its section to the
-           coldest spare when its load clears ``min_load`` and exceeds
-           the spare's by ``imbalance_ratio``.
+        1. **Repair** — :meth:`PlacementPlan.rebalance`: any section owned
+           by a failed processor moves to a spare unconditionally (the
+           metric gates do not apply to correctness), and a lost section
+           stays where it is;
+        2. **Spread** — only when there is nothing to repair: the hottest
+           owner sheds its section to the coldest spare when its load
+           clears ``min_load`` and exceeds the spare's by
+           ``imbalance_ratio``.
         """
         manager = getattr(self.machine, "_array_manager", None)
         if manager is None:
@@ -112,54 +114,47 @@ class Rebalancer:
         machine = self.machine
         scores = self.loads()
         plans: List[PlacementPlan] = []
-        for array_id, state in manager.durability_states():
+        for _array_id, state in manager.durability_states():
             with state.lock:
-                owners = tuple(state.processors)
-                # Detector verdicts count: a VP the failure detector has
-                # declared dead is as unplaceable as an oracle-failed one.
-                dead_owned = [
-                    s
-                    for s, p in enumerate(owners)
-                    if machine.is_unavailable(p)
-                ]
-                spares = [
-                    p
-                    for p in range(machine.num_nodes)
-                    if not machine.is_unavailable(p) and p not in owners
-                ]
-                spares.sort(key=lambda p: scores.get(p, 0.0))
-                assignments: Dict[int, int] = {}
-                for section in dead_owned:
-                    if not spares:
-                        break
-                    assignments[section] = spares.pop(0)
-                if not dead_owned and scores and spares:
-                    live = [
-                        (scores.get(p, 0.0), s, p)
-                        for s, p in enumerate(owners)
-                        if not machine.is_unavailable(p)
-                    ]
-                    if live:
-                        hot_load, hot_section, _hot = max(live)
-                        cold = spares[0]
-                        cold_load = scores.get(cold, 0.0)
-                        if hot_load >= self.min_load and (
-                            hot_load
-                            >= self.imbalance_ratio * max(cold_load, 0.0)
-                            + (0.0 if cold_load > 0 else self.min_load)
-                        ):
-                            assignments[hot_section] = cold
                 try:
-                    plan = (
-                        PlacementPlan.from_assignments(state, assignments)
-                        if assignments
-                        else None
-                    )
+                    plan = PlacementPlan.rebalance(state, machine)
+                    if plan is None and scores:
+                        plan = self._spread(state, scores)
                 except MigrationError:
                     plan = None
             if plan is not None:
                 plans.append(plan)
         return plans
+
+    def _spread(
+        self, state: Any, scores: Dict[int, float]
+    ) -> Optional[PlacementPlan]:
+        """The spread rule's plan for one array, None when no owner is hot
+        enough or no spare is free."""
+        machine = self.machine
+        owners = tuple(state.processors)
+        spares = [
+            p
+            for p in range(machine.num_nodes)
+            if not machine.is_unavailable(p) and p not in owners
+        ]
+        live = [
+            (scores.get(p, 0.0), s, p)
+            for s, p in enumerate(owners)
+            if not machine.is_unavailable(p)
+        ]
+        if not spares or not live:
+            return None
+        hot_load, hot_section, _hot = max(live)
+        cold = min(spares, key=lambda p: scores.get(p, 0.0))
+        cold_load = scores.get(cold, 0.0)
+        if hot_load >= self.min_load and (
+            hot_load
+            >= self.imbalance_ratio * max(cold_load, 0.0)
+            + (0.0 if cold_load > 0 else self.min_load)
+        ):
+            return PlacementPlan.from_assignments(state, {hot_section: cold})
+        return None
 
     # -- actuation ------------------------------------------------------------
 

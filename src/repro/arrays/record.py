@@ -76,8 +76,6 @@ class ArrayRecord:
     layout: ArrayLayout
     processors: tuple[int, ...]
     section: Optional[LocalSection] = None
-    # Border specification retained so verify_array can compare (§4.2.7).
-    border_spec: tuple = field(default_factory=tuple)
     # Durability fields: replication factor and backup-chain map fixed at
     # creation, epoch stamped on replica updates and advanced by
     # checkpoint/restore/recovery.  ``lock`` serialises local writes

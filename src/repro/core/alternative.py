@@ -75,7 +75,7 @@ def call_task_parallel_on(
     snapshot = array.to_numpy()
     for section, proc in enumerate(array.processors):
         node = machine.processor(proc)
-        slices = array._section_slices(section)
+        slices = layout.section_slices(section)
         block = snapshot[slices]
         staged.append((section, block))
         for local in np.ndindex(*layout.local_dims):
@@ -112,7 +112,7 @@ def _run_per_section(
     snapshot = array.to_numpy()
     for section, proc in enumerate(array.processors):
         node = machine.processor(proc)
-        block = snapshot[array._section_slices(section)].copy()
+        block = snapshot[array.layout.section_slices(section)].copy()
 
         def instance(sec=section, data=block):
             out = program(sec, data)
@@ -124,6 +124,6 @@ def _run_per_section(
     group.join_all(timeout=timeout)
     if replacements:
         for section, data in replacements.items():
-            snapshot[array._section_slices(section)] = data
+            snapshot[array.layout.section_slices(section)] = data
         array.from_numpy(snapshot)
     return len(array.processors)

@@ -221,8 +221,7 @@ class DistributedArray:
             indexing if indexing is not None else self.layout.indexing,
             processor=self._home,
         )
-        borders = self.info("borders")
-        self.layout = self.layout.replace_borders(tuple(int(b) for b in borders))
+        self.layout = self.info("layout")
 
     # -- durability ---------------------------------------------------------------------------
 
@@ -294,13 +293,6 @@ class DistributedArray:
             self.free()
 
     # -- bulk transfer (gather/scatter through the TP level) -------------------------------------
-
-    def _section_slices(self, section: int) -> tuple[slice, ...]:
-        coords = self.layout.section_coords(section)
-        return tuple(
-            slice(c * ld, (c + 1) * ld)
-            for c, ld in zip(coords, self.layout.local_dims)
-        )
 
     def to_numpy(self) -> np.ndarray:
         """Assemble the global array on the caller.

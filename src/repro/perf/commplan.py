@@ -613,38 +613,24 @@ class PlanRegistry:
 
     # -- plan cache ----------------------------------------------------------
 
-    def _layout_for(self, array_id: Any, state: Any) -> Any:
-        for proc in state.processors:
-            record = self.manager._lookup(
-                self.machine.processor(proc), array_id
-            )
-            if record is not None:
-                return record.layout
-        return None
-
     def halo_plan(self, op: str, array_id: Any) -> Optional[CommPlan]:
         """The cached plan for ``(op, array_id)``, recompiled when the
-        durability epoch or membership moved since compile time."""
+        durability epoch, membership or layout moved since compile time."""
         state = self.manager.durability_state(array_id)
         if state is None:
             return None
         procs = tuple(state.processors)
-        # Resolve the live layout up front: `verify_array` can reallocate
-        # sections with different border depths *without* bumping the
-        # epoch, so geometry is part of plan validity alongside
-        # (epoch, membership).
-        layout = self._layout_for(array_id, state)
-        if layout is None:
-            return None
+        # `verify_array` commits a new layout (border depths) *without*
+        # bumping the epoch, so the layout is part of plan validity
+        # alongside (epoch, membership).
+        layout = state.layout
         key = (op, array_id.as_tuple())
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
                 if (cached.epoch == state.epoch
                         and cached.processors == procs
-                        and cached.layout.borders == layout.borders
-                        and cached.layout.local_dims
-                        == layout.local_dims):
+                        and cached.layout == layout):
                     self.hits += 1
                 else:
                     del self._plans[key]

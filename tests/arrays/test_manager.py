@@ -540,6 +540,60 @@ class TestVerifyArray:
         assert st is Status.OK
         assert am_user.find_info(m16, aid, "local_dimensions_plus")[0] == [4, 4]
 
+    def test_verify_on_a_holder_reaches_the_creator(self, m16):
+        """A global operation answers the same on the creating processor
+        as on any holder (§5.1.4), whichever holder verify_array ran on."""
+        aid, st = am_user.create_array(
+            m16, "double", (8, 8), [1, 2, 3, 4], ("block", "block")
+        )
+        assert st is Status.OK and aid.creating_processor == 0
+        st = am_user.verify_array(m16, aid, 2, [1, 1, 1, 1], "row", processor=1)
+        assert st is Status.OK
+        for p in (0, 1, 2, 3, 4):
+            assert am_user.find_info(m16, aid, "borders", processor=p) == (
+                [1, 1, 1, 1], Status.OK
+            )
+
+    def test_write_during_copy_local_is_kept(self, m16, monkeypatch):
+        """copy_local copies and swaps under the record lock: a write
+        acknowledged while a section is being reallocated is in the new
+        section afterwards, not in the freed copy."""
+        aid = self.make(m16)
+        previous = am_user.set_coalescing(m16, False)
+        target, _ = am_user.find_local(m16, aid, processor=0)
+        reallocate = LocalSection.reallocate_with_borders
+        writers, statuses = [], []
+
+        def racing(section, new_borders):
+            replacement = reallocate(section, new_borders)
+            if section is target:
+                done = threading.Event()
+
+                def write():
+                    statuses.append(
+                        am_user.write_element(m16, aid, (0, 0), 42.0)
+                    )
+                    done.set()
+
+                writers.append(threading.Thread(target=write))
+                writers[0].start()
+                # Give the write the time to land (it waits for the swap
+                # when copy_local holds the record lock).
+                done.wait(1.0)
+            return replacement
+
+        monkeypatch.setattr(LocalSection, "reallocate_with_borders", racing)
+        try:
+            assert am_user.verify_array(m16, aid, 2, [1, 1, 1, 1], "row") is (
+                Status.OK
+            )
+            writers[0].join(10)
+            assert not writers[0].is_alive()
+            assert statuses == [Status.OK]
+            assert am_user.read_element(m16, aid, (0, 0)) == (42.0, Status.OK)
+        finally:
+            am_user.set_coalescing(m16, previous)
+
 
 class TestColumnMajor:
     def test_fig38_placement(self, m16):

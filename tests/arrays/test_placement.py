@@ -164,6 +164,27 @@ class TestPlannedMigration:
             is Status.OK
         )
 
+    def test_moved_section_has_the_verified_borders(self, machine):
+        """A section moved after verify_array is made to the layout
+        verify_array committed, not the creation-time one (§4.2.7)."""
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        aid = arr.array_id
+        assert am_user.verify_array(machine, aid, 2, [1, 1, 1, 1], "row") is (
+            Status.OK
+        )
+        assert am_user.migrate_sections(machine, aid, {2: 4}) == (
+            [2], Status.OK
+        )
+        section, status = am_user.find_local(machine, aid, 4)
+        assert status is Status.OK
+        assert section.borders == (1, 1, 1, 1)
+        assert am_user.find_info(machine, aid, "borders", 4) == (
+            [1, 1, 1, 1], Status.OK
+        )
+        assert np.array_equal(arr.to_numpy(), ref)
+
     def test_old_owner_no_longer_holds_a_section(self, machine):
         arr = make_array(machine)
         arr.from_numpy(np.ones((8, 8)))
@@ -624,6 +645,24 @@ class TestRebalancer:
         assert 2 not in state.processors
         assert np.array_equal(arr.to_numpy(), ref)
         assert rebalancer.history == applied
+
+    def test_propose_leaves_a_lost_section_alone(self, machine):
+        """A lost section has nothing to move: the rebalancer proposes
+        the repair ``PlacementPlan.rebalance`` would, which is none, and
+        its step moves no epoch and aborts no plan."""
+        install_recovery(machine)
+        arr = make_array(machine, replication=0)
+        machine.fail(3)
+        state = durability(machine, arr)
+        assert set(state.lost) == {3}
+        epoch = state.epoch
+        mover = get_array_manager(machine).mover
+        aborts = mover.aborts
+        rebalancer = Rebalancer(machine)
+        assert rebalancer.propose() == []
+        assert rebalancer.step() == []
+        assert state.epoch == epoch
+        assert mover.aborts == aborts
 
     def test_propose_spreads_hottest_owner_to_coldest_spare(self, machine):
         arr = make_array(machine, replication=1)

@@ -115,17 +115,15 @@ def assert_contract(machine, arr, seed, killed, within_budget):
     expected = expected_array(seed)
     layout = arr.layout
     for section, owner in enumerate(state.processors):
-        region = [
-            (c * ld, (c + 1) * ld)
-            for c, ld in zip(layout.section_coords(section), layout.local_dims)
-        ]
+        slices = layout.section_slices(section)
+        region = [(s.start, s.stop) for s in slices]
         if section in state.lost:
             assert owner in killed, state.lost[section]
             with pytest.raises(SectionLostError):
                 arr.read_region(region)
             continue
         assert owner not in killed
-        wanted = expected[tuple(slice(lo, hi) for lo, hi in region)]
+        wanted = expected[slices]
         assert np.array_equal(arr.read_region(region), wanted), section
     if not state.lost:
         assert (

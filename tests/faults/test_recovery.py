@@ -47,10 +47,7 @@ def section_ops(machine, arr, section):
     """One call apiece of every element, region and local-block op,
     each touching ``section`` only."""
     layout = arr.layout
-    region = [
-        (c * ld, (c + 1) * ld)
-        for c, ld in zip(layout.section_coords(section), layout.local_dims)
-    ]
+    region = [(s.start, s.stop) for s in layout.section_slices(section)]
     corner = tuple(lo for lo, _ in region)
     block = np.full(layout.local_dims, 2.0)
     owner = durability(machine, arr).processors[section]
@@ -98,6 +95,30 @@ class TestReplicaRecovery:
         )
         event = coordinator.recoveries[-1]
         assert event["ok"] and event["spare"] == 4 and event["dead"] == 2
+
+    def test_rebuilt_section_has_the_verified_borders(self, machine):
+        """verify_array answered OK, so every section has the borders it
+        asked for (§4.2.7) — the one recovery rebuilds too, since it is
+        made to the layout verify_array committed."""
+        install_recovery(machine)
+        arr = make_array(machine, replication=1)
+        ref = np.arange(64, dtype=float).reshape(8, 8)
+        arr.from_numpy(ref)
+        aid = arr.array_id
+        assert am_user.verify_array(machine, aid, 2, [1, 1, 1, 1], "row") is (
+            Status.OK
+        )
+        machine.fail(2)
+        assert durability(machine, arr).processors == (0, 1, 4, 3)
+        section, status = am_user.find_local(machine, aid, 4)
+        assert status is Status.OK
+        assert section.borders == (1, 1, 1, 1)
+        assert section.full().shape == (6, 6)
+        for vp in (0, 1, 3, 4):
+            assert am_user.find_info(machine, aid, "borders", vp) == (
+                [1, 1, 1, 1], Status.OK
+            )
+        assert np.array_equal(arr.to_numpy(), ref)
 
     def test_survivors_learn_new_membership(self, machine):
         install_recovery(machine)

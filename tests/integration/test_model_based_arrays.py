@@ -65,7 +65,9 @@ operations = st.lists(
 
 
 def _check_sections(aid, oracle, mirrors_current, settled):
-    """Owner interior == every backup's mirror == oracle section.
+    """Every record, the members' and the creator's, has the state's
+    layout and every member's section its borders; owner interior ==
+    every backup's mirror == oracle section.
 
     ``settled`` is False right after a queued element write: the write
     has not reached its owner yet, so only owner == mirrors is checked
@@ -76,8 +78,12 @@ def _check_sections(aid, oracle, mirrors_current, settled):
         am_user.flush_writes(_MACHINE, aid)
     manager = get_array_manager(_MACHINE)
     state = manager.durability_state(aid)
+    for holder in {*state.processors, aid.creating_processor}:
+        record = manager._lookup(_MACHINE.processor(holder), aid)
+        assert record.layout == state.layout, holder
     for section, owner in enumerate(state.processors):
         record = manager._lookup(_MACHINE.processor(owner), aid)
+        assert record.section.borders == state.layout.borders, owner
         interior = record.section.interior()
         if settled:
             expected = oracle[section * LOCAL : (section + 1) * LOCAL]
