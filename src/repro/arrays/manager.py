@@ -21,9 +21,13 @@ find_info         dimensions / processors / indexing / ... (§4.2.6)
 
 Results and Status values are returned by defining definitional variables
 supplied in the request — the bidirectional server communication of §5.1.1.
+A request for one section's data — ``read_element_local``,
+``write_element_local``, ``read_region_local``, ``write_region_local`` —
+names that section, as a coalesced write batch and a halo strip do, and is
+answered only by the section's holder (``_resolve``'s holder check).
 
 One path per concern: every handler starts from ``_resolve`` (the record, or
-NOT_FOUND answered); every write — element, region, whole section, restore,
+NOT_FOUND answered); every write — element, region, restore,
 coalesced batch — is a list of ``(target, value)`` mutations
 (:mod:`repro.perf.coalescer`) handed to ``_commit``, the only code that takes
 the record lock for a write, checks the epoch fence, assigns into the section
@@ -36,7 +40,7 @@ import functools
 import itertools
 import threading
 from types import MappingProxyType
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -184,8 +188,6 @@ class ArrayManager:
             "find_info": self.find_info,
             "copy_local": self.copy_local,
             "verify_array": self.verify_array,
-            "read_section_local": self.read_section_local,
-            "write_section_local": self.write_section_local,
             "read_region": self.read_region,
             "read_region_local": self.read_region_local,
             "write_region": self.write_region,
@@ -220,18 +222,31 @@ class ArrayManager:
         array_id: Any,
         status: Optional[DefVar],
         *outs: Any,
-        section: bool = False,
+        local: bool = False,
+        section: Optional[int] = None,
     ) -> Optional[ArrayRecord]:
-        """The request preamble: this node's record of ``array_id`` (with
-        ``section=True``, only one holding a local section), or None after
-        answering NOT_FOUND.  ``array_id`` is caller input: anything that
-        is not an ArrayID is reported through Status, not an exception."""
+        """The request preamble: this node's record of ``array_id``, or
+        None after answering NOT_FOUND.  With ``local=True`` only a record
+        holding a local section will do; with ``section`` given only the
+        section's holder's — the holder check every unit of work for one
+        section passes (its requests, write batches and halo strips): the
+        node holds section ``s`` when its own record says so,
+        ``record.processors[s] == node.number``, and it has the storage.
+        ``array_id`` is caller input: anything that is not an ArrayID is
+        reported through Status, not an exception."""
         record = (
             node.heap.get(_RECORDS_KEY, _NO_RECORDS).get(array_id)
             if isinstance(array_id, ArrayID)
             else None
         )
-        if record is None or (section and record.section is None):
+        if (
+            record is None
+            or ((local or section is not None) and record.section is None)
+            or (
+                section is not None
+                and record.processors[section] != node.number
+            )
+        ):
             _fail(status, Status.NOT_FOUND, *outs)
             return None
         return record
@@ -355,56 +370,65 @@ class ArrayManager:
         mutations: Sequence,
         status: Optional[DefVar] = None,
         epoch: Optional[int] = None,
-    ) -> bool:
+        claim: Optional[Callable[[], bool]] = None,
+    ) -> str:
         """The one owner-side write sequence (§3.2.1.5), whatever the
-        granularity: under ``record.lock``, epoch fence, replay
-        ``mutations`` (the ``(target, value)`` pairs of
-        :mod:`repro.perf.coalescer`) into the interior, replicate; then
-        define ``status``.  False when fenced.
+        granularity: under ``record.lock``, the holder check again (the
+        section may have left since the request resolved the record) and
+        the epoch fence, replay ``mutations`` (the ``(target, value)``
+        pairs of :mod:`repro.perf.coalescer`) into the interior,
+        replicate; then define ``status``.  Returns ``"ok"``,
+        ``"not_found"`` or ``"stale"``, the answers a write batch gets.
 
         ``epoch`` is given only by a restore, which installs it (mirrors
         are reseeded under it) and is deliberately *not* fenced — the
-        restore is what makes this record current.
+        restore is what makes this record current.  ``claim`` is called
+        once the write is known to land; False means it landed before (a
+        duplicate batch), and nothing is applied again.
+
+        A kill fired by a replica update runs its recovery once the record
+        lock is released (``Machine.holding_failures``): recovery takes
+        ``state.lock``, which a migration may hold while it waits for this
+        lock.
         """
-        with record.lock:
+        with self.machine.holding_failures, record.lock:
             if epoch is not None:
                 record.epoch = int(epoch)
-            fenced = epoch is None and self._fence_stale(record)
-            if not fenced:
-                # One interior view per commit, however many mutations.
-                apply_mutations(record.section.interior(), mutations)
-                self._replicate(node, record, mutations)
-        if fenced:
+            if record.section is None:
+                verdict = "not_found"
+            elif epoch is None and self._fence_stale(record):
+                verdict = "stale"
+            else:
+                verdict = "ok"
+                if claim is None or claim():
+                    # One interior view per commit, however many mutations.
+                    apply_mutations(record.section.interior(), mutations)
+                    self._replicate(node, record, mutations)
+        if verdict == "ok":
+            self._write_status(node, status)
+        elif verdict == "stale":
             # Outside record.lock: note_fenced takes state.lock, and the
             # mover's lock order is state -> record.
             self._refuse_stale(record.array_id, status)
-            return False
-        self._write_status(node, status)
-        return True
+        else:
+            _fail(status, Status.NOT_FOUND)
+        return verdict
 
-    def _section_overwrite(
-        self, record: ArrayRecord, data: Any
-    ) -> Optional[list]:
-        """The whole-interior mutation for ``data``, or None when its
-        shape is not the section's.  The value is a private copy in the
-        section's dtype: mirrors replay exactly what the owner stored,
-        and a delayed replica update never aliases the caller's buffer."""
-        interior = record.section.interior()
-        if tuple(getattr(data, "shape", ())) != tuple(interior.shape):
-            return None
-        return [(None, np.array(data, dtype=interior.dtype))]
-
-    def _apply_batch(self, node: VirtualProcessor, batch: Any) -> None:
-        """Apply one coalesced write batch atomically on the owner.
+    def _apply_batch(self, dest: int, batch: Any) -> None:
+        """Apply one coalesced write batch atomically on ``dest``, when it
+        holds the batch's section.
 
         All sub-writes land in one :meth:`_commit`; mirrors get one fused
         replica update per backup.  The per-queue sequence number makes
-        application exactly-once: a duplicated or late-delivered batch
-        (fault injection, retry racing the delayed original) is dropped
-        here, and its completion variable is defined defensively so no
-        flusher is left waiting.
+        application exactly-once: it is claimed only by a commit that
+        lands, so a batch refused (``"not_found"``, ``"stale"``) is
+        applied where the route re-sends it, and a duplicated or
+        late-delivered batch (fault injection, retry racing the delayed
+        original) was applied already, so it is answered ``"ok"`` and
+        dropped.
         """
         machine = self.machine
+        node = machine.processor(dest)
         with self._trace_lock:
             counts = self.request_counts
             counts["array_batch"] = counts.get("array_batch", 0) + 1
@@ -412,42 +436,32 @@ class ArrayManager:
                 self.trace_log.append(
                     ("array_batch", node.number, batch.array_id)
                 )
-        record = self._lookup(node, batch.array_id)
-        if record is None or record.section is None:
-            # No section here (it migrated away, was freed, or never
-            # existed): the batch is *not* applied, so do not consume its
-            # sequence number — the coalescer retries the same batch
-            # against the re-resolved owner, and exactly-once dedup
-            # happens at the node that actually holds the section.
+        record = self._resolve(node, batch.array_id, None, section=batch.section)
+        if record is None:
+            # Not the section's holder (it migrated away, the array was
+            # freed, or it never lived here): the route re-sends the batch
+            # to the owner read again.
             define_once(batch.done, "not_found")
             return
-        if self._fence_stale(record):
-            # Fenced batch apply: this record was left behind by a
-            # membership rewrite (stale minority-side owner).  Refuse
-            # *before* consuming the sequence number — it is keyed
-            # machine-wide, so a batch claimed here would be dropped as a
-            # duplicate where the coalescer re-resolves and retries it.
-            self._refuse_stale(record.array_id, None)
-            define_once(batch.done, "stale")
-            return
-        if not machine._perf.coalescer.should_apply(
-            (batch.array_id, batch.section), batch.seq
-        ):
-            define_once(batch.done, "duplicate")
-            return
+        coalescer = machine._perf.coalescer
         # The span's attributes are built only when someone records them.
         batch_span = NOOP_SPAN if machine._observer is None else obs_span(
             machine, "am:array_batch", vp=node.number, ops=len(batch.ops)
         )
         with batch_span as span:
-            applied = self._commit(node, record, batch.ops)
+            verdict = self._commit(
+                node, record, batch.ops,
+                claim=lambda: coalescer.should_apply(
+                    (batch.array_id, batch.section), batch.seq
+                ),
+            )
             if record.replication > 0 and record.replica_map is not None:
                 span.annotate(fused_replicas=True)
-        define_once(batch.done, "ok" if applied else "stale")
+        define_once(batch.done, verdict)
 
     def _on_array_batch(self, message: Message) -> None:
         """Final delivery of a ``kind="array_batch"`` message."""
-        self._apply_batch(self.machine.processor(message.dest), message.payload)
+        self._apply_batch(message.dest, message.payload)
 
     # -- epoch fencing ---------------------------------------------------------
 
@@ -639,7 +653,8 @@ class ArrayManager:
             and record.replication > 0
             and record.replica_map is not None
         ):
-            with record.lock:
+            # As in _commit: a kill's recovery waits for the lock's release.
+            with self.machine.holding_failures, record.lock:
                 self._replicate(
                     node, record, [(None, record.section.interior().copy())]
                 )
@@ -712,19 +727,22 @@ class ArrayManager:
         owner = record.processors[section]
         self.machine._perf.coalescer.flush(record.array_id, section)
         self.machine.server.request(
-            "read_element_local", array_id, local, element_out, status,
-            processor=owner,
+            "read_element_local", array_id, section, local, element_out,
+            status, processor=owner,
         )
 
     def read_element_local(
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
+        section: int,
         local_indices: Sequence[int],
         element_out: DefVar,
         status: DefVar,
     ) -> None:
-        record = self._resolve(node, array_id, status, element_out, section=True)
+        record = self._resolve(
+            node, array_id, status, element_out, section=section
+        )
         if record is None:
             return
         value = record.section.read(local_indices)
@@ -765,12 +783,12 @@ class ArrayManager:
                 # The error the per-write path's request raises.
                 machine.check_alive((owner,))
             coalescer.enqueue(
-                record.array_id, section, owner, local, element, node.number
+                record.array_id, section, local, element, node.number
             )
             self._write_status(node, status)
             return
         machine.server.request(
-            "write_element_local", array_id, local, element, status,
+            "write_element_local", array_id, section, local, element, status,
             processor=owner,
         )
 
@@ -778,11 +796,12 @@ class ArrayManager:
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
+        section: int,
         local_indices: Sequence[int],
         element: Any,
         status: DefVar,
     ) -> None:
-        record = self._resolve(node, array_id, status, section=True)
+        record = self._resolve(node, array_id, status, section=section)
         if record is None:
             return
         self._commit(node, record, [(tuple(local_indices), element)], status)
@@ -801,7 +820,7 @@ class ArrayManager:
         The one operation requiring a local rather than global view: it
         fails on processors holding no section of the array (§5.1.4).
         """
-        record = self._resolve(node, array_id, status, section_out, section=True)
+        record = self._resolve(node, array_id, status, section_out, local=True)
         if record is None:
             return
         # The caller gets direct access to the section storage: pending
@@ -811,50 +830,6 @@ class ArrayManager:
         )
         _define(section_out, record.section)
         _define(status, Status.OK)
-
-    def read_section_local(
-        self,
-        node: VirtualProcessor,
-        array_id: ArrayID,
-        data_out: DefVar,
-        status: DefVar,
-    ) -> None:
-        """Copy of this processor's interior section data (extension).
-
-        The thesis moves bulk data only through local sections inside
-        distributed calls; this request is a convenience for the pythonic
-        gather/scatter layer.  The returned array is a *copy* — the message
-        analogue — so the requester never aliases another node's storage.
-        """
-        record = self._resolve(node, array_id, status, data_out, section=True)
-        if record is None:
-            return
-        self.machine._perf.coalescer.flush(
-            record.array_id, record.section_number_for(node.number)
-        )
-        _define(data_out, record.section.interior().copy())
-        _define(status, Status.OK)
-
-    def write_section_local(
-        self,
-        node: VirtualProcessor,
-        array_id: ArrayID,
-        data: Any,
-        status: DefVar,
-    ) -> None:
-        """Overwrite this processor's interior section data (extension)."""
-        record = self._resolve(node, array_id, status, section=True)
-        if record is None:
-            return
-        mutations = self._section_overwrite(record, data)
-        if mutations is None:
-            return _fail(status, Status.INVALID)
-        # A bulk overwrite is an ordering barrier for queued element
-        # writes against this section: earlier writes land first.
-        self.machine._perf.coalescer.flush(
-            record.array_id, record.section_number_for(node.number)
-        )
-        self._commit(node, record, mutations, status)
 
     # -- region access -----------------------------------------------------------------
 
@@ -893,7 +868,9 @@ class ArrayManager:
         # queued element writes from before this call land first.
         self.machine._perf.coalescer.flush(array_id)
         shares = {
-            processors[section]: (local_slices, dense[out_slices].copy())
+            processors[section]: (
+                section, local_slices, dense[out_slices].copy()
+            )
             for section, local_slices, out_slices in parts
         }
         ok = self._fan_out("write_region_local", shares, array_id)
@@ -934,7 +911,7 @@ class ArrayManager:
             # Anonymous: a part is read only once the fan-out has returned,
             # when every part is defined, so no reader suspends on one.
             part = DefVar()
-            shares[record.processors[section]] = (local_slices, part)
+            shares[record.processors[section]] = (section, local_slices, part)
             pieces.append((out_slices, part))
         if not self._fan_out("read_region_local", shares, array_id):
             return _fail(status, Status.ERROR, data_out)
@@ -947,17 +924,18 @@ class ArrayManager:
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
+        section: int,
         local_slices: tuple,
         data_out: DefVar,
         status: DefVar,
     ) -> None:
         """Copy one section's share of a region (interior slices)."""
-        record = self._resolve(node, array_id, status, data_out, section=True)
+        record = self._resolve(
+            node, array_id, status, data_out, section=section
+        )
         if record is None:
             return
-        self.machine._perf.coalescer.flush(
-            record.array_id, record.section_number_for(node.number)
-        )
+        self.machine._perf.coalescer.flush(record.array_id, section)
         _define(data_out, record.section.interior()[tuple(local_slices)].copy())
         _define(status, Status.OK)
 
@@ -987,12 +965,13 @@ class ArrayManager:
         self,
         node: VirtualProcessor,
         array_id: ArrayID,
+        section: int,
         local_slices: tuple,
         data: Any,
         status: DefVar,
     ) -> None:
         """Overwrite one section's share of a region (interior slices)."""
-        record = self._resolve(node, array_id, status, section=True)
+        record = self._resolve(node, array_id, status, section=section)
         if record is None:
             return
         self._commit(node, record, [(tuple(local_slices), data)], status)
@@ -1011,7 +990,7 @@ class ArrayManager:
         data.  Like ``find_local`` it needs the local view, so it fails on
         processors holding no section (§5.1.4).
         """
-        record = self._resolve(node, array_id, status, block_out, section=True)
+        record = self._resolve(node, array_id, status, block_out, local=True)
         if record is None:
             return
         section_number = record.section_number_for(node.number)
@@ -1139,6 +1118,10 @@ class ArrayManager:
                 next(self._checkpoint_serials),
             )
             try:
+                # Every owner must be alive before the first worker is
+                # spawned: a worker already waiting in the barrier holds
+                # its record lock until the receive deadline.
+                self.machine.check_alive(procs)
                 results: list[DefVar] = []
                 for rank, proc in enumerate(procs):
                     comm = GroupComm(self.machine, procs, rank, group)
@@ -1255,12 +1238,16 @@ class ArrayManager:
         status: DefVar,
     ) -> None:
         """Overwrite this section from a snapshot at the given epoch."""
-        record = self._resolve(node, array_id, status, section=True)
+        record = self._resolve(node, array_id, status, local=True)
         if record is None:
             return
-        mutations = self._section_overwrite(record, data)
-        if mutations is None:
+        interior = record.section.interior()
+        if tuple(getattr(data, "shape", ())) != tuple(interior.shape):
             return _fail(status, Status.INVALID)
+        # A private copy in the section's dtype: mirrors replay exactly
+        # what the owner stored, and a delayed replica update never
+        # aliases the snapshot.
+        mutations = [(None, np.array(data, dtype=interior.dtype))]
         self._commit(node, record, mutations, status, epoch=epoch)
 
     # -- recovery ------------------------------------------------------------------------
@@ -1479,12 +1466,21 @@ class ArrayManager:
         moved_out: DefVar,
         status: DefVar,
     ) -> None:
-        """The body of both planned-migration requests: under the state
-        lock, ``build(state)`` the plan — a :class:`MigrationError` there
-        is INVALID — execute it, and log the outcome."""
+        """The body of both planned-migration requests: flush the
+        coalescer's writes to the array (the migration barrier), then,
+        under the state lock, ``build(state)`` the plan — a
+        :class:`MigrationError` there is INVALID — execute it, and log the
+        outcome.
+
+        The barrier runs before the state lock is taken, as every flush
+        does (the lock order, docs/fault_model.md §9): a flush under it
+        would wait for a batch that is waiting for it.  A write queued
+        after the barrier reaches the section's new owner, since the route
+        reads the owner under the state lock."""
         state = self.durability_state(array_id)
         if state is None:
             return _fail(status, Status.NOT_FOUND, moved_out)
+        self.machine._perf.coalescer.flush(array_id)
         with state.lock:
             try:
                 plan = build(state)

@@ -32,16 +32,16 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
   the restored membership places elsewhere, and a delayed
   ``yield_section_local`` from the abandoned attempt is refused by its
   epoch guard instead of destroying restored data.
-  Recovery neither rolls back nor flushes: a section it could not move
-  stays pending for a retry (or is recorded lost), and flushing the
-  write coalescer from inside a failure listener could self-deadlock on
-  the non-reentrant per-key flush locks when the kill fired mid-flush.
+  Recovery does not roll back: a section it could not move stays pending
+  for a retry (or is recorded lost).
 
-The migration barrier (docs/elasticity.md): a planned move first drains
-the write coalescer for the array, so write-behind batches aimed at the
-old owner land before the section leaves it, and the coalescer
-re-resolves owners from the durability state at ship time, so batches
-racing the move chase the section to its new owner.
+The mover never flushes the write coalescer.  The migration barrier
+(docs/elasticity.md) is the planned-migration request's: it drains the
+coalescer for the array before it takes the state lock, so write-behind
+batches aimed at the old owner land before the section leaves it; a batch
+racing the move is refused by the old owner's holder check and re-sent
+to the owner the perf layer's route reads under the state lock, after the
+commit.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class PlacementPlan:
     the mover refuses a plan whose base no longer matches the live state
     (stale plan).  ``reason`` is ``"recovery"`` or ``"migrate"``
     (:data:`RECOVERY_KIND` / :data:`MIGRATE_KIND`): the envelope kind the
-    plan's traffic carries, whether the mover flushes first and rolls
-    back, and which statistic (``sections_rebuilt`` /
-    ``sections_migrated``) and observer metric the commit advances.
+    plan's traffic carries, whether the mover rolls back, and which
+    statistic (``sections_rebuilt`` / ``sections_migrated``) and observer
+    metric the commit advances.
     """
 
     array_id: Any
@@ -256,8 +256,7 @@ class SectionMover:
         the plan's requests are made from ``origin`` — when that is not
         given or cannot be reached, from the first processor that can.
 
-        The protocol, in order: (migration barrier) flush coalesced
-        writes for the array; source each moving section — a live yield
+        The protocol, in order: source each moving section — a live yield
         from its owner, else the freshest surviving replica, else the
         latest checkpoint; adopt it on the destination at the epoch the
         plan drew on entry;
@@ -266,14 +265,11 @@ class SectionMover:
         owner the new membership leaves without a role forget the array.
 
         ``plan.reason`` decides the rest, and is the envelope kind the
-        plan's traffic carries.  A planned migration flushes, and on any
-        failure restores the sourced sections under a fresh epoch
-        (:meth:`_abort_locked`) and re-raises.  Recovery does neither: it
-        propagates the failure with state untouched — the section stays
-        pending, or its caller records it lost; nothing is undone — and must
-        not flush, because the kill may have fired inside a coalescer
-        flush on this very thread and the per-key flush locks are not
-        reentrant.
+        plan's traffic carries.  A planned migration, on any failure,
+        restores the sourced sections under a fresh epoch
+        (:meth:`_abort_locked`) and re-raises.  Recovery propagates the
+        failure with state untouched — the section stays pending, or its
+        caller records it lost; nothing is undone.
         """
         machine = self.machine
         array_id = plan.array_id
@@ -298,12 +294,6 @@ class SectionMover:
                     f"membership of {array_id} changed {when}"
                 )
 
-        if planned:
-            # Migration barrier: write-behind batches aimed at the old
-            # owner must land before the section leaves it.
-            perf = getattr(machine, "_perf", None)
-            if perf is not None:
-                perf.coalescer.flush(array_id)
         if origin is None or machine.is_unavailable(origin):
             origin = next(
                 p

@@ -80,8 +80,9 @@ class ArrayRecord:
     # creation, epoch stamped on replica updates and advanced by
     # checkpoint/restore/recovery.  ``lock`` serialises local writes
     # against the checkpoint consistency cut; it is reentrant because a
-    # recovery triggered mid-write (a kill on the write's own replica
-    # send) must be able to rewrite membership from the same thread.
+    # recovery triggered while it is held (a kill on a checkpoint
+    # worker's barrier traffic) must be able to rewrite membership from
+    # the same thread.
     replication: int = 0
     replica_map: Optional[Any] = None
     epoch: int = 0

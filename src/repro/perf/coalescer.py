@@ -35,14 +35,17 @@ therefore always reads its own writes; concurrent writers were never
 ordered in the first place (§3.2.1.5 leaves racing element writes
 indeterminate), so batching them does not weaken the model.
 
-Failure semantics: a batch is retried **as one unit**.  Every attempt
-ships the same per-queue sequence number, so a duplicated or delayed
-original (fault injection, :mod:`repro.faults`) can never re-apply — the
-owner tracks the last applied sequence per queue and drops stale or
-repeated batches.  A batch whose owner dies after acceptance is the
-write-behind loss window: the coalescer re-resolves the owner from the
-durability membership (recovery may have adopted the section onto a
-spare) and re-ships; if no owner survives the batch is counted in
+Failure semantics: a batch is retried **as one unit**, by the perf
+layer's route (:meth:`repro.perf.PerfLayer.post` / ``secure``), the one
+route a halo strip takes too.  Every attempt ships the same per-queue
+sequence number, so a duplicated or delayed original (fault injection,
+:mod:`repro.faults`) can never re-apply — the owner tracks the last
+applied sequence per queue and answers a repeated batch ``"ok"`` without
+applying it again.  A batch the section's holder refuses (``"not_found"``,
+``"stale"``) or does not answer in time is re-sent to the owner read again
+from the durability membership (recovery may have adopted the section
+onto a spare); a batch that never gets ``"ok"`` — its owner died with no
+survivor, or the route ran out of re-sends — is counted in
 ``lost_batches`` and surfaced through ``Machine.diagnostics()["perf"]``.
 """
 
@@ -85,7 +88,8 @@ def apply_mutations(interior: Any, mutations: Iterable) -> None:
 
 
 class ArrayBatch:
-    """The payload of one ``array_batch`` message.
+    """The payload of one ``array_batch`` message: a unit of the perf
+    layer's route for section ``section``.
 
     ``ops`` is an ordered list of ``(target, value)`` mutations applied
     atomically under the owner's record lock.  ``seq`` is the per-queue
@@ -95,6 +99,7 @@ class ArrayBatch:
     """
 
     __slots__ = ("array_id", "section", "seq", "ops", "done")
+    kind = ARRAY_BATCH_KIND
 
     def __init__(
         self,
@@ -114,6 +119,10 @@ class ArrayBatch:
     def nbytes(self) -> int:
         return mutations_nbytes(self.ops) + 16
 
+    def label(self, dest: int) -> str:
+        """The name of ``done`` while its flusher waits on ``dest``."""
+        return f"array_batch[{self.seq}]@{dest}"
+
     def __repr__(self) -> str:
         return (
             f"<ArrayBatch {self.array_id} section={self.section} "
@@ -124,34 +133,26 @@ class ArrayBatch:
 class _Pending:
     """One queue of unflushed writes for an ``(array, section)`` key."""
 
-    __slots__ = ("ops", "nbytes", "source", "owner")
+    __slots__ = ("ops", "nbytes", "source")
 
-    def __init__(self, source: int, owner: int) -> None:
+    def __init__(self, source: int) -> None:
         self.ops: list = []
         self.nbytes = 0
         self.source = source
-        self.owner = owner
 
 
 class WriteCoalescer:
     """Machine-wide write-behind buffer for distributed-array writes."""
 
     def __init__(
-        self,
-        machine: Any,
-        manager: Any,
-        flush_ops: int = 32,
-        flush_bytes: int = 1 << 16,
-        max_retries: int = 3,
-        retry_timeout: float = 5.0,
+        self, perf: Any, flush_ops: int = 32, flush_bytes: int = 1 << 16
     ) -> None:
-        self.machine = machine
-        self.manager = manager
+        # The perf layer whose route ships the batches.
+        self.perf = perf
+        self.machine = perf.machine
         self.enabled = True
         self.flush_ops = flush_ops
         self.flush_bytes = flush_bytes
-        self.max_retries = max_retries
-        self.retry_timeout = retry_timeout
         self._lock = threading.Lock()
         self._pending: dict[tuple, _Pending] = {}
         # Per-key flush serialisation: batch N must complete (or be given
@@ -175,7 +176,6 @@ class WriteCoalescer:
         self,
         array_id: Any,
         section: int,
-        owner: int,
         target: Any,
         value: Any,
         source: int,
@@ -186,7 +186,7 @@ class WriteCoalescer:
         with self._lock:
             pending = self._pending.get(key)
             if pending is None:
-                pending = self._pending[key] = _Pending(source, owner)
+                pending = self._pending[key] = _Pending(source)
             pending.ops.append((target, value))
             pending.nbytes += int(getattr(value, "nbytes", 8))
             self.enqueued_writes += 1
@@ -278,94 +278,41 @@ class WriteCoalescer:
             self._ship(key, seq, pending, reason)
             return len(pending.ops)
 
-    def _resolve_owner(self, key: tuple, fallback: int) -> int:
-        """Current owner of the section (recovery may have remapped it)."""
-        array_id, section = key
-        state = self.manager.durability_state(array_id)
-        if state is not None:
-            with state.lock:
-                processors = state.processors
-            if 0 <= section < len(processors):
-                return int(processors[section])
-        return fallback
-
     def _ship(self, key: tuple, seq: int, pending: _Pending, reason: str) -> None:
-        """Deliver one batch, retrying it as a single unit on timeout."""
+        """Deliver one batch by the perf layer's route; a batch that does
+        not get ``"ok"`` is lost."""
         machine = self.machine
+        perf = self.perf
         array_id, section = key
-        source = pending.source
-        ops = pending.ops
+        # A queue whose writer's processor has died since is orphaned:
+        # the owner originates its batch.
+        source = None if machine.is_failed(pending.source) else pending.source
+        batch = ArrayBatch(array_id, section, seq, pending.ops, DefVar())
         # The span's attributes are built only when someone records them.
         flush_span = NOOP_SPAN if machine._observer is None else obs_span(
             machine,
             "perf:flush",
             array=str(array_id.as_tuple()),
             section=section,
-            ops=len(ops),
+            ops=len(batch.ops),
             reason=reason,
         )
         with flush_span as span:
-            for attempt in range(self.max_retries + 1):
-                owner = self._resolve_owner(key, pending.owner)
-                if machine.is_failed(owner):
-                    self.lost_batches += 1
-                    span.annotate(outcome="lost")
-                    return
-                if machine.is_failed(source):
-                    # Orphaned requester: originate the batch at the owner.
-                    source = owner
-                done = DefVar()
-                batch = ArrayBatch(array_id, section, seq, ops, done)
-                if source == owner:
-                    # Same-node: apply directly, zero messages — matching
-                    # the local-server semantics of the per-write path.
-                    self.manager._apply_batch(machine.processor(owner), batch)
+            try:
+                dest = perf.post(batch, source)
+                if dest is None:
                     self.inline_batches += 1
                 else:
-                    try:
-                        machine.send(
-                            source,
-                            owner,
-                            batch,
-                            tag=("array_batch", array_id.as_tuple()),
-                            kind=ARRAY_BATCH_KIND,
-                        )
-                        self.routed_batches += 1
-                    except ProcessorFailedError:
-                        self.retries += 1
-                        continue
-                if not done.data():
-                    # About to suspend: name the variable for the wait
-                    # graph and the timeout message.
-                    done.name = f"array_batch[{seq}]@{owner}"
-                try:
-                    outcome = done.read(timeout=self.retry_timeout)
-                except TimeoutError:
-                    # The batch was dropped or delayed in transit: retry
-                    # the whole unit under the same sequence number (the
-                    # owner deduplicates if the original shows up late).
-                    self.retries += 1
-                    continue
-                if outcome in ("not_found", "stale"):
-                    # "not_found": the resolved owner no longer holds the
-                    # section — a migration landed between resolve and
-                    # apply.  "stale": the owner held the section but its
-                    # fencing epoch lagged the durability state — it was
-                    # on the losing side of a partition or mid-handoff.
-                    # Either way no sequence number was consumed, so the
-                    # next attempt re-resolves the owner from the
-                    # durability membership and chases the section to
-                    # its authoritative home instead of silently losing
-                    # the batch.
-                    self.retries += 1
-                    continue
-                self.flushes += 1
-                self.flushed_ops += len(ops)
-                if attempt:
-                    span.annotate(retries=attempt)
+                    self.routed_batches += 1
+                answer = perf.secure(batch, source, dest, self)
+            except ProcessorFailedError:
+                answer = None
+            if answer != "ok":
+                self.lost_batches += 1
+                span.annotate(outcome="lost")
                 return
-            self.lost_batches += 1
-            span.annotate(outcome="lost")
+            self.flushes += 1
+            self.flushed_ops += len(batch.ops)
 
     def diagnostics(self) -> dict:
         with self._lock:

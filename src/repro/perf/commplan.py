@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
 from repro.perf.coalescer import define_once
-from repro.status import ProcessorFailedError, SingleAssignmentError
+from repro.status import SingleAssignmentError
 from repro.vp.message import Message
 
 HALO_BULK_KIND = "halo_bulk"
@@ -120,29 +120,31 @@ class Transfer:
 
 
 class HaloStrip:
-    """The payload of one ``kind="halo_bulk"`` message.
+    """The payload of one ``kind="halo_bulk"`` message: a unit of the perf
+    layer's route for ``section``, the section whose border it fills.
 
     ``token`` is ``(call group, phase index)`` — unique per exchange
     phase, so duplicated, delayed, or orphaned strips can never collide
     with a later phase's rendezvous.  ``epoch`` is the sender's record
     epoch at capture time; the receiver's kind handler fences strips
     older than the authoritative durability epoch.  ``done`` is the
-    acknowledgement variable the sender's retry loop waits on.  ``key``
-    is the strip's rendezvous key, ``(edge prefix, token)``: a schedule
-    passes the prefix it compiled, a strip built by hand derives it.
+    acknowledgement variable the route waits on.  ``key`` is the strip's
+    rendezvous key, ``(edge prefix, token)``: a schedule passes the
+    prefix it compiled, a strip built by hand derives it.
     """
 
-    __slots__ = ("array_id", "src_section", "dest_section", "side", "stage",
+    __slots__ = ("array_id", "src_section", "section", "side", "stage",
                  "token", "epoch", "dest_slices", "data", "done", "_key",
                  "nbytes")
+    kind = HALO_BULK_KIND
 
-    def __init__(self, array_id: Any, src_section: int, dest_section: int,
+    def __init__(self, array_id: Any, src_section: int, section: int,
                  side: str, stage: int, token: tuple, epoch: int,
                  dest_slices: tuple, data: Any,
                  done: Optional[DefVar], key: Optional[tuple] = None) -> None:
         self.array_id = array_id
         self.src_section = src_section
-        self.dest_section = dest_section
+        self.section = section
         self.side = side
         self.stage = stage
         self.token = token
@@ -151,7 +153,7 @@ class HaloStrip:
         self.data = data
         self.done = done
         self._key = key if key is not None else (
-            (array_id.as_tuple(), src_section, dest_section, side, stage),
+            (array_id.as_tuple(), src_section, section, side, stage),
             token,
         )
         # The simulated wire size ``Message.nbytes`` reads.
@@ -160,9 +162,13 @@ class HaloStrip:
     def key(self) -> tuple:
         return self._key
 
+    def label(self, dest: int) -> str:
+        """The name of ``done`` while its sender waits on ``dest``."""
+        return f"halo_ack[{self.section}]@{dest}"
+
     def __repr__(self) -> str:
         return (f"<HaloStrip {self.array_id} {self.src_section}->"
-                f"{self.dest_section} side={self.side} stage={self.stage} "
+                f"{self.section} side={self.side} stage={self.stage} "
                 f"token={self.token} epoch={self.epoch}>")
 
 
@@ -302,8 +308,7 @@ class CommPlan(HaloGeometry):
     ``(epoch, processors)`` membership: the layout's
     :class:`HaloGeometry` bound to the array whose strips it ships."""
 
-    __slots__ = ("op", "array_id", "epoch", "processors", "tag",
-                 "_schedules")
+    __slots__ = ("op", "array_id", "epoch", "processors", "_schedules")
 
     def __init__(self, op: str, array_id: Any, layout: Any, pad: int,
                  epoch: int, processors: tuple) -> None:
@@ -312,7 +317,6 @@ class CommPlan(HaloGeometry):
         self.array_id = array_id
         self.epoch = epoch
         self.processors = tuple(processors)
-        self.tag = (HALO_BULK_KIND, array_id.as_tuple())
         # (section, k, sides) -> Schedule, compiled on first use and kept
         # for the life of the plan.  Two copies racing to compile the same
         # entry build equal, immutable schedules, so no lock is needed.
@@ -380,11 +384,11 @@ class HaloExchange:
     sends and returns at once — the strips are in flight while the
     caller computes interior work.  ``complete()``
     settles the protocol: it secures acknowledgements for everything this
-    copy sent (retrying dropped strips against the re-resolved owner,
-    exactly the write-coalescer's retry discipline), claims the inbound
-    strips of that stage, and — where the schedule has a further stage —
-    posts the orthogonal strips that span the freshly filled halo rows,
-    and claims those.  ``sides`` given at ``begin`` is part of the
+    copy sent (the perf layer's route re-sends a strip that was dropped or
+    refused to the owner read again), claims the inbound strips of that
+    stage, and — where the schedule has a further stage — posts the
+    orthogonal strips that span the freshly filled halo rows, and claims
+    those.  ``sides`` given at ``begin`` is part of the
     schedule: strips for other sides are neither posted nor claimed.
 
     Deadlock-freedom: acknowledgements are defined by the *delivery*
@@ -407,7 +411,9 @@ class HaloExchange:
         self.schedule = plan.schedule(
             section, k, None if sides is None else frozenset(sides)
         )
-        self._pending: List[HaloStrip] = []
+        # (strip, where the route posted it) for every strip not yet
+        # secured.
+        self._pending: List[tuple] = []
         self._claimed_strips = 0
         self._prefetched = False
         self._completed = False
@@ -468,99 +474,49 @@ class HaloExchange:
             self._secure_pending()
             self._claim_stage(index)
 
-    def _owners(self) -> tuple:
-        state = self.registry.manager.durability_state(self.plan.array_id)
-        return (state.processors if state is not None
-                else self.plan.processors)
-
     def _post_stage(self, index: int) -> None:
         stage, sends, _ = self.schedule.stages[index]
+        registry = self.registry
+        route = registry.perf
         array_id = self.plan.array_id
         section = self.section
         token = self.token
         epoch = self.record.epoch
         full = self.full
-        owners = self._owners()  # once per stage; a reship re-resolves
+        source = self.source
+        # The owners are read once a stage, without the state lock; only
+        # a re-send reads its owner again, under it.
+        state = registry.manager.durability_state(array_id)
+        owners = self.plan.processors if state is None else state.processors
+        pending = self._pending
         for dest_section, side, src_slices, dest_slices, prefix in sends:
             strip = HaloStrip(
                 array_id, section, dest_section, side, stage, token, epoch,
                 dest_slices, full[src_slices].copy(), DefVar("halo_ack"),
                 (prefix, token),
             )
-            self._route(strip, owners)
-            self._pending.append(strip)
-
-    def _route(self, strip: HaloStrip, owners: tuple) -> None:
-        registry = self.registry
-        machine = registry.machine
-        dest = (owners[strip.dest_section]
-                if strip.dest_section < len(owners) else None)
-        if dest is None or machine.is_failed(dest):
-            raise ProcessorFailedError(
-                f"halo destination section {strip.dest_section} of "
-                f"{strip.array_id} has no live owner"
-            )
-        if dest == self.source:
-            registry.apply_strip(dest, strip)
-            registry.inline_strips += 1
-        else:
-            machine.send(
-                self.source,
-                dest,
-                strip,
-                tag=self.plan.tag,
-                kind=HALO_BULK_KIND,
-            )
-            registry.routed_strips += 1
-        registry.strips_sent += 1
-
-    def _reship(self, strip: HaloStrip) -> HaloStrip:
-        fresh = HaloStrip(
-            strip.array_id, strip.src_section, strip.dest_section,
-            strip.side, strip.stage, strip.token, strip.epoch,
-            strip.dest_slices, strip.data, DefVar("halo_ack"), strip.key(),
-        )
-        self._route(fresh, self._owners())
-        return fresh
+            dest = route.post(strip, source, owners[dest_section])
+            if dest is None:
+                registry.inline_strips += 1
+            else:
+                registry.routed_strips += 1
+            registry.strips_sent += 1
+            pending.append((strip, dest))
 
     def _secure_pending(self) -> None:
         registry = self.registry
-        for strip in self._pending:
-            current = strip
-            for _attempt in range(registry.max_retries + 1):
-                done = current.done
-                if not done.data():
-                    # About to suspend: name the variable for the wait
-                    # graph and the timeout message (it is anonymous on
-                    # the path where the ack is already there).
-                    done.name = f"halo_ack[{current.dest_section}]"
-                try:
-                    outcome = done.read(timeout=registry.retry_timeout)
-                except TimeoutError:
-                    # Dropped or delayed in transit: reship the same
-                    # (token, stage, side) unit — the receiver's
-                    # single-assignment rendezvous deduplicates a late
-                    # original.
-                    registry.retries += 1
-                    current = self._reship(current)
-                    continue
-                if outcome == "ok":
-                    break
-                if outcome == "stale":
-                    raise StalePlanError(
-                        f"halo strip {current!r} fenced as STALE_EPOCH: "
-                        "plan predates a membership rewrite"
-                    )
-                # "not_found": the owner moved mid-phase (migration
-                # between resolve and delivery) — chase the section to
-                # its re-resolved home.
-                registry.retries += 1
-                current = self._reship(current)
-            else:
+        for strip, dest in self._pending:
+            answer = registry.perf.secure(strip, self.source, dest, registry)
+            if answer == "stale":
+                raise StalePlanError(
+                    f"halo strip {strip!r} fenced as STALE_EPOCH: "
+                    "plan predates a membership rewrite"
+                )
+            if answer != "ok":
                 raise TimeoutError(
-                    f"halo strip to section {strip.dest_section} of "
+                    f"halo strip to section {strip.section} of "
                     f"{strip.array_id} unacknowledged after "
-                    f"{registry.max_retries + 1} attempts"
+                    f"{registry.perf.max_retries + 1} attempts"
                 )
         self._pending = []
 
@@ -588,11 +544,11 @@ class PlanRegistry:
     on cached plans is automatic invalidation with no extra locking.
     """
 
-    def __init__(self, machine: Any, manager: Any) -> None:
-        self.machine = machine
-        self.manager = manager
-        self.max_retries = 3
-        self.retry_timeout = 5.0
+    def __init__(self, perf: Any) -> None:
+        # The perf layer whose route carries the strips.
+        self.perf = perf
+        self.machine = perf.machine
+        self.manager = perf.manager
         self.max_rendezvous = 4096
         self._lock = threading.Lock()
         self._plans: Dict[tuple, CommPlan] = {}
@@ -671,7 +627,7 @@ class PlanRegistry:
     def flush_for(self, array_id: Any) -> None:
         # The registry is half of the machine's perf layer; the coalescer
         # is the other half.
-        self.machine._perf.coalescer.flush(array_id)
+        self.perf.coalescer.flush(array_id)
 
     # -- rendezvous ----------------------------------------------------------
 
@@ -716,7 +672,8 @@ class PlanRegistry:
         self.apply_strip(message.dest, message.payload)
 
     def apply_strip(self, dest: int, strip: HaloStrip) -> None:
-        """Fence -> dedup -> stash one strip arriving at ``dest``.
+        """Holder check -> fence -> dedup -> stash one strip arriving at
+        ``dest``.
 
         Never writes section storage: the strip parks in its phase's
         rendezvous variable and the receiving copy's own thread copies it
@@ -724,19 +681,21 @@ class PlanRegistry:
         or duplicated deliveries cannot race a kernel mid-sweep.
         """
         manager = self.manager
-        node = self.machine.processor(dest)
-        record = manager._lookup(node, strip.array_id)
-        state = manager.durability_state(strip.array_id)
-        if (record is None or record.section is None or state is None
-                or strip.dest_section >= len(state.processors)
-                or state.processors[strip.dest_section] != dest):
-            # Not the authoritative owner (the section migrated away, or
-            # never lived here): refuse without consuming the rendezvous,
-            # so the sender's retry chases the re-resolved owner.
+        record = manager._resolve(
+            self.machine.processor(dest), strip.array_id, None,
+            section=strip.section,
+        )
+        if record is None:
+            # Not the section's holder (it moved away, or never lived
+            # here): refuse without consuming the rendezvous, so the route
+            # re-sends to the owner read again.
             self.not_found_strips += 1
             define_once(strip.done, "not_found")
             return
-        if strip.epoch < state.epoch or record.epoch < state.epoch:
+        state = manager.durability_state(strip.array_id)
+        if state is not None and (
+            strip.epoch < state.epoch or record.epoch < state.epoch
+        ):
             # The STALE_EPOCH fence (docs/fault_model.md §9): the sender
             # compiled against a membership that has since been rewritten
             # — or this record itself was left behind by one.  Poison the

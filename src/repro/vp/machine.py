@@ -45,6 +45,48 @@ def _out_of_range(number: Any, num_nodes: int) -> ValueError:
     return ValueError(f"processor {number} out of range 0..{num_nodes - 1}")
 
 
+class _HeldDeaths(threading.local):
+    """One thread's open :class:`FailureHold` blocks and the deaths they
+    hold back (None while there are none)."""
+
+    depth = 0
+    numbers: Optional[list] = None
+
+
+class FailureHold:
+    """``with machine.holding_failures:`` — hold back the failure
+    listeners of every death this thread causes inside the block (a kill
+    fired by one of its sends) and run them, on this thread, when the
+    block ends.  The processor is dead at once either way; only its
+    listeners wait.
+
+    A sender that holds a lock a listener may need enters this block
+    before the lock, so the listener runs after the lock is released: a
+    commit sends its replica updates under ``record.lock``, and the
+    recovery a kill runs takes ``state.lock``, which a migration holds
+    while it waits for that ``record.lock`` (the lock order,
+    docs/fault_model.md §9).  Nested blocks notify when the outermost
+    ends.  Entered by every commit, so it costs two attribute updates
+    when nobody dies."""
+
+    __slots__ = ("machine", "local")
+
+    def __init__(self, machine: "Machine") -> None:
+        self.machine = machine
+        self.local = _HeldDeaths()
+
+    def __enter__(self) -> None:
+        self.local.depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        local = self.local
+        local.depth -= 1
+        if not local.depth and local.numbers:
+            numbers, local.numbers = local.numbers, None
+            for number in numbers:
+                self.machine._notify_failure(number)
+
+
 class Machine:
     """A multicomputer of ``num_nodes`` virtual processors."""
 
@@ -84,6 +126,7 @@ class Machine:
             "server_request": self.server._execute,
         }
         self._failure_listeners: list[Callable[[int], None]] = []
+        self.holding_failures = FailureHold(self)
         # The installed observability layer (repro.obs.Observer) or None.
         # Instrumentation sites across every layer probe this one attribute
         # and no-op when it is None, keeping the hot path cheap.
@@ -155,14 +198,14 @@ class Machine:
         deadline); later sends/receives/placements involving the node fail
         per the machine's policy.  Idempotent: a second ``fail`` of an
         already-dead processor is a no-op, so failure listeners observe
-        each death exactly once.
+        each death exactly once — at once, or, for a death caused inside a
+        ``holding_failures`` block on this thread, when the block ends.
         """
         node = self.processor(number)
         with self._lock:
             if number in self._failed:
                 return
             self._failed = self._failed | {number}
-            listeners = list(self._failure_listeners)
         node.mailbox.poison(
             ProcessorFailedError(
                 f"processor {number} failed", processor=number
@@ -174,6 +217,17 @@ class Machine:
         for other in list(self._processors):
             if other.number != number:
                 other.mailbox.mark_source_dead(number)
+        held = self.holding_failures.local
+        if held.depth:
+            if held.numbers is None:
+                held.numbers = []
+            held.numbers.append(number)
+            return
+        self._notify_failure(number)
+
+    def _notify_failure(self, number: int) -> None:
+        with self._lock:
+            listeners = list(self._failure_listeners)
         # Notify outside the machine lock: listeners (e.g. the recovery
         # coordinator) route messages of their own.  A listener failure
         # must not corrupt the transport path that triggered the kill.

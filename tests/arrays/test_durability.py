@@ -1,6 +1,9 @@
 """Durable-array unit tests: replica maps, replicated writes, epochs,
 checkpoint/restore, and durability diagnostics."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.arrays.layout import ArrayLayout
 from repro.arrays.manager import get_array_manager
 from repro.arrays.record import ArrayID
 from repro.core.darray import DistributedArray
+from repro.faults import FaultPlan, FaultyTransport, KillSpec
 from repro.status import Status
 from repro.vp.fabric import TrafficMeter
 from repro.vp.machine import Machine
@@ -204,6 +208,70 @@ def test_checkpoint_unknown_array(machine):
     snapshot, status = am_user.checkpoint_array(machine, ArrayID(0, 999))
     assert snapshot is None
     assert status is Status.NOT_FOUND
+
+
+def test_a_kill_by_a_replica_update_is_notified_after_the_record_lock(
+    machine,
+):
+    """A kill fired by a commit's own replica update runs its failure
+    listeners (recovery, which takes the state lock) once the commit has
+    released the record lock: under it, recovery and a migration that
+    holds the state lock and waits for the record lock wait for each
+    other."""
+    arr = make_array(machine, replication=1)
+    state = get_array_manager(machine).durability_state(arr.array_id)
+    record = get_array_manager(machine)._lookup(
+        machine.processor(3), arr.array_id
+    )
+    backup = state.replica_map.backups_for(3)[0]
+    under_record_lock = []
+
+    def probe(number):
+        # The record lock is reentrant: only another thread can tell
+        # whether this one holds it.
+        free = []
+
+        def try_record_lock():
+            if record.lock.acquire(blocking=False):
+                record.lock.release()
+                free.append(True)
+
+        helper = threading.Thread(target=try_record_lock)
+        helper.start()
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+        under_record_lock.append((number, not free))
+
+    machine.add_failure_listener(probe)
+    plan = FaultPlan(kills=(KillSpec(backup, after=1, on="recv"),))
+    with FaultyTransport(machine, plan):
+        # Section 3's owner commits, then updates its backup's mirror.
+        am_user.write_region(
+            machine, arr.array_id, [(4, 8), (4, 8)], np.ones((4, 4)),
+            processor=3,
+        )
+    assert under_record_lock == [(backup, False)]
+
+
+def test_checkpoint_with_a_dead_owner_leaves_no_worker_behind():
+    """A dead owner fails the checkpoint before any worker starts: a
+    worker already in the cut's barrier would hold its record lock, and
+    stall every write to its section, until the receive deadline."""
+    machine = Machine(6, default_recv_timeout=5)
+    am_util.load_all(machine)
+    arr = make_array(machine, replication=0)
+    owners = (0, 1, 3)
+    before = [machine.processor(p).live_process_count() for p in owners]
+    machine.fail(2)
+    snapshot, status = am_user.checkpoint_array(machine, arr.array_id)
+    assert (snapshot, status) == (None, Status.ERROR)
+    assert [machine.processor(p).live_process_count() for p in owners] == (
+        before
+    )
+    started = time.monotonic()
+    arr[0, 0] = 1.0
+    assert arr[0, 0] == 1.0
+    assert time.monotonic() - started < 2.5
 
 
 def test_checkpoint_reseeds_nothing_but_restore_reseeds_mirrors(machine):

@@ -10,6 +10,9 @@ runtime membership growth, and the metrics-driven :class:`Rebalancer`.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -25,8 +28,10 @@ from repro.arrays.rebalance import Rebalancer
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, KillSpec, install_recovery
 from repro.faults.plan import FaultDecision
-from repro.perf import get_perf_layer
+from repro.pcn.defvar import DefVar
+from repro.perf import ARRAY_BATCH_KIND, get_perf_layer
 from repro.status import Status
+from repro.vp.clock import ManualClock
 from repro.vp.fabric import TraceInterceptor
 from repro.vp.machine import Machine
 
@@ -60,6 +65,46 @@ class DropRoutedRewrites(FaultPlan):
     def decide(self, message, channel_ordinal):
         request = getattr(message.payload, "request_type", None)
         return FaultDecision(drop=request == "update_membership_local")
+
+
+class DelayFirst(FaultPlan):
+    """Hold back the first message of envelope kind or request type
+    ``what`` until the clock passes ``delay_seconds``; pass the rest."""
+
+    def __init__(self, what):
+        super().__init__()
+        object.__setattr__(self, "what", what)
+        object.__setattr__(self, "held", [])
+
+    def decide(self, message, channel_ordinal):
+        request = getattr(message.payload, "request_type", None)
+        if self.held or self.what not in (message.kind, request):
+            return FaultDecision()
+        self.held.append(message)
+        return FaultDecision(delay=True)
+
+
+def manual_machine():
+    """A machine whose delayed messages arrive when the test says so."""
+    clock = ManualClock()
+    m = Machine(6, clock=clock, default_recv_timeout=10)
+    am_util.load_all(m)
+    return m, clock
+
+
+def wait_for(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def move_section_2_away_and_section_1_onto_its_owner(arr):
+    """Section 2 leaves processor 2, which forgets the array; section 1
+    moves onto it, so processor 2 now holds section 1."""
+    arr.migrate({2: 4})
+    arr.migrate({1: 2})
+    assert arr.processors == (0, 2, 4, 3)
 
 
 def holds_anything(machine, array_id, processor):
@@ -236,6 +281,87 @@ class TestPlannedMigration:
             machine, arr.array_id, {0: 1}
         )
         assert status is Status.INVALID
+
+    def test_a_late_batch_is_applied_only_by_its_section_holder(self):
+        """A write-behind batch for section 2 that reaches processor 2
+        after section 2 left it and section 1 arrived is refused there by
+        the holder check, and re-sent to section 2's owner: it never
+        lands in section 1."""
+        machine, clock = manual_machine()
+        arr = make_array(machine)
+        coalescer = get_perf_layer(machine).coalescer
+        with FaultyTransport(machine, DelayFirst(ARRAY_BATCH_KIND)) as ft:
+            arr[4, 0] = 1.0  # queued for section 2, owned by processor 2
+            flusher = threading.Thread(
+                target=coalescer.flush, args=(arr.array_id, 2)
+            )
+            flusher.start()
+            wait_for(lambda: ft.stats.delayed == 1)
+            move_section_2_away_and_section_1_onto_its_owner(arr)
+            clock.advance(1.0)
+            flusher.join(timeout=10)
+            assert not flusher.is_alive()
+        assert arr[4, 0] == 1.0
+        assert arr[0, 4] == 0.0  # section 1, which nobody wrote
+        assert (coalescer.flushes, coalescer.lost_batches) == (1, 0)
+        assert coalescer.retries == 1
+
+    def test_a_commit_whose_section_left_after_the_check_is_refused(
+        self, machine
+    ):
+        """The holder check is made again under the record lock: a write
+        whose section was yielded to a migration between the request's
+        check and its commit answers NOT_FOUND and writes nothing."""
+        arr = make_array(machine)
+        manager = get_array_manager(machine)
+        node = machine.processor(2)
+        record = manager._resolve(node, arr.array_id, None, section=2)
+        assert record is not None
+        data, yielded = DefVar(), DefVar()
+        manager.yield_section_local(
+            node, arr.array_id, record.epoch, data, yielded
+        )
+        assert yielded.read() is Status.OK
+        status = DefVar()
+        assert manager._commit(node, record, [((0, 0), 5.0)], status) == (
+            "not_found"
+        )
+        assert status.read() is Status.NOT_FOUND
+
+    def test_a_late_region_share_is_applied_only_by_its_section_holder(self):
+        """A region write's share for section 2 that reaches processor 2
+        after section 2 left it and section 1 arrived is refused there:
+        the write answers ERROR and section 1 is untouched.  A retry lands
+        in section 2."""
+        machine, clock = manual_machine()
+        arr = make_array(machine)
+        region, data = [(4, 6), (0, 4)], np.full((2, 4), 7.0)  # section 2
+        answers = []
+
+        def write_on_1():
+            answers.append(am_user.write_region(
+                machine, arr.array_id, region, data, processor=1
+            ))
+
+        plan = DelayFirst("write_region_local")
+        with FaultyTransport(machine, plan) as ft:
+            writer = threading.Thread(target=write_on_1)
+            writer.start()
+            wait_for(lambda: ft.stats.delayed == 1)
+            move_section_2_away_and_section_1_onto_its_owner(arr)
+            clock.advance(1.0)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert answers == [Status.ERROR]
+        assert np.array_equal(arr.to_numpy(), np.zeros((8, 8)))
+        # Processor 1 gave section 1 away and forgot the array: the
+        # retry is made on processor 0, which created it.
+        assert am_user.write_region(
+            machine, arr.array_id, region, data, processor=0
+        ) is Status.OK
+        expected = np.zeros((8, 8))
+        expected[4:6, 0:4] = 7.0
+        assert np.array_equal(arr.to_numpy(), expected)
 
 
 # -- transactional failure handling -------------------------------------------
@@ -520,6 +646,46 @@ class TestPerfInterplay:
         # The barrier drained the queue; the write landed on the *old*
         # owner before the section left it, and travelled with it.
         assert perf.coalescer.pending_ops(arr.array_id) == 0
+        assert arr[7, 7] == 5.0
+
+    @pytest.mark.parametrize("move", ["migrate", "rebalance"])
+    def test_no_flush_lock_is_taken_under_the_state_lock(
+        self, machine, monkeypatch, move
+    ):
+        """The migration barrier flushes before the plan takes the state
+        lock (the lock order: a queue's flush lock, then ``state.lock``,
+        then ``record.lock``): a flush under the state lock can wait for
+        a batch that is itself waiting for the state lock."""
+        arr = make_array(machine)
+        state = durability(machine, arr)
+        coalescer = get_perf_layer(machine).coalescer
+        flush_key = coalescer._flush_key
+        under_state_lock = []
+
+        def probing_flush_key(key, reason):
+            # The state lock is reentrant: only another thread can tell
+            # whether this one holds it.
+            free = []
+
+            def try_state_lock():
+                if state.lock.acquire(blocking=False):
+                    state.lock.release()
+                    free.append(True)
+
+            helper = threading.Thread(target=try_state_lock)
+            helper.start()
+            helper.join(timeout=10)
+            assert not helper.is_alive()
+            under_state_lock.append(not free)
+            return flush_key(key, reason)
+
+        monkeypatch.setattr(coalescer, "_flush_key", probing_flush_key)
+        arr[7, 7] = 5.0  # queued for section 3, owned by processor 3
+        if move == "migrate":
+            assert arr.migrate({3: 4}) == [3]
+        else:
+            assert arr.rebalance([0, 1, 2, 4]) == [3]
+        assert under_state_lock and not any(under_state_lock)
         assert arr[7, 7] == 5.0
 
 

@@ -107,14 +107,15 @@ def run_write_pass(machine, array_id, seed, pass_no, errors):
         t.join()
 
 
-def probe_stale_owner(machine, array_id, vp) -> Status:
-    """A same-node write issued *on the stale minority VP itself* — no
-    routed hop, so the partition cannot save us: only the epoch fencing
-    token stands between this write and split-brain."""
+def probe_stale_owner(machine, array_id, vp, section) -> Status:
+    """A same-node write issued *on the stale minority VP itself*, to the
+    section its own record says it holds — no routed hop, so the
+    partition cannot save us: only the epoch fencing token stands between
+    this write and split-brain."""
     with fabric.execution_context(processor=vp):
         status = DefVar(f"probe@{vp}")
         machine.server.request(
-            "write_element_local", array_id, (0, 0), -1.0, status,
+            "write_element_local", array_id, section, (0, 0), -1.0, status,
             processor=vp,
         )
         return Status(status.read(timeout=5.0))
@@ -221,9 +222,9 @@ def test_partition_heal_converges_without_split_brain(seed):
                 record = _records(machine.processor(vp)).get(arr.array_id)
                 if record is None or record.section is None:
                     continue
-                fenced_probes.append(
-                    (vp, probe_stale_owner(machine, arr.array_id, vp))
-                )
+                fenced_probes.append((vp, probe_stale_owner(
+                    machine, arr.array_id, vp, record.section_number_for(vp)
+                )))
 
             # -- phase 3: heal, rejoin, write again --------------------
             pplan.heal()

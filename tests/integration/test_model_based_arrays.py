@@ -21,7 +21,6 @@ from repro.arrays import am_user, am_util
 from repro.arrays.durability import replica_store_for
 from repro.arrays.manager import _records, get_array_manager
 from repro.calls import Local, distributed_call
-from repro.pcn.defvar import DefVar
 from repro.status import Status
 from repro.vp.machine import Machine
 
@@ -168,14 +167,8 @@ def test_property_array_tracks_numpy_oracle(ops, replication):
             elif kind == "bulk":
                 _, seed = op
                 data = np.random.default_rng(seed).uniform(-50, 50, N)
-                for rank, proc in enumerate(owners):
-                    s = DefVar("s")
-                    _MACHINE.server.request(
-                        "write_section_local", aid,
-                        data[rank * LOCAL : (rank + 1) * LOCAL].copy(), s,
-                        processor=int(proc),
-                    )
-                    assert Status(s.read()) is Status.OK
+                status = am_user.write_region(_MACHINE, aid, [(0, N)], data)
+                assert status is Status.OK
                 oracle = data.copy()
                 mirrors_current = True
             elif kind == "region":

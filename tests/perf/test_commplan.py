@@ -674,7 +674,8 @@ class TestPlannedUnderFaults:
         arr = make_array(machine, (8, 8), (2, 2), borders=4)
         arr.from_numpy(initial)
         registry = plans_of(machine)
-        registry.retry_timeout = 0.25  # keep reship latency test-sized
+        perf = get_perf_layer(machine)
+        perf.retry_timeout = 0.25  # keep re-send latency test-sized
         steps = 8
         fault_plan = FaultPlan(
             seed=11, kinds=(HALO_BULK_KIND,), **plan_kwargs
@@ -685,7 +686,7 @@ class TestPlannedUnderFaults:
             run_heat(machine, arr, (2, 2), steps)
         finally:
             faulty.uninstall()
-            registry.retry_timeout = 5.0
+            perf.retry_timeout = 5.0
         assert np.allclose(
             arr.to_numpy(), serial_reference(initial, steps),
             rtol=0, atol=0,

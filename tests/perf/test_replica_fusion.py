@@ -336,7 +336,7 @@ def _plan(cls):
 class TestFaultInterplay:
     def test_dropped_batch_retries_as_one_unit(self, machine):
         perf = get_perf_layer(machine)
-        perf.coalescer.retry_timeout = 0.3
+        perf.retry_timeout = 0.3
         arr = make_array(machine, replication=0)
         # Faulty layer below the meter: the meter then counts every routed
         # attempt, including the one the fault layer swallows.
@@ -385,8 +385,8 @@ class TestFaultInterplay:
     def test_batch_to_dead_owner_without_recovery_is_lost(self, machine):
         machine.dead_send_policy = "drop"
         perf = get_perf_layer(machine)
-        perf.coalescer.retry_timeout = 0.2
-        perf.coalescer.max_retries = 1
+        perf.retry_timeout = 0.2
+        perf.max_retries = 1
         arr = make_array(machine, replication=0)
         arr[7, 7] = 1.0  # queued against section 3
         machine.fail(3)

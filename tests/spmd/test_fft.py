@@ -146,36 +146,16 @@ def distributed_fixture(p, n):
 
 
 def write_complex(machine, aid, values):
-    from repro.pcn.defvar import DefVar
-
     flat = np.empty(2 * values.size)
     flat[0::2] = values.real
     flat[1::2] = values.imag
-    info, _ = am_user.find_info(machine, aid, "processors")
-    chunk = flat.size // len(info)
-    for rank, proc in enumerate(info):
-        status = DefVar("s")
-        machine.server.request(
-            "write_section_local", aid,
-            flat[rank * chunk : (rank + 1) * chunk].copy(), status,
-            processor=int(proc),
-        )
-        assert Status(status.read()) is Status.OK
+    status = am_user.write_region(machine, aid, [(0, flat.size)], flat)
+    assert status is Status.OK
 
 
 def read_complex(machine, aid, n):
-    from repro.pcn.defvar import DefVar
-
-    info, _ = am_user.find_info(machine, aid, "processors")
-    parts = []
-    for proc in info:
-        out, status = DefVar("d"), DefVar("s")
-        machine.server.request(
-            "read_section_local", aid, out, status, processor=int(proc)
-        )
-        assert Status(status.read()) is Status.OK
-        parts.append(out.read())
-    flat = np.concatenate(parts)
+    flat, status = am_user.read_region(machine, aid, [(0, 2 * n)])
+    assert status is Status.OK
     return flat[0::2] + 1j * flat[1::2]
 
 
@@ -227,13 +207,9 @@ class TestDistributedFFT:
 
     def test_compute_roots_values(self):
         machine, procs, _data, eps = distributed_fixture(2, 8)
-        from repro.pcn.defvar import DefVar
-
-        out, status = DefVar("d"), DefVar("s")
-        machine.server.request(
-            "read_section_local", eps, out, status, processor=0
-        )
-        flat = out.read().reshape(-1)
+        (_origin, block), status = am_user.get_local_block(machine, eps, 0)
+        assert status is Status.OK
+        flat = block.reshape(-1)
         roots = flat[0::2] + 1j * flat[1::2]
         assert np.allclose(roots, np.exp(2j * np.pi * np.arange(8) / 8))
 

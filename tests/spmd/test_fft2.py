@@ -8,7 +8,6 @@ import pytest
 from repro.arrays import am_user, am_util
 from repro.calls import Local, distributed_call
 from repro.pcn.composition import par
-from repro.pcn.defvar import DefVar
 from repro.spmd.context import SPMDContext
 from repro.spmd.fft import FORWARD, INVERSE, distributed_transpose, fft2
 from repro.status import Status
@@ -21,27 +20,16 @@ def machine_with(p):
     return m, am_util.node_array(0, 1, p)
 
 
-def scatter_rows(machine, procs, aid, flat):
-    rows = flat.shape[0] // len(procs)
-    for rank, proc in enumerate(procs):
-        s = DefVar("s")
-        machine.server.request(
-            "write_section_local", aid,
-            flat[rank * rows : (rank + 1) * rows].copy(), s,
-            processor=int(proc),
-        )
-        assert Status(s.read()) is Status.OK
+def scatter_rows(machine, aid, flat):
+    whole = [(0, flat.shape[0]), (0, flat.shape[1])]
+    assert am_user.write_region(machine, aid, whole, flat) is Status.OK
 
 
-def gather_rows(machine, procs, aid):
-    parts = []
-    for proc in procs:
-        d, s = DefVar("d"), DefVar("s")
-        machine.server.request(
-            "read_section_local", aid, d, s, processor=int(proc)
-        )
-        parts.append(d.read())
-    return np.vstack(parts)
+def gather_rows(machine, aid):
+    shape, _ = am_user.find_info(machine, aid, "dimensions")
+    flat, status = am_user.read_region(machine, aid, [(0, d) for d in shape])
+    assert status is Status.OK
+    return flat
 
 
 class TestDistributedTranspose:
@@ -110,12 +98,12 @@ class TestFFT2:
         assert st is Status.OK
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        scatter_rows(machine, procs, aid, pack_complex(x))
+        scatter_rows(machine, aid, pack_complex(x))
         res = distributed_call(
             machine, procs, fft2, [n, INVERSE, Local(aid)]
         )
         assert res.status is Status.OK
-        out = unpack_complex(gather_rows(machine, procs, aid))
+        out = unpack_complex(gather_rows(machine, aid))
         assert np.allclose(out, np.fft.ifft2(x) * n * n)
 
     @pytest.mark.parametrize("p,n", [(2, 8), (4, 16)])
@@ -126,12 +114,12 @@ class TestFFT2:
         )
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        scatter_rows(machine, procs, aid, pack_complex(x))
+        scatter_rows(machine, aid, pack_complex(x))
         res = distributed_call(
             machine, procs, fft2, [n, FORWARD, Local(aid)]
         )
         assert res.status is Status.OK
-        out = unpack_complex(gather_rows(machine, procs, aid))
+        out = unpack_complex(gather_rows(machine, aid))
         assert np.allclose(out, np.fft.fft2(x) / (n * n))
 
     def test_roundtrip(self):
@@ -142,11 +130,11 @@ class TestFFT2:
         )
         rng = np.random.default_rng(5)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        scatter_rows(machine, procs, aid, pack_complex(x))
+        scatter_rows(machine, aid, pack_complex(x))
         for flag in (INVERSE, FORWARD):
             res = distributed_call(
                 machine, procs, fft2, [n, flag, Local(aid)]
             )
             assert res.status is Status.OK
-        out = unpack_complex(gather_rows(machine, procs, aid))
+        out = unpack_complex(gather_rows(machine, aid))
         assert np.allclose(out, x)

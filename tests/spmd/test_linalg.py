@@ -31,18 +31,9 @@ def make_vector(machine, n, values=None):
     aid, st = am_user.create_array(machine, "double", (n,), p, ["block"])
     assert st is Status.OK
     if values is not None:
-        from repro.pcn.defvar import DefVar
-
-        for rank, proc in enumerate(p):
-            status = DefVar("s")
-            chunk = np.asarray(values)[
-                rank * n // len(p) : (rank + 1) * n // len(p)
-            ]
-            machine.server.request(
-                "write_section_local", aid, chunk.copy(), status,
-                processor=int(proc),
-            )
-            assert Status(status.read()) is Status.OK
+        assert am_user.write_region(machine, aid, [(0, n)], values) is (
+            Status.OK
+        )
     return aid
 
 
@@ -58,19 +49,8 @@ def make_matrix(machine, n, values):
         machine, "double", (n, n), p, [("block", len(p)), "*"]
     )
     assert st is Status.OK
-    from repro.pcn.defvar import DefVar
-
-    rows = n // len(p)
-    for rank, proc in enumerate(p):
-        status = DefVar("s")
-        machine.server.request(
-            "write_section_local",
-            aid,
-            np.asarray(values)[rank * rows : (rank + 1) * rows].copy(),
-            status,
-            processor=int(proc),
-        )
-        assert Status(status.read()) is Status.OK
+    status = am_user.write_region(machine, aid, [(0, n), (0, n)], values)
+    assert status is Status.OK
     return aid
 
 

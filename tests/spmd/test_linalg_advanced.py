@@ -29,32 +29,14 @@ def scatter_matrix(machine, n, values):
         machine, "double", (n, n), p, [("block", len(p)), "*"]
     )
     assert st is Status.OK
-    from repro.pcn.defvar import DefVar
-
-    rows = n // len(p)
-    for rank, proc in enumerate(p):
-        status = DefVar("s")
-        machine.server.request(
-            "write_section_local", aid,
-            np.asarray(values)[rank * rows : (rank + 1) * rows].copy(),
-            status, processor=int(proc),
-        )
-        assert Status(status.read()) is Status.OK
+    status = am_user.write_region(machine, aid, [(0, n), (0, n)], values)
+    assert status is Status.OK
     return aid
 
 
 def gather_matrix(machine, aid, n):
-    from repro.pcn.defvar import DefVar
-
-    p = procs(machine)
-    rows = n // len(p)
-    out = np.empty((n, n))
-    for rank, proc in enumerate(p):
-        data, status = DefVar("d"), DefVar("s")
-        machine.server.request(
-            "read_section_local", aid, data, status, processor=int(proc)
-        )
-        out[rank * rows : (rank + 1) * rows] = data.read()
+    out, status = am_user.read_region(machine, aid, [(0, n), (0, n)])
+    assert status is Status.OK
     return out
 
 
@@ -62,16 +44,7 @@ def scatter_vector(machine, n, values):
     p = procs(machine)
     aid, st = am_user.create_array(machine, "double", (n,), p, ["block"])
     assert st is Status.OK
-    from repro.pcn.defvar import DefVar
-
-    chunk = n // len(p)
-    for rank, proc in enumerate(p):
-        status = DefVar("s")
-        machine.server.request(
-            "write_section_local", aid,
-            np.asarray(values)[rank * chunk : (rank + 1) * chunk].copy(),
-            status, processor=int(proc),
-        )
+    assert am_user.write_region(machine, aid, [(0, n)], values) is Status.OK
     return aid
 
 

@@ -53,36 +53,16 @@ def make_field(machine, shape, grid, initial):
         else [1, 1, 1, 1],
     )
     assert st is Status.OK
-    from repro.pcn.defvar import DefVar
-
-    rows, cols = shape[0] // grid[0], shape[1] // grid[1]
-    for rank, proc in enumerate(procs):
-        status = DefVar("s")
-        r, c = divmod(rank, grid[1])
-        machine.server.request(
-            "write_section_local", aid,
-            np.asarray(initial)[
-                r * rows : (r + 1) * rows, c * cols : (c + 1) * cols
-            ].copy(),
-            status, processor=int(proc),
-        )
-        assert Status(status.read()) is Status.OK
+    whole = [(0, shape[0]), (0, shape[1])]
+    assert am_user.write_region(machine, aid, whole, initial) is Status.OK
     return aid, procs
 
 
 def gather(machine, aid, shape, grid):
-    from repro.pcn.defvar import DefVar
-
-    rows, cols = shape[0] // grid[0], shape[1] // grid[1]
-    out = np.empty(shape)
-    procs, _ = am_user.find_info(machine, aid, "processors")
-    for rank, proc in enumerate(procs):
-        data, status = DefVar("d"), DefVar("s")
-        machine.server.request(
-            "read_section_local", aid, data, status, processor=int(proc)
-        )
-        r, c = divmod(rank, grid[1])
-        out[r * rows : (r + 1) * rows, c * cols : (c + 1) * cols] = data.read()
+    out, status = am_user.read_region(
+        machine, aid, [(0, shape[0]), (0, shape[1])]
+    )
+    assert status is Status.OK
     return out
 
 
