@@ -12,7 +12,7 @@
                           to_numpy x2 — one FIG-2.1 coupled step
                           (``ClimateSimulation.run(1)``), split by the
                           ``CoupledResult`` it returns
-``array_writes``          element writes / flush / region / read-backs
+``array_writes``          element writes / region / read-backs
 ``array_reads``           element reads / region
 
 The macro benchmark times the whole op; its tracer splits it but sits on
@@ -22,11 +22,11 @@ with nothing installed, pinned to one CPU like the benchmark's children,
 and reads the clock at the phase boundaries only.  Every workload but
 ``ex61_calls`` is the benchmark's own class (``benchmarks/macro/
 workloads.py``), built from ``--seed``, and every op is checked against
-its NumPy mirror outside the clock.  ``array_writes``' op flushes its
-element writes inside the region write; here the flush is a phase of its
-own (``arr.flush()``, the same whole-array flush), so the region finds
-nothing queued.  ``--src`` points at the ``src`` directory of another
-checkout (the parent commit, say), so the same file measures both sides.
+its NumPy mirror outside the clock.  ``array_writes``' op is the
+benchmark's: its element writes land inside the region write, carried by
+the shares of the sections the region touches and flushed before it
+otherwise.  ``--src`` points at the ``src`` directory of another checkout
+(the parent commit, say), so the same file measures both sides.
 
 Printed per phase: the median over all ops of the quietest round (the one
 with the smallest whole-op median), in microseconds — the host's speed
@@ -36,11 +36,15 @@ frames of the measured package one request of the phase enters.  The
 frames are counted once, on one warm-up op, outside the clock, with
 ``sys.setprofile`` as ``tests/perf/test_request_path.py`` counts them;
 they do not wander with the host.  Then the routed messages and bytes an
-op.  For ``climate_halo`` they must be the figure
-:func:`op_wire` derives from (grid, border depth, sweeps) with the halo
-model of the measured tree (``repro.spmd.costs.halo_phase``), and the
-script exits non-zero when they are not; a tree older than that model
-cannot run this workload.
+op, which must be the figure derived for the workload, or the script
+exits non-zero: for ``climate_halo`` the one :func:`op_wire` derives from
+(grid, border depth, sweeps) with the halo model of the measured tree
+(``repro.spmd.costs.halo_phase``) — a tree older than that model cannot
+run this workload — and for ``array_writes`` and ``array_reads`` the one
+:func:`element_wire` derives from the op's inputs.  The derivation has
+each request for a section carry the section's queued writes, so a tree
+from before that reads more messages on these two and exits non-zero
+after printing its timings.
 """
 
 from __future__ import annotations
@@ -101,6 +105,63 @@ def op_wire(local_dims: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
     return msgs, nbytes
 
 
+# Where the task level's element and region requests are made: processor
+# 0, home of every request of a top-level thread.
+HOME = 0
+
+
+def element_wire(arr, replication: int, steps) -> tuple:
+    """(messages, bytes) that ``steps`` — ``("write", cell)``,
+    ``("read", cell)``, ``("write_region", bounds)`` or ``("read_region",
+    bounds)`` on ``arr``, made on HOME — route.
+
+    A write is queued on HOME for its section.  A request for a section
+    (an element read, a region's share) carries the section's queue: 8
+    bytes, plus 16 and 8 a write when it carries a batch; a region request
+    first flushes every other queue of the array, one batch each.  Nothing
+    made on HOME for a section HOME holds is a message.  Every commit
+    sends ``replication`` replica updates of 8 bytes a cell it applied.
+    """
+    layout, owners = arr.layout, arr.processors
+    queued: dict = {}
+    wire = [0, 0]
+
+    def send(nbytes: int, times: int = 1) -> None:
+        wire[0] += times
+        wire[1] += times * nbytes
+
+    def commit(cells: int) -> None:
+        if cells:
+            send(8 * cells, replication)
+
+    def request(section: int, cells: int = 0) -> None:
+        ops = queued.pop(section, 0)
+        commit(ops + cells)
+        if owners[section] != HOME:
+            send(8 + (16 + 8 * ops if ops else 0))
+
+    for step, arg in steps:
+        if step == "write":
+            section = layout.locate(arg)[0]
+            queued[section] = queued.get(section, 0) + 1
+        elif step == "read":
+            request(layout.locate(arg)[0])
+        else:
+            touched = {}
+            for section, local, _out in layout.region_sections(arg):
+                touched[section] = 1
+                for axis in local:
+                    touched[section] *= axis.stop - axis.start
+            for section in [s for s in queued if s not in touched]:
+                ops = queued.pop(section)
+                commit(ops)
+                if owners[section] != HOME:
+                    send(16 + 8 * ops)
+            for section, cells in touched.items():
+                request(section, cells if step == "write_region" else 0)
+    return tuple(wire)
+
+
 def ex61_calls(rt, seed: int) -> tuple:
     from repro.apps.innerproduct import expected_inner_product, test_iprdv
     from repro.calls.params import Index, Reduce
@@ -149,7 +210,7 @@ def climate_halo(rt, seed: int) -> tuple:
 
     wire = op_wire(layout.local_dims, layout.grid, layout.borders[0], w.sweeps)
     names = ("component step", "interface exchange", "to_numpy x2")
-    return names, {}, op, wire, None
+    return names, {}, op, lambda i: wire, None
 
 
 def array_writes(rt, seed: int) -> tuple:
@@ -174,29 +235,33 @@ def array_writes(rt, seed: int) -> tuple:
         t0 = clock()
         element_writes(i)
         t1 = clock()
-        arr.flush()
-        t2 = clock()
         region(i)
-        t3 = clock()
+        t2 = clock()
         values = read_backs(i)
-        t4 = clock()
+        t3 = clock()
         assert w.ok(i, values)
-        return t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t0
+        return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
     def frames(i: int) -> dict:
         writes, _ = entered(element_writes, i)
-        arr.flush()
         region(i)
         backs, values = entered(read_backs, i)
         assert w.ok(i, values)
         return {"element writes": writes, "read-backs": backs}
 
+    def wire(i: int) -> tuple:
+        writes, (r0, c0), _block, readbacks = w.inputs[i % POOL]
+        steps = [("write", (row, col)) for row, col, _value in writes]
+        steps.append(("write_region", ((r0, r0 + 16), (c0, c0 + 16))))
+        steps += [("read", cell) for cell in readbacks]
+        return element_wire(arr, w.replication, steps)
+
     requests = {
         "element writes": sum(w.per_section),
         "read-backs": len(w.readback_sections),
     }
-    names = ("element writes", "flush", "region", "read-backs")
-    return names, requests, op, None, frames
+    names = ("element writes", "region", "read-backs")
+    return names, requests, op, wire, frames
 
 
 def array_reads(rt, seed: int) -> tuple:
@@ -234,9 +299,19 @@ def array_reads(rt, seed: int) -> tuple:
         assert w.ok(i, (got, region(i)))
         return {"element reads": count}
 
+    def wire(i: int) -> tuple:
+        cells, _values, (r0, c0) = w.inputs[i % POOL]
+        steps = []
+        for k, cell in enumerate(cells):
+            steps.append(("read", cell))
+            if k % 16 == 15:
+                steps += [("write", cell), ("read", cell)]
+        steps.append(("read_region", ((r0, r0 + 32), (c0, c0 + 32))))
+        return element_wire(arr, w.replication, steps)
+
     # Every 16th read is followed by a write and a read-back of its cell.
     requests = {"element reads": w.reads + 2 * (w.reads // 16)}
-    return ("element reads", "region"), requests, op, None, frames
+    return ("element reads", "region"), requests, op, wire, frames
 
 
 WORKLOADS = {
@@ -276,9 +351,12 @@ def main() -> None:
         op(next(ops))
     counted = frames(next(ops)) if frames is not None else {}
     rt.machine.reset_traffic()
-    rounds = []
+    rounds, measured = [], []
     for _ in range(args.rounds):
-        samples = [op(next(ops)) for _ in range(args.ops)]
+        samples = []
+        for _ in range(args.ops):
+            measured.append(next(ops))
+            samples.append(op(measured[-1]))
         rounds.append(
             [statistics.median(col) / 1e3 for col in zip(*samples)]
         )
@@ -294,11 +372,15 @@ def main() -> None:
             line += f"  {counted[name] / n:5.1f} frames per request"
         print(line)
     print(f"{'op':18s} {whole:8.1f} us")
-    n = args.ops * args.rounds
+    n = len(measured)
     wire = (traffic["messages"] / n, traffic["bytes"] / n)
     print(f"{'per op':18s} {wire[0]:g} msgs  {wire[1]:g} B")
-    if derived is not None and wire != derived:
-        sys.exit(f"per op {wire} is not the derived {derived} msgs, B")
+    if derived is not None:
+        expected = tuple(
+            sum(column) / n for column in zip(*map(derived, measured))
+        )
+        if wire != expected:
+            sys.exit(f"per op {wire} is not the derived {expected} msgs, B")
 
 
 if __name__ == "__main__":

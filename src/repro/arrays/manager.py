@@ -24,14 +24,19 @@ supplied in the request — the bidirectional server communication of §5.1.1.
 A request for one section's data — ``read_element_local``,
 ``write_element_local``, ``read_region_local``, ``write_region_local`` —
 names that section, as a coalesced write batch and a halo strip do, and is
-answered only by the section's holder (``_resolve``'s holder check).
+answered only by the section's holder (``_resolve``'s holder check).  An
+element read and a region's shares, made on the processor that queued writes
+for their section, carry that queue with them (``WriteCoalescer.carry``): the
+holder commits it before it serves the request, and a batch not answered
+``"ok"`` there goes by the perf layer's route after.
 
 One path per concern: every handler starts from ``_resolve`` (the record, or
 NOT_FOUND answered); every write — element, region, restore,
-coalesced batch — is a list of ``(target, value)`` mutations
+coalesced batch alone or carried — is a list of ``(target, value)`` mutations
 (:mod:`repro.perf.coalescer`) handed to ``_commit``, the only code that takes
 the record lock for a write, checks the epoch fence, assigns into the section
-and replicates; requests are counted once, in the ``capabilities()`` wrapper.
+and replicates; requests, and the batches they carry, are counted once, in
+the ``capabilities()`` wrapper.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import functools
 import itertools
 import threading
 from types import MappingProxyType
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +109,10 @@ def _define(var: Optional[DefVar], value: Any) -> None:
         var.define(value)
 
 
+# The status a request answers when its commit is refused.
+_REFUSED = {"not_found": Status.NOT_FOUND, "stale": Status.STALE_EPOCH}
+
+
 def _fail(status: Optional[DefVar], code: Status, *outs: Any) -> None:
     """Answer a request that produced nothing: every out-parameter is
     defined as None and ``status`` as ``code``."""
@@ -144,8 +153,9 @@ class ArrayManager:
 
     def _instrumented(self, name: str, handler) -> Any:
         """Wrap one server handler: count (and, under ``am_debug``, log
-        ``(name, vp, first parameter)``) the request, then run it in an
-        ``am:<name>`` observability span.
+        ``(name, vp, first parameter)``) the request, and the write batch
+        it carries when it carries one, then run it in an ``am:<name>``
+        observability span.
 
         The handler executes on its target node, so the span lands on that
         VP's track and parents onto the requester's span carried by the
@@ -160,17 +170,26 @@ class ArrayManager:
         lock = self._trace_lock
 
         @functools.wraps(handler)
-        def traced(node: VirtualProcessor, *parameters: Any) -> Any:
+        def traced(
+            node: VirtualProcessor, *parameters: Any, carried: Any = None
+        ) -> Any:
             with lock:
                 counts[name] = counts.get(name, 0) + 1
                 if self.trace_enabled:
                     self.trace_log.append((name, node.number, *parameters[:1]))
+            if carried is not None:
+                # The write batch the request carries is counted, and
+                # handed on, as the batch it is.
+                self._count_batch(node, carried)
+                run = functools.partial(handler, carried=carried)
+            else:
+                run = handler
             if machine._observer is None:
                 # Observation off: skip the span plumbing entirely rather
                 # than paying for a no-op context manager per request.
-                return handler(node, *parameters)
+                return run(node, *parameters)
             with obs_span(machine, label, vp=node.number):
-                return handler(node, *parameters)
+                return run(node, *parameters)
 
         return traced
 
@@ -274,6 +293,7 @@ class ArrayManager:
         holders,
         *parameters: Any,
         skip_failed: bool = False,
+        carried: Optional[dict] = None,
     ) -> bool:
         """One ``request_type`` request served by every holder
         (:meth:`ServerRegistry.request_each`); True when all of them
@@ -283,12 +303,13 @@ class ArrayManager:
         ``parameters``.  The holders answer by defining one shared status,
         passed last, which becomes the worst of their codes.  A failed
         holder raises :class:`ProcessorFailedError` unless ``skip_failed``,
-        which passes over it and asks the rest."""
+        which passes over it and asks the rest.  ``carried`` maps a holder
+        to the write batch its request carries."""
         if not isinstance(holders, dict):
             holders = dict.fromkeys(holders, ())
         status = Tally(len(holders), max, Status.OK, request_type)
         self.machine.server.request_each(
-            request_type, holders, parameters, status, skip_failed
+            request_type, holders, parameters, status, skip_failed, carried
         )
         return status.read() == Status.OK
 
@@ -370,7 +391,7 @@ class ArrayManager:
         mutations: Sequence,
         status: Optional[DefVar] = None,
         epoch: Optional[int] = None,
-        claim: Optional[Callable[[], bool]] = None,
+        carried: Any = None,
     ) -> str:
         """The one owner-side write sequence (§3.2.1.5), whatever the
         granularity: under ``record.lock``, the holder check again (the
@@ -380,11 +401,17 @@ class ArrayManager:
         replicate; then define ``status``.  Returns ``"ok"``,
         ``"not_found"`` or ``"stale"``, the answers a write batch gets.
 
+        ``carried`` is a write batch for this section — sent alone, or
+        carried by the request this commit serves — whose ops land first,
+        in the same commit: one lock, one claim of its sequence number,
+        one replica update per backup for both, and none when nothing
+        lands.  The claim fails for a batch applied before (a duplicate or
+        a late original), whose ops are then skipped; ``carried.done`` is
+        answered with the verdict.
+
         ``epoch`` is given only by a restore, which installs it (mirrors
         are reseeded under it) and is deliberately *not* fenced — the
-        restore is what makes this record current.  ``claim`` is called
-        once the write is known to land; False means it landed before (a
-        duplicate batch), and nothing is applied again.
+        restore is what makes this record current.
 
         A kill fired by a replica update runs its recovery once the record
         lock is released (``Machine.holding_failures``): recovery takes
@@ -400,10 +427,16 @@ class ArrayManager:
                 verdict = "stale"
             else:
                 verdict = "ok"
-                if claim is None or claim():
+                if carried is not None and self.machine._perf.coalescer.should_apply(
+                    (carried.array_id, carried.section), carried.seq
+                ):
+                    mutations = [*carried.ops, *mutations]
+                if mutations:
                     # One interior view per commit, however many mutations.
                     apply_mutations(record.section.interior(), mutations)
                     self._replicate(node, record, mutations)
+        if carried is not None:
+            define_once(carried.done, verdict)
         if verdict == "ok":
             self._write_status(node, status)
         elif verdict == "stale":
@@ -414,12 +447,24 @@ class ArrayManager:
             _fail(status, Status.NOT_FOUND)
         return verdict
 
+    def _count_batch(self, node: VirtualProcessor, batch: Any) -> None:
+        """Count (and, under ``am_debug``, log) one write batch reaching
+        ``node``, alone or carried by a request."""
+        with self._trace_lock:
+            counts = self.request_counts
+            counts["array_batch"] = counts.get("array_batch", 0) + 1
+            if self.trace_enabled:
+                self.trace_log.append(
+                    ("array_batch", node.number, batch.array_id)
+                )
+
     def _apply_batch(self, dest: int, batch: Any) -> None:
         """Apply one coalesced write batch atomically on ``dest``, when it
-        holds the batch's section.
+        holds the batch's section: a :meth:`_commit` of the batch and
+        nothing else.
 
-        All sub-writes land in one :meth:`_commit`; mirrors get one fused
-        replica update per backup.  The per-queue sequence number makes
+        All sub-writes land in one commit; mirrors get one fused replica
+        update per backup.  The per-queue sequence number makes
         application exactly-once: it is claimed only by a commit that
         lands, so a batch refused (``"not_found"``, ``"stale"``) is
         applied where the route re-sends it, and a duplicated or
@@ -429,13 +474,7 @@ class ArrayManager:
         """
         machine = self.machine
         node = machine.processor(dest)
-        with self._trace_lock:
-            counts = self.request_counts
-            counts["array_batch"] = counts.get("array_batch", 0) + 1
-            if self.trace_enabled:
-                self.trace_log.append(
-                    ("array_batch", node.number, batch.array_id)
-                )
+        self._count_batch(node, batch)
         record = self._resolve(node, batch.array_id, None, section=batch.section)
         if record is None:
             # Not the section's holder (it migrated away, the array was
@@ -443,21 +482,14 @@ class ArrayManager:
             # to the owner read again.
             define_once(batch.done, "not_found")
             return
-        coalescer = machine._perf.coalescer
         # The span's attributes are built only when someone records them.
         batch_span = NOOP_SPAN if machine._observer is None else obs_span(
             machine, "am:array_batch", vp=node.number, ops=len(batch.ops)
         )
         with batch_span as span:
-            verdict = self._commit(
-                node, record, batch.ops,
-                claim=lambda: coalescer.should_apply(
-                    (batch.array_id, batch.section), batch.seq
-                ),
-            )
+            self._commit(node, record, (), carried=batch)
             if record.replication > 0 and record.replica_map is not None:
                 span.annotate(fused_replicas=True)
-        define_once(batch.done, verdict)
 
     def _on_array_batch(self, message: Message) -> None:
         """Final delivery of a ``kind="array_batch"`` message."""
@@ -712,10 +744,11 @@ class ArrayManager:
         """Read one element via global indices (§4.2.3).
 
         Translates global indices to (processor, local indices) and issues
-        ``read_element_local`` on the owner.  A read is a flush point: any
-        coalesced writes pending against the element's section drain first,
+        ``read_element_local`` on the owner.  A read is a flush point: the
+        coalesced writes pending against the element's section land first,
         so a program always reads its own writes (§3.3 sequential
-        equivalence).
+        equivalence) — carried by the read itself when they were written
+        here, flushed by the route before it otherwise.
         """
         record = self._resolve(node, array_id, status, element_out)
         if record is None:
@@ -724,12 +757,16 @@ class ArrayManager:
             section, local = record.layout.locate(tuple(indices))
         except (ValueError, IndexError):
             return _fail(status, Status.INVALID, element_out)
-        owner = record.processors[section]
-        self.machine._perf.coalescer.flush(record.array_id, section)
-        self.machine.server.request(
-            "read_element_local", array_id, section, local, element_out,
-            status, processor=owner,
-        )
+        coalescer = self.machine._perf.coalescer
+        carried = coalescer.carry(record.array_id, section, node.number)
+        try:
+            self.machine.server.request(
+                "read_element_local", array_id, section, local, element_out,
+                status, processor=record.processors[section], carried=carried,
+            )
+        finally:
+            if carried is not None:
+                coalescer.settle(carried, node.number)
 
     def read_element_local(
         self,
@@ -739,12 +776,19 @@ class ArrayManager:
         local_indices: Sequence[int],
         element_out: DefVar,
         status: DefVar,
+        carried: Any = None,
     ) -> None:
         record = self._resolve(
             node, array_id, status, element_out, section=section
         )
         if record is None:
             return
+        if carried is not None:
+            # The writes the read carries land first; a refusal is the
+            # read's answer, never a value missing them.
+            verdict = self._commit(node, record, (), carried=carried)
+            if verdict != "ok":
+                return _fail(status, _REFUSED[verdict], element_out)
         value = record.section.read(local_indices)
         element_out.define(value.item() if hasattr(value, "item") else value)
         status.define(Status.OK)
@@ -864,17 +908,40 @@ class ArrayManager:
         dense = np.asarray(data, dtype=dtype_for(type_name))
         if tuple(dense.shape) != layout.region_shape(bounds):
             return Status.INVALID
-        # Region writes stay synchronous and act as ordering barriers:
-        # queued element writes from before this call land first.
-        self.machine._perf.coalescer.flush(array_id)
         shares = {
             processors[section]: (
                 section, local_slices, dense[out_slices].copy()
             )
             for section, local_slices, out_slices in parts
         }
-        ok = self._fan_out("write_region_local", shares, array_id)
+        ok = self._carrying_fan_out("write_region_local", array_id, shares)
         return Status.OK if ok else Status.ERROR
+
+    def _carrying_fan_out(
+        self, request_type: str, array_id: ArrayID, shares: dict
+    ) -> bool:
+        """A region request's fan-out, ``shares`` mapping each holder to
+        ``(section, ...)``, as an ordering barrier for the whole array:
+        element writes queued before it land first.  The queues of the
+        sections it does not touch are flushed by the route; those of the
+        sections it touches ride their shares
+        (:meth:`~repro.perf.coalescer.WriteCoalescer.carry`), taken in
+        section order — the order of their flush locks, held until the
+        shares answer — and a carried batch not answered ``"ok"`` goes by
+        the route after."""
+        coalescer = self.machine._perf.coalescer
+        origin = fabric.current_processor()
+        coalescer.flush(array_id, keep=[share[0] for share in shares.values()])
+        carried = {}
+        try:
+            for holder, share in sorted(shares.items(), key=lambda hs: hs[1][0]):
+                batch = coalescer.carry(array_id, share[0], origin)
+                if batch is not None:
+                    carried[holder] = batch
+            return self._fan_out(request_type, shares, array_id, carried=carried)
+        finally:
+            for batch in carried.values():
+                coalescer.settle(batch, origin)
 
     def read_region(
         self,
@@ -899,9 +966,6 @@ class ArrayManager:
         if decomposed is None:
             return _fail(status, Status.INVALID, data_out)
         bounds, parts = decomposed
-        # Reads are flush points: drain queued writes to any section the
-        # region may touch before copying.
-        self.machine._perf.coalescer.flush(record.array_id)
         # The parts tile the region exactly once: every cell is written.
         out = np.empty(
             record.layout.region_shape(bounds), dtype=dtype_for(record.type_name)
@@ -913,7 +977,8 @@ class ArrayManager:
             part = DefVar()
             shares[record.processors[section]] = (section, local_slices, part)
             pieces.append((out_slices, part))
-        if not self._fan_out("read_region_local", shares, array_id):
+        # Reads are flush points: queued writes land before the copies.
+        if not self._carrying_fan_out("read_region_local", array_id, shares):
             return _fail(status, Status.ERROR, data_out)
         for out_slices, part in pieces:
             out[out_slices] = part.read()
@@ -928,14 +993,19 @@ class ArrayManager:
         local_slices: tuple,
         data_out: DefVar,
         status: DefVar,
+        carried: Any = None,
     ) -> None:
-        """Copy one section's share of a region (interior slices)."""
+        """Copy one section's share of a region (interior slices), after
+        committing the write batch the request carries."""
         record = self._resolve(
             node, array_id, status, data_out, section=section
         )
         if record is None:
             return
-        self.machine._perf.coalescer.flush(record.array_id, section)
+        if carried is not None:
+            verdict = self._commit(node, record, (), carried=carried)
+            if verdict != "ok":
+                return _fail(status, _REFUSED[verdict], data_out)
         _define(data_out, record.section.interior()[tuple(local_slices)].copy())
         _define(status, Status.OK)
 
@@ -969,12 +1039,17 @@ class ArrayManager:
         local_slices: tuple,
         data: Any,
         status: DefVar,
+        carried: Any = None,
     ) -> None:
-        """Overwrite one section's share of a region (interior slices)."""
+        """Overwrite one section's share of a region (interior slices), in
+        one commit with the write batch the request carries."""
         record = self._resolve(node, array_id, status, section=section)
         if record is None:
             return
-        self._commit(node, record, [(tuple(local_slices), data)], status)
+        self._commit(
+            node, record, [(tuple(local_slices), data)], status,
+            carried=carried,
+        )
 
     def get_local_block(
         self,

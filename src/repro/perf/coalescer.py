@@ -30,6 +30,11 @@ operation that could observe a queued write forces the queue out first —
 * distributed-call boundaries (:func:`repro.calls.do_all.do_all`),
 * size/byte thresholds (``flush_ops``/``flush_bytes``).
 
+A flush point that is itself a request to the section carries its queue
+(:meth:`WriteCoalescer.carry`): an element read or a region share made on
+the processor the queue was written on takes the batch with it, and the
+holder applies it in the request's own commit — one message, not two.
+
 A program that writes then reads on one logical thread of control
 therefore always reads its own writes; concurrent writers were never
 ordered in the first place (§3.2.1.5 leaves racing element writes
@@ -47,10 +52,13 @@ from the durability membership (recovery may have adopted the section
 onto a spare); a batch that never gets ``"ok"`` — its owner died with no
 survivor, or the route ran out of re-sends — is counted in
 ``lost_batches`` and surfaced through ``Machine.diagnostics()["perf"]``.
+A carried batch that does not get ``"ok"`` inside its request is handed
+to the same route afterwards, sequence number and all (:meth:`settle`).
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Any, Iterable, Optional
 
@@ -161,12 +169,15 @@ class WriteCoalescer:
         self._flush_locks: dict[tuple, threading.Lock] = {}
         self._next_seq: dict[tuple, int] = {}
         self._applied_seq: dict[tuple, int] = {}
+        # The flush locks held by carried batches until they settle.
+        self._carrying: dict[tuple, threading.Lock] = {}
         # Counters surfaced in Machine.diagnostics()["perf"].
         self.enqueued_writes = 0
         self.flushes = 0
         self.flushed_ops = 0
         self.inline_batches = 0
         self.routed_batches = 0
+        self.carried_batches = 0
         self.retries = 0
         self.lost_batches = 0
 
@@ -200,9 +211,14 @@ class WriteCoalescer:
     # -- flush -----------------------------------------------------------------
 
     def flush(
-        self, array_id: Any = None, section: Optional[int] = None
+        self,
+        array_id: Any = None,
+        section: Optional[int] = None,
+        keep: Iterable[int] = (),
     ) -> int:
-        """Drain pending writes (all, one array's, or one section's).
+        """Drain pending writes (all, one array's, or one section's); with
+        ``keep``, one array's but for those sections, whose queues a region
+        request carries (:meth:`carry`).
 
         Returns the number of writes flushed.  Cheap when nothing is
         pending — every flush point calls this unconditionally — and one
@@ -221,6 +237,7 @@ class WriteCoalescer:
                     for key in pending
                     if (array_id is None or key[0] == array_id)
                     and (section is None or key[1] == section)
+                    and key[1] not in keep
                 ]
         total = 0
         for key in keys:
@@ -267,40 +284,54 @@ class WriteCoalescer:
                 lock = self._flush_locks[key] = threading.Lock()
             return lock
 
+    def _pop(self, key: tuple) -> Optional[tuple]:
+        """``(batch, source)``: ``key``'s queue popped as its next batch,
+        numbered in the queue's sequence, and the processor it was written
+        on; None when nothing is queued.  The one way a queue leaves the
+        coalescer, by the route or carried; the caller holds the key's
+        flush lock."""
+        with self._lock:
+            pending = self._pending.pop(key, None)
+            if pending is None:
+                return None
+            seq = self._next_seq.get(key, 0) + 1
+            self._next_seq[key] = seq
+        batch = ArrayBatch(key[0], key[1], seq, pending.ops, DefVar())
+        return batch, pending.source
+
     def _flush_key(self, key: tuple, reason: str) -> int:
         with self._flush_lock(key):
-            with self._lock:
-                pending = self._pending.pop(key, None)
-                if pending is None:
-                    return 0
-                seq = self._next_seq.get(key, 0) + 1
-                self._next_seq[key] = seq
-            self._ship(key, seq, pending, reason)
-            return len(pending.ops)
+            popped = self._pop(key)
+            if popped is None:
+                return 0
+            self._ship(*popped, reason)
+            return len(popped[0].ops)
 
-    def _ship(self, key: tuple, seq: int, pending: _Pending, reason: str) -> None:
+    def _ship(self, batch: ArrayBatch, source: int, reason: str) -> None:
         """Deliver one batch by the perf layer's route; a batch that does
-        not get ``"ok"`` is lost."""
+        not get ``"ok"`` is lost.  A carried batch the route takes over
+        (``reason="carried"``) is counted a retry, not a batch sent."""
         machine = self.machine
         perf = self.perf
-        array_id, section = key
         # A queue whose writer's processor has died since is orphaned:
         # the owner originates its batch.
-        source = None if machine.is_failed(pending.source) else pending.source
-        batch = ArrayBatch(array_id, section, seq, pending.ops, DefVar())
+        if machine.is_failed(source):
+            source = None
         # The span's attributes are built only when someone records them.
         flush_span = NOOP_SPAN if machine._observer is None else obs_span(
             machine,
             "perf:flush",
-            array=str(array_id.as_tuple()),
-            section=section,
+            array=str(batch.array_id.as_tuple()),
+            section=batch.section,
             ops=len(batch.ops),
             reason=reason,
         )
         with flush_span as span:
             try:
                 dest = perf.post(batch, source)
-                if dest is None:
+                if reason == "carried":
+                    self.retries += 1
+                elif dest is None:
                     self.inline_batches += 1
                 else:
                     self.routed_batches += 1
@@ -314,6 +345,60 @@ class WriteCoalescer:
             self.flushes += 1
             self.flushed_ops += len(batch.ops)
 
+    # -- carried batches -------------------------------------------------------
+
+    def carry(
+        self, array_id: Any, section: int, source: Optional[int]
+    ) -> Optional[ArrayBatch]:
+        """The batch a request for ``section`` that leaves ``source``
+        carries to the section's holder, or None.
+
+        The section's queue is popped and numbered as a flush pops it, and
+        its flush lock stays held until :meth:`settle`, as a flush holds it
+        until its batch is answered.  Only a queue written on ``source`` is
+        carried: one written on another processor, or any queue when
+        ``source`` is None (an unplaced caller, whose requests run in place
+        and would take the batch off the wire), is flushed by the route
+        here instead and None returned.
+        """
+        with self._lock:
+            pending = self._pending
+            key = (array_id, section)
+            if not pending or key not in pending:
+                return None
+        lock = self._flush_lock(key)
+        lock.acquire()
+        popped = self._pop(key)
+        if popped is not None and popped[1] == source:
+            self._carrying[key] = lock
+            self.carried_batches += 1
+            return popped[0]
+        try:
+            if popped is not None:
+                self._ship(*popped, "forced")
+        finally:
+            lock.release()
+        return None
+
+    def settle(self, batch: ArrayBatch, source: int) -> None:
+        """Close a carried batch once its request has returned, however it
+        returned: flushed when the holder answered ``"ok"``, otherwise
+        handed to the route with its sequence number — refused, never
+        answered, or its request raised — so retries, ``lost_batches`` and
+        exactly-once stay the route's.  Then its flush lock is released."""
+        key = (batch.array_id, batch.section)
+        try:
+            done = batch.done
+            if done.data() and done.peek() == "ok":
+                self.flushes += 1
+                self.flushed_ops += len(batch.ops)
+            else:
+                batch = copy.copy(batch)
+                batch.done = DefVar()
+                self._ship(batch, source, "carried")
+        finally:
+            self._carrying.pop(key).release()
+
     def diagnostics(self) -> dict:
         with self._lock:
             return {
@@ -326,6 +411,7 @@ class WriteCoalescer:
                 "flushed_ops": self.flushed_ops,
                 "inline_batches": self.inline_batches,
                 "routed_batches": self.routed_batches,
+                "carried_batches": self.carried_batches,
                 "retries": self.retries,
                 "lost_batches": self.lost_batches,
             }

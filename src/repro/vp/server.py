@@ -31,6 +31,7 @@ one shared completion.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Callable, Optional
 
@@ -67,6 +68,8 @@ class _ServerCall:
         "request_type", "parameters", "synchronous", "done", "proc_out",
         "served",
     )
+    # Only a _CarryingCall carries a unit (a slot of its own).
+    carried = None
 
     def __init__(
         self,
@@ -85,6 +88,28 @@ class _ServerCall:
 
     def __repr__(self) -> str:
         return f"<server call {self.request_type!r}>"
+
+
+class _CarryingCall(_ServerCall):
+    """A synchronous call that carries a unit of work for its handler —
+    a write batch its holder applies in the same commit — handed to the
+    handler as ``carried=``.  Priced as the request and the unit would be
+    apart: the 8 bytes of a call and the unit's own ``nbytes``.  A call
+    that carries nothing is a plain :class:`_ServerCall`, which
+    :meth:`Message.nbytes` prices at 8 without asking it."""
+
+    __slots__ = ("carried",)
+
+    def __init__(
+        self, request_type: str, parameters: tuple, done: DefVar,
+        carried: Any,
+    ) -> None:
+        super().__init__(request_type, parameters, True, done, None)
+        self.carried = carried
+
+    @property
+    def nbytes(self) -> int:
+        return 8 + self.carried.nbytes
 
 
 def _first_error(
@@ -126,6 +151,7 @@ class ServerRegistry:
         synchronous: bool = True,
         source: Optional[int] = None,
         kind: str = "server_request",
+        carried: Any = None,
     ) -> Optional[Any]:
         """Issue a server request.
 
@@ -157,6 +183,11 @@ class ServerRegistry:
         ``"server_request"``); recovery traffic uses ``"recovery"`` so
         interceptors and meters can distinguish it.  Any kind used here
         must be registered on the machine to execute as a server call.
+
+        ``carried`` is a unit of work the request carries to its handler,
+        which receives it as ``carried=`` (the array manager's write batch
+        riding a request for its section).  A routed hop that carries one
+        is one message, priced as the request and the unit together.
         """
         handler = self._capabilities.get(request_type)
         if handler is None:
@@ -170,7 +201,10 @@ class ServerRegistry:
         if origin is not None and origin != number:
             return self._request_remote(
                 request_type, parameters, origin, number, synchronous, kind,
+                carried,
             )
+        if carried is not None:
+            handler = functools.partial(handler, carried=carried)
         node = machine.processor(number)
         if not synchronous:
             return node.spawn(
@@ -194,6 +228,7 @@ class ServerRegistry:
         number: int,
         synchronous: bool,
         kind: str = "server_request",
+        carried: Any = None,
     ) -> Optional[Any]:
         """Ship the request as one routed message from origin to target.
 
@@ -202,8 +237,13 @@ class ServerRegistry:
         and the timeout message) only if it is about to suspend on it."""
         machine = self._machine
         answer = DefVar()
-        done, proc_out = (answer, None) if synchronous else (None, answer)
-        call = _ServerCall(request_type, parameters, synchronous, done, proc_out)
+        if carried is not None:
+            call = _CarryingCall(request_type, parameters, answer, carried)
+        else:
+            done, proc_out = (answer, None) if synchronous else (None, answer)
+            call = _ServerCall(
+                request_type, parameters, synchronous, done, proc_out
+            )
         machine.send(
             origin, number, call, MessageType.PCN, ("server", request_type),
             None, kind,
@@ -224,6 +264,7 @@ class ServerRegistry:
         parameters: tuple,
         status: Tally,
         skip_failed: bool = False,
+        carried: Optional[dict] = None,
     ) -> None:
         """One synchronous request, served on every processor in
         ``holders`` — a fan-out is one request, not one per holder.
@@ -253,6 +294,9 @@ class ServerRegistry:
         raises :class:`~repro.status.ProcessorFailedError` when its turn
         comes, unless ``skip_failed``, which passes over it — whether it
         was dead when checked or died before its message was routed.
+
+        ``carried`` maps a holder to the unit its hop carries, as
+        :meth:`request`'s ``carried`` does for one hop.
         """
         frame = fabric.snapshot_context()
         if frame[1] is None:
@@ -262,6 +306,7 @@ class ServerRegistry:
                 (frame[0], fabric.new_trace_id(), frame[2], frame[3]),
                 self.request_each,
                 request_type, holders, parameters, status, skip_failed,
+                carried,
             )
         handler = self._capabilities.get(request_type)
         if handler is None:
@@ -273,18 +318,23 @@ class ServerRegistry:
         done = Tally(len(holders), _first_error, None)
         for holder, own in holders.items():
             asked = (*parameters, *own, status) if own else common
+            unit = carried.get(holder) if carried else None
             try:
                 machine.check_alive((holder,))
                 if origin is None or origin == holder:
                     self._serve(
-                        handler, machine.processor(holder), asked, done,
+                        handler if unit is None
+                        else functools.partial(handler, carried=unit),
+                        machine.processor(holder), asked, done,
                         None if origin == holder
                         else (holder, frame[1], frame[2], frame[3]),
                     )
                 else:
                     machine.send(
                         origin, holder,
-                        _ServerCall(request_type, asked, True, done, None),
+                        _ServerCall(request_type, asked, True, done, None)
+                        if unit is None
+                        else _CarryingCall(request_type, asked, done, unit),
                         MessageType.PCN, tag, None, "server_request",
                     )
             except ProcessorFailedError:
@@ -343,6 +393,8 @@ class ServerRegistry:
             if call.done is not None:
                 call.done.define(_no_capability(call.request_type))
             return
+        if call.carried is not None:
+            handler = functools.partial(handler, carried=call.carried)
         dest = message.dest
         # Route has checked the number: the node is indexed, not looked up.
         node = self._machine._processors[dest]

@@ -319,12 +319,13 @@ class TestWhatTheRequestPathKeeps:
         counts = dict(manager.request_counts)
         logged = len(manager.trace_log)
         arr[9] = 1.0  # queued for processor 2
-        assert arr[9] == 1.0  # the read flushes the batch first
+        assert arr[9] == 1.0  # the read carries the batch to processor 2
+        # The batch is logged at the holder, inside the request carrying it.
         assert manager.trace_log[logged:] == [
             ("write_element", 0, aid),
             ("read_element", 0, aid),
-            ("array_batch", 2, aid),
             ("read_element_local", 2, aid),
+            ("array_batch", 2, aid),
         ]
         moved = {
             name: count - counts.get(name, 0)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import IntegratedRuntime
 from repro.apps import innerproduct
@@ -143,6 +145,179 @@ def test_write_path_wire_is_pinned():
         REPLICA_UPDATE_KIND: (8, 192),
         "server_request": (6, 48),
     }
+
+
+def test_write_path_wire_with_carried_batches_is_pinned():
+    """The same script without its explicit flush: the queues ride the
+    requests that reach their sections anyway.  The region touches all
+    four sections, so each queue goes inside its region share and each
+    section commits once — 10 messages where flushing first costs 17, and
+    the same 328 bytes: a carrying share is priced as the request and the
+    batch it carries."""
+    machine = Machine(8, default_recv_timeout=10)
+    am_util.load_all(machine)
+    arr = make_array(machine, replication=1)
+    meter = meter_on(machine)
+    machine.reset_traffic()
+    for i in range(8):
+        arr[i, (3 * i) % 8] = float(i + 1)
+    status = am_user.write_region(
+        machine, arr.array_id, [(2, 6), (3, 7)], np.full((4, 4), 9.0)
+    )
+    assert status is Status.OK
+    data, status = am_user.read_region(machine, arr.array_id, [(0, 8), (0, 8)])
+    assert status is Status.OK
+    expected = np.zeros((8, 8))
+    for i in range(8):
+        expected[i, (3 * i) % 8] = float(i + 1)
+    expected[2:6, 3:7] = 9.0
+    assert np.array_equal(data, expected)
+
+    snapshot = machine.traffic_snapshot()
+    assert (snapshot["messages"], snapshot["bytes"]) == (10, 328)
+    # Section 0's queue and share are applied in place on processor 0;
+    # the three remote shares carry their queues' 88 bytes.
+    assert meter.snapshot()["by_kind"] == {
+        REPLICA_UPDATE_KIND: (4, 192),
+        "server_request": (6, 48 + 88),
+    }
+    coalescer = get_perf_layer(machine).coalescer.diagnostics()
+    assert coalescer["carried_batches"] == 4
+    assert (coalescer["flushes"], coalescer["flushed_ops"]) == (4, 8)
+
+
+# -- the write path's wire, derived -------------------------------------------
+
+# The script below runs on the 8 x 8 array of make_array: four 4 x 4
+# sections, section s held by processor s, every request made on
+# processor 0 (the home of a top-level caller).
+SECTION = 4
+
+
+@st.composite
+def write_scripts(draw):
+    """Element writes queued per section, then a region write, then one
+    write and read-back of a cell: (replication, writes, region, cell)."""
+    replication = draw(st.integers(0, 1))
+    writes = [
+        (i, j, float(draw(st.integers(1, 99))))
+        for i, j in draw(
+            st.lists(
+                st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10
+            )
+        )
+    ]
+    r0, c0 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    region = (
+        (r0, draw(st.integers(r0 + 1, 8))), (c0, draw(st.integers(c0 + 1, 8)))
+    )
+    cell = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    return replication, writes, region, cell
+
+
+def section_of(i, j):
+    return 2 * (i // SECTION) + j // SECTION
+
+
+def derived_wire(replication, writes, region, cell):
+    """(by kind, total bytes flushing first) of a script, in closed form.
+
+    Carried: a dirty section the region does not touch is flushed by the
+    route, one ``array_batch`` of 16 + 8 bytes a write when its holder is
+    remote; a touched section's queue rides its share.  Every section that
+    commits — dirty or touched — sends one ``replica_update`` per backup
+    of what it applied, 8 bytes a cell.  A share and a read are one
+    8-byte ``server_request`` each when remote, plus the batch they carry;
+    the read carries the one write before it.  Flushing first moves the
+    same bytes in more messages: each remote queue as its own batch."""
+    queued = {}
+    for i, j, _value in writes:
+        s = section_of(i, j)
+        queued[s] = queued.get(s, 0) + 1
+    (r0, r1), (c0, c1) = region
+    cells = {}
+    for i in range(r0, r1):
+        for j in range(c0, c1):
+            s = section_of(i, j)
+            cells[s] = cells.get(s, 0) + 1
+    by_kind = {}
+
+    def add(kind, nbytes):
+        messages, total = by_kind.get(kind, (0, 0))
+        by_kind[kind] = (messages + 1, total + nbytes)
+
+    def batch_bytes(ops):
+        return 16 + 8 * ops
+
+    routed = 0
+    for s, ops in queued.items():
+        if s not in cells and s != 0:
+            add(ARRAY_BATCH_KIND, batch_bytes(ops))
+        routed += batch_bytes(ops) if s != 0 else 0
+    for s in set(queued) | set(cells):
+        for _ in range(replication):
+            add(REPLICA_UPDATE_KIND, 8 * (queued.get(s, 0) + cells.get(s, 0)))
+        if s in cells and s != 0:
+            carried = batch_bytes(queued[s]) if s in queued else 0
+            add("server_request", 8 + carried)
+    # The write and read-back of ``cell``: the read carries the write.
+    s = section_of(*cell)
+    for _ in range(replication):
+        add(REPLICA_UPDATE_KIND, 8)
+    requests = sum(1 for t in cells if t != 0)
+    if s != 0:
+        add("server_request", 8 + batch_bytes(1))
+        routed += batch_bytes(1)
+        requests += 1
+    replicas = by_kind.get(REPLICA_UPDATE_KIND, (0, 0))[1]
+    return by_kind, routed + replicas + 8 * requests
+
+
+@pytest.fixture(scope="module")
+def wire_machine():
+    machine = Machine(8, default_recv_timeout=10)
+    am_util.load_all(machine)
+    return machine
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(script=write_scripts())
+def test_write_path_wire_is_derived(wire_machine, script):
+    """Measured (messages, bytes) by kind of a write script equal the
+    closed form of :func:`derived_wire`, and the total bytes equal what
+    the same script costs flushing every queue by the route first."""
+    machine = wire_machine
+    replication, writes, region, cell = script
+    arr = make_array(machine, replication=replication)
+    mirror = np.zeros((8, 8))
+    meter = meter_on(machine)
+    try:
+        for i, j, value in writes:
+            arr[i, j] = value
+            mirror[i, j] = value
+        (r0, r1), (c0, c1) = region
+        block = np.arange((r1 - r0) * (c1 - c0), dtype=float).reshape(
+            r1 - r0, c1 - c0
+        )
+        assert am_user.write_region(
+            machine, arr.array_id, region, block
+        ) is Status.OK
+        mirror[r0:r1, c0:c1] = block
+        arr[cell] = -1.0
+        assert arr[cell] == -1.0
+        mirror[cell] = -1.0
+        measured = meter.snapshot()
+    finally:
+        machine.transport_stack.remove(meter)
+    by_kind, flushed_first_bytes = derived_wire(*script)
+    assert measured["by_kind"] == by_kind
+    assert measured["bytes"] == flushed_first_bytes
+    assert np.array_equal(arr.to_numpy(), mirror)
+    assert get_perf_layer(machine).coalescer.lost_batches == 0
+    arr.free()
 
 
 def test_ex61_wire_is_pinned():
