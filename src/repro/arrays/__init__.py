@@ -32,13 +32,13 @@ from repro.arrays.placement import (
     SectionMove,
     SectionMover,
     SectionSourceError,
-    StalePlanError,
 )
 from repro.arrays.rebalance import Rebalancer
 from repro.arrays.record import ArrayID, ArrayRecord
 from repro.arrays.local_section import LocalSection
 from repro.arrays.manager import ArrayManager, install_array_manager
 from repro.arrays import am_user, am_util
+from repro.status import StalePlanError
 
 __all__ = [
     "ArraySnapshot",

@@ -50,14 +50,12 @@ import numpy as np
 
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.local_section import dtype_for
-from repro.arrays.placement import (
-    PlacementPlan,
-    SectionSourceError,
-    StalePlanError,
-)
+from repro.arrays.placement import PlacementPlan, SectionSourceError
 from repro.arrays.record import ArrayID
+from repro.arrays.redistribute import blocks, dense, transfers
 from repro.obs.spans import span as obs_span
 from repro.perf.coalescer import apply_mutations, mutations_nbytes
+from repro.status import StalePlanError
 
 REPLICA_UPDATE_KIND = "replica_update"
 
@@ -211,9 +209,12 @@ class ArraySnapshot:
 
     def assemble(self) -> np.ndarray:
         """The global array this snapshot captured (test/diagnostic aid)."""
-        out = np.zeros(self.layout.dims, dtype=dtype_for(self.type_name))
-        for section, data in self.sections.items():
-            out[self.layout.section_slices(section)] = data
+        layout = self.layout
+        out = np.zeros(layout.dims, dtype=dtype_for(self.type_name))
+        for section, _, _, box in transfers(
+            blocks(layout), dense(tuple((0, d) for d in layout.dims))
+        ):
+            out[box] = self.sections[section]
         return out
 
 

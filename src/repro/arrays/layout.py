@@ -21,11 +21,12 @@ it answers.)
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+from repro.arrays.redistribute import blocks, dense, transfers
 
 ROW_MAJOR = "row"
 COLUMN_MAJOR = "column"
@@ -194,13 +195,6 @@ class ArrayLayout:
     def section_coords(self, section: int) -> tuple[int, ...]:
         return unflatten_index(section, self.grid, self.grid_indexing)
 
-    def section_slices(self, section: int) -> tuple[slice, ...]:
-        """The slices of the global array that ``section`` holds."""
-        return tuple(
-            slice(c * ld, (c + 1) * ld)
-            for c, ld in zip(self.section_coords(section), self.local_dims)
-        )
-
     def locate(self, indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         """Global indices -> (section number, local indices).
 
@@ -269,7 +263,9 @@ class ArrayLayout:
         intersection inside that section's interior, ``region_slices``
         select where it lands in a dense array of :meth:`region_shape`.
         This is the geometry behind region-granular RPC — one message per
-        section instead of one per element.
+        section instead of one per element — and it is
+        :func:`~repro.arrays.redistribute.transfers` from the sections
+        to the region's dense box.
 
         ``region`` is a tuple of ``(start, stop)`` pairs: the layout is
         frozen, so the first ask validates and decomposes it and later
@@ -281,56 +277,16 @@ class ArrayLayout:
         if kept is not None:
             return kept
         self.validate_region(region)
-        # Per dimension, one entry per grid coordinate the region spans:
-        # what that coordinate adds to the section number, and the local
-        # and region slices of the overlap along that dimension.
-        per_dim = []
-        for (start, stop), ld, stride in zip(
-            region, self.local_dims, self._grid_strides
-        ):
-            entries = []
-            for c in range(start // ld, (stop - 1) // ld + 1):
-                lo, hi = max(start, c * ld), min(stop, (c + 1) * ld)
-                entries.append((
-                    c * stride,
-                    slice(lo - c * ld, hi - c * ld),
-                    slice(lo - start, hi - start),
-                ))
-            per_dim.append(entries)
-        parts = []
-        for combo in itertools.product(*per_dim):
-            offsets, local_slices, region_slices = zip(*combo)
-            parts.append((sum(offsets), local_slices, region_slices))
+        parts = tuple(
+            (section, local, out)
+            for section, _, local, out in transfers(blocks(self), dense(region))
+        )
         with self._regions_lock:
             table = self._regions
             if len(table) >= KEPT_REGIONS:
                 # Evict the oldest: insertion order is arrival order.
                 del table[next(iter(table))]
-            return table.setdefault(region, tuple(parts))
-
-    # -- neighbour geometry ------------------------------------------------------
-
-    def grid_neighbors(
-        self, section: int
-    ) -> dict[tuple[int, str], int]:
-        """The sections adjacent to ``section`` on the processor grid.
-
-        Maps ``(axis, direction)`` — ``direction`` is ``"low"`` (toward
-        index 0) or ``"high"`` — to the neighbouring section number.
-        Physical array edges simply have no entry.  This is the adjacency
-        the halo-plan compiler (:mod:`repro.perf.commplan`) walks to
-        derive per-neighbour exchange schedules from the layout alone.
-        """
-        coords = self.section_coords(section)
-        out: dict[tuple[int, str], int] = {}
-        for axis in range(self.rank):
-            for direction, delta in (("low", -1), ("high", 1)):
-                c = coords[axis] + delta
-                if 0 <= c < self.grid[axis]:
-                    ncoords = list(coords)
-                    ncoords[axis] = c
-                    out[(axis, direction)] = self.section_index(ncoords)
-        return out
+            return table.setdefault(region, parts)
 
     # -- replica placement -------------------------------------------------------
 

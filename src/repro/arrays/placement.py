@@ -54,7 +54,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pcn.defvar import DefVar
-from repro.status import ArrayNotFoundError, ProcessorFailedError, check_status
+from repro.status import (
+    ArrayNotFoundError,
+    ProcessorFailedError,
+    StalePlanError,
+    check_status,
+)
 from repro.vp import fabric
 
 # Envelope kinds of the two reasons a section moves, which are also the
@@ -68,14 +73,6 @@ MIGRATE_KIND = "migrate"
 
 class MigrationError(RuntimeError):
     """A planned migration could not be completed (and was rolled back)."""
-
-
-class StalePlanError(MigrationError):
-    """The membership/epoch a plan was computed against changed before
-    it could commit — a kill fired during the plan's own traffic and ran
-    recovery reentrantly (``state.lock`` is an RLock, so the nested
-    rebuild completes inside the outer one).  The caller recomputes the
-    plan from the rewritten state and retries."""
 
 
 class SectionSourceError(Exception):

@@ -114,39 +114,6 @@ class ArrayRecord:
     def invalidate_section_index(self) -> None:
         self._section_index.clear()
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.layout.dims
-
-    @property
-    def grid_dims(self) -> tuple[int, ...]:
-        return self.layout.grid
-
-    @property
-    def local_dims(self) -> tuple[int, ...]:
-        return self.layout.local_dims
-
-    @property
-    def borders(self) -> tuple[int, ...]:
-        return self.layout.borders
-
-    @property
-    def local_dims_plus(self) -> tuple[int, ...]:
-        return self.layout.local_dims_plus
-
-    @property
-    def indexing_type(self) -> str:
-        return self.layout.indexing
-
-    @property
-    def grid_indexing_type(self) -> str:
-        return self.layout.grid_indexing
-
-    def owner_of(self, indices) -> tuple[int, tuple[int, ...]]:
-        """Global indices -> (owning processor number, local indices)."""
-        section, local = self.layout.locate(indices)
-        return self.processors[section], local
-
     def info(self, which: str):
         """Answer one ``find_info`` selector (§4.2.6)."""
         try:

@@ -26,10 +26,12 @@ statement would.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.arrays.redistribute import blocks, dense, transfers
 from repro.core.darray import DistributedArray
 from repro.pcn.process import ProcessGroup
 
@@ -58,28 +60,24 @@ def call_task_parallel_on(
     if scope not in ("element", "section"):
         raise ValueError(f"scope must be 'element' or 'section': {scope!r}")
     machine = array.machine
-    layout = array.layout
 
     if scope == "section":
         return _run_per_section(array, program, timeout)
 
-    # Element scope: fetch each section once, spawn one process per
-    # element on the owning processor, then write changed sections back.
+    # Element scope: fetch the array once, spawn one process per element
+    # on the owning processor, then write changed elements back.
     group = ProcessGroup()
-    staged: list[tuple[int, np.ndarray]] = []
     results: dict[tuple, Any] = {}
     import threading
 
     lock = threading.Lock()
     count = 0
     snapshot = array.to_numpy()
-    for section, proc in enumerate(array.processors):
+    for proc, box in _sections(array).values():
         node = machine.processor(proc)
-        slices = layout.section_slices(section)
-        block = snapshot[slices]
-        staged.append((section, block))
-        for local in np.ndindex(*layout.local_dims):
-            global_idx = layout.global_indices(section, local)
+        for global_idx in itertools.product(
+            *(range(s.start, s.stop) for s in box)
+        ):
             value = snapshot[global_idx]
             count += 1
 
@@ -98,6 +96,18 @@ def call_task_parallel_on(
     return count
 
 
+def _sections(array: DistributedArray) -> dict:
+    """Section number -> ``(owner, the slices of the whole array it
+    holds)``, under the array's current membership."""
+    layout = array.layout
+    owners = array.processors
+    whole = dense(tuple((0, d) for d in layout.dims))
+    return {
+        section: (owners[section], box)
+        for section, _, _, box in transfers(blocks(layout), whole)
+    }
+
+
 def _run_per_section(
     array: DistributedArray,
     program: SectionProgram,
@@ -110,9 +120,10 @@ def _run_per_section(
 
     lock = threading.Lock()
     snapshot = array.to_numpy()
-    for section, proc in enumerate(array.processors):
+    sections = _sections(array)
+    for section, (proc, box) in sections.items():
         node = machine.processor(proc)
-        block = snapshot[array.layout.section_slices(section)].copy()
+        block = snapshot[box].copy()
 
         def instance(sec=section, data=block):
             out = program(sec, data)
@@ -124,6 +135,6 @@ def _run_per_section(
     group.join_all(timeout=timeout)
     if replacements:
         for section, data in replacements.items():
-            snapshot[array.layout.section_slices(section)] = data
+            snapshot[sections[section][1]] = data
         array.from_numpy(snapshot)
-    return len(array.processors)
+    return len(sections)

@@ -36,10 +36,21 @@ class DistributedArray:
         self.machine = machine
         self.array_id = array_id
         self.layout = layout
-        self.processors = processors
+        self._created_on = processors
         self.type_name = type_name
         self.replication = replication
         self._freed = False
+
+    @property
+    def processors(self) -> tuple[int, ...]:
+        """The array's current owners, section by section: its membership
+        in the durability state, which migration, rebalance and recovery
+        rewrite — the processors given at creation for a freed or foreign
+        array."""
+        state = get_array_manager(self.machine).durability_state(
+            self.array_id
+        )
+        return self._created_on if state is None else tuple(state.processors)
 
     @property
     def _home(self) -> int:
@@ -51,9 +62,9 @@ class DistributedArray:
         creator = self.array_id.creating_processor
         if creator not in machine._failed:
             return creator
-        state = get_array_manager(machine).durability_state(self.array_id)
-        owners = self.processors if state is None else state.processors
-        return next((p for p in owners if not machine.is_failed(p)), creator)
+        return next(
+            (p for p in self.processors if not machine.is_failed(p)), creator
+        )
 
     # -- creation ------------------------------------------------------------------
 
@@ -249,9 +260,6 @@ class DistributedArray:
 
     # -- elastic placement --------------------------------------------------------------------
 
-    def _refresh_processors(self) -> None:
-        self.processors = tuple(int(p) for p in self.info("processors"))
-
     def migrate(self, assignments: Any) -> list[int]:
         """Move sections per ``{section: destination processor}``.
 
@@ -264,7 +272,6 @@ class DistributedArray:
             am_user.migrate_sections, "migrate_sections({0!r})", assignments,
             processor=self._home,
         )
-        self._refresh_processors()
         return list(moved)
 
     def rebalance(self, targets: Optional[Sequence[int]] = None) -> list[int]:
@@ -276,7 +283,6 @@ class DistributedArray:
             am_user.rebalance_array, "rebalance_array", targets,
             processor=self._home,
         )
-        self._refresh_processors()
         return list(moved)
 
     # -- lifetime ------------------------------------------------------------------------------

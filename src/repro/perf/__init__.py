@@ -27,10 +27,9 @@ from repro.perf.commplan import (
     HaloExchange,
     HaloStrip,
     PlanRegistry,
-    StalePlanError,
     compile_halo_plan,
 )
-from repro.status import ProcessorFailedError
+from repro.status import ProcessorFailedError, StalePlanError
 
 __all__ = [
     "ARRAY_BATCH_KIND",

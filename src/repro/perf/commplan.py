@@ -52,10 +52,11 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.arrays import redistribute
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
 from repro.perf.coalescer import define_once
-from repro.status import SingleAssignmentError
+from repro.status import SingleAssignmentError, StalePlanError
 from repro.vp.message import Message
 
 HALO_BULK_KIND = "halo_bulk"
@@ -74,13 +75,6 @@ _SIDE_NAMES = {
     },
     1: {(0, "low"): "west", (0, "high"): "east"},
 }
-
-
-class StalePlanError(RuntimeError):
-    """A halo transfer was fenced by the epoch machinery: the plan (or a
-    peer's record) predates a membership rewrite.  Callers recompile via
-    :meth:`PlanRegistry.halo_plan` and retry the phase — distributed-call
-    supervision does exactly that by failing and re-running the call."""
 
 
 class PlanEdge:
@@ -210,13 +204,15 @@ def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
 
 
 class HaloGeometry:
-    """The cells a halo exchange moves, derived from a block layout with
-    uniform borders ``pad`` deep and from nothing else: one directed
-    :class:`PlanEdge` per neighbour adjacency, made concrete at a depth
-    by :meth:`transfers`.  It is bound to no array — a :class:`CommPlan`
+    """The staging of a halo exchange over a block layout with uniform
+    borders ``pad`` deep: one directed :class:`PlanEdge` per neighbour
+    adjacency, staged by its axis, made concrete at a depth by
+    :meth:`transfers`.  It is bound to no array — a :class:`CommPlan`
     adds that; the per-sweep reference
-    (:func:`repro.spmd.stencil.exchange_halos`) reads its slices here
-    too, so a halo's cells are named in this class only."""
+    (:func:`repro.spmd.stencil.exchange_halos`) reads its transfers here
+    too.  Which cells a strip moves is
+    :func:`repro.arrays.redistribute.transfers`' answer for the edge's
+    two sections, grown as the stage says."""
 
     __slots__ = ("layout", "pad", "depth", "stages", "edges")
 
@@ -226,66 +222,50 @@ class HaloGeometry:
         # A depth-k exchange ships k interior cells per side, so the
         # usable depth is clipped by the thinnest local dimension.
         self.depth = min(pad, min(layout.local_dims))
-        self.stages = 2 if layout.rank == 2 else 1
+        self.stages = layout.rank
         names = _SIDE_NAMES[layout.rank]
         self.edges: List[PlanEdge] = []
-        for dest in range(layout.num_sections):
-            for (axis, direction), src in sorted(
-                layout.grid_neighbors(dest).items()
+        for axis in range(layout.rank):
+            # A section's neighbours along ``axis`` are the sections its
+            # block meets once grown one cell along it; section numbers
+            # rise with every grid coordinate, so the lower one is the
+            # neighbour toward index 0.
+            for src, dest, _, _ in redistribute.transfers(
+                redistribute.blocks(layout),
+                redistribute.blocks(layout, grow=1, axes=(axis,)),
             ):
-                self.edges.append(
-                    PlanEdge(
+                if src != dest:
+                    direction = "low" if src < dest else "high"
+                    self.edges.append(PlanEdge(
                         axis=axis,
                         direction=direction,
                         side=names[(axis, direction)],
-                        stage=axis if layout.rank == 2 else 0,
+                        stage=axis,
                         src_section=src,
                         dest_section=dest,
-                    )
-                )
-
-    def _slices(self, edge: PlanEdge, k: int) -> tuple:
-        """(src_slices, dest_slices) for ``edge`` at exchange depth ``k``.
-
-        Stage 0 strips span interior columns only; stage 1 strips span
-        the full row range ``[pad-k, pad+h+k)`` — including the stage-0
-        halo rows — which is what relays corner data without diagonal
-        messages.
-        """
-        d = self.pad
-        if self.layout.rank == 1:
-            (length,) = self.layout.local_dims
-            if edge.direction == "low":  # from the west neighbour
-                return ((slice(d + length - k, d + length),),
-                        (slice(d - k, d),))
-            return ((slice(d, d + k),),
-                    (slice(d + length, d + length + k),))
-        h, w = self.layout.local_dims
-        if edge.axis == 0:
-            cols = slice(d, d + w)
-            if edge.direction == "low":  # from the north neighbour
-                return ((slice(d + h - k, d + h), cols),
-                        (slice(d - k, d), cols))
-            return ((slice(d, d + k), cols),
-                    (slice(d + h, d + h + k), cols))
-        rows = slice(d - k, d + h + k)
-        if edge.direction == "low":  # from the west neighbour
-            return ((rows, slice(d + w - k, d + w)),
-                    (rows, slice(d - k, d)))
-        return ((rows, slice(d, d + k)),
-                (rows, slice(d + w, d + w + k)))
+                    ))
 
     def transfers(self, k: int, section: Optional[int] = None,
                   role: Optional[str] = None,
                   stage: Optional[int] = None) -> List[Transfer]:
         """The concrete transfer list at depth ``k``, optionally filtered
         to one section's sends (``role="send"``) or receives
-        (``role="recv"``) and/or one stage."""
+        (``role="recv"``) and/or one stage.
+
+        An edge of stage ``s`` moves the cells where the sender's block,
+        grown ``k`` cells along the axes before ``s``, meets the
+        receiver's, grown ``k`` along the axes up to ``s``: stage 0 strips
+        span interior columns only, and a stage-1 strip spans the full row
+        range ``[pad-k, pad+h+k)`` — the stage-0 halo rows included —
+        which is what relays corner data without diagonal messages.  The
+        blocks are not clipped at the array's edges, so there the relayed
+        rows carry the sender's boundary cells."""
         if not 1 <= k <= self.depth:
             raise ValueError(
                 f"exchange depth {k} outside [1, {self.depth}] for "
                 f"{self.layout.local_dims} sections bordered {self.pad} deep"
             )
+        layout, pad = self.layout, self.pad
         out = []
         for edge in self.edges:
             if stage is not None and edge.stage != stage:
@@ -298,7 +278,12 @@ class HaloGeometry:
                 if role is None and section not in (edge.src_section,
                                                     edge.dest_section):
                     continue
-            src, dest = self._slices(edge, k)
+            [(_, _, src, dest)] = redistribute.transfers(
+                redistribute.blocks(layout, pad, k, range(edge.stage),
+                                    edge.src_section),
+                redistribute.blocks(layout, pad, k, range(edge.stage + 1),
+                                    edge.dest_section),
+            )
             out.append(Transfer(edge, k, src, dest))
         return out
 

@@ -65,6 +65,18 @@ class StaleEpochError(ReproError):
     status = Status.STALE_EPOCH
 
 
+class StalePlanError(RuntimeError):
+    """A plan was computed against a membership or epoch that changed
+    before it finished, and the caller recomputes it from the rewritten
+    state and retries.  A section move (migration or recovery) meets it
+    when a kill during the plan's own traffic ran recovery reentrantly
+    (``state.lock`` is an RLock, so the nested rebuild completes inside
+    the outer one); a halo exchange, when a strip was fenced as
+    ``STALE_EPOCH`` — the halo plan predates a membership rewrite, and
+    distributed-call supervision recompiles it by failing and re-running
+    the call."""
+
+
 class SingleAssignmentError(ReproError):
     """A definitional variable was defined more than once (§3.1.1.2)."""
 

@@ -47,28 +47,6 @@ class TestArrayID:
         assert SERIALS.next_for(6) == c + 1
 
 
-class TestDerivedGeometry:
-    def test_dims_and_grid(self):
-        r = record()
-        assert r.dims == (8, 8)
-        assert r.grid_dims == (2, 2)
-        assert r.local_dims == (4, 4)
-        assert r.local_dims_plus == (6, 6)
-        assert r.borders == (1, 1, 1, 1)
-
-    def test_indexing_types(self):
-        r = record()
-        assert r.indexing_type == "row"
-        assert r.grid_indexing_type == "row"
-
-    def test_owner_of_translates_to_processor_numbers(self):
-        r = record(processors=(10, 11, 12, 13))
-        proc, local = r.owner_of((5, 2))
-        # grid coords (1, 0) -> section 2 (row-major) -> processor 12
-        assert proc == 12
-        assert local == (1, 2)
-
-
 class TestInfoDispatch:
     def test_all_selectors(self):
         r = record()

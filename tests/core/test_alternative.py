@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.alternative import call_task_parallel_on
+from repro.core.darray import DistributedArray
 from repro.pcn.composition import par
 
 
@@ -154,3 +155,29 @@ class TestValidation:
 
             with pytest.raises(RuntimeError, match="element 2"):
                 call_task_parallel_on(arr, bad)
+
+
+class TestAfterRecovery:
+    @pytest.mark.parametrize("scope, instances", [("element", 8), ("section", 4)])
+    def test_runs_on_the_membership_recovery_left(self, rt8, scope, instances):
+        """Regression: a handle kept the owners it was created with, so
+        once recovery had moved section 2 off failed processor 2 every
+        call still tried to spawn an instance there."""
+        from repro.arrays import install_recovery
+
+        machine = rt8.machine
+        install_recovery(machine)
+        arr = DistributedArray.create(
+            machine, "double", (8,), [0, 1, 2, 3], ["block"], replication=1
+        )
+        arr.from_numpy(np.arange(8.0))
+        machine.fail(2)
+        if scope == "element":
+            count = call_task_parallel_on(arr, lambda idx, value: 10 * value)
+        else:
+            count = call_task_parallel_on(
+                arr, lambda section, data: 10 * data, scope="section"
+            )
+        assert count == instances
+        assert arr.to_numpy().tolist() == [10.0 * i for i in range(8)]
+        assert arr.processors == (0, 1, 4, 3)

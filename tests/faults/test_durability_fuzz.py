@@ -25,6 +25,7 @@ import pytest
 
 from repro.arrays import am_user, am_util
 from repro.arrays.manager import get_array_manager
+from repro.arrays.redistribute import blocks, dense, transfers
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, install_recovery, random_kills
 from repro.status import ProcessorFailedError, SectionLostError, Status
@@ -114,8 +115,9 @@ def assert_contract(machine, arr, seed, killed, within_budget):
         assert state.lost == {}, state.lost
     expected = expected_array(seed)
     layout = arr.layout
-    for section, owner in enumerate(state.processors):
-        slices = layout.section_slices(section)
+    whole = dense(tuple((0, d) for d in layout.dims))
+    for section, _, _, slices in transfers(blocks(layout), whole):
+        owner = state.processors[section]
         region = [(s.start, s.stop) for s in slices]
         if section in state.lost:
             assert owner in killed, state.lost[section]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.arrays import am_user, am_util
 from repro.arrays.manager import get_array_manager
+from repro.arrays.redistribute import blocks
 from repro.calls import Index, Local, StatusVar
 from repro.core.darray import DistributedArray
 from repro.faults import (
@@ -47,7 +48,10 @@ def section_ops(machine, arr, section):
     """One call apiece of every element, region and local-block op,
     each touching ``section`` only."""
     layout = arr.layout
-    region = [(s.start, s.stop) for s in layout.section_slices(section)]
+    region = [
+        (start, stop)
+        for ((_, start, stop, _),) in blocks(layout, section=section).axes
+    ]
     corner = tuple(lo for lo, _ in region)
     block = np.full(layout.local_dims, 2.0)
     owner = durability(machine, arr).processors[section]

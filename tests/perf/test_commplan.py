@@ -491,6 +491,17 @@ class TestGridMismatch:
 # ---------------------------------------------------------------------------
 
 
+def test_one_stale_plan_error_for_moves_and_halos():
+    """A section move and a halo exchange raise the same class, so a
+    handler that catches one package's stale plan catches the other's."""
+    import repro.arrays
+    import repro.perf
+    import repro.status
+
+    assert repro.arrays.StalePlanError is repro.perf.StalePlanError
+    assert repro.perf.StalePlanError is repro.status.StalePlanError
+
+
 class TestPlanCache:
     def test_hit_then_invalidate_on_migration(self, machine):
         arr = make_array(machine)
