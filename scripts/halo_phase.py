@@ -76,7 +76,7 @@ def phase_cost(grid: tuple, depth: int, phases: int, rounds: int) -> None:
     ):
         record = manager._lookup(machine.processor(owner), arr.array_id)
         copies.append((record, record.section.full(), section, owner))
-    two_stage = len(plan.transfers(depth, stage=1)) > 0
+    two_stage = any(edge.stage == 1 for edge in plan.edges)
     strips, cell_bytes = halo_phase(
         arr.layout.local_dims, grid, depth, header=0
     )

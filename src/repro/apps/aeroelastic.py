@@ -56,7 +56,7 @@ def _aero_pressure(ctx, q_dyn, alpha, deflection_in, pressure) -> None:
     w = interior(deflection_in)
     p = interior(pressure)
     plans = get_perf_layer(ctx.machine).plans
-    record, plan = plans.engage(ctx.node, deflection_in, "aero_twist")
+    record, plan = plans.engage(ctx.node, deflection_in)
     exchange = plan.begin(
         plans, record, deflection_in.full(),
         record.section_number_for(ctx.processor_number), 1,

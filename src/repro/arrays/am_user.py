@@ -371,19 +371,17 @@ def set_coalescing(machine: Machine, enabled: bool) -> bool:
     return previous
 
 
-def halo_plan(
-    machine: Machine, array_id: ArrayID, op: str = "stencil5"
-) -> Optional[Any]:
+def halo_plan(machine: Machine, array_id: ArrayID) -> Optional[Any]:
     """Compile (or fetch the cached) halo-exchange :class:`CommPlan` for
     one array (:mod:`repro.perf.commplan`).
 
     Returns None when the array is out of a plan's scope: unknown array,
-    rank > 2, or missing/non-uniform borders.  The registry revalidates
-    the cached plan against the durability ``(epoch, processors)`` on
-    every call, so recovery and migration invalidate transparently.
+    rank > 2, or missing/non-uniform borders.  A plan is its layout's:
+    the registry keeps it across recovery, migration and rebalance, and
+    compiles it again only when ``verify_array`` has changed the layout.
     """
     get_array_manager(machine)
-    return machine._perf.plans.halo_plan(op, array_id)
+    return machine._perf.plans.halo_plan(array_id)
 
 
 def write_region_targeted(

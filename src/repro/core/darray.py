@@ -188,11 +188,11 @@ class DistributedArray:
             region, values,
         )
 
-    def halo_plan(self, op: str = "stencil5") -> Any:
+    def halo_plan(self) -> Any:
         """The compiled halo-exchange plan for this array (or None when
         it is out of a plan's scope — see ``am_user.halo_plan``)."""
         self._check_live()
-        return am_user.halo_plan(self.machine, self.array_id, op)
+        return am_user.halo_plan(self.machine, self.array_id)
 
     def local_block(self, processor: int) -> tuple[tuple[int, ...], np.ndarray]:
         """``(global origin, interior copy)`` of one processor's section."""

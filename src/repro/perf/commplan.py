@@ -28,14 +28,17 @@ diagonal neighbour's corner block through the orthogonal neighbour.  On
 physical edges the relayed rows carry the sender's fixed boundary cells —
 exactly the values the receiver's frame computation must read there.
 
-Epoch correctness rides the existing ``STALE_EPOCH`` machinery: a plan
-captures ``(epoch, processors)`` at compile time and the registry
-revalidates both against the durability state on every fetch (recovery,
-``migrate_sections``, ``rebalance_array`` and rejoin all bump the
-epoch).  Every strip is stamped with the sender's record epoch and the
-``halo_bulk`` kind handler refuses stale strips the same way the write
-path does — ``note_fenced`` plus the ``repro_fenced_writes_total``
-counter — so a stale plan can *never* fill a border.
+A plan is its layout's: which strips a phase ships, their slices and
+their rendezvous keys follow from the layout alone, so a cached plan
+serves every membership the array passes through and only a border
+change (``verify_array`` committing a new layout) recompiles it.  What
+keeps a strip from a superseded membership out of a border is the
+strip's stamp and the delivery fence: every strip is stamped with the
+sender's record epoch, its owner is read from the durability state at
+every stage, and the ``halo_bulk`` kind handler refuses a strip older
+than the authoritative epoch the same way the write path does —
+``note_fenced`` plus the ``repro_fenced_writes_total`` counter — so a
+stale strip can *never* fill a border.
 
 Delivery discipline: the kind handler never touches section storage.  It
 fences, deduplicates, and stashes the strip in a per-``(edge, call,
@@ -64,38 +67,37 @@ HALO_BULK_KIND = "halo_bulk"
 STRIP_HEADER = 64
 
 # Receiver-relative side names — the side of the *destination* section a
-# strip lands on.  Rank 2 uses compass names (axis 0 = rows, axis 1 =
-# columns); rank 1 reuses west/east along its single axis.
+# strip lands on, per axis ``(low side, high side)``.  Rank 2 uses compass
+# names (axis 0 = rows, axis 1 = columns); rank 1 reuses west/east along
+# its single axis.
 _SIDE_NAMES = {
-    2: {
-        (0, "low"): "north",
-        (0, "high"): "south",
-        (1, "low"): "west",
-        (1, "high"): "east",
-    },
-    1: {(0, "low"): "west", (0, "high"): "east"},
+    2: (("north", "south"), ("west", "east")),
+    1: (("west", "east"),),
 }
 
 
 class PlanEdge:
     """One directed neighbour adjacency: data flows ``src_section ->
-    dest_section`` and lands on the destination's ``side``."""
+    dest_section`` along ``axis`` and lands on the destination's
+    ``side``."""
 
-    __slots__ = ("axis", "direction", "side", "stage", "src_section",
-                 "dest_section")
+    __slots__ = ("axis", "side", "src_section", "dest_section")
 
-    def __init__(self, axis: int, direction: str, side: str, stage: int,
-                 src_section: int, dest_section: int) -> None:
+    def __init__(self, axis: int, side: str, src_section: int,
+                 dest_section: int) -> None:
         self.axis = axis
-        self.direction = direction
         self.side = side
-        self.stage = stage
         self.src_section = src_section
         self.dest_section = dest_section
 
+    @property
+    def stage(self) -> int:
+        """The exchange stage that carries the edge: its axis."""
+        return self.axis
+
     def __repr__(self) -> str:
         return (f"<PlanEdge {self.src_section}->{self.dest_section} "
-                f"side={self.side} stage={self.stage}>")
+                f"side={self.side} stage={self.axis}>")
 
 
 class Transfer:
@@ -187,11 +189,10 @@ class Schedule:
         )
 
 
-def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
-                      processors: tuple) -> Optional["CommPlan"]:
-    """Compile the exchange schedule for ``(op, layout)``, or None when
-    the geometry is out of scope (rank > 2, missing or non-uniform
-    borders)."""
+def compile_halo_plan(array_id: Any, layout: Any) -> Optional["CommPlan"]:
+    """Compile the exchange schedule for ``array_id``'s ``layout``, or
+    None when the geometry is out of scope (rank > 2, missing or
+    non-uniform borders)."""
     if layout.rank not in (1, 2):
         return None
     widths = set(layout.borders)
@@ -200,21 +201,21 @@ def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
     pad = widths.pop()
     if pad < 1:
         return None
-    return CommPlan(op, array_id, layout, pad, epoch, processors)
+    return CommPlan(array_id, layout, pad)
 
 
 class HaloGeometry:
     """The staging of a halo exchange over a block layout with uniform
     borders ``pad`` deep: one directed :class:`PlanEdge` per neighbour
-    adjacency, staged by its axis, made concrete at a depth by
-    :meth:`transfers`.  It is bound to no array — a :class:`CommPlan`
-    adds that; the per-sweep reference
-    (:func:`repro.spmd.stencil.exchange_halos`) reads its transfers here
-    too.  Which cells a strip moves is
+    adjacency, staged by its axis and indexed in ``links`` by the
+    sections it joins, made concrete at a depth by :meth:`strip`.  It is
+    bound to no array — a :class:`CommPlan` adds that; the per-sweep
+    reference (:func:`repro.spmd.stencil.exchange_halos`) reads its links
+    and strips here too.  Which cells a strip moves is
     :func:`repro.arrays.redistribute.transfers`' answer for the edge's
     two sections, grown as the stage says."""
 
-    __slots__ = ("layout", "pad", "depth", "stages", "edges")
+    __slots__ = ("layout", "pad", "depth", "stages", "edges", "links")
 
     def __init__(self, layout: Any, pad: int) -> None:
         self.layout = layout
@@ -225,32 +226,37 @@ class HaloGeometry:
         self.stages = layout.rank
         names = _SIDE_NAMES[layout.rank]
         self.edges: List[PlanEdge] = []
+        # (section, stage) -> (edges it sends on, edges it receives on),
+        # each in edge order.
+        self.links: Dict[tuple, tuple] = {
+            (section, stage): ([], [])
+            for section in range(layout.num_sections)
+            for stage in range(self.stages)
+        }
         for axis in range(layout.rank):
             # A section's neighbours along ``axis`` are the sections its
             # block meets once grown one cell along it; section numbers
             # rise with every grid coordinate, so the lower one is the
-            # neighbour toward index 0.
+            # neighbour toward index 0: its strip lands on the low side.
             for src, dest, _, _ in redistribute.transfers(
                 redistribute.blocks(layout),
                 redistribute.blocks(layout, grow=1, axes=(axis,)),
             ):
                 if src != dest:
-                    direction = "low" if src < dest else "high"
-                    self.edges.append(PlanEdge(
-                        axis=axis,
-                        direction=direction,
-                        side=names[(axis, direction)],
-                        stage=axis,
-                        src_section=src,
-                        dest_section=dest,
-                    ))
+                    edge = PlanEdge(axis, names[axis][src > dest], src, dest)
+                    self.edges.append(edge)
+                    self.links[(src, axis)][0].append(edge)
+                    self.links[(dest, axis)][1].append(edge)
 
-    def transfers(self, k: int, section: Optional[int] = None,
-                  role: Optional[str] = None,
-                  stage: Optional[int] = None) -> List[Transfer]:
-        """The concrete transfer list at depth ``k``, optionally filtered
-        to one section's sends (``role="send"``) or receives
-        (``role="recv"``) and/or one stage.
+    def _check_depth(self, k: int) -> None:
+        if not 1 <= k <= self.depth:
+            raise ValueError(
+                f"exchange depth {k} outside [1, {self.depth}] for "
+                f"{self.layout.local_dims} sections bordered {self.pad} deep"
+            )
+
+    def strip(self, edge: PlanEdge, k: int) -> tuple:
+        """``(src_slices, dest_slices)`` of ``edge`` at depth ``k``.
 
         An edge of stage ``s`` moves the cells where the sender's block,
         grown ``k`` cells along the axes before ``s``, meets the
@@ -260,48 +266,34 @@ class HaloGeometry:
         which is what relays corner data without diagonal messages.  The
         blocks are not clipped at the array's edges, so there the relayed
         rows carry the sender's boundary cells."""
-        if not 1 <= k <= self.depth:
-            raise ValueError(
-                f"exchange depth {k} outside [1, {self.depth}] for "
-                f"{self.layout.local_dims} sections bordered {self.pad} deep"
-            )
-        layout, pad = self.layout, self.pad
-        out = []
-        for edge in self.edges:
-            if stage is not None and edge.stage != stage:
-                continue
-            if section is not None:
-                if role == "send" and edge.src_section != section:
-                    continue
-                if role == "recv" and edge.dest_section != section:
-                    continue
-                if role is None and section not in (edge.src_section,
-                                                    edge.dest_section):
-                    continue
-            [(_, _, src, dest)] = redistribute.transfers(
-                redistribute.blocks(layout, pad, k, range(edge.stage),
-                                    edge.src_section),
-                redistribute.blocks(layout, pad, k, range(edge.stage + 1),
-                                    edge.dest_section),
-            )
-            out.append(Transfer(edge, k, src, dest))
-        return out
+        layout, pad, axis = self.layout, self.pad, edge.axis
+        [(_, _, src, dest)] = redistribute.transfers(
+            redistribute.blocks(layout, pad, k, range(axis),
+                                edge.src_section),
+            redistribute.blocks(layout, pad, k, range(axis + 1),
+                                edge.dest_section),
+        )
+        return src, dest
+
+    def transfers(self, k: int) -> List[Transfer]:
+        """Every edge's :class:`Transfer` at depth ``k``, in edge order:
+        the reference a schedule is held to."""
+        self._check_depth(k)
+        return [Transfer(edge, k, *self.strip(edge, k)) for edge in self.edges]
 
 
 class CommPlan(HaloGeometry):
-    """The compiled halo-exchange schedule for one ``(op, array)`` at one
-    ``(epoch, processors)`` membership: the layout's
-    :class:`HaloGeometry` bound to the array whose strips it ships."""
+    """The compiled halo-exchange schedules of one array: its layout's
+    :class:`HaloGeometry` bound to the array whose strips it ships.  It
+    holds no epoch and no membership — who owns a section is read when a
+    strip is posted — so it stays valid for as long as the array's layout
+    is the one it was built from."""
 
-    __slots__ = ("op", "array_id", "epoch", "processors", "_schedules")
+    __slots__ = ("array_id", "_schedules")
 
-    def __init__(self, op: str, array_id: Any, layout: Any, pad: int,
-                 epoch: int, processors: tuple) -> None:
+    def __init__(self, array_id: Any, layout: Any, pad: int) -> None:
         super().__init__(layout, pad)
-        self.op = op
         self.array_id = array_id
-        self.epoch = epoch
-        self.processors = tuple(processors)
         # (section, k, sides) -> Schedule, compiled on first use and kept
         # for the life of the plan.  Two copies racing to compile the same
         # entry build equal, immutable schedules, so no lock is needed.
@@ -310,11 +302,12 @@ class CommPlan(HaloGeometry):
     def schedule(self, section: int, k: int,
                  sides: Optional[frozenset] = None) -> "Schedule":
         """What ``section`` posts and claims in one phase at depth ``k``
-        (see :class:`Schedule`): :meth:`transfers` filtered per role and
-        stage once, with every key a strip is parked and claimed under
-        already built.  ``sides`` keeps only the strips that land on those
-        receiver-relative sides — in the last stage: an earlier stage's
-        strips are what the last one relays, so they always travel."""
+        (see :class:`Schedule`): the section's ``links`` stage by stage,
+        each send's strip computed once, with every key a strip is parked
+        and claimed under already built.  ``sides`` keeps only the strips
+        that land on those receiver-relative sides — in the last stage the
+        section has: an earlier stage's strips are what the last one
+        relays, so they always travel."""
         found = self._schedules.get((section, k, sides))
         if found is None:
             found = self._schedules[(section, k, sides)] = self._compile(
@@ -324,22 +317,20 @@ class CommPlan(HaloGeometry):
 
     def _compile(self, section: int, k: int,
                  sides: Optional[frozenset]) -> "Schedule":
+        self._check_depth(k)
         aid = self.array_id.as_tuple()
         stages = []
         for stage in range(self.stages):
-            sends = tuple(
-                (t.edge.dest_section, t.edge.side, t.src_slices,
-                 t.dest_slices,
-                 (aid, section, t.edge.dest_section, t.edge.side, stage))
-                for t in self.transfers(k, section, "send", stage)
-            )
-            receives = tuple(
-                (t.edge.side,
-                 (aid, t.edge.src_section, section, t.edge.side, stage))
-                for t in self.transfers(k, section, "recv", stage)
-            )
+            sends, receives = self.links[(section, stage)]
             if sends or receives:
-                stages.append((stage, sends, receives))
+                stages.append((stage, tuple(
+                    (e.dest_section, e.side, *self.strip(e, k),
+                     (aid, section, e.dest_section, e.side, stage))
+                    for e in sends
+                ), tuple(
+                    (e.side, (aid, e.src_section, section, e.side, stage))
+                    for e in receives
+                )))
         if sides is not None and stages:
             stage, sends, receives = stages[-1]
             stages[-1] = (
@@ -419,7 +410,7 @@ class HaloExchange:
         """
         if self._prefetched:
             return
-        self.registry.flush_for(self.plan.array_id)
+        self.registry.perf.coalescer.flush(self.plan.array_id)
         if self.schedule.stages:
             self._post_stage(0)
         self._prefetched = True
@@ -470,9 +461,10 @@ class HaloExchange:
         full = self.full
         source = self.source
         # The owners are read once a stage, without the state lock; only
-        # a re-send reads its owner again, under it.
+        # a re-send reads its owner again, under it.  A freed array has
+        # none, and the route raises for a strip it cannot place.
         state = registry.manager.durability_state(array_id)
-        owners = self.plan.processors if state is None else state.processors
+        owners = None if state is None else state.processors
         pending = self._pending
         for dest_section, side, src_slices, dest_slices, prefix in sends:
             strip = HaloStrip(
@@ -480,7 +472,7 @@ class HaloExchange:
                 dest_slices, full[src_slices].copy(), DefVar("halo_ack"),
                 (prefix, token),
             )
-            dest = route.post(strip, source, owners[dest_section])
+            dest = route.post(strip, source, owners and owners[dest_section])
             if dest is None:
                 registry.inline_strips += 1
             else:
@@ -495,7 +487,7 @@ class HaloExchange:
             if answer == "stale":
                 raise StalePlanError(
                     f"halo strip {strip!r} fenced as STALE_EPOCH: "
-                    "plan predates a membership rewrite"
+                    "its sender's record predates a membership rewrite"
                 )
             if answer != "ok":
                 raise TimeoutError(
@@ -523,10 +515,10 @@ class HaloExchange:
 class PlanRegistry:
     """Machine-wide plan cache + rendezvous state for halo exchanges.
 
-    Plans are cached per ``(op, array)`` and revalidated against the
-    durability state's ``(epoch, processors)`` on every fetch; recovery,
-    migration, rebalance, and rejoin all bump the epoch, so their effect
-    on cached plans is automatic invalidation with no extra locking.
+    Plans are cached per array and checked against the durability
+    state's layout on every fetch: a plan reads nothing of the epoch or
+    the membership, so recovery, migration, rebalance and rejoin leave it
+    in place, and only a border change (``verify_array``) recompiles it.
     """
 
     def __init__(self, perf: Any) -> None:
@@ -554,32 +546,23 @@ class PlanRegistry:
 
     # -- plan cache ----------------------------------------------------------
 
-    def halo_plan(self, op: str, array_id: Any) -> Optional[CommPlan]:
-        """The cached plan for ``(op, array_id)``, recompiled when the
-        durability epoch, membership or layout moved since compile time."""
+    def halo_plan(self, array_id: Any) -> Optional[CommPlan]:
+        """The cached plan of ``array_id``, recompiled when the array's
+        layout is no longer the one it was built from."""
         state = self.manager.durability_state(array_id)
         if state is None:
             return None
-        procs = tuple(state.processors)
-        # `verify_array` commits a new layout (border depths) *without*
-        # bumping the epoch, so the layout is part of plan validity
-        # alongside (epoch, membership).
         layout = state.layout
-        key = (op, array_id.as_tuple())
+        key = array_id.as_tuple()
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
-                if (cached.epoch == state.epoch
-                        and cached.processors == procs
-                        and cached.layout == layout):
+                if cached.layout == layout:
                     self.hits += 1
-                else:
-                    del self._plans[key]
-                    self.invalidations += 1
-                    cached = None
-        if cached is not None:
-            return cached
-        plan = compile_halo_plan(op, array_id, layout, state.epoch, procs)
+                    return cached
+                del self._plans[key]
+                self.invalidations += 1
+        plan = compile_halo_plan(array_id, layout)
         if plan is None:
             return None
         with self._lock:
@@ -587,7 +570,7 @@ class PlanRegistry:
             self.compiled += 1
         return plan
 
-    def engage(self, node: Any, section: Any, op: str) -> Optional[tuple]:
+    def engage(self, node: Any, section: Any) -> Optional[tuple]:
         """How a kernel engages a plan: ``(record, plan)`` of the managed
         array that ``section`` — the :class:`LocalSection` the kernel was
         handed on ``node`` — is a local section of, or None when no
@@ -598,21 +581,15 @@ class PlanRegistry:
         record = self.manager.record_for_section(node, section)
         if record is None:
             return None
-        plan = self.halo_plan(op, record.array_id)
+        plan = self.halo_plan(record.array_id)
         return None if plan is None else (record, plan)
 
     def drop_array(self, array_id: Any) -> None:
         aid = array_id.as_tuple()
         with self._lock:
-            for key in [k for k in self._plans if k[1] == aid]:
-                del self._plans[key]
+            self._plans.pop(aid, None)
             for key in [k for k in self._rendezvous if k[0][0] == aid]:
                 del self._rendezvous[key]
-
-    def flush_for(self, array_id: Any) -> None:
-        # The registry is half of the machine's perf layer; the coalescer
-        # is the other half.
-        self.perf.coalescer.flush(array_id)
 
     # -- rendezvous ----------------------------------------------------------
 

@@ -79,8 +79,10 @@ def _frame_stages(
     """``(sends, receives)`` of copy ``index`` for each stage of a depth-1
     exchange between ``(h, w)`` blocks framed one cell deep on a
     row-major ``grid_rows x grid_cols`` grid (the distribution contract
-    above, as a layout).  Kept, because a reference that recompiled its
-    geometry every sweep would be timed for that."""
+    above, as a layout): a send is ``(dest, side, src_slices)``, a
+    receive ``(src, side, dest_slices)``, read from the geometry's links.
+    Kept, because a reference that recompiled its geometry every sweep
+    would be timed for that."""
     geometry = HaloGeometry(
         ArrayLayout(
             dims=(grid_rows * h, grid_cols * w), grid=(grid_rows, grid_cols),
@@ -89,9 +91,11 @@ def _frame_stages(
         1,
     )
     return tuple(
-        (geometry.transfers(1, index, "send", stage),
-         geometry.transfers(1, index, "recv", stage))
-        for stage in range(geometry.stages)
+        ([(e.dest_section, e.side, geometry.strip(e, 1)[0]) for e in out],
+         [(e.src_section, e.side, geometry.strip(e, 1)[1]) for e in into])
+        for out, into in (
+            geometry.links[(index, stage)] for stage in range(geometry.stages)
+        )
     )
 
 
@@ -106,9 +110,10 @@ def exchange_halos(
 
     Which cells leave and which they land on is
     :class:`~repro.perf.commplan.HaloGeometry`'s answer for the frame's
-    layout at depth 1, stage by stage (row strips, then the column
-    strips that span them); what is this function's own is the check of
-    the grid against the call and ``ctx.comm`` as the transport.  What
+    layout at depth 1, read from its links stage by stage (row strips,
+    then the column strips that span them); what is this function's own
+    is the check of the grid against the call and ``ctx.comm`` as the
+    transport.  What
     it routes is :func:`repro.spmd.costs.halo_phase` at ``header=0``.
     Communication is deadlock-free because sends never block: in each
     stage every copy posts its sends, then receives selectively by tag
@@ -126,15 +131,12 @@ def exchange_halos(
     for sends, receives in _frame_stages(
         grid_rows, grid_cols, full.shape[0] - 2, full.shape[1] - 2, ctx.index
     ):
-        for t in sends:
+        for dest, side, src_slices in sends:
             # Tag by the side the *receiver* will see it on.
-            ctx.comm.send(
-                t.edge.dest_section, full[t.src_slices].copy(),
-                tag=("halo", t.edge.side),
-            )
-        for t in receives:
-            full[t.dest_slices] = ctx.comm.recv(
-                source_rank=t.edge.src_section, tag=("halo", t.edge.side)
+            ctx.comm.send(dest, full[src_slices].copy(), tag=("halo", side))
+        for src, side, dest_slices in receives:
+            full[dest_slices] = ctx.comm.recv(
+                source_rank=src, tag=("halo", side)
             )
 
 
@@ -379,7 +381,7 @@ def heat_steps(
     n_steps = int(steps[0]) if hasattr(steps, "__getitem__") else int(steps)
     want_delta = delta_out is not None
     perf = get_perf_layer(ctx.machine)
-    engaged = perf and perf.plans.engage(ctx.node, section, "stencil5")
+    engaged = perf and perf.plans.engage(ctx.node, section)
     if engaged:
         record, plan = engaged
         if tuple(record.layout.grid) != (gr, gc):

@@ -72,8 +72,8 @@ class StalePlanError(RuntimeError):
     when a kill during the plan's own traffic ran recovery reentrantly
     (``state.lock`` is an RLock, so the nested rebuild completes inside
     the outer one); a halo exchange, when a strip was fenced as
-    ``STALE_EPOCH`` — the halo plan predates a membership rewrite, and
-    distributed-call supervision recompiles it by failing and re-running
+    ``STALE_EPOCH`` — its sender's record predates a membership rewrite,
+    and distributed-call supervision recovers by failing and re-running
     the call."""
 
 

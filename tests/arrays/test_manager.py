@@ -239,7 +239,7 @@ class TestHeapTables:
         node = machine.processor(1)
         section = LocalSection("double", (4, 4), (1,) * 4, "row")
         plans = get_perf_layer(machine).plans
-        assert plans.engage(node, section, "stencil5") is None
+        assert plans.engage(node, section) is None
         assert not node.has("am.records")
 
 

@@ -115,9 +115,7 @@ class TestSweepSplit:
             dims=(grid[0] * h, grid[1] * w), grid=grid,
             borders=(pad,) * 4, indexing=ROW_MAJOR, grid_indexing=ROW_MAJOR,
         )
-        plan = compile_halo_plan(
-            "prop", ArrayID(0, 3), layout, 0, tuple(range(grid[0] * grid[1]))
-        )
+        plan = compile_halo_plan(ArrayID(0, 3), layout)
         k = data.draw(st.integers(1, plan.depth))
         shape = (h + 2 * pad, w + 2 * pad)
         full = np.random.default_rng(h * 7 + w).uniform(0, 100, shape)
@@ -145,8 +143,9 @@ class TestSweepSplit:
             if inner is None:
                 continue
             received = np.zeros(shape, dtype=bool)
-            for t in plan.transfers(k, section, "recv"):
-                received[t.dest_slices] = True
+            for t in plan.transfers(k):
+                if t.edge.dest_section == section:
+                    received[t.dest_slices] = True
             a, b, c, e = inner
             for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                 assert not received[a + dr:b + dr, c + dc:e + dc].any()
