@@ -352,23 +352,7 @@ def flush_writes(machine: Machine, array_id: Optional[ArrayID] = None) -> int:
     perf = getattr(machine, "_perf", None)
     if perf is None:
         return 0
-    return perf.flush(array_id)
-
-
-def set_coalescing(machine: Machine, enabled: bool) -> bool:
-    """Toggle write coalescing; returns the previous setting.
-
-    Disabling flushes pending writes first, so the per-write and batched
-    regimes never interleave on one array.
-    """
-    perf = getattr(machine, "_perf", None)
-    if perf is None:
-        return False
-    previous = perf.coalescer.enabled
-    if not enabled:
-        perf.coalescer.flush()
-    perf.coalescer.enabled = bool(enabled)
-    return previous
+    return perf.coalescer.flush(array_id)
 
 
 def halo_plan(machine: Machine, array_id: ArrayID) -> Optional[Any]:

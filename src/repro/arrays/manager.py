@@ -12,7 +12,9 @@ create_array      create the whole array (create_local on every processor)
 free_local        free one local section
 free_array        free the whole array (free_local everywhere)
 read_element_local / read_element      element read via global indices
-write_element_local / write_element    element write via global indices
+write_element     element write via global indices: validated and queued,
+                  then lands in an ``array_batch`` or is carried by a
+                  request for its section (a read, a region's share)
 find_local        reference to the local section on *this* processor
 copy_local        reallocate a local section with different borders
 verify_array      compare borders, copy_local everywhere on mismatch
@@ -22,11 +24,11 @@ find_info         dimensions / processors / indexing / ... (§4.2.6)
 Results and Status values are returned by defining definitional variables
 supplied in the request — the bidirectional server communication of §5.1.1.
 A request for one section's data — ``read_element_local``,
-``write_element_local``, ``read_region_local``, ``write_region_local`` —
-names that section, as a coalesced write batch and a halo strip do, and is
-answered only by the section's holder (``_resolve``'s holder check).  An
-element read and a region's shares, made on the processor that queued writes
-for their section, carry that queue with them (``WriteCoalescer.carry``): the
+``read_region_local``, ``write_region_local`` — names that section, as a
+coalesced write batch and a halo strip do, and is answered only by the
+section's holder (``_resolve``'s holder check).  An element read and a
+region's shares, made on the processor that queued writes for their section,
+carry that queue with them (``WriteCoalescer.carry``): the
 holder commits it before it serves the request, and a batch not answered
 ``"ok"`` there goes by the perf layer's route after.
 
@@ -202,7 +204,6 @@ class ArrayManager:
             "read_element": self.read_element,
             "read_element_local": self.read_element_local,
             "write_element": self.write_element,
-            "write_element_local": self.write_element_local,
             "find_local": self.find_local,
             "find_info": self.find_info,
             "copy_local": self.copy_local,
@@ -803,12 +804,13 @@ class ArrayManager:
     ) -> None:
         """Write one element via global indices (§4.2.4).
 
-        With the perf layer enabled (the default), validated writes are
-        acknowledged immediately and queued in the write-behind
-        coalescer; the actual mutation lands at the next flush point as
-        part of one fused ``array_batch`` message (docs/performance.md).
-        A write to a dead owner raises :class:`ProcessorFailedError` at
-        once, under every ``dead_send_policy``, queued or not.
+        A valid write is acknowledged at once and queued in the
+        write-behind coalescer; it lands at the next flush point as part
+        of one fused ``array_batch`` message, or carried by a request for
+        its section (docs/performance.md).  A write to a dead owner raises
+        :class:`ProcessorFailedError` at once, under every
+        ``dead_send_policy``.  A caller that needs the owner's own status
+        writes a one-cell region.
         """
         record = self._resolve(node, array_id, status)
         if record is None:
@@ -821,34 +823,13 @@ class ArrayManager:
             return _fail(status, Status.INVALID)
         owner = record.processors[section]
         machine = self.machine
-        coalescer = machine._perf.coalescer
-        if coalescer.enabled:
-            if owner in machine._failed:
-                # The error the per-write path's request raises.
-                machine.check_alive((owner,))
-            coalescer.enqueue(
-                record.array_id, section, local, element, node.number
-            )
-            self._write_status(node, status)
-            return
-        machine.server.request(
-            "write_element_local", array_id, section, local, element, status,
-            processor=owner,
+        if owner in machine._failed:
+            # Raised here, not at a flush nobody waits on.
+            machine.check_alive((owner,))
+        machine._perf.coalescer.enqueue(
+            record.array_id, section, local, element, node.number
         )
-
-    def write_element_local(
-        self,
-        node: VirtualProcessor,
-        array_id: ArrayID,
-        section: int,
-        local_indices: Sequence[int],
-        element: Any,
-        status: DefVar,
-    ) -> None:
-        record = self._resolve(node, array_id, status, section=section)
-        if record is None:
-            return
-        self._commit(node, record, [(tuple(local_indices), element)], status)
+        self._write_status(node, status)
 
     # -- local sections ------------------------------------------------------------------
 

@@ -19,7 +19,9 @@ We generate the same structure as closures, from the
 PCN source.  Failure behaviour follows the generated PCN exactly: a
 find_local failure or malformed parameter bundle defines the status tuple
 as STATUS_INVALID without calling the program; a program that raises
-yields STATUS_ERROR.
+yields STATUS_ERROR.  A program writes its local sections in place, so a
+copy whose program has returned reseeds the mirrors of its replicated
+sections before it answers (docs/fault_model.md §6).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.arrays import am_user
+from repro.arrays.manager import get_array_manager
 from repro.obs.spans import span as obs_span
 from repro.calls.params import CallPlan
 from repro.pcn.defvar import DefVar
@@ -121,6 +124,7 @@ def build_wrapper(
 
         try:
             program(ctx, *arguments)
+            reseed_mirrors(bundle, procs[index])
         except ProcessorFailedError:
             # Machine-level failure (a VP died under this call): propagate
             # as an exception so supervision/failover layers can react,
@@ -146,5 +150,18 @@ def build_wrapper(
         for buf in buffers:
             result.append(buf[0].item() if len(buf) == 1 else buf.copy())
         status_var.define(tuple(result))
+
+    def reseed_mirrors(bundle: Sequence[Any], processor: int) -> None:
+        # The program wrote its local sections in place, past their
+        # replicas: before the copy answers, each replicated array's
+        # mirrors are reseeded from its section here, as recovery reseeds
+        # them (k replica updates a section; none without a replica).
+        for array_id in dict.fromkeys(bundle[i] for i in plan.local_at):
+            state = get_array_manager(machine).durability_state(array_id)
+            if state is not None and state.replication > 0:
+                machine.server.request(
+                    "reseed_replicas_local", array_id, DefVar(),
+                    processor=processor,
+                )
 
     return wrapper_first_level

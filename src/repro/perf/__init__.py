@@ -146,12 +146,6 @@ class PerfLayer:
 
     # -- the layer -------------------------------------------------------------
 
-    def flush(
-        self, array_id: Any = None, section: Optional[int] = None
-    ) -> int:
-        """Force pending coalesced writes out (write-behind barrier)."""
-        return self.coalescer.flush(array_id, section)
-
     def drop_array(self, array_id: Any) -> int:
         """Forget a freed array: pending writes and compiled plans."""
         dropped = self.coalescer.discard(array_id)
@@ -161,7 +155,9 @@ class PerfLayer:
     def diagnostics(self) -> dict:
         coalescer = self.coalescer.diagnostics()
         return {
-            "enabled": coalescer["enabled"],
+            # The layer is installed: as with every other subsystem's
+            # diagnostics, "enabled" says so.
+            "enabled": True,
             # The headline counters named by Machine.diagnostics()["perf"]:
             "flushes": coalescer["flushes"],
             "coalesced_writes": coalescer["flushed_ops"],

@@ -158,7 +158,6 @@ class WriteCoalescer:
         # The perf layer whose route ships the batches.
         self.perf = perf
         self.machine = perf.machine
-        self.enabled = True
         self.flush_ops = flush_ops
         self.flush_bytes = flush_bytes
         self._lock = threading.Lock()
@@ -402,7 +401,6 @@ class WriteCoalescer:
     def diagnostics(self) -> dict:
         with self._lock:
             return {
-                "enabled": self.enabled,
                 "pending_writes": sum(
                     len(p.ops) for p in self._pending.values()
                 ),

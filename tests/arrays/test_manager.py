@@ -557,9 +557,9 @@ class TestVerifyArray:
     def test_write_during_copy_local_is_kept(self, m16, monkeypatch):
         """copy_local copies and swaps under the record lock: a write
         acknowledged while a section is being reallocated is in the new
-        section afterwards, not in the freed copy."""
+        section afterwards, not in the freed copy.  A one-cell region
+        write is acknowledged by the holder's commit."""
         aid = self.make(m16)
-        previous = am_user.set_coalescing(m16, False)
         target, _ = am_user.find_local(m16, aid, processor=0)
         reallocate = LocalSection.reallocate_with_borders
         writers, statuses = [], []
@@ -570,9 +570,9 @@ class TestVerifyArray:
                 done = threading.Event()
 
                 def write():
-                    statuses.append(
-                        am_user.write_element(m16, aid, (0, 0), 42.0)
-                    )
+                    statuses.append(am_user.write_region(
+                        m16, aid, [(0, 1), (0, 1)], np.array([[42.0]])
+                    ))
                     done.set()
 
                 writers.append(threading.Thread(target=write))
@@ -583,16 +583,13 @@ class TestVerifyArray:
             return replacement
 
         monkeypatch.setattr(LocalSection, "reallocate_with_borders", racing)
-        try:
-            assert am_user.verify_array(m16, aid, 2, [1, 1, 1, 1], "row") is (
-                Status.OK
-            )
-            writers[0].join(10)
-            assert not writers[0].is_alive()
-            assert statuses == [Status.OK]
-            assert am_user.read_element(m16, aid, (0, 0)) == (42.0, Status.OK)
-        finally:
-            am_user.set_coalescing(m16, previous)
+        assert am_user.verify_array(m16, aid, 2, [1, 1, 1, 1], "row") is (
+            Status.OK
+        )
+        writers[0].join(10)
+        assert not writers[0].is_alive()
+        assert statuses == [Status.OK]
+        assert am_user.read_element(m16, aid, (0, 0)) == (42.0, Status.OK)
 
 
 class TestColumnMajor:

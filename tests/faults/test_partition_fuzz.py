@@ -115,7 +115,8 @@ def probe_stale_owner(machine, array_id, vp, section) -> Status:
     with fabric.execution_context(processor=vp):
         status = DefVar(f"probe@{vp}")
         machine.server.request(
-            "write_element_local", array_id, section, (0, 0), -1.0, status,
+            "write_region_local", array_id, section,
+            (slice(0, 1), slice(0, 1)), np.array([[-1.0]]), status,
             processor=vp,
         )
         return Status(status.read(timeout=5.0))

@@ -44,9 +44,10 @@ def durability(machine, arr):
     return get_array_manager(machine).durability_state(arr.array_id)
 
 
-def section_ops(machine, arr, section):
+def section_ops(machine, arr, section, queued=True):
     """One call apiece of every element, region and local-block op,
-    each touching ``section`` only."""
+    each touching ``section`` only.  ``queued=False`` makes the element
+    write a one-cell region write, which answers from the holder."""
     layout = arr.layout
     region = [
         (start, stop)
@@ -58,8 +59,12 @@ def section_ops(machine, arr, section):
     aid = arr.array_id
     return {
         "read_element": lambda: am_user.read_element(machine, aid, corner),
-        "write_element": lambda: am_user.write_element(
-            machine, aid, corner, 2.0
+        "write_element": (
+            (lambda: am_user.write_element(machine, aid, corner, 2.0))
+            if queued
+            else lambda: am_user.write_region(
+                machine, aid, [(lo, lo + 1) for lo in corner], np.array([[2.0]])
+            )
         ),
         "read_region": lambda: am_user.read_region(machine, aid, region),
         "write_region": lambda: am_user.write_region(
@@ -216,26 +221,24 @@ class TestCheckpointRecovery:
         assert state.sections_rebuilt == 0
         assert not coordinator.recoveries[-1]["ok"]
 
-    @pytest.mark.parametrize("coalescing", [True, False])
-    def test_every_op_on_a_lost_section_fails_at_once(
-        self, machine, coalescing
-    ):
+    @pytest.mark.parametrize("queued", [True, False])
+    def test_every_op_on_a_lost_section_fails_at_once(self, machine, queued):
         """Each op that needs the lost section raises SectionLostError at
         its first call — no bounce to retry — and the same ops on a
-        surviving section answer OK."""
+        surviving section answer OK.  The element write is the queued one
+        or, unqueued, its synchronous form: a one-cell region write."""
         install_recovery(machine)
         arr = make_array(machine, replication=0)
         arr.from_numpy(np.ones((8, 8)))
-        am_user.set_coalescing(machine, coalescing)
         machine.fail(3)
-        for name, op in section_ops(machine, arr, 3).items():
+        for name, op in section_ops(machine, arr, 3, queued).items():
             with pytest.raises(SectionLostError) as caught:
                 op()
             assert caught.value.section == 3, name
             assert caught.value.status is Status.ERROR
         with pytest.raises(SectionLostError):
             arr.to_numpy()
-        for name, op in section_ops(machine, arr, 0).items():
+        for name, op in section_ops(machine, arr, 0, queued).items():
             result = op()
             status = result[1] if isinstance(result, tuple) else result
             assert status is Status.OK, name

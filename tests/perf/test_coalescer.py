@@ -1,10 +1,10 @@
 """The write-behind coalescer: batching, flush points, and equivalence.
 
 The §3.3 contract under test: a program whose writes ride the
-write-behind buffer must be observationally equivalent to the per-write
-path at every point where the writes *could* be observed — reads,
-collectives, checkpoints, and distributed-call boundaries all force the
-queue out first.
+write-behind buffer must be observationally equivalent to one whose
+writes the owner services one by one (§5.1.1) at every point where the
+writes *could* be observed — reads, collectives, checkpoints, and
+distributed-call boundaries all force the queue out first.
 """
 
 from __future__ import annotations
@@ -73,24 +73,24 @@ class TestBatching:
         assert perf.coalescer.pending_ops(arr.array_id) < 4 + 1
         assert perf.coalescer.flushes >= 2
 
-    def test_set_coalescing_false_restores_per_write_path(self, m8):
+    def test_one_cell_region_write_answers_from_the_holder(self, m8):
+        """The synchronous status a queued element write does not give is
+        a one-cell region write's: its request carries the section's
+        queue, the holder commits both before it answers, and nothing is
+        left to flush."""
         arr = make_array(m8, n=16, owners=4)
         coalescer = get_perf_layer(m8).coalescer
-        arr[4] = -1.0
+        arr[4] = -1.0  # section 1, owned by processor 1
         assert coalescer.pending_ops(arr.array_id) == 1
-        # Returns the previous setting, and flushes first: the two
-        # regimes never interleave on one array.
-        assert am_user.set_coalescing(m8, False) is True
+        status = am_user.write_region(
+            m8, arr.array_id, [(5, 6)], np.array([5.0])
+        )
+        assert status is Status.OK
         assert coalescer.pending_ops(arr.array_id) == 0
-        m8.reset_traffic()
-        for i in range(4, 8):  # section 1, owned by processor 1
-            arr[i] = float(i)
-        # One write_element_local request per element.
-        assert m8.traffic_snapshot()["messages"] == 4
-        assert coalescer.pending_ops(arr.array_id) == 0
-        assert am_user.set_coalescing(m8, True) is False
-        assert coalescer.enabled
-        assert arr.to_numpy()[4:8].tolist() == [4.0, 5.0, 6.0, 7.0]
+        assert coalescer.carried_batches == 1
+        section, st = am_user.find_local(m8, arr.array_id, processor=1)
+        assert st is Status.OK
+        assert section.interior()[:2].tolist() == [-1.0, 5.0]
 
     def test_statuses_match_per_write_path(self, m8):
         arr = make_array(m8)
@@ -217,24 +217,29 @@ class TestDiagnostics:
 
 
 class TestDeadOwner:
-    @pytest.mark.parametrize("coalescing", [True, False])
+    @pytest.mark.parametrize("queued", [True, False])
     @pytest.mark.parametrize("policy", ["raise", "drop", "queue"])
     def test_write_to_dead_owner_raises_at_once(
-        self, monkeypatch, policy, coalescing
+        self, monkeypatch, policy, queued
     ):
-        # Queued or not, under every dead_send_policy: the per-write
-        # path's request checks liveness before any policy applies.  A
-        # write nobody answers would wait out the DefVar deadline; a
-        # short one keeps that failure quick.
+        # Queued element write or synchronous one-cell region write,
+        # under every dead_send_policy: each checks its owner's liveness
+        # before it queues or sends, so no policy applies.  A write
+        # nobody answers would wait out the DefVar deadline; a short one
+        # keeps that failure quick.
         monkeypatch.setattr(defvar, "DEFAULT_TIMEOUT", 2.0)
         machine = Machine(8, dead_send_policy=policy)
         am_util.load_all(machine)
         arr = make_array(machine, n=16, owners=4)
-        am_user.set_coalescing(machine, coalescing)
         machine.fail(2)  # the owner of section 2, elements 8..11
         started = time.monotonic()
         with pytest.raises(ProcessorFailedError):
-            am_user.write_element(machine, arr.array_id, (9,), 1.0)
+            if queued:
+                am_user.write_element(machine, arr.array_id, (9,), 1.0)
+            else:
+                am_user.write_region(
+                    machine, arr.array_id, [(9, 10)], np.array([1.0])
+                )
         assert time.monotonic() - started < 1.0
         assert get_perf_layer(machine).coalescer.pending_ops() == 0
 

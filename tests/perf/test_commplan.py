@@ -535,9 +535,7 @@ class TestPlanCache:
         """A plan is its layout's: after a migration, a recovery or a
         rebalance the array's plan is the same object and nothing is
         compiled, and a run on fresh values — its strips routed to the
-        moved section's new owner — is still the serial mirror's.  (A
-        kernel writes its section in place, past the replicas, so the
-        values are written again after the change.)"""
+        moved section's new owner — is still the serial mirror's."""
         if change == "recovery":
             install_recovery(machine)
         initial = np.random.default_rng(6).uniform(0, 100, (8, 8))
@@ -578,6 +576,30 @@ class TestPlanCache:
         diag = registry.diagnostics()
         assert diag["compiled"] == compiled
         assert diag["invalidations"] == 0
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_recovery_after_a_call_keeps_what_the_kernel_wrote(
+        self, machine, replication
+    ):
+        """A kernel writes its section in place; each copy then reseeds
+        the section's mirrors, one replica update a backup, so the owner
+        that dies right after the call is rebuilt from the relaxed field,
+        not from the one the call was handed."""
+        install_recovery(machine)
+        initial = np.random.default_rng(6).uniform(0, 100, (8, 8))
+        arr = make_array(machine, borders=2, replication=replication)
+        arr.from_numpy(initial)
+        meter = TrafficMeter()
+        machine.transport_stack.push(meter)
+        try:
+            run_heat(machine, arr, (2, 2), 2)
+        finally:
+            machine.transport_stack.remove(meter)
+        machine.fail(3)
+        assert arr.processors[3] != 3
+        assert np.array_equal(arr.to_numpy(), serial_reference(initial, 2))
+        by_kind = meter.snapshot()["by_kind"]
+        assert by_kind.get("replica_update", (0, 0))[0] == 4 * replication
 
     def test_invalidate_on_border_migration(self, machine):
         """``verify_borders`` reallocates sections with a new pad — a new
