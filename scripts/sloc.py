@@ -24,7 +24,11 @@ _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 def code_lines(path: Path) -> int:
     with tokenize.open(path) as handle:
-        source = handle.read()
+        return len(code_line_numbers(handle.read()))
+
+
+def code_line_numbers(source: str) -> set[int]:
+    """The numbers of the code lines of ``source``."""
     docstrings = {
         (node.body[0].lineno, node.body[0].col_offset)
         for node in ast.walk(ast.parse(source))
@@ -36,7 +40,7 @@ def code_lines(path: Path) -> int:
     for token in tokenize.generate_tokens(readline):
         if token.type not in _NOT_CODE and token.start not in docstrings:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines)
+    return lines
 
 
 def main(paths: list[str]) -> int:

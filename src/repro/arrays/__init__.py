@@ -33,7 +33,6 @@ from repro.arrays.placement import (
     SectionMover,
     SectionSourceError,
 )
-from repro.arrays.rebalance import Rebalancer
 from repro.arrays.record import ArrayID, ArrayRecord
 from repro.arrays.local_section import LocalSection
 from repro.arrays.manager import ArrayManager, install_array_manager
@@ -50,7 +49,6 @@ __all__ = [
     "MIGRATE_KIND",
     "MigrationError",
     "PlacementPlan",
-    "Rebalancer",
     "SectionMove",
     "SectionMover",
     "SectionSourceError",

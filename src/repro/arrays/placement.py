@@ -15,8 +15,8 @@ processors added at runtime, ``DistributedArray.rebalance()``) and
   the replica map recomputed for it.  Built by
   :meth:`PlacementPlan.for_failure` (recovery: dead owner -> spare),
   :meth:`PlacementPlan.from_assignments` (explicit ``{section: dest}``),
-  or :meth:`PlacementPlan.rebalance` (repair dead owners / respread onto
-  a target set).
+  or :meth:`PlacementPlan.rebalance` (rehome the sections of dead owners,
+  or of owners outside a target set, onto spares).
 
 * :class:`SectionMover` — executes a plan under the array's
   ``DurabilityState`` lock: source each moving section, adopt it on its
@@ -198,7 +198,7 @@ class PlacementPlan:
         machine: Any,
         targets: Optional[Sequence[int]] = None,
     ) -> Optional["PlacementPlan"]:
-        """Plan a repair/respread: keep each section on its owner when
+        """Plan a repair: keep each section on its owner when
         the owner is alive and inside the target set; move every other
         section (dead owner, or owner outside an explicit ``targets``)
         onto a spare target holding no section of the array.  A lost

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.arrays import am_user
 from repro.calls.combine import make_combine_program
 from repro.calls.do_all import do_all
 from repro.calls.params import CallPlan
@@ -134,8 +135,6 @@ def distributed_call(
 
     snapshots: list[tuple[Any, Any]] = []
     if retry is not None and restore_arrays:
-        from repro.arrays import am_user
-
         for array in restore_arrays:
             array_id = getattr(array, "array_id", array)
             snapshot, snap_status = am_user.checkpoint_array(machine, array_id)
@@ -152,8 +151,6 @@ def distributed_call(
         # pre-attempt checkpoint, so re-execution never observes a torn
         # write from the failed attempt.
         if next(attempt_counter) > 0 and snapshots:
-            from repro.arrays import am_user
-
             for array_id, snapshot in snapshots:
                 restore_status = am_user.restore_array(
                     machine, array_id, snapshot
@@ -205,12 +202,9 @@ def distributed_call(
             last, history = run_with_retry(
                 attempt, retry, lambda r: r.status, machine.clock, label
             )
+            result = last
             if isinstance(last, BaseException):
-                result = CallResult(
-                    status=Status.ERROR, reductions=[], error=last
-                )
-            else:
-                result = last
+                result = CallResult(Status.ERROR, [], error=last)
             result.attempts = history
 
     if status_out is not None:

@@ -84,9 +84,8 @@ def do_all(
                 if error is None:
                     error = exc
         if error is not None:
-            result: Any = Status.ERROR
             if status_out is not None:
-                status_out.define(result)
+                status_out.define(Status.ERROR)
             raise error
 
         values = [st.read(timeout=timeout) for st in statuses]

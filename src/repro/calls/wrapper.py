@@ -20,13 +20,14 @@ PCN source.  Failure behaviour follows the generated PCN exactly: a
 find_local failure or malformed parameter bundle defines the status tuple
 as STATUS_INVALID without calling the program; a program that raises
 yields STATUS_ERROR.  A program writes its local sections in place, so a
-copy whose program has returned reseeds the mirrors of its replicated
-sections before it answers (docs/fault_model.md §6).
+copy whose program has run, returned or raised, reseeds the mirrors of its
+replicated sections before it answers (docs/fault_model.md §6).
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -65,7 +66,6 @@ def build_wrapper(
     a copy only fills the positions in.
     """
     procs = tuple(int(p) for p in processors)
-    n_params = len(plan.specs)
     n_reduce = len(plan.reductions)
 
     def failure_tuple(status: Status) -> tuple:
@@ -92,7 +92,7 @@ def build_wrapper(
         reduce_lengths: Sequence[int],
     ) -> None:
         # §F.4: declare local variables now that lengths are known.
-        if len(reduce_lengths) != n_reduce or len(bundle) != n_params:
+        if len(reduce_lengths) != n_reduce or len(bundle) != len(plan.specs):
             status_var.define(failure_tuple(Status.INVALID))
             return
         ctx = SPMDContext(machine, procs, index, group)
@@ -123,7 +123,15 @@ def build_wrapper(
             arguments[i] = buf
 
         try:
-            program(ctx, *arguments)
+            try:
+                program(ctx, *arguments)
+            except Exception:
+                # A program that raised may have written first: its
+                # sections are reseeded all the same, best effort, and the
+                # copy reports the program's own error, not the reseed's.
+                with suppress(Exception):
+                    reseed_mirrors(bundle, procs[index])
+                raise
             reseed_mirrors(bundle, procs[index])
         except ProcessorFailedError:
             # Machine-level failure (a VP died under this call): propagate

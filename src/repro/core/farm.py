@@ -60,23 +60,29 @@ class FarmResult:
 
 
 class TaskFarm:
-    """Dynamic job farm over disjoint processor groups.
-
-    Elastic: :meth:`add_group` may be called at any time — including
-    while :meth:`run` is in flight — and spawns a worker for the new
-    group immediately, so capacity added at runtime
-    (``Machine.add_processor``) starts absorbing queued jobs without
-    waiting for the next farm run.
-    """
+    """Dynamic job farm over disjoint processor groups."""
 
     def __init__(self, groups: Sequence[Sequence[int]]) -> None:
         if not groups:
             raise ValueError("a task farm needs at least one group")
         self.groups: list[tuple[int, ...]] = []
+        for group in groups:
+            members = tuple(int(p) for p in group)
+            if not members:
+                raise ValueError(
+                    "a task-farm group needs at least one processor"
+                )
+            taken = {p for g in self.groups for p in g}
+            if len(set(members)) != len(members) or taken & set(members):
+                raise ValueError(
+                    "task-farm groups must be disjoint (Fig 3.4: concurrent "
+                    "distributed calls run on disjoint processor groups)"
+                )
+            self.groups.append(members)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        # The in-flight run's shared state (None when idle); add_group
-        # uses it to splice a worker into a live run.
+        # The in-flight run's shared state (None when idle); a revived
+        # group's worker is spliced into it.
         self._run: Optional[dict] = None
         # Detector-driven state (empty/None without attach_detector):
         # parked groups (a member is suspected) and groups retired by a
@@ -84,39 +90,6 @@ class TaskFarm:
         self._detector: Optional[Any] = None
         self._quarantined: set[int] = set()
         self._dead_by_verdict: set[int] = set()
-        for group in groups:
-            self._admit(group)
-
-    def _admit(self, group: Sequence[int]) -> int:
-        """Validate and append one group; caller holds no lock or _lock."""
-        members = tuple(int(p) for p in group)
-        if not members:
-            raise ValueError("a task-farm group needs at least one processor")
-        taken = {p for g in self.groups for p in g}
-        if len(set(members)) != len(members) or taken & set(members):
-            raise ValueError(
-                "task-farm groups must be disjoint (Fig 3.4: concurrent "
-                "distributed calls run on disjoint processor groups)"
-            )
-        self.groups.append(members)
-        return len(self.groups) - 1
-
-    def add_group(self, group: Sequence[int]) -> int:
-        """Add one disjoint processor group; returns its index.
-
-        If a run is active, a worker for the group is spawned into it
-        immediately and the queue is re-notified, so the new capacity
-        starts pulling jobs at once.
-        """
-        with self._cond:
-            index = self._admit(group)
-            run = self._run
-            if run is not None:
-                run["counts"].append(0)
-                run["state"]["alive_workers"] += 1
-                run["pg"].spawn(run["worker"], index)
-                self._cond.notify_all()
-        return index
 
     # -- failure-detector integration -----------------------------------------
 
@@ -199,7 +172,8 @@ class TaskFarm:
 
         Idle workers block on the queue's condition variable with **no
         timeout**: they are woken only by job completion, a requeue, a
-        new group, or an abort — an idle farm does zero timed polling.
+        change of group state, or an abort — an idle farm does zero timed
+        polling.
         """
         pending: collections.deque = collections.deque(enumerate(jobs))
         cond = self._cond
@@ -302,12 +276,7 @@ class TaskFarm:
                     cond.notify_all()
 
         pg = ProcessGroup()
-        run_ctx = {
-            "state": state,
-            "counts": counts,
-            "pg": pg,
-            "worker": worker,
-        }
+        run_ctx = {"state": state, "pg": pg, "worker": worker}
         started = time.perf_counter()
         with cond:
             if self._run is not None:

@@ -20,8 +20,8 @@ Suspicion lifecycle (docs/fault_model.md §9):
   resuming heartbeat flips the VP straight back to alive (a *flap*),
   and nothing destructive has happened;
 * **dead** — silence exceeded ``dead_after * interval``.  The verdict
-  is fired to listeners (recovery, the task farm, the rebalancer), who
-  act exactly as they would on an oracle notification;
+  is fired to listeners (recovery, the task farm), who act exactly as
+  they would on an oracle notification;
 * **quarantined** — a heartbeat arrived from a VP the detector had
   declared dead *that the oracle never killed*: a false positive (e.g.
   a healed partition).  The VP is fenced — its stale records refuse

@@ -558,28 +558,30 @@ class TestVerifyArray:
         """copy_local copies and swaps under the record lock: a write
         acknowledged while a section is being reallocated is in the new
         section afterwards, not in the freed copy.  A one-cell region
-        write is acknowledged by the holder's commit."""
+        write is acknowledged by the holder's commit.  The reallocation
+        waits until the write has either blocked on the record lock or,
+        when nothing holds that lock, finished."""
         aid = self.make(m16)
         target, _ = am_user.find_local(m16, aid, processor=0)
+        record = _records(m16.processor(0))[aid]
+        settled = threading.Event()
+        record.lock = SignallingLock(record.lock, settled)
         reallocate = LocalSection.reallocate_with_borders
         writers, statuses = [], []
 
         def racing(section, new_borders):
             replacement = reallocate(section, new_borders)
             if section is target:
-                done = threading.Event()
 
                 def write():
                     statuses.append(am_user.write_region(
                         m16, aid, [(0, 1), (0, 1)], np.array([[42.0]])
                     ))
-                    done.set()
+                    settled.set()
 
                 writers.append(threading.Thread(target=write))
                 writers[0].start()
-                # Give the write the time to land (it waits for the swap
-                # when copy_local holds the record lock).
-                done.wait(1.0)
+                assert settled.wait(10)
             return replacement
 
         monkeypatch.setattr(LocalSection, "reallocate_with_borders", racing)
@@ -590,6 +592,31 @@ class TestVerifyArray:
         assert not writers[0].is_alive()
         assert statuses == [Status.OK]
         assert am_user.read_element(m16, aid, (0, 0)) == (42.0, Status.OK)
+
+
+class SignallingLock:
+    """A reentrant lock that sets ``blocked`` when an acquire has to wait
+    for another thread, just before it waits."""
+
+    def __init__(self, lock, blocked):
+        self._lock = lock
+        self._blocked = blocked
+
+    def acquire(self, blocking=True, timeout=-1):
+        if self._lock.acquire(blocking=False):
+            return True
+        if not blocking:
+            return False
+        self._blocked.set()
+        return self._lock.acquire(timeout=timeout)
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc_info):
+        self.release()
 
 
 class TestColumnMajor:

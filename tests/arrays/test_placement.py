@@ -5,7 +5,7 @@ moves a section (``SectionMover.execute_locked``); these tests exercise
 the plan builders, the transactional move (commit, stale-plan refusal,
 rollback on mid-plan failure), the migration barrier's interplay with
 the perf layer (coalesced writes flushed before the section leaves),
-runtime membership growth, and the metrics-driven :class:`Rebalancer`.
+and runtime membership growth.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.arrays.placement import (
     PlacementPlan,
     SectionMove,
 )
-from repro.arrays.rebalance import Rebalancer
 from repro.core.darray import DistributedArray
 from repro.faults import FaultPlan, FaultyTransport, KillSpec, install_recovery
 from repro.faults.plan import FaultDecision
@@ -733,6 +732,17 @@ class TestPlacementDiagnostics:
         assert log["moves"] == [(1, 1, 4)]
         assert log["epoch"] == 1
 
+    def test_migration_counter_advances(self, machine):
+        observer = machine.observe()
+        try:
+            arr = make_array(machine)
+            arr.migrate({0: 4})
+            snap = observer.metrics.snapshot()
+        finally:
+            observer.close()
+        key = f'{{array="{arr.array_id.as_tuple()}"}}'
+        assert snap["repro_sections_migrated_total" + key] == 1
+
 
 # -- runtime membership -------------------------------------------------------
 
@@ -765,106 +775,3 @@ class TestAddProcessor:
             machine, arr.array_id, (4, 0), processor=new
         )
         assert status is Status.OK and value == 7.0
-
-
-# -- the metrics-driven rebalancer --------------------------------------------
-
-
-class TestRebalancer:
-    def test_loads_empty_without_observer(self, machine):
-        assert Rebalancer(machine).loads() == {}
-
-    def test_invalid_ratio_rejected(self, machine):
-        with pytest.raises(ValueError, match="imbalance_ratio"):
-            Rebalancer(machine, imbalance_ratio=0.5)
-
-    def test_loads_fold_depth_and_wait(self, machine):
-        observer = machine.observe()
-        try:
-            observer.metrics.gauge("repro_mailbox_depth", vp=1).set(10)
-            observer.metrics.histogram(
-                "repro_mailbox_recv_wait_seconds", vp=2
-            ).observe(4.0)
-            loads = Rebalancer(machine, wait_weight=1.0).loads()
-        finally:
-            observer.close()
-        assert loads[1] == 10.0
-        assert loads[2] == -4.0  # idle wait discounts the score
-        assert loads[0] == 0.0  # untouched VPs still get a score
-
-    def test_propose_repairs_dead_owner_unconditionally(self, machine):
-        # No recovery installed: the dead owner stays in the membership
-        # until the rebalancer repairs it.
-        arr = make_array(machine, replication=1)
-        ref = np.arange(64, dtype=float).reshape(8, 8)
-        arr.from_numpy(ref)
-        machine.fail(2)
-
-        rebalancer = Rebalancer(machine)
-        plans = rebalancer.propose()
-        assert len(plans) == 1
-        assert [m.section for m in plans[0].moves] == [2]
-
-        applied = rebalancer.step()
-        assert applied[0]["ok"] and applied[0]["moved"] == [2]
-        state = durability(machine, arr)
-        assert 2 not in state.processors
-        assert np.array_equal(arr.to_numpy(), ref)
-        assert rebalancer.history == applied
-
-    def test_propose_leaves_a_lost_section_alone(self, machine):
-        """A lost section has nothing to move: the rebalancer proposes
-        the repair ``PlacementPlan.rebalance`` would, which is none, and
-        its step moves no epoch and aborts no plan."""
-        install_recovery(machine)
-        arr = make_array(machine, replication=0)
-        machine.fail(3)
-        state = durability(machine, arr)
-        assert set(state.lost) == {3}
-        epoch = state.epoch
-        mover = get_array_manager(machine).mover
-        aborts = mover.aborts
-        rebalancer = Rebalancer(machine)
-        assert rebalancer.propose() == []
-        assert rebalancer.step() == []
-        assert state.epoch == epoch
-        assert mover.aborts == aborts
-
-    def test_propose_spreads_hottest_owner_to_coldest_spare(self, machine):
-        arr = make_array(machine, replication=1)
-        arr.from_numpy(np.ones((8, 8)))
-        observer = machine.observe()
-        try:
-            observer.metrics.gauge("repro_mailbox_depth", vp=1).set(50)
-            rebalancer = Rebalancer(machine, min_load=1.0)
-            plans = rebalancer.propose()
-            assert len(plans) == 1
-            move = plans[0].moves[0]
-            assert move.section == 1 and move.source == 1
-            assert move.dest in (4, 5)
-
-            applied = rebalancer.step()
-        finally:
-            observer.close()
-        assert applied and applied[0]["ok"]
-        assert 1 not in durability(machine, arr).processors
-        assert np.array_equal(arr.to_numpy(), np.ones((8, 8)))
-
-    def test_balanced_machine_proposes_nothing(self, machine):
-        make_array(machine, replication=1)
-        observer = machine.observe()
-        try:
-            assert Rebalancer(machine).propose() == []
-        finally:
-            observer.close()
-
-    def test_migration_counter_advances(self, machine):
-        observer = machine.observe()
-        try:
-            arr = make_array(machine)
-            arr.migrate({0: 4})
-            snap = observer.metrics.snapshot()
-        finally:
-            observer.close()
-        key = f'{{array="{arr.array_id.as_tuple()}"}}'
-        assert snap["repro_sections_migrated_total" + key] == 1

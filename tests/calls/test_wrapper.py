@@ -9,8 +9,10 @@ from repro.arrays import am_user, am_util
 from repro.calls.api import distributed_call
 from repro.calls.params import CallPlan, Local
 from repro.calls.wrapper import build_wrapper, next_call_group
+from repro.core.darray import DistributedArray
+from repro.faults import install_recovery
 from repro.pcn.defvar import DefVar
-from repro.status import Status
+from repro.status import ProcessorFailedError, Status
 from repro.vp.machine import Machine
 
 
@@ -166,3 +168,69 @@ class TestGeneratedWrapper:
 
     def test_group_ids_unique(self):
         assert next_call_group() != next_call_group()
+
+
+class TestReseedAfterProgram:
+    """A program writes its ``Local`` sections in place, past their
+    replicas; a copy reseeds them whether its program returned or raised,
+    so a recovery after a failed call rebuilds what the program wrote."""
+
+    @pytest.fixture
+    def replicated(self):
+        machine = Machine(6, default_recv_timeout=10)
+        am_util.load_all(machine)
+        install_recovery(machine)
+        arr = DistributedArray.create(
+            machine, "double", (8, 8), [0, 1, 2, 3],
+            (("block", 2), ("block", 2)), replication=1,
+        )
+        return machine, arr
+
+    def call(self, machine, arr, program):
+        return distributed_call(
+            machine, [0, 1, 2, 3], program, [Local(arr.array_id)]
+        )
+
+    def test_a_raising_program_leaves_its_writes_in_the_mirrors(
+        self, replicated
+    ):
+        machine, arr = replicated
+
+        def write_then_raise(ctx, section):
+            section.interior()[:] = 7.0
+            raise RuntimeError("after the write")
+
+        assert self.call(machine, arr, write_then_raise).status is Status.ERROR
+        assert np.all(arr.to_numpy() == 7.0)
+        machine.fail(3)
+        assert arr.processors[3] != 3
+        assert np.all(arr.to_numpy() == 7.0)
+
+    def test_a_failing_reseed_does_not_mask_the_programs_error(
+        self, replicated, monkeypatch
+    ):
+        """Reseeding after a raise is best effort: the copy reports the
+        program's own error, an ERROR status for an ordinary exception
+        and a raise for a processor failure, whatever the reseed did."""
+        machine, arr = replicated
+        server_request = machine.server.request
+
+        def request(request_type, *parameters, **options):
+            if request_type == "reseed_replicas_local":
+                raise ProcessorFailedError("reseed failed")
+            return server_request(request_type, *parameters, **options)
+
+        monkeypatch.setattr(machine.server, "request", request)
+
+        def raise_value_error(ctx, section):
+            raise ValueError("the program's own")
+
+        assert self.call(machine, arr, raise_value_error).status is (
+            Status.ERROR
+        )
+
+        def raise_processor_failed(ctx, section):
+            raise ProcessorFailedError("the program's own")
+
+        with pytest.raises(ProcessorFailedError, match="program's own"):
+            self.call(machine, arr, raise_processor_failed)

@@ -116,72 +116,3 @@ class TestIdleWakeup:
         assert result.results[0] in (0, 1, 2, 3)
         assert timeouts, "idle workers never blocked on the condition"
         assert all(t is None for t in timeouts)
-
-
-class TestElasticGroups:
-    def test_add_group_when_idle(self):
-        farm = TaskFarm([[0]])
-        assert farm.add_group([1, 2]) == 1
-        assert farm.groups == [(0,), (1, 2)]
-        result = farm.run([lambda g: tuple(g) for _ in range(4)])
-        assert set(result.results) <= {(0,), (1, 2)}
-        assert len(result.jobs_per_group) == 2
-
-    def test_add_group_rejects_overlap(self):
-        farm = TaskFarm([[0, 1]])
-        with pytest.raises(ValueError, match="disjoint"):
-            farm.add_group([1, 2])
-
-    def test_add_group_mid_run_absorbs_queued_jobs(self):
-        """A group added while run() is in flight spawns a worker into
-        the live run and starts pulling queued jobs immediately."""
-        farm = TaskFarm([[0]])
-        first_started = threading.Event()
-        release_first = threading.Event()
-
-        def slow_first(group):
-            first_started.set()
-            assert release_first.wait(5)
-            return ("slow", group)
-
-        def quick(group):
-            return ("quick", tuple(group))
-
-        jobs = [slow_first] + [quick] * 6
-        result_box = {}
-
-        def drive():
-            result_box["result"] = farm.run(jobs)
-
-        runner = threading.Thread(target=drive)
-        runner.start()
-        assert first_started.wait(5)
-        # The lone original worker is stuck in slow_first; every quick
-        # job is queued.  The new group must drain them on its own.
-        index = farm.add_group([5, 6])
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            with farm._cond:
-                run = farm._run
-                done = run is not None and run["state"]["unfinished"] == 1
-            if done:
-                break
-            time.sleep(0.005)
-        else:
-            release_first.set()
-            runner.join(5)
-            pytest.fail("added group never drained the queue")
-        release_first.set()
-        runner.join(5)
-        result = result_box["result"]
-        assert result.results[0] == ("slow", (0,))
-        assert result.results[1:] == [("quick", (5, 6))] * 6
-        assert result.jobs_per_group[index] == 6
-        assert result.jobs_per_group[0] == 1
-
-    def test_add_group_after_run_completes_is_fresh(self):
-        farm = TaskFarm([[0]])
-        farm.run([lambda g: 1])
-        farm.add_group([3])
-        result = farm.run([lambda g: tuple(g) for _ in range(4)])
-        assert set(result.results) <= {(0,), (3,)}
