@@ -1,13 +1,14 @@
 """Untraced phase split of one op of a gated macro workload.
 
     python3 scripts/op_phases.py [--workload W] [--src DIR] [--ops N]
-        [--rounds R] [--seed S]
+        [--rounds R] [--seed S] [--procs P]
 
 ``W`` and its phases:
 
 ``ex61_calls`` (default)  create x2 / call / free x2 — two vectors over
-                          ``IntegratedRuntime(8)``, one distributed call,
-                          both freed (``apps/innerproduct.run``)
+                          ``IntegratedRuntime(P)``, one distributed call,
+                          both freed (``apps/innerproduct.run``); P is
+                          ``--procs``, 8 by default
 ``climate_halo``          component step / interface exchange /
                           to_numpy x2 — one FIG-2.1 coupled step
                           (``ClimateSimulation.run(1)``), split by the
@@ -23,10 +24,12 @@ and reads the clock at the phase boundaries only.  Every workload but
 ``ex61_calls`` is the benchmark's own class (``benchmarks/macro/
 workloads.py``), built from ``--seed``, and every op is checked against
 its NumPy mirror outside the clock.  ``array_writes``' op is the
-benchmark's: its element writes land inside the region write, carried by
-the shares of the sections the region touches and flushed before it
-otherwise.  ``--src`` points at the ``src`` directory of another checkout
-(the parent commit, say), so the same file measures both sides.
+benchmark's: the element writes of the sections its region touches land
+inside the region write, carried by the shares; the other sections' stay
+queued until a request for their section (a read-back, a later op's
+region) or the coalescer's threshold lands them.  ``--src`` points at the
+``src`` directory of another checkout (the parent commit, say), so the
+same file measures both sides.
 
 Printed per phase: the median over all ops of the quietest round (the one
 with the smallest whole-op median), in microseconds — the host's speed
@@ -35,16 +38,22 @@ phase of element requests, that median per request beside the Python
 frames of the measured package one request of the phase enters.  The
 frames are counted once, on one warm-up op, outside the clock, with
 ``sys.setprofile`` as ``tests/perf/test_request_path.py`` counts them;
-they do not wander with the host.  Then the routed messages and bytes an
+they do not wander with the host.  ``array_writes``' op is counted after
+a flush of the array, so that none of its writes ships a threshold batch
+and the count does not depend on the seed.  Then the routed messages and bytes an
 op, which must be the figure derived for the workload, or the script
-exits non-zero: for ``climate_halo`` the one :func:`op_wire` derives from
+exits non-zero: for ``ex61_calls`` 6(P - 1) one-word messages (a create
+or a free is one request from processor 0 to each of the other P - 1, and
+the call's ``allreduce`` a binomial reduce and bcast, P - 1 each), for
+``climate_halo`` the one :func:`op_wire` derives from
 (grid, border depth, sweeps) with the halo model of the measured tree
 (``repro.spmd.costs.halo_phase``) — a tree older than that model cannot
 run this workload — and for ``array_writes`` and ``array_reads`` the one
-:func:`element_wire` derives from the op's inputs.  The derivation has
-each request for a section carry the section's queued writes, so a tree
-from before that reads more messages on these two and exits non-zero
-after printing its timings.
+:func:`element_wire` derives from the inputs of every op so far.  The
+derivation has each request for a section carry the section's queued
+writes and a region order only the sections it touches, so a tree from
+before either reads more messages on these two and exits non-zero after
+printing its timings.
 """
 
 from __future__ import annotations
@@ -110,20 +119,26 @@ def op_wire(local_dims: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
 HOME = 0
 
 
-def element_wire(arr, replication: int, steps) -> tuple:
+def element_wire(arr, replication: int, steps, queued: dict) -> tuple:
     """(messages, bytes) that ``steps`` — ``("write", cell)``,
-    ``("read", cell)``, ``("write_region", bounds)`` or ``("read_region",
-    bounds)`` on ``arr``, made on HOME — route.
+    ``("read", cell)``, ``("write_region", bounds)``, ``("read_region",
+    bounds)`` or ``("flush", None)`` on ``arr``, made on HOME — route.
 
-    A write is queued on HOME for its section.  A request for a section
-    (an element read, a region's share) carries the section's queue: 8
-    bytes, plus 16 and 8 a write when it carries a batch; a region request
-    first flushes every other queue of the array, one batch each.  Nothing
-    made on HOME for a section HOME holds is a message.  Every commit
-    sends ``replication`` replica updates of 8 bytes a cell it applied.
+    A write is queued on HOME for its section, in ``queued`` (section ->
+    writes), which the caller keeps from op to op; the write that brings a
+    queue to the coalescer's ``flush_ops`` sends it by the route, 16 and 8
+    a write, as a flush sends every queue.  A
+    request for a section (an element read, a region's share) carries the
+    section's queue: 8 bytes, plus 16 and 8 a write when it carries a
+    batch.  A region leaves the queues of the sections it does not touch
+    queued.  Nothing made on HOME for a section HOME holds is a message.
+    Every commit sends ``replication`` replica updates of 8 bytes a cell
+    it applied.
     """
+    from repro.perf import get_perf_layer
+
     layout, owners = arr.layout, arr.processors
-    queued: dict = {}
+    flush_ops = get_perf_layer(arr.machine).coalescer.flush_ops
     wire = [0, 0]
 
     def send(nbytes: int, times: int = 1) -> None:
@@ -140,24 +155,28 @@ def element_wire(arr, replication: int, steps) -> tuple:
         if owners[section] != HOME:
             send(8 + (16 + 8 * ops if ops else 0))
 
+    def route(section: int) -> None:
+        ops = queued.pop(section)
+        commit(ops)
+        if owners[section] != HOME:
+            send(16 + 8 * ops)
+
     for step, arg in steps:
-        if step == "write":
+        if step == "flush":
+            for section in sorted(queued):
+                route(section)
+        elif step == "write":
             section = layout.locate(arg)[0]
             queued[section] = queued.get(section, 0) + 1
+            if queued[section] >= flush_ops:
+                route(section)
         elif step == "read":
             request(layout.locate(arg)[0])
         else:
-            touched = {}
             for section, local, _out in layout.region_sections(arg):
-                touched[section] = 1
+                cells = 1
                 for axis in local:
-                    touched[section] *= axis.stop - axis.start
-            for section in [s for s in queued if s not in touched]:
-                ops = queued.pop(section)
-                commit(ops)
-                if owners[section] != HOME:
-                    send(16 + 8 * ops)
-            for section, cells in touched.items():
+                    cells *= axis.stop - axis.start
                 request(section, cells if step == "write_region" else 0)
     return tuple(wire)
 
@@ -188,7 +207,8 @@ def ex61_calls(rt, seed: int) -> tuple:
         assert float(result.reductions[0]) == expected
         return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
-    return ("create x2", "call", "free x2"), {}, op, None, None
+    wire = (6 * (p - 1), 48 * (p - 1))
+    return ("create x2", "call", "free x2"), {}, op, lambda i: wire, None
 
 
 def climate_halo(rt, seed: int) -> tuple:
@@ -242,19 +262,29 @@ def array_writes(rt, seed: int) -> tuple:
         assert w.ok(i, values)
         return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
+    drained = set()  # the op whose frames are counted, on empty queues
+
     def frames(i: int) -> dict:
+        # With every queue empty, none of the op's writes (at most 8 a
+        # section) ships a threshold batch: the rung is the same for any
+        # seed and any op before it.
+        arr.flush()
+        drained.add(i)
         writes, _ = entered(element_writes, i)
         region(i)
         backs, values = entered(read_backs, i)
         assert w.ok(i, values)
         return {"element writes": writes, "read-backs": backs}
 
+    queued: dict = {}  # section -> writes queued, from op to op
+
     def wire(i: int) -> tuple:
         writes, (r0, c0), _block, readbacks = w.inputs[i % POOL]
-        steps = [("write", (row, col)) for row, col, _value in writes]
+        steps = [("flush", None)] if i in drained else []
+        steps += [("write", (row, col)) for row, col, _value in writes]
         steps.append(("write_region", ((r0, r0 + 16), (c0, c0 + 16))))
         steps += [("read", cell) for cell in readbacks]
-        return element_wire(arr, w.replication, steps)
+        return element_wire(arr, w.replication, steps, queued)
 
     requests = {
         "element writes": sum(w.per_section),
@@ -299,6 +329,8 @@ def array_reads(rt, seed: int) -> tuple:
         assert w.ok(i, (got, region(i)))
         return {"element reads": count}
 
+    queued: dict = {}  # section -> writes queued, from op to op
+
     def wire(i: int) -> tuple:
         cells, _values, (r0, c0) = w.inputs[i % POOL]
         steps = []
@@ -307,7 +339,7 @@ def array_reads(rt, seed: int) -> tuple:
             if k % 16 == 15:
                 steps += [("write", cell), ("read", cell)]
         steps.append(("read_region", ((r0, r0 + 32), (c0, c0 + 32))))
-        return element_wire(arr, w.replication, steps)
+        return element_wire(arr, w.replication, steps, queued)
 
     # Every 16th read is followed by a write and a read-back of its cell.
     requests = {"element reads": w.reads + 2 * (w.reads // 16)}
@@ -333,7 +365,14 @@ def main() -> None:
     parser.add_argument("--ops", type=int, default=1500)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--procs", type=int,
+        help="processors of ex61_calls (default 8); the other workloads are "
+        "the benchmark's 8-processor classes",
+    )
     args = parser.parse_args()
+    if args.procs is not None and args.workload != "ex61_calls":
+        parser.error(f"--procs: {args.workload} runs on 8 processors only")
     sys.path.insert(0, args.src)
     sys.path.append(str(ROOT))  # benchmarks.macro, after the measured src
     if hasattr(os, "sched_setaffinity"):
@@ -341,7 +380,7 @@ def main() -> None:
 
     from repro.core.runtime import IntegratedRuntime
 
-    rt = IntegratedRuntime(8)
+    rt = IntegratedRuntime(args.procs or 8)
     names, requests, op, derived, frames = WORKLOADS[args.workload](
         rt, args.seed
     )
@@ -363,7 +402,8 @@ def main() -> None:
     traffic = rt.machine.traffic_snapshot()
     *phases, whole = min(rounds, key=lambda r: r[-1])
     print(f"src                {args.src}")
-    print(f"workload           {args.workload} (seed {args.seed})")
+    print(f"workload           {args.workload} (seed {args.seed}, "
+          f"{rt.num_nodes} processors)")
     for name, us in zip(names, phases):
         line = f"{name:18s} {us:8.1f} us"
         if name in requests:
@@ -376,9 +416,10 @@ def main() -> None:
     wire = (traffic["messages"] / n, traffic["bytes"] / n)
     print(f"{'per op':18s} {wire[0]:g} msgs  {wire[1]:g} B")
     if derived is not None:
-        expected = tuple(
-            sum(column) / n for column in zip(*map(derived, measured))
-        )
+        # Derived op by op from the first, warm-up included: a queue an
+        # op leaves behind is landed by a later one.
+        wires = [derived(i) for i in range(measured[-1] + 1)][measured[0]:]
+        expected = tuple(sum(column) / n for column in zip(*wires))
         if wire != expected:
             sys.exit(f"per op {wire} is not the derived {expected} msgs, B")
 

@@ -902,17 +902,16 @@ class ArrayManager:
         self, request_type: str, array_id: ArrayID, shares: dict
     ) -> bool:
         """A region request's fan-out, ``shares`` mapping each holder to
-        ``(section, ...)``, as an ordering barrier for the whole array:
-        element writes queued before it land first.  The queues of the
-        sections it does not touch are flushed by the route; those of the
-        sections it touches ride their shares
+        ``(section, ...)``, ordered after the element writes queued before
+        it for the sections it touches: their queues ride the shares
         (:meth:`~repro.perf.coalescer.WriteCoalescer.carry`), taken in
         section order — the order of their flush locks, held until the
         shares answer — and a carried batch not answered ``"ok"`` goes by
-        the route after."""
+        the route after.  The queues of the sections it does not touch
+        stay queued: no cell of theirs is in the region, and whatever
+        observes one of those cells lands its queue first."""
         coalescer = self.machine._perf.coalescer
         origin = fabric.current_processor()
-        coalescer.flush(array_id, keep=[share[0] for share in shares.values()])
         carried = {}
         try:
             for holder, share in sorted(shares.items(), key=lambda hs: hs[1][0]):

@@ -24,7 +24,7 @@ Sequential equivalence (§3.3) is preserved by *flush points*: any
 operation that could observe a queued write forces the queue out first —
 
 * reads of a dirty section (``read_element``/``read_region``/local reads),
-* region/section writes (ordering barriers between granularities),
+* region writes, for the sections they touch,
 * barriers and collectives (:mod:`repro.spmd.collectives`),
 * checkpoint/restore/verify (:mod:`repro.arrays.manager`),
 * distributed-call boundaries (:func:`repro.calls.do_all.do_all`),
@@ -210,14 +210,9 @@ class WriteCoalescer:
     # -- flush -----------------------------------------------------------------
 
     def flush(
-        self,
-        array_id: Any = None,
-        section: Optional[int] = None,
-        keep: Iterable[int] = (),
+        self, array_id: Any = None, section: Optional[int] = None
     ) -> int:
-        """Drain pending writes (all, one array's, or one section's); with
-        ``keep``, one array's but for those sections, whose queues a region
-        request carries (:meth:`carry`).
+        """Drain pending writes (all, one array's, or one section's).
 
         Returns the number of writes flushed.  Cheap when nothing is
         pending — every flush point calls this unconditionally — and one
@@ -236,7 +231,6 @@ class WriteCoalescer:
                     for key in pending
                     if (array_id is None or key[0] == array_id)
                     and (section is None or key[1] == section)
-                    and key[1] not in keep
                 ]
         total = 0
         for key in keys:

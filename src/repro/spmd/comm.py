@@ -35,16 +35,20 @@ class GroupComm:
         group: Hashable,
     ) -> None:
         self.machine = machine
-        self.procs = tuple(int(p) for p in procs)
+        # Processor numbers are ints, converted by the caller; ``tuple``
+        # of a tuple is that tuple, so a call's copies share the one its
+        # wrapper built and a copy costs O(1) in P.
+        self.procs = tuple(procs)
         self.rank = int(rank)
         self.group = group
         if not 0 <= self.rank < len(self.procs):
             raise ValueError(
                 f"rank {rank} out of range for group of {len(self.procs)}"
             )
-        # Processor -> rank, precomputed: rank lookups happen once per
-        # received message, so they must not scan the whole group.
-        self._rank_of_proc = {p: r for r, p in enumerate(self.procs)}
+        # Processor -> rank, built on the first lookup: a received
+        # message's lookup must not scan the whole group, and a copy that
+        # never asks must not pay O(P) for it.
+        self._rank_of_proc: Optional[dict] = None
 
     @property
     def size(self) -> int:
@@ -118,6 +122,8 @@ class GroupComm:
 
     def rank_of_source(self, message: Message) -> int:
         """Physical source processor -> group-relative rank."""
+        if self._rank_of_proc is None:
+            self._rank_of_proc = {p: r for r, p in enumerate(self.procs)}
         try:
             return self._rank_of_proc[message.source]
         except KeyError:

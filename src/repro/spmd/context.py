@@ -55,7 +55,8 @@ class SPMDContext:
         group: Hashable,
     ) -> None:
         self.machine = machine
-        self.procs = tuple(int(p) for p in procs)
+        # As GroupComm: ints, and a tuple shared rather than copied.
+        self.procs = tuple(procs)
         self.index = int(index)
         self.group = group
         self.comm = GroupComm(machine, self.procs, self.index, group)

@@ -35,7 +35,8 @@ def default_recv_timeout() -> float:
     """The process-wide default receive deadline.
 
     ``REPRO_RECV_TIMEOUT`` overrides the built-in 30 s; a malformed value
-    is ignored rather than crashing the transport.
+    is ignored rather than crashing the transport.  A mailbox built
+    without a deadline of its own reads it once, when it is built.
     """
     raw = os.environ.get("REPRO_RECV_TIMEOUT")
     if raw:
@@ -79,7 +80,11 @@ class Mailbox:
         self, owner: int, default_timeout: Optional[float] = None
     ) -> None:
         self.owner = owner
-        self.default_timeout = default_timeout
+        # Resolved once: a suspended receive must not read the environment.
+        self.default_timeout = (
+            default_recv_timeout() if default_timeout is None
+            else default_timeout
+        )
         self._buffer: list[Message] = []
         self._lock = threading.Lock()
         self._poison: Optional[BaseException] = None
@@ -167,11 +172,7 @@ class Mailbox:
             self._dead_sources.discard(source)
 
     def _limit(self, timeout: Optional[float]) -> float:
-        if timeout is not None:
-            return timeout
-        if self.default_timeout is not None:
-            return self.default_timeout
-        return default_recv_timeout()
+        return self.default_timeout if timeout is None else timeout
 
     def blocked_receivers(self) -> dict[int, str]:
         """Snapshot of currently-blocked receives (ident -> description)."""

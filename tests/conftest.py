@@ -4,10 +4,19 @@ Machines are cheap to construct (threads start lazily), so most fixtures
 are function-scoped for isolation.  Timeouts are kept short: a suspended
 PCN process that never resumes is a bug, and we want it to surface as a
 TimeoutError, not a hung suite.
+
+``REPRO_SWITCH_INTERVAL=S`` sets the interpreter's thread switch interval
+to ``S`` seconds for the session (``sys.setswitchinterval``; the default
+is 0.005): a short interval, ``1e-5`` say, hands the GIL over far more
+often and so runs the suite under schedules the default rarely makes.
+It is the option the perturbation cell of ROADMAP item 18(a) sets, once
+the fault suites it runs pass under it.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 import pytest
@@ -15,6 +24,19 @@ import pytest
 from repro.arrays.am_util import load_all, node_array
 from repro.core.runtime import IntegratedRuntime
 from repro.vp.machine import Machine
+
+
+_DEFAULT_SWITCH_INTERVAL = sys.getswitchinterval()
+
+
+def pytest_configure(config):
+    interval = os.environ.get("REPRO_SWITCH_INTERVAL")
+    if interval:
+        sys.setswitchinterval(float(interval))
+
+
+def pytest_unconfigure(config):
+    sys.setswitchinterval(_DEFAULT_SWITCH_INTERVAL)
 
 
 @pytest.fixture

@@ -48,6 +48,14 @@ class TestConfigurableDeadline:
             box.recv(tag="never")
         assert time.monotonic() - started < 5.0
 
+    def test_env_var_is_read_when_the_mailbox_is_built(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "0.07")
+        box = Mailbox(owner=0)
+        monkeypatch.delenv("REPRO_RECV_TIMEOUT")
+        assert box.default_timeout == 0.07
+        with pytest.raises(TimeoutError, match="0.07"):
+            box.recv(tag="never")
+
     def test_malformed_env_var_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_RECV_TIMEOUT", "not-a-number")
         assert default_recv_timeout() == 30.0

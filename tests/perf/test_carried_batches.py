@@ -269,10 +269,11 @@ def test_an_unplaced_region_write_carries_nothing():
 def test_overlapping_carrying_region_writes_both_finish():
     """Two writers queue element writes on every section and write
     overlapping regions, over and over: one region touches sections 0
-    and 1, the other 1 and 3.  Each first flushes the sections its region
-    does not touch, then takes the flush locks of those it does, in
-    section order, and holds them until its shares answer — so neither
-    waits for ever on a lock the other holds."""
+    and 1, the other 1 and 3.  Each takes the flush locks of the sections
+    its region touches, in section order, and holds them until its shares
+    answer — so neither waits for ever on a lock the other holds.  The
+    queues of the sections neither region touches stay queued until the
+    closing flush."""
     machine = make_machine(recv_timeout=5)
     arr = make_array(machine)
     rounds = 40
@@ -305,5 +306,6 @@ def test_overlapping_carrying_region_writes_both_finish():
     assert errors == []
     coalescer = get_perf_layer(machine).coalescer
     assert coalescer.carried_batches > 0
+    arr.flush()
     assert coalescer.lost_batches == 0
     assert coalescer.pending_ops() == 0

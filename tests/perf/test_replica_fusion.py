@@ -220,20 +220,28 @@ def section_of(i, j):
 
 
 def derived_wire(replication, writes, region, cell):
-    """(by kind, total bytes flushing first) of a script, in closed form.
+    """(by kind up to the read-back, total bytes through the closing
+    ``to_numpy()``) of a script, in closed form.
 
-    Carried: a dirty section the region does not touch is flushed by the
-    route, one ``array_batch`` of 16 + 8 bytes a write when its holder is
-    remote; a touched section's queue rides its share.  Every section that
-    commits — dirty or touched — sends one ``replica_update`` per backup
-    of what it applied, 8 bytes a cell.  A share and a read are one
-    8-byte ``server_request`` each when remote, plus the batch they carry;
-    the read carries the one write before it.  Flushing first moves the
-    same bytes in more messages: each remote queue as its own batch."""
+    A dirty section's queue rides the first request that reaches the
+    section — its region share, the read-back, or the closing
+    ``to_numpy()``'s share — so a section the region does not touch keeps
+    its queue until one of them.  A request is one 8-byte
+    ``server_request`` when remote, plus the batch it carries, 16 + 8
+    bytes a write.  Every commit sends one ``replica_update`` per backup
+    of what it applied, 8 bytes a cell.
+
+    Carrying moves the same bytes in fewer messages: the total is what
+    the script costs flushing every queue by the route before each
+    request, plus ``to_numpy()``'s three remote shares, less one batch
+    header when the read-back's section is remote, dirty and untouched —
+    its queue and the read-back's write then land as one batch, not
+    two."""
     queued = {}
     for i, j, _value in writes:
         s = section_of(i, j)
         queued[s] = queued.get(s, 0) + 1
+    dirty = dict(queued)
     (r0, r1), (c0, c1) = region
     cells = {}
     for i in range(r0, r1):
@@ -249,27 +257,28 @@ def derived_wire(replication, writes, region, cell):
     def batch_bytes(ops):
         return 16 + 8 * ops
 
-    routed = 0
-    for s, ops in queued.items():
-        if s not in cells and s != 0:
-            add(ARRAY_BATCH_KIND, batch_bytes(ops))
-        routed += batch_bytes(ops) if s != 0 else 0
-    for s in set(queued) | set(cells):
+    def request(s, applied=0):
+        ops = queued.pop(s, 0)
         for _ in range(replication):
-            add(REPLICA_UPDATE_KIND, 8 * (queued.get(s, 0) + cells.get(s, 0)))
-        if s in cells and s != 0:
-            carried = batch_bytes(queued[s]) if s in queued else 0
-            add("server_request", 8 + carried)
+            add(REPLICA_UPDATE_KIND, 8 * (ops + applied))
+        if s != 0:
+            add("server_request", 8 + (batch_bytes(ops) if ops else 0))
+
+    for s, applied in cells.items():
+        request(s, applied)
     # The write and read-back of ``cell``: the read carries the write.
     s = section_of(*cell)
-    for _ in range(replication):
-        add(REPLICA_UPDATE_KIND, 8)
-    requests = sum(1 for t in cells if t != 0)
+    queued[s] = queued.get(s, 0) + 1
+    request(s)
+
+    routed = sum(batch_bytes(ops) for t, ops in dirty.items() if t != 0)
+    requests = sum(1 for t in cells if t != 0) + 3
     if s != 0:
-        add("server_request", 8 + batch_bytes(1))
         routed += batch_bytes(1)
         requests += 1
-    replicas = by_kind.get(REPLICA_UPDATE_KIND, (0, 0))[1]
+        if s in dirty and s not in cells:
+            routed -= 16
+    replicas = 8 * replication * (len(writes) + (r1 - r0) * (c1 - c0) + 1)
     return by_kind, routed + replicas + 8 * requests
 
 
@@ -287,8 +296,9 @@ def wire_machine():
 @given(script=write_scripts())
 def test_write_path_wire_is_derived(wire_machine, script):
     """Measured (messages, bytes) by kind of a write script equal the
-    closed form of :func:`derived_wire`, and the total bytes equal what
-    the same script costs flushing every queue by the route first."""
+    closed form of :func:`derived_wire`, and so do the total bytes once
+    the closing ``to_numpy()`` has landed the queues the region did not
+    touch."""
     machine = wire_machine
     replication, writes, region, cell = script
     arr = make_array(machine, replication=replication)
@@ -310,12 +320,13 @@ def test_write_path_wire_is_derived(wire_machine, script):
         assert arr[cell] == -1.0
         mirror[cell] = -1.0
         measured = meter.snapshot()
+        assert np.array_equal(arr.to_numpy(), mirror)
+        closed = meter.snapshot()
     finally:
         machine.transport_stack.remove(meter)
-    by_kind, flushed_first_bytes = derived_wire(*script)
+    by_kind, total_bytes = derived_wire(*script)
     assert measured["by_kind"] == by_kind
-    assert measured["bytes"] == flushed_first_bytes
-    assert np.array_equal(arr.to_numpy(), mirror)
+    assert closed["bytes"] == total_bytes
     assert get_perf_layer(machine).coalescer.lost_batches == 0
     arr.free()
 

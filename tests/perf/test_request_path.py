@@ -14,7 +14,9 @@ top-level thread (the home of every element request is processor 0):
 * an element write, coalesced, to a section that has writes queued;
 * a ``find_local`` made from a thread placed on the processor it asks;
 * one remote holder of a no-op fan-out of 8 made from processor 0 —
-  the fan-out over processors 0..7 less the one over 0..6.
+  the fan-out over processors 0..7 less the one over 0..6;
+* one copy of a no-op distributed call, run inline: not a literal, but
+  the same count at P = 8 and P = 128.
 
 Frames of the standard library, of generated code and of this file are
 not counted, so the literals are the same on every supported
@@ -38,8 +40,10 @@ import pytest
 import repro
 from repro.arrays import am_user, am_util
 from repro.arrays.decomposition import Block
+from repro.calls.params import CallPlan
+from repro.calls.wrapper import build_wrapper, next_call_group
 from repro.core.darray import DistributedArray
-from repro.pcn.defvar import Tally
+from repro.pcn.defvar import DefVar, Tally
 from repro.vp import fabric
 from repro.vp.machine import Machine
 
@@ -128,3 +132,29 @@ def test_one_remote_holder_of_a_fan_out(arr):
         fan_out(arr, 8)
         fan_out(arr, 7)
         assert entered(fan_out, arr, 8) - entered(fan_out, arr, 7) == 14
+
+
+def noop(ctx):
+    pass
+
+
+def one_copy(procs) -> int:
+    """The frames one copy of a no-op call over ``procs`` enters, run
+    inline on this thread: the wrapper is built, and one copy warmed up,
+    outside the count."""
+    machine = Machine(len(procs))
+    plan = CallPlan.of([])
+    wrapper = build_wrapper(machine, noop, plan, procs, next_call_group())
+    wrapper(1, plan.parms, DefVar())
+    status = DefVar()
+    count = entered(wrapper, 0, plan.parms, status)
+    assert status.read() == (0,)
+    return count
+
+
+def test_a_copy_costs_the_same_at_every_p():
+    """P is an axis: a call hands every copy the one tuple of processors
+    its wrapper built, and neither the copy's context nor its communicator
+    re-normalises it or maps every processor to its rank, so a copy enters
+    as many frames at P = 128 as at P = 8."""
+    assert one_copy(tuple(range(8))) == one_copy(tuple(range(128)))
