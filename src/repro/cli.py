@@ -12,7 +12,7 @@ without writing code:
 * ``python -m repro trace <name>`` — same, with the array manager's debug
   trace (the ``am_debug`` variant of §B.3) summarised afterwards, a span
   profile of the run, and optional exports (``--chrome-trace``,
-  ``--events``, ``--metrics``) from the observability layer.
+  ``--events``) from the observability layer.
 """
 
 from __future__ import annotations
@@ -162,9 +162,6 @@ def cmd_demo(args: argparse.Namespace, trace: bool = False) -> int:
         if args.events:
             n = observer.export_jsonl(args.events)
             print(f"[{name}] {n} events written to {args.events}")
-        if args.metrics:
-            observer.export_prometheus(args.metrics)
-            print(f"[{name}] metrics snapshot written to {args.metrics}")
         observer.close()
     return 0
 
@@ -200,10 +197,6 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument(
                 "--events", metavar="PATH", default=None,
                 help="write the span/message event log as JSONL",
-            )
-            p.add_argument(
-                "--metrics", metavar="PATH", default=None,
-                help="write a Prometheus text-format metrics snapshot",
             )
 
     args = parser.parse_args(argv)

@@ -6,14 +6,13 @@ The observability layer for the integrated runtime:
   the fabric execution context and stitched to message records by trace id;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket histograms
   fed by the mailbox/processor/fault hooks that count what nothing else
-  does;
-* :mod:`repro.obs.views` — the table of series that are *read* from the
-  counters the runtime keeps anyway (coalescer, plan registry,
-  durability states, failure detector, routed traffic);
+  does; every counter the runtime keeps anyway (coalescer, plan
+  registry, durability states, failure detector, routed traffic) is read
+  from ``Machine.diagnostics()``;
 * :mod:`repro.obs.observer` — :class:`Observer`, installed with one call
   (``machine.observe()``) and removed with ``observer.close()``;
-* :mod:`repro.obs.export` — JSONL event log, Chrome trace-event dump
-  (``chrome://tracing`` / Perfetto), Prometheus text snapshot.
+* :mod:`repro.obs.export` — JSONL event log and Chrome trace-event dump
+  (``chrome://tracing`` / Perfetto).
 
 Everything stays a no-op until an observer is installed: instrumentation
 sites probe one machine attribute and bail (see docs/observability.md for
@@ -25,8 +24,6 @@ from repro.obs.export import (
     event_log,
     export_chrome_trace,
     export_jsonl,
-    export_prometheus,
-    prometheus_snapshot,
     validate_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -54,7 +51,5 @@ __all__ = [
     "validate_chrome_trace",
     "export_chrome_trace",
     "export_jsonl",
-    "export_prometheus",
-    "prometheus_snapshot",
     "event_log",
 ]

@@ -1,6 +1,6 @@
-"""Trace and metrics exporters.
+"""Trace exporters.
 
-Three formats, matching how the data is consumed:
+Two formats, matching how the data is consumed:
 
 * **JSONL event log** (:func:`export_jsonl`) — one JSON object per line:
   every finished span, every message event, plus deadlock dumps; greppable
@@ -9,9 +9,6 @@ Three formats, matching how the data is consumed:
   JSON that ``chrome://tracing`` and Perfetto load: spans become complete
   (``"ph": "X"``) events on one track per virtual processor, messages
   become instants on their source VP's track.
-* **Prometheus text** (:func:`prometheus_snapshot`) — the metrics
-  registry in text exposition format (see
-  :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus`).
 
 :func:`validate_chrome_trace` is the schema check CI runs against the
 exported file — deliberately strict about the fields the viewers require.
@@ -179,13 +176,3 @@ def export_jsonl(observer: Any, path: str) -> int:
             fh.write(json.dumps(entry, default=repr) + "\n")
     return len(entries)
 
-
-def prometheus_snapshot(observer: Any) -> str:
-    return observer.metrics.to_prometheus()
-
-
-def export_prometheus(observer: Any, path: str) -> str:
-    text = prometheus_snapshot(observer)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text

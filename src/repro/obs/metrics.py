@@ -1,31 +1,28 @@
 """The metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The thesis evaluates the model through message counts and wall-clock
-tables (§3.4.1, §6, §E); this module generalises those two ad-hoc
-measurements into a small, thread-safe instrument registry in the style
-of a Prometheus client:
+tables (§3.4.1, §6, §E); this module holds the few instruments an
+:class:`~repro.obs.observer.Observer` feeds for events nothing else
+counts, in a small, thread-safe registry:
 
-* :class:`Counter` — a monotonically increasing count (messages routed,
-  faults injected, processes spawned);
-* :class:`Gauge` — a value that goes up and down (mailbox depth, live
-  processes, array epoch);
+* :class:`Counter` — a monotonically increasing count (processes
+  spawned, faults injected, deadlocks dumped);
+* :class:`Gauge` — a value that goes up and down (mailbox depth);
 * :class:`Histogram` — observations bucketed against a fixed boundary
-  list (receive wait times, span durations).
+  list (receive wait times, detection latency).
 
 Instruments are identified by ``(name, labels)``; :meth:`MetricsRegistry.
 counter` and friends get-or-create, so instrumentation sites never need
-to pre-register anything.  An instrument is *fed*; a registry can also
-export *views* — series read, at export time, from a counter somebody
-else keeps (:mod:`repro.obs.views`).  :meth:`MetricsRegistry.
-to_prometheus` renders both in the Prometheus text exposition format and
-:meth:`MetricsRegistry.snapshot` as a plain dict for tests and
-``Machine.diagnostics()``.
+to pre-register anything.  :meth:`MetricsRegistry.snapshot` is the
+registry as a plain dict for tests and ``Machine.diagnostics()``; every
+counter a subsystem keeps for itself is read from
+``Machine.diagnostics()``, not from here.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 # Default histogram boundaries, in seconds: spans from sub-millisecond
 # collective hops to multi-second supervised-retry waits.
@@ -38,28 +35,14 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-# What the text exposition format requires escaped inside a label value.
-_ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
-
-
 def _label_str(labels: tuple) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v.translate(_ESCAPES)}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
-def _number(value: float) -> str:
-    """A sample value as the exposition prints it: whole numbers in full
-    (``%g`` would round a byte count to six digits)."""
-    value = float(value)
-    return str(int(value)) if value.is_integer() else repr(value)
+    return "{" + ",".join(f'{k}="{v}"' for k, v in labels) + "}"
 
 
 class Counter:
     """A monotonically increasing count."""
-
-    kind = "counter"
 
     def __init__(self, name: str, labels: tuple) -> None:
         self.name = name
@@ -84,8 +67,6 @@ class Counter:
 
 class Gauge:
     """A value that may go up and down."""
-
-    kind = "gauge"
 
     def __init__(self, name: str, labels: tuple) -> None:
         self.name = name
@@ -119,10 +100,8 @@ class Histogram:
 
     ``buckets`` is the ordered tuple of upper bounds; an implicit ``+Inf``
     bucket catches everything above the last boundary.  Bucket counts are
-    cumulative on export (Prometheus convention) but stored per-bucket.
+    stored and sampled per bucket, not cumulatively.
     """
-
-    kind = "histogram"
 
     def __init__(
         self,
@@ -181,10 +160,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, Any] = {}
-        # The views exported beside the instruments: a callable returning
-        # ``(name, type, labels, value)`` rows, read at every export.  An
-        # Observer points it at its machine; a bare registry has none.
-        self.views: Callable[[], Iterable[tuple]] = lambda: ()
 
     def _get(self, factory, name: str, labels: dict, **kwargs) -> Any:
         key = (name, _label_key(labels))
@@ -216,52 +191,9 @@ class MetricsRegistry:
         with self._lock:
             return list(self._instruments.values())
 
-    # -- export ---------------------------------------------------------------
-
-    def series(self) -> Iterator[tuple]:
-        """``(name, type, labels, sample)`` of everything exported: the
-        fed instruments, then the views."""
-        for inst in self.instruments():
-            yield inst.name, inst.kind, inst.labels, inst.sample()
-        yield from self.views()
-
     def snapshot(self) -> dict:
         """``{name{labels}: sample}`` for diagnostics and tests."""
         return {
-            name + _label_str(labels): sample
-            for name, _kind, labels, sample in self.series()
+            inst.name + _label_str(inst.labels): inst.sample()
+            for inst in self.instruments()
         }
-
-    def to_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        by_name: dict[tuple, list] = {}
-        for name, kind, labels, sample in self.series():
-            by_name.setdefault((name, kind), []).append((labels, sample))
-        lines = []
-        for name, kind in sorted(by_name):
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, sample in by_name[name, kind]:
-                if kind != "histogram":
-                    lines.append(
-                        f"{name}{_label_str(labels)} {_number(sample)}"
-                    )
-                    continue
-                cumulative = 0
-                for bound, count in sample["buckets"].items():
-                    cumulative += count
-                    le = _label_key(dict(labels, le=f"{float(bound):g}"))
-                    lines.append(
-                        f"{name}_bucket{_label_str(le)} {cumulative}"
-                    )
-                le = _label_key(dict(labels, le="+Inf"))
-                lines.append(
-                    f"{name}_bucket{_label_str(le)} {sample['count']}"
-                )
-                lines.append(
-                    f"{name}_sum{_label_str(labels)} "
-                    f"{_number(sample['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_label_str(labels)} {sample['count']}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")

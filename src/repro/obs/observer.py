@@ -17,19 +17,16 @@ the exact pre-observation machine.
 
 What the feed methods below count is what nothing reachable from the
 machine counts already; every event a subsystem counts for itself is
-exported as a view of that counter (:mod:`repro.obs.views`), so no event
-has two.
+read from ``Machine.diagnostics()``, so no event has two counts.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import threading
 import time
 from typing import Any
 
-from repro.obs import views
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.pcn import defvar as _defvar
@@ -48,7 +45,6 @@ class Observer:
         self.machine = machine
         self.recorder = SpanRecorder(max_spans=max_spans)
         self.metrics = MetricsRegistry()
-        self.metrics.views = functools.partial(views.read, machine)
         self.epoch = time.perf_counter()
         self.events_dropped = 0
         self._events: collections.deque = collections.deque(maxlen=max_events)
@@ -242,8 +238,3 @@ class Observer:
         from repro.obs.export import export_jsonl
 
         return export_jsonl(self, path)
-
-    def export_prometheus(self, path: str) -> str:
-        from repro.obs.export import export_prometheus
-
-        return export_prometheus(self, path)

@@ -37,8 +37,8 @@ strip's stamp and the delivery fence: every strip is stamped with the
 sender's record epoch, its owner is read from the durability state at
 every stage, and the ``halo_bulk`` kind handler refuses a strip older
 than the authoritative epoch the same way the write path does —
-``note_fenced`` plus the ``repro_fenced_writes_total`` counter — so a
-stale strip can *never* fill a border.
+``note_fenced``, counted in the array's ``fenced_writes`` — so a stale
+strip can *never* fill a border.
 
 Delivery discipline: the kind handler never touches section storage.  It
 fences, deduplicates, and stashes the strip in a per-``(edge, call,
@@ -566,6 +566,11 @@ class PlanRegistry:
         if plan is None:
             return None
         with self._lock:
+            # Copies engaging a fresh array compile at once: the first
+            # store is every copy's plan, so its schedules are all kept.
+            stored = self._plans.get(key)
+            if stored is not None and stored.layout == layout:
+                return stored
             self._plans[key] = plan
             self.compiled += 1
         return plan

@@ -475,8 +475,9 @@ class Machine:
 
         One call turns on the causal span layer, the metrics registry
         (mailbox depth/wait, process churn, DefVar suspensions, fault and
-        replica counters, and a view of every counter the runtime keeps
-        anyway), and the per-message event log.  Options are forwarded to
+        replica counters: what the runtime does not count anyway; the
+        rest is read from :meth:`diagnostics`), and the per-message event
+        log.  Options are forwarded to
         the Observer (``max_spans=``, ``max_events=``).  Idempotent: a
         second call returns the already-installed observer.
         ``observer.close()`` removes every hook.

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import DEMOS, main
+from repro.obs.export import validate_chrome_trace
 
 
 class TestInfo:
@@ -44,3 +47,17 @@ class TestTrace:
         assert "array-manager requests" in out
         assert "create_array" in out
         assert "free_array" in out
+
+    def test_trace_writes_a_loadable_chrome_trace(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        assert main(["trace", "innerproduct", "--chrome-trace", str(path)]) == 0
+        assert f"chrome trace written to {path}" in capsys.readouterr().out
+        document = json.loads(path.read_text())
+        assert validate_chrome_trace(document)
+        tracks = {
+            event["tid"]: event["args"]["name"]
+            for event in document["traceEvents"]
+            if event["name"] == "thread_name"
+        }
+        spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert any(tracks[e["tid"]].startswith("vp") for e in spans)

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace events, JSONL event log, Prometheus text."""
+"""Exporters: Chrome trace events and the JSONL event log."""
 
 import json
 
@@ -180,11 +180,3 @@ class TestJsonlAndPrometheus:
         entries = event_log(observer)
         assert any(e["type"] == "span" for e in entries)
         assert any(e["type"] == "message" for e in entries)
-
-    def test_prometheus_snapshot_written(self, rt, tmp_path):
-        observer = _run_observed_call(rt)
-        path = tmp_path / "metrics.prom"
-        text = observer.export_prometheus(str(path))
-        assert path.read_text() == text
-        assert "repro_mailbox_delivered_total" in text
-        assert "# TYPE repro_mailbox_recv_wait_seconds histogram" in text

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, Prometheus export."""
+"""Metrics registry: counters, gauges, histograms, snapshots."""
 
 import threading
 
@@ -87,37 +87,3 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap['hits_total{vp="3"}'] == 1
         assert snap["depth"] == 7
-
-    def test_prometheus_format(self):
-        reg = MetricsRegistry()
-        reg.counter("hits_total", vp=0).inc(2)
-        reg.histogram("wait_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        text = reg.to_prometheus()
-        assert "# TYPE hits_total counter" in text
-        assert 'hits_total{vp="0"} 2' in text
-        assert "# TYPE wait_seconds histogram" in text
-        # cumulative buckets: 0 at le=0.1, 1 at le=1.0, 1 at +Inf
-        assert 'wait_seconds_bucket{le="0.1"} 0' in text
-        assert 'wait_seconds_bucket{le="1"} 1' in text
-        assert 'wait_seconds_bucket{le="+Inf"} 1' in text
-        assert "wait_seconds_sum 0.5" in text
-        assert "wait_seconds_count 1" in text
-        assert text.endswith("\n")
-
-    def test_label_values_are_escaped_and_whole_numbers_exact(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", path='a"b\\c\nd').inc(1234567)
-        assert reg.to_prometheus().splitlines()[1] == (
-            'x_total{path="a\\"b\\\\c\\nd"} 1234567'
-        )
-
-    def test_views_are_exported_beside_the_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("fed_total").inc()
-        reg.views = lambda: [("kept_total", "counter", (("vp", "3"),), 7)]
-        assert reg.snapshot() == {"fed_total": 1, 'kept_total{vp="3"}': 7}
-        assert reg.to_prometheus() == (
-            "# TYPE fed_total counter\nfed_total 1\n"
-            '# TYPE kept_total counter\nkept_total{vp="3"} 7\n'
-        )
-        assert [i.name for i in reg.instruments()] == ["fed_total"]

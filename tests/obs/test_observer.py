@@ -96,7 +96,7 @@ class TestMetricFeeds:
         machine.processor(2).spawn(lambda node: None, machine.processor(2)).join()
         snap = observer.metrics.snapshot()
         assert snap['repro_processes_spawned_total{vp="2"}'] >= 1
-        assert 'repro_live_processes{vp="2"}' in snap
+        assert machine.diagnostics()["live_processes"].get(2, 0) == 0
 
     def test_defvar_suspension_counted(self, machine):
         observer = machine.observe()
@@ -151,6 +151,18 @@ class TestMetricFeeds:
         assert snap["repro_replica_updates_total"] >= 1
         arr.free()
 
+    def test_processor_added_under_observation_is_covered(self, machine):
+        observer = machine.observe()
+        new = machine.add_processor()
+        machine.send(source=0, dest=new, payload="welcome")
+        machine.processor(new).mailbox.recv(source=0, timeout=5)
+        snap = observer.metrics.snapshot()
+        assert snap[f'repro_mailbox_delivered_total{{vp="{new}"}}'] == 1
+        assert snap[f'repro_mailbox_recv_wait_seconds{{vp="{new}"}}'][
+            "count"
+        ] == 1
+        assert machine.diagnostics()["live_processes"].get(new, 0) == 0
+
 
 class TestDeadlockDump:
     def test_watchdog_dumps_wait_graph_and_spans(self, machine):
@@ -191,6 +203,32 @@ class TestDiagnostics:
         assert diag["spans"] == 1
         assert isinstance(diag["metrics"], dict)
 
+    def test_metrics_name_only_the_fed_instruments(self, rt):
+        """Every counter a subsystem keeps for itself (the coalescer's,
+        the array's, the machine's) is read from ``diagnostics()``; the
+        metrics snapshot holds what the observer fed, nothing else."""
+        observer = rt.observe()
+        arr = rt.array("double", (8,), distrib=["block"])
+        for i in range(8):
+            arr[i] = float(i)
+        assert arr[3] == 3.0
+        arr.free()
+        rt.machine.route(Message(source=0, dest=1, payload="x"))
+        rt.machine.processor(1).mailbox.recv(timeout=5)
+        diag = rt.machine.diagnostics()
+        snap = diag["observability"]["metrics"]
+        instruments = observer.metrics.instruments()
+        assert len(snap) == len(instruments) > 0
+        assert {key.split("{")[0] for key in snap} == {
+            inst.name for inst in instruments
+        } <= {
+            "repro_mailbox_delivered_total", "repro_mailbox_depth",
+            "repro_mailbox_recv_wait_seconds",
+            "repro_processes_spawned_total",
+            "repro_defvar_suspensions_total",
+        }
+        assert diag["perf"]["coalesced_writes"] >= 1
+
     def test_span_summary_orders_by_total_time(self, machine):
         observer = machine.observe()
         with observer.span("slow"):
@@ -200,211 +238,3 @@ class TestDiagnostics:
         summary = observer.span_summary()
         assert [row[0] for row in summary] == ["slow", "fast"]
         assert summary[0][1] == 1
-
-
-class TestViews:
-    """A series whose event a subsystem counts for itself is read from
-    that counter at export: it counts from machine start, agrees with
-    ``Machine.diagnostics()`` by construction, and is fed by nobody."""
-
-    @staticmethod
-    def work(rt, arr, move):
-        """Element writes and two reads, a checkpoint, a planned
-        ``heat_steps`` call and a migration."""
-        from repro.calls import Local, Reduce
-        from repro.spmd.stencil import heat_steps
-        from repro.status import Status
-
-        for i in range(8):
-            arr[i, i] = float(i)
-        assert arr[5, 5] == 5.0 and arr[6, 6] == 6.0
-        arr.checkpoint()
-        result = rt.call(
-            list(arr.processors), heat_steps,
-            [2, 2, 2, Local(arr.array_id), Reduce("double", 1, "max")],
-        )
-        assert result.status is Status.OK
-        assert arr.migrate(move) == list(move)
-
-    @staticmethod
-    def cut_until_dead(clock, detector, plan):
-        """VP 7 falls silent behind a cut and is declared dead.  Rounds
-        run only when the test advances the machine's clock, so no
-        heartbeat arrives while the test reads."""
-        from repro.health import HealthState
-        from tests.conftest import advance_until
-
-        clock.advance(0)  # the round due at install
-        assert detector.heartbeats_received == 8
-        plan.cut("iso")
-        assert advance_until(
-            clock,
-            lambda: detector.state_of(7) is HealthState.DEAD,
-            detector.interval,
-        )
-
-    @staticmethod
-    def heal_and_rejoin(clock, detector, plan):
-        """The cut heals and VP 7 rejoins: with the above, a suspicion, a
-        false positive and four verdicts in the detector's log."""
-        from repro.health import HealthState
-
-        plan.heal("iso")
-        clock.advance(detector.interval)
-        assert detector.state_of(7) is HealthState.ALIVE
-
-    def test_every_view_equals_its_owners_counter(self):
-        import collections
-        import re
-
-        from repro.core.darray import DistributedArray
-        from repro.faults import (
-            FaultPlan, FaultyTransport, PartitionCut, PartitionPlan,
-        )
-        from repro.health import install_detector
-        from repro.obs.views import VIEWS
-        from repro.vp.clock import ManualClock
-
-        rt = IntegratedRuntime(8, default_recv_timeout=20)
-        machine = rt.machine
-        # Before anything reads it: the detector's rounds run only when
-        # the test advances this clock.
-        machine.clock = clock = ManualClock()
-        arr = DistributedArray.create(
-            machine, "double", (8, 8), [0, 1, 2, 3],
-            [("block", 2), ("block", 2)], borders=[2] * 4, replication=1,
-        )
-        plan = PartitionPlan([PartitionCut("iso", (7,), tuple(range(7)))])
-        plan.heal("iso")
-        detector = install_detector(
-            machine, interval=1 / 64, suspect_after=2.0, dead_after=6.0
-        )
-        try:
-            self.work(rt, arr, {1: 4})
-            with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
-                self.cut_until_dead(clock, detector, plan)
-                observer = rt.observe()
-                self.heal_and_rejoin(clock, detector, plan)
-            self.work(rt, arr, {2: 5})
-            release = DefVar("release")
-            blocked = machine.processor(3).spawn(release.read, 10)
-
-            diag = machine.diagnostics()
-            snap = diag["observability"]["metrics"]
-            text = observer.metrics.to_prometheus()
-            assert observer.metrics.snapshot() == snap  # nothing moved
-            release.define(None)
-            blocked.join()
-        finally:
-            detector.close()
-            if rt.observer is not None:
-                rt.observer.close()
-
-        array_key = str(arr.array_id.as_tuple())
-        perf, array = diag["perf"], diag["arrays"][array_key]
-        health = diag["health"]
-        verdicts = collections.Counter(
-            (e.vp, e.transition) for e in detector.events()
-        )
-        expected = {
-            "repro_routed_messages_total": diag["routed_messages"],
-            "repro_routed_bytes_total": diag["routed_bytes"],
-            "repro_perf_flushes_total": perf["flushes"],
-            "repro_perf_coalesced_writes_total": perf["coalesced_writes"],
-            "repro_perf_inline_batches_total":
-                perf["coalescer"]["inline_batches"],
-            "repro_comm_plans_compiled_total": perf["comm_plans"]["compiled"],
-            "repro_comm_plans_hits_total": perf["comm_plans"]["hits"],
-            "repro_comm_plans_invalidations_total":
-                perf["comm_plans"]["invalidations"],
-            "repro_halo_exchanges_total": perf["comm_plans"]["exchanges"],
-            "repro_halo_strips_total": perf["comm_plans"]["strips_claimed"],
-            "repro_halo_bytes_total": perf["comm_plans"]["bytes_claimed"],
-        }
-        for metric, key in (
-            ("repro_array_epoch", "epoch"),
-            ("repro_sections_rebuilt_total", "sections_rebuilt"),
-            ("repro_sections_migrated_total", "sections_migrated"),
-            ("repro_fenced_writes_total", "fenced_writes"),
-            ("repro_replica_stale_rejects_total",
-             "stale_replica_updates_rejected"),
-        ):
-            expected[f'{metric}{{array="{array_key}"}}'] = array[key]
-        for vp in range(8):
-            label = f'{{vp="{vp}"}}'
-            expected["repro_live_processes" + label] = (
-                diag["live_processes"].get(vp, 0)
-            )
-            expected["repro_heartbeats_total" + label] = (
-                health["heartbeats"][vp]
-            )
-            expected["repro_health_suspicions_total" + label] = (
-                verdicts[vp, "suspect"]
-            )
-            expected["repro_health_false_positives_total" + label] = (
-                verdicts[vp, "quarantine"]
-            )
-        for (vp, transition), count in verdicts.items():
-            expected[
-                "repro_health_transitions_total"
-                f'{{transition="{transition}",vp="{vp}"}}'
-            ] = count
-
-        # Every row of the table is checked, and nothing else is a view.
-        viewed = {row[0] for row in VIEWS}
-        assert {key.split("{")[0] for key in expected} == viewed
-        assert {
-            key: value for key, value in snap.items()
-            if key.split("{")[0] in viewed
-        } == expected
-
-        # The work above happened, on both sides of observe(): a count
-        # that started at observe() would be about half of these.
-        assert perf["flushes"] >= 4 and perf["coalesced_writes"] == 16
-        assert perf["comm_plans"]["exchanges"] >= 8
-        assert array["sections_migrated"] == 2 and array["epoch"] >= 4
-        assert expected['repro_live_processes{vp="3"}'] == 1
-        assert sum(health["heartbeats"].values()) == (
-            health["heartbeats_received"]
-        )
-        assert sum(verdicts.values()) == health["transitions"] >= 4
-        assert verdicts[7, "suspect"] >= 1
-        assert verdicts[7, "quarantine"] == health["false_positives"] == 1
-
-        # The exposition parses line by line and says the same.
-        line = re.compile(
-            r'([a-zA-Z_:][a-zA-Z0-9_:]*)'
-            r'(\{[a-zA-Z_]\w*="(?:[^"\\\n]|\\["\\n])*"'
-            r'(?:,[a-zA-Z_]\w*="(?:[^"\\\n]|\\["\\n])*")*\})?'
-            r' (-?[0-9.]+(?:e[-+]?[0-9]+)?)'
-        )
-        exposed = {}
-        for row in text.splitlines():
-            if not row.startswith("#"):
-                match = line.fullmatch(row)
-                assert match, row
-                exposed[match[1] + (match[2] or "")] = float(match[3])
-        for key, value in expected.items():
-            assert exposed[key] == value, key
-
-    def test_a_freed_arrays_series_end_with_it(self):
-        rt = IntegratedRuntime(4)
-        observer = rt.observe()
-        arr = rt.array("double", (8,), distrib=["block"])
-        key = f'repro_array_epoch{{array="{arr.array_id.as_tuple()}"}}'
-        assert observer.metrics.snapshot()[key] == 0
-        arr.free()
-        assert key not in observer.metrics.snapshot()
-        observer.close()
-
-    def test_processor_added_under_observation_is_covered(self, machine):
-        observer = machine.observe()
-        new = machine.add_processor()
-        machine.send(source=0, dest=new, payload="welcome")
-        machine.processor(new).mailbox.recv(source=0, timeout=5)
-        snap = observer.metrics.snapshot()
-        assert snap[f'repro_mailbox_delivered_total{{vp="{new}"}}'] == 1
-        assert snap[f'repro_mailbox_recv_wait_seconds{{vp="{new}"}}'][
-            "count"
-        ] == 1
-        assert snap[f'repro_live_processes{{vp="{new}"}}'] == 0

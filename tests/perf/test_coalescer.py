@@ -194,16 +194,6 @@ class TestDiagnostics:
         assert perf["flushes"] >= 1
         assert perf["coalesced_writes"] == 16
 
-    def test_observer_metrics(self, m8):
-        with m8.observe() as observer:
-            arr = make_array(m8, n=16, owners=4)
-            for i in range(16):
-                arr[i] = float(i)
-            am_user.flush_writes(m8)
-            snap = observer.metrics.snapshot()
-            assert snap["repro_perf_flushes_total"] >= 1
-            assert snap["repro_perf_coalesced_writes_total"] == 16
-
     def test_flush_span_annotated(self, m8):
         with m8.observe() as observer:
             arr = make_array(m8, n=16, owners=4)
