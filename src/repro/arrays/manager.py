@@ -375,9 +375,6 @@ class ArrayManager:
         update: ReplicaUpdate = message.payload
         node = self.machine.processor(message.dest)
         applied = replica_store_for(node).apply(update)
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.replica_update()
         if not applied:
             state = self.durability_state(update.array_id)
             if state is not None:

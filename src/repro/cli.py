@@ -11,8 +11,8 @@ without writing code:
   aeroelastic, signal);
 * ``python -m repro trace <name>`` — same, with the array manager's debug
   trace (the ``am_debug`` variant of §B.3) summarised afterwards, a span
-  profile of the run, and optional exports (``--chrome-trace``,
-  ``--events``) from the observability layer.
+  profile of the run, and an optional Chrome trace (``--chrome-trace``)
+  from the observability layer.
 """
 
 from __future__ import annotations
@@ -159,9 +159,6 @@ def cmd_demo(args: argparse.Namespace, trace: bool = False) -> int:
         if args.chrome_trace:
             observer.export_chrome_trace(args.chrome_trace)
             print(f"[{name}] chrome trace written to {args.chrome_trace}")
-        if args.events:
-            n = observer.export_jsonl(args.events)
-            print(f"[{name}] {n} events written to {args.events}")
         observer.close()
     return 0
 
@@ -193,10 +190,6 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument(
                 "--chrome-trace", metavar="PATH", default=None,
                 help="write a Chrome/Perfetto trace-event JSON file",
-            )
-            p.add_argument(
-                "--events", metavar="PATH", default=None,
-                help="write the span/message event log as JSONL",
             )
 
     args = parser.parse_args(argv)

@@ -52,7 +52,7 @@ class IntegratedRuntime:
         return FaultyTransport(self.machine, plan).install()
 
     def observe(self, **options: Any) -> "Any":
-        """Enable runtime telemetry (spans, metrics, message events).
+        """Enable runtime telemetry (spans and message events).
 
         Forwards to :meth:`~repro.vp.machine.Machine.observe`; returns the
         installed :class:`~repro.obs.Observer`, also usable as a context

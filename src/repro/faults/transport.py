@@ -144,15 +144,12 @@ class FaultyTransport:
         if severed is not None:
             with self._lock:
                 self.stats.partitioned += 1
-            self._count_fault("partition")
         elif decision.drop:
             with self._lock:
                 self.stats.dropped += 1
-            self._count_fault("drop")
         elif decision.delay:
             with self._lock:
                 self.stats.delayed += 1
-            self._count_fault("delay")
             self._schedule_delay(message)
         elif decision.reorder:
             # Hold this message; it will follow the next routed message
@@ -163,13 +160,11 @@ class FaultyTransport:
                 self._held_timer = self.machine.clock.call_later(
                     _REORDER_FLUSH_SECONDS, self._flush_held
                 )
-            self._count_fault("reorder")
         else:
             deliver_now.append(message)
             if decision.duplicate:
                 with self._lock:
                     self.stats.duplicated += 1
-                self._count_fault("duplicate")
                 deliver_now.append(message)
 
         if held is not None:
@@ -199,14 +194,7 @@ class FaultyTransport:
         for proc in kills:
             with self._lock:
                 self.stats.killed.append(proc)
-            self._count_fault("kill")
             self.machine.fail(proc)
-
-    def _count_fault(self, fault_type: str) -> None:
-        """Mirror one injected fault into the observability metrics."""
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.fault_injected(fault_type)
 
     # -- delivery helpers ----------------------------------------------------
 

@@ -427,7 +427,6 @@ class FailureDetector:
         suspect_limit = self.suspect_after * self.interval
         dead_limit = self.dead_after * self.interval
         events: List[HealthEvent] = []
-        latencies: List[float] = []
         with self._lock:
             for vp, entry in self._vps.items():
                 if entry.state in (HealthState.DEAD, HealthState.QUARANTINED):
@@ -445,17 +444,12 @@ class FailureDetector:
                         )
                 if entry.state is HealthState.SUSPECT and silence > dead_limit:
                     entry.state = HealthState.DEAD
-                    latencies.append(silence)
                     events.append(
                         HealthEvent(
                             vp, "dead", HealthState.DEAD, now,
                             suspicion=score,
                         )
                     )
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            for latency in latencies:
-                observer.detection_latency(latency)
         for event in events:
             if event.transition == "dead":
                 # Confirmed dead: queued sends will never flush.

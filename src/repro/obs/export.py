@@ -1,14 +1,9 @@
-"""Trace exporters.
+"""The Chrome trace exporter.
 
-Two formats, matching how the data is consumed:
-
-* **JSONL event log** (:func:`export_jsonl`) — one JSON object per line:
-  every finished span, every message event, plus deadlock dumps; greppable
-  and diff-able, the durable record a CI run archives.
-* **Chrome trace events** (:func:`chrome_trace`) — the ``traceEvents``
-  JSON that ``chrome://tracing`` and Perfetto load: spans become complete
-  (``"ph": "X"``) events on one track per virtual processor, messages
-  become instants on their source VP's track.
+:func:`chrome_trace` builds the ``traceEvents`` JSON that
+``chrome://tracing`` and Perfetto load: spans become complete
+(``"ph": "X"``) events on one track per virtual processor, messages
+become instants on their source VP's track.
 
 :func:`validate_chrome_trace` is the schema check CI runs against the
 exported file — deliberately strict about the fields the viewers require.
@@ -158,21 +153,4 @@ def export_chrome_trace(observer: Any, path: str) -> dict:
     with open(path, "w") as fh:
         json.dump(document, fh)
     return document
-
-
-def event_log(observer: Any) -> list[dict]:
-    """All events (spans + messages + dumps) ordered by timestamp."""
-    entries = [dict(s, ts=s["start"]) for s in observer.recorder.spans()]
-    entries.extend(observer.events())
-    entries.sort(key=lambda e: e.get("ts", 0.0))
-    return entries
-
-
-def export_jsonl(observer: Any, path: str) -> int:
-    """Write the JSONL event log; returns the number of lines written."""
-    entries = event_log(observer)
-    with open(path, "w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, default=repr) + "\n")
-    return len(entries)
 

@@ -2,22 +2,19 @@
 
 ``Machine.observe()`` constructs an :class:`Observer` and installs it:
 
-* sets itself as ``machine._observer`` — the single attribute every
-  instrumentation site probes (spans, mailbox depth and wait, fault
-  counters, array-manager handler timing all stay no-ops until this
-  flips);
+* sets itself as ``machine._observer`` — the attribute the span sites
+  and the deadlock watchdog probe (both stay no-ops until this flips);
 * pushes a message-event interceptor onto the transport stack, recording
   a timed event per routed message (stitched to spans by ``trace_id`` and
-  ``span``);
-* subscribes to :mod:`repro.pcn.defvar` suspensions (``pcn`` knows no
-  machine, so that one hook is module-level).
+  ``span``).
 
-``close()`` (or the context-manager exit) reverses all of it, restoring
-the exact pre-observation machine.
+``close()`` (or the context-manager exit) reverses both, restoring the
+exact pre-observation machine.
 
-What the feed methods below count is what nothing reachable from the
-machine counts already; every event a subsystem counts for itself is
-read from ``Machine.diagnostics()``, so no event has two counts.
+The observer counts nothing: an event is counted by the object that owns
+it (the machine's routed traffic, the array's durability state, ...,
+read from ``Machine.diagnostics()``; an injected fault by
+``FaultyTransport.stats``), so no event has two counts.
 """
 
 from __future__ import annotations
@@ -27,14 +24,11 @@ import threading
 import time
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.pcn import defvar as _defvar
-from repro.vp import fabric
 
 
 class Observer:
-    """Spans + metrics + event log for one machine."""
+    """Spans + message events + deadlock dumps for one machine."""
 
     def __init__(
         self,
@@ -44,12 +38,10 @@ class Observer:
     ) -> None:
         self.machine = machine
         self.recorder = SpanRecorder(max_spans=max_spans)
-        self.metrics = MetricsRegistry()
         self.epoch = time.perf_counter()
         self.events_dropped = 0
         self._events: collections.deque = collections.deque(maxlen=max_events)
         self._events_lock = threading.Lock()
-        self._mailbox: dict[int, tuple] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -58,7 +50,6 @@ class Observer:
             return self
         self.machine._observer = self
         self.machine.transport_stack.push(self._on_message)
-        _defvar.add_suspend_hook(self._on_defvar_suspend)
         return self
 
     def close(self) -> None:
@@ -66,7 +57,6 @@ class Observer:
         if not self.installed:
             return
         self.machine.transport_stack.remove(self._on_message)
-        _defvar.remove_suspend_hook(self._on_defvar_suspend)
         self.machine._observer = None
 
     @property
@@ -85,7 +75,7 @@ class Observer:
         """Open a span directly on this observer (observer already known)."""
         return self.recorder.start(name, attrs)
 
-    # -- event log -------------------------------------------------------------
+    # -- message events -----------------------------------------------------
 
     def _on_message(self, message: Any, forward: Any) -> None:
         """The transport-stack interceptor: one timed event per routed
@@ -116,72 +106,14 @@ class Observer:
         with self._events_lock:
             return list(self._events)
 
-    # -- metric feed points ----------------------------------------------------
-
-    def _mailbox_instruments(self, owner: int) -> tuple:
-        """One VP's delivery counter, depth gauge and wait histogram,
-        looked up by name once and held: the two feeds below run per
-        message."""
-        held = self._mailbox.get(owner)
-        if held is None:
-            held = self._mailbox[owner] = (
-                self.metrics.counter(
-                    "repro_mailbox_delivered_total", vp=owner
-                ),
-                self.metrics.gauge("repro_mailbox_depth", vp=owner),
-                self.metrics.histogram(
-                    "repro_mailbox_recv_wait_seconds", vp=owner
-                ),
-            )
-        return held
-
-    def mailbox_delivered(self, owner: int, depth: int) -> None:
-        delivered, queued, _ = self._mailbox_instruments(owner)
-        delivered.inc()
-        queued.set(depth)
-
-    def mailbox_received(self, owner: int, wait: float, depth: int) -> None:
-        _, queued, waited = self._mailbox_instruments(owner)
-        waited.observe(wait)
-        queued.set(depth)
-
-    def process_spawned(self, processor: int) -> None:
-        self.metrics.counter(
-            "repro_processes_spawned_total", vp=processor
-        ).inc()
-
-    def fault_injected(self, fault_type: str) -> None:
-        self.metrics.counter(
-            "repro_faults_injected_total", type=fault_type
-        ).inc()
-
-    def replica_update(self) -> None:
-        """One ``replica_update`` message applied to (or refused by) a
-        backup's mirror; a refusal is counted by the array's durability
-        state."""
-        self.metrics.counter("repro_replica_updates_total").inc()
-
-    def detection_latency(self, seconds: float) -> None:
-        """Observed silence at the moment a timeout verdict hardened."""
-        self.metrics.histogram(
-            "repro_health_detection_latency_seconds"
-        ).observe(seconds)
-
-    def _on_defvar_suspend(self, label: str) -> None:
-        processor = fabric.current_processor()
-        self.metrics.counter(
-            "repro_defvar_suspensions_total",
-            vp="main" if processor is None else processor,
-        ).inc()
-
     # -- deadlock dumps ---------------------------------------------------------
 
     def record_deadlock(self, edges: Any, last: int = 20) -> None:
-        """Append a self-contained deadlock report to the event log.
+        """Append a self-contained deadlock report to the event ring.
 
         ``edges`` is the watchdog's wait-graph; the report carries the
         graph plus the last ``last`` spans of every involved VP, so the
-        event log alone explains what each stuck processor was doing.
+        event ring alone explains what each stuck processor was doing.
         """
         import re
 
@@ -201,7 +133,6 @@ class Observer:
                 },
             }
         )
-        self.metrics.counter("repro_deadlocks_total").inc()
 
     # -- summaries ---------------------------------------------------------------
 
@@ -224,7 +155,6 @@ class Observer:
             "spans_dropped": self.recorder.dropped,
             "events": len(self.events()),
             "events_dropped": self.events_dropped,
-            "metrics": self.metrics.snapshot(),
         }
 
     # -- exports -----------------------------------------------------------------
@@ -233,8 +163,3 @@ class Observer:
         from repro.obs.export import export_chrome_trace
 
         return export_chrome_trace(self, path)
-
-    def export_jsonl(self, path: str) -> int:
-        from repro.obs.export import export_jsonl
-
-        return export_jsonl(self, path)

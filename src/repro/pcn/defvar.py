@@ -29,7 +29,7 @@ DEFAULT_TIMEOUT: float = 30.0
 # takes that list — no wake-up can be missed.  The sections are a few
 # bytecodes long, and a variable that nobody ever suspends on (most of
 # them) allocates no synchronisation object of its own.  The lock also
-# guards the two registries below.
+# guards the registry below.
 _lock = threading.Lock()
 
 # Registry of threads currently suspended inside DefVar.read, keyed by
@@ -37,25 +37,6 @@ _lock = threading.Lock()
 # to build the wait-graph; registration is scoped strictly to the blocking
 # wait so entries never outlive the suspension.
 _blocked_reads: dict[int, str] = {}
-
-# Suspension hooks: callables invoked with the DefVar label each time a
-# reader actually suspends (not on the fast already-defined path).  Fed by
-# the observability layer (repro.obs.Observer) to count suspensions per VP.
-_suspend_hooks: list[Callable[[str], None]] = []
-
-
-def add_suspend_hook(callback: Callable[[str], None]) -> None:
-    """Register ``callback(label)`` to fire whenever a read suspends."""
-    with _lock:
-        if callback not in _suspend_hooks:
-            _suspend_hooks.append(callback)
-
-
-def remove_suspend_hook(callback: Callable[[str], None]) -> None:
-    with _lock:
-        if callback in _suspend_hooks:
-            _suspend_hooks.remove(callback)
-
 
 def blocked_reads() -> dict[int, str]:
     """Snapshot: thread ident -> name of the DefVar it is suspended on."""
@@ -126,10 +107,7 @@ class DefVar:
                 self._sleepers = []
             self._sleepers.append(wake)
             _blocked_reads[ident] = label
-            hooks = tuple(_suspend_hooks)
         try:
-            for hook in hooks:
-                hook(label)
             wake.acquire(timeout=max(limit, 0.0))
         finally:
             with _lock:

@@ -473,11 +473,9 @@ class Machine:
         """Enable runtime telemetry; returns the installed
         :class:`~repro.obs.observer.Observer`.
 
-        One call turns on the causal span layer, the metrics registry
-        (mailbox depth/wait, process churn, DefVar suspensions, fault and
-        replica counters: what the runtime does not count anyway; the
-        rest is read from :meth:`diagnostics`), and the per-message event
-        log.  Options are forwarded to
+        One call turns on the causal span layer and the per-message event
+        ring (deadlock dumps land there too); it counts nothing, and
+        :meth:`diagnostics` reads the same, observed or not.  Options are forwarded to
         the Observer (``max_spans=``, ``max_events=``).  Idempotent: a
         second call returns the already-installed observer.
         ``observer.close()`` removes every hook.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Hashable, Optional
 
 from repro.status import ProcessorFailedError
@@ -94,20 +93,12 @@ class Mailbox:
         # builder — a waiter's source lets the watchdog distinguish
         # "waiting on a suspected peer" from a true circular wait.
         self._waiters: dict[int, _Waiter] = {}
-        # The machine whose VirtualProcessor built this mailbox, which
-        # sets it; the depth and receive-wait metrics go to that machine's
-        # observer.  A bare ``Mailbox(owner)`` has none and feeds nothing.
-        self.machine = None
 
     def deliver(self, message: Message) -> None:
         """Called by the machine's transport: hand ``message`` to the
         oldest suspended receive that accepts it, else buffer it."""
         with self._lock:
             self._hand_off(message, len(self._buffer))
-            depth = len(self._buffer)
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.mailbox_delivered(self.owner, depth)
 
     def _hand_off(self, message: Message, index: int) -> None:
         """Give ``message`` to the oldest waiter that accepts it, else
@@ -206,8 +197,6 @@ class Mailbox:
         until ``deliver`` hands one over; raise on poison, a dead selective
         ``source`` or the deadline.  ``describe()`` names the receive; it
         is called only by a diagnostic snapshot or an error message."""
-        observer = getattr(self.machine, "_observer", None)
-        t0 = time.perf_counter() if observer is not None else 0.0
         with self._lock:
             if self._poison is not None:
                 raise self._poison
@@ -252,10 +241,6 @@ class Mailbox:
                     f"processor {self.owner}: {describe()} timed out "
                     f"after {limit}s"
                 )
-        if observer is not None:
-            observer.mailbox_received(
-                self.owner, time.perf_counter() - t0, len(self._buffer)
-            )
         return message
 
     def recv(

@@ -30,7 +30,6 @@ class VirtualProcessor:
             owner=number,
             default_timeout=getattr(machine, "default_recv_timeout", None),
         )
-        self.mailbox.machine = machine
         # The node's private address space.  Only code executing "on" this
         # processor may touch it; cross-node access must use messages or
         # server requests.
@@ -79,9 +78,6 @@ class VirtualProcessor:
         with self._processes_lock:
             self._processes = [p for p in self._processes if p.is_alive()]
             self._processes.append(proc)
-        observer = getattr(self.machine, "_observer", None)
-        if observer is not None:
-            observer.process_spawned(self.number)
         return proc
 
     def run(self, target: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:

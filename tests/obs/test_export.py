@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace events and the JSONL event log."""
+"""Exporters: the Chrome trace-event dump and its schema check."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.core.runtime import IntegratedRuntime
 from repro.obs.export import (
     MAIN_TRACK,
     chrome_trace,
-    event_log,
     validate_chrome_trace,
 )
 from repro.spmd import collectives
@@ -161,22 +160,3 @@ class TestValidator:
     def test_rejects_malformed_documents(self, document, complaint):
         with pytest.raises(ValueError, match=complaint):
             validate_chrome_trace(document)
-
-
-class TestJsonlAndPrometheus:
-    def test_jsonl_round_trips_and_is_ordered(self, rt, tmp_path):
-        observer = _run_observed_call(rt)
-        path = tmp_path / "events.jsonl"
-        count = observer.export_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == count > 0
-        entries = [json.loads(line) for line in lines]
-        timestamps = [e["ts"] for e in entries]
-        assert timestamps == sorted(timestamps)
-        assert {"span", "message"} <= {e["type"] for e in entries}
-
-    def test_event_log_merges_spans_and_messages(self, rt):
-        observer = _run_observed_call(rt)
-        entries = event_log(observer)
-        assert any(e["type"] == "span" for e in entries)
-        assert any(e["type"] == "message" for e in entries)

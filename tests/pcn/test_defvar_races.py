@@ -106,35 +106,21 @@ def test_on_define_registered_during_the_race_fires_exactly_once():
         assert sorted(fired) == [(0, round_), (1, round_), (2, round_)]
 
 
-@pytest.fixture
-def suspensions():
-    """Labels of the suspensions seen while the test runs (other tests'
-    stragglers may suspend too: filter by label)."""
-    seen = []
-    hook = seen.append
-    defvar.add_suspend_hook(hook)
-    try:
-        yield seen
-    finally:
-        defvar.remove_suspend_hook(hook)
-
-
-def test_read_of_a_defined_variable_neither_registers_nor_fires_hooks(
-    suspensions,
-):
+def test_read_of_a_defined_variable_neither_registers_nor_fires_hooks():
     var = DefVar("ready")
+    fired = []
+    var.on_define(fired.append)
     var.define(1)
     for _ in range(1000):
         assert var.read() == 1
-    assert "ready" not in suspensions
+    assert fired == [1]
     assert threading.get_ident() not in defvar.blocked_reads()
 
 
-def test_real_suspension_registers_fires_the_hook_and_unregisters(
-    suspensions,
-):
+def test_real_suspension_registers_fires_the_hook_and_unregisters():
     var = DefVar("slow")
-    got = []
+    got, fired = [], []
+    var.on_define(fired.append)
     reader = threading.Thread(
         target=lambda: got.append(var.read(timeout=JOIN_S))
     )
@@ -144,12 +130,13 @@ def test_real_suspension_registers_fires_the_hook_and_unregisters(
         assert time.monotonic() < deadline, "reader never suspended"
         time.sleep(0.001)
     assert defvar.blocked_reads()[reader.ident] == "slow"
+    assert fired == []
     var.define("late")
     reader.join(timeout=JOIN_S)
     assert not reader.is_alive()
     assert got == ["late"]
     assert reader.ident not in defvar.blocked_reads()
-    assert suspensions.count("slow") == 1
+    assert fired == ["late"]
 
 
 def test_read_timeout_unregisters_and_leaves_no_wait_state_behind():

@@ -264,36 +264,6 @@ class TestHandOff:
         assert finished(thread)
         assert box.blocked_receivers_detailed() == {}
 
-    def test_observer_sees_depth_and_wait(self):
-        """A mailbox feeds the observer of the machine that built it (a
-        bare ``Mailbox(owner)``, as everywhere else here, has none)."""
-        from repro.vp.machine import Machine
-
-        class Hooks:
-            def __init__(self):
-                self.delivered, self.received = [], []
-
-            def mailbox_delivered(self, owner, depth):
-                self.delivered.append((owner, depth))
-
-            def mailbox_received(self, owner, wait, depth):
-                self.received.append((owner, wait, depth))
-
-        machine = Machine(10)
-        box = machine.processor(9).mailbox
-        machine._observer = hooks = Hooks()
-        box.deliver(msg(tag="x"))
-        box.deliver(msg(tag="t"))
-        assert hooks.delivered == [(9, 1), (9, 2)]
-        box.recv(tag="t")
-        thread, _got = suspended_recv(box, tag="t")
-        time.sleep(0.02)
-        box.deliver(msg(tag="t"))  # handed over: the buffer stays at 1
-        assert finished(thread)
-        assert hooks.delivered[-1] == (9, 1)
-        (_, quick, d1), (_, slow, d2) = hooks.received
-        assert (d1, d2) == (1, 1) and slow >= 0.02 > quick >= 0
-
 
 class TestInterruptedReceive:
     """An exception escaping the suspended wait (``KeyboardInterrupt`` on
