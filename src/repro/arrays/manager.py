@@ -87,9 +87,8 @@ from repro.vp.message import Message
 from repro.vp.processor import VirtualProcessor
 
 # Envelope kind for the rejoin protocol: membership rewrites pushed onto
-# a falsely-suspected VP leaving quarantine.  Exempt from the machine's
-# "queue" dead_send_policy (a quarantined dest is still a suspect) and
-# catalogued in docs/transport.md.
+# a falsely-suspected VP leaving quarantine; catalogued in
+# docs/transport.md.
 REJOIN_KIND = "rejoin"
 
 _RECORDS_KEY = "am.records"
@@ -805,9 +804,8 @@ class ArrayManager:
         write-behind coalescer; it lands at the next flush point as part
         of one fused ``array_batch`` message, or carried by a request for
         its section (docs/performance.md).  A write to a dead owner raises
-        :class:`ProcessorFailedError` at once, under every
-        ``dead_send_policy``.  A caller that needs the owner's own status
-        writes a one-cell region.
+        :class:`ProcessorFailedError` at once.  A caller that needs the
+        owner's own status writes a one-cell region.
         """
         record = self._resolve(node, array_id, status)
         if record is None:

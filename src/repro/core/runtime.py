@@ -31,12 +31,9 @@ class IntegratedRuntime:
         num_nodes: int,
         trace_arrays: bool = False,
         default_recv_timeout: Optional[float] = None,
-        dead_send_policy: str = "raise",
     ) -> None:
         self.machine = Machine(
-            num_nodes,
-            default_recv_timeout=default_recv_timeout,
-            dead_send_policy=dead_send_policy,
+            num_nodes, default_recv_timeout=default_recv_timeout
         )
         load_all(self.machine, "am_debug" if trace_arrays else "am")
 

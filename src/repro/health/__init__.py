@@ -6,8 +6,9 @@ listeners, so detection was instant, never wrong, and partitions could
 not exist.  :class:`~repro.health.detector.FailureDetector` replaces
 that oracle as the *source* of failure events: virtual processors emit
 periodic ``kind="heartbeat"`` messages over the ordinary fabric, a
-monitor tracks per-VP inter-arrival times, and suspicion climbs through
-``alive -> suspect -> dead`` as silence accumulates.  Because the
+monitor tracks how long each VP has been silent, and the verdict climbs
+through ``alive -> suspect -> dead`` as that silence passes
+``suspect_after`` and then ``dead_after`` rounds.  Because the
 heartbeats ride the transport stack, everything that perturbs ordinary
 traffic — :class:`~repro.faults.transport.FaultyTransport` drops and
 delays, :class:`~repro.faults.partition.PartitionPlan` cuts — perturbs

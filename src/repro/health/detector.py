@@ -26,8 +26,11 @@ Suspicion lifecycle (docs/fault_model.md §9):
   declared dead *that the oracle never killed*: a false positive (e.g.
   a healed partition).  The VP is fenced — its stale records refuse
   writes by epoch — until a detector round runs the rejoin protocol:
-  membership/epoch rewritten onto it, suspect-queued sends flushed,
-  and only then is it alive again (``"rejoin"`` verdict).
+  membership/epoch rewritten onto it, and only then is it alive again
+  (``"rejoin"`` verdict).
+
+A verdict changes no route: a send to a suspect is delivered, and only a
+send to an oracle-dead VP raises (:meth:`repro.vp.machine.Machine.route`).
 
 ``Machine.fail`` remains the scripted-kill entry point: the detector
 subscribes to the machine's failure listeners and converts an oracle
@@ -49,9 +52,6 @@ from repro.vp.clock import Timer
 from repro.vp.message import Message
 
 HEARTBEAT_KIND = "heartbeat"
-
-# Inter-arrival EWMA smoothing for the phi-style suspicion score.
-_EWMA_ALPHA = 0.2
 
 
 class HealthState(enum.Enum):
@@ -76,17 +76,15 @@ class HealthEvent:
     transition: str
     state: HealthState
     at: float
-    suspicion: float = 0.0
     reason: str = "timeout"
 
 
 class _VPHealth:
-    __slots__ = ("state", "last_seen", "mean_interval", "heartbeats")
+    __slots__ = ("state", "last_seen", "heartbeats")
 
     def __init__(self, now: float) -> None:
         self.state = HealthState.ALIVE
         self.last_seen = now
-        self.mean_interval: Optional[float] = None
         self.heartbeats = 0
 
 
@@ -257,36 +255,18 @@ class FailureDetector:
                 HealthState.SUSPECT, HealthState.QUARANTINED
             )
 
-    def suspicion(self, vp: int) -> float:
-        """Phi-style suspicion score: observed silence over the smoothed
-        inter-arrival mean.  ~1 for a healthy VP, growing without bound
-        as silence accumulates."""
-        now = self.clock.now()
-        with self._lock:
-            entry = self._vps.get(vp)
-            return 0.0 if entry is None else self._score(entry, now)
-
-    def _score(self, entry: _VPHealth, now: float) -> float:
-        mean = entry.mean_interval or self.interval
-        return (now - entry.last_seen) / max(mean, 1e-9)
-
     def events(self) -> List[HealthEvent]:
         with self._lock:
             return list(self._events)
 
     def snapshot(self) -> dict:
         """Diagnostics block for ``Machine.diagnostics()``."""
-        now = self.clock.now()
         with self._lock:
             return {
                 "interval": self.interval,
                 "monitor": self.monitor,
                 "states": {
                     vp: entry.state.value
-                    for vp, entry in sorted(self._vps.items())
-                },
-                "suspicion": {
-                    vp: round(self._score(entry, now), 3)
                     for vp, entry in sorted(self._vps.items())
                 },
                 "heartbeats_received": self.heartbeats_received,
@@ -319,14 +299,6 @@ class FailureDetector:
                 entry = self._vps[vp] = _VPHealth(now)
             self.heartbeats_received += 1
             entry.heartbeats += 1
-            sample = now - entry.last_seen
-            if sample > 0:
-                if entry.mean_interval is None:
-                    entry.mean_interval = sample
-                else:
-                    entry.mean_interval += _EWMA_ALPHA * (
-                        sample - entry.mean_interval
-                    )
             entry.last_seen = now
             if entry.state is HealthState.SUSPECT:
                 # Flap back: the suspect resumed before confirmation.
@@ -346,9 +318,6 @@ class FailureDetector:
                         vp, "quarantine", HealthState.QUARANTINED, now
                     )
                 )
-        for event in events:
-            if event.transition == "alive":
-                self.machine.flush_suspect_queue(vp)
         self._fire(events)
 
     # -- oracle integration ----------------------------------------------------
@@ -369,7 +338,6 @@ class FailureDetector:
                         vp, "dead", HealthState.DEAD, now, reason="oracle"
                     )
                 )
-        self.machine.drop_suspect_queue(vp)
         self._fire(events)
 
     # -- the rounds ------------------------------------------------------------
@@ -432,28 +400,15 @@ class FailureDetector:
                 if entry.state in (HealthState.DEAD, HealthState.QUARANTINED):
                     continue
                 silence = now - entry.last_seen
-                score = self._score(entry, now)
                 if entry.state is HealthState.ALIVE:
                     if silence > suspect_limit:
                         entry.state = HealthState.SUSPECT
                         events.append(
-                            HealthEvent(
-                                vp, "suspect", HealthState.SUSPECT, now,
-                                suspicion=score,
-                            )
+                            HealthEvent(vp, "suspect", HealthState.SUSPECT, now)
                         )
                 if entry.state is HealthState.SUSPECT and silence > dead_limit:
                     entry.state = HealthState.DEAD
-                    events.append(
-                        HealthEvent(
-                            vp, "dead", HealthState.DEAD, now,
-                            suspicion=score,
-                        )
-                    )
-        for event in events:
-            if event.transition == "dead":
-                # Confirmed dead: queued sends will never flush.
-                self.machine.drop_suspect_queue(event.vp)
+                    events.append(HealthEvent(vp, "dead", HealthState.DEAD, now))
         self._fire(events)
 
     def _complete_rejoins(self) -> None:
@@ -472,7 +427,7 @@ class FailureDetector:
         membership onto it (freeing sections it no longer owns, so the
         one-owner-per-section invariant holds).  A *real* death later
         re-fires recovery for whatever the VP then owns.  Only after that
-        do suspect-queued sends flush and the ``"rejoin"`` verdict fire.
+        does the ``"rejoin"`` verdict fire.
         """
         machine = self.machine
         now = self.clock.now()
@@ -494,7 +449,6 @@ class FailureDetector:
                 events.append(
                     HealthEvent(vp, "rejoin", HealthState.ALIVE, now)
                 )
-        machine.flush_suspect_queue(vp)
         self._fire(events)
 
 

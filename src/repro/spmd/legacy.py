@@ -43,6 +43,7 @@ the library routines themselves.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -126,12 +127,16 @@ def legacy_broadcast(env, num_nodes: int, value: Any) -> Any:
 def legacy_inner_product(
     env, num_nodes: int, local_x: np.ndarray, local_y: np.ndarray
 ) -> float:
-    """Gather-at-0 then broadcast inner product (the CE-era pattern)."""
+    """Gather-at-0 then broadcast inner product (the CE-era pattern).
+
+    The root sums the partials with ``math.fsum``, which rounds once, so
+    the total does not depend on the order the partials arrive in: the
+    same product on any processor subset is bit-identical (§3.5)."""
     partial = float(np.dot(local_x, local_y))
     if env.my_node == 0:
-        total = partial
-        for _ in range(num_nodes - 1):
-            total += env.xrecv()
+        total = math.fsum(
+            [partial, *(env.xrecv() for _ in range(num_nodes - 1))]
+        )
         for node in range(1, num_nodes):
             env.xsend(node, total)
         return total

@@ -8,10 +8,10 @@ for the substitution argument.
 Failure semantics (§4.1.2 discipline): a processor can be marked dead with
 :meth:`Machine.fail`.  Its mailbox is poisoned so blocked receivers raise
 :class:`~repro.status.ProcessorFailedError` immediately, sends *from* it
-raise (a dead node cannot transmit), and sends *to* it follow the machine's
-``dead_send_policy`` — ``"raise"`` surfaces the failure at the sender,
-``"drop"`` silently discards, modelling a network that keeps accepting
-packets for a crashed node.
+raise (a dead node cannot transmit), and sends *to* it raise too: the
+failure surfaces at the sender.  A message already past routing when its
+destination dies is discarded at delivery and counted in
+``dropped_to_dead``.
 
 The transport is a layered fabric: every routed message descends an
 ordered **interceptor stack** (``machine.transport_stack``, a
@@ -94,18 +94,11 @@ class Machine:
         self,
         num_nodes: int,
         default_recv_timeout: Optional[float] = None,
-        dead_send_policy: str = "raise",
         clock: Optional[Clock] = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("a machine needs at least one processor")
-        if dead_send_policy not in ("raise", "drop", "queue"):
-            raise ValueError(
-                f"dead_send_policy must be 'raise', 'drop', or 'queue', "
-                f"not {dead_send_policy!r}"
-            )
         self.default_recv_timeout = default_recv_timeout
-        self.dead_send_policy = dead_send_policy
         # The one clock the failure detector, the fault transport and
         # retry read (repro.vp.clock); a test passes a ManualClock.
         self.clock = clock if clock is not None else Clock()
@@ -133,11 +126,8 @@ class Machine:
         self._observer: Optional[Any] = None
         # The installed failure detector (repro.health.FailureDetector) or
         # None.  When present it is the machine's health authority: planning
-        # code consults is_unavailable() (oracle-dead OR detector-dead) and
-        # the "queue" dead_send_policy buffers sends to its suspects.
+        # code consults is_unavailable() (oracle-dead OR detector-dead).
         self._health: Optional[Any] = None
-        # Sends buffered by the "queue" policy, keyed by suspected dest.
-        self._suspect_queues: dict[int, list[Message]] = {}
         # Processors added after construction (Machine.add_processor),
         # recorded for diagnostics: elastic membership is inspectable.
         self._added_processors: list[int] = []
@@ -195,9 +185,9 @@ class Machine:
 
         Poisons its mailbox so every blocked receiver raises
         :class:`ProcessorFailedError` immediately (no hang until the recv
-        deadline); later sends/receives/placements involving the node fail
-        per the machine's policy.  Idempotent: a second ``fail`` of an
-        already-dead processor is a no-op, so failure listeners observe
+        deadline); later sends/receives/placements involving the node
+        raise.  Idempotent: a second ``fail`` of an already-dead
+        processor is a no-op, so failure listeners observe
         each death exactly once — at once, or, for a death caused inside a
         ``holding_failures`` block on this thread, when the block ends.
         """
@@ -299,15 +289,11 @@ class Machine:
 
     # -- transport -----------------------------------------------------------
 
-    def deliver(self, message: Message) -> None:
-        """Final delivery — beneath the interceptor stack.
-
-        Messages addressed to a dead processor vanish here regardless of
-        policy — the destination can never consume them.
-        """
-        self._deliver(message)
-
     def _deliver(self, message: Message) -> None:
+        """Final delivery — beneath the interceptor stack.  A message whose
+        destination died after it was routed (an interceptor held it)
+        vanishes here, counted in ``dropped_to_dead``: the destination can
+        never consume it."""
         dest = message.dest
         if dest in self._failed:
             with self._lock:
@@ -349,32 +335,9 @@ class Machine:
                     f"send from failed processor {source}", processor=source
                 )
             if dest in failed:
-                if self.dead_send_policy == "raise":
-                    raise ProcessorFailedError(
-                        f"send to failed processor {dest}", processor=dest
-                    )
-                # "drop" and "queue" both discard sends to an oracle-dead
-                # destination: queueing is for *suspects*, whose death is
-                # unconfirmed; the oracle is ground truth.
-                with self._lock:
-                    self.dropped_to_dead += 1
-                return
-        health = self._health
-        if (
-            health is not None
-            and self.dead_send_policy == "queue"
-            and message.kind not in ("heartbeat", "rejoin")
-            and health.is_suspect(dest)
-        ):
-            # Buffer instead of transmitting into suspected silence.  The
-            # queue flushes (re-routes) when the suspect proves alive or
-            # rejoins, and drains to dropped_to_dead when the verdict
-            # hardens to dead.  Heartbeats are exempt (they *are* the
-            # evidence the verdict rests on), as is the rejoin protocol
-            # (it must reach the quarantined VP to end the quarantine).
-            with self._lock:
-                self._suspect_queues.setdefault(dest, []).append(message)
-            return
+                raise ProcessorFailedError(
+                    f"send to failed processor {dest}", processor=dest
+                )
         stack = self.transport_stack
         direct = source == dest and not stack._layers
         if message.trace_id is None and not direct:
@@ -395,34 +358,6 @@ class Machine:
             self._deliver(message)
         else:
             stack._forward(message)
-
-    def flush_suspect_queue(self, dest: int) -> int:
-        """Re-route sends buffered for a once-suspected destination (the
-        "queue" policy's heal path).  Returns the number re-routed; a
-        message whose source died while buffered is dropped and counted."""
-        with self._lock:
-            queued = self._suspect_queues.pop(dest, None)
-        if not queued:
-            return 0
-        flushed = 0
-        for message in queued:
-            try:
-                self.route(message)
-                flushed += 1
-            except ProcessorFailedError:
-                with self._lock:
-                    self.dropped_to_dead += 1
-        return flushed
-
-    def drop_suspect_queue(self, dest: int) -> int:
-        """Discard sends buffered for a destination whose suspicion
-        hardened into a dead verdict; they join ``dropped_to_dead``."""
-        with self._lock:
-            queued = self._suspect_queues.pop(dest, None)
-            if not queued:
-                return 0
-            self.dropped_to_dead += len(queued)
-            return len(queued)
 
     def send(
         self,
@@ -539,11 +474,6 @@ class Machine:
             else {"enabled": False}
         )
         with self._lock:
-            suspect_queued = {
-                dest: len(queued)
-                for dest, queued in self._suspect_queues.items()
-                if queued
-            }
             return {
                 "num_nodes": self.num_nodes,
                 "failed": sorted(self._failed),
@@ -555,7 +485,6 @@ class Machine:
                 "routed_messages": self.routed_count,
                 "routed_bytes": self.routed_bytes,
                 "dropped_to_dead": self.dropped_to_dead,
-                "suspect_queued": suspect_queued,
                 "arrays": arrays,
                 "observability": observability,
                 "perf": perf,

@@ -133,10 +133,6 @@ class Mailbox:
         with self._lock:
             self._poison = None
 
-    @property
-    def poisoned(self) -> bool:
-        return self._poison is not None
-
     def _source_failed(self, describe: str, source: int) -> BaseException:
         return ProcessorFailedError(
             f"processor {self.owner}: {describe} can never be "

@@ -167,10 +167,10 @@ class TestReactiveFailures:
     def test_handler_exception_propagates(self):
         graph = ReactiveGraph()
 
-        def poisoned(node, event):
+        def buggy(node, event):
             raise KeyError("handler bug")
 
-        graph.add_node("bad", poisoned)
+        graph.add_node("bad", buggy)
         with pytest.raises(KeyError, match="handler bug"):
             graph.run([("bad", Event(0, "go"))], timeout=5)
 

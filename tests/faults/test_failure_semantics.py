@@ -1,4 +1,4 @@
-"""VP death semantics: poisoned mailboxes, send policies, diagnostics."""
+"""VP death semantics: poisoned mailboxes, sends to the dead, diagnostics."""
 
 from __future__ import annotations
 
@@ -48,12 +48,21 @@ class TestFailAndPoison:
             machine.send(0, 1, "x")
         assert info.value.processor == 1
 
-    def test_send_to_dead_dropped_under_drop_policy(self):
-        machine = Machine(2, dead_send_policy="drop")
+    def test_message_held_past_its_destinations_death_is_dropped(self):
+        """A message routed while its destination lived, held by an
+        interceptor while it dies, is discarded at delivery and counted
+        once in ``dropped_to_dead``."""
+        machine = Machine(2)
+        held = []
+        machine.transport_stack.push(
+            lambda message, forward: held.append((message, forward))
+        )
+        machine.send(0, 1, "x", tag="t")
         machine.fail(1)
-        machine.send(0, 1, "x")  # vanishes silently
-        assert machine.dropped_to_dead == 1
+        message, forward = held.pop()
+        forward(message)
         assert machine.processor(1).mailbox.pending() == 0
+        assert machine.diagnostics()["dropped_to_dead"] == 1
 
     def test_send_from_dead_raises(self):
         machine = Machine(2)
@@ -85,10 +94,6 @@ class TestFailAndPoison:
         with pytest.raises(ProcessorFailedError):
             machine.check_alive([0, 1, 2, 3])
         machine.check_alive([0, 1, 3])
-
-    def test_invalid_dead_send_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Machine(2, dead_send_policy="explode")
 
 
 class TestDiagnostics:

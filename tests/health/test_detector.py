@@ -23,7 +23,7 @@ from repro.faults import (
     install_recovery,
 )
 from repro.health import FailureDetector, HealthState, install_detector
-from repro.status import Status
+from repro.status import ProcessorFailedError, Status
 from repro.vp.clock import ManualClock
 from repro.vp.machine import Machine
 from tests.conftest import advance_until
@@ -198,22 +198,29 @@ class TestSilenceVerdicts:
             finally:
                 detector.close()
 
-    def test_suspicion_score_grows_with_silence(self):
+    def test_send_to_suspect_is_delivered_and_to_dead_raises(self):
+        """A verdict changes no route: a send to a suspected but live VP
+        is delivered at once, nothing buffered; after the oracle kills it
+        the same send raises."""
         clock = ManualClock()
         machine = Machine(3, clock=clock)
-        plan = isolation(2, (0, 1))
+        # One-way: VP 2's heartbeats to the monitor vanish, 0 -> 2 flows.
+        plan = PartitionPlan(
+            [PartitionCut("mute", (2,), (0,), symmetric=False)]
+        )
         with FaultyTransport(machine, FaultPlan(seed=0), partitions=plan):
             detector = make_detector(machine, dead_after=1000.0)
             try:
-                assert rounds(
-                    clock,
-                    lambda: detector.snapshot()["heartbeats_received"] > 6,
+                assert rounds(clock, lambda: detector.is_suspect(2))
+                machine.send(0, 2, "now", tag="t")
+                message = machine.processor(2).mailbox.recv(
+                    tag="t", timeout=0
                 )
-                healthy = detector.suspicion(2)
-                plan.cut("iso")
-                assert rounds(
-                    clock, lambda: detector.suspicion(2) > healthy + 3.0
-                )
+                assert message.payload == "now"
+                assert detector.state_of(2) is HealthState.SUSPECT
+                machine.fail(2)
+                with pytest.raises(ProcessorFailedError):
+                    machine.send(0, 2, "now", tag="t")
             finally:
                 detector.close()
 

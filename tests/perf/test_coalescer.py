@@ -208,17 +208,13 @@ class TestDiagnostics:
 
 class TestDeadOwner:
     @pytest.mark.parametrize("queued", [True, False])
-    @pytest.mark.parametrize("policy", ["raise", "drop", "queue"])
-    def test_write_to_dead_owner_raises_at_once(
-        self, monkeypatch, policy, queued
-    ):
-        # Queued element write or synchronous one-cell region write,
-        # under every dead_send_policy: each checks its owner's liveness
-        # before it queues or sends, so no policy applies.  A write
+    def test_write_to_dead_owner_raises_at_once(self, monkeypatch, queued):
+        # Queued element write or synchronous one-cell region write: each
+        # checks its owner's liveness before it queues or sends.  A write
         # nobody answers would wait out the DefVar deadline; a short one
         # keeps that failure quick.
         monkeypatch.setattr(defvar, "DEFAULT_TIMEOUT", 2.0)
-        machine = Machine(8, dead_send_policy=policy)
+        machine = Machine(8)
         am_util.load_all(machine)
         arr = make_array(machine, n=16, owners=4)
         machine.fail(2)  # the owner of section 2, elements 8..11

@@ -53,7 +53,6 @@ def test_interceptor_disables_fast_path(machine):
 
 
 def test_fast_path_respects_dead_destination(machine):
-    machine.dead_send_policy = "drop"
     machine.fail(2)
     with pytest.raises(Exception):
         # Dead *source* still raises before the fast path is consulted.

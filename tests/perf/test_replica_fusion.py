@@ -569,7 +569,6 @@ class TestFaultInterplay:
             machine.transport_stack.remove(meter)
 
     def test_batch_to_dead_owner_without_recovery_is_lost(self, machine):
-        machine.dead_send_policy = "drop"
         perf = get_perf_layer(machine)
         perf.retry_timeout = 0.2
         perf.max_retries = 1

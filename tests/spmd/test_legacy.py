@@ -56,6 +56,30 @@ class TestLegacyLibraryOnItsHomeGround:
         results = par(*[lambda e=e: body(e) for e in envs])
         assert all(r == pytest.approx(float(x @ y)) for r in results)
 
+    def test_root_sum_does_not_depend_on_arrival_order(self):
+        """The same partials reaching the root in two orders give one
+        total: a left-to-right sum gives 0.6 for one order and
+        0.6000000000000001 for the other."""
+
+        class Root:
+            my_node = 0
+
+            def __init__(self, arrivals):
+                self.arrivals = list(arrivals)
+
+            def xrecv(self):
+                return self.arrivals.pop(0)
+
+            def xsend(self, node, data):
+                pass
+
+        own = (np.array([0.3]), np.array([1.0]))
+        totals = {
+            legacy_inner_product(Root(order), 3, *own)
+            for order in ([0.2, 0.1], [0.1, 0.2])
+        }
+        assert len(totals) == 1
+
 
 class TestRelocatabilityDefect:
     """§D: 'replacing references to explicit processor numbers with
