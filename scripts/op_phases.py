@@ -54,6 +54,13 @@ derivation has each request for a section carry the section's queued
 writes and a region order only the sections it touches, so a tree from
 before either reads more messages on these two and exits non-zero after
 printing its timings.
+
+``array_reads`` ends with the ladder of one remote element read,
+``arr[40, 40]`` (:func:`read_ladder`): the µs and frames of each rung —
+handle, ``am_user``, local request, routed hop, owner handler — measured
+in the same process after the timed ops, outside their clock and their
+traffic count.  With ``--src`` it attributes a read-path change to a
+rung.
 """
 
 from __future__ import annotations
@@ -96,6 +103,86 @@ def entered(fn, *args) -> tuple:
     finally:
         sys.setprofile(None)
     return count, result
+
+
+# The rungs of one remote element read, outermost first: each rung is
+# the time of its level less the time of the level beneath it.
+RUNGS = ("handle", "am_user", "local request", "routed hop", "owner handler")
+
+
+def read_ladder(arr, cell, calls: int = 2000, rounds: int = 7) -> list:
+    """``(rung, us, frames)`` of one remote element read ``arr[cell]``, for
+    each of RUNGS, and their sum last.
+
+    Each level is entered ``calls`` times a round, the levels taking turns
+    for ``rounds`` rounds; a level's time is per call in its quickest round
+    (the least disturbed, as for the phases), and its frames are counted as :func:`entered` counts them.
+    The levels: the handle's ``arr[cell]``; ``am_user.read_element``; the
+    ``read_element`` request made on the home processor, which runs
+    ``ArrayManager.read_element`` there; the ``read_element_local``
+    request it makes, routed from the home processor to the owner; the
+    owner's handler as loaded, run in the owner's frame.  Out and status
+    variables of the two requests and the handler are made before the
+    clock starts."""
+    from repro.arrays import am_user
+    from repro.arrays.manager import get_array_manager
+    from repro.pcn.defvar import DefVar
+    from repro.vp import fabric
+
+    machine, array_id = arr.machine, arr.array_id
+    home = array_id.creating_processor
+    section, local = arr.layout.locate(cell)
+    owner = arr.processors[section]
+    assert owner != home, f"{cell} is read in place, not remotely"
+    request = machine.server.request
+    handler = get_array_manager(machine).capabilities()["read_element_local"]
+    node = machine.processor(owner)
+
+    def handle(out, status) -> None:
+        arr[cell]
+
+    def user(out, status) -> None:
+        am_user.read_element(machine, array_id, cell, processor=home)
+
+    def local_request(out, status) -> None:
+        request("read_element", array_id, cell, out, status, processor=home)
+
+    def hop(out, status) -> None:
+        request(
+            "read_element_local", array_id, section, local, out, status,
+            processor=owner,
+        )
+
+    def owner_handler(out, status) -> None:
+        handler(node, array_id, section, local, out, status)
+
+    # (level, the processor its caller runs on: None is a top-level thread)
+    levels = (
+        (handle, None), (user, None), (local_request, None), (hop, home),
+        (owner_handler, owner),
+    )
+
+    def run(level, where, n: int) -> tuple:
+        """(ns, frames of the last call) of ``n`` calls of ``level``."""
+        outs = [(DefVar(), DefVar()) for _ in range(n)]
+        with fabric.execution_context(processor=where):
+            t0 = clock()
+            for out, status in outs[1:]:
+                level(out, status)
+            ns = clock() - t0
+            return ns, entered(level, *outs[0])[0]
+
+    frames = [run(level, where, 1)[1] for level, where in levels] + [0]
+    times: list = [[] for _ in levels]
+    for _ in range(rounds):
+        for k, (level, where) in enumerate(levels):
+            times[k].append(run(level, where, calls + 1)[0] / calls / 1e3)
+    us = [min(t) for t in times] + [0.0]
+    ladder = [
+        (rung, us[k] - us[k + 1], frames[k] - frames[k + 1])
+        for k, rung in enumerate(RUNGS)
+    ]
+    return ladder + [("remote read", us[0], frames[0])]
 
 
 def op_wire(local_dims: tuple, grid: tuple, depth: int, sweeps: int) -> tuple:
@@ -208,7 +295,7 @@ def ex61_calls(rt, seed: int) -> tuple:
         return t1 - t0, t2 - t1, t3 - t2, t3 - t0
 
     wire = (6 * (p - 1), 48 * (p - 1))
-    return ("create x2", "call", "free x2"), {}, op, lambda i: wire, None
+    return ("create x2", "call", "free x2"), {}, op, lambda i: wire, None, None
 
 
 def climate_halo(rt, seed: int) -> tuple:
@@ -230,7 +317,7 @@ def climate_halo(rt, seed: int) -> tuple:
 
     wire = op_wire(layout.local_dims, layout.grid, layout.borders[0], w.sweeps)
     names = ("component step", "interface exchange", "to_numpy x2")
-    return names, {}, op, lambda i: wire, None
+    return names, {}, op, lambda i: wire, None, None
 
 
 def array_writes(rt, seed: int) -> tuple:
@@ -291,7 +378,7 @@ def array_writes(rt, seed: int) -> tuple:
         "read-backs": len(w.readback_sections),
     }
     names = ("element writes", "region", "read-backs")
-    return names, requests, op, wire, frames
+    return names, requests, op, wire, frames, None
 
 
 def array_reads(rt, seed: int) -> tuple:
@@ -343,7 +430,8 @@ def array_reads(rt, seed: int) -> tuple:
 
     # Every 16th read is followed by a write and a read-back of its cell.
     requests = {"element reads": w.reads + 2 * (w.reads // 16)}
-    return ("element reads", "region"), requests, op, wire, frames
+    names = ("element reads", "region")
+    return names, requests, op, wire, frames, lambda: read_ladder(arr, (40, 40))
 
 
 WORKLOADS = {
@@ -381,7 +469,7 @@ def main() -> None:
     from repro.core.runtime import IntegratedRuntime
 
     rt = IntegratedRuntime(args.procs or 8)
-    names, requests, op, derived, frames = WORKLOADS[args.workload](
+    names, requests, op, derived, frames, ladder = WORKLOADS[args.workload](
         rt, args.seed
     )
     # The mirrors advance one op at a time, so ops are numbered on.
@@ -400,6 +488,7 @@ def main() -> None:
             [statistics.median(col) / 1e3 for col in zip(*samples)]
         )
     traffic = rt.machine.traffic_snapshot()
+    rungs = ladder() if ladder is not None else []
     *phases, whole = min(rounds, key=lambda r: r[-1])
     print(f"src                {args.src}")
     print(f"workload           {args.workload} (seed {args.seed}, "
@@ -415,6 +504,10 @@ def main() -> None:
     n = len(measured)
     wire = (traffic["messages"] / n, traffic["bytes"] / n)
     print(f"{'per op':18s} {wire[0]:g} msgs  {wire[1]:g} B")
+    if rungs:
+        print("one remote element read arr[40, 40], rung by rung:")
+        for rung, us, count in rungs:
+            print(f"  {rung:16s} {us:8.2f} us  {count:3d} frames")
     if derived is not None:
         # Derived op by op from the first, warm-up included: a queue an
         # op leaves behind is landed by a later one.

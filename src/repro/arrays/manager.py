@@ -786,7 +786,7 @@ class ArrayManager:
             verdict = self._commit(node, record, (), carried=carried)
             if verdict != "ok":
                 return _fail(status, _REFUSED[verdict], element_out)
-        value = record.section.read(local_indices)
+        value = record.section.interior()[tuple(local_indices)]
         element_out.define(value.item() if hasattr(value, "item") else value)
         status.define(Status.OK)
 

@@ -13,35 +13,39 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.local_section import LocalSection
 
 
-@dataclass(frozen=True, order=True)
-class ArrayID:
-    """Globally-unique array identifier: a 2-tuple of integers (§4.1.3)."""
+class ArrayID(tuple):
+    """Globally-unique array identifier: a 2-tuple of integers (§4.1.3).
 
-    creating_processor: int
-    serial: int
+    A ``tuple`` underneath, so the record, queue, durability and plan
+    tables it keys hash and compare it in C, with no Python frame per
+    lookup.  Not a bare tuple: the manager refuses ``(0, 1)`` where an
+    ``ArrayID`` is due, and a message carrying one is priced as one word
+    (``nbytes``), as a scalar is."""
 
-    def __post_init__(self) -> None:
-        # IDs key every record/pending-write/plan dict on the element
-        # hot path; precompute the hash instead of re-deriving it per
-        # lookup (frozen fields make this safe).
-        object.__setattr__(
-            self, "_hash", hash((self.creating_processor, self.serial))
-        )
+    __slots__ = ()
+    nbytes = 8
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, creating_processor: int, serial: int) -> "ArrayID":
+        return tuple.__new__(cls, (creating_processor, serial))
+
+    creating_processor = property(itemgetter(0))
+    serial = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     def as_tuple(self) -> tuple[int, int]:
-        return (self.creating_processor, self.serial)
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"ArrayID({self.creating_processor}, {self.serial})"
+        return f"ArrayID({self[0]}, {self[1]})"
 
 
 class _Serial:

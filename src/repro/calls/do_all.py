@@ -55,7 +55,7 @@ def do_all(
         perf.coalescer.flush()
     # Anonymous: each is read only after every copy has been joined.
     statuses = [DefVar() for _ in procs]
-    processes = []
+    processes: list = [None] * len(procs)
     # One trace scope per call: every copy inherits the same trace id, so
     # all wrapper traffic (find_local hops, SPMD messages) of one
     # distributed call is reconstructible from the trace interceptor.  An
@@ -66,15 +66,17 @@ def do_all(
     trace_id = ambient if ambient is not None else fabric.new_trace_id("dcall")
     with obs_span(machine, "do_all", processors=len(procs)):
         with fabric.execution_context(trace_id=trace_id):
-            for i, p in enumerate(procs):
-                node = machine.processor(p)
-                processes.append(
-                    node.spawn(
-                        program, i, parms, statuses[i], name=f"do_all[{i}]@{p}"
-                    )
+            # Highest index first: a reduce toward copy 0 then finds its
+            # partners' partials already in its mailbox instead of
+            # blocking on each one.
+            for i in reversed(range(len(procs))):
+                p = procs[i]
+                processes[i] = machine.processor(p).spawn(
+                    program, i, parms, statuses[i], name=f"do_all[{i}]@{p}"
                 )
 
-        # Join every copy; a copy that raised poisons the whole call with
+        # Join every copy, in index order (the first error reported is the
+        # lowest copy's); a copy that raised poisons the whole call with
         # STATUS_ERROR rather than hanging the caller.
         error: Optional[BaseException] = None
         for proc in processes:

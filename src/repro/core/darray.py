@@ -142,20 +142,25 @@ class DistributedArray:
             check_status(status, what.format(*arguments) + " failed")
         return value
 
+    # The element operations test the creator against the failed set
+    # inline, as ``_home`` does, and ask ``_home`` only once it has failed.
+
     def __getitem__(self, indices) -> Any:
         if not isinstance(indices, tuple):
             indices = (indices,)
+        home = self.array_id.creating_processor
         return self._checked(
             am_user.read_element, "read_element{0}", indices,
-            processor=self._home,
+            processor=home if home not in self.machine._failed else self._home,
         )
 
     def __setitem__(self, indices, value) -> None:
         if not isinstance(indices, tuple):
             indices = (indices,)
+        home = self.array_id.creating_processor
         self._checked(
             am_user.write_element, "write_element{0}", indices, value,
-            processor=self._home,
+            processor=home if home not in self.machine._failed else self._home,
         )
 
     # -- region access ----------------------------------------------------------------

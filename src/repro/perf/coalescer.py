@@ -354,10 +354,17 @@ class WriteCoalescer:
         and would take the batch off the wire), is flushed by the route
         here instead and None returned.
         """
-        with self._lock:
-            pending = self._pending
-            key = (array_id, section)
-            if not pending or key not in pending:
+        key = (array_id, section)
+        # Probed without the machine-wide lock: a dict lookup is atomic.
+        # With no queue there is nothing to carry, but another thread may
+        # have popped the queue and still be landing it, under the key's
+        # flush lock; then the request waits for it below, so it sees
+        # every write its own thread queued before it.  A write queued at
+        # this moment on another thread is not ordered before the request
+        # either way.
+        if key not in self._pending:
+            held = self._flush_locks.get(key)
+            if held is None or not held.locked():
                 return None
         lock = self._flush_lock(key)
         lock.acquire()

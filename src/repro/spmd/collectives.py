@@ -37,9 +37,9 @@ DEFAULT_ALGORITHM = "tree"
 def _traced(fn):
     """Wrap a collective in a ``collective:<name>`` observability span.
 
-    Costs one attribute probe per call while observation is off (the span
-    helper returns a shared no-op handle); composed collectives (allreduce
-    = reduce + bcast) show up as nested spans.
+    While observation is off no span is built, not even a no-op one;
+    composed collectives (allreduce = reduce + bcast) show up as nested
+    spans.
     """
     name = f"collective:{fn.__name__}"
 
@@ -52,10 +52,13 @@ def _traced(fn):
         # every record lock held) are exempt — their synchronisation is
         # below the flush machinery, and flushing inside them could
         # deadlock on those locks.
-        perf = getattr(comm.machine, "_perf", None)
+        machine = comm.machine
+        perf = getattr(machine, "_perf", None)
         if perf is not None and not getattr(comm, "internal", False):
             perf.coalescer.flush()
-        with obs_span(comm.machine, name, rank=comm.rank, size=comm.size):
+        if getattr(machine, "_observer", None) is None:
+            return fn(comm, *args, **kwargs)
+        with obs_span(machine, name, rank=comm.rank, size=comm.size):
             return fn(comm, *args, **kwargs)
 
     return traced

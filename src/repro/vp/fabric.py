@@ -64,20 +64,23 @@ class _Context(threading.local):
     frame: Frame = (None, None, 0, None)
 
 
-# Scoped to the process, not the thread: a body that leaves a context or
-# a span open must not hand it to the next process its thread runs.
-_context = process_scoped(_Context())
+# The calling thread's context: ``context.frame`` is its (processor,
+# trace_id, hop, span_id).  The request path reads it in place; it is set
+# only by ``execution_context`` and ``call_in_frame``.  Scoped to the
+# process, not the thread: a body that leaves a context or a span open
+# must not hand it to the next process its thread runs.
+context = process_scoped(_Context())
 
 
 def current_processor() -> Optional[int]:
     """The virtual processor the calling thread executes on (None for
     top-level threads that are not placed on any node)."""
-    return _context.frame[0]
+    return context.frame[0]
 
 
 def current_trace() -> "tuple[Optional[str], int]":
     """The (trace id, hop count) envelope the calling thread inherited."""
-    _, trace_id, hop, _ = _context.frame
+    _, trace_id, hop, _ = context.frame
     return trace_id, hop
 
 
@@ -85,7 +88,7 @@ def current_envelope() -> "tuple[str, int, Optional[str]]":
     """The ``(trace_id, hop, span_id)`` a message sent by the calling
     thread carries.  A top-level sender with no ambient trace gets a
     synthesized root id — no message is ever attributed to trace None."""
-    _, trace_id, hop, span_id = _context.frame
+    _, trace_id, hop, span_id = context.frame
     if trace_id is None:
         trace_id = new_trace_id()
     return trace_id, hop, span_id
@@ -97,7 +100,7 @@ def current_span_id() -> Optional[str]:
     Maintained by :class:`repro.obs.spans.SpanHandle`; rides the same
     thread-local as the trace envelope so spawned processes and server
     handlers parent their spans onto the caller's."""
-    return _context.frame[3]
+    return context.frame[3]
 
 
 class execution_context:
@@ -121,9 +124,9 @@ class execution_context:
         self._saved: Frame = _Context.frame
 
     def __enter__(self) -> "execution_context":
-        outer = self._saved = _context.frame
+        outer = self._saved = context.frame
         processor, trace_id, hop, span_id = self._fields
-        _context.frame = (
+        context.frame = (
             outer[0] if processor is None else processor,
             outer[1] if trace_id is None else trace_id,
             outer[2] if hop is None else hop,
@@ -132,12 +135,12 @@ class execution_context:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        _context.frame = self._saved
+        context.frame = self._saved
 
 
 def snapshot_context() -> Frame:
     """Capture the context for propagation into a spawned process."""
-    return _context.frame
+    return context.frame
 
 
 def call_in_frame(frame: Frame, fn: Callable[..., Any], *args: Any) -> Any:
@@ -148,12 +151,12 @@ def call_in_frame(frame: Frame, fn: Callable[..., Any], *args: Any) -> Any:
     The one frame swap a served request costs: a server handler run in
     place or at a remote target enters its node's frame through here, in
     one Python frame, where :class:`execution_context` takes three."""
-    saved = _context.frame
-    _context.frame = frame
+    saved = context.frame
+    context.frame = frame
     try:
         return fn(*args)
     finally:
-        _context.frame = saved
+        context.frame = saved
 
 
 # -- the interceptor stack ----------------------------------------------------

@@ -370,13 +370,16 @@ class Machine:
         kind: str = "user",
     ) -> None:
         """Build one message, stamped with the sender's envelope (trace
-        id, hop, span — see :func:`fabric.current_envelope`), and route it.
-        A message ``route`` will deliver on its same-node fast path stays
-        unstamped: nothing can observe its envelope."""
+        id, hop, span, as :func:`fabric.current_envelope` gives them, read
+        from the thread's frame in place), and route it.  A message
+        ``route`` will deliver on its same-node fast path stays unstamped:
+        nothing can observe its envelope."""
         if source == dest and not self.transport_stack._layers:
             trace_id, hop, span_id = None, 0, None
         else:
-            trace_id, hop, span_id = fabric.current_envelope()
+            _, trace_id, hop, span_id = fabric.context.frame
+            if trace_id is None:
+                trace_id = fabric.new_trace_id()
         # Positional, in field order (seq None: the next of the sequence):
         # on the one construction site every message passes, matching ten
         # keywords costs as much again as building the message.

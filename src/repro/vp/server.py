@@ -95,8 +95,9 @@ class _CarryingCall(_ServerCall):
     a write batch its holder applies in the same commit — handed to the
     handler as ``carried=``.  Priced as the request and the unit would be
     apart: the 8 bytes of a call and the unit's own ``nbytes``.  A call
-    that carries nothing is a plain :class:`_ServerCall`, which
-    :meth:`Message.nbytes` prices at 8 without asking it."""
+    that carries nothing is a plain :class:`_ServerCall`, which has no
+    ``nbytes``: :meth:`Message.nbytes` asks for it, finds none, and its
+    fallback prices the call at 8."""
 
     __slots__ = ("carried",)
 
@@ -196,7 +197,7 @@ class ServerRegistry:
         machine = self._machine
         if machine._failed:
             machine.check_alive((number,))
-        frame = fabric.snapshot_context()
+        frame = fabric.context.frame
         origin = frame[0] if source is None else source
         if origin is not None and origin != number:
             return self._request_remote(
@@ -233,10 +234,12 @@ class ServerRegistry:
         """Ship the request as one routed message from origin to target.
 
         What the requester waits on — ``done`` of a synchronous request,
-        ``proc_out`` of an asynchronous one — is named (for the wait graph
-        and the timeout message) only if it is about to suspend on it."""
+        ``proc_out`` of an asynchronous one — is named for the wait graph
+        and the timeout message."""
         machine = self._machine
-        answer = DefVar()
+        answer = DefVar(
+            f"server-{request_type}-{'done' if synchronous else 'proc'}"
+        )
         if carried is not None:
             call = _CarryingCall(request_type, parameters, answer, carried)
         else:
@@ -248,10 +251,6 @@ class ServerRegistry:
             origin, number, call, MessageType.PCN, ("server", request_type),
             None, kind,
         )
-        if not answer.data():
-            answer.name = (
-                f"server-{request_type}-{'done' if synchronous else 'proc'}"
-            )
         outcome = answer.read(timeout=machine.default_recv_timeout)
         if synchronous and outcome is not None:
             raise outcome
@@ -298,7 +297,7 @@ class ServerRegistry:
         ``carried`` maps a holder to the unit its hop carries, as
         :meth:`request`'s ``carried`` does for one hop.
         """
-        frame = fabric.snapshot_context()
+        frame = fabric.context.frame
         if frame[1] is None:
             # Every hop carries one trace: without the caller's, the
             # fan-out is asked again in a frame with one fresh root.
@@ -315,7 +314,9 @@ class ServerRegistry:
         origin = frame[0]
         common = (*parameters, status)
         tag = ("server", request_type)
-        done = Tally(len(holders), _first_error, None)
+        done = Tally(
+            len(holders), _first_error, None, f"server-{request_type}-done"
+        )
         for holder, own in holders.items():
             asked = (*parameters, *own, status) if own else common
             unit = carried.get(holder) if carried else None
@@ -342,10 +343,6 @@ class ServerRegistry:
                     raise
                 done.forget()
                 status.forget()
-        if not done.data():
-            # Named (for the wait graph and the timeout message) only if
-            # the requester is about to suspend on it.
-            done.name = f"server-{request_type}-done"
         error = done.read(timeout=machine.default_recv_timeout)
         if error is not None:
             raise error
@@ -403,7 +400,14 @@ class ServerRegistry:
         # delivering thread happens to be inside.
         frame = (dest, message.trace_id, message.hop + 1, message.span_id)
         if call.synchronous:
-            self._serve(handler, node, call.parameters, call.done, frame)
+            # ``_serve``'s body written out: every remote request passes
+            # here, and a helper would be one more frame each.
+            try:
+                fabric.call_in_frame(frame, handler, node, *call.parameters)
+            except BaseException as exc:  # noqa: BLE001 - crosses the hop
+                call.done.define(exc)
+            else:
+                call.done.define(None)
             return
         call.proc_out.define(
             fabric.call_in_frame(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,19 @@ class TestRun:
             assert v1[i] == v2[i] == i + 1.0
         v1.free()
         v2.free()
+
+
+class TestAtScale:
+    def test_end_to_end_at_p64(self):
+        """EX-6.1 whole at P = 64 — two vectors created, one distributed
+        call, both freed — gives the closed form on the wire: 6(P - 1) =
+        378 one-word messages, 48(P - 1) = 3,024 bytes, in under 5 s."""
+        start = time.perf_counter()
+        rt = IntegratedRuntime(64)
+        rt.machine.reset_traffic()
+        result = innerproduct.run(rt, local_m=4)
+        assert result == innerproduct.expected_inner_product(64 * 4)
+        assert rt.machine.traffic_snapshot() == {
+            "messages": 378, "bytes": 3024,
+        }
+        assert time.perf_counter() - start < 5.0

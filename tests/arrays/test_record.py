@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.arrays import am_user, am_util
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.local_section import LocalSection
 from repro.arrays.record import SERIALS, ArrayID, ArrayRecord
+from repro.status import Status
+from repro.vp.machine import Machine
+from repro.vp.message import Message
 
 
 def layout():
@@ -37,6 +43,33 @@ class TestArrayID:
 
     def test_ordering(self):
         assert ArrayID(0, 1) < ArrayID(0, 2) < ArrayID(1, 0)
+
+    def test_fields_keywords_repr_and_pickle(self):
+        aid = ArrayID(creating_processor=3, serial=17)
+        assert (aid.creating_processor, aid.serial) == (3, 17)
+        assert repr(aid) == str(aid) == "ArrayID(3, 17)"
+        assert type(aid.as_tuple()) is tuple
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(aid, protocol))
+            assert again == aid and type(again) is ArrayID
+        with pytest.raises(AttributeError):
+            aid.serial = 4
+
+    def test_a_message_prices_it_as_one_word(self):
+        assert Message(0, 1, ArrayID(3, 17)).nbytes() == 8
+
+    def test_a_bare_tuple_is_not_an_id(self):
+        """An ID hashes and compares as its tuple, but the manager still
+        answers NOT_FOUND for a bare tuple where an ArrayID is due."""
+        machine = Machine(2)
+        am_util.load_all(machine)
+        aid, status = am_user.create_array(
+            machine, "double", (4,), [0, 1], ["block"]
+        )
+        assert status is Status.OK
+        assert am_user.read_element(machine, aid, (3,)) == (0.0, Status.OK)
+        _value, status = am_user.read_element(machine, tuple(aid), (3,))
+        assert status is Status.NOT_FOUND
 
     def test_serials_distinguish_per_processor(self):
         a = SERIALS.next_for(5)

@@ -114,3 +114,42 @@ class TestFailure:
 
         with pytest.raises(TimeoutError):
             do_all(m4, [0, 1], program, None, max, timeout=0.2)
+
+    def test_first_error_is_the_lowest_copys(self, m4):
+        """Copies start highest index first but are joined in index
+        order: of two copies that raise, the lower one's error is the
+        call's."""
+
+        def program(index, parms, status):
+            if index in (1, 3):
+                raise RuntimeError(f"copy {index} died")
+            status.define(0)
+
+        with pytest.raises(RuntimeError, match="copy 1 died"):
+            do_all(m4, [0, 1, 2, 3], program, None, max)
+
+
+class TestStartOrder:
+    def test_copies_start_highest_index_first(self, monkeypatch):
+        """A reduce toward copy 0 finds its partners' partials buffered:
+        ``do_all`` places copy P - 1 first and copy 0 last, and EX-6.1's
+        answer and its 6(P - 1) one-word messages stay as they were."""
+        from repro.apps import innerproduct
+        from repro.core.runtime import IntegratedRuntime
+        from repro.vp.processor import VirtualProcessor
+
+        started = []
+        spawn = VirtualProcessor.spawn
+
+        def spy(self, target, *args, name="", **kwargs):
+            if name.startswith("do_all["):
+                started.append(args[0])
+            return spawn(self, target, *args, name=name, **kwargs)
+
+        monkeypatch.setattr(VirtualProcessor, "spawn", spy)
+        rt = IntegratedRuntime(8)
+        rt.machine.reset_traffic()
+        result = innerproduct.run(rt, local_m=4)
+        assert result == innerproduct.expected_inner_product(32)
+        assert started == [7, 6, 5, 4, 3, 2, 1, 0]
+        assert rt.machine.traffic_snapshot() == {"messages": 42, "bytes": 336}

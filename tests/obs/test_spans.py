@@ -154,3 +154,39 @@ class TestRecorderQueries:
         for t in threads:
             t.join()
         assert len(observer.recorder.spans()) == 16
+
+
+class TestCollectiveSpans:
+    def test_collective_builds_a_span_only_under_observation(self, monkeypatch):
+        """EX-6.1's allreduce builds no span, not even a no-op one, while
+        nothing observes; under ``observe()`` each copy records
+        ``collective:allreduce`` with its ``collective:reduce`` and
+        ``collective:bcast`` nested in it."""
+        from repro.apps import innerproduct
+        from repro.core.runtime import IntegratedRuntime
+        from repro.spmd import collectives
+
+        opened = []
+        real = collectives.obs_span
+
+        def spy(machine, name, **attrs):
+            opened.append(name)
+            return real(machine, name, **attrs)
+
+        monkeypatch.setattr(collectives, "obs_span", spy)
+        rt = IntegratedRuntime(4)
+        expected = innerproduct.expected_inner_product(16)
+        assert innerproduct.run(rt, local_m=4) == expected
+        assert opened == []
+
+        observer = rt.machine.observe()
+        try:
+            assert innerproduct.run(rt, local_m=4) == expected
+            recorder = observer.recorder
+            allreduces = recorder.spans_named("collective:allreduce")
+            assert len(allreduces) == 4
+            for outer in allreduces:
+                inner = {s["name"] for s in recorder.children_of(outer["span"])}
+                assert inner == {"collective:reduce", "collective:bcast"}
+        finally:
+            observer.close()

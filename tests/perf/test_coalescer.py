@@ -9,6 +9,7 @@ distributed-call boundaries all force the queue out first.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -111,6 +112,39 @@ class TestFlushPoints:
         arr = make_array(m8)
         arr[5] = 7.5
         assert arr[5] == 7.5  # read-your-writes through the flush
+
+    def test_racing_writers_each_read_their_own_writes(self, m8):
+        """Four threads, one cell each, write and read back cells of one
+        remote section, switched every microsecond.  Another thread's
+        request may have popped the queue holding this thread's write and
+        still be landing it when this thread reads: the read waits for
+        that batch instead of finding no queue and reading the old value,
+        so every thread reads its own writes (§3.3)."""
+        arr = make_array(m8, n=16, owners=4)  # cells 12..15 on processor 3
+        wrong = []
+
+        def writer(cell):
+            for value in range(200):
+                arr[cell] = float(value)
+                if arr[cell] != value:
+                    wrong.append((cell, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(12 + k,))
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert [arr[c] for c in range(12, 16)] == [199.0] * 4
 
     def test_read_region_flushes(self, m8):
         arr = make_array(m8, n=16, owners=4)
